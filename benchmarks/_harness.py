@@ -110,3 +110,38 @@ def record_bench(name: str, stats: Mapping, section: str = "") -> str:
         fh.write("\n")
     print(f"\n  [record_bench] wrote {path}")
     return path
+
+
+def count_pricing_calls(monkeypatch, log_path: str):
+    """Wrap ``repro.runtime.execute`` / ``execute_group`` so that every
+    call — in fork-started worker processes too — appends a line to
+    ``log_path``.  Returns a reader giving ``(execute calls, [cells per
+    execute_group call])``: how a campaign priced its groups."""
+    import repro.runtime as runtime
+
+    with open(log_path, "w"):
+        pass
+    execute, execute_group = runtime.execute, runtime.execute_group
+
+    def note(line: str) -> None:
+        with open(log_path, "a") as fh:
+            fh.write(line + "\n")
+
+    def counted_execute(*args, **kwargs):
+        note("execute")
+        return execute(*args, **kwargs)
+
+    def counted_execute_group(cells, *args, **kwargs):
+        note(f"group {len(cells)}")
+        return execute_group(cells, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "execute", counted_execute)
+    monkeypatch.setattr(runtime, "execute_group", counted_execute_group)
+
+    def read():
+        with open(log_path) as fh:
+            lines = fh.read().split()
+        groups = [int(n) for k, n in zip(lines, lines[1:]) if k == "group"]
+        return lines.count("execute"), groups
+
+    return read

@@ -25,8 +25,9 @@ must clear ``max(SPEEDUP_FLOOR x 36.04, TASKS_PER_SECOND_FLOOR)`` =
 200 tasks/s.  Enforced under ``REPRO_PERF_STRICT=1`` (``run_all.py
 --timed``), warned otherwise, same policy as ``bench_perf_core.py``.
 
-``test_batched_vs_per_cell_speedup`` additionally measures the batched
-whole-group pricing path against the per-task loop on a rank-weights
+``test_batched_vs_per_cell_speedup`` additionally measures whole-group
+pricing against one-task groups of the same group function
+(:func:`repro.campaign.run_task_group`) on a rank-weights
 swept grid (where the baseline price memo also gets to hit), asserts
 the two paths write identical deterministic records, and records the
 speedup and baseline-cache hit rate under ``batched_pricing``.
@@ -47,9 +48,9 @@ from repro.campaign import (
     compile_cache_stats,
     default_spec,
     run_campaign,
+    run_task_group,
     set_baseline_cache_size,
     set_compile_cache_dir,
-    set_group_pricing,
     summarize_results,
 )
 from repro.campaign.sweep import canonical_json, group_by_compile_key
@@ -249,11 +250,11 @@ def test_campaign_default_grid_gate(tmp_path, benchmark):
 
 
 def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
-    """Batched whole-group pricing vs the per-task loop, measured on a
-    rank-weights swept grid (the shape the baseline memo exists for:
-    half the baselines are pure re-prices).  The two paths must write
-    identical deterministic records; the speedup and baseline-cache
-    hit rate land under ``batched_pricing``."""
+    """Whole-group pricing vs one-task groups of the same group
+    function, measured on a rank-weights swept grid (the shape the
+    baseline memo exists for: half the baselines are pure re-prices).
+    The two paths must write identical deterministic records; the
+    speedup and baseline-cache hit rate land under ``batched_pricing``."""
     spec = default_spec(
         seed=SEED, nests=4, include_corpus=False,
         meshes=MESHES, rank_weights=(True, False),
@@ -266,25 +267,33 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
         path = str(tmp_path / f"{name}.jsonl")
         clear_compile_cache()
         clear_baseline_cache()
-        prev_gp = set_group_pricing(batched)
         prev_bc = set_baseline_cache_size(512 if batched else 0)
+        outcome = None
         t0 = time.perf_counter()
         try:
-            outcome = run_campaign(
-                tasks, path, CampaignConfig(jobs=1), meta=meta
-            )
+            if batched:
+                outcome = run_campaign(
+                    tasks, path, CampaignConfig(jobs=1), meta=meta
+                )
+            else:
+                # the per-cell reference: one-task groups of the same
+                # group function, baseline memo off
+                store = RunStore(path)
+                store.start(meta)
+                for task in tasks:
+                    store.append(run_task_group([task])[0])
         finally:
-            set_group_pricing(prev_gp)
             set_baseline_cache_size(prev_bc)
         wall = time.perf_counter() - t0
-        assert outcome.ok == len(tasks) and outcome.errors == 0
         _, results = RunStore(path).load()
+        assert len(results) == len(tasks)
+        assert all(r.status == "ok" for r in results.values())
         return outcome, results, wall
 
-    per_cell_outcome, per_cell, per_cell_wall = run(
-        "per_cell", batched=False
-    )
+    _, per_cell, per_cell_wall = run("per_cell", batched=False)
     batched_outcome, batched, batched_wall = run("batched", batched=True)
+    hits = batched_outcome.baseline_cache_hits
+    misses = batched_outcome.baseline_cache_misses
 
     # --- the gate: record-for-record byte identity ---------------------
     assert set(batched) == set(per_cell)
@@ -295,9 +304,8 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
 
     # the sweep shape delivers: one baseline priced per cell, the
     # second knob value's baseline is a memo hit
-    assert batched_outcome.baseline_cache_misses == cells
-    assert batched_outcome.baseline_cache_hits == cells
-    assert per_cell_outcome.baseline_cache_hits == 0
+    assert misses == cells
+    assert hits == cells
 
     benchmark(
         lambda: run_campaign(
@@ -307,8 +315,6 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
     )
 
     speedup = per_cell_wall / batched_wall if batched_wall else 0.0
-    hits = batched_outcome.baseline_cache_hits
-    misses = batched_outcome.baseline_cache_misses
     from _harness import record_bench
 
     record_bench(

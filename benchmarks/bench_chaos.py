@@ -27,12 +27,16 @@ The gate asserts that
    tasks and the store converges **bit-identical on deterministic
    fields** to an unfaulted reference run;
 4. with ``retries=2`` the same (transient, ``times=1``) faults
-   self-heal in-run: zero failure records, attempt counts > 1.
+   self-heal in-run: zero failure records, attempt counts > 1;
+5. the faulted and self-healing runs take the default group path:
+   every group with two or more unfaulted tasks prices them in one
+   ``execute_group`` call (faults drop out per task first).
 
 Measurements land in ``BENCH_chaos.json`` (schema in PERFORMANCE.md).
 """
 
 import time
+from collections import Counter
 
 from repro.campaign import (
     CampaignConfig,
@@ -46,7 +50,9 @@ from repro.campaign import (
 SEED = 0
 NESTS = 4
 JOBS = 2
-MESHES = ((4, 4), (2, 2))
+#: three cells per group, so that one fault per group still leaves a
+#: multi-cell group to price
+MESHES = ((4, 4), (2, 2), (2, 4))
 #: per-task cap during the faulted run: the injected hang is detected
 #: within this + the supervisor's grace
 TIMEOUT = 3.0
@@ -128,6 +134,19 @@ def test_chaos_gate(tmp_path, monkeypatch):
     assert sum(1 for m in predicted.values() if m == "kill") >= 1
     assert sum(1 for m in predicted.values() if m == "fail") >= 2
 
+    # groups left with two or more unfaulted tasks: each must price
+    # through one execute_group call (gate 5)
+    unfaulted = {}
+    for t in tasks:
+        if t.task_id not in predicted:
+            unfaulted[t.compile_key] = unfaulted.get(t.compile_key, 0) + 1
+    multi = [n for n in unfaulted.values() if n > 1]
+    assert multi
+    from _harness import count_pricing_calls
+
+    pricing_log = str(tmp_path / "pricing.log")
+    pricing = count_pricing_calls(monkeypatch, pricing_log)
+
     # --- gate 1+2: the faulted campaign finishes, faults are typed ----
     out = str(tmp_path / "chaos.jsonl")
     monkeypatch.setenv("REPRO_FAULT_INJECT", spec_text)
@@ -159,6 +178,9 @@ def test_chaos_gate(tmp_path, monkeypatch):
         1 for m in predicted.values() if m == "kill"
     )
     assert faulted.timeouts == 1
+    _, group_calls = pricing()
+    # one heuristic call per such group (baselines may be memo hits)
+    assert not Counter(multi) - Counter(group_calls), (multi, group_calls)
 
     # --- gate 3: fault-free resume converges bit-identically ----------
     t0 = time.perf_counter()
@@ -174,6 +196,7 @@ def test_chaos_gate(tmp_path, monkeypatch):
 
     # --- gate 4: retries self-heal transient (times=1) faults in-run --
     healed_path = str(tmp_path / "healed.jsonl")
+    open(pricing_log, "w").close()
     transient = spec_text.replace("times=99", "times=1")
     monkeypatch.setenv("REPRO_FAULT_INJECT", transient)
     t0 = time.perf_counter()
@@ -190,6 +213,10 @@ def test_chaos_gate(tmp_path, monkeypatch):
     assert selfheal.ok == len(tasks)
     assert selfheal.crashed == 0 and selfheal.errors == 0
     assert selfheal.retried >= 1
+    # a group whose killed or hung task is retried in a fresh worker
+    # prices more cells than predicted; every group still prices whole
+    _, group_calls = pricing()
+    assert sum(n > 1 for n in group_calls) >= len(multi), group_calls
     _, third = RunStore(healed_path).load()
     assert {k: r.deterministic_dict() for k, r in third.items()} == want
 

@@ -14,6 +14,9 @@ Not a paper artefact — the subsystem gate for :mod:`repro.obs`:
   exactly (they do by construction — overhead is the residual) and the
   instrumented stages must *dominate* it (the spans are not missing the
   work);
+* **traced runs measure the default path**: the traced campaign prices
+  every compile-key group in one ``execute_group`` call, exactly as an
+  untraced run does;
 * the traced run's per-stage totals land in ``BENCH_trace.json``
   (section ``grid_2d``) — the per-PR answer to "which stage owns the
   throughput trend?" next to ``BENCH_campaign.json``'s totals.
@@ -23,6 +26,7 @@ import os
 import time
 import timeit
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -65,7 +69,7 @@ def test_disabled_span_is_nearly_free():
     )
 
 
-def test_trace_overhead_and_stage_breakdown(tmp_path):
+def test_trace_overhead_and_stage_breakdown(tmp_path, monkeypatch):
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
 
@@ -101,6 +105,9 @@ def test_trace_overhead_and_stage_breakdown(tmp_path):
             warnings.warn(msg + " (non-strict mode: recorded, not failed)")
 
     # --- traced run: stage totals must account for the task time ------
+    from _harness import count_pricing_calls
+
+    pricing = count_pricing_calls(monkeypatch, str(tmp_path / "pricing.log"))
     trace_path = str(tmp_path / "trace.jsonl")
     t0 = time.perf_counter()
     traced_outcome = run_campaign(
@@ -110,6 +117,13 @@ def test_trace_overhead_and_stage_breakdown(tmp_path):
     traced_wall = time.perf_counter() - t0
     assert traced_outcome.ok == len(tasks)
     assert not tracing.is_enabled()  # flag restored after the run
+    # the group path: every group here has 4 cells and prices them in
+    # one execute_group call (baselines may be memo hits)
+    sizes = Counter(t.compile_key for t in tasks)
+    assert min(sizes.values()) > 1
+    singles, group_calls = pricing()
+    assert singles == 0
+    assert not Counter(sizes.values()) - Counter(group_calls), group_calls
 
     trace = load_trace(trace_path)
     assert len(trace["tasks"]) == len(tasks)

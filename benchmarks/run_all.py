@@ -164,7 +164,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     for r in rows:
         by_name.setdefault(r["function"], r)
     compile_ct = by_name.get("_compile_for_task", {}).get("cumtime_s", 0.0)
-    price_ct = by_name.get("price_group_batched", {}).get("cumtime_s", 0.0)
+    # the group path: fault checks, the group's one compile and its
+    # batched pricing
+    price_ct = by_name.get("run_task_group", {}).get("cumtime_s", 0.0)
 
     # full-stats call counts (not just the top rows) for the fused
     # pricing gate: per-phase pricing entry points vs kernel launches

@@ -11,8 +11,9 @@ at a time.
 * :mod:`~repro.campaign.workloads` — seeded random nest generator +
   named corpus (``repro.ir.examples`` and the ``examples/*.py`` kernels);
 * :mod:`~repro.campaign.sweep` — grid spec expansion with stable task ids;
-* :mod:`~repro.campaign.runner` — campaign orchestration, per-task
-  error capture and timeouts, JSONL checkpoint/resume;
+* :mod:`~repro.campaign.runner` — campaign orchestration, the one
+  group execution path (typed per-task errors, timeouts, tracing),
+  JSONL checkpoint/resume;
 * :mod:`~repro.campaign.executors` — pluggable execution backends
   (``inline``, ``pool``, ``resilient``) with retry/backoff,
   worker-death recovery and hang detection;
@@ -45,13 +46,11 @@ from .runner import (
     compile_cache_stats,
     crashed_result,
     execute_task,
-    group_pricing_allowed,
-    price_group_batched,
     run_campaign,
+    run_task_group,
     set_baseline_cache_size,
     set_compile_cache_dir,
     set_compile_cache_size,
-    set_group_pricing,
 )
 from .store import (
     ERROR_KINDS,
@@ -99,6 +98,7 @@ __all__ = [
     "CampaignSpecMismatch",
     "execute_task",
     "run_campaign",
+    "run_task_group",
     "crashed_result",
     "clear_compile_cache",
     "code_fingerprint",
@@ -109,9 +109,6 @@ __all__ = [
     "clear_baseline_cache",
     "baseline_cache_stats",
     "set_baseline_cache_size",
-    "group_pricing_allowed",
-    "price_group_batched",
-    "set_group_pricing",
     "Executor",
     "ExecutorConfig",
     "executor_names",

@@ -2,7 +2,10 @@
 
 Campaign execution is split from campaign bookkeeping: the runner
 builds compile-key groups and records results; an :class:`Executor`
-decides how the groups actually run.  Three backends ship:
+decides where the groups run.  Every backend runs a group the same
+way — :func:`~repro.campaign.runner.run_task_group` through
+:func:`run_group` / :func:`iter_group` — so they differ only in
+isolation and supervision.  Three backends ship:
 
 ``inline``
     Everything in the calling process.  No pickling, no workers —
@@ -31,10 +34,10 @@ from .base import (
     backoff_delay,
     executor_names,
     init_worker,
+    iter_group,
     make_executor,
     register_executor,
     run_group,
-    run_task_with_retries,
 )
 
 # importing the modules registers the backends
@@ -50,8 +53,8 @@ __all__ = [
     "backoff_delay",
     "executor_names",
     "init_worker",
+    "iter_group",
     "make_executor",
     "register_executor",
     "run_group",
-    "run_task_with_retries",
 ]

@@ -14,10 +14,10 @@ Worker-side helpers shared by all backends:
   capabilities and apply the compile-cache size *explicitly* (spawn
   workers do not inherit post-import ``set_compile_cache_size`` /
   ``REPRO_CAMPAIGN_COMPILE_CACHE`` state the way fork workers do);
-* :func:`run_task_with_retries` — per-task retry of transient failure
-  kinds with capped exponential backoff;
-* :func:`run_group` — the sequential group loop every process-based
-  backend ships to its workers.
+* :func:`iter_group` / :func:`run_group` — one compile-key group
+  through :func:`repro.campaign.runner.run_task_group`, re-running
+  retryable failures as a smaller group with capped exponential
+  backoff.  Every backend runs its groups through these.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
 from .. import faults
 from ..runner import (
-    execute_task,
-    group_pricing_allowed,
-    price_group_batched,
+    AttemptHook,
+    run_task_group,
     set_baseline_cache_size,
     set_compile_cache_dir,
     set_compile_cache_size,
@@ -69,9 +68,6 @@ class ExecutorConfig:
     #: the parent's persistent compile-cache directory (disk tier);
     #: None leaves the worker's own env-derived setting untouched
     compile_cache_dir: Optional[str] = None
-    #: the parent's array backend name (``repro.machine.backend``);
-    #: None leaves the worker's own resolution untouched
-    price_backend: Optional[str] = None
     #: raw ``REPRO_FAULT_INJECT`` spec (None = injection off)
     fault_spec: Optional[str] = None
     #: the parent's tracing flag, passed through to workers the same
@@ -141,46 +137,54 @@ def init_worker(
         set_baseline_cache_size(config.baseline_cache_size)
     if config.compile_cache_dir is not None:
         set_compile_cache_dir(config.compile_cache_dir)
-    if config.price_backend is not None:
-        from ...machine.backend import set_price_backend
-
-        set_price_backend(config.price_backend)
     obs_tracing.set_enabled(config.trace)
     faults.activate(
         config.fault_spec, allow_kill=allow_kill, allow_hang=allow_hang
     )
 
 
-def run_task_with_retries(
-    task: SweepTask,
+def iter_group(
+    group: Sequence[SweepTask],
     config: ExecutorConfig,
-    first_attempt: int = 1,
+    attempts: Optional[Dict[str, int]] = None,
     sleep: Callable[[float], None] = time.sleep,
-    on_attempt: Optional[Callable[[SweepTask, int], None]] = None,
-) -> TaskResult:
-    """Execute one task, retrying transient failure kinds.
+    on_attempt: Optional[AttemptHook] = None,
+) -> Iterator[TaskResult]:
+    """Run one compile-key group (or any subset of it), yielding each
+    task's record once it is final.
 
-    The attempt budget is ``config.retries + 1`` total attempts across
-    the task's lifetime; ``first_attempt`` accounts for attempts a
-    previous (crashed) worker already consumed, so supervisors resume
-    the count instead of restarting it.  ``on_attempt`` fires at the
-    start of every attempt (after any backoff sleep) — the resilient
-    worker uses it to tell its supervisor the deadline clock restarts.
-    """
-    attempt = first_attempt
-    while True:
-        if on_attempt is not None:
-            on_attempt(task, attempt)
-        result = execute_task(task, timeout=config.timeout, attempt=attempt)
-        if (
-            result.status == "ok"
-            or result.error_kind not in RETRYABLE_KINDS
-            or attempt >= config.retries + 1
+    Each round calls :func:`~repro.campaign.runner.run_task_group` on
+    the pending tasks; retryable failures re-run as a smaller group
+    with ``attempt + 1`` after a capped exponential backoff, within a
+    budget of ``config.retries + 1`` attempts per task.  ``attempts``
+    carries attempts a previous (crashed) worker already consumed, so
+    supervisors resume the count instead of restarting it.  ``sleep``
+    and ``on_attempt`` let the resilient worker announce backoffs and
+    deadlines to its supervisor."""
+    attempts = {t.task_id: (attempts or {}).get(t.task_id, 1) for t in group}
+    pending = list(group)
+    rounds = 0
+    while pending:
+        retry = set()
+        for result in run_task_group(
+            pending, config.timeout, attempts, on_attempt
         ):
-            return result
-        attempt += 1
-        obs_metrics.counter("campaign.executor.retries").inc()
-        delay = backoff_delay(config.backoff, attempt - first_attempt)
+            if (
+                result.status != "ok"
+                and result.error_kind in RETRYABLE_KINDS
+                and attempts[result.task_id] < config.retries + 1
+            ):
+                retry.add(result.task_id)
+            else:
+                yield result
+        pending = [t for t in pending if t.task_id in retry]
+        if not pending:
+            return
+        for task in pending:
+            attempts[task.task_id] += 1
+        obs_metrics.counter("campaign.executor.retries").inc(len(pending))
+        rounds += 1
+        delay = backoff_delay(config.backoff, rounds)
         if delay > 0:
             sleep(delay)
 
@@ -188,28 +192,12 @@ def run_task_with_retries(
 def run_group(
     group: Sequence[SweepTask],
     config: ExecutorConfig,
-    first_attempts: Optional[Dict[str, int]] = None,
+    attempts: Optional[Dict[str, int]] = None,
 ) -> List[TaskResult]:
-    """Sequentially run one compile-key group with per-task retries
-    (the in-worker half of every backend; the first task pays the
-    compile, the rest hit the worker's cache).
-
-    Fresh groups take the batched whole-group pricing path when the
-    runner's gates allow it (bit-identical results; see
-    :func:`repro.campaign.runner.price_group_batched`); groups with
-    resumed attempt counts — a crashed worker's second life — keep the
-    per-task loop so retry bookkeeping stays exact."""
-    first_attempts = first_attempts or {}
-    if not first_attempts and group_pricing_allowed(group, config.timeout):
-        results = price_group_batched(group)
-        if results is not None:
-            return results
-    return [
-        run_task_with_retries(
-            task, config, first_attempt=first_attempts.get(task.task_id, 1)
-        )
-        for task in group
-    ]
+    """:func:`iter_group` collected in group order (the in-worker half
+    of the inline and pool backends)."""
+    final = {r.task_id: r for r in iter_group(group, config, attempts)}
+    return [final[t.task_id] for t in group]
 
 
 _REGISTRY: Dict[str, Type[Executor]] = {}

@@ -1,6 +1,8 @@
 """The in-process backend: no workers, no pickling, easiest to debug.
 
-Runs every group sequentially in the calling process.  Fault injection
+Runs every group sequentially in the calling process, through the same
+:func:`~repro.campaign.executors.base.run_group` as the process
+backends (SIGALRM group deadlines need the main thread).  Fault injection
 is armed *without* the kill/hang capabilities — an injected ``kill``
 must not shoot the main process, so both are downgraded to transient
 failures (see :mod:`repro.campaign.faults`).

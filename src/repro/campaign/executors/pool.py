@@ -18,6 +18,10 @@ on:
   (``error_kind="crash"``) for the whole lost group, and the campaign
   continues.
 
+Each worker runs its group through
+:func:`~repro.campaign.executors.base.run_group` — the group path every
+backend shares — with every task at the item's attempt number.
+
 Granularity caveat: a pool worker reports per *group*, so a crash
 loses (and a crash record covers) the whole compile-key group.  The
 ``resilient`` backend supervises per task; use it when per-task crash
@@ -44,7 +48,7 @@ from .base import (
     run_group,
 )
 
-#: one work item: (group id, tasks, first_attempt for every task)
+#: one work item: (group id, tasks, attempt number of every task)
 _Item = Tuple[int, List[SweepTask], int]
 
 
@@ -55,10 +59,9 @@ def _pool_init(config: ExecutorConfig) -> None:
 
 
 def _pool_group(
-    group: List[SweepTask], config: ExecutorConfig, first_attempt: int
+    group: List[SweepTask], config: ExecutorConfig, attempt: int
 ) -> List[TaskResult]:
-    first = {t.task_id: first_attempt for t in group}
-    return run_group(group, config, first_attempts=first)
+    return run_group(group, config, {t.task_id: attempt for t in group})
 
 
 @register_executor
@@ -142,7 +145,7 @@ class PoolExecutor(Executor):
                 pool = None
                 obs_metrics.counter("campaign.executor.pool.rebuilds").inc()
                 if isolated:
-                    gid, group, first_attempt = voided[0]
+                    gid, group, attempt = voided[0]
                     strikes[gid] = strikes.get(gid, 0) + 1
                     if strikes[gid] > cfg.retries:
                         yield [
@@ -150,7 +153,7 @@ class PoolExecutor(Executor):
                                 t,
                                 "worker process died while running this "
                                 "group (retries exhausted)",
-                                attempts=first_attempt,
+                                attempts=attempt,
                             )
                             for t in group
                         ]
@@ -160,7 +163,7 @@ class PoolExecutor(Executor):
                         delay = backoff_delay(cfg.backoff, strikes[gid])
                         if delay > 0:
                             time.sleep(delay)  # nothing else is in flight
-                        quarantine.append((gid, group, first_attempt + 1))
+                        quarantine.append((gid, group, attempt + 1))
                 else:
                     # cannot tell which group killed the worker: run all
                     # of them isolated; innocents complete, the culprit

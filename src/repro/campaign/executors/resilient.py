@@ -1,24 +1,30 @@
 """The supervised-worker backend: per-task crash/hang recovery.
 
 Each compile-key group runs in its own child process under active
-supervision (up to ``jobs`` children at a time).  The child streams a
-message per event over a pipe — task/attempt started, backoff begun,
-result ready, heartbeat — and the parent turns every failure mode into
-a typed record instead of a hung campaign:
+supervision (up to ``jobs`` children at a time).  The child runs the
+group through :func:`~repro.campaign.executors.base.iter_group` — the
+same group path as every backend — and streams a message per event
+over a pipe: work started (the tasks and their deadline), backoff
+begun, result ready, heartbeat.  The parent turns every failure mode
+into a typed record instead of a hung campaign:
 
 * **worker death** (SIGKILL, OOM killer, segfault): the pipe hits EOF /
-  the process exits; the in-flight task is retried in a fresh child
-  (capped exponential backoff) while the attempt budget lasts, then
-  recorded as ``status="crashed"`` (``error_kind="crash"``).  Tasks of
-  the group that already reported results are *not* re-run — results
-  stream out per task, so a crash loses at most one task's work;
+  the process exits.  A death while one task was in flight (its fault
+  check, or a one-task group) is charged to that task: it is retried
+  in a fresh child (capped exponential backoff) while the attempt
+  budget lasts, then recorded as ``status="crashed"``
+  (``error_kind="crash"``).  A death inside a multi-task group cannot
+  be charged to one task, so each unreported task re-runs alone in its
+  own child, where a second death is attributable.  Tasks that
+  already reported results are *not* re-run;
 * **hangs SIGALRM cannot interrupt** (native code holding the GIL, or
-  masked alarms): detected two ways — a per-attempt deadline
-  (``timeout`` plus grace, extended by announced backoff sleeps) when a
-  timeout is configured, and a heartbeat watchdog
-  (``heartbeat_timeout``) for GIL-held wedges even without one.  The
-  worker is killed and the task recorded as ``status="timeout"``
-  (retried first, like any transient);
+  masked alarms): detected two ways — the announced deadline (the
+  task's ``timeout``, or the group deadline ``timeout x tasks``, plus
+  grace, extended by announced backoff sleeps) when a timeout is
+  configured, and a heartbeat watchdog (``heartbeat_timeout``) for
+  GIL-held wedges even without one.  The worker is killed and the
+  task recorded as ``status="timeout"`` (retried first, like any
+  transient);
 * **transient failures** (injected faults, MemoryError): retried
   inside the worker itself with the same backoff policy.
 
@@ -27,8 +33,8 @@ This also works on platforms without SIGALRM or ``fork`` — pass
 supervision pipe rather than fork-inherited globals.
 
 Results stream to the caller (and thus the JSONL checkpoint) the
-moment each task finishes, so killing the *campaign* process mid-group
-still loses at most the in-flight task.
+moment each group round finishes, so killing the *campaign* process
+mid-group loses at most the in-flight round.
 """
 
 from __future__ import annotations
@@ -40,12 +46,7 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...obs import metrics as obs_metrics
-from ..runner import (
-    _failure_result,
-    crashed_result,
-    group_pricing_allowed,
-    price_group_batched,
-)
+from ..runner import _failure_result, crashed_result
 from ..store import TaskResult
 from ..sweep import SweepTask
 from .base import (
@@ -53,9 +54,9 @@ from .base import (
     ExecutorConfig,
     backoff_delay,
     init_worker,
+    iter_group,
     mp_context,
     register_executor,
-    run_task_with_retries,
 )
 
 #: parent poll interval while supervising (seconds)
@@ -72,7 +73,7 @@ def _heartbeat_interval(config: ExecutorConfig) -> float:
 
 def _supervised_entry(
     conn, group: List[SweepTask], config: ExecutorConfig,
-    first_attempts: Dict[str, int],
+    attempts: Dict[str, int],
 ) -> None:
     """Child-process main: run the group, streaming supervision events."""
     init_worker(config, allow_kill=True, allow_hang=True)
@@ -93,29 +94,16 @@ def _supervised_entry(
 
     threading.Thread(target=beat, daemon=True).start()
     try:
-        # fresh groups take the batched whole-group pricing path when
-        # the runner's gates allow (bit-identical results; results
-        # still stream per task so the supervisor's bookkeeping — and
-        # crash durability at the store — is unchanged); a respawned
-        # child resuming attempt counts keeps the per-task loop
-        results: Optional[List[TaskResult]] = None
-        if not first_attempts and group_pricing_allowed(
-            group, config.timeout
+        for result in iter_group(
+            group,
+            config,
+            attempts,
+            sleep=lambda d: (send(("backoff", d)), time.sleep(d)),
+            on_attempt=lambda tasks, deadline: send(
+                ("attempt", [t.task_id for t in tasks], deadline)
+            ),
         ):
-            results = price_group_batched(group)
-        if results is not None:
-            for result in results:
-                send(("result", result))
-        else:
-            for task in group:
-                result = run_task_with_retries(
-                    task,
-                    config,
-                    first_attempt=first_attempts.get(task.task_id, 1),
-                    sleep=lambda d: (send(("backoff", d)), time.sleep(d)),
-                    on_attempt=lambda t, a: send(("attempt", t.task_id)),
-                )
-                send(("result", result))
+            send(("result", result))
         send(("done",))
     finally:
         stop.set()
@@ -126,25 +114,30 @@ class _Child:
     """Supervisor-side state of one worker process."""
 
     def __init__(self, proc, conn, tasks: List[SweepTask],
-                 first_attempts: Dict[str, int], spawns: int = 1):
+                 attempts: Dict[str, int], spawns: int = 1):
         self.proc = proc
         self.conn = conn
         self.tasks = deque(tasks)  # not yet reported
-        self.first_attempts = dict(first_attempts)
+        self.attempts = dict(attempts)
         self.spawns = spawns
         now = time.monotonic()
         self.last_msg = now
+        #: the announced unit of work: its task ids, start and budget
+        self.current_ids: List[str] = []
         self.attempt_started: Optional[float] = None
-        self.current_id: Optional[str] = None
+        self.attempt_budget: Optional[float] = None
         self.deadline_extra = 0.0
         self.finished = False
         self.kill_reason: Optional[str] = None
 
-    def hang_deadline(self, timeout: Optional[float]) -> Optional[float]:
-        if timeout is None or self.attempt_started is None:
+    def hang_deadline(self) -> Optional[float]:
+        if self.attempt_budget is None or self.attempt_started is None:
             return None
         return (
-            self.attempt_started + timeout + self.deadline_extra + _HANG_GRACE
+            self.attempt_started
+            + self.attempt_budget
+            + self.deadline_extra
+            + _HANG_GRACE
         )
 
 
@@ -167,18 +160,18 @@ class ResilientExecutor(Executor):
         children: List[_Child] = []
 
         def spawn(
-            tasks: List[SweepTask], fa: Dict[str, int], spawns: int
+            tasks: List[SweepTask], attempts: Dict[str, int], spawns: int
         ) -> _Child:
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_supervised_entry,
-                args=(child_conn, tasks, cfg, fa),
+                args=(child_conn, tasks, cfg, attempts),
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             obs_metrics.counter("campaign.executor.resilient.spawns").inc()
-            return _Child(proc, parent_conn, tasks, fa, spawns=spawns)
+            return _Child(proc, parent_conn, tasks, attempts, spawns=spawns)
 
         try:
             while ready or delayed or children:
@@ -231,22 +224,20 @@ class ResilientExecutor(Executor):
             child.last_msg = now
             kind = msg[0]
             if kind == "attempt":
-                child.current_id = msg[1]
+                child.current_ids = list(msg[1])
                 child.attempt_started = now
+                child.attempt_budget = msg[2]
                 child.deadline_extra = 0.0
             elif kind == "backoff":
                 child.deadline_extra += msg[1] + _BACKOFF_SLACK
             elif kind == "result":
                 result: TaskResult = msg[1]
                 batch.append(result)
-                child.current_id = None
-                child.attempt_started = None
-                if child.tasks and child.tasks[0].task_id == result.task_id:
-                    child.tasks.popleft()
-                else:  # defensive: report order should match task order
-                    child.tasks = deque(
-                        t for t in child.tasks if t.task_id != result.task_id
-                    )
+                tid = result.task_id
+                child.current_ids = [i for i in child.current_ids if i != tid]
+                if not child.current_ids:
+                    child.attempt_started = None
+                child.tasks = deque(t for t in child.tasks if t.task_id != tid)
             elif kind == "done":
                 child.finished = True
             # "hb" only refreshes last_msg
@@ -269,11 +260,12 @@ class ResilientExecutor(Executor):
             return
         alive = child.proc.is_alive()
         if alive:
-            deadline = child.hang_deadline(cfg.timeout)
+            deadline = child.hang_deadline()
             if deadline is not None and now > deadline:
                 child.kill_reason = (
-                    f"hang detected: no completion within {cfg.timeout}s "
-                    "(+grace) — worker killed by supervisor"
+                    "hang detected: no completion within "
+                    f"{child.attempt_budget}s (+grace) — worker killed by "
+                    "supervisor"
                 )
                 obs_metrics.counter(
                     "campaign.executor.resilient.hang_kills"
@@ -309,9 +301,16 @@ class ResilientExecutor(Executor):
             ).inc()
 
         remaining = list(child.tasks)
-        retry_fa = dict(child.first_attempts)
+        attempts = dict(child.attempts)
         spawns = child.spawns + 1
-        lost_id = child.current_id
+        pending = {t.task_id for t in remaining}
+        lost_ids = [i for i in child.current_ids if i in pending]
+        if len(lost_ids) > 1:
+            # died inside a multi-task group: no single task to charge,
+            # so each re-runs alone, where a second death is attributable
+            ready.extend(([t], attempts, spawns) for t in remaining)
+            return
+        lost_id = lost_ids[0] if lost_ids else None
         if lost_id is None and spawns > cfg.retries + 2:
             # the worker keeps dying/wedging before reaching any task
             # (e.g. an import-time crash): give up on the whole group
@@ -321,14 +320,14 @@ class ResilientExecutor(Executor):
                 f"(exitcode {child.proc.exitcode})"
             )
             yield [
-                crashed_result(t, why, attempts=retry_fa.get(t.task_id, 1))
+                crashed_result(t, why, attempts=attempts.get(t.task_id, 1))
                 for t in remaining
             ]
             return
         if lost_id is not None:
-            lost = next((t for t in remaining if t.task_id == lost_id), None)
-            consumed = retry_fa.get(lost_id, 1)
-            if lost is not None and consumed >= cfg.retries + 1:
+            lost = next(t for t in remaining if t.task_id == lost_id)
+            consumed = attempts.get(lost_id, 1)
+            if consumed >= cfg.retries + 1:
                 # budget exhausted: record the loss, run the rest
                 if child.kill_reason is not None:
                     record = _failure_result(
@@ -345,16 +344,14 @@ class ResilientExecutor(Executor):
                     )
                 yield [record]
                 remaining = [t for t in remaining if t.task_id != lost_id]
-            elif lost is not None:
-                retry_fa[lost_id] = consumed + 1
+            else:
+                attempts[lost_id] = consumed + 1
         if remaining:
             delay = 0.0
-            if lost_id is not None and lost_id in retry_fa:
-                delay = backoff_delay(
-                    cfg.backoff, retry_fa[lost_id] - 1
-                )
+            if lost_id is not None and lost_id in attempts:
+                delay = backoff_delay(cfg.backoff, attempts[lost_id] - 1)
             if delay > 0:
-                delayed.append((now + delay, remaining, retry_fa, spawns))
+                delayed.append((now + delay, remaining, attempts, spawns))
                 delayed.sort(key=lambda it: it[0])
             else:
-                ready.append((remaining, retry_fa, spawns))
+                ready.append((remaining, attempts, spawns))

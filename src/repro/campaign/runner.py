@@ -1,15 +1,16 @@
 """Parallel campaign execution with JSONL checkpoint/resume.
 
-:func:`execute_task` compiles and prices one :class:`SweepTask` — the
-two-step heuristic *and* the greedy Feautrier baseline on the same
-machine model, so every record carries its heuristic-vs-baseline ratio.
+:func:`run_task_group` is the one execution path: it compiles and
+prices any subset of one compile-key group — the two-step heuristic
+*and* the greedy Feautrier baseline on the same machine models, so
+every record carries its heuristic-vs-baseline ratio.
 :func:`run_campaign` drives a task list through a pluggable execution
 backend (see :mod:`repro.campaign.executors`: ``inline``, ``pool``,
-``resilient``), appending each result to the
-:class:`~repro.campaign.store.RunStore` as it lands; killing the
-process at any point loses at most the in-flight tasks, and re-running
-with ``resume=True`` executes exactly the tasks whose results are not
-on disk yet.
+``resilient``), all of which call :func:`run_task_group` per group and
+append each result to the :class:`~repro.campaign.store.RunStore` as
+it lands; killing the process at any point loses at most the in-flight
+groups, and re-running with ``resume=True`` executes exactly the tasks
+whose results are not on disk yet.
 
 Failures are **typed**: every non-ok record carries an ``error_kind``
 from the taxonomy in :data:`repro.campaign.store.ERROR_KINDS` —
@@ -24,24 +25,22 @@ attempt count lands in ``TaskResult.attempts``.
 
 **Compile once, price many**: the heuristic and the Feautrier baseline
 depend only on ``(workload, m, heuristic knobs)`` — not on the machine
-or the mesh — so the task execution is split into a *compile* stage
-(cached per worker process in an LRU keyed by
-:attr:`~repro.campaign.sweep.SweepTask.compile_key`) and a *price*
-stage (per grid cell).  The runner additionally dispatches whole
-compile-key groups to one worker (see
-:func:`~repro.campaign.sweep.group_by_compile_key`), so a grid with K
-machine x mesh cells per nest compiles each nest once instead of K
-times regardless of pool scheduling.  Stored records are byte-identical
-to a recompile-every-cell run (asserted in
-``tests/campaign/test_compile_cache.py``); cache hits are reported in
-memory only (``TaskResult.compile_cache_hit``,
-``CampaignOutcome.compile_cache_hits``).  Knob:
-``REPRO_CAMPAIGN_COMPILE_CACHE`` (entries per worker, default 32,
-``0`` disables).  An optional **persistent disk tier** underneath the
-LRU (``REPRO_CAMPAIGN_COMPILE_DIR`` / :func:`set_compile_cache_dir`)
-shares compiled workloads across workers *and* runs — atomic pickles
-keyed by ``compile_key`` plus a code-version fingerprint, where stale,
-corrupt or truncated entries are misses, never errors.
+or the mesh — so the runner groups the grid by
+:attr:`~repro.campaign.sweep.SweepTask.compile_key` (see
+:func:`~repro.campaign.sweep.group_by_compile_key`) and a group
+compiles its nest once, then prices all its machine x mesh cells in
+one :func:`repro.runtime.execute_group` call.  Compiles are also cached
+per worker process in an LRU (``REPRO_CAMPAIGN_COMPILE_CACHE``, entries
+per worker, default 32, ``0`` disables), with an optional
+**persistent disk tier** underneath (``REPRO_CAMPAIGN_COMPILE_DIR`` /
+:func:`set_compile_cache_dir`) that shares compiled workloads across
+workers *and* runs — atomic pickles keyed by ``compile_key`` plus a
+code-version fingerprint, where stale, corrupt or truncated entries
+are misses, never errors.  Stored records are byte-identical whatever
+the caches hold (asserted in ``tests/campaign/test_compile_cache.py``);
+cache hits are reported in memory only
+(``TaskResult.compile_cache_hit``,
+``CampaignOutcome.compile_cache_hits``).
 
 Per-task failures never abort the campaign: exceptions become
 ``status="error"`` records, and a per-task wall-clock ``timeout``
@@ -59,10 +58,11 @@ import tempfile
 import time
 import traceback
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .._config import env_flag, env_int
+from .._config import env_int
 from ..obs import (
     TraceWriter,
     capture,
@@ -457,161 +457,310 @@ def _baseline_store(key: str, price: float) -> None:
             _baseline_cache.popitem(last=False)
 
 
-def _price_backend_name() -> str:
-    """The parent's resolved array backend, threaded through executor
-    worker init so spawn-context workers honour ``set_price_backend``
-    calls made after import (the env knob alone would be lost)."""
-    from ..machine.backend import price_backend
+# ---------------------------------------------------------------------------
+# the group path — the one execution path of every backend
+# ---------------------------------------------------------------------------
+#
+# A compile-key group (the machine x mesh cells of one compiled nest) is
+# the unit of execution: inline, pool and resilient backends all hand
+# any subset of one group to run_task_group, which decides each task's
+# injected fault alone, compiles the survivors' nest once and prices
+# all their cells in one pass.  A group deadline or a price error
+# re-runs the tasks as one-task groups, so per-task records stay exact.
 
-    return price_backend()
+#: multi-cell groups whose pricing raised and was re-run cell by cell
+#: (plus one ``.<ExceptionType>`` counter per cause)
+_group_splits = obs_metrics.counter("campaign.price.group_splits")
+#: multi-cell groups that hit their group deadline and were re-run
+#: cell by cell under the per-task timeout
+_group_timeouts = obs_metrics.counter("campaign.price.group_timeouts")
 
+#: task exceptions that become typed failure records
+_TYPED_FAILURES = (
+    _TaskTimeout,
+    faults.InjectedFault,
+    MemoryError,
+    _StageFailure,
+)
 
-def _price_task(task: SweepTask, cw: _CompiledWorkload) -> TaskResult:
-    """The price stage: fold the compiled nest onto the task's machine x
-    mesh cell and cost both mappings.
-
-    The two halves get their own sub-spans (``price.heuristic`` /
-    ``price.baseline``) so trace reports attribute them directly; the
-    baseline half is served from the per-worker price memo when the
-    same (workload, m, machine, mesh) cell was costed before."""
-    from ..machine import machine_spec
-    from ..runtime import MappedProgram, execute
-
-    with span("price"):
-        spec = machine_spec(task.machine)
-        machine = spec.make(task.mesh)
-        collectives = spec.make_collectives(task.mesh)
-        with span("price.heuristic"):
-            program = cw.compiled.program(machine, cw.params)
-            report = execute(program, machine, collectives=collectives)
-
-        bkey = _baseline_price_key(task)
-        baseline_time, bhit = _baseline_lookup(bkey)
-        if not bhit:
-            # same folding as the heuristic's program, so the two prices
-            # share the driver's folding policy by construction
-            base_program = MappedProgram(
-                mapping=cw.baseline, folding=program.folding, params=cw.params
-            )
-            with span("price.baseline"):
-                base_report = execute(
-                    base_program, machine, collectives=collectives
-                )
-            baseline_time = base_report.total_time
-            _baseline_store(bkey, baseline_time)
-
-    result = TaskResult(
-        task_id=task.task_id,
-        workload=task.workload.name,
-        machine=task.machine,
-        mesh=task.mesh,
-        m=task.m,
-        rank_weights=task.rank_weights,
-        status="ok",
-        counts=cw.compiled.mapping.counts(),
-        residuals=len(cw.compiled.mapping.optimized),
-        total_time=report.total_time,
-        total_messages=report.total_messages,
-        total_volume=report.total_volume,
-        baseline_residuals=len(cw.baseline.optimized),
-        baseline_time=baseline_time,
-    )
-    result.baseline_cache_hit = bhit
-    return result
+#: ``on_attempt(tasks, deadline)`` — called before each unit of work
+#: (one task's fault check, one group's pricing) with its wall-clock
+#: budget in seconds (``None`` = uncapped)
+AttemptHook = Callable[[Sequence[SweepTask], Optional[float]], None]
 
 
-def _execute_task_inner(task: SweepTask, attempt: int) -> TaskResult:
-    faults.maybe_inject(task.task_id, attempt)
+@contextmanager
+def _deadline(seconds: Optional[float]) -> Iterator[None]:
+    """Arm SIGALRM for ``seconds`` (no-op for ``None`` or without
+    SIGALRM).  The alarm is disarmed in an inner ``finally``, so one
+    that fires between the body's end and the disarm still raises
+    :class:`_TaskTimeout` inside the caller's ``try``."""
+    if seconds is None or not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        cw, hit = _compile_for_task(task)
-    except (MemoryError, _TaskTimeout, faults.InjectedFault):
-        raise
-    except Exception as exc:
-        raise _StageFailure("compile", exc) from exc
-    try:
-        result = _price_task(task, cw)
-    except (MemoryError, _TaskTimeout, faults.InjectedFault):
-        raise
-    except Exception as exc:
-        raise _StageFailure("price", exc) from exc
-    result.compile_cache_hit = hit
-    return result
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, old_handler)
 
 
-def execute_task(
-    task: SweepTask, timeout: Optional[float] = None, attempt: int = 1
+def _typed_failure(
+    task: SweepTask, exc: BaseException, timeout: Optional[float]
 ) -> TaskResult:
-    """Run one task with error capture and an optional wall-clock cap.
+    """The typed record of a task that raised ``exc`` (call it inside
+    the ``except`` block: stage failures quote the traceback tail)."""
+    if isinstance(exc, _TaskTimeout):
+        return _failure_result(
+            task, "timeout", f"task exceeded {timeout}s", kind="timeout"
+        )
+    if isinstance(exc, faults.InjectedFault):
+        return _failure_result(task, "error", str(exc), kind="fault")
+    if isinstance(exc, MemoryError):
+        return _failure_result(
+            task, "error", f"MemoryError: {exc}", kind="oom"
+        )
+    cause = exc.exc
+    tail = traceback.format_exc().strip().splitlines()[-3:]
+    return _failure_result(
+        task,
+        "error",
+        f"{type(cause).__name__}: {cause} | " + " / ".join(tail),
+        kind=exc.kind,
+    )
 
-    Never raises for task-level failures — compile errors, illegal
-    schedules, pricing blowups all come back as typed ``status="error"``
-    records (``error_kind`` from the taxonomy) so one bad grid cell
-    cannot sink a campaign.  A non-positive ``timeout`` is a *caller*
-    bug and raises ``ValueError`` (``setitimer`` would otherwise either
-    raise cryptically or silently disarm the alarm); ``attempt`` is the
-    1-based retry counter threaded through to fault injection and the
-    recorded ``TaskResult.attempts``.
 
-    While tracing is enabled the spans recorded during this task are
-    captured into ``TaskResult.trace`` (the worker's span tree travels
-    back through the result pipe; see :mod:`repro.obs.tracing`).
+def run_task_group(
+    group: Sequence[SweepTask],
+    timeout: Optional[float] = None,
+    attempts: Optional[Dict[str, int]] = None,
+    on_attempt: Optional[AttemptHook] = None,
+) -> List[TaskResult]:
+    """Run any subset of one compile-key group; returns one typed
+    record per task, in group order.
+
+    * **Faults**: each task's injected fault is decided first, alone
+      and under its own ``timeout``; faulted tasks drop out as typed
+      records.
+    * **Compile**: the survivors share one compile.  The first priced
+      task reports the LRU/disk result in ``compile_cache_hit``, the
+      rest reuse that compile and report ``True``.
+    * **Price**: one-task groups price through
+      :func:`repro.runtime.execute`, larger ones through one
+      :func:`repro.runtime.execute_group` call, heuristic and baseline
+      alike (both looked up on :mod:`repro.runtime` at call time).
+    * **Timeouts**: the survivors run under the group deadline
+      ``timeout * len(survivors)``; past it they re-run as one-task
+      groups under ``timeout`` each, so a slow task still ends as
+      ``status="timeout"``.
+    * **Price errors** split the group into one-task groups (counted by
+      ``campaign.price.group_splits``), so only the failing cell gets
+      an ``error_kind="price"`` record.
+
+    Never raises for task-level failures; a non-positive ``timeout`` is
+    a caller bug and raises ``ValueError``.  ``attempts`` maps task ids
+    to their 1-based attempt (default 1), threaded to fault injection
+    and ``TaskResult.attempts``.  While tracing is enabled one capture
+    covers the call and its span tree goes on the first record;
+    ``seconds`` is the call's wall time split evenly across the records.
     """
     if timeout is not None and timeout <= 0:
         raise ValueError(
             f"timeout must be positive, got {timeout!r} (omit it for "
             "no per-task cap)"
         )
+    if not group:
+        return []
+    attempts = attempts or {}
+    t0 = time.perf_counter()
     if obs_tracing.is_enabled():
         with capture() as buf:
-            result = _execute_task_timed(task, timeout, attempt)
-        result.trace = freeze_capture(buf)
-        return result
-    return _execute_task_timed(task, timeout, attempt)
+            results = _run_group(group, timeout, attempts, on_attempt)
+        results[0].trace = freeze_capture(buf)
+    else:
+        results = _run_group(group, timeout, attempts, on_attempt)
+    seconds = (time.perf_counter() - t0) / len(results)
+    for result in results:
+        result.seconds = seconds
+        result.attempts = attempts.get(result.task_id, 1)
+    return results
 
 
-def _execute_task_timed(
-    task: SweepTask, timeout: Optional[float], attempt: int
+def execute_task(
+    task: SweepTask, timeout: Optional[float] = None, attempt: int = 1
 ) -> TaskResult:
-    t0 = time.perf_counter()
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    old_handler = None
-    if use_alarm:
-        old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        # disarm in an inner finally so an alarm that fires *between*
-        # the task finishing and the disarm still lands inside this
-        # try and is absorbed as a timeout, never escaping the runner
+    """Run one task as a one-task group (see :func:`run_task_group`)."""
+    return run_task_group([task], timeout, {task.task_id: attempt})[0]
+
+
+def _run_group(
+    group: Sequence[SweepTask],
+    timeout: Optional[float],
+    attempts: Dict[str, int],
+    on_attempt: Optional[AttemptHook],
+) -> List[TaskResult]:
+    done: Dict[str, TaskResult] = {}
+    live: List[SweepTask] = []
+    for task in group:
+        if on_attempt is not None:
+            on_attempt([task], timeout)
         try:
-            result = _execute_task_inner(task, attempt)
-        finally:
-            if use_alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-    except _TaskTimeout:
-        result = _failure_result(
-            task, "timeout", f"task exceeded {timeout}s", kind="timeout"
+            with _deadline(timeout):
+                faults.maybe_inject(
+                    task.task_id, attempts.get(task.task_id, 1)
+                )
+        except _TYPED_FAILURES as exc:
+            done[task.task_id] = _typed_failure(task, exc, timeout)
+        else:
+            live.append(task)
+    if live:
+        done.update(_price_live(live, timeout, on_attempt))
+    return [done[t.task_id] for t in group]
+
+
+def _price_live(
+    live: Sequence[SweepTask],
+    timeout: Optional[float],
+    on_attempt: Optional[AttemptHook],
+) -> Dict[str, TaskResult]:
+    """Compile and price ``live`` under the group deadline; past the
+    deadline, or on a price error, re-run it as one-task groups."""
+    deadline = None if timeout is None else timeout * len(live)
+    if on_attempt is not None:
+        on_attempt(live, deadline)
+    try:
+        with _deadline(deadline):
+            return {r.task_id: r for r in _compile_and_price(live)}
+    except _TYPED_FAILURES as exc:
+        shared = isinstance(exc, _StageFailure) and exc.kind == "compile"
+        if len(live) == 1 or shared:
+            # a compile failure is the same for every cell of the nest
+            return {
+                t.task_id: _typed_failure(t, exc, timeout) for t in live
+            }
+        if isinstance(exc, _TaskTimeout):
+            _group_timeouts.inc()
+        else:
+            cause = exc.exc if isinstance(exc, _StageFailure) else exc
+            _group_splits.inc()
+            obs_metrics.counter(
+                f"campaign.price.group_splits.{type(cause).__name__}"
+            ).inc()
+    split: Dict[str, TaskResult] = {}
+    for task in live:
+        split.update(_price_live([task], timeout, on_attempt))
+    return split
+
+
+def _price(cells: list, grouped: bool) -> list:
+    """Reports of ``(program, machine, collectives)`` cells: one
+    :func:`repro.runtime.execute_group` call for a multi-cell group,
+    :func:`repro.runtime.execute` for a one-task group.  Both names are
+    looked up on :mod:`repro.runtime` at call time, so a caller that
+    wraps them sees every pricing call."""
+    from .. import runtime
+
+    if grouped:
+        return runtime.execute_group(cells)
+    return [runtime.execute(p, m, collectives=c) for p, m, c in cells]
+
+
+def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
+    """Compile ``live``'s shared nest once, then fold it onto every
+    task's machine x mesh cell and cost both mappings.
+
+    The two halves get their own sub-spans (``price.heuristic`` /
+    ``price.baseline``) so trace reports attribute them directly; the
+    baseline half is served from the per-worker price memo when the
+    same (workload, m, machine, mesh) cell was costed before.  Results
+    are bit-identical whatever the group size, by construction of
+    ``execute_group``."""
+    from .. import runtime
+    from ..machine import machine_spec
+
+    try:
+        cw, hit = _compile_for_task(live[0])
+    except (MemoryError, _TaskTimeout):
+        raise
+    except Exception as exc:
+        raise _StageFailure("compile", exc) from exc
+    # the other cells reuse this compile, which counts as a cache hit
+    _compile_hits.inc(len(live) - 1)
+
+    grouped = len(live) > 1
+    try:
+        with span("price"):
+            machines = []
+            for task in live:
+                spec = machine_spec(task.machine)
+                machines.append(
+                    (spec.make(task.mesh), spec.make_collectives(task.mesh))
+                )
+            with span("price.heuristic"):
+                programs = [
+                    cw.compiled.program(machine, cw.params)
+                    for machine, _ in machines
+                ]
+                reports = _price(
+                    [(p, *mc) for p, mc in zip(programs, machines)], grouped
+                )
+
+            bkeys = [_baseline_price_key(t) for t in live]
+            lookups = [_baseline_lookup(k) for k in bkeys]
+            btimes = [btime for btime, _ in lookups]
+            misses = [i for i, (_, bhit) in enumerate(lookups) if not bhit]
+            if misses:
+                # same folding as the heuristic's program, so both
+                # prices use one folding policy by construction
+                with span("price.baseline"):
+                    base_reports = _price(
+                        [
+                            (
+                                runtime.MappedProgram(
+                                    mapping=cw.baseline,
+                                    folding=programs[i].folding,
+                                    params=cw.params,
+                                ),
+                                *machines[i],
+                            )
+                            for i in misses
+                        ],
+                        grouped,
+                    )
+                for i, rep in zip(misses, base_reports):
+                    btimes[i] = rep.total_time
+                    _baseline_store(bkeys[i], rep.total_time)
+    except (MemoryError, _TaskTimeout):
+        raise
+    except Exception as exc:
+        raise _StageFailure("price", exc) from exc
+
+    results: List[TaskResult] = []
+    for i, (task, report) in enumerate(zip(live, reports)):
+        result = TaskResult(
+            task_id=task.task_id,
+            workload=task.workload.name,
+            machine=task.machine,
+            mesh=task.mesh,
+            m=task.m,
+            rank_weights=task.rank_weights,
+            status="ok",
+            counts=cw.compiled.mapping.counts(),
+            residuals=len(cw.compiled.mapping.optimized),
+            total_time=report.total_time,
+            total_messages=report.total_messages,
+            total_volume=report.total_volume,
+            baseline_residuals=len(cw.baseline.optimized),
+            baseline_time=btimes[i],
         )
-    except faults.InjectedFault as exc:
-        result = _failure_result(task, "error", str(exc), kind="fault")
-    except MemoryError as exc:
-        result = _failure_result(
-            task, "error", f"MemoryError: {exc}", kind="oom"
-        )
-    except _StageFailure as sf:
-        exc = sf.exc
-        tail = traceback.format_exc().strip().splitlines()[-3:]
-        result = _failure_result(
-            task,
-            "error",
-            f"{type(exc).__name__}: {exc} | " + " / ".join(tail),
-            kind=sf.kind,
-        )
-    finally:
-        if use_alarm:
-            signal.signal(signal.SIGALRM, old_handler)
-    result.seconds = time.perf_counter() - t0
-    result.attempts = attempt
-    return result
+        result.compile_cache_hit = hit if i == 0 else True
+        result.baseline_cache_hit = lookups[i][1]
+        results.append(result)
+    return results
 
 
 def _failure_result(
@@ -643,171 +792,6 @@ def crashed_result(
     return _failure_result(
         task, "crashed", message, kind="crash", attempts=attempts
     )
-
-
-# ---------------------------------------------------------------------------
-# batched group pricing — one tensor op per compile-key group
-# ---------------------------------------------------------------------------
-
-#: process-local switch over the batched path (env default; flipped by
-#: :func:`set_group_pricing`)
-_group_pricing_enabled: bool = env_flag("REPRO_PRICE_BATCH", default=True)
-
-
-def set_group_pricing(enabled: bool) -> bool:
-    """Enable/disable batched whole-group pricing in this process
-    (``REPRO_PRICE_BATCH`` is the environment default); returns the
-    previous setting.  The per-task path is always kept — batched and
-    per-cell prices are bit-identical (asserted in
-    ``tests/runtime/test_group_pricing.py``), so this switch only
-    trades speed, never results."""
-    global _group_pricing_enabled
-    prev = _group_pricing_enabled
-    _group_pricing_enabled = enabled
-    return prev
-
-
-def group_pricing_allowed(
-    group: Sequence[SweepTask], timeout: Optional[float]
-) -> bool:
-    """Whether a compile-key group may take the batched pricing path.
-
-    The batched path prices all K cells in one pass, so it cannot
-    honour per-task semantics that interleave with pricing: a per-task
-    wall-clock cap, fault injection points, or per-task span capture
-    (tracing attributes spans to individual tasks).  A disabled compile
-    cache would also force K compiles through one path — the per-task
-    loop keeps the compile counters exact there."""
-    return (
-        _group_pricing_enabled
-        and len(group) > 1
-        and timeout is None
-        and _compile_cache_size > 0
-        and faults.active_spec() is None
-        and not obs_tracing.is_enabled()
-    )
-
-
-def price_group_batched(
-    group: Sequence[SweepTask],
-) -> Optional[List[TaskResult]]:
-    """Price one compile-key group with the batched group executor.
-
-    Compiles each task through the ordinary LRU path (one miss + K-1
-    hits, keeping the compile counters exactly as the per-task loop
-    would), stacks all K heuristic cells into one
-    :func:`repro.runtime.execute_group` call, then batches the
-    baseline cells that miss the price memo into a second call.
-    Results are bit-identical to K per-cell ``execute()`` runs by
-    construction of ``execute_group``.
-
-    Returns ``None`` when the batched attempt cannot proceed — a cell
-    raised, or LRU eviction split the group across compiled objects —
-    and the caller falls back to the per-task loop (which re-serves
-    the compiles from the cache)."""
-    from ..machine import machine_spec
-    from ..runtime import MappedProgram, execute_group
-
-    t0 = time.perf_counter()
-    try:
-        compiled: List[Tuple[SweepTask, _CompiledWorkload, bool]] = []
-        for task in group:
-            cw, hit = _compile_for_task(task)
-            compiled.append((task, cw, hit))
-        cw0 = compiled[0][1]
-        if any(cw is not cw0 for _, cw, _ in compiled):
-            return None
-
-        cells = []
-        for task, cw, _ in compiled:
-            spec = machine_spec(task.machine)
-            machine = spec.make(task.mesh)
-            cells.append(
-                (
-                    cw.compiled.program(machine, cw.params),
-                    machine,
-                    spec.make_collectives(task.mesh),
-                )
-            )
-        reports = execute_group(cells)
-
-        bkeys = [_baseline_price_key(t) for t, _, _ in compiled]
-        lookups = [_baseline_lookup(k) for k in bkeys]
-        btimes = [price for price, _ in lookups]
-        bhits = [hit for _, hit in lookups]
-        miss_idx = [i for i, hit in enumerate(bhits) if not hit]
-        if miss_idx:
-            base_cells = [
-                (
-                    MappedProgram(
-                        mapping=cw0.baseline,
-                        folding=cells[i][0].folding,
-                        params=cw0.params,
-                    ),
-                    cells[i][1],
-                    cells[i][2],
-                )
-                for i in miss_idx
-            ]
-            base_reports = execute_group(base_cells)
-            for i, rep in zip(miss_idx, base_reports):
-                btimes[i] = rep.total_time
-                _baseline_store(bkeys[i], rep.total_time)
-    except Exception:
-        return None
-
-    seconds = (time.perf_counter() - t0) / len(group)
-    results: List[TaskResult] = []
-    for (task, cw, hit), report, btime, bhit in zip(
-        compiled, reports, btimes, bhits
-    ):
-        result = TaskResult(
-            task_id=task.task_id,
-            workload=task.workload.name,
-            machine=task.machine,
-            mesh=task.mesh,
-            m=task.m,
-            rank_weights=task.rank_weights,
-            status="ok",
-            counts=cw.compiled.mapping.counts(),
-            residuals=len(cw.compiled.mapping.optimized),
-            total_time=report.total_time,
-            total_messages=report.total_messages,
-            total_volume=report.total_volume,
-            baseline_residuals=len(cw.baseline.optimized),
-            baseline_time=btime,
-        )
-        result.compile_cache_hit = hit
-        result.baseline_cache_hit = bhit
-        result.seconds = seconds
-        result.attempts = 1
-        results.append(result)
-    return results
-
-
-def _execute_task_group(
-    group: Sequence[SweepTask],
-    timeout: Optional[float] = None,
-    compile_cache_size: Optional[int] = None,
-) -> List[TaskResult]:
-    """Run one compile-key group in order (worker-side entry point).
-
-    All tasks of the group share a compile key, so the first task pays
-    the compile and the rest hit the worker's cache — error capture and
-    the wall-clock cap stay per task.  When :func:`group_pricing_allowed`
-    holds, the whole group is priced in one batched pass instead
-    (bit-identical results; per-task loop as fallback).
-    ``compile_cache_size`` is the parent's cache setting passed
-    *explicitly* so spawn-context workers (no fork inheritance) honour
-    ``set_compile_cache_size`` / ``REPRO_CAMPAIGN_COMPILE_CACHE``
-    values set after import."""
-    if compile_cache_size is not None and compile_cache_size != _compile_cache_size:
-        set_compile_cache_size(compile_cache_size)
-    if group_pricing_allowed(group, timeout):
-        results = price_group_batched(group)
-        if results is not None:
-            return results
-    return [execute_task(task, timeout=timeout) for task in group]
 
 
 @dataclass
@@ -1065,7 +1049,6 @@ def run_campaign(
             compile_cache_size=_compile_cache_size,
             baseline_cache_size=_baseline_cache_size,
             compile_cache_dir=_compile_cache_dir,
-            price_backend=_price_backend_name(),
             fault_spec=faults.active_spec(),
             trace=obs_tracing.is_enabled(),
         ),

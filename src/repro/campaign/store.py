@@ -75,8 +75,9 @@ class TaskResult:
     #: runner's per-worker price memo — in-memory telemetry only, same
     #: byte-identity contract as ``compile_cache_hit``
     baseline_cache_hit: Optional[bool] = field(default=None, compare=False)
-    #: per-task span tree (``{path: {"count", "seconds"}}``) captured by
-    #: the worker while tracing is enabled — in-memory telemetry shipped
+    #: span tree (``{path: {"count", "seconds"}}``) of the group run
+    #: this record came from, set on the run's first record while
+    #: tracing is enabled (``None`` elsewhere) — in-memory telemetry shipped
     #: back through the result pipe and written to the ``--trace`` JSONL
     #: file, *never* to the result store (traces must leave the stored
     #: records byte-identical to an untraced run)

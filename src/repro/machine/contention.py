@@ -291,10 +291,8 @@ def phase_times_segmented(
     magnitude guard falls back to the per-phase exact path otherwise —
     and the final ``alpha*fanout + beta*load + gamma*hops`` arithmetic
     performs the same IEEE operations in the same order.  The group-by
-    and scatter reductions route through the
-    ``REPRO_PRICE_BACKEND`` array namespace
-    (:mod:`repro.machine.backend`), so the CuPy knob covers this hot
-    path too.
+    and scatter reductions are the NumPy helpers of
+    :mod:`repro.machine.backend`.
     """
     if cache is None:
         cache = route_cache_for(mesh)

@@ -153,9 +153,11 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
     compiled nest; per group the row reports how much task wall time
     went to the compile stage, the price stage and **executor
     overhead** — the gap between summed task wall time and traced span
-    time (dispatch, IPC, retries, uninstrumented glue).  Crashed tasks
-    have no span tree (the worker died before reporting); they still
-    count toward the group's task count so lost work is visible.
+    time (dispatch, IPC, retries, uninstrumented glue).  One span tree
+    covers each group run and rides on its first record, so sums stay
+    exact per group.  Crashed tasks have no span tree (the worker died
+    before reporting); they count as ``traceless`` so lost work is
+    visible.
     """
     groups: Dict[str, List[Dict]] = {}
     for t in tasks:
@@ -189,7 +191,9 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
                 "workload": ts[0].get("workload", "?"),
                 "tasks": len(ts),
                 "ok": sum(1 for t in ts if t.get("status") == "ok"),
-                "traceless": sum(1 for t in ts if not t.get("spans")),
+                "traceless": sum(
+                    1 for t in ts if t.get("status") == "crashed"
+                ),
                 "compile_seconds": compile_s,
                 "price_seconds": price_s,
                 "price_heuristic_seconds": heur_s,

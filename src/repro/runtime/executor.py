@@ -414,8 +414,8 @@ def execute_group(
     folded physical coordinates differ per cell).  Instead of running
     the per-phase ``np.unique`` group-bys K times, the cells' surviving
     ``(sender, receiver)`` rows are stacked into one int64 tensor with
-    a leading cell-id column and grouped **once** per label on the
-    configured array backend (``REPRO_PRICE_BACKEND``); lexicographic
+    a leading cell-id column and grouped **once** per label with
+    :func:`~repro.machine.backend.unique_rows`; lexicographic
     unique order makes the per-(cell, time) segments come out exactly
     in each cell's own phase order, so float accumulation order — and
     therefore every total — matches the per-cell path bit for bit.

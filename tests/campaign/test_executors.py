@@ -10,6 +10,7 @@ from repro.campaign import (
     RunStore,
     baseline_cache_stats,
     clear_baseline_cache,
+    clear_compile_cache,
     default_spec,
     execute_task,
     executor_names,
@@ -24,6 +25,7 @@ from repro.campaign.executors import (
     backoff_delay,
     init_worker,
 )
+from repro.obs import tracing
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,106 @@ class TestParity:
         assert got == reference
 
 
+@pytest.fixture
+def pricing_calls(monkeypatch, tmp_path):
+    """Count pricing entry calls, fork workers included: each call of
+    ``repro.runtime.execute`` / ``execute_group`` appends a line to a
+    file.  Returns a reader giving ``(execute calls, [cells per
+    execute_group call])``."""
+    import repro.runtime as runtime
+
+    log = tmp_path / "pricing.log"
+    log.write_text("")
+    execute, execute_group = runtime.execute, runtime.execute_group
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def counted_execute(*args, **kwargs):
+        note("execute")
+        return execute(*args, **kwargs)
+
+    def counted_execute_group(cells, *args, **kwargs):
+        note(f"group {len(cells)}")
+        return execute_group(cells, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "execute", counted_execute)
+    monkeypatch.setattr(runtime, "execute_group", counted_execute_group)
+    # pool workers fork from this process: start them with empty caches
+    # so every heuristic and baseline cell is priced
+    clear_compile_cache()
+    clear_baseline_cache()
+
+    def read():
+        lines = log.read_text().split()
+        singles = lines.count("execute")
+        groups = [int(n) for k, n in zip(lines, lines[1:]) if k == "group"]
+        return singles, groups
+
+    return read
+
+
+class TestGroupPath:
+    """Every backend prices a multi-cell compile-key group through one
+    ``execute_group`` call — also under a timeout, a fault spec or
+    tracing — and only one-task groups price through ``execute``."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"timeout": 30.0}, {"trace": "trace"}],
+        ids=["plain", "timeout", "trace"],
+    )
+    def test_pool_prices_groups_through_execute_group(
+        self, grid, tmp_path, reference, pricing_calls, extra
+    ):
+        spec, tasks = grid
+        if "trace" in extra:
+            extra = {"trace": str(tmp_path / "trace.jsonl")}
+        outcome, results = _run(
+            grid, tmp_path, "pool", jobs=2, executor="pool", **extra
+        )
+        assert outcome.ok == len(tasks)
+        singles, groups = pricing_calls()
+        # 3 groups of 2 cells: one heuristic and one baseline call each
+        assert singles == 0
+        assert groups == [2] * 6
+        got = {k: r.deterministic_dict() for k, r in results.items()}
+        assert got == reference
+
+    def test_pool_fault_drops_one_task_from_its_group(
+        self, grid, tmp_path, monkeypatch, reference, pricing_calls
+    ):
+        spec, tasks = grid
+        victim = tasks[0]
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT", f"fail:task={victim.task_id},times=99"
+        )
+        outcome, results = _run(
+            grid, tmp_path, "faulted", jobs=2, executor="pool"
+        )
+        assert results[victim.task_id].error_kind == "fault"
+        assert outcome.ok == len(tasks) - 1
+        singles, groups = pricing_calls()
+        # the victim's sibling is a one-task group; the two other
+        # groups still price whole
+        assert singles == 2
+        assert groups == [2] * 4
+        for tid, r in results.items():
+            if tid != victim.task_id:
+                assert r.deterministic_dict() == reference[tid]
+
+    @pytest.mark.parametrize("name", ["inline", "resilient"])
+    def test_other_backends_price_groups_through_execute_group(
+        self, grid, tmp_path, pricing_calls, name
+    ):
+        outcome, _ = _run(
+            grid, tmp_path, name, jobs=2, executor=name, timeout=30.0
+        )
+        assert outcome.ok == len(grid[1])
+        assert pricing_calls() == (0, [2] * 6)
+
+
 class TestWorkerDeath:
     """A SIGKILLed worker must surface as typed records, never a hang."""
 
@@ -121,6 +223,28 @@ class TestWorkerDeath:
             assert "worker process died" in r.error
         # the rest of the campaign completed
         assert outcome.ok == len(tasks) - len(crashed)
+
+    def test_resilient_death_inside_a_group_reruns_tasks_alone(
+        self, grid, tmp_path, monkeypatch, reference
+    ):
+        # a worker that dies while pricing a multi-task group cannot be
+        # charged to one task: each task re-runs alone in its own child
+        # (one-task groups price through execute, which works here)
+        import os
+        import signal
+
+        import repro.runtime as runtime
+
+        def dying_group(cells, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(runtime, "execute_group", dying_group)
+        outcome, results = _run(
+            grid, tmp_path, "resilient", jobs=2, executor="resilient",
+        )
+        assert outcome.ok == len(grid[1]) and outcome.crashed == 0
+        got = {k: r.deterministic_dict() for k, r in results.items()}
+        assert got == reference
 
     def test_resilient_crash_granularity_is_per_task(
         self, grid, tmp_path, monkeypatch
@@ -202,21 +326,31 @@ class TestHangDetection:
 
 
 class TestSpawnConfigPassthrough:
-    def test_spawn_workers_honour_parent_cache_size(self, grid, tmp_path):
+    def test_spawn_workers_honour_parent_cache_size(
+        self, grid, tmp_path, monkeypatch
+    ):
         # spawn workers re-import the module, so a fork-inherited
         # global would silently revert to the default (32); the size
-        # must travel through the worker-init call instead
+        # must travel through the worker-init call instead.  A group
+        # compiles once either way, so the probe is a retry: the
+        # retried task looks its nest up again and, with the cache
+        # off, compiles it a second time
+        spec, tasks = grid
+        groups = len({t.compile_key for t in tasks})
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT", f"fail:task={tasks[0].task_id},times=1"
+        )
         prev = set_compile_cache_size(0)
         try:
             outcome, _ = _run(
                 grid, tmp_path, "spawned", jobs=2, executor="resilient",
-                mp_context="spawn",
+                mp_context="spawn", retries=1, backoff=0.01,
             )
         finally:
             set_compile_cache_size(prev)
-        assert outcome.ok == len(grid[1])
-        assert outcome.compile_cache_hits == 0
-        assert outcome.compile_cache_misses == len(grid[1])
+        assert outcome.ok == len(tasks)
+        assert outcome.compile_cache_misses == groups + 1
+        assert outcome.compile_cache_hits == len(tasks) - groups - 1
 
     def test_spawn_workers_honour_parent_baseline_cache_size(self, tmp_path):
         # the baseline price memo must travel through worker init like
@@ -256,21 +390,21 @@ class TestSpawnConfigPassthrough:
         assert outcome.baseline_cache_misses == len(tasks)
 
     def test_init_worker_applies_baseline_and_backend_knobs(self):
-        from repro.machine.backend import price_backend
-
+        # the executor backend's worker config: baseline memo size and
+        # tracing flag land in the worker process
         prev = baseline_cache_stats()["maxsize"]
+        prev_trace = tracing.is_enabled()
         try:
             init_worker(
-                ExecutorConfig(
-                    baseline_cache_size=7, price_backend="numpy"
-                ),
+                ExecutorConfig(baseline_cache_size=7, trace=True),
                 allow_kill=False,
                 allow_hang=False,
             )
             assert baseline_cache_stats()["maxsize"] == 7
-            assert price_backend() == "numpy"
+            assert tracing.is_enabled()
         finally:
             set_baseline_cache_size(prev)
+            tracing.set_enabled(prev_trace)
 
 
 class TestTimeoutValidation:

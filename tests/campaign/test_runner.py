@@ -15,6 +15,7 @@ from repro.campaign import (
     execute_task,
     run_campaign,
 )
+from repro.campaign.sweep import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +215,112 @@ class TestErrorCapture:
         result = execute_task(task, timeout=0.001)
         assert result.status == "timeout"
         assert "0.001" in result.error
+
+
+class TestGroupSplit:
+    @pytest.mark.expect_group_split
+    def test_price_error_in_one_cell_splits_the_group(
+        self, tmp_path, monkeypatch
+    ):
+        """A price error in one cell re-runs the group as one-task
+        groups: only that task gets an ``error_kind="price"`` record,
+        its siblings stay bit-identical, and the split is counted."""
+        import repro.runtime as runtime
+        from repro.obs import metrics
+
+        spec = default_spec(
+            seed=0, nests=1, include_corpus=False,
+            machines=("paragon",), meshes=((4, 4), (2, 2), (2, 4)),
+        )
+        tasks = spec.expand()
+        assert len({t.compile_key for t in tasks}) == 1
+        ref_path = str(tmp_path / "ref.jsonl")
+        run_campaign(tasks, ref_path, meta={})
+        _, ref = RunStore(ref_path).load()
+
+        victim = next(t for t in tasks if t.mesh == (4, 4))
+        execute, execute_group = runtime.execute, runtime.execute_group
+
+        def broken(machine):
+            if (machine.p, machine.q) == victim.mesh:
+                raise ArithmeticError("injected price error")
+
+        def bad_execute(program, machine, *args, **kwargs):
+            broken(machine)
+            return execute(program, machine, *args, **kwargs)
+
+        def bad_execute_group(cells, *args, **kwargs):
+            for _program, machine, _coll in cells:
+                broken(machine)
+            return execute_group(cells, *args, **kwargs)
+
+        monkeypatch.setattr(runtime, "execute", bad_execute)
+        monkeypatch.setattr(runtime, "execute_group", bad_execute_group)
+        splits = metrics.counter("campaign.price.group_splits")
+        by_cause = metrics.counter(
+            "campaign.price.group_splits.ArithmeticError"
+        )
+        before = (splits.value, by_cause.value)
+        out = str(tmp_path / "split.jsonl")
+        outcome = run_campaign(tasks, out, meta={})
+        assert splits.value == before[0] + 1
+        assert by_cause.value == before[1] + 1
+
+        _, got = RunStore(out).load()
+        assert outcome.errors == 1 and outcome.ok == len(tasks) - 1
+        rec = got[victim.task_id]
+        assert rec.status == "error" and rec.error_kind == "price"
+        assert "injected price error" in rec.error
+        for t in tasks:
+            if t.task_id != victim.task_id:
+                assert canonical_json(
+                    got[t.task_id].deterministic_dict()
+                ) == canonical_json(ref[t.task_id].deterministic_dict())
+
+
+class TestGroupDeadline:
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
+    )
+    def test_slow_group_reruns_cell_by_cell(self, tmp_path, monkeypatch):
+        """Past the group deadline (timeout x cells) the group re-runs
+        as one-task groups under the per-task timeout: only the slow
+        cell ends as a timeout record."""
+        import time
+
+        import repro.runtime as runtime
+        from repro.obs import metrics
+
+        spec = default_spec(
+            seed=0, nests=1, include_corpus=False,
+            machines=("paragon",), meshes=((4, 4), (2, 2), (2, 4)),
+        )
+        tasks = spec.expand()
+        victim = next(t for t in tasks if t.mesh == (4, 4))
+        execute = runtime.execute
+
+        def stalled_group(cells, *args, **kwargs):
+            time.sleep(60)
+
+        def slow_execute(program, machine, *args, **kwargs):
+            if (machine.p, machine.q) == victim.mesh:
+                time.sleep(60)
+            return execute(program, machine, *args, **kwargs)
+
+        monkeypatch.setattr(runtime, "execute_group", stalled_group)
+        monkeypatch.setattr(runtime, "execute", slow_execute)
+        deadlines = metrics.counter("campaign.price.group_timeouts")
+        before = deadlines.value
+        outcome = run_campaign(
+            tasks, str(tmp_path / "t.jsonl"), CampaignConfig(timeout=0.3),
+            meta={},
+        )
+        assert deadlines.value == before + 1
+        assert outcome.timeouts == 1 and outcome.ok == len(tasks) - 1
+        _, got = RunStore(str(tmp_path / "t.jsonl")).load()
+        rec = got[victim.task_id]
+        assert rec.status == "timeout" and rec.error_kind == "timeout"
+        assert rec.error == "task exceeded 0.3s"
 
 
 class TestMachinesSatellite:

@@ -46,6 +46,17 @@ def _clean_env(monkeypatch):
     tracing.set_enabled(prev)
 
 
+def _traced_by_group(tasks):
+    """``{compile_key: spans}`` of the records carrying a span tree —
+    one per group run, on its first record."""
+    traced = {}
+    for t in tasks:
+        if t["spans"]:
+            assert t["compile_key"] not in traced, "two trees in one group"
+            traced[t["compile_key"]] = t["spans"]
+    return traced
+
+
 def _run(grid, tmp_path, name, **kw):
     spec, tasks = grid
     path = str(tmp_path / f"{name}.jsonl")
@@ -72,14 +83,16 @@ class TestRoundTrip:
         assert trace["meta"]["executor"] == "inline"
         assert trace["meta"]["spec_digest"] == grid[0].digest()
         assert len(trace["tasks"]) == 4
-        # every task carries compile/price stage spans and its group key
+        # every task carries its group key; one span tree per group
+        # run, on the group's first record, covers compile and price
         for t in trace["tasks"]:
             assert t["status"] == "ok"
             assert t["compile_key"]
-            assert "price" in t["spans"]
-            assert t["spans"]["price"]["seconds"] > 0
-        # compile happens once per group: the cache-hit tasks have no
-        # compile span but the group total is positive
+        traced = _traced_by_group(trace["tasks"])
+        assert len(traced) == 2
+        for spans in traced.values():
+            assert spans["price"]["seconds"] > 0
+            assert spans["compile"]["seconds"] > 0
         rows = stage_rows(trace["tasks"])
         assert len(rows) == 2  # one row per compile-key group
         for r in rows:
@@ -111,9 +124,9 @@ class TestRoundTrip:
         trace_path = str(tmp_path / "sub.jsonl")
         _run(grid, tmp_path, "sub", jobs=1, trace=trace_path)
         trace = load_trace(trace_path)
-        for t in trace["tasks"]:
-            assert "price/price.heuristic" in t["spans"]
-            assert "price/price.baseline" in t["spans"]
+        for spans in _traced_by_group(trace["tasks"]).values():
+            assert "price/price.heuristic" in spans
+            assert "price/price.baseline" in spans
         rows = stage_rows(trace["tasks"])
         for r in rows:
             assert r["price_heuristic_seconds"] > 0
@@ -182,13 +195,15 @@ class TestWorkers:
         assert outcome.ok == 4
         trace = load_trace(trace_path)
         assert len(trace["tasks"]) == 4
-        for t in trace["tasks"]:
-            assert t["spans"], f"task {t['task_id']} lost its spans"
-            assert "price" in t["spans"]
+        traced = _traced_by_group(trace["tasks"])
+        assert set(traced) == {t["compile_key"] for t in trace["tasks"]}
+        for spans in traced.values():
+            assert "price" in spans
 
     def test_crashed_task_attributed_traceless(self, grid, tmp_path, monkeypatch):
         """A task whose worker is killed appears in the trace as a
-        traceless record; the rest of its group still carries spans."""
+        traceless record; the rest of its group re-runs in a fresh
+        worker and still carries spans."""
         spec, tasks = grid
         victim = tasks[0]
         monkeypatch.setenv(
@@ -204,11 +219,13 @@ class TestWorkers:
         by_id = {t["task_id"]: t for t in trace["tasks"]}
         assert by_id[victim.task_id]["status"] == "crashed"
         assert by_id[victim.task_id]["spans"] == {}
+        # one span tree per group run: the victim's sibling re-ran as
+        # a one-task group, the other group ran whole
         ok_spans = [
             t for t in trace["tasks"]
             if t["status"] == "ok" and t["spans"]
         ]
-        assert len(ok_spans) == 3
+        assert len(ok_spans) == 2
         rows = {r["compile_key"]: r for r in stage_rows(trace["tasks"])}
         assert rows[victim.compile_key]["traceless"] == 1
         # lifecycle counters made it into the metrics export

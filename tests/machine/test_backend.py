@@ -1,49 +1,19 @@
-"""The pluggable array backend (``REPRO_PRICE_BACKEND``): selection
-knob semantics, friendly failure modes, the packed-key ``unique_rows``
-fast path, and bit-identity of the array-native phase timing."""
+"""The NumPy group-by helpers of :mod:`repro.machine.backend`: the
+packed-key ``unique_rows`` fast path and its fallbacks, and
+bit-identity of the array-native phase timing."""
 
 import numpy as np
 import pytest
 
 from repro.machine import (
-    BACKEND_ENV,
     CostParams,
     Mesh2D,
     Message,
     phase_time,
     phase_time_arrays,
-    price_backend,
-    set_price_backend,
 )
 from repro.machine.backend import unique_rows
 from repro.machine.topology3d import Mesh3D, Message3
-
-
-class TestBackendSelection:
-    def test_default_is_numpy(self):
-        assert price_backend() == "numpy"
-
-    def test_set_returns_previous(self):
-        prev = set_price_backend("numpy")
-        assert prev == "numpy"
-        assert price_backend() == "numpy"
-
-    def test_unknown_name_is_friendly(self):
-        with pytest.raises(ValueError, match="unknown price backend"):
-            set_price_backend("torch")
-        with pytest.raises(ValueError, match=BACKEND_ENV):
-            set_price_backend("torch")
-        assert price_backend() == "numpy"  # selection unchanged
-
-    def test_missing_cupy_is_friendly(self):
-        # the container has no cupy; selecting it must raise eagerly
-        # with a message naming the knob and the fix — never a bare
-        # ModuleNotFoundError mid-campaign
-        with pytest.raises(RuntimeError, match="cupy"):
-            set_price_backend("cupy")
-        with pytest.raises(RuntimeError, match="numpy"):
-            set_price_backend("cupy")
-        assert price_backend() == "numpy"
 
 
 class TestUniqueRows:
