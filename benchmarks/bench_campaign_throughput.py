@@ -341,16 +341,26 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
 
 
 def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
-    """Fused segmented pricing kernels vs the per-phase baseline on the
-    reference grid: the two paths must write identical deterministic
-    records, and the fused run's wall, speedup and phase/kernel counts
-    land under ``fused_pricing`` — the attribution record for the
-    fully-cold throughput gate in ``test_cold_compile_disk_cache``."""
+    """Fused segmented pricing vs the per-phase oracle
+    (``tests/oracles/pricing.py``) on the reference grid: the two must
+    write identical deterministic records, and the fused run's wall,
+    speedup and phase/kernel counts land under ``fused_pricing`` — the
+    attribution record for the fully-cold throughput gate in
+    ``test_cold_compile_disk_cache``."""
     import cProfile
     import pstats
+    import sys
+    from contextlib import nullcontext
 
     from repro.obs import clear_spans, set_enabled, span_snapshot
-    from repro.runtime import set_segmented_pricing
+
+    sys.path.append(
+        os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "tests",
+        )
+    )
+    from oracles.pricing import per_phase_pricing
 
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
@@ -359,14 +369,11 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
         path = str(tmp_path / f"{name}.jsonl")
         clear_compile_cache()
         clear_baseline_cache()
-        prev = set_segmented_pricing(fused)
         t0 = time.perf_counter()
-        try:
+        with nullcontext() if fused else per_phase_pricing():
             outcome = run_campaign(
                 tasks, path, CampaignConfig(jobs=1), meta=meta
             )
-        finally:
-            set_segmented_pricing(prev)
         wall = time.perf_counter() - t0
         assert outcome.ok == len(tasks) and outcome.errors == 0
         _, results = RunStore(path).load()
@@ -383,8 +390,8 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
         ) == canonical_json(per_phase[tid].deterministic_dict()), tid
 
     # segment accounting: spans count *phases* (one exec.segmented span
-    # per kernel launch, count = phases priced), the profile counts
-    # kernel launches and leftover per-phase calls
+    # per lane call, count = phases priced), the profile counts kernel
+    # launches
     clear_compile_cache()
     clear_baseline_cache()
     prev_trace = set_enabled(True)
@@ -403,15 +410,13 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
         if p.endswith("exec.segmented")
     )
     clear_spans()
-    counts = {}
-    for (_f, _l, name), (_cc, nc, *_rest) in pstats.Stats(
-        prof
-    ).stats.items():
-        if name in (
-            "phase_times_segmented", "_price_phase", "phase_time_arrays"
-        ):
-            counts[name] = counts.get(name, 0) + nc
-    kernel_launches = counts.get("phase_times_segmented", 0)
+    kernel_launches = sum(
+        nc
+        for (_f, _l, name), (_cc, nc, *_rest) in pstats.Stats(
+            prof
+        ).stats.items()
+        if name == "phase_times_segmented"
+    )
     assert kernel_launches > 0
     assert phases_priced >= kernel_launches
 
@@ -434,10 +439,6 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
             "segmented_kernel_launches": kernel_launches,
             "phases_per_launch": round(
                 phases_priced / kernel_launches, 2
-            ),
-            "per_phase_calls_on_fused_path": counts.get("_price_phase", 0),
-            "phase_time_arrays_calls_on_fused_path": counts.get(
-                "phase_time_arrays", 0
             ),
         },
         section="fused_pricing",

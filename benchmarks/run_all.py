@@ -72,11 +72,11 @@ the top-10 hotspot list, and since the cold-compile fast path landed
 not the compile stage, owns the cold profile — compile cumulative time
 below batched pricing and every Fraction-FM helper out of the top-10
 (exit 1 if either compile-side regression ever returns).  Since the
-fused segmented pricing kernels it further asserts the per-phase
-pricing entry points (``_price_phase`` / ``phase_time_arrays``) stay
-below ``PHASE_CALL_CEILING`` calls and ``phase_times_segmented``
-actually ran — the call-count record lands in the same artifact
-(``per_phase_pricing_calls`` / ``segmented_kernel_launches``).
+fused segmented pricing kernels it further asserts that
+``phase_times_segmented`` ran, and at most once per distinct machine
+model per pricing call (``execute`` / ``execute_group``) — the counts
+land in the same artifact (``segmented_kernel_launches``,
+``kernel_launch_ceiling``, ``phases_per_launch``).
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ SRC_DIR = os.path.join(os.path.dirname(BENCH_DIR), "src")
 
 #: hotspot rows kept in BENCH_profile.json
 PROFILE_TOP_N = 30
-
-#: ceiling on per-phase pricing entry calls (`_price_phase` +
-#: `phase_time_arrays`) in the reference profile — ~1,300 before the
-#: fused segmented kernels, ~0 after (the slack covers exact-magnitude
-#: fallbacks and custom-model duck-typing, not a path regression)
-PHASE_CALL_CEILING = 48
 
 
 def run_profile(top_n: int = PROFILE_TOP_N) -> int:
@@ -117,7 +111,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     from repro import compile_nest
     from repro.campaign import CampaignConfig, default_spec, run_campaign
     from repro.ir import motivating_example
-    from repro.machine import ParagonModel
+    from repro.machine import ParagonModel, machine_spec
+    from repro.obs import metrics
     from repro.runtime import execute
 
     import tempfile
@@ -127,6 +122,15 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     compiled = compile_nest(motivating_example(), m=2)
     machine = ParagonModel(4, 4)
     params = {"N": 14, "M": 14}
+
+    # distinct point-to-point models (cm5 and paragon share one per mesh)
+    models = {
+        (type(mm), mm.mesh, mm.params)
+        for mm in [machine_spec(t.machine).make(t.mesh) for t in tasks]
+        + [machine]
+    }
+    phases = metrics.counter("runtime.price.phases")
+    phases_before = phases.value
 
     prof = cProfile.Profile()
     t0 = time.perf_counter()
@@ -177,9 +181,10 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             if name == fn_name
         )
 
-    per_phase_calls = _ncalls("_price_phase")
-    phase_array_calls = _ncalls("phase_time_arrays")
     kernel_launches = _ncalls("phase_times_segmented")
+    price_calls = _ncalls("execute") + _ncalls("execute_group")
+    launch_ceiling = len(models) * price_calls
+    phases_priced = phases.value - phases_before
 
     from _harness import record_bench
 
@@ -196,10 +201,15 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "top_n": top_n,
             "compile_stage_cumtime_s": compile_ct,
             "pricing_stage_cumtime_s": price_ct,
-            "per_phase_pricing_calls": per_phase_calls,
-            "phase_time_arrays_calls": phase_array_calls,
+            "price_calls": price_calls,
+            "machine_models": len(models),
             "segmented_kernel_launches": kernel_launches,
-            "per_phase_pricing_call_ceiling": PHASE_CALL_CEILING,
+            "kernel_launch_ceiling": launch_ceiling,
+            "phases_priced": phases_priced,
+            "phases_per_launch": round(
+                phases_priced / kernel_launches if kernel_launches else 0.0,
+                2,
+            ),
             "hotspots": rows,
         },
     )
@@ -270,23 +280,11 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"(compile {compile_ct:.3f}s < pricing {price_ct:.3f}s cumulative)"
     )
 
-    # the PR-10 regression gate: fused segmented pricing collapsed this
-    # scenario's ~1,300 per-phase pricing calls (`_price_phase` +
-    # `phase_time_arrays`) into a few hundred whole-label kernel
-    # launches.  The per-phase entry points must stay below a small
-    # constant — anything more means labels are leaking back onto the
-    # per-phase path (a fallback misfire or a dropped
-    # `time_phases_segmented` surface) and the cold-throughput gate in
-    # bench_campaign_throughput.py is living on borrowed time.
-    if per_phase_calls + phase_array_calls > PHASE_CALL_CEILING:
-        print(
-            f"FAIL: {per_phase_calls} _price_phase + {phase_array_calls} "
-            "phase_time_arrays calls in the reference profile, above the "
-            f"ceiling of {PHASE_CALL_CEILING} — fused segmented pricing "
-            "has regressed to per-phase calls (see BENCH_profile.json)",
-            file=sys.stderr,
-        )
-        return 1
+    # the fused-pricing gate: every pricing call (one compile-key
+    # group's heuristic or baseline cells) launches the segmented kernel
+    # at most once per machine model, with every label, cell and phase
+    # on that model stacked into the launch.  More launches mean labels
+    # or cells are leaking back onto per-(cell, label) launches.
     if kernel_launches == 0:
         print(
             "FAIL: phase_times_segmented never ran in the reference "
@@ -295,11 +293,21 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             file=sys.stderr,
         )
         return 1
+    if kernel_launches > launch_ceiling:
+        print(
+            f"FAIL: {kernel_launches} phase_times_segmented launches in "
+            f"the reference profile, above {len(models)} machine models "
+            f"x {price_calls} pricing calls = {launch_ceiling} — pricing "
+            "has regressed to more than one launch per model per call "
+            "(see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
     print(
         "gate ok: fused pricing engaged "
-        f"({kernel_launches} segmented kernel launches, "
-        f"{per_phase_calls + phase_array_calls} per-phase calls <= "
-        f"{PHASE_CALL_CEILING})"
+        f"({kernel_launches} segmented kernel launches <= {len(models)} "
+        f"models x {price_calls} pricing calls, "
+        f"{phases_priced / kernel_launches:.1f} phases per launch)"
     )
     return 0
 

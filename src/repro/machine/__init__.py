@@ -22,7 +22,6 @@ from .contention import (
     PhaseReport,
     SegmentedPhaseReport,
     phase_time,
-    phase_time_arrays,
     phase_time_python,
     phase_times_segmented,
     phased_time,
@@ -72,7 +71,6 @@ __all__ = [
     "PhaseReport",
     "SegmentedPhaseReport",
     "phase_time",
-    "phase_time_arrays",
     "phase_time_python",
     "phase_times_segmented",
     "phased_time",

@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs import metrics as obs_metrics
 from .backend import segment_max, unique_rows, weighted_bincount
 from .routecache import gather_route_ids, max_link_load, route_cache_for
 from .topology import Link, Mesh2D, Message
@@ -129,68 +130,6 @@ def phase_time(
     )
 
 
-def phase_time_arrays(
-    mesh,
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    sizes: np.ndarray,
-    params: CostParams,
-    cache=None,
-) -> PhaseReport:
-    """Array-native :func:`phase_time`: one phase given endpoint
-    coordinate matrices instead of :class:`Message` objects.
-
-    ``senders``/``receivers`` are ``(n, rank)`` int64 coordinate rows,
-    ``sizes`` the ``(n,)`` message sizes.  Bit-identical to building
-    the equivalent ``Message`` list and calling :func:`phase_time`
-    (asserted in ``tests/machine/test_backend.py``): fanout and hop
-    counts come from array reductions — max hops equals the Manhattan
-    distance, which is exactly ``route length - 2`` for the caches'
-    dimension-order routes — while the per-link load accumulation and
-    the final cost formula reuse the same :func:`max_link_load` /
-    ``CostParams`` arithmetic on the same Python ints.
-    """
-    if cache is None:
-        cache = route_cache_for(mesh)
-    senders = np.asarray(senders, dtype=np.int64)
-    receivers = np.asarray(receivers, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    nonlocal_mask = np.any(senders != receivers, axis=1)
-    local = int(senders.shape[0] - nonlocal_mask.sum())
-    if local:
-        senders = senders[nonlocal_mask]
-        receivers = receivers[nonlocal_mask]
-        sizes = sizes[nonlocal_mask]
-    remote = senders.shape[0]
-    if remote:
-        _, fan_counts = unique_rows(senders)
-        max_fanout = int(fan_counts.max())
-        max_hops = int(np.abs(receivers - senders).sum(axis=1).max())
-    else:
-        max_fanout = 0
-        max_hops = 0
-    size_list = sizes.tolist()
-    id_arrays = [
-        cache.link_ids(tuple(s), tuple(d))
-        for s, d in zip(senders.tolist(), receivers.tolist())
-    ]
-    max_load = max_link_load(cache, id_arrays, size_list)
-    time = (
-        params.alpha * max_fanout
-        + params.beta * max_load
-        + params.gamma * max_hops
-    )
-    return PhaseReport(
-        time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=sum(size_list),
-        local_messages=local,
-    )
-
-
 @dataclass
 class SegmentedPhaseReport:
     """Per-segment timing breakdown of a fused multi-phase pricing
@@ -222,40 +161,70 @@ class SegmentedPhaseReport:
         )
 
 
-#: dense per-(phase, link) load matrices are capped at this many cells;
-#: larger phase x link products take the compressed-key path instead
-_DENSE_LOAD_CELLS = 1 << 22
+#: dense per-(phase, link) load matrices are capped at this many cells
+#: (512 KB of float64); larger phase x link products — the norm once a
+#: launch stacks every phase of a compile-key group — take the
+#: compressed-key path instead
+_DENSE_LOAD_CELLS = 1 << 16
 
 #: float64 integer arithmetic is exact below this (same bound as
 #: :func:`~repro.machine.routecache.max_link_load`)
 _EXACT_F64 = 2 ** 53
 
+#: segments repriced through the exact per-phase path because their
+#: magnitudes could break float64 exactness
+_exact_fallbacks = obs_metrics.counter("machine.contention.exact_fallbacks")
+
+
+def _zero_report(n_phases: int, local_messages=None) -> SegmentedPhaseReport:
+    def zeros():
+        return np.zeros(n_phases, dtype=np.int64)
+
+    return SegmentedPhaseReport(
+        times=np.zeros(n_phases, dtype=np.float64),
+        max_link_load=zeros(),
+        max_hops=zeros(),
+        max_msgs_per_sender=zeros(),
+        total_messages=zeros(),
+        total_volume=zeros(),
+        local_messages=zeros() if local_messages is None else local_messages,
+    )
+
 
 def _segmented_exact_fallback(
-    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases
-) -> "SegmentedPhaseReport":
-    """Pathological-magnitude fallback: price each segment through the
-    per-phase :func:`phase_time_arrays` exact path and stack the
-    reports (bit-identical at any magnitude, never fast)."""
-    reports = []
-    for s in range(n_phases):
-        m = phase_ids == s
-        reports.append(
-            phase_time_arrays(
-                mesh, senders[m], receivers[m], sizes[m], params, cache
-            )
-        )
-    return SegmentedPhaseReport(
-        times=np.array([r.time for r in reports], dtype=np.float64),
-        max_link_load=np.array([r.max_link_load for r in reports], dtype=np.int64),
-        max_hops=np.array([r.max_hops for r in reports], dtype=np.int64),
-        max_msgs_per_sender=np.array(
-            [r.max_msgs_per_sender for r in reports], dtype=np.int64
-        ),
-        total_messages=np.array([r.total_messages for r in reports], dtype=np.int64),
-        total_volume=np.array([r.total_volume for r in reports], dtype=np.int64),
-        local_messages=np.array([r.local_messages for r in reports], dtype=np.int64),
+    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases, bad
+) -> SegmentedPhaseReport:
+    """Pathological-magnitude fallback: the segments ``bad`` are priced
+    one by one through the exact :func:`phase_time` (bit-identical at
+    any magnitude, never fast), every other segment by the fused
+    kernel."""
+    keep = ~np.isin(phase_ids, bad)
+    rep = phase_times_segmented(
+        mesh, senders[keep], receivers[keep], sizes[keep], phase_ids[keep],
+        params, cache, n_phases,
     )
+    for s in bad.tolist():
+        m = phase_ids == s
+        r = phase_time(
+            mesh,
+            [
+                Message(src=tuple(a), dst=tuple(b), size=z)
+                for a, b, z in zip(
+                    senders[m].tolist(), receivers[m].tolist(),
+                    sizes[m].tolist(),
+                )
+            ],
+            params,
+            cache,
+        )
+        rep.times[s] = r.time
+        rep.max_link_load[s] = r.max_link_load
+        rep.max_hops[s] = r.max_hops
+        rep.max_msgs_per_sender[s] = r.max_msgs_per_sender
+        rep.total_messages[s] = r.total_messages
+        rep.total_volume[s] = r.total_volume
+        rep.local_messages[s] = r.local_messages
+    return rep
 
 
 def phase_times_segmented(
@@ -268,7 +237,7 @@ def phase_times_segmented(
     cache=None,
     n_phases: Optional[int] = None,
 ) -> SegmentedPhaseReport:
-    """Fused :func:`phase_time_arrays` over many phases in one call.
+    """Fused :func:`phase_time` over many phases in one call.
 
     All messages of all phases enter together: ``senders``/``receivers``
     are ``(n, rank)`` int64 coordinate rows, ``sizes`` the message
@@ -285,14 +254,18 @@ def phase_times_segmented(
     * the :class:`CostParams` cost formula evaluates vectorized across
       all segments.
 
-    Bit-identical to calling :func:`phase_time_arrays` once per segment
+    Bit-identical to calling :func:`phase_time` once per segment
     (property-tested in ``tests/runtime/test_segmented_pricing.py``):
-    every sum stays in exact float64 integer range — the conservative
-    magnitude guard falls back to the per-phase exact path otherwise —
-    and the final ``alpha*fanout + beta*load + gamma*hops`` arithmetic
-    performs the same IEEE operations in the same order.  The group-by
-    and scatter reductions are the NumPy helpers of
-    :mod:`repro.machine.backend`.
+    every float64 partial sum of a segment — its volume and each of its
+    link loads, routes being simple paths — is bounded by its largest
+    ``|size|`` times its message count.  A segment whose bound reaches
+    ``2**53``, or that holds a negative size, is priced alone through
+    the exact :func:`phase_time` (counted in
+    ``machine.contention.exact_fallbacks``); the others
+    stay on the kernel.  The final ``alpha*fanout + beta*load +
+    gamma*hops`` arithmetic performs the same IEEE operations in the
+    same order.  Max hops is the Manhattan distance, exactly
+    ``route length - 2`` for the caches' dimension-order routes.
     """
     if cache is None:
         cache = route_cache_for(mesh)
@@ -303,17 +276,29 @@ def phase_times_segmented(
     n = senders.shape[0]
     if n_phases is None:
         n_phases = int(phase_ids.max()) + 1 if n else 0
-    zeros_i = np.zeros(n_phases, dtype=np.int64)
     if n == 0 or n_phases == 0:
-        return SegmentedPhaseReport(
-            times=np.zeros(n_phases, dtype=np.float64),
-            max_link_load=zeros_i,
-            max_hops=zeros_i.copy(),
-            max_msgs_per_sender=zeros_i.copy(),
-            total_messages=zeros_i.copy(),
-            total_volume=zeros_i.copy(),
-            local_messages=zeros_i.copy(),
+        return _zero_report(n_phases)
+
+    # per-segment exactness guard, skipped when the whole launch is
+    # already in range (float products of exact integers are exact
+    # below 2**53 and never round down past it); negative sizes, which
+    # the zero-based scatter-max cannot reduce, also go exact
+    mag = np.abs(sizes.astype(np.float64))
+    negative = sizes < 0
+    if float(mag.max()) * n >= _EXACT_F64 or negative.any():
+        seg_bound = segment_max(mag, phase_ids, n_phases) * np.bincount(
+            phase_ids, minlength=n_phases
         )
+        bad = np.flatnonzero(
+            (seg_bound >= _EXACT_F64)
+            | (np.bincount(phase_ids[negative], minlength=n_phases) > 0)
+        )
+        if bad.size:
+            _exact_fallbacks.inc(int(bad.size))
+            return _segmented_exact_fallback(
+                mesh, senders, receivers, sizes, phase_ids, params, cache,
+                n_phases, bad,
+            )
 
     nonlocal_mask = np.any(senders != receivers, axis=1)
     local_messages = np.bincount(
@@ -324,29 +309,10 @@ def phase_times_segmented(
         receivers = receivers[nonlocal_mask]
         sizes = sizes[nonlocal_mask]
         phase_ids = phase_ids[nonlocal_mask]
-    remote = senders.shape[0]
-    if remote == 0:
-        return SegmentedPhaseReport(
-            times=np.zeros(n_phases, dtype=np.float64),
-            max_link_load=zeros_i,
-            max_hops=zeros_i.copy(),
-            max_msgs_per_sender=zeros_i.copy(),
-            total_messages=zeros_i.copy(),
-            total_volume=zeros_i.copy(),
-            local_messages=local_messages,
-        )
+    if senders.shape[0] == 0:
+        return _zero_report(n_phases, local_messages)
 
     hops = np.abs(receivers - senders).sum(axis=1)
-    # conservative exactness bound on every float64 partial sum (per
-    # (phase, link) load, per-phase volume); the max possible hop count
-    # bounds the route lengths without materializing them first
-    max_size = int(sizes.max())
-    max_route = int(hops.max()) + 2
-    if max_size < 0 or max_size * max_route * remote > _EXACT_F64:
-        return _segmented_exact_fallback(
-            mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases
-        )
-
     total_messages = np.bincount(phase_ids, minlength=n_phases).astype(np.int64)
     total_volume = weighted_bincount(
         phase_ids, sizes.astype(np.float64), n_phases

@@ -43,7 +43,6 @@ from .contention import (
     PhaseReport,
     SegmentedPhaseReport,
     phase_time,
-    phase_time_arrays,
     phase_times_segmented,
     phased_time,
     total_time,
@@ -67,23 +66,15 @@ class ParagonModel:
     def time_phase(self, messages: Sequence[Message]) -> PhaseReport:
         return phase_time(self.mesh, messages, self.params)
 
-    def time_phase_arrays(self, senders, receivers, sizes) -> PhaseReport:
-        """Array-native :meth:`time_phase` (endpoint coordinate
-        matrices, no ``Message`` objects) — the surface the batched
-        group executor probes for (duck-typed; bit-identical)."""
-        return phase_time_arrays(
-            self.mesh, senders, receivers, sizes, self.params
-        )
-
     def time_phases_segmented(
         self, senders, receivers, sizes, phase_ids, n_phases=None
     ) -> SegmentedPhaseReport:
-        """Fused multi-phase :meth:`time_phase_arrays`: all phases of a
-        pricing call enter as one coordinate matrix plus an int64
-        segment column and are priced by one kernel
+        """Fused multi-phase :meth:`time_phase`: all phases of a
+        pricing call enter as endpoint coordinate matrices plus an
+        int64 segment column and are priced by one kernel
         (:func:`~repro.machine.contention.phase_times_segmented`) —
-        the surface the segmented executor probes for (duck-typed;
-        bit-identical to per-phase pricing)."""
+        the surface the executor probes for (duck-typed; bit-identical
+        to per-phase pricing)."""
         return phase_times_segmented(
             self.mesh, senders, receivers, sizes, phase_ids, self.params,
             n_phases=n_phases,
@@ -145,12 +136,6 @@ class T3DModel:
 
     def time_phase(self, messages) -> PhaseReport:
         return phase_time(self.mesh, messages, self.params)
-
-    def time_phase_arrays(self, senders, receivers, sizes) -> PhaseReport:
-        """Array-native :meth:`time_phase`, as on the 2-D model."""
-        return phase_time_arrays(
-            self.mesh, senders, receivers, sizes, self.params
-        )
 
     def time_phases_segmented(
         self, senders, receivers, sizes, phase_ids, n_phases=None

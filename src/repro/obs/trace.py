@@ -176,14 +176,13 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
         base_s = sum(
             _subspan_seconds(t.get("spans", {}), "price.baseline") for t in ts
         )
-        # fused pricing records one exec.segmented span per kernel call
-        # with count = phases priced, so this stays a *phase* count; the
-        # per-phase baseline path still reports exec.phase
+        # fused pricing records one exec.segmented span per lane call
+        # with count = phases priced, so this stays a *phase* count
         phase_calls = sum(
             int(e.get("count", 0))
             for t in ts
             for path, e in (t.get("spans") or {}).items()
-            if path.endswith("exec.phase") or path.endswith("exec.segmented")
+            if path.endswith("exec.segmented")
         )
         rows.append(
             {

@@ -117,8 +117,8 @@ def span(name: str, count: int = 1):
     ``count`` is what the span's exit adds to its path's call counter
     (default 1).  Fused spans use it to keep logical-unit accounting:
     one ``exec.segmented`` kernel call pricing 37 phases records
-    ``count=37``, so stage reports keep counting *phases*, not kernel
-    launches, after the fusion."""
+    ``count=37``, so stage reports count *phases*, not kernel
+    launches."""
     if not _enabled:
         return _NOOP
     return _Span(name, count)

@@ -13,16 +13,17 @@ The report distinguishes, per access:
 * ``translation`` / ``macro`` / ``decomposed`` / ``general`` — as
   classified by step 2 of the heuristic.
 
-:func:`execute` is **vectorized**: it consumes the dense per-access
-arrays of :meth:`~repro.runtime.mapping.MappedProgram.comm_batches`
-(one row per element communication; polyhedral domains arrive already
-masked down to their in-domain rows, so the executor never
-re-enumerates an iteration set) and replaces the per-event Python
-bucketing with array reductions — virtual/physical locality masks are
-whole-column comparisons, the per-time-step phase split and the
-``(sender, receiver)`` pair coalescing are ``np.unique`` group-bys —
-feeding the already-vectorized ``phase_time`` one deduplicated message
-list per phase.  The original per-event implementation is kept as
+:func:`execute` and :func:`execute_group` share one **vectorized**
+path: they consume the dense per-access arrays of
+:meth:`~repro.runtime.mapping.MappedProgram.comm_batches` (one row per
+element communication; polyhedral domains arrive already masked down
+to their in-domain rows, so the executor never re-enumerates an
+iteration set) and replace the per-event Python bucketing with array
+reductions — virtual/physical locality masks are whole-column
+comparisons, the per-time-step phase split and the ``(sender,
+receiver)`` pair coalescing are ``unique_rows`` group-bys — then price
+every phase of the call in one fused kernel launch per machine model.
+The original per-event implementation is kept as
 :func:`execute_python`; the two are bit-identical (asserted on
 randomized generated workloads and the paper's seed scenarios in
 ``tests/runtime/test_runtime_vectorized.py`` and measured against each
@@ -32,15 +33,15 @@ pattern as ``phase_time_python`` in the machine layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._config import env_flag
 from ..machine import CM5Model, MachineModel, Message
 from ..machine.backend import unique_rows
-from ..obs import span, traced
+from ..obs import metrics as obs_metrics
+from ..obs import span
 from .mapping import (
     CommBatch,
     CommEvent,
@@ -50,26 +51,10 @@ from .mapping import (
     segments_from_sorted_unique,
 )
 
-#: environment knob: fused segmented pricing (default on); the
-#: per-phase path is kept as the bit-identity baseline
-SEGMENTED_ENV = "REPRO_SEGMENTED_PRICING"
-
-_segmented = env_flag(SEGMENTED_ENV, True)
-
-
-def set_segmented_pricing(on: bool) -> bool:
-    """Toggle the fused segmented pricing path (returns the previous
-    flag).  Off routes every label through the kept per-phase
-    ``_price_phase`` baseline — the bit-identity twin the property
-    suite and the ``fused_pricing`` benchmark compare against."""
-    global _segmented
-    prev = _segmented
-    _segmented = bool(on)
-    return prev
-
-
-def segmented_pricing_enabled() -> bool:
-    return _segmented
+#: pricing-lane calls (fused point-to-point kernel launches plus
+#: vectorized collectives calls) and the phases they priced
+_launches = obs_metrics.counter("runtime.price.launches")
+_phases = obs_metrics.counter("runtime.price.phases")
 
 
 @dataclass
@@ -132,157 +117,26 @@ def _vectorizable(program: MappedProgram, label: str) -> bool:
         return False
 
 
-@traced("exec.phase")
-def _price_phase(
-    program: MappedProgram,
-    machine: MachineModel,
-    collectives: Optional[CM5Model],
-    st: AccessCommStats,
-    label: str,
-    n_events: int,
-    pairs: np.ndarray,
-    counts: np.ndarray,
-    payload: int,
-    rank: int,
-) -> float:
-    """Price one phase given its coalesced ``(sender, receiver)`` pairs
-    (rows of ``pairs``, multiplicities in ``counts``).  Returns the time
-    added (mirrors the per-phase body of :func:`execute_python`).
+@dataclass
+class _Job:
+    """The phases of one (cell, label) pair, waiting to be priced."""
 
-    Array-native: machines exposing ``time_phase_arrays`` (the
-    Paragon/T3D presets) price the coordinate matrices directly — no
-    per-message ``Message`` object churn; anything else gets the
-    classic ``Message`` list (duck-typed fallback, so custom registered
-    models keep working).  Bit-identical either way (asserted in
-    ``tests/machine/test_backend.py``)."""
-    sizes = counts * payload
-    st.messages_before_vectorization += n_events
-    st.messages_after_vectorization += pairs.shape[0]
-    st.volume += int(sizes.sum())
-    if collectives is not None and st.classification == "macro":
-        opt = program.mapping.residual_by_label(label)
-        kind = opt.macro.kind.value if opt.macro else "broadcast"
-        size = int(sizes.max())
-        if kind == "reduction":
-            t = collectives.reduction_time(size)
-        else:
-            t = collectives.broadcast_time(size)
-        st.macro_ops += 1
-        st.time += t
-        return t
-    fn = getattr(machine, "time_phase_arrays", None)
-    if fn is not None:
-        rep = fn(pairs[:, :rank], pairs[:, rank:], sizes)
-    else:
-        rep = machine.time_phase(
-            [
-                Message(src=tuple(row[:rank]), dst=tuple(row[rank:]), size=int(sz))
-                for row, sz in zip(pairs.tolist(), sizes.tolist())
-            ]
-        )
-    st.time += rep.time
-    return rep.time
+    cell: int
+    st: AccessCommStats
+    seg: PhaseSegments
+    #: collective kind for jobs on the collectives lane, else ``None``
+    kind: Optional[str]
 
 
-def _price_label_segmented(
-    program: MappedProgram,
-    machine: MachineModel,
-    collectives: Optional[CM5Model],
-    st: AccessCommStats,
-    label: str,
-    seg: PhaseSegments,
-    payload: int,
-    rank: int,
-) -> List[float]:
-    """Price every phase of one label in one fused call.
-
-    ``seg`` holds all phases as one phase-major unique-pair matrix plus
-    segment offsets; the machine's ``time_phases_segmented`` kernel
-    (Paragon/T3D presets) prices all segments at once, macro labels go
-    down the vectorized collective lane.  Returns the **per-phase**
-    times in phase order — callers fold them into their running totals
-    one phase at a time, preserving the exact float accumulation
-    sequence of the per-phase path, so ``CommReport`` totals stay
-    bit-identical.
-
-    The per-phase ``_price_phase`` loop is kept as the bit-identity
-    baseline (``set_segmented_pricing(False)``) and as the duck-typed
-    fallback for custom registered models that only expose
-    ``time_phase`` / ``time_phase_arrays``.
-    """
-    n_phases = seg.n_phases
-    if n_phases == 0:
-        return []
-    is_macro = collectives is not None and st.classification == "macro"
-    fn = getattr(machine, "time_phases_segmented", None)
-    if not _segmented or (fn is None and not is_macro):
-        starts = seg.starts
-        return [
-            _price_phase(
-                program, machine, collectives, st, label,
-                int(seg.n_events[i]),
-                seg.pairs[int(starts[i]): int(starts[i + 1])],
-                seg.counts[int(starts[i]): int(starts[i + 1])],
-                payload, rank,
-            )
-            for i in range(n_phases)
-        ]
-
-    sizes = seg.counts * payload
-    st.messages_before_vectorization += int(seg.n_events.sum())
-    st.messages_after_vectorization += seg.pairs.shape[0]
-    st.volume += int(sizes.sum())
-    with span("exec.segmented", count=n_phases):
-        if is_macro:
-            opt = program.mapping.residual_by_label(label)
-            kind = opt.macro.kind.value if opt.macro else "broadcast"
-            seg_sizes = np.maximum.reduceat(sizes, seg.starts[:-1])
-            vfn = getattr(collectives, "macro_times_segmented", None)
-            if vfn is not None:
-                times = vfn(kind, seg_sizes)
-            elif kind == "reduction":
-                times = np.array(
-                    [collectives.reduction_time(int(s)) for s in seg_sizes]
-                )
-            else:
-                times = np.array(
-                    [collectives.broadcast_time(int(s)) for s in seg_sizes]
-                )
-            st.macro_ops += n_phases
-        else:
-            srep = fn(
-                seg.pairs[:, :rank],
-                seg.pairs[:, rank:],
-                sizes,
-                seg.phase_ids(),
-                n_phases,
-            )
-            times = srep.times
-    ts = times.tolist()
-    for t in ts:
-        st.time += t
-    return ts
-
-
-def _price_label_mixed(
-    program: MappedProgram,
-    machine: MachineModel,
-    collectives: Optional[CM5Model],
-    st: AccessCommStats,
-    label: str,
-    chunks: Sequence[Tuple[np.ndarray, np.ndarray]],
-    payload: int,
-    rank: int,
-) -> List[float]:
-    """One label spanning statements with different schedule
+def _mixed_segments(blist: Sequence[CommBatch]) -> PhaseSegments:
+    """One cell's label spanning statements with different schedule
     dimensionalities: mixed-width time rows cannot concatenate, so
-    bucket by time tuple like the python path — but normalize the
-    phases to one int64 *bucket index* column so all phases still price
-    through one segmented call.  Returns per-phase times like
-    :func:`_price_label_segmented`."""
+    bucket by time tuple like the python path, then normalize the
+    phases to one int64 *bucket index* column."""
     buckets: Dict[Tuple[int, ...], List[List[int]]] = {}
-    for t_arr, p_arr in chunks:
-        for trow, prow in zip(t_arr.tolist(), p_arr.tolist()):
+    for b in blist:
+        t_arr = b.times[b.locality_masks()[2]]
+        for trow, prow in zip(t_arr.tolist(), b.send_pairs().tolist()):
             buckets.setdefault(tuple(trow), []).append(prow)
     blocks = []
     for i, tkey in enumerate(sorted(buckets)):
@@ -294,163 +148,190 @@ def _price_label_mixed(
             )
         )
     stacked = np.concatenate(blocks, axis=0)
-    seg = build_phase_segments(stacked[:, 1:], stacked[:, :1])
-    return _price_label_segmented(
-        program, machine, collectives, st, label, seg, payload, rank
-    )
+    return build_phase_segments(stacked[:, 1:], stacked[:, :1])
 
 
-def execute(
-    program: MappedProgram,
-    machine: MachineModel,
-    collectives: Optional[CM5Model] = None,
-    payload: int = 1,
-) -> CommReport:
-    """Execute the mapped program's communications on a machine model.
-
-    ``machine`` is any registered :class:`~repro.machine.MachineModel`
-    (Paragon-style 2-D, T3D-style 3-D, …) and prices point-to-point
-    phases (per time step, one phase per access) — the program's folded
-    coordinates are tuples of the machine's mesh rank; ``collectives``
-    — when given — prices the accesses the heuristic classified as
-    macro-communications with hardware collective costs instead (the
-    CM-5 situation of Table 1).
-
-    Vectorized over the program's :class:`CommBatch` arrays; the
-    per-event reference implementation is :func:`execute_python`
-    (bit-identical).
-    """
-    with span("exec.extract"):
-        batches = program.comm_batches()
-    rank = program.folding.rank
-    per_access: Dict[str, AccessCommStats] = {}
-    # per label: the batches whose events survive the locality filters
-    # (group-by outputs are memoized on the batches, so re-pricing the
-    # same program reuses one extraction)
-    remaining: Dict[str, List[CommBatch]] = {}
-    for b in batches:
-        if b.n == 0:
-            # no events -> no stats entry, exactly like the per-event
-            # path (which only creates entries while iterating events)
-            continue
-        label = b.access_label
-        st = per_access.get(label)
-        if st is None:
-            st = AccessCommStats(
-                label=label,
-                classification=_classification_of(program, label),
-            )
-            per_access[label] = st
-        st.events += b.n
-        virt_local, phys_local, send = b.locality_masks()
-        st.virtual_local += int(virt_local.sum())
-        st.phys_local += int(phys_local.sum())
-        if send.any():
-            remaining.setdefault(label, []).append(b)
-
-    total_time = 0.0
-    # phase pricing in the exact order of the python path: labels in
-    # sorted order, phases in ascending time order (np.unique rows are
-    # lexicographically sorted, matching tuple-sorted bucket keys)
-    for label in sorted(remaining):
-        st = per_access[label]
-        blist = remaining[label]
-        vec = _vectorizable(program, label)
-        if len(blist) == 1:
-            # one batch owns the label (the common case): price its
-            # memoized phase partition in one fused call
-            for t in _price_label_segmented(
-                program, machine, collectives, st, label,
-                blist[0].phase_partition(vec), payload, rank,
-            ):
-                total_time += t
-            continue
-        chunks = [
-            (b.times[b.locality_masks()[2]], b.send_pairs()) for b in blist
+def _label_segments(
+    per_cell: List[List[CommBatch]], vec: bool
+) -> List[Tuple[int, PhaseSegments]]:
+    """``(cell, phases)`` of one label for every cell with surviving
+    events, in cell order.  Phases come in ascending time order, each
+    with lex-sorted unique pairs — the per-phase ``np.unique`` outputs,
+    concatenated."""
+    if len(per_cell) == 1 and len(per_cell[0]) == 1:
+        # one batch owns the label of a one-cell call (the common
+        # case): its memoized phase partition
+        return [(0, per_cell[0][0].phase_partition(vec))]
+    widths = {b.times.shape[1] for blist in per_cell for b in blist}
+    if not vec and len(widths) > 1:
+        return [
+            (k, _mixed_segments(blist))
+            for k, blist in enumerate(per_cell)
+            if blist
         ]
-        if not vec and len({t.shape[1] for t, _ in chunks}) > 1:
-            for t in _price_label_mixed(
-                program, machine, collectives, st, label,
-                chunks, payload, rank,
-            ):
-                total_time += t
+    # stack all cells' rows as [cell | (time) | sender | receiver] and
+    # group them once
+    tw = 0 if vec else widths.pop()
+    blocks: List[np.ndarray] = []
+    for k, blist in enumerate(per_cell):
+        for b in blist:
+            pairs = b.send_pairs()
+            cols = [np.full((pairs.shape[0], 1), k, dtype=np.int64)]
+            if not vec:
+                cols.append(b.times[b.locality_masks()[2]])
+            cols.append(pairs)
+            blocks.append(np.concatenate(cols, axis=1))
+    uniq, counts = unique_rows(np.concatenate(blocks, axis=0))
+    # cell blocks are contiguous (the cell id is the sort-major
+    # column); within a block the rows are ``[time | pair]``-sorted
+    cell_col = uniq[:, 0]
+    change = np.nonzero(cell_col[1:] != cell_col[:-1])[0] + 1
+    bounds = [0] + change.tolist() + [uniq.shape[0]]
+    return [
+        (
+            int(cell_col[cs]),
+            segments_from_sorted_unique(
+                uniq[cs:ce, 1 + tw:], counts[cs:ce], uniq[cs:ce, 1: 1 + tw]
+            ),
+        )
+        for cs, ce in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _model_key(machine: MachineModel) -> Tuple:
+    """Machines agreeing on type, mesh and cost parameters price any
+    phase identically (cm5 and paragon cells on one mesh do), so they
+    share one kernel launch; a model without those attributes gets a
+    launch of its own."""
+    mesh = getattr(machine, "mesh", None)
+    params = getattr(machine, "params", None)
+    if mesh is None or params is None:
+        return (type(machine), id(machine))
+    return (type(machine), mesh, params)
+
+
+def _time_phase_adapter(
+    machine: MachineModel, pairs: np.ndarray, sizes: np.ndarray,
+    starts: np.ndarray,
+) -> List[float]:
+    """Per-phase times from a model that only exposes ``time_phase``:
+    one ``Message`` list per phase (duck-typed registered models)."""
+    rank = pairs.shape[1] // 2
+    rows = pairs.tolist()
+    sz = sizes.tolist()
+    bounds = starts.tolist()
+    return [
+        machine.time_phase(
+            [
+                Message(src=tuple(r[:rank]), dst=tuple(r[rank:]), size=s)
+                for r, s in zip(rows[a:b], sz[a:b])
+            ]
+        ).time
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _lane_times(model, kind: Optional[str], segs, payload: int) -> List[float]:
+    """Per-phase times of all ``segs`` (in order) from one lane call:
+    the fused point-to-point kernel of ``model`` when ``kind`` is
+    ``None``, else one vectorized ``kind`` collective per phase."""
+    if len(segs) == 1:
+        pairs, counts, starts = segs[0].pairs, segs[0].counts, segs[0].starts
+    else:
+        pairs = np.concatenate([s.pairs for s in segs], axis=0)
+        counts = np.concatenate([s.counts for s in segs])
+        lens = np.concatenate([np.diff(s.starts) for s in segs])
+        starts = np.concatenate(([0], np.cumsum(lens)))
+    n_phases = starts.shape[0] - 1
+    sizes = counts * payload
+    _launches.inc()
+    _phases.inc(n_phases)
+    with span("exec.segmented", count=n_phases):
+        if kind is not None:
+            seg_sizes = np.maximum.reduceat(sizes, starts[:-1])
+            vfn = getattr(model, "macro_times_segmented", None)
+            if vfn is not None:
+                return vfn(kind, seg_sizes).tolist()
+            scalar = (
+                model.reduction_time if kind == "reduction"
+                else model.broadcast_time
+            )
+            return [scalar(s) for s in seg_sizes.tolist()]
+        fn = getattr(model, "time_phases_segmented", None)
+        if fn is None:
+            return _time_phase_adapter(model, pairs, sizes, starts)
+        rank = pairs.shape[1] // 2
+        phase_ids = np.repeat(
+            np.arange(n_phases, dtype=np.int64), np.diff(starts)
+        )
+        return fn(
+            pairs[:, :rank], pairs[:, rank:], sizes, phase_ids, n_phases
+        ).times.tolist()
+
+
+def _price_jobs(cells, jobs: List[_Job], payload: int) -> List[List[float]]:
+    """Each job's per-phase times, in phase order, from one call per
+    pricing lane: one fused kernel launch per distinct point-to-point
+    model (:func:`_model_key`), one vectorized call per (collectives
+    model, kind).  Every phase prices independently of its lane
+    neighbours, so the times equal per-phase pricing bit for bit."""
+    p2p: Dict[Tuple, Tuple[MachineModel, List[int]]] = {}
+    # collectives models are unhashable dataclasses: lanes match by
+    # equality
+    macro: List[Tuple[CM5Model, str, List[int]]] = []
+    for i, job in enumerate(jobs):
+        _, machine, coll = cells[job.cell]
+        if job.kind is None:
+            p2p.setdefault(_model_key(machine), (machine, []))[1].append(i)
             continue
-        pairs = np.concatenate([p for _, p in chunks], axis=0)
-        if vec:
-            # vectorization merges all time steps into one phase
-            seg = build_phase_segments(pairs)
+        for lane_coll, lane_kind, idx in macro:
+            if lane_kind == job.kind and lane_coll == coll:
+                idx.append(i)
+                break
         else:
-            times = np.concatenate([t for t, _ in chunks], axis=0)
-            seg = build_phase_segments(pairs, times)
-        for t in _price_label_segmented(
-            program, machine, collectives, st, label, seg, payload, rank,
-        ):
-            total_time += t
-
-    total_messages = sum(
-        s.messages_after_vectorization for s in per_access.values()
-    )
-    total_volume = sum(s.volume for s in per_access.values())
-    return CommReport(
-        per_access=per_access,
-        total_time=total_time,
-        total_messages=total_messages,
-        total_volume=total_volume,
-    )
+            macro.append((coll, job.kind, [i]))
+    lanes = [(m, None, idx) for m, idx in p2p.values()] + macro
+    out: List[List[float]] = [[] for _ in jobs]
+    for model, kind, idx in lanes:
+        times = _lane_times(model, kind, [jobs[i].seg for i in idx], payload)
+        at = 0
+        for i in idx:
+            n = jobs[i].seg.n_phases
+            out[i] = times[at: at + n]
+            at += n
+    return out
 
 
-def execute_group(
+def _execute_cells(
     cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
-    payload: int = 1,
+    payload: int,
 ) -> List[CommReport]:
-    """Price all K machine x mesh cells of one compiled nest in one
-    batched pass — bit-identical to ``[execute(p, m, collectives=c)
-    for p, m, c in cells]`` (property-tested in
-    ``tests/runtime/test_group_pricing.py``).
+    """The one pricing path behind :func:`execute` and
+    :func:`execute_group`.
 
-    Every cell must fold the **same mapping** with the **same size
-    bindings** (the campaign's compile-key group invariant: domains,
-    schedule times and virtual coordinates are shared arrays; only the
-    folded physical coordinates differ per cell).  Instead of running
-    the per-phase ``np.unique`` group-bys K times, the cells' surviving
-    ``(sender, receiver)`` rows are stacked into one int64 tensor with
-    a leading cell-id column and grouped **once** per label with
-    :func:`~repro.machine.backend.unique_rows`; lexicographic
-    unique order makes the per-(cell, time) segments come out exactly
-    in each cell's own phase order, so float accumulation order — and
-    therefore every total — matches the per-cell path bit for bit.
+    **Collect**: per label (sorted), per cell, the surviving
+    ``(sender, receiver)`` rows are grouped into phases — one
+    ``unique_rows`` over all cells' rows stacked with a leading cell-id
+    column, so each cell's block comes out in its own phase order.
+    **Price**: :func:`_price_jobs` prices every phase of the call at
+    once.  **Fold**: the per-phase times are added in collect order
+    (labels sorted, then cells, then phases) — the float accumulation
+    sequence of per-phase pricing, so every total is bit-identical.
     """
-    if not cells:
-        return []
+    K = len(cells)
     programs = [c[0] for c in cells]
     base = programs[0]
-    for p in programs[1:]:
-        if p.mapping is not base.mapping:
-            raise ValueError(
-                "execute_group needs the cells of one compiled nest: "
-                "all programs must share one mapping object"
-            )
-        if p.params != base.params:
-            raise ValueError(
-                "execute_group needs identical size bindings across "
-                f"cells (got {base.params!r} vs {p.params!r})"
-            )
-    if len(cells) == 1:
-        program, machine, coll = cells[0]
-        return [execute(program, machine, collectives=coll, payload=payload)]
-
-    K = len(cells)
-    rank = base.folding.rank
     with span("exec.extract"):
         batch_lists = [p.comm_batches() for p in programs]
 
     per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
-    totals = [0.0] * K
     # label -> per-cell lists of surviving batches
     remaining: Dict[str, List[List[CommBatch]]] = {}
     classifications: Dict[str, str] = {}
     for bi, b0 in enumerate(batch_lists[0]):
         if b0.n == 0:
+            # no events -> no stats entry, exactly like the per-event
+            # path (which only creates entries while iterating events)
             continue
         label = b0.access_label
         if label not in classifications:
@@ -478,76 +359,30 @@ def execute_group(
                     label, [[] for _ in range(K)]
                 )[k].append(b)
 
-    cell_ids = np.arange(K, dtype=np.int64)
+    jobs: List[_Job] = []
     for label in sorted(remaining):
-        per_cell = remaining[label]
-        vec = _vectorizable(base, label)
-        widths = {
-            b.times.shape[1] for blist in per_cell for b in blist
-        }
-        if not vec and len(widths) > 1:
-            # mixed schedule widths cannot stack; fall back to the
-            # per-cell python bucketing (identical to execute())
-            for k in range(K):
-                if not per_cell[k]:
-                    continue
-                chunks = [
-                    (b.times[b.locality_masks()[2]], b.send_pairs())
-                    for b in per_cell[k]
-                ]
-                for t in _price_label_mixed(
-                    programs[k], cells[k][1], cells[k][2],
-                    per_access[k][label], label, chunks, payload, rank,
-                ):
-                    totals[k] += t
-            continue
+        kind = None
+        if classifications[label] == "macro":
+            opt = base.mapping.residual_by_label(label)
+            kind = opt.macro.kind.value if opt.macro else "broadcast"
+        for k, seg in _label_segments(
+            remaining[label], _vectorizable(base, label)
+        ):
+            st = per_access[k][label]
+            st.messages_before_vectorization += int(seg.n_events.sum())
+            st.messages_after_vectorization += seg.pairs.shape[0]
+            st.volume += int((seg.counts * payload).sum())
+            job_kind = kind if cells[k][2] is not None else None
+            if job_kind is not None:
+                st.macro_ops += seg.n_phases
+            jobs.append(_Job(k, st, seg, job_kind))
 
-        # stack all cells' rows as [cell | (time) | sender | receiver]
-        blocks: List[np.ndarray] = []
-        n_events_cell = [0] * K
-        tw = 0 if vec else widths.pop()
-        for k in range(K):
-            for b in per_cell[k]:
-                pairs = b.send_pairs()
-                cols = [np.full((pairs.shape[0], 1), cell_ids[k])]
-                if not vec:
-                    cols.append(b.times[b.locality_masks()[2]])
-                cols.append(pairs)
-                blocks.append(np.concatenate(cols, axis=1))
-                n_events_cell[k] += pairs.shape[0]
-        stacked = np.concatenate(blocks, axis=0)
-        uniq, counts = unique_rows(stacked)
-        if uniq.shape[0] == 0:
-            continue
-
-        # cell blocks are contiguous (the cell id is the sort-major
-        # column); within a block the rows are ``[time | pair]``-sorted,
-        # exactly the segment layout the fused kernel consumes — one
-        # segmented pricing call per (cell, label)
-        cell_col = uniq[:, 0]
-        cell_change = np.nonzero(cell_col[1:] != cell_col[:-1])[0]
-        cell_starts = np.concatenate(([0], cell_change + 1, [uniq.shape[0]]))
-        for cs, ce in zip(cell_starts[:-1], cell_starts[1:]):
-            k = int(cell_col[cs])
-            if vec:
-                # one phase per cell: vectorization merged all times
-                seg = PhaseSegments(
-                    pairs=uniq[cs:ce, 1:],
-                    counts=counts[cs:ce],
-                    starts=np.array([0, ce - cs], dtype=np.int64),
-                    n_events=np.array([n_events_cell[k]], dtype=np.int64),
-                )
-            else:
-                seg = segments_from_sorted_unique(
-                    uniq[cs:ce, 1 + tw:],
-                    counts[cs:ce],
-                    uniq[cs:ce, 1: 1 + tw],
-                )
-            for t in _price_label_segmented(
-                programs[k], cells[k][1], cells[k][2],
-                per_access[k][label], label, seg, payload, rank,
-            ):
-                totals[k] += t
+    totals = [0.0] * K
+    for job, times in zip(jobs, _price_jobs(cells, jobs, payload)):
+        st = job.st
+        for t in times:
+            st.time += t
+            totals[job.cell] += t
 
     reports: List[CommReport] = []
     for k in range(K):
@@ -563,6 +398,66 @@ def execute_group(
             )
         )
     return reports
+
+
+def execute(
+    program: MappedProgram,
+    machine: MachineModel,
+    collectives: Optional[CM5Model] = None,
+    payload: int = 1,
+) -> CommReport:
+    """Execute the mapped program's communications on a machine model.
+
+    ``machine`` is any registered :class:`~repro.machine.MachineModel`
+    (Paragon-style 2-D, T3D-style 3-D, …) and prices point-to-point
+    phases (per time step, one phase per access) — the program's folded
+    coordinates are tuples of the machine's mesh rank; ``collectives``
+    — when given — prices the accesses the heuristic classified as
+    macro-communications with hardware collective costs instead (the
+    CM-5 situation of Table 1).
+
+    Vectorized over the program's :class:`CommBatch` arrays, through
+    the same one-cell path as :func:`execute_group`; the per-event
+    reference implementation is :func:`execute_python`
+    (bit-identical).
+    """
+    return _execute_cells([(program, machine, collectives)], payload)[0]
+
+
+def execute_group(
+    cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
+    payload: int = 1,
+) -> List[CommReport]:
+    """Price all K machine x mesh cells of one compiled nest in one
+    batched pass — bit-identical to ``[execute(p, m, collectives=c)
+    for p, m, c in cells]`` (property-tested in
+    ``tests/runtime/test_group_pricing.py`` and against the per-phase
+    oracle in ``tests/runtime/test_pricing_differential.py``).
+
+    Every cell must fold the **same mapping** with the **same size
+    bindings** (the campaign's compile-key group invariant: domains,
+    schedule times and virtual coordinates are shared arrays; only the
+    folded physical coordinates differ per cell).  Each label's rows
+    are grouped once for all K cells, and every phase of the call —
+    all labels, all cells — prices in one fused kernel launch per
+    distinct point-to-point model plus one collectives call per
+    (collectives model, kind).
+    """
+    if not cells:
+        return []
+    base = cells[0][0]
+    for p, _, _ in cells[1:]:
+        if p.mapping is not base.mapping:
+            raise ValueError(
+                "execute_group needs the cells of one compiled nest: "
+                "all programs must share one mapping object"
+            )
+        if p.params != base.params:
+            raise ValueError(
+                "execute_group needs identical size bindings across "
+                f"cells (got {base.params!r} vs {p.params!r})"
+            )
+    return _execute_cells(cells, payload)
 
 
 def execute_python(

@@ -207,18 +207,6 @@ class PhaseSegments:
     def n_phases(self) -> int:
         return self.starts.shape[0] - 1
 
-    def phase_ids(self) -> np.ndarray:
-        """The ``(U,)`` int64 segment column (``pairs`` row -> phase id),
-        memoized."""
-        ids = self.__dict__.get("_phase_ids")
-        if ids is None:
-            ids = np.repeat(
-                np.arange(self.n_phases, dtype=np.int64),
-                np.diff(self.starts),
-            )
-            self.__dict__["_phase_ids"] = ids
-        return ids
-
 
 def build_phase_segments(
     pairs: np.ndarray, times: Optional[np.ndarray] = None

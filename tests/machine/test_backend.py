@@ -1,19 +1,15 @@
 """The NumPy group-by helpers of :mod:`repro.machine.backend`: the
 packed-key ``unique_rows`` fast path and its fallbacks, and
-bit-identity of the array-native phase timing."""
+bit-identity of the array-native phase timing oracle."""
 
 import numpy as np
 import pytest
 
-from repro.machine import (
-    CostParams,
-    Mesh2D,
-    Message,
-    phase_time,
-    phase_time_arrays,
-)
+from repro.machine import CostParams, Mesh2D, Message, phase_time
 from repro.machine.backend import unique_rows
 from repro.machine.topology3d import Mesh3D, Message3
+
+from oracles.pricing import phase_time_arrays
 
 
 class TestUniqueRows:
@@ -56,8 +52,8 @@ class TestUniqueRows:
 
 
 class TestPhaseTimeArrays:
-    """The array-native ``time_phase`` surface must price exactly like
-    the ``Message``-object path it replaces."""
+    """The array-native phase timing oracle must price exactly like the
+    ``Message``-object ``phase_time``."""
 
     def random_messages_2d(self, rng, mesh, n):
         coords = rng.integers(

@@ -1,0 +1,220 @@
+"""Differential test: group pricing against the per-phase oracle.
+
+Hypothesis draws compile-key groups — one compiled nest folded onto
+paragon and cm5 cells over two or three 2-D meshes, in any order, at
+any payload, with default or non-dyadic cost parameters (so float
+fold order shows in the totals) — from a pool that holds macro, vectorizable,
+mixed-schedule-width and all-local labels.  ``execute_group`` must
+equal the per-phase oracle bit for bit (every ``CommReport`` and
+``AccessCommStats`` field, floats compared by their hex form), and
+``execute`` must equal ``execute_group`` on each one-cell group.
+"""
+
+import dataclasses
+import functools
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import compile_nest
+from repro.campaign.workloads import (
+    corpus,
+    generate_triangular_workloads,
+    generate_workloads,
+    triangular_corpus,
+)
+from repro.ir.loopnest import NestBuilder
+from repro.ir.schedule import Schedule, ScheduledNest
+from repro.machine import CostParams, machine_spec
+from repro.runtime import execute, execute_group
+from repro.runtime.executor import _classification_of, _vectorizable
+
+from oracles.pricing import execute_group_per_phase
+
+MESHES = [(2, 2), (3, 2), (2, 4), (4, 3), (4, 4)]
+#: machines placed on one mesh: either or both, in either order
+MESH_MACHINES = [("paragon",), ("cm5",), ("paragon", "cm5"), ("cm5", "paragon")]
+COST_PARAMS = [CostParams(), CostParams(alpha=19.7, beta=1.3, gamma=0.41)]
+
+
+def _mixed_width_nest():
+    """Label ``R`` is read by a depth-2 statement scheduled in one time
+    dimension and a depth-3 statement scheduled in two, so its phases
+    have time rows of two widths."""
+    b = NestBuilder("mixed-width")
+    b.array("a", 2).array("b", 2).array("c", 3)
+    l2 = [("i", 1, "N"), ("j", 1, "N")]
+    l3 = l2 + [("k", 1, "N")]
+    b.statement(
+        "S1", l2,
+        writes=[("b", [[1, 0], [0, 1]], [0, 0], "W1")],
+        reads=[
+            ("a", [[1, 0], [0, 1]], [0, 0], "A1"),
+            ("a", [[0, 1], [1, 0]], [1, 0], "R"),
+        ],
+    )
+    b.statement(
+        "S2", l3,
+        writes=[("c", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], "W2")],
+        reads=[
+            ("a", [[1, 0, 0], [0, 1, 0]], [0, 0], "A2"),
+            ("a", [[1, 1, 0], [0, 0, 1]], [0, 1], "R"),
+        ],
+    )
+    nest = b.build()
+    schedules = ScheduledNest(
+        nest,
+        {
+            "S1": Schedule.sequential_outer(2, 1),
+            "S2": Schedule.sequential_outer(3, 2),
+        },
+    )
+    params = {"N": 3}
+    return (
+        compile_nest(
+            nest, m=2, params=params, schedules=schedules,
+            check_legality=False,
+        ),
+        params,
+    )
+
+
+def _workloads():
+    return {
+        w.name: w
+        for w in corpus()
+        + triangular_corpus()
+        + generate_workloads(1, 3)
+        + generate_triangular_workloads(1, 3)
+    }
+
+
+WORKLOADS = _workloads()
+POOL = sorted(WORKLOADS) + ["mixed-width"]
+
+
+@functools.lru_cache(maxsize=None)
+def compiled(name):
+    """``(compiled nest, size bindings)`` of one pool entry."""
+    if name == "mixed-width":
+        return _mixed_width_nest()
+    w = WORKLOADS[name]
+    nest = w.resolve()
+    params = dict(w.params)
+    return (
+        compile_nest(
+            nest, m=2, schedules=w.resolve_schedules(nest), params=params,
+            check_legality=w.check_legality, name=w.name,
+        ),
+        params,
+    )
+
+
+def fold(name, grid):
+    """Cells ``(program, machine, collectives)`` of one pool entry on
+    ``(machine name, mesh[, cost params])`` grid entries."""
+    c, params = compiled(name)
+    cells = []
+    for machine_name, mesh, *cost in grid:
+        spec = machine_spec(machine_name)
+        machine = spec.make(mesh)
+        if cost:
+            machine = dataclasses.replace(machine, params=cost[0])
+        cells.append(
+            (c.program(machine, params), machine, spec.make_collectives(mesh))
+        )
+    return cells
+
+
+def bits(report):
+    """Every field of a report, floats by their exact hex form."""
+
+    def norm(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, dict):
+            return {k: norm(x) for k, x in v.items()}
+        return v
+
+    return norm(dataclasses.asdict(report))
+
+
+@st.composite
+def groups(draw):
+    name = draw(st.sampled_from(POOL))
+    meshes = draw(
+        st.lists(st.sampled_from(MESHES), min_size=2, max_size=3, unique=True)
+    )
+    grid = [
+        (machine, mesh, draw(st.sampled_from(COST_PARAMS)))
+        for mesh in meshes
+        for machine in draw(st.sampled_from(MESH_MACHINES))
+    ]
+    return name, draw(st.permutations(grid)), draw(st.integers(1, 3))
+
+
+@settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(groups())
+def test_group_matches_per_phase_oracle(group):
+    name, grid, payload = group
+    cells = fold(name, grid)
+    got = execute_group(cells, payload=payload)
+    want = execute_group_per_phase(cells, payload=payload)
+    assert [bits(r) for r in got] == [bits(r) for r in want]
+    for cell, report in zip(cells, got):
+        assert bits(execute(*cell, payload=payload)) == bits(
+            execute_group([cell], payload=payload)[0]
+        ) == bits(report)
+
+
+def test_pool_covers_every_label_kind():
+    """The strategy's pool holds each label kind the pricing path
+    branches on."""
+    kinds = set()
+    for name in POOL:
+        cells = fold(name, [("cm5", (4, 4))])
+        program = cells[0][0]
+        by_label = {}
+        for b in program.comm_batches():
+            by_label.setdefault(b.access_label, []).append(b)
+        for label, batches in by_label.items():
+            if _classification_of(program, label) == "macro":
+                kinds.add("macro")
+            if _vectorizable(program, label):
+                kinds.add("vectorizable")
+            sending = [b for b in batches if b.locality_masks()[2].any()]
+            if not sending:
+                kinds.add("all-local")
+            if len({b.times.shape[1] for b in sending}) > 1:
+                kinds.add("mixed-width")
+    assert kinds == {"macro", "vectorizable", "all-local", "mixed-width"}
+
+
+@pytest.mark.parametrize("name", ["example1", "gauss", "mixed-width"])
+def test_one_kernel_launch_per_machine_model(name, monkeypatch):
+    """paragon and cm5 cells on one mesh share a model: a group over
+    three meshes launches the point-to-point kernel at most once per
+    mesh."""
+    import repro.machine.machines as machines
+
+    launches = []
+    kernel = machines.phase_times_segmented
+
+    def counting(*args, **kwargs):
+        launches.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(machines, "phase_times_segmented", counting)
+    grid = [
+        (machine, mesh)
+        for mesh in [(2, 2), (3, 2), (4, 4)]
+        for machine in ("paragon", "cm5")
+    ]
+    cells = fold(name, grid)
+    got = execute_group(cells)
+    assert len(launches) == len(set(launches)) <= 3
+    assert got == execute_group_per_phase(cells)

@@ -1,20 +1,28 @@
-"""Fused segmented pricing vs the per-phase baseline.
+"""Fused segmented pricing vs the per-phase oracle.
 
 The segmented kernel (`phase_times_segmented`) and the executor path
-that feeds it (`REPRO_SEGMENTED_PRICING` / `set_segmented_pricing`)
-must be **bit-identical** to per-phase pricing — every
-``CommReport``/``PhaseReport`` float compares exactly, over rectangular
-and triangular corpora, 2-D and 3-D machines, macro/collective labels,
-the batched ``execute_group`` path and the campaign store payloads.
+that feeds it must be **bit-identical** to per-phase pricing
+(``tests/oracles/pricing.py``) — every ``CommReport``/``PhaseReport``
+float compares exactly, over rectangular and triangular corpora, 2-D
+and 3-D machines, macro/collective labels, the batched
+``execute_group`` path and the campaign store payloads.
 """
 
 import hashlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import compile_nest
-from repro.campaign import CampaignConfig, RunStore, default_spec, run_campaign
+from repro.campaign import (
+    CampaignConfig,
+    RunStore,
+    clear_baseline_cache,
+    clear_compile_cache,
+    default_spec,
+    run_campaign,
+)
 from repro.campaign.sweep import canonical_json
 from repro.campaign.workloads import (
     corpus,
@@ -28,28 +36,20 @@ from repro.machine import (
     CostParams,
     ParagonModel,
     machine_spec,
-    phase_time_arrays,
     phase_times_segmented,
 )
 from repro.machine.contention import _EXACT_F64
-from repro.obs import clear_spans, set_enabled, span_snapshot
-from repro.runtime import (
-    execute,
-    execute_group,
-    segmented_pricing_enabled,
-    set_segmented_pricing,
-)
+from repro.obs import clear_spans, metrics, set_enabled, span_snapshot
+from repro.runtime import execute, execute_group
 
+from oracles.pricing import (
+    execute_per_phase,
+    per_phase_pricing,
+    phase_time_arrays,
+)
 from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
 
 PARAMS = {"N": 3, "M": 3}
-
-
-@pytest.fixture
-def force_per_phase():
-    prev = set_segmented_pricing(False)
-    yield
-    set_segmented_pricing(prev)
 
 
 def random_phases(rng, mesh_dims, n_phases, events_per_phase, max_size=9):
@@ -152,6 +152,51 @@ class TestKernelBitIdentity:
                 mesh, senders[m], receivers[m], sizes[m], params
             )
 
+    def test_oversize_segment_goes_exact_alone(self):
+        """One segment past the float64-exact bound, stacked between
+        small ones: only that segment takes the exact path (counted
+        once), and every segment still matches the oracle."""
+        mesh = ParagonModel(4, 4).mesh
+        rng = np.random.default_rng(3)
+        senders, receivers, sizes, phase_ids = random_phases(
+            rng, (4, 4), n_phases=5, events_per_phase=6
+        )
+        sizes = sizes.copy()
+        sizes[phase_ids == 2] = 2 ** 52  # 6 x 2**52 >= 2**53
+        params = CostParams(alpha=19.7, beta=1.3, gamma=0.41)
+        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
+        before = fallbacks.value
+        srep = phase_times_segmented(
+            mesh, senders, receivers, sizes, phase_ids, params
+        )
+        assert fallbacks.value == before + 1
+        for pid in range(5):
+            m = phase_ids == pid
+            assert srep.report(pid) == phase_time_arrays(
+                mesh, senders[m], receivers[m], sizes[m], params
+            ), pid
+
+    def test_large_launch_of_small_segments_stays_fused(self):
+        """The guard bounds each segment, not the launch: segments that
+        are each in range stay on the kernel even when their sum is
+        not."""
+        mesh = ParagonModel(4, 4).mesh
+        senders = np.array([[0, 0], [1, 1]] * 4, dtype=np.int64)
+        receivers = np.array([[3, 3], [2, 0]] * 4, dtype=np.int64)
+        sizes = np.full(8, 2 ** 51, dtype=np.int64)
+        phase_ids = np.repeat(np.arange(4, dtype=np.int64), 2)
+        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
+        before = fallbacks.value
+        srep = phase_times_segmented(
+            mesh, senders, receivers, sizes, phase_ids, CostParams()
+        )
+        assert fallbacks.value == before
+        for pid in range(4):
+            m = phase_ids == pid
+            assert srep.report(pid) == phase_time_arrays(
+                mesh, senders[m], receivers[m], sizes[m], CostParams()
+            )
+
     def test_cm5_macro_lane_matches_scalar(self):
         cm5 = CM5Model()
         sizes = np.array([1, 7, 100, 4096], dtype=np.int64)
@@ -163,16 +208,11 @@ class TestKernelBitIdentity:
 
 
 def assert_segmented_matches_baseline(cells):
-    """execute() and execute_group() with fused pricing on vs the
-    per-phase baseline: every report equal, float for float."""
-    assert segmented_pricing_enabled()
+    """execute() and execute_group() vs the per-phase oracle: every
+    report equal, float for float."""
     fused = [execute(p, m, collectives=c) for p, m, c in cells]
     fused_group = execute_group(cells)
-    prev = set_segmented_pricing(False)
-    try:
-        base = [execute(p, m, collectives=c) for p, m, c in cells]
-    finally:
-        set_segmented_pricing(prev)
+    base = [execute_per_phase(p, m, collectives=c) for p, m, c in cells]
     for (program, machine, _), got, got_g, want in zip(
         cells, fused, fused_group, base
     ):
@@ -226,9 +266,8 @@ class TestExecutorBitIdentity3D:
 
 
 class _PerPhaseOnlyModel:
-    """A registered-model stand-in exposing only the per-phase array
-    surface — the duck-typed fallback the segmented executor must keep
-    working for."""
+    """A registered-model stand-in exposing only ``time_phase`` — the
+    duck-typed models the executor's adapter must keep working for."""
 
     def __init__(self, p, q):
         self._inner = ParagonModel(p, q)
@@ -236,9 +275,6 @@ class _PerPhaseOnlyModel:
 
     def time_phase(self, messages):
         return self._inner.time_phase(messages)
-
-    def time_phase_arrays(self, senders, receivers, sizes):
-        return self._inner.time_phase_arrays(senders, receivers, sizes)
 
 
 class TestFallbacks:
@@ -263,22 +299,19 @@ class TestFallbacks:
         want = execute(prog, machine, collectives=CM5Model())
         assert got == want
 
-    def test_toggle_restores(self, force_per_phase):
-        assert not segmented_pricing_enabled()
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(4, 4)
-        prog = compiled.program(machine, PARAMS)
-        assert execute(prog, machine).total_time > 0
-
 
 class TestSpanTaxonomy:
     def test_segmented_span_counts_phases(self):
         """One fused kernel launch records ``count = phases``, so stage
         reports keep counting phases after the fusion: the aggregated
-        exec.segmented count equals the per-phase exec.phase count."""
+        exec.segmented count, and the ``runtime.price.phases`` counter,
+        equal the number of phases the per-phase oracle prices."""
         compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
         machine = ParagonModel(4, 4)
         prog = compiled.program(machine, PARAMS)
+        phases = metrics.counter("runtime.price.phases")
+        launches = metrics.counter("runtime.price.launches")
+        before = phases.value, launches.value
         prev = set_enabled(True)
         try:
             clear_spans()
@@ -288,43 +321,53 @@ class TestSpanTaxonomy:
                 for p, e in span_snapshot().items()
                 if p.endswith("exec.segmented")
             }
-            seg = set_segmented_pricing(False)
-            try:
-                clear_spans()
-                execute(prog, machine, collectives=CM5Model())
-                per_phase = {
-                    p: e["count"]
-                    for p, e in span_snapshot().items()
-                    if p.endswith("exec.phase")
-                }
-            finally:
-                set_segmented_pricing(seg)
         finally:
             set_enabled(prev)
             clear_spans()
-        assert sum(fused.values()) == sum(per_phase.values()) > 0
+        want = execute_per_phase(prog, _CountingModel(machine), CM5Model())
+        n_phases = _CountingModel.calls + sum(
+            s.macro_ops for s in want.per_access.values()
+        )
+        assert sum(fused.values()) == n_phases > 0
+        assert phases.value - before[0] == n_phases
+        # one point-to-point launch plus one collectives call
+        assert launches.value - before[1] == 2
+
+
+class _CountingModel:
+    """Counts the per-phase ``time_phase`` calls of the oracle."""
+
+    calls = 0
+
+    def __init__(self, inner):
+        self._inner = inner
+        type(self).calls = 0
+
+    def time_phase(self, messages):
+        type(self).calls += 1
+        return self._inner.time_phase(messages)
 
 
 class TestStoreGolden:
     def test_campaign_store_identical_on_and_off(self, tmp_path):
         """The canonical-json record payload of a small campaign is
-        byte-identical with fused pricing on and off."""
+        byte-identical with fused pricing and with the per-phase
+        oracle."""
         digests = []
-        for on in (True, False):
-            prev = set_segmented_pricing(on)
-            try:
-                spec = default_spec(seed=0, nests=2, meshes=((2, 2),))
-                tasks = spec.expand()
-                out = str(tmp_path / f"seg_{int(on)}.jsonl")
+        for oracle in (False, True):
+            spec = default_spec(seed=0, nests=2, meshes=((2, 2),))
+            tasks = spec.expand()
+            out = str(tmp_path / f"seg_{int(oracle)}.jsonl")
+            clear_compile_cache()
+            clear_baseline_cache()
+            with per_phase_pricing() if oracle else nullcontext():
                 outcome = run_campaign(
                     tasks, out, CampaignConfig(jobs=1), meta={}
                 )
-                assert outcome.errors == 0 and outcome.timeouts == 0
-                _, results = RunStore(out).load()
-                payload = canonical_json(
-                    [results[t.task_id].deterministic_dict() for t in tasks]
-                )
-                digests.append(hashlib.sha1(payload.encode()).hexdigest())
-            finally:
-                set_segmented_pricing(prev)
+            assert outcome.errors == 0 and outcome.timeouts == 0
+            _, results = RunStore(out).load()
+            payload = canonical_json(
+                [results[t.task_id].deterministic_dict() for t in tasks]
+            )
+            digests.append(hashlib.sha1(payload.encode()).hexdigest())
         assert digests[0] == digests[1]
