@@ -43,16 +43,16 @@ import pytest
 from repro.campaign import (
     CampaignConfig,
     RunStore,
+    Settings,
     clear_baseline_cache,
     clear_compile_cache,
     compile_cache_stats,
     default_spec,
     run_campaign,
     run_task_group,
-    set_baseline_cache_size,
-    set_compile_cache_dir,
     summarize_results,
 )
+from repro.campaign import runner
 from repro.campaign.sweep import canonical_json, group_by_compile_key
 
 SEED = 0
@@ -267,10 +267,11 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
         path = str(tmp_path / f"{name}.jsonl")
         clear_compile_cache()
         clear_baseline_cache()
-        prev_bc = set_baseline_cache_size(512 if batched else 0)
         outcome = None
-        t0 = time.perf_counter()
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            if not batched:
+                patch.setattr(runner, "BASELINE_CACHE_SIZE", 0)
+            t0 = time.perf_counter()
             if batched:
                 outcome = run_campaign(
                     tasks, path, CampaignConfig(jobs=1), meta=meta
@@ -282,9 +283,7 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
                 store.start(meta)
                 for task in tasks:
                     store.append(run_task_group([task])[0])
-        finally:
-            set_baseline_cache_size(prev_bc)
-        wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0
         _, results = RunStore(path).load()
         assert len(results) == len(tasks)
         assert all(r.status == "ok" for r in results.values())
@@ -468,15 +467,12 @@ def test_cold_compile_disk_cache(tmp_path, benchmark):
     def cold_run(name, disk_dir):
         clear_compile_cache()
         clear_baseline_cache()
-        prev = set_compile_cache_dir(disk_dir)
         t0 = time.perf_counter()
-        try:
-            outcome = run_campaign(
-                tasks, str(tmp_path / f"{name}.jsonl"),
-                CampaignConfig(jobs=1), meta=meta,
-            )
-        finally:
-            set_compile_cache_dir(prev)
+        outcome = run_campaign(
+            tasks, str(tmp_path / f"{name}.jsonl"),
+            CampaignConfig(jobs=1, settings=Settings(compile_dir=disk_dir)),
+            meta=meta,
+        )
         wall = time.perf_counter() - t0
         assert outcome.ok == len(tasks) and outcome.errors == 0
         return outcome, wall, compile_cache_stats()
@@ -523,9 +519,7 @@ def test_cold_compile_disk_cache(tmp_path, benchmark):
     # so repeats aren't hidden), then replay both kernels on the corpus
     from fractions import Fraction
 
-    from repro.campaign.runner import _compile_for_task
     from repro.ir import dependence as dep
-    from repro.ir import set_dependence_cache_size
 
     systems = []
     real = dep._fm_feasible
@@ -534,16 +528,16 @@ def test_cold_compile_disk_cache(tmp_path, benchmark):
         systems.append(([list(r) for r in rows], nvars))
         return real(rows, nvars)
 
-    prev_size = set_dependence_cache_size(0)
     clear_compile_cache()
-    dep._fm_feasible = recorder
-    try:
-        for group in group_by_compile_key(tasks):
-            _compile_for_task(group[0])
-    finally:
-        dep._fm_feasible = real
-        set_dependence_cache_size(prev_size)
-        clear_compile_cache()
+    dep.clear_dependence_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
+        patch.setattr(dep, "_fm_feasible", recorder)
+        try:
+            for group in group_by_compile_key(tasks):
+                runner._compile_for_task(group[0])
+        finally:
+            clear_compile_cache()
     assert systems, "reference compiles ran no FM systems"
 
     frac_systems = [

@@ -8,7 +8,9 @@ mesh-simulation core is held to.  It measures old-vs-new throughput of
   ``phase_time_python``) — target >= 5x on a 32x32 mesh with 10k
   messages;
 * the event-driven wormhole simulator (``EventSimulator.run`` vs
-  ``.run_python``) — target >= 3x on the same workload;
+  ``simulate_python``) — target >= 3x on the same workload;
+
+(the baselines are the test oracles of ``tests/oracles/machine.py``)
 
 and asserts the two implementations are **bit-identical**, both on the
 random large workloads and on the paper's seed scenarios (the affine
@@ -24,6 +26,7 @@ the JSON artifact instead.
 
 import os
 import random
+import sys
 import time
 import warnings
 
@@ -40,8 +43,12 @@ from repro.machine import (
     affine_pattern,
     decomposed_phases,
     phase_time,
-    phase_time_python,
 )
+
+sys.path.append(
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+)
+from oracles.machine import phase_time_python, simulate_python  # noqa: E402
 
 from _harness import print_table, record_bench
 
@@ -101,10 +108,10 @@ def measure_workloads():
         t_slow = best_of(lambda: phase_time_python(mesh, msgs, PARAMS))
 
         fast_make = sim.run(msgs)  # warm
-        slow_make = sim.run_python(msgs)
+        slow_make = simulate_python(sim, msgs)
         assert fast_make == slow_make, "vectorized event simulator diverged"
         t_fast_ev = best_of(lambda: sim.run(msgs))
-        t_slow_ev = best_of(lambda: sim.run_python(msgs))
+        t_slow_ev = best_of(lambda: simulate_python(sim, msgs))
 
         rows.append(
             {
@@ -194,7 +201,7 @@ def test_seed_scenarios_bit_identical():
         assert phase_time(mesh, msgs, PARAMS) == phase_time_python(
             mesh, msgs, PARAMS
         )
-        assert sim.run(msgs) == sim.run_python(msgs)
+        assert sim.run(msgs) == simulate_python(sim, msgs)
 
 
 def test_record_perf_core(workload_rows):

@@ -369,6 +369,7 @@ def campaign_main(argv: List[str]) -> int:
         CampaignConfig,
         CampaignSpecMismatch,
         RunStore,
+        Settings,
         default_spec,
         grid_digest,
         merge_stores,
@@ -449,6 +450,10 @@ def campaign_main(argv: List[str]) -> int:
         )
     if args.retries < 0:
         raise CliError(f"--retries must be >= 0, got {args.retries}")
+    try:
+        settings = Settings.from_env()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
     import os
 
@@ -520,6 +525,7 @@ def campaign_main(argv: List[str]) -> int:
                 executor=args.executor,
                 retries=args.retries,
                 backoff=args.backoff,
+                settings=settings,
                 trace=args.trace,
             ),
             resume=resume,

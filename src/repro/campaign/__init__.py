@@ -25,6 +25,7 @@ at a time.
 CLI: ``python -m repro campaign run|resume|summarize``.
 """
 
+from .._config import Settings
 from .executors import (
     BACKOFF_CAP,
     Executor,
@@ -42,15 +43,11 @@ from .runner import (
     clear_baseline_cache,
     clear_compile_cache,
     code_fingerprint,
-    compile_cache_dir,
     compile_cache_stats,
     crashed_result,
     execute_task,
     run_campaign,
     run_task_group,
-    set_baseline_cache_size,
-    set_compile_cache_dir,
-    set_compile_cache_size,
 )
 from .store import (
     ERROR_KINDS,
@@ -94,6 +91,7 @@ __all__ = [
     "shard_tasks",
     "merge_stores",
     "CampaignConfig",
+    "Settings",
     "CampaignOutcome",
     "CampaignSpecMismatch",
     "execute_task",
@@ -102,13 +100,9 @@ __all__ = [
     "crashed_result",
     "clear_compile_cache",
     "code_fingerprint",
-    "compile_cache_dir",
     "compile_cache_stats",
-    "set_compile_cache_dir",
-    "set_compile_cache_size",
     "clear_baseline_cache",
     "baseline_cache_stats",
-    "set_baseline_cache_size",
     "Executor",
     "ExecutorConfig",
     "executor_names",

@@ -10,10 +10,11 @@ how (and how safely) the work is driven.
 
 Worker-side helpers shared by all backends:
 
-* :func:`init_worker` — arm fault injection with the backend's
-  capabilities and apply the compile-cache size *explicitly* (spawn
-  workers do not inherit post-import ``set_compile_cache_size`` /
-  ``REPRO_CAMPAIGN_COMPILE_CACHE`` state the way fork workers do);
+* :func:`init_worker` — install the parent's
+  :class:`~repro._config.Settings` snapshot (disk-tier directory, fault
+  plan armed with the backend's capabilities) and tracing flag
+  *explicitly*, so spawn workers, which re-import ``repro`` instead of
+  inheriting the parent's state, run with the same configuration;
 * :func:`iter_group` / :func:`run_group` — one compile-key group
   through :func:`repro.campaign.runner.run_task_group`, re-running
   retryable failures as a smaller group with capped exponential
@@ -27,16 +28,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type
 
+from ..._config import Settings
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
-from .. import faults
-from ..runner import (
-    AttemptHook,
-    run_task_group,
-    set_baseline_cache_size,
-    set_compile_cache_dir,
-    set_compile_cache_size,
-)
+from ..runner import AttemptHook, apply_settings, run_task_group
 from ..store import TaskResult
 from ..sweep import SweepTask
 
@@ -60,19 +55,11 @@ class ExecutorConfig:
     backoff: float = 0.5
     heartbeat_timeout: float = 30.0
     mp_context: Optional[str] = None
-    #: the parent's compile-cache size, passed through to workers
-    compile_cache_size: Optional[int] = None
-    #: the parent's baseline-price-cache size, passed through the same
-    #: way (spawn workers would otherwise reset to the env default)
-    baseline_cache_size: Optional[int] = None
-    #: the parent's persistent compile-cache directory (disk tier);
-    #: None leaves the worker's own env-derived setting untouched
-    compile_cache_dir: Optional[str] = None
-    #: raw ``REPRO_FAULT_INJECT`` spec (None = injection off)
-    fault_spec: Optional[str] = None
+    #: the campaign's settings snapshot, installed in every worker
+    settings: Settings = Settings()
     #: the parent's tracing flag, passed through to workers the same
-    #: way the cache size is (spawn workers re-import ``repro.obs``
-    #: with tracing off; fork workers inherit but stay consistent)
+    #: way (spawn workers re-import ``repro.obs`` with tracing off;
+    #: fork workers inherit but stay consistent)
     trace: bool = False
 
 
@@ -120,27 +107,19 @@ def backoff_delay(base: float, retry: int, cap: float = BACKOFF_CAP) -> float:
 def init_worker(
     config: ExecutorConfig, allow_kill: bool, allow_hang: bool
 ) -> None:
-    """Prepare a worker process: explicit cache size, tracing flag and
-    fault plan.
+    """Prepare a worker process: the settings snapshot (disk tier and
+    fault plan) and the tracing flag.
 
-    Called in every worker entry point (and by the inline backend with
-    both capabilities off).  Passing the cache size and the tracing
-    enablement through the call rather than relying on fork-inherited
-    globals is what keeps spawn-context workers honouring configuration
-    set after import (a spawn worker re-imports ``repro.obs`` with
-    tracing at its env default, which would silently drop every span of
-    a ``--trace`` run).
+    Called in every worker entry point of the process backends (the
+    inline backend applies the settings alone, with both capabilities
+    off).  Passing both through the call rather than
+    relying on fork-inherited globals is what keeps spawn-context
+    workers honouring the parent's configuration (a spawn worker
+    re-imports ``repro.obs`` with tracing off, which would silently
+    drop every span of a ``--trace`` run).
     """
-    if config.compile_cache_size is not None:
-        set_compile_cache_size(config.compile_cache_size)
-    if config.baseline_cache_size is not None:
-        set_baseline_cache_size(config.baseline_cache_size)
-    if config.compile_cache_dir is not None:
-        set_compile_cache_dir(config.compile_cache_dir)
+    apply_settings(config.settings, allow_kill, allow_hang)
     obs_tracing.set_enabled(config.trace)
-    faults.activate(
-        config.fault_spec, allow_kill=allow_kill, allow_hang=allow_hang
-    )
 
 
 def iter_group(

@@ -7,16 +7,16 @@ is armed *without* the kill/hang capabilities — an injected ``kill``
 must not shoot the main process, so both are downgraded to transient
 failures (see :mod:`repro.campaign.faults`).
 
-The parent's compile cache is used as-is (the config's pass-through
-size equals the live setting by construction in ``run_campaign``), so
-an inline campaign behaves exactly like the historical ``jobs=1`` path.
+The run's settings are installed in the calling process for the
+duration of the run and reset to the defaults afterwards.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Sequence
 
-from .. import faults
+from ..._config import Settings
+from ..runner import apply_settings
 from ..store import TaskResult
 from ..sweep import SweepTask
 from .base import Executor, register_executor, run_group
@@ -29,11 +29,9 @@ class InlineExecutor(Executor):
     def run(
         self, groups: Sequence[List[SweepTask]]
     ) -> Iterator[List[TaskResult]]:
-        faults.activate(
-            self.config.fault_spec, allow_kill=False, allow_hang=False
-        )
+        apply_settings(self.config.settings)
         try:
             for group in groups:
                 yield run_group(group, self.config)
         finally:
-            faults.deactivate()
+            apply_settings(Settings())

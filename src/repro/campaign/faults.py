@@ -4,10 +4,11 @@ The chaos harness (``benchmarks/bench_chaos.py``) and the executor
 tests need to *provoke* the failure modes the resilient execution layer
 claims to survive: transient task failures, worker processes killed by
 the OS (OOM killer, SIGKILL) and native-code hangs that SIGALRM cannot
-interrupt.  This module turns the ``REPRO_FAULT_INJECT`` environment
-spec into those events, deterministically, so a faulted campaign is
-reproducible and its fault set is *predictable* in advance
-(:func:`would_fault`).
+interrupt.  This module turns the ``REPRO_FAULT_INJECT`` spec (parsed
+once per campaign into :class:`repro._config.Settings` and armed in
+every worker by ``init_worker``) into those events, deterministically,
+so a faulted campaign is reproducible and its fault set is
+*predictable* in advance (:func:`would_fault`).
 
 Spec grammar (clauses separated by ``;``, options by ``,``)::
 
@@ -57,8 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-#: environment variable holding the fault spec
-FAULT_ENV = "REPRO_FAULT_INJECT"
+from .._config import FAULT_ENV
 
 MODES = ("fail", "hang", "kill")
 
@@ -204,16 +204,6 @@ def activate(
         return
     clauses = parse_fault_spec(spec) if isinstance(spec, str) else list(spec)
     _active = FaultPlan(clauses, allow_kill=allow_kill, allow_hang=allow_hang)
-
-
-def deactivate() -> None:
-    global _active
-    _active = None
-
-
-def active_spec() -> Optional[str]:
-    """The raw spec from the environment (the executors' default)."""
-    return os.environ.get(FAULT_ENV) or None
 
 
 def maybe_inject(task_id: str, attempt: int) -> None:

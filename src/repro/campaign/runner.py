@@ -30,13 +30,12 @@ or the mesh — so the runner groups the grid by
 :func:`~repro.campaign.sweep.group_by_compile_key`) and a group
 compiles its nest once, then prices all its machine x mesh cells in
 one :func:`repro.runtime.execute_group` call.  Compiles are also cached
-per worker process in an LRU (``REPRO_CAMPAIGN_COMPILE_CACHE``, entries
-per worker, default 32, ``0`` disables), with an optional
-**persistent disk tier** underneath (``REPRO_CAMPAIGN_COMPILE_DIR`` /
-:func:`set_compile_cache_dir`) that shares compiled workloads across
-workers *and* runs — atomic pickles keyed by ``compile_key`` plus a
-code-version fingerprint, where stale, corrupt or truncated entries
-are misses, never errors.  Stored records are byte-identical whatever
+per worker process in an LRU (:data:`COMPILE_CACHE_SIZE` entries), with
+an optional **persistent disk tier** underneath
+(``REPRO_CAMPAIGN_COMPILE_DIR``, see :class:`repro._config.Settings`)
+that shares compiled workloads across workers *and* runs — atomic
+pickles keyed by ``compile_key`` plus a code-version fingerprint, where
+stale, corrupt or truncated entries are misses, never errors.  Stored records are byte-identical whatever
 the caches hold (asserted in ``tests/campaign/test_compile_cache.py``);
 cache hits are reported in memory only
 (``TaskResult.compile_cache_hit``,
@@ -62,7 +61,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .._config import env_int
+from .._config import Settings
 from ..obs import (
     TraceWriter,
     capture,
@@ -119,28 +118,17 @@ class _CompiledWorkload:
     params: Dict[str, int]
 
 
+#: entries of the per-process compile LRU (tests patch it to 0 to
+#: switch the LRU off; records are byte-identical either way)
+COMPILE_CACHE_SIZE = 32
+
 #: per-process cache; fork workers start with the parent's (usually
 #: empty) copy and populate their own
 _compile_cache: "OrderedDict[str, _CompiledWorkload]" = OrderedDict()
-_compile_cache_size: int = env_int("REPRO_CAMPAIGN_COMPILE_CACHE", 32)
 #: hit/miss counts live in the obs metrics registry so one
 #: ``obs.snapshot()`` covers this cache next to the linalg/route caches
 _compile_hits = obs_metrics.counter("campaign.compile_cache.hits")
 _compile_misses = obs_metrics.counter("campaign.compile_cache.misses")
-
-
-def set_compile_cache_size(size: int) -> int:
-    """Resize (``0`` disables) the per-worker compile cache; returns the
-    previous size.  Affects the current process only — pool workers
-    inherit whatever was set before the fork."""
-    global _compile_cache_size
-    prev = _compile_cache_size
-    _compile_cache_size = size
-    if size <= 0:
-        _compile_cache.clear()
-    while len(_compile_cache) > max(size, 0):
-        _compile_cache.popitem(last=False)
-    return prev
 
 
 def compile_cache_stats() -> Dict[str, object]:
@@ -150,7 +138,7 @@ def compile_cache_stats() -> Dict[str, object]:
         "hits": _compile_hits.value,
         "misses": _compile_misses.value,
         "size": len(_compile_cache),
-        "maxsize": _compile_cache_size,
+        "maxsize": COMPILE_CACHE_SIZE,
         "disk_hits": _disk_hits.value,
         "disk_misses": _disk_misses.value,
         "disk_writes": _disk_writes.value,
@@ -176,7 +164,7 @@ obs_metrics.register_provider("campaign.compile_cache", compile_cache_stats)
 #
 # The in-memory LRU dies with the process, so every cold campaign, CI
 # run and future ``repro serve`` start re-pays the full compile of every
-# nest.  ``REPRO_CAMPAIGN_COMPILE_DIR`` (or set_compile_cache_dir) names
+# nest.  ``REPRO_CAMPAIGN_COMPILE_DIR`` (``Settings.compile_dir``) names
 # a directory of pickled ``_CompiledWorkload`` entries keyed by
 # ``compile_key`` *and* a fingerprint of the compile pipeline's source,
 # so entries written by older code simply miss by filename.  Writes are
@@ -189,9 +177,9 @@ obs_metrics.register_provider("campaign.compile_cache", compile_cache_stats)
 # ``tests/campaign/test_compile_disk_cache.py``): the pickle carries the
 # same frozen compile outputs a fresh compile produces.
 
-_compile_cache_dir: Optional[str] = (
-    os.environ.get("REPRO_CAMPAIGN_COMPILE_DIR") or None
-)
+#: the disk-tier directory of the running campaign, installed per
+#: process by :func:`apply_settings`
+_compile_cache_dir: Optional[str] = None
 _disk_hits = obs_metrics.counter("campaign.compile_cache.disk_hits")
 _disk_misses = obs_metrics.counter("campaign.compile_cache.disk_misses")
 _disk_writes = obs_metrics.counter("campaign.compile_cache.disk_writes")
@@ -241,21 +229,18 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
-def set_compile_cache_dir(path: Optional[str]) -> Optional[str]:
-    """Point the persistent compile-cache tier at ``path`` (``None``
-    disables); returns the previous directory.  Affects the current
-    process only — the campaign runner threads the setting through
-    executor worker init like the cache sizes, so spawn workers share
-    the parent's directory."""
+def apply_settings(
+    settings: Settings, allow_kill: bool = False, allow_hang: bool = False
+) -> None:
+    """Install one campaign's :class:`~repro._config.Settings` in this
+    process: the disk-tier directory and the fault plan (armed with the
+    backend's kill/hang capabilities, see :mod:`repro.campaign.faults`).
+    ``apply_settings(Settings())`` restores the defaults."""
     global _compile_cache_dir
-    prev = _compile_cache_dir
-    _compile_cache_dir = path or None
-    return prev
-
-
-def compile_cache_dir() -> Optional[str]:
-    """The active persistent-tier directory (``None`` = disk tier off)."""
-    return _compile_cache_dir
+    _compile_cache_dir = settings.compile_dir
+    faults.activate(
+        settings.fault_spec, allow_kill=allow_kill, allow_hang=allow_hang
+    )
 
 
 def _disk_path(key: str) -> str:
@@ -315,13 +300,20 @@ def _disk_store(key: str, cw: _CompiledWorkload) -> None:
     _disk_writes.inc()
 
 
+def _compile_cache_put(key: str, cw: _CompiledWorkload) -> None:
+    if COMPILE_CACHE_SIZE > 0:
+        _compile_cache[key] = cw
+        while len(_compile_cache) > COMPILE_CACHE_SIZE:
+            _compile_cache.popitem(last=False)
+
+
 def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
     """The compile stage: two-step heuristic + Feautrier baseline for
     the task's ``(workload, m, rank_weights)``, LRU-cached per worker
     with an optional persistent disk tier underneath.
     Returns ``(compiled, cache_hit)``."""
     key = task.compile_key
-    if _compile_cache_size > 0:
+    if COMPILE_CACHE_SIZE > 0:
         cached = _compile_cache.get(key)
         if cached is not None:
             _compile_cache.move_to_end(key)
@@ -332,10 +324,7 @@ def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
         cw = _disk_load(key)
         if cw is not None:
             _disk_hits.inc()
-            if _compile_cache_size > 0:
-                _compile_cache[key] = cw
-                while len(_compile_cache) > _compile_cache_size:
-                    _compile_cache.popitem(last=False)
+            _compile_cache_put(key, cw)
             return cw, True
         _disk_misses.inc()
 
@@ -364,10 +353,7 @@ def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
                 allow_rotations=False,
             )
     cw = _CompiledWorkload(compiled=compiled, baseline=baseline, params=params)
-    if _compile_cache_size > 0:
-        _compile_cache[key] = cw
-        while len(_compile_cache) > _compile_cache_size:
-            _compile_cache.popitem(last=False)
+    _compile_cache_put(key, cw)
     if _compile_cache_dir is not None:
         _disk_store(key, cw)
     return cw, False
@@ -384,25 +370,13 @@ def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
 # re-prices the identical baseline once per knob value; this LRU
 # collapses those to one execute() per cell and per worker process.
 
+#: entries of the per-process baseline price memo (tests patch it to
+#: 0 to switch the memo off; records are byte-identical either way)
+BASELINE_CACHE_SIZE = 512
+
 _baseline_cache: "OrderedDict[str, float]" = OrderedDict()
-_baseline_cache_size: int = env_int("REPRO_CAMPAIGN_BASELINE_CACHE", 512)
 _baseline_hits = obs_metrics.counter("campaign.baseline_cache.hits")
 _baseline_misses = obs_metrics.counter("campaign.baseline_cache.misses")
-
-
-def set_baseline_cache_size(size: int) -> int:
-    """Resize (``0`` disables) the per-worker baseline price cache;
-    returns the previous size.  Affects the current process only — the
-    campaign runner threads the parent's setting through executor
-    worker init (see :class:`~repro.campaign.executors.ExecutorConfig`)."""
-    global _baseline_cache_size
-    prev = _baseline_cache_size
-    _baseline_cache_size = size
-    if size <= 0:
-        _baseline_cache.clear()
-    while len(_baseline_cache) > max(size, 0):
-        _baseline_cache.popitem(last=False)
-    return prev
 
 
 def baseline_cache_stats() -> Dict[str, int]:
@@ -411,7 +385,7 @@ def baseline_cache_stats() -> Dict[str, int]:
         "hits": _baseline_hits.value,
         "misses": _baseline_misses.value,
         "size": len(_baseline_cache),
-        "maxsize": _baseline_cache_size,
+        "maxsize": BASELINE_CACHE_SIZE,
     }
 
 
@@ -440,7 +414,7 @@ def _baseline_price_key(task: SweepTask) -> str:
 def _baseline_lookup(key: str) -> Tuple[Optional[float], bool]:
     """``(price, hit)`` — a disabled cache always misses (mirroring the
     compile LRU's counter semantics)."""
-    if _baseline_cache_size > 0:
+    if BASELINE_CACHE_SIZE > 0:
         cached = _baseline_cache.get(key)
         if cached is not None:
             _baseline_cache.move_to_end(key)
@@ -451,9 +425,9 @@ def _baseline_lookup(key: str) -> Tuple[Optional[float], bool]:
 
 
 def _baseline_store(key: str, price: float) -> None:
-    if _baseline_cache_size > 0:
+    if BASELINE_CACHE_SIZE > 0:
         _baseline_cache[key] = price
-        while len(_baseline_cache) > _baseline_cache_size:
+        while len(_baseline_cache) > BASELINE_CACHE_SIZE:
             _baseline_cache.popitem(last=False)
 
 
@@ -822,9 +796,9 @@ class CampaignConfig:
     #: multiprocessing start method for the process-based executors
     #: (None = fork when available, else the platform default)
     mp_context: Optional[str] = None
-    #: force fsync-per-append on the result store (None = env knob
-    #: ``REPRO_STORE_FSYNC``)
-    fsync: Optional[bool] = None
+    #: the run's deployment settings (None = parse the ``REPRO_*``
+    #: environment when the run starts)
+    settings: Optional[Settings] = None
     #: write a span/metric JSONL trace of this run to the given path
     #: (enables tracing for the duration of the run — including in the
     #: executor's worker processes — and restores the flag afterwards)
@@ -897,6 +871,9 @@ def run_campaign(
     ``resume=True`` loads the checkpoint, verifies the grid digest in
     its meta record against ``meta["spec_digest"]`` (when both are
     present) and runs only the tasks without a stored result.
+
+    A malformed ``REPRO_*`` knob raises ``ValueError`` naming it before
+    the store is touched or any worker starts.
     """
     config = config or CampaignConfig()
     if config.timeout is not None and config.timeout <= 0:
@@ -904,7 +881,10 @@ def run_campaign(
             f"timeout must be positive, got {config.timeout!r} (omit it "
             "for no per-task cap)"
         )
-    store = RunStore(out_path, fsync=config.fsync)
+    settings = config.settings
+    if settings is None:
+        settings = Settings.from_env()
+    store = RunStore(out_path, fsync=settings.fsync)
     meta = dict(meta or {})
     done: Dict[str, TaskResult] = {}
 
@@ -1046,10 +1026,7 @@ def run_campaign(
             backoff=config.backoff,
             heartbeat_timeout=config.heartbeat_timeout,
             mp_context=config.mp_context,
-            compile_cache_size=_compile_cache_size,
-            baseline_cache_size=_baseline_cache_size,
-            compile_cache_dir=_compile_cache_dir,
-            fault_spec=faults.active_spec(),
+            settings=settings,
             trace=obs_tracing.is_enabled(),
         ),
     )

@@ -15,7 +15,6 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .._config import env_flag
 from ..report import format_mesh
 
 #: classification keys aggregated by the summary (mapping counts)
@@ -139,13 +138,14 @@ class RunStore:
     (survives power loss, not just process death).  Appends are always
     flushed to the OS — a killed writer loses at most the in-flight
     record either way — but per-record ``fsync`` costs real throughput
-    on large campaigns, so it is **opt-in**: pass ``fsync=True`` or set
-    ``REPRO_STORE_FSYNC=1``.
+    on large campaigns, so it is **opt-in**: pass ``fsync=True`` (the
+    campaign runner passes ``REPRO_STORE_FSYNC`` through its
+    :class:`~repro._config.Settings`).
     """
 
-    def __init__(self, path: str, fsync: Optional[bool] = None):
+    def __init__(self, path: str, fsync: bool = False):
         self.path = path
-        self.fsync = env_flag("REPRO_STORE_FSYNC") if fsync is None else fsync
+        self.fsync = fsync
 
     # -- writing --------------------------------------------------------
 

@@ -18,7 +18,6 @@ from .dependence import (
     gcd_test,
     is_fully_parallel,
     lattice_test,
-    set_dependence_cache_size,
     test_dependence,
 )
 from .domain import Constraint, Domain
@@ -60,7 +59,6 @@ __all__ = [
     "Dependence",
     "clear_dependence_caches",
     "dependence_cache_stats",
-    "set_dependence_cache_size",
     "domain_feasible",
     "find_dependences",
     "is_fully_parallel",

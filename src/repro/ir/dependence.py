@@ -42,9 +42,8 @@ Two performance layers sit under the classical tests:
   ``(F, c, kind, domain, params)`` key through the linalg-cache
   framework (counters under ``ir.dependence.cache.*``), so schedule
   inference and legality checking stop re-running identical FM systems
-  within one compile.  Knob: ``REPRO_DEPENDENCE_CACHE`` (entries,
-  default 4096, ``0`` disables); :func:`set_dependence_cache_size` is
-  the process-local override.
+  within one compile.  Size: :data:`DEPENDENCE_CACHE_SIZE` entries per
+  memo (verdicts are identical with the memo off).
 """
 
 from __future__ import annotations
@@ -56,11 +55,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._config import env_int
 from ..linalg import IntMat, solve_axb
 from ..linalg.cache import _MISSING, NormalFormCache
 from ..machine.backend import unique_rows
 from ..obs import span
+from ..obs.metrics import counter as _obs_counter
 from ..obs.metrics import register_provider
 from .access import AccessKind, AffineAccess
 from .loopnest import LoopNest, Statement
@@ -129,6 +128,11 @@ _INT64_SAFE = 2 ** 62
 
 class _FMOverflow(Exception):
     """The int64 kernel's next round could overflow; retry exactly."""
+
+
+#: integer systems ``_fm_feasible`` handed to the ``Fraction`` twin (an
+#: entry past the int64 bound, or the per-round overflow guard)
+_fm_fallbacks = _obs_counter("ir.dependence.fm.fallbacks")
 
 
 def _normalize_fm_rows(rows: np.ndarray) -> np.ndarray:
@@ -342,6 +346,7 @@ def _fm_feasible(rows: Sequence[Sequence[int]], nvars: int) -> bool:
             return _fourier_motzkin_int(arr, nvars)
         except _FMOverflow:
             pass
+    _fm_fallbacks.inc()
     return _fourier_motzkin_fraction(
         [(tuple(row[:nvars]), row[nvars]) for row in rows], nvars
     )
@@ -458,40 +463,26 @@ def domain_feasible(sol, s1: Statement, s2: Statement, params: Dict[str, int]) -
 # memo caches — test_dependence and schedule inference
 # ---------------------------------------------------------------------------
 
-DEFAULT_DEPENDENCE_CACHE_SIZE = env_int("REPRO_DEPENDENCE_CACHE", 4096)
+#: entries of each memo below (tests patch it to 0 to bypass both)
+DEPENDENCE_CACHE_SIZE = 4096
 
-_dependence_cache_size: int = DEFAULT_DEPENDENCE_CACHE_SIZE
 #: counters live under ``ir.dependence.cache.<name>.{hits,misses}``
 _dep_cache = NormalFormCache(
     "test_dependence",
-    maxsize=max(DEFAULT_DEPENDENCE_CACHE_SIZE, 1),
+    maxsize=DEPENDENCE_CACHE_SIZE,
     namespace="ir.dependence.cache",
 )
-#: the ``_inner_loops_parallel`` memo (owned here so one knob governs
-#: both; filled by :mod:`repro.ir.schedule`)
+#: the ``_inner_loops_parallel`` memo (owned here so one constant
+#: governs both; filled by :mod:`repro.ir.schedule`)
 _schedule_cache = NormalFormCache(
     "inner_loops_parallel",
-    maxsize=max(DEFAULT_DEPENDENCE_CACHE_SIZE, 1),
+    maxsize=DEPENDENCE_CACHE_SIZE,
     namespace="ir.dependence.cache",
 )
 
 
 def dependence_cache_enabled() -> bool:
-    return _dependence_cache_size > 0
-
-
-def set_dependence_cache_size(size: int) -> int:
-    """Resize (``0`` disables) the dependence/schedule memo caches;
-    returns the previous size.  Resizing clears both caches, so results
-    can never be served across a semantics-affecting reconfiguration."""
-    global _dependence_cache_size
-    prev = _dependence_cache_size
-    _dependence_cache_size = int(size)
-    for cache in (_dep_cache, _schedule_cache):
-        cache.clear()
-        if _dependence_cache_size > 0:
-            cache.maxsize = _dependence_cache_size
-    return prev
+    return DEPENDENCE_CACHE_SIZE > 0
 
 
 def clear_dependence_caches() -> None:

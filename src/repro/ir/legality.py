@@ -31,8 +31,8 @@ whole domains, and subscript collisions are found with one
 quadratic per-element scan.  The per-element implementation is kept as
 :func:`schedule_violations_python`, the measured baseline the
 vectorized path is asserted bit-identical against (messages and order
-included) — the same old-vs-new pattern as ``phase_time_python`` and
-``execute_python``; ``benchmarks/bench_legality.py`` gates both the
+included) — the same old-vs-new pattern as ``execute_python``;
+``benchmarks/bench_legality.py`` gates both the
 bit-identity and the speedup floor.
 """
 
@@ -42,6 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
 from .loopnest import LoopNest
@@ -219,6 +220,11 @@ def _vector_safe(points: np.ndarray, *mats) -> bool:
     return True
 
 
+#: ``schedule_violations`` calls answered by the per-element path (a
+#: depth-0 statement, or an int64 bound that could not be proven)
+_fallbacks = obs_metrics.counter("ir.legality.fallbacks")
+
+
 @traced("legality.violations")
 def schedule_violations(
     scheduled: ScheduledNest, params: Dict[str, int], limit: int = 10
@@ -238,6 +244,7 @@ def schedule_violations(
     """
     nest = scheduled.nest
     if any(s.depth == 0 for s in nest.statements):
+        _fallbacks.inc()
         return schedule_violations_python(scheduled, params, limit)
 
     # per-statement point/time matrices, per-access subscript matrices
@@ -250,12 +257,14 @@ def schedule_violations(
         pts = stmt.domain.point_matrix(params)
         theta = scheduled.schedule_of(stmt.name).theta
         if not _vector_safe(pts, (theta, None)):
+            _fallbacks.inc()
             return schedule_violations_python(scheduled, params, limit)
         points[stmt.name] = pts
         times[stmt.name] = pts @ theta.to_numpy().T
     for stmt, acc in pairs:
         pts = points[stmt.name]
         if not _vector_safe(pts, (acc.F, acc.c)):
+            _fallbacks.inc()
             return schedule_violations_python(scheduled, params, limit)
         subs.append(pts @ acc.F.to_numpy().T + acc.c.to_numpy().T)
 

@@ -23,8 +23,8 @@ at once.
 Returned values are shared between hits: they are tuples of immutable
 matrices (or ``None``), so sharing is safe.
 
-Knobs: ``REPRO_LINALG_CACHE_SIZE`` (env) or the decorator's
-``maxsize`` argument; default 1024 entries per function.
+Size: the decorator's ``maxsize`` argument, else
+:data:`DEFAULT_LINALG_CACHE_SIZE` (1024) entries per function.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from collections import OrderedDict
 from functools import wraps
 from typing import Callable, Dict, Optional
 
-from .._config import env_int
 from ..obs.metrics import counter as _obs_counter
 from ..obs.metrics import register_provider as _register_provider
 
-DEFAULT_LINALG_CACHE_SIZE = env_int("REPRO_LINALG_CACHE_SIZE", 1024)
+DEFAULT_LINALG_CACHE_SIZE = 1024
 
 _MISSING = object()
 

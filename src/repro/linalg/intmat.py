@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
+from ..obs.metrics import counter as _obs_counter
+
 Scalar = Union[int, Fraction]
 
 #: Products below this many scalar multiply-adds stay in pure Python —
@@ -31,6 +33,10 @@ _NUMPY_MATMUL_MIN_OPS = 192
 #: Guard bound for int64 fast paths: every intermediate (and every
 #: pairwise product of intermediates, for Bareiss) must stay below this.
 _INT64_SAFE = 2 ** 62
+
+#: products big enough for NumPy that ran in pure Python because the
+#: int64 bound failed
+_matmul_fallbacks = _obs_counter("linalg.matmul.fallbacks")
 
 
 def _as_int(x: object) -> int:
@@ -299,6 +305,7 @@ class IntMat:
 
                 prod = self.to_numpy() @ other.to_numpy()
                 return IntMat(prod.tolist())
+            _matmul_fallbacks.inc()
         return self._matmul_python(other)
 
     def _matmul_python(self, other: "IntMat") -> "IntMat":

@@ -22,7 +22,6 @@ from .contention import (
     PhaseReport,
     SegmentedPhaseReport,
     phase_time,
-    phase_time_python,
     phase_times_segmented,
     phased_time,
     total_time,
@@ -50,7 +49,6 @@ from .topology3d import (
     Message3,
     affine_pattern_3d,
     phase_time_3d,
-    phase_time_3d_python,
 )
 from .patterns import (
     affine_pattern,
@@ -71,7 +69,6 @@ __all__ = [
     "PhaseReport",
     "SegmentedPhaseReport",
     "phase_time",
-    "phase_time_python",
     "phase_times_segmented",
     "phased_time",
     "total_time",
@@ -95,7 +92,6 @@ __all__ = [
     "Message3",
     "affine_pattern_3d",
     "phase_time_3d",
-    "phase_time_3d_python",
     "translation_pattern",
     "affine_pattern",
     "coalesce",

@@ -15,6 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs.metrics import counter as _obs_counter
+
+#: ``unique_rows`` calls on integer rows too wide to pack into one
+#: int64 key (> 63 bits of column span), sorted by the axis unique
+_wide_fallbacks = _obs_counter("machine.unique_rows.fallbacks")
+
 
 def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
     """``np.unique(stacked, axis=0, return_counts=True)``, faster.  With
@@ -63,6 +69,7 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
             if return_inverse:
                 return uniq, counts, np.asarray(inverse).ravel()
             return uniq, counts
+        _wide_fallbacks.inc()
     if return_inverse:
         uniq, inverse, counts = np.unique(
             arr, axis=0, return_inverse=True, return_counts=True

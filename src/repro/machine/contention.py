@@ -19,11 +19,10 @@ without modelling flit-level detail (the event-driven simulator in
 :func:`phase_time` is vectorized: routes come from the per-mesh
 :class:`~repro.machine.routecache.RouteCache` as integer link-id
 arrays and the link-load accumulation is a single ``np.bincount`` over
-all messages of the phase.  The original per-element implementation is
-kept as :func:`phase_time_python` — it is the baseline the perf-core
-benchmark measures against, and a cross-check that vectorization
-changed nothing (the two are bit-identical; see
-``tests/machine/test_routecache.py``).
+all messages of the phase.  The original per-element implementation
+lives on as the test oracle ``phase_time_python`` in
+``tests/oracles/machine.py`` — the perf-core benchmark's baseline and
+the bit-identity cross-check of ``tests/machine/test_routecache.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from .backend import segment_max, unique_rows, weighted_bincount
 from .routecache import gather_route_ids, max_link_load, route_cache_for
-from .topology import Link, Mesh2D, Message
+from .topology import Message
 
 
 @dataclass(frozen=True)
@@ -358,49 +357,6 @@ def phase_times_segmented(
         total_messages=total_messages,
         total_volume=total_volume,
         local_messages=local_messages,
-    )
-
-
-def phase_time_python(
-    mesh: Mesh2D, messages: Sequence[Message], params: CostParams
-) -> PhaseReport:
-    """Pure-Python reference implementation of :func:`phase_time`.
-
-    Rebuilds every route as tuple links and probes a dict per link —
-    the pre-vectorization behaviour, kept as the perf-core baseline and
-    bit-identity cross-check.
-    """
-    link_load: Dict[Link, int] = {}
-    sender_msgs: Dict = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    for m in messages:
-        if m.is_local:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xy_route(m.src, m.dst):
-            link_load[link] = link_load.get(link, 0) + m.size
-    max_load = max(link_load.values(), default=0)
-    max_fanout = max(sender_msgs.values(), default=0)
-    time = (
-        params.alpha * max_fanout
-        + params.beta * max_load
-        + params.gamma * max_hops
-    )
-    return PhaseReport(
-        time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
     )
 
 

@@ -29,9 +29,9 @@ asserted equal in ``tests/machine/test_routecache.py``.
 per-mesh :class:`~repro.machine.routecache.RouteCache` as integer
 link-id arrays, and the per-link dict probes of the original become
 one array ``max`` plus one slice assignment per message over a dense
-``link_free`` vector.  The original is kept as
-:meth:`EventSimulator.run_python` — the perf-core baseline and a
-bit-identity cross-check.
+``link_free`` vector.  The original lives on as the test oracle
+``simulate_python`` in ``tests/oracles/machine.py`` — the perf-core
+baseline and a bit-identity cross-check.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .contention import CostParams
 from .routecache import route_cache_for
-from .topology import Link, Message
+from .topology import Message
 
 
 class EventSimulator:
@@ -50,9 +50,8 @@ class EventSimulator:
 
     Rank-generic: ``mesh`` may be any mesh with a route cache
     (:class:`~repro.machine.topology.Mesh2D` or
-    :class:`~repro.machine.topology3d.Mesh3D`); the vectorized path
-    works off integer link-id arrays and :meth:`run_python` off the
-    mesh's dimension-order ``route``.
+    :class:`~repro.machine.topology3d.Mesh3D`); it works off the
+    cache's integer link-id arrays.
     """
 
     def __init__(self, mesh, params: CostParams, cache=None):
@@ -90,34 +89,6 @@ class EventSimulator:
             link_free[ids] = done
             if done > finish:
                 finish = done
-        return finish
-
-    def run_python(self, messages: Sequence[Message]) -> float:
-        """Pure-Python reference implementation of :meth:`run`
-        (per-link dict probes, routes rebuilt per message) — the
-        perf-core baseline; bit-identical to :meth:`run`."""
-        link_free: Dict[Link, float] = {}
-        per_sender: Dict = {}
-        pending: List[Tuple[float, int, Message, Tuple[Link, ...]]] = []
-        for order, m in enumerate(messages):
-            if m.is_local:
-                continue
-            route = tuple(self.mesh.route(m.src, m.dst))
-            k = per_sender.get(m.src, 0)
-            per_sender[m.src] = k + 1
-            ready = self.params.alpha * k
-            pending.append((ready, order, m, route))
-        pending.sort(key=lambda t: (t[0], t[1]))
-        finish = 0.0
-        for ready, _order, m, route in pending:
-            start = ready
-            for link in route:
-                start = max(start, link_free.get(link, 0.0))
-            hops = self.mesh.hops(m.src, m.dst)  # == len(route) - 2
-            done = start + self.params.beta * m.size + self.params.gamma * hops
-            for link in route:
-                link_free[link] = done
-            finish = max(finish, done)
         return finish
 
     def run_phases(self, phases: Sequence[Sequence[Message]]) -> float:

@@ -34,12 +34,13 @@ The 3-D layout (:class:`RouteCache3D`) is the natural extension with
 the dimension-order of :meth:`~repro.machine.topology3d.Mesh3D.xyz_route`
 (last axis first).
 
-Cache knobs (also constructor arguments):
+Cache bounds (module constants; routes are byte-identical whatever
+the caches hold):
 
-* ``REPRO_ROUTE_CACHE_SIZE`` — max ``(src, dst)`` entries per mesh
-  cache (default 65536);
-* ``REPRO_ROUTE_CACHE_MESHES`` — max meshes with a live cache in the
-  module-level registry used by :func:`route_cache_for` (default 8).
+* :data:`DEFAULT_ROUTE_CACHE_SIZE` — max ``(src, dst)`` entries per
+  mesh cache (65536; the constructors' ``maxsize`` overrides it);
+* :data:`DEFAULT_MESH_CACHES` — max meshes with a live cache in the
+  module-level registry used by :func:`route_cache_for` (8).
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .._config import env_int
 from ..obs.metrics import Counter as _Counter
 from ..obs.metrics import register_provider as _register_provider
 
-DEFAULT_ROUTE_CACHE_SIZE = env_int("REPRO_ROUTE_CACHE_SIZE", 65536)
-DEFAULT_MESH_CACHES = env_int("REPRO_ROUTE_CACHE_MESHES", 8)
+DEFAULT_ROUTE_CACHE_SIZE = 65536
+DEFAULT_MESH_CACHES = 8
 
 
 class _BaseRouteCache:
@@ -380,7 +380,7 @@ def route_cache_for(mesh, maxsize: Optional[int] = None) -> _BaseRouteCache:
     """The (shared, LRU-registered) route cache of ``mesh``.
 
     Meshes are hashable frozen dataclasses, so equal meshes share one
-    cache; at most ``REPRO_ROUTE_CACHE_MESHES`` mesh caches are kept
+    cache; at most :data:`DEFAULT_MESH_CACHES` mesh caches are kept
     alive.  ``maxsize`` only applies when this call creates the cache —
     an already-registered cache is returned as-is, whatever its bound.
     Pass an explicit ``RouteCache(mesh, maxsize=...)`` to the
@@ -396,11 +396,6 @@ def route_cache_for(mesh, maxsize: Optional[int] = None) -> _BaseRouteCache:
     else:
         cache = RouteCache(mesh, maxsize)
     _MESH_CACHES[mesh] = cache
-    if DEFAULT_MESH_CACHES <= 0:
-        raise ValueError(
-            "route cache registry size must be positive "
-            "(REPRO_ROUTE_CACHE_MESHES)"
-        )
     while len(_MESH_CACHES) > DEFAULT_MESH_CACHES:
         _MESH_CACHES.popitem(last=False)
     return cache

@@ -118,44 +118,6 @@ def phase_time_3d(mesh: Mesh3D, messages, params, cache=None):
     return phase_time(mesh, messages, params, cache=cache)
 
 
-def phase_time_3d_python(mesh: Mesh3D, messages, params):
-    """Pure-Python reference implementation of :func:`phase_time_3d`
-    (per-link dict probes) — baseline and bit-identity cross-check."""
-    link_load = {}
-    sender_msgs = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    for m in messages:
-        if m.src == m.dst:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xyz_route(m.src, m.dst):
-            link_load[link] = link_load.get(link, 0) + m.size
-    max_load = max(link_load.values(), default=0)
-    max_fanout = max(sender_msgs.values(), default=0)
-    from .contention import PhaseReport
-
-    return PhaseReport(
-        time=(
-            params.alpha * max_fanout
-            + params.beta * max_load
-            + params.gamma * max_hops
-        ),
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
-    )
-
-
 def affine_pattern_3d(
     dists, t_mat, size: int = 1, wrap: bool = True, merge: bool = True
 ):

@@ -22,10 +22,10 @@ subsystem:
   behind ``python -m repro trace report`` / ``campaign summarize
   --timings``.
 
-Knob: ``REPRO_TRACE=1`` enables tracing process-wide (the CLI's
-``--trace`` flag enables it for one campaign); executor backends
-forward the enablement to their workers explicitly, so spawn-context
-workers trace too.
+Tracing is off by default: :func:`enable` turns it on process-wide,
+the CLI's ``--trace`` flag for one campaign; executor backends forward
+the enablement to their workers explicitly, so spawn-context workers
+trace too.
 """
 
 from .metrics import (
@@ -51,7 +51,6 @@ from .trace import (
     stage_totals,
 )
 from .tracing import (
-    TRACE_ENV,
     capture,
     clear_spans,
     disable,
@@ -66,7 +65,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "TRACE_ENV",
     "span",
     "traced",
     "capture",

@@ -20,7 +20,7 @@ traces shipped through ``TaskResult.trace``).
 checks one module-level flag and returns a shared no-op context
 manager — no allocation, no clock read, no locking (the overhead gate
 in ``benchmarks/bench_trace_overhead.py`` pins this).  Enable with
-``REPRO_TRACE=1``, :func:`enable`, or ``campaign run --trace``.
+:func:`enable` or ``campaign run --trace``.
 
 Thread safety: the span stack is thread-local; the aggregate and the
 capture list are guarded by one lock taken only on span *exit* (and
@@ -35,15 +35,10 @@ from contextlib import contextmanager
 from functools import wraps
 from typing import Callable, Dict, Iterator, List, Optional
 
-from .._config import env_flag
-
-#: environment knob: ``REPRO_TRACE=1`` enables tracing at import time
-TRACE_ENV = "REPRO_TRACE"
-
 #: path separator between nested span names
 SEP = "/"
 
-_enabled: bool = env_flag(TRACE_ENV, False)
+_enabled: bool = False
 
 _lock = threading.Lock()
 #: path -> [count, total seconds]

@@ -28,7 +28,7 @@ The original per-event implementation is kept as
 randomized generated workloads and the paper's seed scenarios in
 ``tests/runtime/test_runtime_vectorized.py`` and measured against each
 other in ``benchmarks/bench_runtime_exec.py`` — the same old-vs-new
-pattern as ``phase_time_python`` in the machine layer).
+pattern as the machine layer's oracles in ``tests/oracles/machine.py``).
 """
 
 from __future__ import annotations
@@ -470,8 +470,7 @@ def execute_python(
 
     Builds one :class:`CommEvent` per access per domain point and
     re-buckets them with Python dicts — the pre-vectorization behaviour,
-    kept as the measured baseline and bit-identity cross-check (same
-    pattern as ``phase_time_python``).
+    kept as the measured baseline and bit-identity cross-check.
     """
     events = program.comm_events_python()
     per_access: Dict[str, AccessCommStats] = {}

@@ -29,7 +29,7 @@ batches directly — it never re-enumerates a domain.  The arrays — one :class
 access — feed the executor's group-by pricing directly; the original
 per-element path is kept as :meth:`MappedProgram.comm_events_python`,
 the measured baseline that the vectorized path is asserted bit-identical
-against (same pattern as ``phase_time_python`` in the machine layer).
+against.
 The virtual-grid stage (schedule times, sender/receiver virtual
 coordinates) depends only on the mapping and the size bindings, so it is
 cached **on the mapping** and shared by every folding of the same
@@ -49,6 +49,7 @@ from ..distribution import Distribution1D, make_1d
 from ..ir import AccessKind
 from ..linalg import IntMat
 from ..machine.backend import unique_rows
+from ..obs import metrics as obs_metrics
 
 Virtual = Tuple[int, ...]
 Phys = Tuple[int, ...]
@@ -56,6 +57,10 @@ Phys = Tuple[int, ...]
 #: int64 safety bound shared with the IntMat fast paths: intermediate
 #: products beyond this fall back to the exact per-element Python path
 _INT64_SAFE = 2 ** 62
+
+#: ``comm_batches`` calls built from the per-element events because the
+#: int64 bound of the affine stages could not be proven
+_event_fallbacks = obs_metrics.counter("runtime.comm_batches.fallbacks")
 
 
 @dataclass
@@ -538,6 +543,7 @@ class MappedProgram:
             return cached[1]
         virtual = self._virtual_batches()
         if virtual is None:
+            _event_fallbacks.inc()
             batches = self._batches_from_events(self.comm_events_python())
         else:
             batches = [

@@ -15,8 +15,8 @@ from repro.campaign import (
     clear_compile_cache,
     run_campaign,
     run_task_group,
-    set_baseline_cache_size,
 )
+from repro.campaign import runner
 from repro.campaign.sweep import canonical_json, default_spec
 
 
@@ -68,15 +68,14 @@ class TestBaselineCacheBehaviour:
         total = hits + outcome.baseline_cache_misses
         assert f"{hits}/{total} hit(s)" in text
 
-    def test_disabled_cache_always_misses(self, rw_sweep_grid, tmp_path):
-        prev = set_baseline_cache_size(0)
-        try:
-            outcome = run_campaign(
-                rw_sweep_grid, str(tmp_path / "off.jsonl"),
-                CampaignConfig(jobs=1), meta={},
-            )
-        finally:
-            set_baseline_cache_size(prev)
+    def test_disabled_cache_always_misses(
+        self, rw_sweep_grid, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "BASELINE_CACHE_SIZE", 0)
+        outcome = run_campaign(
+            rw_sweep_grid, str(tmp_path / "off.jsonl"),
+            CampaignConfig(jobs=1), meta={},
+        )
         assert outcome.baseline_cache_hits == 0
         assert outcome.baseline_cache_misses == len(rw_sweep_grid)
 
@@ -88,20 +87,21 @@ class TestBaselineCacheBehaviour:
         assert sum(r.baseline_cache_hit for r in results) == cells
         assert sum(not r.baseline_cache_hit for r in results) == cells
 
-    def test_lru_eviction_bounds_entries(self, rw_sweep_grid, tmp_path):
-        prev = set_baseline_cache_size(2)
-        try:
-            run_campaign(
-                rw_sweep_grid, str(tmp_path / "lru.jsonl"),
-                CampaignConfig(jobs=1), meta={},
-            )
-            assert baseline_cache_stats()["size"] <= 2
-        finally:
-            set_baseline_cache_size(prev)
+    def test_lru_eviction_bounds_entries(
+        self, rw_sweep_grid, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "BASELINE_CACHE_SIZE", 2)
+        run_campaign(
+            rw_sweep_grid, str(tmp_path / "lru.jsonl"),
+            CampaignConfig(jobs=1), meta={},
+        )
+        assert baseline_cache_stats()["size"] <= 2
 
 
 class TestGoldenByteIdentity:
-    def test_batched_records_identical_to_per_task(self, rw_sweep_grid, tmp_path):
+    def test_batched_records_identical_to_per_task(
+        self, rw_sweep_grid, tmp_path, monkeypatch
+    ):
         """The golden check: a whole-group campaign and one-task groups
         of the same group function (baseline cache off) write records
         whose deterministic payloads serialize to identical bytes."""
@@ -113,14 +113,11 @@ class TestGoldenByteIdentity:
         )
         clear_compile_cache()
         clear_baseline_cache()
-        prev_bc = set_baseline_cache_size(0)
-        try:
-            store = RunStore(plain_path)
-            store.start({})
-            for task in rw_sweep_grid:
-                store.append(run_task_group([task])[0])
-        finally:
-            set_baseline_cache_size(prev_bc)
+        monkeypatch.setattr(runner, "BASELINE_CACHE_SIZE", 0)
+        store = RunStore(plain_path)
+        store.start({})
+        for task in rw_sweep_grid:
+            store.append(run_task_group([task])[0])
 
         _, batched = RunStore(batched_path).load()
         _, plain = RunStore(plain_path).load()

@@ -14,8 +14,8 @@ from repro.campaign import (
     execute_task,
     group_by_compile_key,
     run_campaign,
-    set_compile_cache_size,
 )
+from repro.campaign import runner
 from repro.campaign.sweep import canonical_json
 
 
@@ -94,37 +94,33 @@ class TestCacheBehaviour:
         assert outcome.compile_cache_hits == len(tasks) - nests
 
     def test_cache_disable_compiles_once_per_group(
-        self, multi_cell_grid, tmp_path
+        self, multi_cell_grid, tmp_path, monkeypatch
     ):
         # a group compiles once even with the LRU off: its first task
         # reports the miss, the other cells reuse that compile
         _spec, tasks = multi_cell_grid
-        prev = set_compile_cache_size(0)
-        try:
-            outcome = run_campaign(
-                tasks, str(tmp_path / "d.jsonl"), CampaignConfig(jobs=1), meta={}
-            )
-        finally:
-            set_compile_cache_size(prev)
+        monkeypatch.setattr(runner, "COMPILE_CACHE_SIZE", 0)
+        outcome = run_campaign(
+            tasks, str(tmp_path / "d.jsonl"), CampaignConfig(jobs=1), meta={}
+        )
         nests = len({t.compile_key for t in tasks})
         assert outcome.compile_cache_misses == nests
         assert outcome.compile_cache_hits == len(tasks) - nests
         assert compile_cache_stats()["size"] == 0
 
-    def test_lru_eviction_bounds_entries(self, multi_cell_grid):
+    def test_lru_eviction_bounds_entries(self, multi_cell_grid, monkeypatch):
         _spec, tasks = multi_cell_grid
-        prev = set_compile_cache_size(2)
-        try:
-            for t in tasks:
-                execute_task(t)
-            stats = compile_cache_stats()
-            assert stats["size"] <= 2
-        finally:
-            set_compile_cache_size(prev)
+        monkeypatch.setattr(runner, "COMPILE_CACHE_SIZE", 2)
+        for t in tasks:
+            execute_task(t)
+        stats = compile_cache_stats()
+        assert stats["size"] <= 2
 
 
 class TestGoldenByteIdentity:
-    def test_records_byte_identical_to_recompiling(self, multi_cell_grid, tmp_path):
+    def test_records_byte_identical_to_recompiling(
+        self, multi_cell_grid, tmp_path, monkeypatch
+    ):
         """The golden check: cached and cache-disabled campaigns write
         records whose deterministic payloads (task ids, digests, counts,
         times, ratios — everything but wall-clock seconds) serialize to
@@ -135,11 +131,8 @@ class TestGoldenByteIdentity:
 
         run_campaign(tasks, cached_path, CampaignConfig(jobs=1), meta={})
         clear_compile_cache()
-        prev = set_compile_cache_size(0)
-        try:
-            run_campaign(tasks, plain_path, CampaignConfig(jobs=1), meta={})
-        finally:
-            set_compile_cache_size(prev)
+        monkeypatch.setattr(runner, "COMPILE_CACHE_SIZE", 0)
+        run_campaign(tasks, plain_path, CampaignConfig(jobs=1), meta={})
 
         _, cached = RunStore(cached_path).load()
         _, plain = RunStore(plain_path).load()

@@ -3,8 +3,9 @@
 Invariants: warm entries eliminate compiles entirely; stale, corrupt,
 truncated, foreign or concurrently-written entries degrade to misses
 (never errors); stored task records are byte-identical with the tier on
-or off; and the directory travels through ``ExecutorConfig``/worker
-init so spawn-context workers share the parent's cache.
+or off; and the directory travels in the ``Settings`` snapshot through
+``ExecutorConfig``/worker init so spawn-context workers share the
+parent's cache.
 """
 
 import os
@@ -15,14 +16,13 @@ import pytest
 from repro.campaign import (
     CampaignConfig,
     RunStore,
+    Settings,
     clear_baseline_cache,
     clear_compile_cache,
     code_fingerprint,
-    compile_cache_dir,
     compile_cache_stats,
     default_spec,
     run_campaign,
-    set_compile_cache_dir,
 )
 from repro.campaign import runner
 from repro.campaign.sweep import canonical_json
@@ -38,9 +38,7 @@ def grid():
 def fresh_state():
     clear_compile_cache()
     clear_baseline_cache()
-    prev = set_compile_cache_dir(None)
     yield
-    set_compile_cache_dir(prev)
     clear_compile_cache()
     clear_baseline_cache()
 
@@ -49,16 +47,12 @@ def _run(tasks, tmp_path, name, disk=None, **cfg):
     clear_compile_cache()
     clear_baseline_cache()
     cfg.setdefault("jobs", 1)
-    prev = set_compile_cache_dir(disk)
-    try:
-        outcome = run_campaign(
-            tasks,
-            str(tmp_path / f"{name}.jsonl"),
-            CampaignConfig(**cfg),
-            meta={},
-        )
-    finally:
-        set_compile_cache_dir(prev)
+    outcome = run_campaign(
+        tasks,
+        str(tmp_path / f"{name}.jsonl"),
+        CampaignConfig(settings=Settings(compile_dir=disk), **cfg),
+        meta={},
+    )
     _, results = RunStore(str(tmp_path / f"{name}.jsonl")).load()
     return outcome, results
 
@@ -66,7 +60,7 @@ def _run(tasks, tmp_path, name, disk=None, **cfg):
 class TestDiskTierBasics:
     def test_default_off(self, grid, tmp_path):
         _spec, tasks = grid
-        assert compile_cache_dir() is None
+        assert compile_cache_stats()["dir"] is None
         _run(tasks, tmp_path, "plain")
         stats = compile_cache_stats()
         assert stats["disk_hits"] == stats["disk_misses"] == 0
@@ -188,28 +182,24 @@ class TestCorruptionDegradesToMisses:
         assert compile_cache_stats()["disk_hits"] == nests
         assert os.path.exists(leftover)  # never touched
 
-    def test_last_complete_write_wins(self, grid, tmp_path):
+    def test_last_complete_write_wins(self, grid, tmp_path, monkeypatch):
         _spec, tasks = grid
-        disk = str(tmp_path / "cache")
         task = tasks[0]
-        prev = set_compile_cache_dir(disk)
-        try:
-            cw, _ = runner._compile_for_task(task)
-            # two writers racing on the same key: both complete, the
-            # rename is atomic, and the survivor loads cleanly
-            runner._disk_store(task.compile_key, cw)
-            runner._disk_store(task.compile_key, cw)
-            assert runner._disk_load(task.compile_key) is not None
-        finally:
-            set_compile_cache_dir(prev)
+        monkeypatch.setattr(runner, "_compile_cache_dir", str(tmp_path / "cache"))
+        cw, _ = runner._compile_for_task(task)
+        # two writers racing on the same key: both complete, the
+        # rename is atomic, and the survivor loads cleanly
+        runner._disk_store(task.compile_key, cw)
+        runner._disk_store(task.compile_key, cw)
+        assert runner._disk_load(task.compile_key) is not None
 
     def test_unusable_directory_is_not_an_error(self, grid, tmp_path):
-        # the "directory" is a regular file: makedirs and every open
-        # under it fail, and the campaign must not care
+        # the directory's parent is a regular file: makedirs and every
+        # open under it fail, and the campaign must not care
         _spec, tasks = grid
         blocked = tmp_path / "blocked"
         blocked.write_bytes(b"in the way")
-        outcome, _ = _run(tasks, tmp_path, "ro", disk=str(blocked))
+        outcome, _ = _run(tasks, tmp_path, "ro", disk=str(blocked / "cache"))
         assert outcome.ok == len(tasks)
         assert outcome.errors == 0
         assert compile_cache_stats()["disk_writes"] == 0
@@ -222,19 +212,19 @@ class TestWorkerPassthrough:
 
         disk = str(tmp_path / "cache")
         init_worker(
-            ExecutorConfig(compile_cache_dir=disk),
+            ExecutorConfig(settings=Settings(compile_dir=disk)),
             allow_kill=False,
             allow_hang=False,
         )
         try:
-            assert compile_cache_dir() == disk
+            assert compile_cache_stats()["dir"] == disk
         finally:
-            set_compile_cache_dir(None)
+            runner.apply_settings(Settings())
 
     def test_spawn_workers_populate_parent_directory(self, grid, tmp_path):
-        # spawn workers re-import the runner with the env default
-        # (no REPRO_CAMPAIGN_COMPILE_DIR set in this suite), so the
-        # directory must arrive via worker init for entries to land
+        # spawn workers re-import the runner with the disk tier off,
+        # so the directory must arrive via worker init for entries to
+        # land
         _spec, tasks = grid
         nests = len({t.compile_key for t in tasks})
         disk = str(tmp_path / "cache")

@@ -8,17 +8,17 @@ from repro.__main__ import main
 from repro.campaign import (
     CampaignConfig,
     RunStore,
-    baseline_cache_stats,
+    Settings,
     clear_baseline_cache,
     clear_compile_cache,
+    compile_cache_stats,
     default_spec,
     execute_task,
     executor_names,
     make_executor,
     run_campaign,
-    set_baseline_cache_size,
-    set_compile_cache_size,
 )
+from repro.campaign import faults, runner
 from repro.campaign.executors import (
     BACKOFF_CAP,
     ExecutorConfig,
@@ -326,85 +326,48 @@ class TestHangDetection:
 
 
 class TestSpawnConfigPassthrough:
-    def test_spawn_workers_honour_parent_cache_size(
-        self, grid, tmp_path, monkeypatch
-    ):
-        # spawn workers re-import the module, so a fork-inherited
-        # global would silently revert to the default (32); the size
-        # must travel through the worker-init call instead.  A group
-        # compiles once either way, so the probe is a retry: the
-        # retried task looks its nest up again and, with the cache
-        # off, compiles it a second time
+    def test_spawn_workers_receive_settings(self, grid, tmp_path):
+        # spawn workers re-import ``repro`` and read no environment, so
+        # the disk tier and the fault plan reach them only through
+        # ExecutorConfig.settings (the environment is clean here)
         spec, tasks = grid
+        victim = tasks[0]
+        disk = tmp_path / "cache"
+        settings = Settings(
+            compile_dir=str(disk),
+            fault_spec=f"fail:task={victim.task_id},times=99",
+        )
+        outcome, results = _run(
+            grid, tmp_path, "spawned", jobs=2, executor="pool",
+            mp_context="spawn", settings=settings,
+        )
+        assert results[victim.task_id].error_kind == "fault"
+        assert outcome.ok == len(tasks) - 1
         groups = len({t.compile_key for t in tasks})
-        monkeypatch.setenv(
-            "REPRO_FAULT_INJECT", f"fail:task={tasks[0].task_id},times=1"
-        )
-        prev = set_compile_cache_size(0)
-        try:
-            outcome, _ = _run(
-                grid, tmp_path, "spawned", jobs=2, executor="resilient",
-                mp_context="spawn", retries=1, backoff=0.01,
-            )
-        finally:
-            set_compile_cache_size(prev)
-        assert outcome.ok == len(tasks)
-        assert outcome.compile_cache_misses == groups + 1
-        assert outcome.compile_cache_hits == len(tasks) - groups - 1
+        assert len(list(disk.iterdir())) == groups
 
-    def test_spawn_workers_honour_parent_baseline_cache_size(self, tmp_path):
-        # the baseline price memo must travel through worker init like
-        # the compile-cache size: a rank-weights sweep on one pool
-        # worker hits the memo by default, and a parent that disabled
-        # it must see zero hits even from spawn-context workers
-        spec = default_spec(
-            seed=0, nests=2, include_corpus=False,
-            machines=("paragon",), meshes=((4, 4), (2, 2)),
-            rank_weights=(True, False),
-        )
-        tasks = spec.expand()
-        cells = len(tasks) // 2  # distinct (workload, machine, mesh)
-
-        def run(name):
-            path = str(tmp_path / f"{name}.jsonl")
-            outcome = run_campaign(
-                tasks, path,
-                CampaignConfig(jobs=1, executor="pool", mp_context="spawn"),
-                meta={"spec_digest": spec.digest()},
-            )
-            return outcome
-
-        clear_baseline_cache()
-        outcome = run("default")
-        assert outcome.ok == len(tasks)
-        assert outcome.baseline_cache_misses == cells
-        assert outcome.baseline_cache_hits == cells
-
-        prev = set_baseline_cache_size(0)
-        try:
-            outcome = run("disabled")
-        finally:
-            set_baseline_cache_size(prev)
-        assert outcome.ok == len(tasks)
-        assert outcome.baseline_cache_hits == 0
-        assert outcome.baseline_cache_misses == len(tasks)
-
-    def test_init_worker_applies_baseline_and_backend_knobs(self):
-        # the executor backend's worker config: baseline memo size and
-        # tracing flag land in the worker process
-        prev = baseline_cache_stats()["maxsize"]
+    def test_init_worker_applies_settings_and_trace(self, tmp_path):
+        # the executor backend's worker config: disk tier, fault plan
+        # and tracing flag land in the worker process
         prev_trace = tracing.is_enabled()
+        disk = str(tmp_path / "cache")
         try:
             init_worker(
-                ExecutorConfig(baseline_cache_size=7, trace=True),
+                ExecutorConfig(
+                    settings=Settings(compile_dir=disk, fault_spec="fail:n=1"),
+                    trace=True,
+                ),
                 allow_kill=False,
                 allow_hang=False,
             )
-            assert baseline_cache_stats()["maxsize"] == 7
+            assert compile_cache_stats()["dir"] == disk
             assert tracing.is_enabled()
+            with pytest.raises(faults.InjectedFault):
+                faults.maybe_inject("any", 1)
         finally:
-            set_baseline_cache_size(prev)
+            runner.apply_settings(Settings())
             tracing.set_enabled(prev_trace)
+        assert compile_cache_stats()["dir"] is None
 
 
 class TestTimeoutValidation:

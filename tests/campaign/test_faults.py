@@ -15,7 +15,7 @@ from repro.campaign.faults import (
 @pytest.fixture(autouse=True)
 def _disarm():
     yield
-    faults.deactivate()
+    faults.activate(None)
 
 
 class TestParse:
@@ -98,7 +98,7 @@ class TestSelection:
 
 class TestInjection:
     def test_inactive_plan_is_a_noop(self):
-        faults.deactivate()
+        faults.activate(None)
         faults.maybe_inject("anything", 1)  # must not raise
 
     def test_fail_raises_injected_fault(self):
@@ -121,9 +121,3 @@ class TestInjection:
         faults.activate("fail:task=ab")
         faults.activate(None)
         faults.maybe_inject("abcd", 1)  # must not raise
-
-    def test_active_spec_reads_environment(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULT_ENV, raising=False)
-        assert faults.active_spec() is None
-        monkeypatch.setenv(faults.FAULT_ENV, "fail:p=0.5")
-        assert faults.active_spec() == "fail:p=0.5"

@@ -7,7 +7,13 @@ import os
 
 import pytest
 
-from repro.campaign import RunStore, TaskResult, merge_stores, summarize_results
+from repro.campaign import (
+    RunStore,
+    TaskResult,
+    merge_stores,
+    run_campaign,
+    summarize_results,
+)
 
 
 def _result(i, status="ok", machine="paragon"):
@@ -116,12 +122,17 @@ class TestRunStore:
 
 class TestDurability:
     def test_fsync_knob_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_FSYNC", raising=False)
-        assert RunStore(str(tmp_path / "a.jsonl")).fsync is False
+        # the knob reaches a campaign's store through the run's Settings
+        # snapshot; RunStore itself never reads the environment
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
         monkeypatch.setenv("REPRO_STORE_FSYNC", "1")
-        assert RunStore(str(tmp_path / "b.jsonl")).fsync is True
-        # an explicit argument beats the environment
-        assert RunStore(str(tmp_path / "c.jsonl"), fsync=False).fsync is False
+        assert RunStore(str(tmp_path / "a.jsonl")).fsync is False
+        run_campaign([], str(tmp_path / "b.jsonl"))
+        assert len(synced) == 1  # the meta record
+        monkeypatch.delenv("REPRO_STORE_FSYNC")
+        run_campaign([], str(tmp_path / "c.jsonl"))
+        assert len(synced) == 1
 
     def test_fsynced_append_roundtrips(self, tmp_path):
         store = RunStore(str(tmp_path / "run.jsonl"), fsync=True)

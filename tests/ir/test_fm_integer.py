@@ -26,7 +26,6 @@ from repro.ir import (
     dependence_cache_stats,
     find_dependences,
     infer_schedules,
-    set_dependence_cache_size,
 )
 
 SEEDS = range(50)
@@ -172,20 +171,16 @@ class TestPipelineIdentity:
         identical whether every FM system runs on the int64 kernel or
         on the Fraction baseline."""
         nests = _pipeline_workloads()
-        prev = set_dependence_cache_size(0)
-        try:
-            fast = [find_dependences(n, p) for n, p in nests]
+        monkeypatch.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
+        fast = [find_dependences(n, p) for n, p in nests]
 
-            def fraction_only(rows, nvars):
-                return dep._fourier_motzkin_fraction(
-                    _as_fraction_ineqs(rows, nvars), nvars
-                )
+        def fraction_only(rows, nvars):
+            return dep._fourier_motzkin_fraction(
+                _as_fraction_ineqs(rows, nvars), nvars
+            )
 
-            monkeypatch.setattr(dep, "_fm_feasible", fraction_only)
-            slow = [find_dependences(n, p) for n, p in nests]
-        finally:
-            monkeypatch.undo()
-            set_dependence_cache_size(prev)
+        monkeypatch.setattr(dep, "_fm_feasible", fraction_only)
+        slow = [find_dependences(n, p) for n, p in nests]
         assert fast == slow
 
 
@@ -196,14 +191,12 @@ class TestDependenceMemo:
         yield
         clear_dependence_caches()
 
-    def test_memoized_results_identical_to_uncached(self):
+    def test_memoized_results_identical_to_uncached(self, monkeypatch):
         nests = _pipeline_workloads()
-        prev = set_dependence_cache_size(0)
-        try:
+        with monkeypatch.context() as m:
+            m.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
             uncached_deps = [find_dependences(n, p) for n, p in nests]
             uncached_scheds = [infer_schedules(n, p) for n, p in nests]
-        finally:
-            set_dependence_cache_size(prev)
         cached_deps = [find_dependences(n, p) for n, p in nests]
         cached_scheds = [infer_schedules(n, p) for n, p in nests]
         assert cached_deps == uncached_deps
@@ -228,17 +221,16 @@ class TestDependenceMemo:
         after = dependence_cache_stats()["inner_loops_parallel"]
         assert after["misses"] == before["misses"]
 
-    def test_disabling_bypasses_and_clears(self):
+    def test_disabling_bypasses_and_clears(self, monkeypatch):
         nest, params = _pipeline_workloads()[0]
         find_dependences(nest, params)
-        prev = set_dependence_cache_size(0)
-        try:
-            stats = dependence_cache_stats()["test_dependence"]
-            assert stats == {"hits": 0, "misses": 0, "size": 0, "maxsize": stats["maxsize"]}
-            find_dependences(nest, params)
-            assert dependence_cache_stats()["test_dependence"]["size"] == 0
-        finally:
-            set_dependence_cache_size(prev)
+        assert dependence_cache_stats()["test_dependence"]["size"] > 0
+        monkeypatch.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
+        clear_dependence_caches()
+        stats = dependence_cache_stats()["test_dependence"]
+        assert stats == {"hits": 0, "misses": 0, "size": 0, "maxsize": stats["maxsize"]}
+        find_dependences(nest, params)
+        assert dependence_cache_stats()["test_dependence"]["size"] == 0
 
     def test_counters_live_in_obs_registry(self):
         from repro import obs

@@ -26,9 +26,12 @@ from repro.machine import (
     clear_route_caches,
     phase_time,
     phase_time_3d,
+    route_cache_for,
+)
+from oracles.machine import (
     phase_time_3d_python,
     phase_time_python,
-    route_cache_for,
+    simulate_python,
 )
 
 PARAMS = CostParams(alpha=10.0, beta=1.0, gamma=0.5)
@@ -168,7 +171,7 @@ class TestVectorizedBitIdentity:
         mesh = Mesh2D(4, 5)
         msgs = random_messages(mesh, 30, seed)
         sim = EventSimulator(mesh, PARAMS)
-        assert sim.run(msgs) == sim.run_python(msgs)
+        assert sim.run(msgs) == simulate_python(sim, msgs)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -232,7 +235,7 @@ class TestHopSemantics:
         msgs = [Message((0, 0), (0, 1), size=3)]
         expected = params.beta * 3 + params.gamma * 1
         assert sim.run(msgs) == expected
-        assert sim.run_python(msgs) == expected
+        assert simulate_python(sim, msgs) == expected
         rep = phase_time(mesh, msgs, params)
         assert rep.max_hops == 1
 

@@ -149,6 +149,3 @@ class TestEnablement:
         assert set_enabled(True) is False
         assert set_enabled(False) is True
         assert tracing.is_enabled() is False
-
-    def test_env_knob_name(self):
-        assert tracing.TRACE_ENV == "REPRO_TRACE"

@@ -6,8 +6,8 @@ the original per-event path (`comm_events_python` / `execute_python`)
 — on the paper's seed scenarios and on randomized generated workloads
 (the campaign generator's full shape vocabulary: mixed depths, perfect
 and non-perfect nests, unimodular / selection / rank-deficient
-accesses).  Same old-vs-new pattern as ``phase_time_python`` in the
-machine layer.
+accesses).  Same old-vs-new pattern as the machine layer's oracles in
+``tests/oracles/machine.py``.
 """
 
 import pytest
