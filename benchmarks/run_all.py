@@ -76,7 +76,13 @@ fused segmented pricing kernels it further asserts that
 ``phase_times_segmented`` ran, and at most once per distinct machine
 model per pricing call (``execute`` / ``execute_group``) — the counts
 land in the same artifact (``segmented_kernel_launches``,
-``kernel_launch_ceiling``, ``phases_per_launch``).
+``kernel_launch_ceiling``, ``phases_per_launch``).  Since the exact
+kernels went fraction-free it also asserts that ``FracMat.rref`` is
+never reached from ``integer_kernel_basis`` or ``hermite.rank``, and
+that ``integer_kernel_basis`` runs its elimination at most once per
+distinct matrix (``integer_kernel_basis_misses`` <=
+``integer_kernel_basis_distinct``, recorded with
+``fracmat_rref_reached_from``).
 """
 
 from __future__ import annotations
@@ -111,6 +117,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     from repro import compile_nest
     from repro.campaign import CampaignConfig, default_spec, run_campaign
     from repro.ir import motivating_example
+    from repro.linalg import get_cache
     from repro.machine import ParagonModel, machine_spec
     from repro.obs import metrics
     from repro.runtime import execute
@@ -131,6 +138,11 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     }
     phases = metrics.counter("runtime.price.phases")
     phases_before = phases.value
+    # the kernel memo never evicts below maxsize, so the growth of its
+    # key set during the run is the number of distinct matrices seen
+    kernel_memo = get_cache("integer_kernel_basis")
+    kernel_keys_before = len(kernel_memo)
+    kernel_lookups_before = kernel_memo.hits + kernel_memo.misses
 
     prof = cProfile.Profile()
     t0 = time.perf_counter()
@@ -181,6 +193,40 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             if name == fn_name
         )
 
+    # exact-kernel gate: the elimination behind integer_kernel_basis
+    # runs once per distinct matrix, and no rank or kernel query
+    # reaches the Fraction elimination (FracMat.rref) any more
+    def _is(func, fn_name: str, module: str) -> bool:
+        fname, _line, name = func
+        return name == fn_name and fname.endswith(module)
+
+    kernel_runs = sum(
+        nc
+        for func, (_cc, nc, *_rest) in stats.stats.items()
+        if _is(func, "integer_kernel_basis", os.path.join("linalg", "kernels.py"))
+    )
+    kernel_distinct = len(kernel_memo) - kernel_keys_before
+    kernel_evicted = len(kernel_memo) >= kernel_memo.maxsize
+    kernel_lookups = kernel_memo.hits + kernel_memo.misses - kernel_lookups_before
+    rref_nodes = [
+        f for f in stats.stats if _is(f, "rref", os.path.join("linalg", "fracmat.py"))
+    ]
+    rref_calls = sum(stats.stats[f][1] for f in rref_nodes)
+    kernel_entry_points = (
+        ("integer_kernel_basis", os.path.join("linalg", "kernels.py")),
+        ("rank", os.path.join("linalg", "hermite.py")),
+    )
+    # walk rref's transitive callers (cProfile records direct edges)
+    seen, todo = set(rref_nodes), list(rref_nodes)
+    while todo:
+        for caller in stats.stats[todo.pop()][4]:
+            if caller not in seen:
+                seen.add(caller)
+                todo.append(caller)
+    rref_reached_from = sorted(
+        {f[2] for f in seen for name, mod in kernel_entry_points if _is(f, name, mod)}
+    )
+
     kernel_launches = _ncalls("phase_times_segmented")
     price_calls = _ncalls("execute") + _ncalls("execute_group")
     launch_ceiling = len(models) * price_calls
@@ -210,6 +256,11 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
                 phases_priced / kernel_launches if kernel_launches else 0.0,
                 2,
             ),
+            "integer_kernel_basis_calls": kernel_lookups,
+            "integer_kernel_basis_misses": kernel_runs,
+            "integer_kernel_basis_distinct": kernel_distinct,
+            "fracmat_rref_calls": rref_calls,
+            "fracmat_rref_reached_from": rref_reached_from,
             "hotspots": rows,
         },
     )
@@ -308,6 +359,34 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"({kernel_launches} segmented kernel launches <= {len(models)} "
         f"models x {price_calls} pricing calls, "
         f"{phases_priced / kernel_launches:.1f} phases per launch)"
+    )
+
+    # the exact-kernel gate: ranks and kernels run on the memoized
+    # fraction-free elimination.  FracMat.rref reached from them means
+    # a Fraction path is back; more eliminations than distinct
+    # matrices means the memo is bypassed (or evicting).
+    if rref_reached_from:
+        print(
+            f"FAIL: FracMat.rref reached from {', '.join(rref_reached_from)} "
+            "in the cold profile — a rank or kernel query is back on "
+            "Fraction elimination (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    if kernel_evicted or kernel_runs > kernel_distinct:
+        print(
+            f"FAIL: integer_kernel_basis ran {kernel_runs} eliminations "
+            f"for {kernel_distinct} distinct matrices"
+            + (" (its memo filled up)" if kernel_evicted else "")
+            + " — the kernel memo is not engaged (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        "gate ok: exact kernels fraction-free and memoized "
+        f"({kernel_runs} eliminations for {kernel_distinct} distinct "
+        f"matrices over {kernel_lookups} calls; FracMat.rref ran "
+        f"{rref_calls}x, never under a rank or kernel query)"
     )
     return 0
 

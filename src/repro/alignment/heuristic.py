@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 from ..decomp import DecompositionPlan, decompose_dataflow
 from ..ir import AccessKind, LoopNest, ScheduledNest, trivial_schedules
 from ..linalg import (
-    FracMat,
     IntMat,
     is_unimodular,
     rank,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..linalg import FracMat, IntMat
+from ..linalg import IntMat
 from ..linalg.cache import _MISSING
 from ..obs import span
 from .dependence import (

@@ -1,9 +1,11 @@
 """Exact rational matrices built on :class:`fractions.Fraction`.
 
-Pseudo-inverses (paper appendix A.2) and rank/nullspace computations are
-rational in general; this module provides the small exact-arithmetic
-matrix type used for them.  :class:`FracMat` mirrors the relevant part of
-the :class:`~repro.linalg.intmat.IntMat` API and converts to/from it.
+Pseudo-inverses (paper appendix A.2), rational solves and exact inverses
+are rational in general; this module provides the small exact-arithmetic
+matrix type used for them.  Ranks and kernels are computed without
+fractions (:mod:`repro.linalg.kernels`).  :class:`FracMat` mirrors the
+relevant part of the :class:`~repro.linalg.intmat.IntMat` API and
+converts to/from it.
 """
 
 from __future__ import annotations
@@ -196,23 +198,6 @@ class FracMat:
             if r == m:
                 break
         return FracMat(a), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def nullspace(self) -> List["FracMat"]:
-        """Basis of the right nullspace, as n x 1 column matrices."""
-        rref, pivots = self.rref()
-        m, n = self.shape
-        free = [j for j in range(n) if j not in pivots]
-        basis: List[FracMat] = []
-        for fc in free:
-            vec = [Fraction(0)] * n
-            vec[fc] = Fraction(1)
-            for r_idx, pc in enumerate(pivots):
-                vec[pc] = -rref[r_idx, fc]
-            basis.append(FracMat([[v] for v in vec]))
-        return basis
 
     def inverse(self) -> "FracMat":
         """Exact inverse of a square non-singular matrix."""

@@ -21,6 +21,7 @@ from typing import List, Tuple
 from .cache import memoize_normal_form
 from .fracmat import FracMat
 from .intmat import IntMat
+from .kernels import integer_rref
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -137,8 +138,8 @@ def row_hnf(a_mat: IntMat) -> Tuple[IntMat, IntMat]:
 
 @memoize_normal_form("rank")
 def rank(a_mat: IntMat) -> int:
-    """Rank of an integer matrix (computed exactly)."""
-    return FracMat.from_int(a_mat).rank()
+    """Rank of an integer matrix over Q (fraction-free elimination)."""
+    return len(integer_rref(a_mat.rows())[1])
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ overflow).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 from ..obs.metrics import counter as _obs_counter
-
-Scalar = Union[int, Fraction]
 
 #: Products below this many scalar multiply-adds stay in pure Python —
 #: for tiny matrices the NumPy round-trip costs more than it saves.
@@ -85,6 +83,17 @@ class IntMat:
         self._rows: Tuple[Tuple[int, ...], ...] = data
         self._shape = (len(data), ncols)
 
+    @classmethod
+    def _wrap(cls, rows: Tuple[Tuple[int, ...], ...]) -> "IntMat":
+        """Trusted constructor: ``rows`` must already be a non-empty,
+        rectangular tuple of tuples of Python ints (a result computed
+        from validated matrices), so the per-entry checks of
+        ``__init__`` are skipped."""
+        self = object.__new__(cls)
+        self._rows = rows
+        self._shape = (len(rows), len(rows[0]))
+        return self
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -93,14 +102,16 @@ class IntMat:
         """The ``n`` x ``n`` identity matrix."""
         if n <= 0:
             raise ValueError("identity size must be positive")
-        return IntMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMat._wrap(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMat":
         """The ``m`` x ``n`` zero matrix."""
         if m <= 0 or n <= 0:
             raise ValueError("matrix dimensions must be positive")
-        return IntMat([[0] * n for _ in range(m)])
+        return IntMat._wrap(((0,) * n,) * m)
 
     @staticmethod
     def row(entries: Sequence[object]) -> "IntMat":
@@ -202,11 +213,11 @@ class IntMat:
 
     def row_vector(self, i: int) -> "IntMat":
         """Row ``i`` as a 1 x n matrix."""
-        return IntMat([self._rows[i]])
+        return IntMat._wrap((self._rows[i],))
 
     def col_vector(self, j: int) -> "IntMat":
         """Column ``j`` as an m x 1 matrix."""
-        return IntMat([[r[j]] for r in self._rows])
+        return IntMat._wrap(tuple((r[j],) for r in self._rows))
 
     def column_tuple(self, j: int) -> Tuple[int, ...]:
         """Column ``j`` as a plain tuple of ints."""
@@ -248,35 +259,39 @@ class IntMat:
     # ------------------------------------------------------------------
     def __add__(self, other: "IntMat") -> "IntMat":
         self._check_same_shape(other)
-        return IntMat(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return IntMat._wrap(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self._rows, other._rows)
-            ]
+            )
         )
 
     def __sub__(self, other: "IntMat") -> "IntMat":
         self._check_same_shape(other)
-        return IntMat(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return IntMat._wrap(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self._rows, other._rows)
-            ]
+            )
         )
 
     def __neg__(self) -> "IntMat":
-        return IntMat([[-x for x in r] for r in self._rows])
+        return IntMat._wrap(tuple(tuple(-x for x in r) for r in self._rows))
 
     def __mul__(self, other):
         if isinstance(other, IntMat):
             return self.matmul(other)
         if isinstance(other, int):
-            return IntMat([[x * other for x in r] for r in self._rows])
+            return IntMat._wrap(
+                tuple(tuple(x * other for x in r) for r in self._rows)
+            )
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return IntMat([[other * x for x in r] for r in self._rows])
+            return IntMat._wrap(
+                tuple(tuple(other * x for x in r) for r in self._rows)
+            )
         return NotImplemented
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
@@ -304,19 +319,22 @@ class IntMat:
                 import numpy as np
 
                 prod = self.to_numpy() @ other.to_numpy()
-                return IntMat(prod.tolist())
+                return IntMat._wrap(tuple(map(tuple, prod.tolist())))
             _matmul_fallbacks.inc()
         return self._matmul_python(other)
 
     def _matmul_python(self, other: "IntMat") -> "IntMat":
         """Arbitrary-precision product (always exact, any magnitude)."""
         ot = list(zip(*other._rows))  # columns of other
-        return IntMat(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._rows]
+        return IntMat._wrap(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                for row in self._rows
+            )
         )
 
     def transpose(self) -> "IntMat":
-        return IntMat(list(zip(*self._rows)))
+        return IntMat._wrap(tuple(zip(*self._rows)))
 
     @property
     def T(self) -> "IntMat":
@@ -326,13 +344,15 @@ class IntMat:
         """Concatenate columns: ``[self | other]``."""
         if self.nrows != other.nrows:
             raise ValueError("hstack requires matching row counts")
-        return IntMat([ra + rb for ra, rb in zip(self._rows, other._rows)])
+        return IntMat._wrap(
+            tuple(ra + rb for ra, rb in zip(self._rows, other._rows))
+        )
 
     def vstack(self, other: "IntMat") -> "IntMat":
         """Concatenate rows: ``[self ; other]``."""
         if self.ncols != other.ncols:
             raise ValueError("vstack requires matching column counts")
-        return IntMat(self._rows + other._rows)
+        return IntMat._wrap(self._rows + other._rows)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMat":
         """Select the given rows and columns, in order."""

@@ -14,8 +14,7 @@ import random
 from itertools import product
 from typing import Iterator, List, Optional
 
-from .fracmat import FracMat
-from .hermite import is_unimodular, unimodular_inverse
+from .hermite import is_unimodular, rank, unimodular_inverse
 from .intmat import IntMat
 from .smith import smith_normal_form
 
@@ -116,4 +115,4 @@ def enumerate_unimodular_2x2(bound: int) -> Iterator[IntMat]:
 
 def full_rank(m: IntMat) -> bool:
     """True iff ``m`` has full rank ``min(shape)``."""
-    return FracMat.from_int(m).rank() == min(m.shape)
+    return rank(m) == min(m.shape)

@@ -31,9 +31,9 @@ from enum import Enum
 from typing import List, Optional
 
 from ..linalg import (
-    FracMat,
     IntMat,
     kernel_difference_directions,
+    kernel_intersection_basis,
     rank,
     right_hermite_narrow,
     unimodular_inverse,
@@ -96,14 +96,14 @@ def _classify_extent(n_dirs: int, m: int) -> Extent:
 def _grid_images(ms: IntMat, dirs: List[IntMat]) -> List[IntMat]:
     """Independent non-zero images ``M_S v`` of the displacement dirs."""
     images: List[IntMat] = []
-    rows: List[List[int]] = []
+    accepted: Optional[IntMat] = None  # the images so far, as columns
     for v in dirs:
         img = ms @ v
         if img.is_zero():
             continue
-        trial = rows + [list(img.column_tuple(0))]
-        if FracMat(trial).rank() == len(trial):
-            rows.append(list(img.column_tuple(0)))
+        trial = img if accepted is None else accepted.hstack(img)
+        if rank(trial) == len(images) + 1:
+            accepted = trial
             images.append(img)
     return images
 
@@ -197,8 +197,6 @@ def detect_reduction(
 
 
 def _inter_dim(mats: List[IntMat]) -> int:
-    from ..linalg import kernel_intersection_basis
-
     return len(kernel_intersection_basis(mats))
 
 
