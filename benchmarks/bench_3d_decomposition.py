@@ -12,7 +12,7 @@ import pytest
 from repro.decomp import unirow_decomposition, verify_factors
 from repro.distribution import CyclicDistribution
 from repro.linalg import IntMat
-from repro.machine import T3DModel
+from repro.machine import MeshModel
 
 from _harness import print_table
 
@@ -24,7 +24,7 @@ SIZE = 4
 
 def compute():
     factors = unirow_decomposition(T3)
-    machine = T3DModel(P, P, P)
+    machine = MeshModel(P, P, P)
     dists = tuple(CyclicDistribution(N, P) for _ in range(3))
     direct = machine.time_general(dists, T3, size=SIZE)
     split = machine.time_decomposed(dists, factors, size=SIZE)

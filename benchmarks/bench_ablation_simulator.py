@@ -15,14 +15,14 @@ import random
 
 import pytest
 
-from repro.machine import CostParams, EventSimulator, Mesh2D, Message, phase_time
+from repro.machine import CostParams, EventSimulator, Mesh, Message, phase_time
 
 from _harness import print_table
 
 PARAMS = CostParams(alpha=10.0, beta=1.0, gamma=0.5)
 
 
-def random_pattern(rng: random.Random, mesh: Mesh2D, nmsg: int):
+def random_pattern(rng: random.Random, mesh: Mesh, nmsg: int):
     nodes = list(mesh.nodes())
     out = []
     for _ in range(nmsg):
@@ -33,7 +33,7 @@ def random_pattern(rng: random.Random, mesh: Mesh2D, nmsg: int):
 
 def collect(seed=7, trials=40):
     rng = random.Random(seed)
-    mesh = Mesh2D(4, 4)
+    mesh = Mesh(4, 4)
     sim = EventSimulator(mesh, PARAMS)
     pairs = []
     for _ in range(trials):

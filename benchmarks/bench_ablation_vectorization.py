@@ -11,7 +11,7 @@ import pytest
 
 from repro.alignment import two_step_heuristic
 from repro.ir import NestBuilder, outer_sequential_schedules
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 from _harness import print_table
@@ -34,7 +34,7 @@ def build_program():
     nest = b.build()
     schedules = outer_sequential_schedules(nest, outer=1)
     result = two_step_heuristic(nest, m=2, schedules=schedules)
-    machine = ParagonModel(2, 2)
+    machine = MeshModel(2, 2)
     program = MappedProgram(
         mapping=result,
         folding=Folding(mesh=machine.mesh, extent=8),

@@ -12,8 +12,8 @@ import pytest
 
 from repro.linalg import IntMat
 from repro.machine import (
-    Mesh2D,
-    ParagonModel,
+    Mesh,
+    MeshModel,
     broadcast_tree_phases,
     partial_broadcast_row_phases,
 )
@@ -58,7 +58,7 @@ def test_fig45_classification(benchmark):
 
 def test_fig45_cost_total_vs_partial(benchmark):
     """A partial (row) broadcast is cheaper than a total one."""
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
 
     def price():
         total = machine.time_phases(

@@ -16,7 +16,7 @@ from repro.distribution import (
     GroupedDistribution,
 )
 from repro.linalg import IntMat
-from repro.machine import ParagonModel, decomposed_phases
+from repro.machine import MeshModel, decomposed_phases
 
 from _harness import print_table
 
@@ -38,7 +38,7 @@ def test_fig7_two_phase_execution(benchmark):
     two-phase schedule beats the direct general pattern (the paper's
     10x6 virtual grid)."""
     n1, n2 = 10, 6
-    machine = ParagonModel(3, 2)
+    machine = MeshModel(3, 2)
     grouped = Distribution2D(
         GroupedDistribution(n1, 3, k=3),  # rows move by U(3)'s stride
         GroupedDistribution(n2, 2, k=2),  # cols move by L(2)'s stride
@@ -66,7 +66,7 @@ def test_fig7_matched_stride_fully_local(benchmark):
     """When the grid sizes align classes with physical blocks, the
     grouped partition makes the elementary phases entirely local —
     the limit case of the paper's construction."""
-    machine = ParagonModel(3, 2)
+    machine = MeshModel(3, 2)
     grouped = Distribution2D(
         GroupedDistribution(12, 3, k=3), GroupedDistribution(12, 2, k=2)
     )

@@ -22,7 +22,7 @@ from repro.distribution import (
     Distribution2D,
     GroupedDistribution,
 )
-from repro.machine import ParagonModel, affine_pattern
+from repro.machine import MeshModel, affine_pattern
 
 from _harness import print_table, series
 
@@ -45,7 +45,7 @@ def time_u_comm(machine, row_dist, k):
 
 
 def compute_figure(k):
-    machine = ParagonModel(P, Q)
+    machine = MeshModel(P, Q)
     grouped = time_u_comm(machine, GroupedDistribution(N, P, k=k), k)
     block = time_u_comm(machine, BlockDistribution(N, P), k)
     cyclic = time_u_comm(machine, CyclicDistribution(N, P), k)
@@ -107,7 +107,7 @@ def test_fig8_matched_stride_is_free(benchmark):
     """k == P: every residue class coincides with one physical block
     and the U(k) communication is entirely processor-local under the
     grouped partition — the strongest possible ratio of the figure."""
-    machine = ParagonModel(P, Q)
+    machine = MeshModel(P, Q)
     t = benchmark(
         lambda: time_u_comm(machine, GroupedDistribution(N, P, k=P), P)
     )

@@ -12,7 +12,7 @@ import pytest
 from repro.alignment import two_step_heuristic, var_node
 from repro.ir import motivating_example
 from repro.linalg import IntMat
-from repro.machine import CM5Model, ParagonModel
+from repro.machine import CM5Model, MeshModel
 from repro.macrocomm import Extent, MacroKind
 from repro.runtime import Folding, MappedProgram, execute
 
@@ -59,7 +59,7 @@ def test_motivating_example_execution_cost(benchmark):
     """End-to-end costing: the optimized mapping on the mesh, with
     collective hardware for the broadcasts."""
     result = run()
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     folding = Folding(mesh=machine.mesh, extent=12)
     program = MappedProgram(
         mapping=result, folding=folding, params={"N": 5, "M": 5}

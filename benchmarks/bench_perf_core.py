@@ -37,7 +37,7 @@ from repro.linalg import IntMat, cache_stats
 from repro.machine import (
     CostParams,
     EventSimulator,
-    Mesh2D,
+    Mesh,
     Message,
     RouteCache,
     affine_pattern,
@@ -73,7 +73,7 @@ def check_speedup_floor(measured: float, target: float, what: str) -> None:
     warnings.warn(msg + " (non-strict mode: recorded, not failed)")
 
 
-def random_pattern(mesh: Mesh2D, nmsg: int, seed: int):
+def random_pattern(mesh: Mesh, nmsg: int, seed: int):
     rng = random.Random(seed)
     nodes = list(mesh.nodes())
     out = []
@@ -96,7 +96,7 @@ def best_of(fn, repeats: int = REPEATS) -> float:
 def measure_workloads():
     rows = []
     for side, nmsg in WORKLOADS:
-        mesh = Mesh2D(side, side)
+        mesh = Mesh(side, side)
         msgs = random_pattern(mesh, nmsg, seed=side)
         cache = RouteCache(mesh)
         sim = EventSimulator(mesh, PARAMS, cache=cache)
@@ -180,7 +180,7 @@ def test_event_simulator_speedup(workload_rows):
 def seed_scenario_phases():
     """The paper's seed scenarios: Figure 7's general affine pattern and
     the decomposed L/U phases of Table 2, on the 3x4 example mesh."""
-    mesh = Mesh2D(3, 4)
+    mesh = Mesh(3, 4)
     dist = Distribution2D(
         CyclicDistribution(12, 3), BlockDistribution(12, 4)
     )

@@ -34,7 +34,7 @@ import pytest
 from repro import compile_nest
 from repro.campaign import generate_workloads
 from repro.ir import motivating_example, platonoff_example
-from repro.machine import CM5Model, ParagonModel
+from repro.machine import CM5Model, MeshModel
 from repro.runtime import execute, execute_python
 
 from _harness import print_table, record_bench
@@ -74,7 +74,7 @@ def reference():
     *pricing* bounds ``PARAMS`` only enter at program construction,
     exactly how the golden 2-D regression runs the same nest."""
     compiled = compile_nest(motivating_example(), m=2)
-    machine = ParagonModel(*MESH)
+    machine = MeshModel(*MESH)
     return compiled, machine
 
 
@@ -162,7 +162,7 @@ def test_seed_scenarios_bit_identical():
     for nest, params in cases:
         compiled = compile_nest(nest, m=2, params=params)
         for mesh in ((2, 2), (4, 4)):
-            machine = ParagonModel(*mesh)
+            machine = MeshModel(*mesh)
             prog = compiled.program(machine, params)
             assert execute(prog, machine) == execute_python(prog, machine)
             assert execute(prog, machine, collectives=cm5) == execute_python(
@@ -173,7 +173,7 @@ def test_seed_scenarios_bit_identical():
 
 def test_generated_corpus_bit_identical():
     """A slice of the campaign generator corpus prices identically."""
-    machine = ParagonModel(2, 2)
+    machine = MeshModel(2, 2)
     for wl in generate_workloads(seed=3, count=6):
         nest = wl.resolve()
         compiled = compile_nest(

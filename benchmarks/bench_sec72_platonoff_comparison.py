@@ -10,7 +10,7 @@ import pytest
 from repro.alignment import two_step_heuristic
 from repro.baselines import platonoff_mapping
 from repro.ir import outer_sequential_schedules, platonoff_example
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 from _harness import print_table
@@ -19,7 +19,7 @@ from _harness import print_table
 def compare(n: int):
     nest = platonoff_example()
     schedules = outer_sequential_schedules(nest, outer=1)
-    machine = ParagonModel(3, 3)
+    machine = MeshModel(3, 3)
     folding = Folding(mesh=machine.mesh, extent=max(4, n + 1))
     params = {"n": n}
 

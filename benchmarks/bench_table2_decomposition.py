@@ -17,7 +17,7 @@ import pytest
 from repro.decomp import L, U
 from repro.distribution import CyclicDistribution, Distribution2D
 from repro.linalg import IntMat
-from repro.machine import ParagonModel, affine_pattern, decomposed_phases
+from repro.machine import MeshModel, affine_pattern, decomposed_phases
 
 from _harness import print_table
 
@@ -29,7 +29,7 @@ SIZE = 8
 
 
 def compute_times():
-    machine = ParagonModel(P, Q)
+    machine = MeshModel(P, Q)
     dist = Distribution2D(CyclicDistribution(N, P), CyclicDistribution(N, Q))
     factors = [L(2), U(3)]
     direct = machine.time_general(dist, T, size=SIZE)
@@ -71,7 +71,7 @@ def test_table2_ordering_robust_to_machine_constants(benchmark):
         )
         for alpha in (20.0, 80.0, 320.0):
             for beta in (0.5, 1.0, 2.0):
-                machine = ParagonModel(P, Q, params=CostParams(alpha=alpha, beta=beta))
+                machine = MeshModel(P, Q, params=CostParams(alpha=alpha, beta=beta))
                 direct = machine.time_general(dist, T, size=SIZE)
                 split = machine.time_decomposed(dist, [L(2), U(3)], size=SIZE)
                 out.append((alpha, beta, direct, split))

@@ -118,7 +118,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     from repro.campaign import CampaignConfig, default_spec, run_campaign
     from repro.ir import motivating_example
     from repro.linalg import get_cache
-    from repro.machine import ParagonModel, machine_spec
+    from repro.machine import MeshModel, machine_spec
     from repro.obs import metrics
     from repro.runtime import execute
 
@@ -127,7 +127,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     spec = default_spec(seed=0, nests=4, meshes=((4, 4), (2, 2)))
     tasks = spec.expand()
     compiled = compile_nest(motivating_example(), m=2)
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     params = {"N": 14, "M": 14}
 
     # distinct point-to-point models (cm5 and paragon share one per mesh)

@@ -15,7 +15,7 @@ Run:  python examples/adi_stencil.py
 from repro.alignment import two_step_heuristic
 from repro.codegen import generate_spmd
 from repro.ir import parse_nest, outer_sequential_schedules
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.report import format_mapping_summary
 from repro.runtime import Folding, MappedProgram, execute
 
@@ -45,7 +45,7 @@ def main() -> None:
     print()
     print(generate_spmd(result))
 
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     folding = Folding(mesh=machine.mesh, extent=8)
     program = MappedProgram(
         mapping=result, folding=folding, params={"T": 2, "N": 6}

@@ -26,7 +26,7 @@ Run:  python examples/gaussian_elimination.py
 from repro import compile_nest
 from repro.ir import Schedule, ScheduledNest, parse_nest
 from repro.linalg import IntMat
-from repro.machine import CM5Model, ParagonModel
+from repro.machine import CM5Model, MeshModel
 
 SOURCE = """
 array A(2)
@@ -62,7 +62,7 @@ def main() -> None:
     print()
     print(compiled.spmd)
 
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     rep = compiled.run(machine, params={"N": 6}, collectives=CM5Model())
     print(rep.describe())
     print()

@@ -22,7 +22,7 @@ from repro.distribution import (
     GroupedDistribution,
 )
 from repro.linalg import IntMat
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
 
     n = 24
     p, q = 4, 4
-    machine = ParagonModel(p, q)
+    machine = MeshModel(p, q)
     size = 8
 
     def price(dist, label):

@@ -18,7 +18,7 @@ Run:  python examples/matmul_alignment.py
 
 from repro.alignment import two_step_heuristic
 from repro.ir import NestBuilder, outer_sequential_schedules, trivial_schedules
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 
@@ -74,7 +74,7 @@ def main() -> None:
                 f"grid directions {d.tolist() if d else '—'}"
             )
 
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     folding = Folding(mesh=machine.mesh, extent=8)
     program = MappedProgram(mapping=result, folding=folding, params={"N": 7})
     report = execute(program, machine)

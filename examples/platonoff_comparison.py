@@ -18,7 +18,7 @@ Run:  python examples/platonoff_comparison.py
 from repro.alignment import two_step_heuristic
 from repro.baselines import platonoff_mapping
 from repro.ir import outer_sequential_schedules, platonoff_example
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 
@@ -26,7 +26,7 @@ def main() -> None:
     nest = platonoff_example()
     print(nest.describe())
     schedules = outer_sequential_schedules(nest, outer=1)
-    machine = ParagonModel(3, 3)
+    machine = MeshModel(3, 3)
     folding = Folding(mesh=machine.mesh, extent=9)
     n = 4
     params = {"n": n}

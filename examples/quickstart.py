@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 from repro.alignment import build_access_graph, two_step_heuristic, var_node
 from repro.ir import motivating_example
 from repro.linalg import IntMat
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     print()
 
     # --- execution on a mesh -------------------------------------------
-    machine = ParagonModel(4, 4)
+    machine = MeshModel(4, 4)
     folding = Folding(mesh=machine.mesh, extent=16)
     program = MappedProgram(
         mapping=result, folding=folding, params={"N": 6, "M": 6}

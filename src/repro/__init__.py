@@ -11,7 +11,7 @@ Public API tour
   of every residual (translation / macro / decomposed / general).
 * Execute it: fold onto a mesh with :class:`repro.runtime.Folding`,
   run :func:`repro.runtime.execute` against a
-  :class:`repro.machine.ParagonModel` (optionally with
+  :class:`repro.machine.MeshModel` (optionally with
   :class:`repro.machine.CM5Model` hardware collectives).
 * Compare: :mod:`repro.baselines` implements Feautrier-style greedy
   placement and Platonoff's broadcast-first strategy.

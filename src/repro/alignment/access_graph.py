@@ -23,9 +23,9 @@ branching zeroes out the largest traffic first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..ir import AffineAccess, LoopNest, Statement
+from ..ir import AffineAccess, LoopNest
 from ..linalg import (
     IntMat,
     best_left_inverse,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import AccessKind, LoopNest
-from ..linalg import IntMat, full_rank, left_kernel_basis
+from ..linalg import IntMat, left_kernel_basis
 from ..obs import span
 from .access_graph import (
     AccessGraph,

@@ -12,7 +12,7 @@ networkx as an oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..decomp import DecompositionPlan, decompose_dataflow
-from ..ir import AccessKind, LoopNest, ScheduledNest, trivial_schedules
+from ..ir import LoopNest, ScheduledNest, trivial_schedules
 from ..linalg import (
     IntMat,
     is_unimodular,
@@ -38,9 +38,6 @@ from ..linalg import (
 from ..macrocomm import (
     Extent,
     MacroComm,
-    MacroKind,
-    axis_alignment_rotation,
-    axis_parallel,
     can_vectorize,
     detect_broadcast,
     detect_gather,

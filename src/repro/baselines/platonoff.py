@@ -30,7 +30,6 @@ from ..alignment.heuristic import MappingResult, optimize_residuals
 from ..ir import AccessKind, LoopNest, ScheduledNest
 from ..linalg import (
     IntMat,
-    integer_kernel_basis,
     kernel_intersection_basis,
     solve_integer_xf_eq_s,
     unimodular_completion,

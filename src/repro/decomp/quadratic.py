@@ -28,7 +28,7 @@ matrices.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..linalg import IntMat
 

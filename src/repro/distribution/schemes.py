@@ -19,7 +19,7 @@ Figure 6 of the paper (12 virtual, k = 3, P = 4)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -192,6 +192,11 @@ class Distribution2D:
 
     def phys(self, v: Tuple[int, int]) -> Tuple[int, int]:
         return (self.rows.phys(v[0]), self.cols.phys(v[1]))
+
+    def __iter__(self) -> Iterator[Distribution1D]:
+        """The per-axis distributions, ``rows`` then ``cols`` — the
+        form the rank-generic pattern generators take."""
+        return iter((self.rows, self.cols))
 
     def describe(self) -> str:
         return f"{self.rows.describe()} x {self.cols.describe()}"

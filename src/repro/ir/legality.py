@@ -45,7 +45,6 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
-from .loopnest import LoopNest
 from .schedule import ScheduledNest
 
 #: int64 safety bound shared with the runtime layer's affine stages

@@ -15,7 +15,7 @@ iteration space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..linalg import IntMat
 from ..linalg.cache import _MISSING
@@ -26,7 +26,7 @@ from .dependence import (
     dependence_cache_enabled,
     find_dependences,
 )
-from .loopnest import LoopNest, Statement
+from .loopnest import LoopNest
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ converts to/from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .intmat import IntMat
 

@@ -15,7 +15,6 @@ used in the proof of Lemma 1.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Tuple
 
 from .cache import memoize_normal_form

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from .hermite import is_unimodular, rank, unimodular_inverse
 from .intmat import IntMat

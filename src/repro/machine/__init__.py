@@ -1,20 +1,20 @@
 """DMPC machine models.
 
-* :mod:`~repro.machine.topology` / :mod:`~repro.machine.topology3d` —
-  2-D and 3-D meshes, dimension-order routing, messages (endpoints are
-  coordinate tuples of the mesh rank);
+* :mod:`~repro.machine.topology` — the rank-generic :class:`Mesh`
+  (2-D Paragon, 3-D T3D, any rank), dimension-order routing and
+  messages (endpoints are coordinate tuples of the mesh rank);
 * :mod:`~repro.machine.routecache` — integer link ids and LRU-cached
   NumPy route arrays (the vectorized core; see PERFORMANCE.md);
-* :mod:`~repro.machine.contention` — analytic link-contention timing,
-  rank-generic over the route caches;
+* :mod:`~repro.machine.contention` — analytic link-contention timing
+  over the route caches;
 * :mod:`~repro.machine.eventsim` — event-driven store-and-forward
-  simulator (cross-validation), rank-generic;
+  simulator (cross-validation);
 * :mod:`~repro.machine.patterns` — translation / affine / decomposed /
   broadcast / reduction message generators;
 * :mod:`~repro.machine.model` — the :class:`MachineModel` protocol and
   the name→factory registry (``paragon`` / ``cm5`` / ``t3d``);
-* :mod:`~repro.machine.machines` — :class:`ParagonModel`,
-  :class:`T3DModel` and :class:`CM5Model` presets.
+* :mod:`~repro.machine.machines` — the :class:`MeshModel` and
+  :class:`CM5Model` presets.
 """
 
 from .contention import (
@@ -36,19 +36,12 @@ from .model import (
     make_machine,
     register_machine,
 )
-from .machines import CM5Model, ParagonModel, T3DModel
+from .machines import CM5Model, MeshModel
 from .routecache import (
     RouteCache,
-    RouteCache3D,
     clear_route_caches,
     route_cache_for,
     route_cache_stats,
-)
-from .topology3d import (
-    Mesh3D,
-    Message3,
-    affine_pattern_3d,
-    phase_time_3d,
 )
 from .patterns import (
     affine_pattern,
@@ -60,10 +53,10 @@ from .patterns import (
     reduction_tree_phases,
     translation_pattern,
 )
-from .topology import Mesh2D, Message
+from .topology import Mesh, Message
 
 __all__ = [
-    "Mesh2D",
+    "Mesh",
     "Message",
     "CostParams",
     "PhaseReport",
@@ -81,17 +74,11 @@ __all__ = [
     "make_machine",
     "register_machine",
     "RouteCache",
-    "RouteCache3D",
     "route_cache_for",
     "route_cache_stats",
     "clear_route_caches",
-    "ParagonModel",
+    "MeshModel",
     "CM5Model",
-    "T3DModel",
-    "Mesh3D",
-    "Message3",
-    "affine_pattern_3d",
-    "phase_time_3d",
     "translation_pattern",
     "affine_pattern",
     "coalesce",

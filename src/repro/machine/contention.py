@@ -2,11 +2,11 @@
 model).
 
 All messages of one communication *phase* start simultaneously.  Each
-message loads every link of its XY route with its size; links serve
-traffic at one size-unit per time-unit, so a phase cannot finish before
-its most loaded link has drained.  Adding the per-message start-up cost
-(paid serially by each sender for each of its messages) and the pipeline
-latency of the longest route gives
+message loads every link of its dimension-order route with its size;
+links serve traffic at one size-unit per time-unit, so a phase cannot
+finish before its most loaded link has drained.  Adding the per-message
+start-up cost (paid serially by each sender for each of its messages)
+and the pipeline latency of the longest route gives
 
     ``T = alpha * max_msgs_per_sender + beta * max_link_load
          + gamma * max_hops``
@@ -80,12 +80,10 @@ def phase_time(
 ) -> PhaseReport:
     """Time for one phase of simultaneous messages on the mesh.
 
-    Rank-generic: ``mesh`` may be any mesh with a route cache
-    (:class:`~repro.machine.topology.Mesh2D`,
-    :class:`~repro.machine.topology3d.Mesh3D`); message endpoints are
-    coordinate tuples of the matching rank.  Vectorized: link loads
-    accumulate by ``np.bincount`` over the cached link-id arrays of all
-    routes at once.  ``cache`` defaults to the shared per-mesh
+    ``mesh`` is a :class:`~repro.machine.topology.Mesh` of any rank;
+    message endpoints are coordinate tuples of that rank.  Vectorized:
+    link loads accumulate by ``np.bincount`` over the cached link-id
+    arrays of all routes at once.  ``cache`` defaults to the shared per-mesh
     :func:`~repro.machine.routecache.route_cache_for` cache; pass an
     explicit one for isolation.
     """
@@ -366,8 +364,7 @@ def phased_time(
     params: CostParams,
 ) -> List[PhaseReport]:
     """Time a sequence of phases executed one after the other (the
-    decomposed-communication schedule: L then U, not in parallel).
-    Rank-generic like :func:`phase_time`."""
+    decomposed-communication schedule: L then U, not in parallel)."""
     return [phase_time(mesh, msgs, params) for msgs in phases]
 
 

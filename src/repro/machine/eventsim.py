@@ -7,17 +7,18 @@ providing the A2 ablation (how tight is the analytic model?) and an
 independent check of the orderings the benchmarks rely on.
 
 Model: wormhole / circuit-switched semantics, as on the Paragon.  A
-message needs *all* links of its XY route at once; it starts when every
-link is free (and its sender has finished the per-message start-up of
-its earlier messages), holds the whole path for ``beta * size +
-gamma * hops`` time units, then releases it.  Conflicting messages thus
-serialize path-wise — including the head-of-line blocking that makes
-irregular affine patterns slow on real wormhole meshes.
+message needs *all* links of its dimension-order route at once; it
+starts when every link is free (and its sender has finished the
+per-message start-up of its earlier messages), holds the whole path
+for ``beta * size + gamma * hops`` time units, then releases it.
+Conflicting messages thus serialize path-wise — including the
+head-of-line blocking that makes irregular affine patterns slow on
+real wormhole meshes.
 
 Scheduling is greedy in (ready time, message order): a simple but
 deterministic arbitration, adequate for ordering comparisons.
 
-Hop count: ``hops`` is :meth:`~repro.machine.topology.Mesh2D.hops`
+Hop count: ``hops`` is :meth:`~repro.machine.topology.Mesh.hops`
 (Manhattan distance), which for every remote pair equals
 ``len(route) - 2`` — the route is exactly injection + one network link
 per hop + ejection.  An earlier revision derived hops from the route
@@ -48,10 +49,8 @@ from .topology import Message
 class EventSimulator:
     """Simulate one communication phase; returns the makespan.
 
-    Rank-generic: ``mesh`` may be any mesh with a route cache
-    (:class:`~repro.machine.topology.Mesh2D` or
-    :class:`~repro.machine.topology3d.Mesh3D`); it works off the
-    cache's integer link-id arrays.
+    ``mesh`` is a :class:`~repro.machine.topology.Mesh` of any rank;
+    the simulator works off its route cache's integer link-id arrays.
     """
 
     def __init__(self, mesh, params: CostParams, cache=None):

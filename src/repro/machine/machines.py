@@ -1,14 +1,12 @@
-"""Machine model presets: Paragon-style 2-D mesh, T3D-style 3-D mesh
-and the CM-5-style fat tree — all behind one
-:class:`~repro.machine.model.MachineModel` interface.
+"""Machine model presets: the mesh model (Paragon-style 2-D,
+T3D-style 3-D) and the CM-5-style fat tree.
 
-**Paragon model** — a 2-D mesh with per-link serialization; costs come
-from the analytic contention model (cross-checked by the event-driven
-simulator).  Used for Table 2, Figure 7 and Figure 8.
-
-**T3D model** — the same cost structure one dimension up (the paper's
-m = 3 case): same ``PhaseReport`` timing surface, same event-driven
-cross-check, over XYZ dimension-order routes.
+**Mesh model** — a mesh of any rank with per-link serialization; costs
+come from the analytic contention model (cross-checked by the
+event-driven simulator).  On a 2-D mesh it is the Paragon of Table 2,
+Figure 7 and Figure 8; on a 3-D mesh the T3D (the paper's m = 3 case),
+same ``PhaseReport`` timing surface over the same dimension-order
+routes.
 
 **CM-5 model** — what Table 1 needs is the *structure* of the CM-5:
 
@@ -26,15 +24,16 @@ qualitative ordering — reduction ≈ broadcast ≪ translation ≪ general —
 follows from the structure, not from fitting the paper's numbers.
 
 The name→factory **registry** lives in :mod:`repro.machine.model`; the
-presets register themselves at import: ``paragon`` (2-D), ``cm5``
-(2-D point-to-point + fat-tree collectives) and ``t3d`` (3-D).
+presets register themselves at import: ``paragon`` (2-D mesh model),
+``cm5`` (2-D mesh model + fat-tree collectives) and ``t3d`` (3-D mesh
+model).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,19 +48,22 @@ from .contention import (
 )
 from .eventsim import EventSimulator
 from .model import MachineSpec, register_machine
-from .topology import Mesh2D, Message
+from .patterns import affine_pattern, decomposed_phases
+from .topology import Mesh, Message
 
 
-@dataclass
-class ParagonModel:
-    """2-D mesh machine with link contention (Paragon-like)."""
+@dataclass(init=False)
+class MeshModel:
+    """Mesh machine with link contention, any mesh rank:
+    ``MeshModel(p, q)`` is Paragon-like, ``MeshModel(p, q, r)``
+    T3D-like (the paper's m = 3 case)."""
 
-    p: int
-    q: int
-    params: CostParams = field(default_factory=CostParams)
+    mesh: Mesh
+    params: CostParams
 
-    def __post_init__(self):
-        self.mesh = Mesh2D(self.p, self.q)
+    def __init__(self, *sides: int, params: Optional[CostParams] = None):
+        self.mesh = Mesh(*sides)
+        self.params = CostParams() if params is None else params
 
     def time_phase(self, messages: Sequence[Message]) -> PhaseReport:
         return phase_time(self.mesh, messages, self.params)
@@ -73,17 +75,17 @@ class ParagonModel:
         pricing call enter as endpoint coordinate matrices plus an
         int64 segment column and are priced by one kernel
         (:func:`~repro.machine.contention.phase_times_segmented`) —
-        the surface the executor probes for (duck-typed; bit-identical
-        to per-phase pricing)."""
+        the executor's pricing entry (bit-identical to per-phase
+        pricing)."""
         return phase_times_segmented(
             self.mesh, senders, receivers, sizes, phase_ids, self.params,
             n_phases=n_phases,
         )
 
-    def time_phases(self, phases: Sequence[Sequence[Message]]) -> float:
+    def time_phases(self, phases: Iterable[Sequence[Message]]) -> float:
         return total_time(phased_time(self.mesh, phases, self.params))
 
-    def time_event_driven(self, phases: Sequence[Sequence[Message]]) -> float:
+    def time_event_driven(self, phases: Iterable[Sequence[Message]]) -> float:
         sim = EventSimulator(self.mesh, self.params)
         return sim.run_phases(phases)
 
@@ -97,80 +99,18 @@ class ParagonModel:
     # strides, so all elements for one destination coalesce into a
     # single vectorized message.
 
-    def time_general(self, dist, t_mat, size: int = 1) -> float:
-        """Direct execution of data-flow matrix ``t_mat``: element-wise
-        messages (not vectorizable by the compiler)."""
-        from .patterns import affine_pattern
-
-        msgs = affine_pattern(dist, t_mat, size=size, merge=False)
-        return self.time_phase(msgs).time
-
-    def time_decomposed(self, dist, factors, size: int = 1) -> float:
-        """Execution of ``t = f1 @ f2 @ ...`` as coalesced axis-parallel
-        phases."""
-        from .patterns import decomposed_phases
-
-        return self.time_phases(decomposed_phases(dist, factors, size=size))
-
-
-@dataclass
-class T3DModel:
-    """3-D mesh machine (Cray T3D-like) — the paper's m = 3 case.
-
-    Same cost structure and same interface as the Paragon model, one
-    more dimension: ``time_phase`` returns the full
-    :class:`~repro.machine.contention.PhaseReport` (time plus per-link
-    utilization) and the event-driven simulator cross-checks the
-    analytic bound, exactly as in 2-D.
-    """
-
-    p: int
-    q: int
-    r: int
-    params: CostParams = field(default_factory=CostParams)
-
-    def __post_init__(self):
-        from .topology3d import Mesh3D
-
-        self.mesh = Mesh3D(self.p, self.q, self.r)
-
-    def time_phase(self, messages) -> PhaseReport:
-        return phase_time(self.mesh, messages, self.params)
-
-    def time_phases_segmented(
-        self, senders, receivers, sizes, phase_ids, n_phases=None
-    ) -> SegmentedPhaseReport:
-        """Fused multi-phase pricing on the cube, as on the 2-D model."""
-        return phase_times_segmented(
-            self.mesh, senders, receivers, sizes, phase_ids, self.params,
-            n_phases=n_phases,
-        )
-
-    def time_phases(self, phases) -> float:
-        return total_time(phased_time(self.mesh, phases, self.params))
-
-    def time_event_driven(self, phases) -> float:
-        sim = EventSimulator(self.mesh, self.params)
-        return sim.run_phases(phases)
-
     def time_general(self, dists, t_mat, size: int = 1) -> float:
-        """Direct element-wise execution of a 3x3 data-flow matrix;
-        ``dists`` is a triple of 1-D distributions."""
-        from .topology3d import affine_pattern_3d
-
+        """Direct execution of data-flow matrix ``t_mat``: element-wise
+        messages (not vectorizable by the compiler).  ``dists`` holds
+        one 1-D distribution per mesh axis."""
         return self.time_phase(
-            affine_pattern_3d(dists, t_mat, size=size, merge=False)
+            affine_pattern(dists, t_mat, size=size, merge=False)
         ).time
 
     def time_decomposed(self, dists, factors, size: int = 1) -> float:
         """Execution of ``t = f1 @ f2 @ ...`` as coalesced axis-parallel
-        phases on the cube."""
-        from .topology3d import affine_pattern_3d
-
-        return self.time_phases(
-            affine_pattern_3d(dists, f, size=size)
-            for f in reversed(list(factors))
-        )
+        phases."""
+        return self.time_phases(decomposed_phases(dists, factors, size=size))
 
 
 @dataclass
@@ -259,7 +199,7 @@ register_machine(
     MachineSpec(
         name="paragon",
         mesh_rank=2,
-        factory=ParagonModel,
+        factory=MeshModel,
         description="2-D mesh, analytic link contention (Paragon-like)",
     )
 )
@@ -267,7 +207,7 @@ register_machine(
     MachineSpec(
         name="cm5",
         mesh_rank=2,
-        factory=ParagonModel,
+        factory=MeshModel,
         collectives=lambda nodes: CM5Model(nodes=nodes),
         description=(
             "2-D mesh point-to-point pricing + fat-tree hardware "
@@ -279,7 +219,7 @@ register_machine(
     MachineSpec(
         name="t3d",
         mesh_rank=3,
-        factory=T3DModel,
+        factory=MeshModel,
         description="3-D mesh, analytic link contention (Cray T3D-like)",
     )
 )

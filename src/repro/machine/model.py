@@ -1,18 +1,19 @@
 """The machine-model abstraction: one protocol, one name registry.
 
-Every mesh machine the pipeline can price — Paragon-style 2-D, Cray
-T3D-style 3-D, and any future backend — implements the same
-:class:`MachineModel` surface:
+Every mesh machine the pipeline can price — the Paragon-style 2-D and
+Cray T3D-style 3-D :class:`~repro.machine.machines.MeshModel`, and any
+future backend — implements the :class:`MachineModel` surface the
+executor calls:
 
-* ``mesh`` — the physical topology (anything with ``dims``/``route``);
-* ``params`` — the :class:`~repro.machine.contention.CostParams`;
-* ``time_phase(messages) -> PhaseReport`` — price one phase of
-  simultaneous point-to-point messages;
-* ``time_phases(phases) -> float`` — price a sequence of phases;
-* ``time_general(dists, t_mat, size) -> float`` — direct element-wise
-  execution of a data-flow matrix;
-* ``time_decomposed(dists, factors, size) -> float`` — the factored
-  axis-parallel schedule.
+* ``mesh`` — the physical topology (its ``dims`` fold the virtual
+  grid);
+* ``params`` — the :class:`~repro.machine.contention.CostParams`
+  (with ``mesh``, the key under which models share a kernel launch);
+* ``time_phases_segmented(senders, receivers, sizes, phase_ids,
+  n_phases)`` — price many phases of point-to-point messages in one
+  call (the pricing path of :func:`repro.runtime.execute`);
+* ``time_phase(messages) -> PhaseReport`` — price one phase (the
+  per-event reference :func:`repro.runtime.execute_python`).
 
 The **registry** maps the machine names the CLI and the campaign layer
 speak (``paragon``, ``cm5``, ``t3d``) to a :class:`MachineSpec`: the
@@ -38,7 +39,7 @@ from typing import (
 )
 
 from ..report import format_mesh
-from .contention import CostParams, PhaseReport
+from .contention import CostParams, PhaseReport, SegmentedPhaseReport
 
 
 @runtime_checkable
@@ -48,16 +49,12 @@ class MachineModel(Protocol):
     mesh: object
     params: CostParams
 
+    def time_phases_segmented(
+        self, senders, receivers, sizes, phase_ids, n_phases=None
+    ) -> SegmentedPhaseReport:
+        ...
+
     def time_phase(self, messages) -> PhaseReport:
-        ...
-
-    def time_phases(self, phases) -> float:
-        ...
-
-    def time_general(self, dists, t_mat, size: int = 1) -> float:
-        ...
-
-    def time_decomposed(self, dists, factors, size: int = 1) -> float:
         ...
 
 

@@ -3,27 +3,19 @@
 Build concrete :class:`~repro.machine.topology.Message` sets for the
 patterns the paper measures: translations, general affine
 redistributions, elementary ``L``/``U`` phases, and software
-broadcast / reduction trees.  A pattern is produced against a 2-D
-virtual grid folded onto the physical mesh by a
-:class:`~repro.distribution.Distribution2D`.
+broadcast / reduction trees.  A pattern is produced against an m-D
+virtual grid folded onto the physical mesh by one 1-D distribution per
+axis (a :class:`~repro.distribution.Distribution2D` is the 2-D pair).
 """
 
 from __future__ import annotations
 
+from itertools import product
+from operator import getitem, mod, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..distribution import Distribution2D
 from ..linalg import IntMat
-from .topology import Mesh2D, Message
-
-Virtual = Tuple[int, int]
-
-
-def _virtuals(dist: Distribution2D):
-    n1, n2 = dist.virtual_shape
-    for i in range(n1):
-        for j in range(n2):
-            yield (i, j)
+from .topology import Mesh, Message
 
 
 def coalesce(messages: Sequence[Message]) -> List[Message]:
@@ -39,53 +31,60 @@ def coalesce(messages: Sequence[Message]) -> List[Message]:
 
 
 def translation_pattern(
-    dist: Distribution2D,
-    offset: Virtual,
+    dists,
+    offset: Sequence[int],
     size: int = 1,
     wrap: bool = True,
     merge: bool = True,
 ) -> List[Message]:
     """Every virtual processor sends to ``v + offset``."""
-    n1, n2 = dist.virtual_shape
-    out: List[Message] = []
-    for i, j in _virtuals(dist):
-        di, dj = i + offset[0], j + offset[1]
-        if wrap:
-            di, dj = di % n1, dj % n2
-        elif not (0 <= di < n1 and 0 <= dj < n2):
-            continue
-        out.append(Message(src=dist.phys((i, j)), dst=dist.phys((di, dj)), size=size))
-    return coalesce(out) if merge else out
+    return affine_pattern(
+        dists, IntMat.identity(len(offset)), offset, size, wrap, merge
+    )
 
 
 def affine_pattern(
-    dist: Distribution2D,
+    dists,
     t_mat: IntMat,
-    offset: Virtual = (0, 0),
+    offset: Optional[Sequence[int]] = None,
     size: int = 1,
     wrap: bool = True,
     merge: bool = True,
 ) -> List[Message]:
     """Every virtual processor ``v`` sends to ``T v + offset`` (taken
     modulo the virtual grid when ``wrap``).  This is the pattern of a
-    residual general communication with data-flow matrix ``T``."""
-    if t_mat.shape != (2, 2):
-        raise ValueError("affine_pattern expects a 2x2 data-flow matrix")
-    n1, n2 = dist.virtual_shape
+    residual general communication with data-flow matrix ``T``.
+
+    ``dists`` holds one 1-D distribution per mesh axis; ``T`` must be
+    square of that rank.  Virtual processors are visited row-major.
+    """
+    axes = tuple(dists)
+    rank = len(axes)
+    if t_mat.shape != (rank, rank):
+        raise ValueError(
+            f"affine_pattern expects a {rank}x{rank} data-flow matrix "
+            f"for {rank} distributions, got {t_mat.shape}"
+        )
+    rows = t_mat.rows()
+    offset = (0,) * rank if offset is None else tuple(offset)
+    extents = [d.n for d in axes]
+    # per-axis virtual -> physical tables; product() of them walks the
+    # sources in the same row-major order as the virtual processors
+    phys = [[d.phys(x) for x in range(n)] for d, n in zip(axes, extents)]
     out: List[Message] = []
-    for i, j in _virtuals(dist):
-        di = t_mat[0, 0] * i + t_mat[0, 1] * j + offset[0]
-        dj = t_mat[1, 0] * i + t_mat[1, 1] * j + offset[1]
+    for v, src in zip(product(*map(range, extents)), product(*phys)):
+        w = [sum(map(mul, row, v)) + o for row, o in zip(rows, offset)]
         if wrap:
-            di, dj = di % n1, dj % n2
-        elif not (0 <= di < n1 and 0 <= dj < n2):
+            w = map(mod, w, extents)
+        elif not all(0 <= x < n for x, n in zip(w, extents)):
             continue
-        out.append(Message(src=dist.phys((i, j)), dst=dist.phys((di, dj)), size=size))
+        dst = tuple(map(getitem, phys, w))
+        out.append(Message(src=src, dst=dst, size=size))
     return coalesce(out) if merge else out
 
 
 def decomposed_phases(
-    dist: Distribution2D,
+    dists,
     factors: Sequence[IntMat],
     size: int = 1,
     wrap: bool = True,
@@ -95,13 +94,13 @@ def decomposed_phases(
     ``p_2 = F_{k-1} p_1``...), each phase an affine pattern of its own
     factor — horizontal/vertical when the factors are elementary."""
     return [
-        affine_pattern(dist, f, size=size, wrap=wrap)
+        affine_pattern(dists, f, size=size, wrap=wrap)
         for f in reversed(list(factors))
     ]
 
 
 def broadcast_tree_phases(
-    mesh: Mesh2D, root, size: int = 1
+    mesh: Mesh, root, size: int = 1
 ) -> List[List[Message]]:
     """Software binomial broadcast over all mesh nodes: log2(P) phases
     of doubling coverage (what a Paragon pays without hardware
@@ -125,27 +124,25 @@ def broadcast_tree_phases(
 
 
 def partial_broadcast_row_phases(
-    mesh: Mesh2D, axis: int, size: int = 1
+    mesh: Mesh, axis: int, size: int = 1
 ) -> List[List[Message]]:
     """Axis-parallel partial broadcast: each node forwards along one
     mesh axis (a pipeline of neighbour hops — the cheap pattern the
     paper's rotation enables).  One phase per hop along the axis."""
-    length = mesh.p if axis == 0 else mesh.q
-    phases: List[List[Message]] = []
-    for step in range(length - 1):
-        phase: List[Message] = []
-        for n in mesh.nodes():
-            coord = n[axis]
-            if coord == step:
-                dst = (n[0] + 1, n[1]) if axis == 0 else (n[0], n[1] + 1)
-                if mesh.contains(dst):
-                    phase.append(Message(src=n, dst=dst, size=size))
-        phases.append(phase)
-    return phases
+    return [
+        [
+            Message(
+                src=n, dst=n[:axis] + (step + 1,) + n[axis + 1:], size=size
+            )
+            for n in mesh.nodes()
+            if n[axis] == step
+        ]
+        for step in range(mesh.dims[axis] - 1)
+    ]
 
 
 def reduction_tree_phases(
-    mesh: Mesh2D, root, size: int = 1
+    mesh: Mesh, root, size: int = 1
 ) -> List[List[Message]]:
     """Software binomial reduction: the reverse of the broadcast tree."""
     return [

@@ -1,23 +1,34 @@
 """Precomputed integer link ids and cached NumPy route arrays.
 
 The per-element simulators in :mod:`repro.machine.contention` and
-:mod:`repro.machine.eventsim` used to rebuild every XY route as a list
-of tuple-keyed links and probe a Python dict once per link per message.
-This module replaces both costs:
+:mod:`repro.machine.eventsim` used to rebuild every dimension-order
+route as a list of tuple-keyed links and probe a Python dict once per
+link per message.  This module replaces both costs:
 
 * every directed link of a mesh gets a dense **integer id** computed by
   closed-form arithmetic (no enumeration, no dict of tuples);
 * every ``(src, dst)`` pair maps to a **read-only NumPy array of link
-  ids** along the dimension-order route, built by slice arithmetic and
-  memoized in an LRU-bounded cache (one cache per mesh).
+  ids** along the dimension-order route, memoized in an LRU-bounded
+  cache (one cache per mesh).
 
 With ids in hand the analytic contention bound becomes one
 ``np.bincount`` over all messages of a phase, and the event simulator's
 per-link dict probes become array ``max`` / assignment over id slices.
 
-Link-id layout for a ``p x q`` :class:`~repro.machine.topology.Mesh2D`
-(``N = p*q`` nodes, ``H = p*(q-1)`` horizontal and ``V = (p-1)*q``
-vertical mesh channels per direction):
+Link-id layout of a :class:`~repro.machine.topology.Mesh` with sides
+``d_0 .. d_{m-1}`` and ``N`` nodes, for any rank ``m``:
+
+1. ``("inj", v)`` is ``flat(v)``, ``("eje", v)`` is ``N + flat(v)``,
+   where ``flat`` is the row-major node index;
+2. then, per axis ``a`` from the last to the first (the routing order),
+   a block of ``+`` links followed by a block of ``-`` links.  Each
+   block holds ``L_a`` ids, ``L_a`` being the node count of ``dims``
+   with ``d_a`` shortened by 1, and is row-major over those shortened
+   dims;
+3. a ``+`` link ``v -> v + e_a`` is indexed by its source ``v``, a
+   ``-`` link ``v -> v - e_a`` by its destination ``v - e_a``.
+
+On a ``p x q`` mesh (``H = p*(q-1)``, ``V = (p-1)*q``) that reads:
 
 ======================  =======================  =====================
 link                    id                       range
@@ -30,15 +41,11 @@ south ``(i,j)->(i+1,j)``  ``2N + 2H + i*q + j``  next ``V``
 north ``(i,j)->(i-1,j)``  ``2N + 2H + V + (i-1)*q + j``  next ``V``
 ======================  =======================  =====================
 
-The 3-D layout (:class:`RouteCache3D`) is the natural extension with
-the dimension-order of :meth:`~repro.machine.topology3d.Mesh3D.xyz_route`
-(last axis first).
-
 Cache bounds (module constants; routes are byte-identical whatever
 the caches hold):
 
 * :data:`DEFAULT_ROUTE_CACHE_SIZE` — max ``(src, dst)`` entries per
-  mesh cache (65536; the constructors' ``maxsize`` overrides it);
+  mesh cache (65536; the constructor's ``maxsize`` overrides it);
 * :data:`DEFAULT_MESH_CACHES` — max meshes with a live cache in the
   module-level registry used by :func:`route_cache_for` (8).
 """
@@ -46,6 +53,7 @@ the caches hold):
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import mul
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -57,8 +65,9 @@ DEFAULT_ROUTE_CACHE_SIZE = 65536
 DEFAULT_MESH_CACHES = 8
 
 
-class _BaseRouteCache:
-    """Shared LRU machinery; subclasses supply ``_build`` and link ids.
+class RouteCache:
+    """Integer link ids + cached dimension-order route-id arrays for a
+    :class:`~repro.machine.topology.Mesh` of any rank.
 
     Hit/miss accounting uses per-instance observability counters
     (:class:`repro.obs.metrics.Counter`); caches are per-mesh objects
@@ -68,7 +77,10 @@ class _BaseRouteCache:
     counter names.
     """
 
-    __slots__ = ("mesh", "maxsize", "_hits", "_misses", "_routes")
+    __slots__ = (
+        "mesh", "maxsize", "num_links", "_hits", "_misses", "_routes",
+        "_n", "_node_strides", "_axes",
+    )
 
     def __init__(self, mesh, maxsize: Optional[int] = None):
         self.mesh = mesh
@@ -78,6 +90,20 @@ class _BaseRouteCache:
         self._hits = _Counter("machine.routecache.hits")
         self._misses = _Counter("machine.routecache.misses")
         self._routes: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
+        dims = tuple(mesh.dims)
+        n = self._n = mesh.size
+        self._node_strides = _row_major_strides(dims)
+        # per axis, in routing order: (axis, + block base, - block base,
+        # row-major strides over dims with that axis shortened by 1)
+        axes = []
+        base = 2 * n
+        for a in reversed(range(len(dims))):
+            short = dims[:a] + (dims[a] - 1,) + dims[a + 1:]
+            block = n // dims[a] * (dims[a] - 1)
+            axes.append((a, base, base + block, _row_major_strides(short)))
+            base += 2 * block
+        self._axes = tuple(axes)
+        self.num_links = base
 
     @property
     def hits(self) -> int:
@@ -125,125 +151,25 @@ class _BaseRouteCache:
             "num_links": self.num_links,
         }
 
-    # subclasses -------------------------------------------------------
-    num_links: int
-
-    def _build(self, src, dst) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class RouteCache(_BaseRouteCache):
-    """Integer link ids + cached XY route-id arrays for a 2-D mesh."""
-
-    __slots__ = ("_n", "_h", "_v")
-
-    def __init__(self, mesh, maxsize: Optional[int] = None):
-        super().__init__(mesh, maxsize)
-        p, q = mesh.p, mesh.q
-        self._n = p * q
-        self._h = p * (q - 1)
-        self._v = (p - 1) * q
-
-    @property
-    def num_links(self) -> int:
-        return 2 * self._n + 2 * self._h + 2 * self._v
-
     def link_id(self, link) -> int:
         """Id of an explicit :data:`~repro.machine.topology.Link` tuple
         (the inverse of the closed-form layout; used for verification)."""
-        q = self.mesh.q
-        n, h, v = self._n, self._h, self._v
         kind = link[0]
         if kind == "inj":
-            (i, j) = link[1]
-            return i * q + j
+            return _dot(link[1], self._node_strides)
         if kind == "eje":
-            (i, j) = link[1]
-            return n + i * q + j
-        (si, sj), (di, dj) = link[1], link[2]
-        if di == si and dj == sj + 1:  # east
-            return 2 * n + si * (q - 1) + sj
-        if di == si and dj == sj - 1:  # west
-            return 2 * n + h + si * (q - 1) + (sj - 1)
-        if dj == sj and di == si + 1:  # south
-            return 2 * n + 2 * h + si * q + sj
-        if dj == sj and di == si - 1:  # north
-            return 2 * n + 2 * h + v + (si - 1) * q + sj
-        raise ValueError(f"not a mesh link: {link!r}")
-
-    def _build(self, src, dst) -> np.ndarray:
-        mesh = self.mesh
-        if not (mesh.contains(src) and mesh.contains(dst)):
-            raise ValueError("endpoint outside the mesh")
-        si, sj = src
-        di, dj = dst
-        if src == dst:
-            return np.empty(0, dtype=np.int64)
-        q = mesh.q
-        n, h, v = self._n, self._h, self._v
-        nh = abs(dj - sj)
-        nv = abs(di - si)
-        out = np.empty(nh + nv + 2, dtype=np.int64)
-        out[0] = si * q + sj
-        if dj > sj:  # east links (si, j) -> (si, j+1), j = sj .. dj-1
-            out[1 : 1 + nh] = 2 * n + si * (q - 1) + np.arange(sj, dj)
-        elif dj < sj:  # west links (si, j) -> (si, j-1), j = sj .. dj+1
-            out[1 : 1 + nh] = 2 * n + h + si * (q - 1) + np.arange(sj - 1, dj - 1, -1)
-        if di > si:  # south links (i, dj) -> (i+1, dj), i = si .. di-1
-            out[1 + nh : 1 + nh + nv] = 2 * n + 2 * h + np.arange(si, di) * q + dj
-        elif di < si:  # north links (i, dj) -> (i-1, dj), i = si .. di+1
-            out[1 + nh : 1 + nh + nv] = (
-                2 * n + 2 * h + v + np.arange(si - 1, di - 1, -1) * q + dj
-            )
-        out[-1] = n + di * q + dj
-        return out
-
-
-class RouteCache3D(_BaseRouteCache):
-    """Integer link ids + cached XYZ route-id arrays for a 3-D mesh.
-
-    Dimension order matches
-    :meth:`~repro.machine.topology3d.Mesh3D.xyz_route`: the last axis
-    moves first.
-    """
-
-    __slots__ = ("_n", "_hz", "_hy", "_hx")
-
-    def __init__(self, mesh, maxsize: Optional[int] = None):
-        super().__init__(mesh, maxsize)
-        p, q, r = mesh.p, mesh.q, mesh.r
-        self._n = p * q * r
-        self._hz = p * q * (r - 1)
-        self._hy = p * (q - 1) * r
-        self._hx = (p - 1) * q * r
-
-    @property
-    def num_links(self) -> int:
-        return 2 * (self._n + self._hz + self._hy + self._hx)
-
-    def link_id(self, link) -> int:
-        q, r = self.mesh.q, self.mesh.r
-        n, hz, hy, hx = self._n, self._hz, self._hy, self._hx
-        kind = link[0]
-        if kind == "inj":
-            i, j, k = link[1]
-            return (i * q + j) * r + k
-        if kind == "eje":
-            i, j, k = link[1]
-            return n + (i * q + j) * r + k
-        (si, sj, sk), (di, dj, dk) = link[1], link[2]
-        if (di, dj) == (si, sj) and dk == sk + 1:  # z+
-            return 2 * n + (si * q + sj) * (r - 1) + sk
-        if (di, dj) == (si, sj) and dk == sk - 1:  # z-
-            return 2 * n + hz + (si * q + sj) * (r - 1) + (sk - 1)
-        if (di, dk) == (si, sk) and dj == sj + 1:  # y+
-            return 2 * n + 2 * hz + (si * (q - 1) + sj) * r + sk
-        if (di, dk) == (si, sk) and dj == sj - 1:  # y-
-            return 2 * n + 2 * hz + hy + (si * (q - 1) + (sj - 1)) * r + sk
-        if (dj, dk) == (sj, sk) and di == si + 1:  # x+
-            return 2 * n + 2 * (hz + hy) + (si * q + sj) * r + sk
-        if (dj, dk) == (sj, sk) and di == si - 1:  # x-
-            return 2 * n + 2 * (hz + hy) + hx + ((si - 1) * q + sj) * r + sk
+            return self._n + _dot(link[1], self._node_strides)
+        src, dst = link[1], link[2]
+        moved = [a for a, (s, d) in enumerate(zip(src, dst)) if s != d]
+        if len(moved) == 1:
+            a = moved[0]
+            for axis, plus, minus, strides in self._axes:
+                if axis != a:
+                    continue
+                if dst[a] == src[a] + 1:
+                    return plus + _dot(src, strides)
+                if dst[a] == src[a] - 1:
+                    return minus + _dot(dst, strides)
         raise ValueError(f"not a mesh link: {link!r}")
 
     def _build(self, src, dst) -> np.ndarray:
@@ -252,51 +178,41 @@ class RouteCache3D(_BaseRouteCache):
             raise ValueError("endpoint outside the mesh")
         if src == dst:
             return np.empty(0, dtype=np.int64)
-        si, sj, sk = src
-        di, dj, dk = dst
-        q, r = mesh.q, mesh.r
-        n, hz, hy, hx = self._n, self._hz, self._hy, self._hx
-        nz, ny, nx = abs(dk - sk), abs(dj - sj), abs(di - si)
-        out = np.empty(nz + ny + nx + 2, dtype=np.int64)
-        out[0] = (si * q + sj) * r + sk
-        pos = 1
-        if dk > sk:  # z+ at (si, sj, k), k = sk .. dk-1
-            out[pos : pos + nz] = 2 * n + (si * q + sj) * (r - 1) + np.arange(sk, dk)
-        elif dk < sk:  # z-
-            out[pos : pos + nz] = (
-                2 * n + hz + (si * q + sj) * (r - 1) + np.arange(sk - 1, dk - 1, -1)
-            )
-        pos += nz
-        if dj > sj:  # y+ at (si, j, dk), j = sj .. dj-1
-            out[pos : pos + ny] = (
-                2 * n + 2 * hz + (si * (q - 1) + np.arange(sj, dj)) * r + dk
-            )
-        elif dj < sj:  # y-
-            out[pos : pos + ny] = (
-                2 * n
-                + 2 * hz
-                + hy
-                + (si * (q - 1) + np.arange(sj - 1, dj - 1, -1)) * r
-                + dk
-            )
-        pos += ny
-        if di > si:  # x+ at (i, dj, dk), i = si .. di-1
-            out[pos : pos + nx] = (
-                2 * n + 2 * (hz + hy) + (np.arange(si, di) * q + dj) * r + dk
-            )
-        elif di < si:  # x-
-            out[pos : pos + nx] = (
-                2 * n
-                + 2 * (hz + hy)
-                + hx
-                + (np.arange(si - 1, di - 1, -1) * q + dj) * r
-                + dk
-            )
-        out[-1] = n + (di * q + dj) * r + dk
-        return out
+        ids = [_dot(src, self._node_strides)]
+        cur = list(src)
+        for a, plus, minus, strides in self._axes:
+            s, d = cur[a], dst[a]
+            if s == d:
+                continue
+            step = strides[a]
+            # in-block offset of the link at coordinate 0 along axis a,
+            # other coordinates as they stand when the route crosses it
+            fixed = _dot(cur, strides) - s * step
+            if d > s:  # + links indexed by source s .. d-1
+                ids.extend(range(plus + fixed + s * step,
+                                 plus + fixed + d * step, step))
+            else:  # - links indexed by destination s-1 .. d
+                ids.extend(range(minus + fixed + (s - 1) * step,
+                                 minus + fixed + (d - 1) * step, -step))
+            cur[a] = d
+        ids.append(self._n + _dot(dst, self._node_strides))
+        return np.array(ids, dtype=np.int64)
 
 
-def max_link_load(cache: _BaseRouteCache, id_arrays, sizes) -> int:
+def _row_major_strides(dims: Tuple[int, ...]) -> Tuple[int, ...]:
+    strides = []
+    acc = 1
+    for d in reversed(dims):
+        strides.append(acc)
+        acc *= d
+    return tuple(reversed(strides))
+
+
+def _dot(coords, strides) -> int:
+    return sum(map(mul, coords, strides))
+
+
+def max_link_load(cache: RouteCache, id_arrays, sizes) -> int:
     """Bottleneck link load of one phase: each message's size is added
     to every link of its id array, vectorized over all messages at once.
 
@@ -327,7 +243,7 @@ def max_link_load(cache: _BaseRouteCache, id_arrays, sizes) -> int:
 
 
 def gather_route_ids(
-    cache: _BaseRouteCache, senders: np.ndarray, receivers: np.ndarray
+    cache: RouteCache, senders: np.ndarray, receivers: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Link ids of every ``(senders[i], receivers[i])`` route as one
     ragged gather: ``(flat_ids, lens)`` where ``lens[i]`` is route ``i``'s
@@ -373,10 +289,10 @@ def gather_route_ids(
 # per-mesh registry
 # ---------------------------------------------------------------------------
 
-_MESH_CACHES: "OrderedDict[object, _BaseRouteCache]" = OrderedDict()
+_MESH_CACHES: "OrderedDict[object, RouteCache]" = OrderedDict()
 
 
-def route_cache_for(mesh, maxsize: Optional[int] = None) -> _BaseRouteCache:
+def route_cache_for(mesh, maxsize: Optional[int] = None) -> RouteCache:
     """The (shared, LRU-registered) route cache of ``mesh``.
 
     Meshes are hashable frozen dataclasses, so equal meshes share one
@@ -391,10 +307,7 @@ def route_cache_for(mesh, maxsize: Optional[int] = None) -> _BaseRouteCache:
     if cache is not None:
         _MESH_CACHES.move_to_end(mesh)
         return cache
-    if hasattr(mesh, "r"):
-        cache = RouteCache3D(mesh, maxsize)
-    else:
-        cache = RouteCache(mesh, maxsize)
+    cache = RouteCache(mesh, maxsize)
     _MESH_CACHES[mesh] = cache
     while len(_MESH_CACHES) > DEFAULT_MESH_CACHES:
         _MESH_CACHES.popitem(last=False)

@@ -1,60 +1,68 @@
-"""Mesh topology and XY dimension-order routing.
+"""Mesh topology and dimension-order routing, any mesh rank.
 
 The Intel Paragon (Table 2, Figure 8) is a 2-D mesh with wormhole
-routing; what matters for the paper's experiments is that simultaneous
-messages sharing a link serialize.  We model the mesh with explicit
-directed links — including *injection* and *ejection* links between
-each node and the network, so several messages leaving (or entering)
-one node also serialize, which is exactly the effect that makes a
-non-decomposed affine communication slow.
+routing, the Cray T3D a 3-D one; §5.1 states the elementary-matrix
+machinery for any dimension and names m = 2 and m = 3 as the cases of
+practical interest.  What matters for the paper's experiments is that
+simultaneous messages sharing a link serialize.  We model the mesh with
+explicit directed links — including *injection* and *ejection* links
+between each node and the network, so several messages leaving (or
+entering) one node also serialize, which is exactly the effect that
+makes a non-decomposed affine communication slow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from itertools import product
+from typing import Iterator, List, Sequence, Tuple
 
-Node = Tuple[int, int]
+Node = Tuple[int, ...]
 #: A directed link: ("inj", node), ("eje", node) or ("net", a, b).
 Link = Tuple
 
 
-@dataclass(frozen=True)
-class Mesh2D:
-    """A ``P x Q`` mesh of physical processors."""
+@dataclass(frozen=True, init=False)
+class Mesh:
+    """A ``d_0 x d_1 x ... x d_{m-1}`` mesh of physical processors:
+    ``Mesh(p, q)`` is a Paragon-style 2-D mesh, ``Mesh(p, q, r)`` a
+    T3D-style cube."""
 
-    p: int
-    q: int
+    dims: Tuple[int, ...]
 
-    def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
+    def __init__(self, *sides: int):
+        dims = tuple(int(s) for s in sides)
+        if not dims or min(dims) <= 0:
             raise ValueError("mesh dimensions must be positive")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def size(self) -> int:
-        return self.p * self.q
-
-    @property
-    def dims(self) -> Tuple[int, int]:
-        """Side lengths, one per physical dimension (the common mesh
-        surface shared with :class:`~repro.machine.topology3d.Mesh3D`)."""
-        return (self.p, self.q)
+        n = 1
+        for d in self.dims:
+            n *= d
+        return n
 
     @property
     def ndim(self) -> int:
-        return 2
+        return len(self.dims)
 
     def nodes(self) -> Iterator[Node]:
-        for i in range(self.p):
-            for j in range(self.q):
-                yield (i, j)
+        """All nodes, row-major."""
+        return product(*(range(d) for d in self.dims))
 
     def contains(self, n: Node) -> bool:
-        return 0 <= n[0] < self.p and 0 <= n[1] < self.q
+        if len(n) != len(self.dims):
+            return False
+        for c, d in zip(n, self.dims):
+            if not 0 <= c < d:
+                return False
+        return True
 
-    def xy_route(self, src: Node, dst: Node) -> List[Link]:
-        """Links of the XY (row-first) route from ``src`` to ``dst``,
-        including the injection and ejection links.
+    def route(self, src: Node, dst: Node) -> List[Link]:
+        """Links of the dimension-order route from ``src`` to ``dst``
+        (last axis first — XY order on a 2-D mesh, XYZ-style on a
+        cube), including the injection and ejection links.
 
         A local message (``src == dst``) uses no links at all — it is a
         memory copy.
@@ -64,34 +72,24 @@ class Mesh2D:
         if src == dst:
             return []
         links: List[Link] = [("inj", src)]
-        cur = src
-        # move along X (columns of the grid: second coordinate) first —
-        # "XY" order; the choice is conventional and symmetric.
-        while cur[1] != dst[1]:
-            step = 1 if dst[1] > cur[1] else -1
-            nxt = (cur[0], cur[1] + step)
-            links.append(("net", cur, nxt))
-            cur = nxt
-        while cur[0] != dst[0]:
-            step = 1 if dst[0] > cur[0] else -1
-            nxt = (cur[0] + step, cur[1])
-            links.append(("net", cur, nxt))
-            cur = nxt
+        cur = tuple(src)
+        for axis in reversed(range(len(self.dims))):
+            step = 1 if dst[axis] > cur[axis] else -1
+            head, tail = cur[:axis], cur[axis + 1:]
+            for c in range(cur[axis], dst[axis], step):
+                nxt = head + (c + step,) + tail
+                links.append(("net", cur, nxt))
+                cur = nxt
         links.append(("eje", dst))
         return links
 
-    def route(self, src: Node, dst: Node) -> List[Link]:
-        """Dimension-order route — the rank-generic name every mesh
-        exposes (here an alias for :meth:`xy_route`)."""
-        return self.xy_route(src, dst)
-
     def hops(self, src: Node, dst: Node) -> int:
         """Manhattan distance."""
-        return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
+        return sum(abs(a - b) for a, b in zip(src, dst))
 
     @staticmethod
-    def route_hops(route: List[Link]) -> int:
-        """Network hops of a route produced by :meth:`xy_route`.
+    def route_hops(route: Sequence[Link]) -> int:
+        """Network hops of a route produced by :meth:`route`.
 
         Every remote route is injection + one ``net`` link per hop +
         ejection, so this is ``len(route) - 2`` and always agrees with
@@ -104,7 +102,8 @@ class Mesh2D:
 
 @dataclass(frozen=True)
 class Message:
-    """One point-to-point message between physical processors."""
+    """One point-to-point message between physical processors
+    (endpoints are coordinate tuples of the mesh rank)."""
 
     src: Node
     dst: Node

@@ -201,34 +201,8 @@ def _label_segments(
 def _model_key(machine: MachineModel) -> Tuple:
     """Machines agreeing on type, mesh and cost parameters price any
     phase identically (cm5 and paragon cells on one mesh do), so they
-    share one kernel launch; a model without those attributes gets a
-    launch of its own."""
-    mesh = getattr(machine, "mesh", None)
-    params = getattr(machine, "params", None)
-    if mesh is None or params is None:
-        return (type(machine), id(machine))
-    return (type(machine), mesh, params)
-
-
-def _time_phase_adapter(
-    machine: MachineModel, pairs: np.ndarray, sizes: np.ndarray,
-    starts: np.ndarray,
-) -> List[float]:
-    """Per-phase times from a model that only exposes ``time_phase``:
-    one ``Message`` list per phase (duck-typed registered models)."""
-    rank = pairs.shape[1] // 2
-    rows = pairs.tolist()
-    sz = sizes.tolist()
-    bounds = starts.tolist()
-    return [
-        machine.time_phase(
-            [
-                Message(src=tuple(r[:rank]), dst=tuple(r[rank:]), size=s)
-                for r, s in zip(rows[a:b], sz[a:b])
-            ]
-        ).time
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    share one kernel launch."""
+    return (type(machine), machine.mesh, machine.params)
 
 
 def _lane_times(model, kind: Optional[str], segs, payload: int) -> List[float]:
@@ -249,22 +223,12 @@ def _lane_times(model, kind: Optional[str], segs, payload: int) -> List[float]:
     with span("exec.segmented", count=n_phases):
         if kind is not None:
             seg_sizes = np.maximum.reduceat(sizes, starts[:-1])
-            vfn = getattr(model, "macro_times_segmented", None)
-            if vfn is not None:
-                return vfn(kind, seg_sizes).tolist()
-            scalar = (
-                model.reduction_time if kind == "reduction"
-                else model.broadcast_time
-            )
-            return [scalar(s) for s in seg_sizes.tolist()]
-        fn = getattr(model, "time_phases_segmented", None)
-        if fn is None:
-            return _time_phase_adapter(model, pairs, sizes, starts)
+            return model.macro_times_segmented(kind, seg_sizes).tolist()
         rank = pairs.shape[1] // 2
         phase_ids = np.repeat(
             np.arange(n_phases, dtype=np.int64), np.diff(starts)
         )
-        return fn(
+        return model.time_phases_segmented(
             pairs[:, :rank], pairs[:, rank:], sizes, phase_ids, n_phases
         ).times.tolist()
 
@@ -409,12 +373,12 @@ def execute(
     """Execute the mapped program's communications on a machine model.
 
     ``machine`` is any registered :class:`~repro.machine.MachineModel`
-    (Paragon-style 2-D, T3D-style 3-D, …) and prices point-to-point
-    phases (per time step, one phase per access) — the program's folded
-    coordinates are tuples of the machine's mesh rank; ``collectives``
-    — when given — prices the accesses the heuristic classified as
-    macro-communications with hardware collective costs instead (the
-    CM-5 situation of Table 1).
+    (the 2-D Paragon or 3-D T3D :class:`~repro.machine.MeshModel`, …)
+    and prices point-to-point phases (per time step, one phase per
+    access) — the program's folded coordinates are tuples of the
+    machine's mesh rank; ``collectives`` — when given — prices the
+    accesses the heuristic classified as macro-communications with
+    hardware collective costs instead (the CM-5 situation of Table 1).
 
     Vectorized over the program's :class:`CommBatch` arrays, through
     the same one-cell path as :func:`execute_group`; the per-event

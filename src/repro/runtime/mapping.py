@@ -39,7 +39,7 @@ runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,16 +70,13 @@ class Folding:
     The virtual coordinates produced by allocation matrices can be
     negative and unbounded; we first shift-and-clamp them into an
     ``extent``-sized window per dimension (modulo), then apply one 1-D
-    distribution per physical mesh dimension.  ``mesh`` may be any
-    mesh exposing ``dims`` (:class:`~repro.machine.Mesh2D`,
-    :class:`~repro.machine.Mesh3D`, …); the virtual rank must equal the
-    mesh rank — :meth:`fold` raises a friendly ``ValueError`` on
-    mismatch (pick ``m = len(mesh.dims)`` when compiling).
+    distribution per physical mesh dimension.  ``mesh`` is a
+    :class:`~repro.machine.Mesh` of any rank; the virtual rank must
+    equal the mesh rank — :meth:`fold` raises a friendly ``ValueError``
+    on mismatch (pick ``m = len(mesh.dims)`` when compiling).
 
     Schemes: ``schemes``/``scheme_kw`` give one 1-D scheme name (and
-    keyword dict) per mesh dimension.  For 2-D meshes the historical
-    ``row_scheme``/``col_scheme`` (+ ``row_kw``/``col_kw``) spelling is
-    still accepted; when neither is given every dimension defaults to
+    keyword dict) per mesh dimension; every dimension defaults to
     ``cyclic``.
     """
 
@@ -87,39 +84,12 @@ class Folding:
     extent: int
     schemes: Optional[Sequence[str]] = None
     scheme_kw: Optional[Sequence[Dict]] = None
-    row_scheme: str = "cyclic"
-    col_scheme: str = "cyclic"
-    row_kw: Dict = field(default_factory=dict)
-    col_kw: Dict = field(default_factory=dict)
 
     def __post_init__(self):
         dims = tuple(self.mesh.dims)
-        schemes = self.schemes
-        kws = self.scheme_kw
-        legacy = (
-            self.row_scheme != "cyclic"
-            or self.col_scheme != "cyclic"
-            or bool(self.row_kw)
-            or bool(self.col_kw)
-        )
+        schemes, kws = self.schemes, self.scheme_kw
         if schemes is None:
-            if len(dims) == 2:
-                schemes = (self.row_scheme, self.col_scheme)
-                if kws is None:
-                    kws = (self.row_kw, self.col_kw)
-            elif legacy:
-                raise ValueError(
-                    "row_scheme/col_scheme/row_kw/col_kw only apply to "
-                    f"2-D meshes; this mesh is {len(dims)}-D — pass "
-                    "schemes=(...) with one scheme per dimension"
-                )
-            else:
-                schemes = ("cyclic",) * len(dims)
-        elif legacy:
-            raise ValueError(
-                "pass either schemes=/scheme_kw= or the 2-D "
-                "row_scheme/col_scheme spelling, not both"
-            )
+            schemes = ("cyclic",) * len(dims)
         if kws is None:
             kws = ({},) * len(dims)
         if len(schemes) != len(dims) or len(kws) != len(dims):

@@ -67,11 +67,11 @@ class TestEndToEndComparison:
     def test_message_counts(self, nest, schedules):
         """Executing both mappings: ours moves nothing, the baseline
         issues broadcasts every time step."""
-        from repro.machine import Mesh2D, ParagonModel
+        from repro.machine import Mesh, MeshModel
         from repro.runtime import Folding, MappedProgram, execute
 
         params = {"n": 3}
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         folding = Folding(mesh=machine.mesh, extent=4)
 
         ours = two_step_heuristic(nest, m=2, schedules=schedules)
@@ -87,11 +87,11 @@ class TestEndToEndComparison:
         assert rep_b.total_time > 0.0
 
     def test_virtual_nonlocal_counts(self, nest, schedules):
-        from repro.machine import Mesh2D, ParagonModel
+        from repro.machine import Mesh, MeshModel
         from repro.runtime import Folding, MappedProgram, count_nonlocal_virtual
 
         params = {"n": 3}
-        folding = Folding(mesh=Mesh2D(2, 2), extent=4)
+        folding = Folding(mesh=Mesh(2, 2), extent=4)
         ours = two_step_heuristic(nest, m=2, schedules=schedules)
         base = platonoff_mapping(nest, m=2, schedules=schedules)
         ours_counts = count_nonlocal_virtual(

@@ -242,7 +242,7 @@ class TestGroupSplit:
         execute, execute_group = runtime.execute, runtime.execute_group
 
         def broken(machine):
-            if (machine.p, machine.q) == victim.mesh:
+            if machine.mesh.dims == victim.mesh:
                 raise ArithmeticError("injected price error")
 
         def bad_execute(program, machine, *args, **kwargs):
@@ -303,7 +303,7 @@ class TestGroupDeadline:
             time.sleep(60)
 
         def slow_execute(program, machine, *args, **kwargs):
-            if (machine.p, machine.q) == victim.mesh:
+            if machine.mesh.dims == victim.mesh:
                 time.sleep(60)
             return execute(program, machine, *args, **kwargs)
 
@@ -325,11 +325,11 @@ class TestGroupDeadline:
 
 class TestMachinesSatellite:
     def test_paragon_models_do_not_share_cost_params(self):
-        from repro.machine import ParagonModel, T3DModel
+        from repro.machine import MeshModel
 
-        a, b = ParagonModel(2, 2), ParagonModel(4, 4)
+        a, b = MeshModel(2, 2), MeshModel(4, 4)
         assert a.params is not b.params
         assert a.params == b.params  # same defaults, distinct instances
 
-        t1, t2 = T3DModel(2, 2, 2), T3DModel(2, 2, 2)
+        t1, t2 = MeshModel(2, 2, 2), MeshModel(2, 2, 2)
         assert t1.params is not t2.params

@@ -5,9 +5,8 @@ bit-identity of the array-native phase timing oracle."""
 import numpy as np
 import pytest
 
-from repro.machine import CostParams, Mesh2D, Message, phase_time
+from repro.machine import CostParams, Mesh, Message, phase_time
 from repro.machine.backend import unique_rows
-from repro.machine.topology3d import Mesh3D, Message3
 
 from oracles.pricing import phase_time_arrays
 
@@ -57,7 +56,7 @@ class TestPhaseTimeArrays:
 
     def random_messages_2d(self, rng, mesh, n):
         coords = rng.integers(
-            0, (mesh.p, mesh.q), size=(n, 2, 2), dtype=np.int64
+            0, mesh.dims, size=(n, 2, 2), dtype=np.int64
         )
         sizes = rng.integers(1, 50, size=n, dtype=np.int64)
         msgs = [
@@ -69,7 +68,7 @@ class TestPhaseTimeArrays:
     @pytest.mark.parametrize("seed", range(5))
     def test_2d_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
-        mesh = Mesh2D(4, 3)
+        mesh = Mesh(4, 3)
         params = CostParams()
         senders, receivers, sizes, msgs = self.random_messages_2d(
             rng, mesh, 40
@@ -81,12 +80,12 @@ class TestPhaseTimeArrays:
     @pytest.mark.parametrize("seed", range(3))
     def test_3d_bit_identical(self, seed):
         rng = np.random.default_rng(100 + seed)
-        mesh = Mesh3D(3, 2, 2)
+        mesh = Mesh(3, 2, 2)
         params = CostParams()
         coords = rng.integers(0, (3, 2, 2), size=(30, 2, 3), dtype=np.int64)
         sizes = rng.integers(1, 50, size=30, dtype=np.int64)
         msgs = [
-            Message3(src=tuple(c[0]), dst=tuple(c[1]), size=int(s))
+            Message(src=tuple(c[0]), dst=tuple(c[1]), size=int(s))
             for c, s in zip(coords.tolist(), sizes.tolist())
         ]
         want = phase_time(mesh, msgs, params)
@@ -96,7 +95,7 @@ class TestPhaseTimeArrays:
         assert got == want
 
     def test_all_local(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         params = CostParams()
         senders = np.array([[1, 1], [2, 3]], dtype=np.int64)
         sizes = np.array([10, 20], dtype=np.int64)
@@ -109,7 +108,7 @@ class TestPhaseTimeArrays:
         ) == phase_time(mesh, msgs, params)
 
     def test_empty_phase(self):
-        mesh = Mesh2D(4, 4)
+        mesh = Mesh(4, 4)
         params = CostParams()
         empty = np.empty((0, 2), dtype=np.int64)
         assert phase_time_arrays(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.machine import (
     CM5Model,
     CostParams,
-    Mesh2D,
+    Mesh,
     Message,
     phase_time,
     phased_time,
@@ -42,7 +42,7 @@ class TestCM5Parameters:
 
 class TestPhaseReports:
     def test_phased_time_and_total(self):
-        mesh = Mesh2D(2, 2)
+        mesh = Mesh(2, 2)
         params = CostParams(alpha=1, beta=1, gamma=0)
         phases = [
             [Message((0, 0), (0, 1), size=2)],
@@ -53,18 +53,18 @@ class TestPhaseReports:
         assert total_time(reports) == sum(r.time for r in reports)
 
     def test_report_describe(self):
-        mesh = Mesh2D(2, 2)
+        mesh = Mesh(2, 2)
         rep = phase_time(mesh, [Message((0, 0), (1, 1), size=4)], CostParams())
         text = rep.describe()
         assert "link_load" in text and "msgs=1" in text
 
     def test_empty_phase(self):
-        rep = phase_time(Mesh2D(2, 2), [], CostParams())
+        rep = phase_time(Mesh(2, 2), [], CostParams())
         assert rep.time == 0.0
         assert rep.total_messages == 0
 
     def test_gamma_latency_component(self):
-        mesh = Mesh2D(1, 5)
+        mesh = Mesh(1, 5)
         p = CostParams(alpha=0, beta=0, gamma=2.0)
         rep = phase_time(mesh, [Message((0, 0), (0, 4), size=1)], p)
         assert rep.time == 8.0  # 4 hops * gamma

@@ -8,48 +8,48 @@ from repro.distribution import BlockDistribution, CyclicDistribution
 from repro.linalg import IntMat
 from repro.machine import (
     CostParams,
-    Mesh3D,
-    Message3,
-    T3DModel,
-    affine_pattern_3d,
-    phase_time_3d,
+    Mesh,
+    Message,
+    MeshModel,
+    affine_pattern,
+    phase_time,
 )
 
 
 class TestMesh3D:
     def test_size_and_nodes(self):
-        m = Mesh3D(2, 3, 4)
+        m = Mesh(2, 3, 4)
         assert m.size == 24
         assert len(list(m.nodes())) == 24
 
     def test_route_local(self):
-        m = Mesh3D(2, 2, 2)
-        assert m.xyz_route((0, 0, 0), (0, 0, 0)) == []
+        m = Mesh(2, 2, 2)
+        assert m.route((0, 0, 0), (0, 0, 0)) == []
 
     def test_route_length(self):
-        m = Mesh3D(3, 3, 3)
-        r = m.xyz_route((0, 0, 0), (2, 2, 2))
+        m = Mesh(3, 3, 3)
+        r = m.route((0, 0, 0), (2, 2, 2))
         assert len(r) == m.hops((0, 0, 0), (2, 2, 2)) + 2
         assert r[0][0] == "inj" and r[-1][0] == "eje"
 
     def test_route_dimension_order(self):
-        m = Mesh3D(2, 2, 2)
-        r = m.xyz_route((0, 0, 0), (1, 1, 1))
+        m = Mesh(2, 2, 2)
+        r = m.route((0, 0, 0), (1, 1, 1))
         # last axis moves first
         assert r[1] == ("net", (0, 0, 0), (0, 0, 1))
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
-            Mesh3D(0, 1, 1)
+            Mesh(0, 1, 1)
         with pytest.raises(ValueError):
-            Mesh3D(2, 2, 2).xyz_route((0, 0, 0), (5, 0, 0))
+            Mesh(2, 2, 2).route((0, 0, 0), (5, 0, 0))
 
 
 class TestTiming3D:
     def test_single_message(self):
-        mesh = Mesh3D(2, 2, 2)
+        mesh = Mesh(2, 2, 2)
         p = CostParams(alpha=10, beta=1, gamma=0.5)
-        rep = phase_time_3d(mesh, [Message3((0, 0, 0), (0, 0, 1), size=4)], p)
+        rep = phase_time(mesh, [Message((0, 0, 0), (0, 0, 1), size=4)], p)
         assert rep.time == 10 + 4 + 0.5
         # the full utilization breakdown comes back, like in 2-D
         assert rep.max_link_load == 4
@@ -58,20 +58,20 @@ class TestTiming3D:
         assert rep.total_volume == 4
 
     def test_local_free(self):
-        mesh = Mesh3D(2, 2, 2)
-        rep = phase_time_3d(
-            mesh, [Message3((0, 0, 0), (0, 0, 0), 9)], CostParams()
+        mesh = Mesh(2, 2, 2)
+        rep = phase_time(
+            mesh, [Message((0, 0, 0), (0, 0, 0), 9)], CostParams()
         )
         assert rep.time == 0
         assert rep.local_messages == 1
 
     def test_t3d_time_phase_returns_report(self):
-        """T3DModel.time_phase exposes the same PhaseReport surface as
-        ParagonModel (formerly a bare float)."""
+        """On a 3-D mesh, MeshModel.time_phase returns the same
+        PhaseReport surface as on a 2-D mesh (formerly a bare float)."""
         from repro.machine import PhaseReport
 
-        machine = T3DModel(2, 2, 2)
-        rep = machine.time_phase([Message3((0, 0, 0), (1, 1, 1), size=2)])
+        machine = MeshModel(2, 2, 2)
+        rep = machine.time_phase([Message((0, 0, 0), (1, 1, 1), size=2)])
         assert isinstance(rep, PhaseReport)
         assert rep.time > 0 and rep.max_hops == 3
 
@@ -80,8 +80,8 @@ class TestTiming3D:
         cross-check Paragon has: for a conflict-free phase the makespan
         is the transfer+pipeline term, and the analytic model is an
         upper bound (it additionally charges the sender start-up)."""
-        machine = T3DModel(2, 2, 2)
-        phase = [Message3((0, 0, 0), (1, 1, 1), size=2)]
+        machine = MeshModel(2, 2, 2)
+        phase = [Message((0, 0, 0), (1, 1, 1), size=2)]
         event = machine.time_event_driven([phase])
         p = machine.params
         assert event == p.beta * 2 + p.gamma * 3
@@ -100,7 +100,7 @@ class TestT3DDecomposition:
         # elementary matrix with non-trivial row 0: moves axis 0 only
         e = elementary(3, 0, [1, 2, 1], diag=1)
         dists = self._dists()
-        msgs = affine_pattern_3d(dists, e, merge=False)
+        msgs = affine_pattern(dists, e, merge=False)
         for m in msgs:
             if m.src != m.dst:
                 assert m.src[1:] == m.dst[1:]
@@ -112,7 +112,7 @@ class TestT3DDecomposition:
         assert t.det() == 1
         factors = unirow_decomposition(t)
         assert verify_factors(t, factors)
-        machine = T3DModel(2, 2, 2)
+        machine = MeshModel(2, 2, 2)
         dists = self._dists()
         direct = machine.time_general(dists, t, size=4)
         split = machine.time_decomposed(dists, factors, size=4)
@@ -121,10 +121,10 @@ class TestT3DDecomposition:
     def test_pattern_wrap_and_merge(self):
         dists = self._dists(n=4)
         t = IntMat.identity(3)
-        merged = affine_pattern_3d(dists, t, merge=True)
+        merged = affine_pattern(dists, t, merge=True)
         # identity pattern: every message is local
         assert all(m.src == m.dst for m in merged)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            affine_pattern_3d(self._dists(), IntMat.identity(2))
+            affine_pattern(self._dists(), IntMat.identity(2))

@@ -15,9 +15,9 @@ from repro.distribution import (
 from repro.linalg import IntMat
 from repro.machine import (
     CostParams,
-    Mesh2D,
+    Mesh,
     Message,
-    ParagonModel,
+    MeshModel,
     affine_pattern,
     coalesce,
     decomposed_phases,
@@ -76,7 +76,7 @@ class TestTranslation:
         assert len(clipped) < len(wrapped)
 
     def test_translation_cheaper_than_general(self):
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         dist = _dist()
         tr = machine.time_phase(translation_pattern(dist, (1, 0), size=4)).time
         gen = machine.time_general(dist, IntMat([[1, 3], [2, 7]]), size=4)
@@ -108,12 +108,12 @@ class TestModelScaling:
     def test_time_scales_with_alpha(self):
         dist = _dist()
         t = IntMat([[1, 1], [1, 2]])
-        cheap = ParagonModel(2, 2, params=CostParams(alpha=1.0))
-        dear = ParagonModel(2, 2, params=CostParams(alpha=100.0))
+        cheap = MeshModel(2, 2, params=CostParams(alpha=1.0))
+        dear = MeshModel(2, 2, params=CostParams(alpha=100.0))
         assert dear.time_general(dist, t) > cheap.time_general(dist, t)
 
     def test_time_scales_with_payload(self):
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         dist = _dist()
         t = IntMat([[1, 1], [1, 2]])
         assert machine.time_general(dist, t, size=8) > machine.time_general(
@@ -125,8 +125,8 @@ class TestModelScaling:
         # bottleneck link load cannot grow
         n = 16
         t = IntMat([[1, 1], [0, 1]])
-        small = ParagonModel(2, 2)
-        big = ParagonModel(4, 4)
+        small = MeshModel(2, 2)
+        big = MeshModel(4, 4)
         d_small = Distribution2D(
             CyclicDistribution(n, 2), CyclicDistribution(n, 2)
         )
@@ -143,7 +143,7 @@ class TestGroupedInteraction:
     @settings(max_examples=30, deadline=None)
     def test_grouped_never_worse_than_block_for_matching_stride(self, k, p):
         n = 2 * k * p  # keep classes balanced
-        machine = ParagonModel(p, 2)
+        machine = MeshModel(p, 2)
         grouped = Distribution2D(
             GroupedDistribution(n, p, k=k), BlockDistribution(n, 2)
         )

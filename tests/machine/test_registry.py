@@ -6,8 +6,7 @@ from repro.machine import (
     CM5Model,
     MachineModel,
     MachineSpec,
-    ParagonModel,
-    T3DModel,
+    MeshModel,
     machine_for_mesh,
     machine_names,
     machine_spec,
@@ -23,12 +22,12 @@ class TestRegistry:
 
     def test_make_machine_paragon(self):
         m = make_machine("paragon", (4, 4))
-        assert isinstance(m, ParagonModel)
+        assert isinstance(m, MeshModel)
         assert m.mesh.dims == (4, 4)
 
     def test_make_machine_t3d(self):
         m = make_machine("t3d", (2, 3, 4))
-        assert isinstance(m, T3DModel)
+        assert isinstance(m, MeshModel)
         assert m.mesh.dims == (2, 3, 4)
 
     def test_unknown_name_friendly(self):
@@ -49,7 +48,7 @@ class TestRegistry:
         spec = machine_spec("cm5")
         machine = spec.make((4, 4))
         collectives = spec.make_collectives((4, 4))
-        assert isinstance(machine, ParagonModel)
+        assert isinstance(machine, MeshModel)
         assert isinstance(collectives, CM5Model)
         assert collectives.nodes == 16
 
@@ -67,14 +66,14 @@ class TestRegistry:
         spec = MachineSpec(
             name="_test_mesh3d",
             mesh_rank=3,
-            factory=T3DModel,
+            factory=MeshModel,
             description="test-only alias",
         )
         try:
             register_machine(spec)
             assert "_test_mesh3d" in machine_names()
             m = make_machine("_test_mesh3d", (2, 2, 2))
-            assert isinstance(m, T3DModel)
+            assert isinstance(m, MeshModel)
         finally:
             from repro.machine.model import _REGISTRY
 
@@ -82,11 +81,11 @@ class TestRegistry:
 
 
 class TestProtocolConformance:
-    """Both presets satisfy the structural MachineModel interface and
-    produce interchangeable PhaseReports."""
+    """The mesh model satisfies the structural MachineModel interface
+    at mesh rank 2 and 3 and produces interchangeable PhaseReports."""
 
     @pytest.mark.parametrize(
-        "machine", [ParagonModel(2, 2), T3DModel(2, 2, 2)]
+        "machine", [MeshModel(2, 2), MeshModel(2, 2, 2)]
     )
     def test_runtime_checkable(self, machine):
         assert isinstance(machine, MachineModel)
@@ -94,10 +93,10 @@ class TestProtocolConformance:
     def test_phase_report_surface_matches(self):
         from repro.machine import Message, PhaseReport
 
-        rep2 = ParagonModel(2, 2).time_phase(
+        rep2 = MeshModel(2, 2).time_phase(
             [Message((0, 0), (1, 1), size=3)]
         )
-        rep3 = T3DModel(2, 2, 2).time_phase(
+        rep3 = MeshModel(2, 2, 2).time_phase(
             [Message((0, 0, 0), (1, 1, 1), size=3)]
         )
         assert isinstance(rep2, PhaseReport)
@@ -109,7 +108,7 @@ class TestProtocolConformance:
     def test_time_phases_total(self):
         from repro.machine import Message
 
-        machine = T3DModel(2, 2, 2)
+        machine = MeshModel(2, 2, 2)
         phases = [
             [Message((0, 0, 0), (0, 0, 1), size=2)],
             [Message((0, 0, 1), (0, 1, 1), size=2)],

@@ -9,9 +9,9 @@ from repro.machine import (
     CM5Model,
     CostParams,
     EventSimulator,
-    Mesh2D,
+    Mesh,
     Message,
-    ParagonModel,
+    MeshModel,
     broadcast_tree_phases,
     message_counts,
     phase_time,
@@ -23,12 +23,12 @@ from repro.distribution import BlockDistribution, CyclicDistribution, Distributi
 
 class TestRouting:
     def test_local_no_links(self):
-        m = Mesh2D(2, 2)
-        assert m.xy_route((0, 0), (0, 0)) == []
+        m = Mesh(2, 2)
+        assert m.route((0, 0), (0, 0)) == []
 
     def test_route_includes_inj_eje(self):
-        m = Mesh2D(2, 2)
-        route = m.xy_route((0, 0), (1, 1))
+        m = Mesh(2, 2)
+        route = m.route((0, 0), (1, 1))
         assert route[0] == ("inj", (0, 0))
         assert route[-1] == ("eje", (1, 1))
         # X (column) first, then Y
@@ -36,14 +36,14 @@ class TestRouting:
         assert ("net", (0, 1), (1, 1)) in route
 
     def test_hops(self):
-        m = Mesh2D(4, 4)
+        m = Mesh(4, 4)
         assert m.hops((0, 0), (3, 3)) == 6
 
     def test_route_length_matches_hops(self):
-        m = Mesh2D(3, 5)
+        m = Mesh(3, 5)
         for src in m.nodes():
             for dst in m.nodes():
-                r = m.xy_route(src, dst)
+                r = m.route(src, dst)
                 if src == dst:
                     assert r == []
                 else:
@@ -51,12 +51,12 @@ class TestRouting:
 
     def test_outside_rejected(self):
         with pytest.raises(ValueError):
-            Mesh2D(2, 2).xy_route((0, 0), (5, 0))
+            Mesh(2, 2).route((0, 0), (5, 0))
 
 
 class TestContention:
     def test_single_message(self):
-        m = Mesh2D(2, 2)
+        m = Mesh(2, 2)
         p = CostParams(alpha=10, beta=1, gamma=0.5)
         rep = phase_time(m, [Message((0, 0), (0, 1), size=4)], p)
         assert rep.total_messages == 1
@@ -64,13 +64,13 @@ class TestContention:
         assert rep.time == 10 + 4 + 0.5
 
     def test_local_messages_free(self):
-        m = Mesh2D(2, 2)
+        m = Mesh(2, 2)
         rep = phase_time(m, [Message((0, 0), (0, 0), size=100)], CostParams())
         assert rep.time == 0
         assert rep.local_messages == 1
 
     def test_conflicting_messages_serialize(self):
-        m = Mesh2D(1, 4)
+        m = Mesh(1, 4)
         p = CostParams(alpha=0, beta=1, gamma=0)
         # both messages cross link (0,1)->(0,2)
         msgs = [
@@ -81,7 +81,7 @@ class TestContention:
         assert rep.max_link_load == 10
 
     def test_fanout_serializes_at_sender(self):
-        m = Mesh2D(2, 2)
+        m = Mesh(2, 2)
         p = CostParams(alpha=7, beta=0, gamma=0)
         msgs = [Message((0, 0), d, size=1) for d in [(0, 1), (1, 0), (1, 1)]]
         rep = phase_time(m, msgs, p)
@@ -97,7 +97,7 @@ class TestContention:
         from repro.decomp import L, U
 
         n = 12
-        pm = ParagonModel(4, 4)
+        pm = MeshModel(4, 4)
         dist = Distribution2D(
             rows=CyclicDistribution(n, 4), cols=CyclicDistribution(n, 4)
         )
@@ -109,17 +109,17 @@ class TestContention:
 
 class TestEventSim:
     def test_empty(self):
-        sim = EventSimulator(Mesh2D(2, 2), CostParams())
+        sim = EventSimulator(Mesh(2, 2), CostParams())
         assert sim.run([]) == 0.0
 
     def test_single_message_time(self):
-        sim = EventSimulator(Mesh2D(1, 2), CostParams(alpha=0, beta=1, gamma=2))
+        sim = EventSimulator(Mesh(1, 2), CostParams(alpha=0, beta=1, gamma=2))
         # wormhole: beta*size once + gamma per network hop (1 hop here)
         t = sim.run([Message((0, 0), (0, 1), size=2)])
         assert t == 4.0
 
     def test_conflicting_paths_serialize(self):
-        sim = EventSimulator(Mesh2D(1, 4), CostParams(alpha=0, beta=1, gamma=0))
+        sim = EventSimulator(Mesh(1, 4), CostParams(alpha=0, beta=1, gamma=0))
         msgs = [
             Message((0, 0), (0, 3), size=5),
             Message((0, 1), (0, 2), size=5),
@@ -128,7 +128,7 @@ class TestEventSim:
         assert sim.run(msgs) == 10.0
 
     def test_disjoint_paths_overlap(self):
-        sim = EventSimulator(Mesh2D(1, 4), CostParams(alpha=0, beta=1, gamma=0))
+        sim = EventSimulator(Mesh(1, 4), CostParams(alpha=0, beta=1, gamma=0))
         msgs = [
             Message((0, 0), (0, 1), size=5),
             Message((0, 2), (0, 3), size=5),
@@ -136,7 +136,7 @@ class TestEventSim:
         assert sim.run(msgs) == 5.0
 
     def test_never_faster_than_bottleneck(self):
-        mesh = Mesh2D(2, 4)
+        mesh = Mesh(2, 4)
         params = CostParams(alpha=2, beta=1, gamma=0.1)
         msgs = [
             Message((0, 0), (1, 3), size=3),
@@ -153,7 +153,7 @@ class TestEventSim:
         from repro.decomp import L, U
 
         n = 8
-        pm = ParagonModel(4, 2)
+        pm = MeshModel(4, 2)
         dist = Distribution2D(
             rows=CyclicDistribution(n, 4), cols=CyclicDistribution(n, 2)
         )
@@ -167,7 +167,7 @@ class TestEventSim:
 
 class TestCollectivePatterns:
     def test_broadcast_covers_everyone(self):
-        mesh = Mesh2D(2, 4)
+        mesh = Mesh(2, 4)
         phases = broadcast_tree_phases(mesh, root=(0, 0), size=1)
         receivers = {m.dst for ph in phases for m in ph}
         assert receivers == set(mesh.nodes()) - {(0, 0)}
@@ -175,7 +175,7 @@ class TestCollectivePatterns:
         assert len(phases) == 3
 
     def test_reduction_mirrors_broadcast(self):
-        mesh = Mesh2D(2, 2)
+        mesh = Mesh(2, 2)
         red = reduction_tree_phases(mesh, root=(0, 0))
         senders = {m.src for ph in red for m in ph}
         assert senders == set(mesh.nodes()) - {(0, 0)}

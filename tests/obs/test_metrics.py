@@ -104,10 +104,10 @@ class TestUnifiedSurfaces:
             clear_route_caches,
             route_cache_for,
         )
-        from repro.machine.topology import Mesh2D
+        from repro.machine.topology import Mesh
 
         clear_route_caches()
-        cache = route_cache_for(Mesh2D(2, 2))
+        cache = route_cache_for(Mesh(2, 2))
         cache.link_ids((0, 0), (1, 1))
         cache.link_ids((0, 0), (1, 1))
         section = metrics.snapshot()["machine.routecache"]
@@ -117,10 +117,10 @@ class TestUnifiedSurfaces:
 
     def test_route_cache_instances_are_independent(self):
         from repro.machine.routecache import RouteCache
-        from repro.machine.topology import Mesh2D
+        from repro.machine.topology import Mesh
 
-        a = RouteCache(Mesh2D(2, 2))
-        b = RouteCache(Mesh2D(2, 2))
+        a = RouteCache(Mesh(2, 2))
+        b = RouteCache(Mesh(2, 2))
         a.link_ids((0, 0), (0, 1))
         assert a.misses == 1 and b.misses == 0
         a.clear()

@@ -8,7 +8,7 @@ lives in a dict.  ``benchmarks/bench_perf_core.py`` also times them as
 the speedup baseline.
 
 * :func:`phase_time_python` — ``phase_time`` on a 2-D mesh;
-* :func:`phase_time_3d_python` — ``phase_time_3d`` on a 3-D mesh;
+* :func:`phase_time_python` — ``phase_time`` on a 3-D mesh;
 * :func:`simulate_python` — ``EventSimulator.run``, any mesh rank.
 """
 
@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.machine import CostParams, Mesh2D, Mesh3D, Message, PhaseReport
+from repro.machine import CostParams, Mesh, Message, PhaseReport
 from repro.machine.topology import Link
 
 
 def phase_time_python(
-    mesh: Mesh2D, messages: Sequence[Message], params: CostParams
+    mesh: Mesh, messages: Sequence[Message], params: CostParams
 ) -> PhaseReport:
-    """Pure-Python reference implementation of ``phase_time``."""
+    """Pure-Python reference implementation of ``phase_time``, any
+    mesh rank (routes walked link by link with ``mesh.route``)."""
     link_load: Dict[Link, int] = {}
     sender_msgs: Dict = {}
     max_hops = 0
@@ -38,7 +39,7 @@ def phase_time_python(
         total_volume += m.size
         sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
         max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xy_route(m.src, m.dst):
+        for link in mesh.route(m.src, m.dst):
             link_load[link] = link_load.get(link, 0) + m.size
     max_load = max(link_load.values(), default=0)
     max_fanout = max(sender_msgs.values(), default=0)
@@ -49,41 +50,6 @@ def phase_time_python(
     )
     return PhaseReport(
         time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
-    )
-
-
-def phase_time_3d_python(mesh: Mesh3D, messages, params):
-    """Pure-Python reference implementation of ``phase_time_3d``."""
-    link_load = {}
-    sender_msgs = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    for m in messages:
-        if m.src == m.dst:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xyz_route(m.src, m.dst):
-            link_load[link] = link_load.get(link, 0) + m.size
-    max_load = max(link_load.values(), default=0)
-    max_fanout = max(sender_msgs.values(), default=0)
-    return PhaseReport(
-        time=(
-            params.alpha * max_fanout
-            + params.beta * max_load
-            + params.gamma * max_hops
-        ),
         max_link_load=max_load,
         max_hops=max_hops,
         max_msgs_per_sender=max_fanout,

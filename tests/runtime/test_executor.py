@@ -6,7 +6,7 @@ import pytest
 from repro.alignment import two_step_heuristic, var_node
 from repro.ir import motivating_example
 from repro.linalg import IntMat
-from repro.machine import CM5Model, Mesh2D, ParagonModel
+from repro.machine import CM5Model, Mesh, MeshModel
 from repro.runtime import (
     CommReport,
     Folding,
@@ -24,79 +24,60 @@ def program():
     mapping = two_step_heuristic(
         nest, m=2, root_allocations={var_node("a"): IntMat.identity(2)}
     )
-    machine = ParagonModel(2, 2)
+    machine = MeshModel(2, 2)
     folding = Folding(mesh=machine.mesh, extent=8)
     return MappedProgram(mapping=mapping, folding=folding, params=PARAMS)
 
 
 @pytest.fixture(scope="module")
 def machine():
-    return ParagonModel(2, 2)
+    return MeshModel(2, 2)
 
 
 class TestFolding:
     def test_fold_basic(self):
-        f = Folding(mesh=Mesh2D(2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2), extent=4)
         assert f.fold((0, 0)) == (0, 0)
         assert f.fold((1, 1)) == (1, 1)  # cyclic default
         assert f.fold((2, 2)) == (0, 0)
 
     def test_fold_negative(self):
-        f = Folding(mesh=Mesh2D(2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2), extent=4)
         # negative virtual coordinates wrap into the window
         assert f.fold((-1, 0))[0] in (0, 1)
 
     def test_fold_extra_dims_rejected(self):
         """Extra virtual dimensions are no longer silently summed away:
         a rank mismatch is a friendly error."""
-        f = Folding(mesh=Mesh2D(2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2), extent=4)
         with pytest.raises(ValueError, match="virtual grid dimension m"):
             f.fold((1, 1, 1))
 
     def test_fold_missing_dims_rejected(self):
-        f = Folding(mesh=Mesh2D(2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2), extent=4)
         with pytest.raises(ValueError, match="3-D mesh|2-D mesh"):
             f.fold((3,))
 
     def test_fold_3d_mesh(self):
-        from repro.machine import Mesh3D
-
-        f = Folding(mesh=Mesh3D(2, 2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2, 2), extent=4)
         assert f.rank == 3
         assert f.fold((1, 2, 3)) == (1, 0, 1)  # cyclic per dimension
         with pytest.raises(ValueError, match="m must"):
             f.fold((1, 2))
 
     def test_fold_3d_schemes_per_dimension(self):
-        from repro.machine import Mesh3D
-
         f = Folding(
-            mesh=Mesh3D(2, 2, 2), extent=4,
+            mesh=Mesh(2, 2, 2), extent=4,
             schemes=("block", "cyclic", "block"),
         )
         assert f.fold((3, 3, 0)) == (1, 1, 0)
 
     def test_scheme_count_must_match_rank(self):
         with pytest.raises(ValueError, match="one distribution scheme"):
-            Folding(mesh=Mesh2D(2, 2), extent=4, schemes=("cyclic",))
-
-    def test_row_col_spelling_rejected_on_3d_mesh(self):
-        """The 2-D row/col scheme spelling cannot silently degrade to
-        all-cyclic on a higher-rank mesh."""
-        from repro.machine import Mesh3D
-
-        with pytest.raises(ValueError, match="only apply to"):
-            Folding(mesh=Mesh3D(2, 2, 2), extent=4, row_scheme="block")
-
-    def test_mixing_schemes_and_row_col_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            Folding(
-                mesh=Mesh2D(2, 2), extent=4,
-                schemes=("cyclic", "cyclic"), row_scheme="block",
-            )
+            Folding(mesh=Mesh(2, 2), extent=4, schemes=("cyclic",))
 
     def test_block_scheme(self):
-        f = Folding(mesh=Mesh2D(2, 2), extent=4, row_scheme="block")
+        f = Folding(mesh=Mesh(2, 2), extent=4, schemes=("block", "cyclic"))
         assert f.fold((0, 0))[0] == 0
         assert f.fold((3, 0))[0] == 1
 

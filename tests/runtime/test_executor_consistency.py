@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.alignment import two_step_heuristic
 from repro.ir import NestBuilder
 from repro.linalg import IntMat, rank
-from repro.machine import Mesh2D, ParagonModel
+from repro.machine import Mesh, MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 
@@ -47,7 +47,7 @@ def random_nest(seed: int):
 
 def _program(nest):
     mapping = two_step_heuristic(nest, m=2)
-    mesh = Mesh2D(2, 2)
+    mesh = Mesh(2, 2)
     folding = Folding(mesh=mesh, extent=8)
     return MappedProgram(mapping=mapping, folding=folding, params={})
 
@@ -79,7 +79,7 @@ class TestClassificationMatchesEvents:
     def test_execution_never_crashes(self, seed):
         nest = random_nest(seed)
         program = _program(nest)
-        rep = execute(program, ParagonModel(2, 2))
+        rep = execute(program, MeshModel(2, 2))
         assert rep.total_time >= 0.0
         assert rep.total_messages >= 0
 

@@ -4,7 +4,7 @@ phase timing) must not move a single number on the paper's example
 nests.
 
 The expected values below were recorded from the pre-refactor
-implementation (hard-wired ``Mesh2D``/``ParagonModel``, 2-tuple
+implementation (hard-wired 2-D mesh and Paragon model, 2-tuple
 folding) and pin the full ``CommReport``: totals plus the per-access
 classification / event / message / volume / time breakdown.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro import compile_nest
 from repro.ir import motivating_example, platonoff_example
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 
 # per-access golden rows: classification, events, virtual_local,
 # phys_local, messages_after_vectorization, volume, time
@@ -63,12 +63,12 @@ def _check(report, golden):
 class TestGolden2D:
     def test_motivating_example_report_unchanged(self):
         c = compile_nest(motivating_example(), m=2)
-        rep = c.run(ParagonModel(2, 2), params={"N": 3, "M": 3})
+        rep = c.run(MeshModel(2, 2), params={"N": 3, "M": 3})
         _check(rep, GOLDEN_MOTIVATING)
 
     def test_platonoff_example_report_unchanged(self):
         c = compile_nest(platonoff_example(), m=2)
-        rep = c.run(ParagonModel(2, 2), params={"n": 3})
+        rep = c.run(MeshModel(2, 2), params={"n": 3})
         _check(rep, GOLDEN_PLATONOFF)
 
     def test_source_and_ir_paths_agree(self):
@@ -84,5 +84,5 @@ for i = 1..N:
       S3: c[i, j, j+k] = g3(a[i+j, i+j+1])
 """
         c = compile_nest(src, m=2)
-        rep = c.run(ParagonModel(2, 2), params={"N": 3, "M": 3})
+        rep = c.run(MeshModel(2, 2), params={"N": 3, "M": 3})
         _check(rep, GOLDEN_MOTIVATING)

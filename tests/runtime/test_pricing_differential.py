@@ -26,7 +26,7 @@ from repro.campaign.workloads import (
 )
 from repro.ir.loopnest import NestBuilder
 from repro.ir.schedule import Schedule, ScheduledNest
-from repro.machine import CostParams, machine_spec
+from repro.machine import CostParams, MeshModel, machine_spec
 from repro.runtime import execute, execute_group
 from repro.runtime.executor import _classification_of, _vectorizable
 
@@ -120,7 +120,7 @@ def fold(name, grid):
         spec = machine_spec(machine_name)
         machine = spec.make(mesh)
         if cost:
-            machine = dataclasses.replace(machine, params=cost[0])
+            machine = MeshModel(*mesh, params=cost[0])
         cells.append(
             (c.program(machine, params), machine, spec.make_collectives(mesh))
         )

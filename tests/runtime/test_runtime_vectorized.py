@@ -15,7 +15,7 @@ import pytest
 from repro import compile_nest
 from repro.campaign import generate_workloads
 from repro.ir import motivating_example, platonoff_example
-from repro.machine import CM5Model, ParagonModel, machine_spec
+from repro.machine import CM5Model, MeshModel, machine_spec
 from repro.runtime import count_nonlocal_virtual, execute, execute_python
 
 PARAMS = {"N": 3, "M": 3}
@@ -24,7 +24,7 @@ PARAMS = {"N": 3, "M": 3}
 def _compiled_program(nest_or_src, m=2, machine=None, params=None, **kw):
     params = params or PARAMS
     c = compile_nest(nest_or_src, m=m, params=params, **kw)
-    machine = machine or ParagonModel(2, 2)
+    machine = machine or MeshModel(2, 2)
     return c, c.program(machine, params), machine
 
 
@@ -82,7 +82,7 @@ class TestGeneratedWorkloads:
         for wl in workloads:
             nest = wl.resolve()
             c = compile_nest(nest, m=2, params=dict(wl.params), name=wl.name)
-            prog = c.program(ParagonModel(2, 2), dict(wl.params))
+            prog = c.program(MeshModel(2, 2), dict(wl.params))
             assert prog.comm_events() == prog.comm_events_python(), wl.name
 
     def test_execute_bit_identical(self, workloads):
@@ -91,7 +91,7 @@ class TestGeneratedWorkloads:
             nest = wl.resolve()
             c = compile_nest(nest, m=2, params=dict(wl.params), name=wl.name)
             for mesh in ((2, 2), (4, 4)):
-                machine = ParagonModel(*mesh)
+                machine = MeshModel(*mesh)
                 prog = c.program(machine, dict(wl.params))
                 assert execute(prog, machine) == execute_python(
                     prog, machine
@@ -104,7 +104,7 @@ class TestGeneratedWorkloads:
         """Bindings that empty a loop range: both executors produce the
         same (empty) per-access map."""
         c = compile_nest(motivating_example(), m=2)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         prog = c.program(machine, {"N": 0, "M": 0})
         assert execute(prog, machine) == execute_python(prog, machine)
         assert prog.comm_events() == prog.comm_events_python()
@@ -113,7 +113,7 @@ class TestGeneratedWorkloads:
         for wl in workloads[:6]:
             nest = wl.resolve()
             c = compile_nest(nest, m=2, params=dict(wl.params), name=wl.name)
-            prog = c.program(ParagonModel(2, 2), dict(wl.params))
+            prog = c.program(MeshModel(2, 2), dict(wl.params))
             ref = {}
             for ev in prog.comm_events_python():
                 if ev.sender_virtual != ev.receiver_virtual:
@@ -141,7 +141,7 @@ class TestMemoization:
         from repro.linalg import IntMat
 
         c = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         prog = c.program(machine, PARAMS)
         execute(prog, machine)  # populate mapping + program caches
         al = c.mapping.alignment
@@ -158,18 +158,18 @@ class TestMemoization:
         campaign's price-many case) share one virtual-stage cache entry
         on the mapping."""
         c = compile_nest(motivating_example(), m=2, params=PARAMS)
-        p1 = c.program(ParagonModel(2, 2), PARAMS)
+        p1 = c.program(MeshModel(2, 2), PARAMS)
         p1.comm_batches()
         cache = c.mapping.__dict__.get("_virtual_batch_cache")
         assert cache is not None and len(cache) == 1
-        p2 = c.program(ParagonModel(4, 4), PARAMS)
+        p2 = c.program(MeshModel(4, 4), PARAMS)
         p2.comm_batches()
         assert len(c.mapping.__dict__["_virtual_batch_cache"]) == 1
 
     def test_distinct_programs_price_identically(self):
         """Memoization never leaks across different foldings."""
         c = compile_nest(motivating_example(), m=2, params=PARAMS)
-        m_small, m_big = ParagonModel(2, 2), ParagonModel(4, 4)
+        m_small, m_big = MeshModel(2, 2), MeshModel(4, 4)
         r_small = execute(c.program(m_small, PARAMS), m_small)
         r_big = execute(c.program(m_big, PARAMS), m_big)
         assert r_small == execute_python(c.program(m_small, PARAMS), m_small)
@@ -180,7 +180,7 @@ class TestFoldArray:
     def test_fold_array_matches_scalar_fold(self):
         import numpy as np
 
-        from repro.machine import Mesh2D
+        from repro.machine import Mesh
         from repro.runtime import Folding
 
         for schemes in (None, ("block", "grouped"), ("cyclic_block", "cyclic")):
@@ -190,7 +190,7 @@ class TestFoldArray:
             elif schemes == ("cyclic_block", "cyclic"):
                 kw = {"scheme_kw": ({"block": 2}, {})}
             f = Folding(
-                mesh=Mesh2D(3, 4), extent=12,
+                mesh=Mesh(3, 4), extent=12,
                 **({"schemes": schemes, **kw} if schemes else {}),
             )
             virt = np.array(
@@ -204,9 +204,9 @@ class TestFoldArray:
     def test_fold_array_shape_mismatch_rejected(self):
         import numpy as np
 
-        from repro.machine import Mesh2D
+        from repro.machine import Mesh
         from repro.runtime import Folding
 
-        f = Folding(mesh=Mesh2D(2, 2), extent=4)
+        f = Folding(mesh=Mesh(2, 2), extent=4)
         with pytest.raises(ValueError, match="expected"):
             f.fold_array(np.zeros((3, 3), dtype=np.int64))

@@ -34,7 +34,7 @@ from repro.ir import motivating_example
 from repro.machine import (
     CM5Model,
     CostParams,
-    ParagonModel,
+    MeshModel,
     machine_spec,
     phase_times_segmented,
 )
@@ -102,7 +102,7 @@ class TestKernelBitIdentity:
             assert srep.report(pid) == want, (dims, seed, pid)
 
     def test_explicit_n_phases_pads_empty_tail(self):
-        mesh = ParagonModel(4, 4).mesh
+        mesh = MeshModel(4, 4).mesh
         senders = np.array([[0, 0]], dtype=np.int64)
         receivers = np.array([[3, 3]], dtype=np.int64)
         sizes = np.array([4], dtype=np.int64)
@@ -118,7 +118,7 @@ class TestKernelBitIdentity:
         assert srep.report(1) == empty and srep.report(2) == empty
 
     def test_all_local_and_empty_inputs(self):
-        mesh = ParagonModel(2, 2).mesh
+        mesh = MeshModel(2, 2).mesh
         senders = np.array([[1, 1], [0, 1]], dtype=np.int64)
         srep = phase_times_segmented(
             mesh, senders, senders.copy(), np.array([3, 5]),
@@ -136,7 +136,7 @@ class TestKernelBitIdentity:
     def test_magnitude_guard_takes_exact_fallback(self):
         """Sizes past the float64-exact bound still price bit-identical
         (through the per-phase exact fallback)."""
-        mesh = ParagonModel(4, 4).mesh
+        mesh = MeshModel(4, 4).mesh
         big = _EXACT_F64  # one message already overflows the guard
         senders = np.array([[0, 0], [0, 0], [1, 0]], dtype=np.int64)
         receivers = np.array([[3, 3], [2, 1], [3, 2]], dtype=np.int64)
@@ -156,7 +156,7 @@ class TestKernelBitIdentity:
         """One segment past the float64-exact bound, stacked between
         small ones: only that segment takes the exact path (counted
         once), and every segment still matches the oracle."""
-        mesh = ParagonModel(4, 4).mesh
+        mesh = MeshModel(4, 4).mesh
         rng = np.random.default_rng(3)
         senders, receivers, sizes, phase_ids = random_phases(
             rng, (4, 4), n_phases=5, events_per_phase=6
@@ -180,7 +180,7 @@ class TestKernelBitIdentity:
         """The guard bounds each segment, not the launch: segments that
         are each in range stay on the kernel even when their sum is
         not."""
-        mesh = ParagonModel(4, 4).mesh
+        mesh = MeshModel(4, 4).mesh
         senders = np.array([[0, 0], [1, 1]] * 4, dtype=np.int64)
         receivers = np.array([[3, 3], [2, 0]] * 4, dtype=np.int64)
         sizes = np.full(8, 2 ** 51, dtype=np.int64)
@@ -265,41 +265,6 @@ class TestExecutorBitIdentity3D:
             )
 
 
-class _PerPhaseOnlyModel:
-    """A registered-model stand-in exposing only ``time_phase`` — the
-    duck-typed models the executor's adapter must keep working for."""
-
-    def __init__(self, p, q):
-        self._inner = ParagonModel(p, q)
-        self.mesh = self._inner.mesh
-
-    def time_phase(self, messages):
-        return self._inner.time_phase(messages)
-
-
-class TestFallbacks:
-    def test_duck_typed_model_prices_per_phase(self):
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        full = ParagonModel(4, 4)
-        duck = _PerPhaseOnlyModel(4, 4)
-        want = execute(compiled.program(full, PARAMS), full)
-        got = execute(compiled.program(duck, PARAMS), duck)
-        assert got == want
-
-    def test_macro_lane_without_vectorized_collectives(self):
-        class _ScalarCM5(CM5Model):
-            # hide the vectorized lane: the executor must fall back to
-            # scalar reduction_time/broadcast_time per segment
-            macro_times_segmented = None
-
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(4, 4)
-        prog = compiled.program(machine, PARAMS)
-        got = execute(prog, machine, collectives=_ScalarCM5())
-        want = execute(prog, machine, collectives=CM5Model())
-        assert got == want
-
-
 class TestSpanTaxonomy:
     def test_segmented_span_counts_phases(self):
         """One fused kernel launch records ``count = phases``, so stage
@@ -307,7 +272,7 @@ class TestSpanTaxonomy:
         exec.segmented count, and the ``runtime.price.phases`` counter,
         equal the number of phases the per-phase oracle prices."""
         compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(4, 4)
+        machine = MeshModel(4, 4)
         prog = compiled.program(machine, PARAMS)
         phases = metrics.counter("runtime.price.phases")
         launches = metrics.counter("runtime.price.launches")

@@ -10,7 +10,7 @@ import pytest
 
 from repro import compile_nest
 from repro.campaign import generate_triangular_workloads, triangular_corpus
-from repro.machine import ParagonModel, T3DModel
+from repro.machine import MeshModel
 from repro.runtime import execute, execute_python
 
 TRI_SRC = """array a(2), b(2), c(2)
@@ -25,7 +25,7 @@ class TestTriangularExtraction:
     def test_event_count_matches_domain_size(self):
         params = {"N": 4}
         c = compile_nest(TRI_SRC, m=2, params=params, name="tri")
-        prog = c.program(ParagonModel(4, 4), params)
+        prog = c.program(MeshModel(4, 4), params)
         stmt = c.nest.statements[0]
         n = stmt.domain_size(params)
         assert n == sum(
@@ -40,20 +40,20 @@ class TestTriangularExtraction:
     def test_batches_match_python_events(self):
         params = {"N": 3}
         c = compile_nest(TRI_SRC, m=2, params=params, name="tri")
-        prog = c.program(ParagonModel(2, 2), params)
+        prog = c.program(MeshModel(2, 2), params)
         assert prog.comm_events() == prog.comm_events_python()
 
     def test_execute_bit_identical_2d(self):
         params = {"N": 4}
         c = compile_nest(TRI_SRC, m=2, params=params, name="tri")
-        machine = ParagonModel(4, 4)
+        machine = MeshModel(4, 4)
         prog = c.program(machine, params)
         assert execute(prog, machine) == execute_python(prog, machine)
 
     def test_execute_bit_identical_3d(self):
         params = {"N": 3}
         c = compile_nest(TRI_SRC, m=3, params=params, name="tri3")
-        machine = T3DModel(2, 2, 2)
+        machine = MeshModel(2, 2, 2)
         prog = c.program(machine, params)
         assert execute(prog, machine) == execute_python(prog, machine)
 
@@ -68,7 +68,7 @@ class TestTriangularCorpusRuntime:
             nest, m=2, schedules=schedules, params=params,
             check_legality=wl.check_legality, name=wl.name,
         )
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         prog = compiled.program(machine, params)
         assert execute(prog, machine) == execute_python(prog, machine)
         assert prog.comm_events() == prog.comm_events_python()
@@ -76,7 +76,7 @@ class TestTriangularCorpusRuntime:
 
 class TestGeneratedTriangularRuntime:
     def test_generated_workloads_bit_identical(self):
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         for wl in generate_triangular_workloads(seed=2, count=5):
             nest = wl.resolve()
             params = dict(wl.params)

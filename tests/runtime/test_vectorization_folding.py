@@ -12,7 +12,7 @@ from repro.ir import (
     parse_nest,
 )
 from repro.linalg import IntMat
-from repro.machine import CM5Model, Mesh2D, ParagonModel
+from repro.machine import CM5Model, Mesh, MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
 
@@ -45,7 +45,7 @@ class TestVectorization:
         nest = _timed_nest()
         schedules = outer_sequential_schedules(nest, outer=1)
         result = two_step_heuristic(nest, m=2, schedules=schedules)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         program = MappedProgram(
             mapping=result,
             folding=Folding(mesh=machine.mesh, extent=6),
@@ -67,21 +67,20 @@ class TestFoldingSchemes:
         nest = _timed_nest()
         schedules = outer_sequential_schedules(nest, outer=1)
         result = two_step_heuristic(nest, m=2, schedules=schedules)
-        mesh = Mesh2D(2, 2)
+        mesh = Mesh(2, 2)
         folding = Folding(
             mesh=mesh,
             extent=6,
-            row_scheme="grouped",
-            row_kw={"k": 2},
-            col_scheme="block",
+            schemes=("grouped", "block"),
+            scheme_kw=({"k": 2}, {}),
         )
         program = MappedProgram(mapping=result, folding=folding, params={})
-        rep = execute(program, ParagonModel(2, 2))
+        rep = execute(program, MeshModel(2, 2))
         assert rep.total_time >= 0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            Folding(mesh=Mesh2D(2, 2), extent=4, row_scheme="bogus")
+            Folding(mesh=Mesh(2, 2), extent=4, schemes=("bogus", "cyclic"))
 
 
 class TestCollectives:
@@ -101,7 +100,7 @@ class TestCollectives:
             nest=nest, schedules={"S": Schedule(theta=IntMat([[0, 0, 1]]))}
         )
         result = two_step_heuristic(nest, m=2, schedules=schedules)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         folding = Folding(mesh=machine.mesh, extent=6)
         program = MappedProgram(mapping=result, folding=folding, params={})
         plain = execute(program, machine)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import CompiledNest, compile_nest
 from repro.ir import motivating_example, outer_sequential_schedules, trivial_schedules
-from repro.machine import CM5Model, ParagonModel
+from repro.machine import CM5Model, MeshModel
 
 EX1 = """
 array a(2), b(3), c(3)
@@ -63,13 +63,13 @@ class TestCompileNest:
 
     def test_run_shortcut(self):
         c = compile_nest(EX1, m=2)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         rep = c.run(machine, params={"N": 3, "M": 3})
         assert rep.total_time > 0
 
     def test_run_with_collectives(self):
         c = compile_nest(EX1, m=2)
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         rep = c.run(machine, params={"N": 3, "M": 3}, collectives=CM5Model())
         macro_stats = [
             s for s in rep.per_access.values() if s.classification == "macro"
@@ -94,15 +94,14 @@ class TestMesh3DEndToEnd:
     fold onto a cube, extract messages, price with PhaseReports."""
 
     def test_m3_smoke(self):
-        from repro.machine import T3DModel
         from repro.runtime import CommReport
 
         c = compile_nest(PERM3, m=3)
-        rep = c.run(T3DModel(2, 2, 2), params={})
+        rep = c.run(MeshModel(2, 2, 2), params={})
         assert isinstance(rep, CommReport)
         assert rep.total_time >= 0
         # folded coordinates are 3-tuples
-        program = c.program(T3DModel(2, 2, 2), params={})
+        program = c.program(MeshModel(2, 2, 2), params={})
         ev = program.comm_events()[0]
         assert len(ev.sender) == 3 and len(ev.receiver) == 3
 
@@ -113,21 +112,17 @@ for i = 0..5:
     for k = 0..5:
       S: a[i, j, k] = f(b[i+1, j+2, k])
 """
-        from repro.machine import T3DModel
-
         c = compile_nest(src, m=3)
-        rep = c.run(T3DModel(2, 2, 2), params={})
+        rep = c.run(MeshModel(2, 2, 2), params={})
         assert rep.total_time >= 0 and rep.total_messages >= 0
 
     def test_rank_mismatch_is_friendly(self):
-        from repro.machine import T3DModel
-
         c = compile_nest(PERM3, m=2)
         with pytest.raises(ValueError, match="must match"):
-            c.run(T3DModel(2, 2, 2), params={})
+            c.run(MeshModel(2, 2, 2), params={})
         c3 = compile_nest(PERM3, m=3)
         with pytest.raises(ValueError, match="must match"):
-            c3.run(ParagonModel(2, 2), params={})
+            c3.run(MeshModel(2, 2), params={})
 
     def test_registry_machine_runs(self):
         from repro.machine import make_machine

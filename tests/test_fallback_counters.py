@@ -24,7 +24,7 @@ from repro.ir import (
 from repro.ir import dependence, legality
 from repro.ir.loopnest import Statement
 from repro.linalg import IntMat
-from repro.machine import ParagonModel
+from repro.machine import MeshModel
 from repro.machine.backend import unique_rows
 from repro.obs import metrics
 from repro.runtime import execute, execute_python
@@ -151,7 +151,7 @@ class TestLegality:
 
 class TestCommBatches:
     def test_unprovable_bound_builds_from_events(self, monkeypatch):
-        machine = ParagonModel(2, 2)
+        machine = MeshModel(2, 2)
         params = {"N": 3, "M": 3}
         rose = _counter("runtime.comm_batches.fallbacks")
         ref = compile_nest(motivating_example(), m=2, params=params)

@@ -69,10 +69,10 @@ class TestGaussStructure:
         assert o.macro.extent.value in ("total", "partial")
 
     def test_execution_prices_collectives(self, compiled):
-        from repro.machine import CM5Model, ParagonModel
+        from repro.machine import CM5Model, MeshModel
 
         rep = compiled.run(
-            ParagonModel(2, 2), params={"N": 4}, collectives=CM5Model()
+            MeshModel(2, 2), params={"N": 4}, collectives=CM5Model()
         )
         macro_ops = sum(s.macro_ops for s in rep.per_access.values())
         assert macro_ops > 0
