@@ -77,7 +77,7 @@ COLD_TASKS_PER_SECOND_FLOOR = 200.0
 #: (~148/s); the fused segmented kernels put the fully-cold run past
 #: the same 200/s bar the other regimes gate
 COLD_NODISK_TASKS_PER_SECOND_FLOOR = 200.0
-#: the int64 Fourier–Motzkin kernel against the exact Fraction twin,
+#: the integer Fourier–Motzkin kernel against the exact Fraction oracle,
 #: measured on the FM systems the reference grid's compiles actually run
 FM_INTEGER_SPEEDUP_FLOOR = 3.0
 STRICT = os.environ.get("REPRO_PERF_STRICT", "") == "1"
@@ -514,12 +514,20 @@ def test_cold_compile_disk_cache(tmp_path, benchmark):
             pytest.fail(msg)
         warnings.warn(msg + " (non-strict mode: recorded, not failed)")
 
-    # --- integer FM kernel vs the exact Fraction twin -------------------
+    # --- integer FM kernel vs the exact Fraction oracle -----------------
     # record every system the reference compiles actually run (memo off
     # so repeats aren't hidden), then replay both kernels on the corpus
-    from fractions import Fraction
+    import sys
 
     from repro.ir import dependence as dep
+
+    sys.path.append(
+        os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "tests",
+        )
+    )
+    from oracles.dependence import fourier_motzkin_fraction
 
     systems = []
     real = dep._fm_feasible
@@ -550,7 +558,7 @@ def test_cold_compile_disk_cache(tmp_path, benchmark):
     for _ in range(fm_passes):
         t0 = time.perf_counter()
         frac_verdicts = [
-            dep._fourier_motzkin_fraction(iq, nv) for iq, nv in frac_systems
+            fourier_motzkin_fraction(iq, nv) for iq, nv in frac_systems
         ]
         frac_seconds = min(frac_seconds, time.perf_counter() - t0)
     int_seconds = float("inf")

@@ -70,19 +70,22 @@ fast path landed it also *asserts* that ``schedule_is_legal`` has left
 the top-10 hotspot list, and since the cold-compile fast path landed
 (integer FM kernel + dependence memoization) it asserts that pricing,
 not the compile stage, owns the cold profile — compile cumulative time
-below batched pricing and every Fraction-FM helper out of the top-10
-(exit 1 if either compile-side regression ever returns).  Since the
+below batched pricing and dependence analysis (``find_dependences``,
+``_test_dependence_uncached``) out of the top-10 (exit 1 if either
+compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts that
 ``phase_times_segmented`` ran, and at most once per distinct machine
 model per pricing call (``execute`` / ``execute_group``) — the counts
 land in the same artifact (``segmented_kernel_launches``,
-``kernel_launch_ceiling``, ``phases_per_launch``).  Since the exact
-kernels went fraction-free it also asserts that ``FracMat.rref`` is
-never reached from ``integer_kernel_basis`` or ``hermite.rank``, and
-that ``integer_kernel_basis`` runs its elimination at most once per
+``kernel_launch_ceiling``, ``phases_per_launch``).  Since the compile
+path went to Python ints only (integer FM, ``IntMat``, fraction-free
+kernels and ``unimodular_inverse``) it also asserts that no ``repro``
+function calls into ``fractions`` or ``FracMat``
+(``fraction_calls_from_repro`` == 0, ``FracMat``'s own internals
+aside), that ``FracMat.rref`` never runs (``fracmat_rref_calls`` == 0),
+and that ``integer_kernel_basis`` runs its elimination at most once per
 distinct matrix (``integer_kernel_basis_misses`` <=
-``integer_kernel_basis_distinct``, recorded with
-``fracmat_rref_reached_from``).
+``integer_kernel_basis_distinct``).
 """
 
 from __future__ import annotations
@@ -193,9 +196,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             if name == fn_name
         )
 
-    # exact-kernel gate: the elimination behind integer_kernel_basis
-    # runs once per distinct matrix, and no rank or kernel query
-    # reaches the Fraction elimination (FracMat.rref) any more
+    # exact-arithmetic gate: the elimination behind
+    # integer_kernel_basis runs once per distinct matrix, and nothing
+    # in the profile reaches Fraction arithmetic
     def _is(func, fn_name: str, module: str) -> bool:
         fname, _line, name = func
         return name == fn_name and fname.endswith(module)
@@ -208,23 +211,25 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     kernel_distinct = len(kernel_memo) - kernel_keys_before
     kernel_evicted = len(kernel_memo) >= kernel_memo.maxsize
     kernel_lookups = kernel_memo.hits + kernel_memo.misses - kernel_lookups_before
-    rref_nodes = [
-        f for f in stats.stats if _is(f, "rref", os.path.join("linalg", "fracmat.py"))
-    ]
-    rref_calls = sum(stats.stats[f][1] for f in rref_nodes)
-    kernel_entry_points = (
-        ("integer_kernel_basis", os.path.join("linalg", "kernels.py")),
-        ("rank", os.path.join("linalg", "hermite.py")),
+    rref_calls = sum(
+        nc
+        for func, (_cc, nc, *_rest) in stats.stats.items()
+        if _is(func, "rref", os.path.join("linalg", "fracmat.py"))
     )
-    # walk rref's transitive callers (cProfile records direct edges)
-    seen, todo = set(rref_nodes), list(rref_nodes)
-    while todo:
-        for caller in stats.stats[todo.pop()][4]:
-            if caller not in seen:
-                seen.add(caller)
-                todo.append(caller)
-    rref_reached_from = sorted(
-        {f[2] for f in seen for name, mod in kernel_entry_points if _is(f, name, mod)}
+    # calls from repro code (FracMat's own internals aside) into
+    # ``fractions`` or ``FracMat``: the compile path is Python ints only
+    repro_dir = os.path.join(SRC_DIR, "repro") + os.sep
+    fracmat_py = os.path.join("linalg", "fracmat.py")
+
+    def _rational(fname: str) -> bool:
+        return fname.endswith(fracmat_py) or os.path.basename(fname) == "fractions.py"
+
+    fraction_calls = sum(
+        nc
+        for (fname, _l, _n), (*_head, callers) in stats.stats.items()
+        if _rational(fname)
+        for (cfile, _cl, _cn), (_cc, nc, *_rest) in callers.items()
+        if cfile.startswith(repro_dir) and not cfile.endswith(fracmat_py)
     )
 
     kernel_launches = _ncalls("phase_times_segmented")
@@ -260,7 +265,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "integer_kernel_basis_misses": kernel_runs,
             "integer_kernel_basis_distinct": kernel_distinct,
             "fracmat_rref_calls": rref_calls,
-            "fracmat_rref_reached_from": rref_reached_from,
+            "fraction_calls_from_repro": fraction_calls,
             "hotspots": rows,
         },
     )
@@ -294,10 +299,10 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     # (~0.7 s of Fraction Fourier-Motzkin to compile 16 nests).  With
     # the integer FM kernel + dependence memoization, pricing — the
     # paper-relevant work — must own the profile: the compile stage
-    # stays below the batched pricer in cumulative time, and no
-    # Fraction-arithmetic FM helper re-enters the top-10.  If either
-    # trips, the cold-compile fast path has regressed and the artifact
-    # would drift from the PERFORMANCE.md attribution prose.
+    # stays below the batched pricer in cumulative time, and dependence
+    # analysis stays out of the top-10.  If either trips, the
+    # cold-compile fast path has regressed and the artifact would drift
+    # from the PERFORMANCE.md attribution prose.
     if price_ct and compile_ct >= price_ct:
         print(
             f"FAIL: compile stage ({compile_ct:.3f}s cumulative) has "
@@ -310,13 +315,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     fm_offenders = [
         r["function"]
         for r in rows[:10]
-        if r["function"]
-        in (
-            "_fourier_motzkin",
-            "_fourier_motzkin_fraction",
-            "_test_dependence_uncached",
-            "find_dependences",
-        )
+        if r["function"] in ("_test_dependence_uncached", "find_dependences")
     ]
     if fm_offenders:
         print(
@@ -361,15 +360,17 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"{phases_priced / kernel_launches:.1f} phases per launch)"
     )
 
-    # the exact-kernel gate: ranks and kernels run on the memoized
-    # fraction-free elimination.  FracMat.rref reached from them means
-    # a Fraction path is back; more eliminations than distinct
-    # matrices means the memo is bypassed (or evicting).
-    if rref_reached_from:
+    # the exact-arithmetic gate: the compile path runs on Python ints.
+    # Any call from repro code into ``fractions`` or ``FracMat`` (or any
+    # FracMat.rref at all) means a Fraction path is back; more
+    # eliminations than distinct matrices means the kernel memo is
+    # bypassed (or evicting).
+    if fraction_calls or rref_calls:
         print(
-            f"FAIL: FracMat.rref reached from {', '.join(rref_reached_from)} "
-            "in the cold profile — a rank or kernel query is back on "
-            "Fraction elimination (see BENCH_profile.json)",
+            f"FAIL: {fraction_calls} calls from repro code into fractions/"
+            f"FracMat and {rref_calls} FracMat.rref runs in the cold "
+            "profile — a Fraction path is back on the compile path "
+            "(see BENCH_profile.json)",
             file=sys.stderr,
         )
         return 1
@@ -383,10 +384,10 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         )
         return 1
     print(
-        "gate ok: exact kernels fraction-free and memoized "
+        "gate ok: exact arithmetic on Python ints and kernels memoized "
         f"({kernel_runs} eliminations for {kernel_distinct} distinct "
-        f"matrices over {kernel_lookups} calls; FracMat.rref ran "
-        f"{rref_calls}x, never under a rank or kernel query)"
+        f"matrices over {kernel_lookups} calls; 0 calls into fractions/"
+        "FracMat)"
     )
     return 0
 

@@ -23,21 +23,13 @@ direction it reports:
    report a dependence that only rational points realize, which is
    safe).
 
-Two performance layers sit under the classical tests:
+Two implementation notes:
 
-* **Integer Fourier–Motzkin kernel** — every system the lattice-domain
-  tests build has integer entries, so elimination runs over int64 NumPy
-  rows (:func:`_fourier_motzkin_int`): one vectorized integer
-  cross-multiplication per round instead of a ``Fraction`` object per
-  coefficient, per-row GCD normalization to keep magnitudes small, and
-  the packed-key :func:`~repro.machine.backend.unique_rows` dedupe to
-  damp the combination blow-up.  A per-round overflow guard falls back
-  to the kept ``Fraction`` twin (:func:`_fourier_motzkin_fraction`),
-  which remains the bit-identity baseline for the property tests.
-  Systems of up to :data:`_SCALAR_FM_MAX_ROWS` rows — the common case
-  for loop-nest domains — instead run the same integer elimination on
-  plain Python ints (:func:`_fourier_motzkin_scalar`), which beats the
-  ufunc launch overhead at that size and is exact at any magnitude.
+* **Integer Fourier–Motzkin** — every system the lattice-domain tests
+  build has integer entries, so elimination runs on Python ints
+  (:func:`_fm_feasible`): each round cross-multiplies opposing rows
+  and divides the result by its gcd, which gives the same verdicts as
+  elimination over ``Fraction`` at any magnitude.
 * **Memoization** — :func:`test_dependence` is cached on a canonical
   ``(F, c, kind, domain, params)`` key through the linalg-cache
   framework (counters under ``ir.dependence.cache.*``), so schedule
@@ -49,17 +41,12 @@ Two performance layers sit under the classical tests:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..linalg import IntMat, solve_axb
 from ..linalg.cache import _MISSING, NormalFormCache
-from ..machine.backend import unique_rows
 from ..obs import span
-from ..obs.metrics import counter as _obs_counter
 from ..obs.metrics import register_provider
 from .access import AccessKind, AffineAccess
 from .loopnest import LoopNest, Statement
@@ -118,117 +105,17 @@ def lattice_test(f1: IntMat, c1: IntMat, f2: IntMat, c2: IntMat):
 # test 3: Fourier–Motzkin on the solution lattice within loop bounds
 # ---------------------------------------------------------------------------
 
-Ineq = Tuple[Tuple[Fraction, ...], Fraction]  # coeffs . y <= rhs
-
-#: magnitude bound for the int64 kernel: pivots are entries, so a
-#: combination row entry is at most ``2 * max|entry| ** 2``; past this
-#: the exact ``Fraction`` twin takes over
-_INT64_SAFE = 2 ** 62
-
-
-class _FMOverflow(Exception):
-    """The int64 kernel's next round could overflow; retry exactly."""
-
-
-#: integer systems ``_fm_feasible`` handed to the ``Fraction`` twin (an
-#: entry past the int64 bound, or the per-round overflow guard)
-_fm_fallbacks = _obs_counter("ir.dependence.fm.fallbacks")
-
-
-def _normalize_fm_rows(rows: np.ndarray) -> np.ndarray:
-    """Divide each row ``[coeffs | rhs]`` by the GCD of its entries —
-    equivalence-preserving (the GCD is positive) and the only thing
-    keeping cross-multiplied magnitudes from compounding per round."""
-    g = np.gcd.reduce(np.abs(rows), axis=1)
-    np.maximum(g, 1, out=g)
-    return rows // g[:, None]
-
-
-def _fourier_motzkin_int(rows: np.ndarray, nvars: int) -> bool:
-    """Integer twin of :func:`_fourier_motzkin_fraction`: rational
-    feasibility of ``A y <= b`` over int64 rows ``[coeffs | rhs]``.
+def _fm_feasible(rows: Sequence[Sequence[int]], nvars: int) -> bool:
+    """Rational feasibility of the integer system ``A y <= b`` given as
+    ``[coeffs..., rhs]`` rows, by Fourier–Motzkin elimination on Python
+    ints (exact at any magnitude).
 
     Eliminating ``var`` combines each positive row ``p`` (pivot ``a``)
     with each negative row ``n`` (pivot ``-b``) as ``p * b + n * a`` —
-    the same inequality ``p/a + n/b`` scaled by the positive ``a * b``,
-    so feasibility verdicts are identical to the ``Fraction`` kernel.
-    Raises :class:`_FMOverflow` when a round's products could leave
-    int64 range.
-    """
-    # one-time dead-row sweep: a row with no variables demanding
-    # ``0 <= negative`` proves infeasibility outright.  Afterwards every
-    # system row provably has a nonzero coefficient in a not-yet
-    # eliminated column — combination rows are alive-filtered (and
-    # negativity-checked) at creation, carried-over rows by definition —
-    # so no per-round re-check is ever needed.
-    dead = ~rows[:, :nvars].any(axis=1)
-    if bool(dead.any()):
-        if bool((rows[dead, -1] < 0).any()):
-            return False
-        rows = rows[~dead]
-    system = rows
-    for var in range(nvars):
-        if system.shape[0] <= 1:
-            return True  # zero or one live inequality: always feasible
-        col = system[:, var]
-        pos_mask = col > 0
-        neg_mask = col < 0
-        if bool(pos_mask.any()) and bool(neg_mask.any()):
-            pos = system[pos_mask]
-            neg = system[neg_mask]
-            a = pos[:, var]
-            b = -neg[:, var]
-            m = int(np.abs(system).max())
-            if 2 * m * m >= _INT64_SAFE:
-                raise _FMOverflow()
-            combined = (
-                pos[:, None, :] * b[None, :, None]
-                + neg[None, :, :] * a[:, None, None]
-            ).reshape(-1, system.shape[1])
-            combined[:, var] = 0
-            alive = combined[:, :nvars].any(axis=1)
-            if not bool(alive.all()):
-                # early-exit: a fully-eliminated combination demanding
-                # ``0 <= negative`` settles the verdict immediately
-                # (including infeasibility created by the last round)
-                if bool((combined[~alive, -1] < 0).any()):
-                    return False
-                combined = combined[alive]
-            # normalize and dedupe: combinations breed duplicate
-            # inequalities quadratically per round (tiny sets skip the
-            # dedupe — its fixed cost exceeds the saving)
-            combined = _normalize_fm_rows(combined)
-            if combined.shape[0] > 4:
-                combined = unique_rows(combined)[0]
-            rest = system[~(pos_mask | neg_mask)]
-            system = (
-                np.concatenate([rest, combined], axis=0)
-                if rest.shape[0]
-                else combined
-            )
-        else:
-            # no opposing pair: var is unbounded on one side, every row
-            # mentioning it is satisfiable and projects out
-            system = system[~(pos_mask | neg_mask)]
-    if not system.shape[0]:
-        return True
-    return not bool((system[:, -1] < 0).any())
-
-
-#: below this many rows the vectorized kernel loses to ufunc launch
-#: overhead; the scalar integer twin takes over (Python ints are
-#: arbitrary precision, so it needs no overflow guard at all)
-_SCALAR_FM_MAX_ROWS = 32
-
-
-def _fourier_motzkin_scalar(rows: Sequence[Sequence[int]], nvars: int) -> bool:
-    """Scalar twin of :func:`_fourier_motzkin_int` on Python ints.
-
-    Same combination rule (``p * b + n * a``), same per-row GCD
-    normalization, same early exits — but no NumPy, which on systems of
-    a dozen rows costs more in per-call overhead than the arithmetic it
-    vectorizes.  Exact at any magnitude, so unlike the int64 kernel it
-    never defers to the ``Fraction`` baseline.
+    the rational combination ``p/a + n/b`` scaled by the positive
+    ``a * b``, so verdicts equal those of ``Fraction`` elimination.
+    Each new row is divided by the gcd of its entries to keep
+    magnitudes small.
     """
     system = []
     for r in rows:
@@ -277,107 +164,12 @@ def _fourier_motzkin_scalar(rows: Sequence[Sequence[int]], nvars: int) -> bool:
     return True
 
 
-def _fourier_motzkin_fraction(ineqs: List[Ineq], nvars: int) -> bool:
-    """Rational feasibility of ``A y <= b`` by eliminating variables
-    with exact ``Fraction`` arithmetic — the bit-identity baseline the
-    int64 kernel is property-tested against, and the fallback when the
-    overflow guard trips.
-    """
-    system = [([Fraction(x) for x in coeffs], Fraction(rhs)) for coeffs, rhs in ineqs]
-    for var in range(nvars):
-        # early-exit before combining: an already-contradictory row
-        # (no variables, negative rhs) ends the search — this also
-        # covers infeasibility present before the *last* round, which
-        # the historical kernel only checked after combining
-        if any(all(x == 0 for x in c) and r < 0 for c, r in system):
-            return False
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        new = rest
-        for pc, pr in pos:
-            for nc, nr in neg:
-                # combine to eliminate var: pc/|pc| + nc/|nc|
-                a = pc[var]
-                b = -nc[var]
-                coeffs = [x / a + y / b for x, y in zip(pc, nc)]
-                rhs = pr / a + nr / b
-                coeffs[var] = Fraction(0)
-                new.append((coeffs, rhs))
-        system = new
-        # prune trivially true rows to keep the blow-up in check
-        system = [
-            (c, r)
-            for c, r in system
-            if any(x != 0 for x in c) or r < 0
-        ]
-        if any(all(x == 0 for x in c) and r < 0 for c, r in system):
-            return False
-    # all variables eliminated: feasible iff no 0 <= negative row remains
-    return not any(r < 0 for _, r in system)
-
-
-def _fm_feasible(rows: Sequence[Sequence[int]], nvars: int) -> bool:
-    """Rational feasibility of the integer system ``A y <= b`` given as
-    ``[coeffs..., rhs]`` rows: the scalar integer kernel below the
-    row-count threshold, the vectorized int64 kernel when every entry
-    fits, the exact ``Fraction`` twin otherwise (or when the int64
-    kernel's per-round overflow guard trips mid-elimination)."""
-    if not rows:
-        return True
-    if len(rows) <= _SCALAR_FM_MAX_ROWS:
-        return _fourier_motzkin_scalar(rows, nvars)
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64 entirely
-        arr = None
-    if (
-        arr is not None
-        and int(arr.max()) < _INT64_SAFE
-        and int(arr.min()) > -_INT64_SAFE
-    ):
-        try:
-            return _fourier_motzkin_int(arr, nvars)
-        except _FMOverflow:
-            pass
-    _fm_fallbacks.inc()
-    return _fourier_motzkin_fraction(
-        [(tuple(row[:nvars]), row[nvars]) for row in rows], nvars
-    )
-
-
-def _fourier_motzkin(ineqs: List[Ineq], nvars: int) -> bool:
-    """Rational feasibility of ``A y <= b`` (historical entry point).
-
-    Integer systems — which is everything the lattice-domain tests
-    build — dispatch to the int64 kernel; genuinely fractional input
-    keeps the exact ``Fraction`` path.
-    """
-    rows: List[List[int]] = []
-    for coeffs, rhs in ineqs:
-        row = list(coeffs) + [rhs]
-        if not all(
-            isinstance(x, int)
-            or (isinstance(x, Fraction) and x.denominator == 1)
-            for x in row
-        ):
-            return _fourier_motzkin_fraction(ineqs, nvars)
-        rows.append([int(x) for x in row])
-    return _fm_feasible(rows, nvars)
-
-
 def _lattice_rows(
     part: Sequence[int],
     hom_cols: Sequence[Sequence[int]],
     point_ineqs: Sequence[Tuple[Sequence[int], int]],
 ) -> List[List[int]]:
-    """Shared system builder for the lattice-domain tests.
+    """The FM system of :func:`domain_feasible`.
 
     ``point_ineqs`` constrain the *stacked point dimensions*: each
     ``(coeffs, off)`` means ``coeffs . point + off >= 0``.  Substituting
@@ -395,46 +187,13 @@ def _lattice_rows(
     return rows
 
 
-def bounds_test(
-    sol,
-    depth1: int,
-    depth2: int,
-    bounds1: Sequence[Tuple[int, int]],
-    bounds2: Sequence[Tuple[int, int]],
-) -> bool:
-    """Check whether some lattice point of ``sol`` satisfies rectangular
-    loop bounds (rational relaxation — conservative).
-
-    The rectangular-box special case of :func:`domain_feasible`, kept
-    for callers that carry explicit ``(lo, hi)`` intervals.
-    """
-    # point = particular + H y, with bounds lo <= point_i <= hi
-    part = sol.particular.column_tuple(0)
-    hom_cols = [h.column_tuple(0) for h in sol.homogeneous]
-    nvars = len(hom_cols)
-    all_bounds = list(bounds1) + list(bounds2)
-    assert len(part) == depth1 + depth2 == len(all_bounds)
-    if nvars == 0:
-        return all(lo <= p <= hi for p, (lo, hi) in zip(part, all_bounds))
-    ndims = len(all_bounds)
-    point_ineqs: List[Tuple[List[int], int]] = []
-    for i, (lo, hi) in enumerate(all_bounds):
-        hi_row = [0] * ndims
-        hi_row[i] = -1  # hi - point_i >= 0
-        point_ineqs.append((hi_row, hi))
-        lo_row = [0] * ndims
-        lo_row[i] = 1  # point_i - lo >= 0
-        point_ineqs.append((lo_row, -lo))
-    return _fm_feasible(_lattice_rows(part, hom_cols, point_ineqs), nvars)
-
-
 def domain_feasible(sol, s1: Statement, s2: Statement, params: Dict[str, int]) -> bool:
     """Check whether some lattice point of ``sol`` lies inside both
     statements' polyhedral iteration domains (rational relaxation —
-    conservative, exactly like :func:`bounds_test`).
+    conservative).
 
-    For rectangular domains the inequality system is the same box the
-    historical bounds test built; triangular/trapezoidal constraints
+    For rectangular domains the inequality system is the classical box
+    of loop bounds; triangular/trapezoidal constraints
     (``for j = i..N``) enter the Fourier–Motzkin system exactly instead
     of being widened to their rectangular hull.
     """

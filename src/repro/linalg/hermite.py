@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .cache import memoize_normal_form
-from .fracmat import FracMat
 from .intmat import IntMat
 from .kernels import integer_rref
 
@@ -40,11 +39,20 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 @memoize_normal_form("unimodular_inverse")
 def unimodular_inverse(u: IntMat) -> IntMat:
-    """Exact integer inverse of a unimodular matrix."""
+    """Exact integer inverse of a unimodular matrix.
+
+    Fraction-free Gauss–Jordan on ``[U | I]``: row ``i`` of the result
+    is ``R[i][n:]`` divided by its pivot ``R[i][i]``, which is exact
+    because ``U^-1`` is integral."""
     d = u.det()
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det={d})")
-    return FracMat.from_int(u).inverse().to_int()
+    n = u.nrows
+    eye = IntMat.identity(n).rows()
+    red, _ = integer_rref([row + e for row, e in zip(u.rows(), eye)])
+    return IntMat._wrap(
+        tuple(tuple(x // row[i] for x in row[n:]) for i, row in enumerate(red))
+    )
 
 
 def is_unimodular(u: IntMat) -> bool:

@@ -7,34 +7,15 @@ Hermite/Smith eliminations, whose intermediate entries can grow quickly,
 so :class:`IntMat` stores Python ints in an immutable tuple-of-tuples.
 
 Matrices in the paper's examples are small (at most 3x4), so clarity
-and exactness come first; conversion helpers to ``numpy`` are provided
-for the simulator side, which *is* numeric.  For the larger matrices
-the scaling benchmarks build, :meth:`IntMat.matmul` and
-:meth:`IntMat.det` drop to NumPy ``int64`` arithmetic whenever a cheap
-:meth:`IntMat.max_abs` bound proves no intermediate can overflow —
-the results are still exact integers, bit-identical to the pure-Python
-path (which remains the fallback whenever the bound cannot exclude
-overflow).
+and exactness come first: every operation, products and determinants
+included, runs on Python ints.  Conversion helpers to ``numpy`` are
+provided for the simulator side, which *is* numeric.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
-
-from ..obs.metrics import counter as _obs_counter
-
-#: Products below this many scalar multiply-adds stay in pure Python —
-#: for tiny matrices the NumPy round-trip costs more than it saves.
-_NUMPY_MATMUL_MIN_OPS = 192
-
-#: Guard bound for int64 fast paths: every intermediate (and every
-#: pairwise product of intermediates, for Bareiss) must stay below this.
-_INT64_SAFE = 2 ** 62
-
-#: products big enough for NumPy that ran in pure Python because the
-#: int64 bound failed
-_matmul_fallbacks = _obs_counter("linalg.matmul.fallbacks")
 
 
 def _as_int(x: object) -> int:
@@ -298,33 +279,11 @@ class IntMat:
         return self.matmul(other)
 
     def matmul(self, other: "IntMat") -> "IntMat":
-        """Exact matrix product ``self @ other``.
-
-        Large products drop to NumPy ``int64`` when the
-        :meth:`max_abs` bound ``k * max|A| * max|B| < 2**62`` proves no
-        dot product can overflow; otherwise (huge entries, or matrices
-        too small to amortize the conversion) the exact pure-Python
-        path runs.  Both paths return identical matrices.
-        """
+        """Exact matrix product ``self @ other`` (any magnitude)."""
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch for matmul: {self.shape} @ {other.shape}"
             )
-        k = self.ncols
-        if self.nrows * k * other.ncols >= _NUMPY_MATMUL_MIN_OPS:
-            ma, mb = self.max_abs(), other.max_abs()
-            # both operands must fit int64 themselves (a zero operand
-            # zeroes the product bound but not the other side's entries)
-            if ma < _INT64_SAFE and mb < _INT64_SAFE and k * ma * mb < _INT64_SAFE:
-                import numpy as np
-
-                prod = self.to_numpy() @ other.to_numpy()
-                return IntMat._wrap(tuple(map(tuple, prod.tolist())))
-            _matmul_fallbacks.inc()
-        return self._matmul_python(other)
-
-    def _matmul_python(self, other: "IntMat") -> "IntMat":
-        """Arbitrary-precision product (always exact, any magnitude)."""
         ot = list(zip(*other._rows))  # columns of other
         return IntMat._wrap(
             tuple(
@@ -359,16 +318,8 @@ class IntMat:
         return IntMat([[self._rows[i][j] for j in cols] for i in rows])
 
     def det(self) -> int:
-        """Exact determinant via the Bareiss fraction-free algorithm.
-
-        Fast paths: direct cofactor expansion for ``n <= 3``, and a
-        vectorized NumPy ``int64`` Bareiss elimination when the squared
-        Hadamard bound ``n**n * max_abs**(2n) < 2**62`` proves every
-        intermediate minor (Bareiss entries are exactly determinants of
-        minors) and every pairwise product of them fits in ``int64``.
-        The arbitrary-precision Python elimination remains the general
-        fallback; all paths agree exactly.
-        """
+        """Exact determinant: cofactor expansion for ``n <= 3``, the
+        Bareiss fraction-free elimination above."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
@@ -383,50 +334,7 @@ class IntMat:
                 - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                 + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
             )
-        big = self.max_abs()
-        if big == 0:
-            return 0
-        # bit_length short-circuit: evaluating big**(2n) on huge entries
-        # would cost more than the elimination it gates
-        if (
-            2 * n * (big.bit_length() - 1) < 62
-            and n ** n * big ** (2 * n) < _INT64_SAFE
-        ):
-            return self._det_bareiss_numpy()
-        return self._det_bareiss_python()
-
-    def _det_bareiss_numpy(self) -> int:
-        """Bareiss elimination on an ``int64`` array; caller must have
-        established the Hadamard overflow bound."""
-        import numpy as np
-
-        n = self.nrows
-        a = self.to_numpy()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k, k] == 0:
-                below = np.nonzero(a[k + 1 :, k])[0]
-                if below.size == 0:
-                    return 0
-                i = k + 1 + int(below[0])
-                a[[k, i]] = a[[i, k]]
-                sign = -sign
-            pivot = a[k, k]
-            # integer floor division matches Python's // and the Bareiss
-            # divisions are exact, so the quotient is exact too
-            a[k + 1 :, k + 1 :] = (
-                a[k + 1 :, k + 1 :] * pivot
-                - np.outer(a[k + 1 :, k], a[k, k + 1 :])
-            ) // prev
-            a[k + 1 :, k] = 0
-            prev = pivot
-        return sign * int(a[n - 1, n - 1])
-
-    def _det_bareiss_python(self) -> int:
-        """Arbitrary-precision Bareiss elimination (any magnitude)."""
-        n = self.nrows
-        a = [list(r) for r in self._rows]
+        a = [list(row) for row in r]
         sign = 1
         prev = 1
         for k in range(n - 1):

@@ -14,7 +14,7 @@ from repro.ir import (
     platonoff_example,
     trivial_schedules,
 )
-from repro.ir.dependence import bounds_test, gcd_test, lattice_test
+from repro.ir.dependence import domain_feasible, gcd_test, lattice_test
 from repro.linalg import IntMat
 
 PARAMS = {"N": 4, "M": 3, "n": 3}
@@ -51,18 +51,28 @@ class TestLattice:
         assert lattice_test(f1, IntMat.col([0]), f2, IntMat.col([1])) is None
 
 
+def _box_statement():
+    """A statement on the rectangular domain ``0 <= i <= 5``."""
+    b = NestBuilder("box")
+    b.array("x", 1)
+    b.statement("S", [("i", 0, 5)], writes=[("x", [[1]], [0])])
+    return b.build().statements[0]
+
+
 class TestBounds:
     def test_witness_within_bounds(self):
         f = IntMat([[1]])
         sol = lattice_test(f, IntMat.col([0]), f, IntMat.col([1]))
         # i1 = i2 + 1, both in 0..5: feasible
-        assert bounds_test(sol, 1, 1, [(0, 5)], [(0, 5)])
+        s = _box_statement()
+        assert domain_feasible(sol, s, s, {})
 
     def test_witness_outside_bounds(self):
         f = IntMat([[1]])
         sol = lattice_test(f, IntMat.col([0]), f, IntMat.col([10]))
         # i1 = i2 + 10 cannot fit in 0..5 x 0..5
-        assert not bounds_test(sol, 1, 1, [(0, 5)], [(0, 5)])
+        s = _box_statement()
+        assert not domain_feasible(sol, s, s, {})
 
 
 class TestNestAnalysis:

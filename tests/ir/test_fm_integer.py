@@ -1,19 +1,19 @@
-"""The integer Fourier–Motzkin kernel against its ``Fraction`` twin.
+"""The integer Fourier–Motzkin kernel against the ``Fraction`` oracle.
 
-The int64 kernel must return *identical* feasibility verdicts to the
-exact ``Fraction`` baseline — over a 50-seed corpus of random
-rectangular and triangular constraint systems, their mutated-infeasible
-twins, and the full dependence pipeline of generated workloads — and
-must hand off to the baseline (not wrap around) when entries threaten
-int64 overflow.  The memo layer must likewise be invisible: cached and
+``_fm_feasible`` (elimination on Python ints) must return *identical*
+feasibility verdicts to ``tests/oracles/dependence.py`` — over a 50-seed
+corpus of random rectangular and triangular constraint systems, their
+mutated-infeasible twins, generated systems of 0–64 rows with entries
+up to +-2**70, and the full dependence pipeline of generated
+workloads.  The memo layer must likewise be invisible: cached and
 uncached dependence analysis agree result-for-result.
 """
 
 import random
-from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.workloads import (
     generate_triangular_workloads,
@@ -28,11 +28,9 @@ from repro.ir import (
     infer_schedules,
 )
 
+from oracles.dependence import fm_feasible as oracle_feasible
+
 SEEDS = range(50)
-
-
-def _as_fraction_ineqs(rows, nvars):
-    return [(tuple(Fraction(x) for x in r[:nvars]), Fraction(r[nvars])) for r in rows]
 
 
 def _rect_system(rng, nvars):
@@ -78,37 +76,27 @@ class TestVerdictIdentity:
         for build in (_rect_system, _tri_system):
             nvars = rng.randint(1, 4)
             rows = build(rng, nvars)
-            expected = dep._fourier_motzkin_fraction(
-                _as_fraction_ineqs(rows, nvars), nvars
+            expected = oracle_feasible(rows, nvars)
+            assert dep._fm_feasible(rows, nvars) == expected, (
+                seed,
+                build.__name__,
+                rows,
             )
-            got = dep._fourier_motzkin_int(
-                np.array(rows, dtype=np.int64), nvars
-            )
-            assert got == expected, (seed, build.__name__, rows)
-            # the scalar small-system twin and the dispatcher must
-            # agree with both kernels
-            assert dep._fourier_motzkin_scalar(rows, nvars) == expected
-            assert dep._fm_feasible(rows, nvars) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_mutated_infeasible_twins(self, seed):
         rng = random.Random(1000 + seed)
         nvars = rng.randint(1, 4)
         rows = _mutate_infeasible(rng, _tri_system(rng, nvars), nvars)
-        assert dep._fourier_motzkin_int(
-            np.array(rows, dtype=np.int64), nvars
-        ) is False
-        assert dep._fourier_motzkin_scalar(rows, nvars) is False
-        assert dep._fourier_motzkin_fraction(
-            _as_fraction_ineqs(rows, nvars), nvars
-        ) is False
+        assert dep._fm_feasible(rows, nvars) is False
+        assert oracle_feasible(rows, nvars) is False
 
     def test_contradiction_without_variables_is_caught_early(self):
         # 0 <= -1 present from the start: the early-exit check must
         # report infeasibility even with no eliminations left to run
         rows = [[0, 0, -1], [1, 0, 5], [0, 1, 5]]
-        assert dep._fourier_motzkin_int(np.array(rows, dtype=np.int64), 2) is False
-        assert dep._fourier_motzkin_fraction(_as_fraction_ineqs(rows, 2), 2) is False
+        assert dep._fm_feasible(rows, 2) is False
+        assert oracle_feasible(rows, 2) is False
 
     def test_infeasibility_created_by_last_round_is_caught(self):
         # y0 <= 0 and y0 >= 1 only combine in the final round
@@ -123,37 +111,88 @@ class TestVerdictIdentity:
         assert dep._fm_feasible(rows_ok, 2) is True
 
 
-class TestOverflowFallback:
-    def test_kernel_raises_on_threatened_overflow(self):
-        big = 2 ** 45
-        rows = np.array(
-            [[big, 1, big], [-big, 1, 0], [0, -1, 0]], dtype=np.int64
-        )
-        with pytest.raises(dep._FMOverflow):
-            dep._fourier_motzkin_int(rows, 2)
+BIG = 2 ** 70
 
-    def test_dispatcher_falls_back_to_fraction_verdict(self):
-        big = 2 ** 45
-        feasible = [[big, 1, big], [-big, 1, 0], [0, -1, 0]]
-        expected = dep._fourier_motzkin_fraction(
-            _as_fraction_ineqs(feasible, 2), 2
+# mostly small coefficients, sometimes up to +-2**70
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.integers(-BIG, BIG),
+)
+
+
+@st.composite
+def fm_systems(draw):
+    """``([coeffs..., rhs] rows, nvars)``: 0–64 rows (half the time at
+    most 8) over 1–5 variables placed around an integer point, with
+    slack that may cut it off, plus a zero, duplicated (scaled) or
+    contradictory row, or a pair of bounds one unit apart.  At most six
+    rows couple two variables, which bounds the elimination blow-up of
+    the ``Fraction`` oracle (it does not dedupe)."""
+    nvars = draw(st.integers(1, 5))
+    point = [draw(st.integers(-5, 5)) for _ in range(nvars)]
+    nrows = draw(st.one_of(st.integers(0, 8), st.integers(0, 64)))
+    coupling = draw(st.integers(0, 6))
+    min_slack = draw(st.sampled_from([0, -2]))
+    rows = []
+    for i in range(nrows):
+        support = draw(
+            st.lists(
+                st.integers(0, nvars - 1),
+                min_size=1,
+                max_size=2 if i < coupling else 1,
+                unique=True,
+            )
         )
-        assert dep._fm_feasible(feasible, 2) == expected
-        # and entries beyond int64 never reach the numpy kernel at all
+        row = [0] * (nvars + 1)
+        for v in support:
+            row[v] = draw(coefficients)
+        slack = draw(st.integers(min_slack, 5))
+        row[nvars] = sum(a * p for a, p in zip(row, point)) + slack
+        rows.append(row)
+    tweak = draw(
+        st.sampled_from(["none", "zero_row", "dup_row", "contradict", "gap"])
+    )
+    if tweak == "gap":  # k + 1 <= y_v <= k: empty by exactly one unit
+        v = draw(st.integers(0, nvars - 1))
+        k = draw(st.integers(-5, 5))
+        for sign, rhs in ((1, k), (-1, -k - 1)):
+            row = [0] * nvars + [rhs]
+            row[v] = sign
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    elif tweak == "zero_row":
+        rows.append([0] * nvars + [draw(st.integers(-3, 3))])
+    elif rows and tweak == "dup_row":
+        k = draw(st.integers(1, 3))
+        rows.append([k * x for x in draw(st.sampled_from(rows))])
+    elif rows and tweak == "contradict":
+        r = draw(st.sampled_from(rows))
+        rows.append([-x for x in r[:nvars]] + [-r[nvars] - 1])
+    return rows, nvars
+
+
+class TestDifferential:
+    @given(fm_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_systems_match_oracle(self, system):
+        rows, nvars = system
+        assert dep._fm_feasible(rows, nvars) == oracle_feasible(rows, nvars)
+
+
+class TestHugeMagnitudes:
+    def test_wide_entries_match_oracle(self):
+        # a round of these squares 2**45: past int64, exact on ints
+        big = 2 ** 45
+        guarded = [[big, 1, big], [-big, 1, 0], [0, -1, 0]]
+        assert dep._fm_feasible(guarded, 2) == oracle_feasible(guarded, 2)
+        # entries past int64 altogether: y = 2**-70 is the one point
         huge = [[2 ** 70, 1], [-(2 ** 70), -1]]
-        assert dep._fm_feasible(huge, 1) == dep._fourier_motzkin_fraction(
-            _as_fraction_ineqs(huge, 1), 1
-        )
-
-    def test_legacy_entry_accepts_fractions(self):
-        # the historical signature still takes genuinely rational rows
-        ineqs = [
-            ((Fraction(1, 2),), Fraction(3)),
-            ((Fraction(-1, 3),), Fraction(-1)),
-        ]
-        assert dep._fourier_motzkin(ineqs, 1) is True
-        ineqs_bad = ineqs + [((Fraction(1),), Fraction(-10))]
-        assert dep._fourier_motzkin(ineqs_bad, 1) is False
+        assert dep._fm_feasible(huge, 1) is oracle_feasible(huge, 1) is True
+        cut = [[2 ** 70, 1], [-(2 ** 70), -2]]
+        assert dep._fm_feasible(cut, 1) is oracle_feasible(cut, 1) is False
+        plain = [[1, 0, 5], [0, 1, 3], [0, -1, 0]]
+        assert dep._fm_feasible(plain, 2) == oracle_feasible(plain, 2)
 
 
 def _pipeline_workloads():
@@ -168,18 +207,12 @@ def _pipeline_workloads():
 class TestPipelineIdentity:
     def test_dependences_match_forced_fraction_path(self, monkeypatch):
         """End to end: the dependence sets of real workloads are
-        identical whether every FM system runs on the int64 kernel or
-        on the Fraction baseline."""
+        identical whether every FM system runs on the integer kernel or
+        on the Fraction oracle."""
         nests = _pipeline_workloads()
         monkeypatch.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
         fast = [find_dependences(n, p) for n, p in nests]
-
-        def fraction_only(rows, nvars):
-            return dep._fourier_motzkin_fraction(
-                _as_fraction_ineqs(rows, nvars), nvars
-            )
-
-        monkeypatch.setattr(dep, "_fm_feasible", fraction_only)
+        monkeypatch.setattr(dep, "_fm_feasible", oracle_feasible)
         slow = [find_dependences(n, p) for n, p in nests]
         assert fast == slow
 

@@ -25,6 +25,7 @@ from repro.machine import (
     phase_time,
     route_cache_for,
 )
+from oracles import machine as oracle
 from oracles.machine import phase_time_python, simulate_python
 
 PARAMS = CostParams(alpha=10.0, beta=1.0, gamma=0.5)
@@ -42,6 +43,19 @@ def random_messages(mesh, nmsg, seed, local_fraction=0.2):
             src, dst = rng.sample(nodes, 2)
             out.append(Message(src=src, dst=dst, size=rng.randint(1, 8)))
     return out
+
+
+class TestOracleRoute:
+    """The oracles' frozen walk is the route ``Mesh.route`` builds."""
+
+    @pytest.mark.parametrize("sides", [(3, 4), (1, 5), (2, 3, 4)])
+    def test_matches_mesh_route_all_pairs(self, sides):
+        mesh = Mesh(*sides)
+        nodes = list(mesh.nodes())
+        for src in nodes:
+            for dst in nodes:
+                assert oracle.route(src, dst) == mesh.route(src, dst)
+                assert oracle.hops(src, dst) == mesh.hops(src, dst)
 
 
 class TestRouteIds2D:

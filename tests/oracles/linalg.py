@@ -10,7 +10,11 @@ agree with, bit for bit: the textbook Gauss–Jordan reduction over
 * :func:`integer_kernel_basis`, :func:`kernel_dim`,
   :func:`kernel_difference_directions` — the ``repro.linalg`` twins;
 * :func:`fracmat_kernels` — runs a block with the macro detectors of
-  ``repro.macrocomm.detect`` looking up these twins instead.
+  ``repro.macrocomm.detect`` looking up these twins instead;
+* :func:`matmul`, :func:`det`, :func:`unimodular_inverse` — references
+  for ``IntMat.matmul``, ``IntMat.det`` and
+  ``repro.linalg.unimodular_inverse``: an object-dtype NumPy product,
+  ``Fraction`` Gaussian elimination and ``FracMat.inverse``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Sequence, Union
+
+import numpy as np
 
 import repro.macrocomm.detect as detect
 from repro.linalg import FracMat, IntMat
@@ -111,3 +117,36 @@ def fracmat_kernels():
     finally:
         for name, fn in saved.items():
             setattr(detect, name, fn)
+
+
+def matmul(a: IntMat, b: IntMat) -> IntMat:
+    """``a @ b`` as a NumPy product of Python-int (object) arrays."""
+    prod = np.array(a.tolist(), dtype=object) @ np.array(b.tolist(), dtype=object)
+    return IntMat(prod.tolist())
+
+
+def det(m: IntMat) -> int:
+    """Determinant by Gaussian elimination over ``Fraction``: the
+    product of the pivots, negated once per row swap."""
+    a = [[Fraction(x) for x in row] for row in m.rows()]
+    n = len(a)
+    out = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert out.denominator == 1
+    return out.numerator
+
+
+def unimodular_inverse(u: IntMat) -> IntMat:
+    """The rational inverse of ``u``, which is integral when ``u`` is
+    unimodular."""
+    return FracMat.from_int(u).inverse().to_int()

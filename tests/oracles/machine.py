@@ -5,11 +5,16 @@ The machine layer times a phase from cached integer link-id arrays
 These are the pre-vectorization implementations they must agree with,
 bit for bit: every route is rebuilt as tuple links and every link load
 lives in a dict.  ``benchmarks/bench_perf_core.py`` also times them as
-the speedup baseline.
+the speedup baseline, so they walk routes with their own frozen copy of
+dimension-order routing (:func:`route`, :func:`hops`) rather than
+``Mesh.route``: a change to the production walk cannot move the
+baseline's cost.
 
-* :func:`phase_time_python` — ``phase_time`` on a 2-D mesh;
-* :func:`phase_time_python` — ``phase_time`` on a 3-D mesh;
-* :func:`simulate_python` — ``EventSimulator.run``, any mesh rank.
+* :func:`phase_time_python` — ``phase_time``, any mesh rank;
+* :func:`simulate_python` — ``EventSimulator.run``, any mesh rank;
+* :func:`route` / :func:`hops` — the reference walk and hop count
+  (``tests/machine/test_routecache.py`` checks them link for link
+  against ``Mesh.route``).
 """
 
 from __future__ import annotations
@@ -17,14 +22,36 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.machine import CostParams, Mesh, Message, PhaseReport
-from repro.machine.topology import Link
+from repro.machine.topology import Link, Node
+
+
+def route(src: Node, dst: Node) -> List[Link]:
+    """Dimension-order route (last axis first) with its injection and
+    ejection links; empty for a local message."""
+    if src == dst:
+        return []
+    links: List[Link] = [("inj", src)]
+    cur = list(src)
+    for axis in range(len(src) - 1, -1, -1):
+        while cur[axis] != dst[axis]:
+            here = tuple(cur)
+            cur[axis] += 1 if dst[axis] > cur[axis] else -1
+            links.append(("net", here, tuple(cur)))
+    links.append(("eje", dst))
+    return links
+
+
+def hops(src: Node, dst: Node) -> int:
+    """Manhattan distance."""
+    return sum(abs(a - b) for a, b in zip(src, dst))
 
 
 def phase_time_python(
     mesh: Mesh, messages: Sequence[Message], params: CostParams
 ) -> PhaseReport:
     """Pure-Python reference implementation of ``phase_time``, any
-    mesh rank (routes walked link by link with ``mesh.route``)."""
+    mesh rank (routes walked link by link with :func:`route`; ``mesh``
+    only mirrors ``phase_time``'s signature)."""
     link_load: Dict[Link, int] = {}
     sender_msgs: Dict = {}
     max_hops = 0
@@ -38,8 +65,8 @@ def phase_time_python(
         remote += 1
         total_volume += m.size
         sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.route(m.src, m.dst):
+        max_hops = max(max_hops, hops(m.src, m.dst))
+        for link in route(m.src, m.dst):
             link_load[link] = link_load.get(link, 0) + m.size
     max_load = max(link_load.values(), default=0)
     max_fanout = max(sender_msgs.values(), default=0)
@@ -69,20 +96,20 @@ def simulate_python(sim, messages: Sequence[Message]) -> float:
     for order, m in enumerate(messages):
         if m.is_local:
             continue
-        route = tuple(sim.mesh.route(m.src, m.dst))
+        links = tuple(route(m.src, m.dst))
         k = per_sender.get(m.src, 0)
         per_sender[m.src] = k + 1
         ready = sim.params.alpha * k
-        pending.append((ready, order, m, route))
+        pending.append((ready, order, m, links))
     pending.sort(key=lambda t: (t[0], t[1]))
     finish = 0.0
-    for ready, _order, m, route in pending:
+    for ready, _order, m, links in pending:
         start = ready
-        for link in route:
+        for link in links:
             start = max(start, link_free.get(link, 0.0))
-        hops = sim.mesh.hops(m.src, m.dst)  # == len(route) - 2
-        done = start + sim.params.beta * m.size + sim.params.gamma * hops
-        for link in route:
+        n_hops = hops(m.src, m.dst)  # == len(links) - 2
+        done = start + sim.params.beta * m.size + sim.params.gamma * n_hops
+        for link in links:
             link_free[link] = done
         finish = max(finish, done)
     return finish

@@ -7,7 +7,6 @@ reference.
 """
 
 import dataclasses
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,9 +20,8 @@ from repro.ir import (
     schedule_violations_python,
     trivial_schedules,
 )
-from repro.ir import dependence, legality
+from repro.ir import legality
 from repro.ir.loopnest import Statement
-from repro.linalg import IntMat
 from repro.machine import MeshModel
 from repro.machine.backend import unique_rows
 from repro.obs import metrics
@@ -58,48 +56,6 @@ class TestUniqueRows:
         assert np.array_equal(uniq, want_u)
         assert np.array_equal(counts, want_c)
         assert np.array_equal(inverse, np.asarray(want_i).ravel())
-
-
-class TestIntMatMatmul:
-    def test_unprovable_int64_bound_counts(self):
-        rose = _counter("linalg.matmul.fallbacks")
-        small = IntMat([[10**30, 1], [1, 1]])
-        small.matmul(small)  # below the NumPy size: not a fallback
-        fits = IntMat([[i + j for j in range(8)] for i in range(8)])
-        fits.matmul(fits)
-        assert rose() == 0
-        big = 10**30
-        a = IntMat([[big if i == j else 1 for j in range(8)] for i in range(8)])
-        prod = a.matmul(a)
-        assert rose() == 1
-        rows = np.array(a.tolist(), dtype=object)
-        assert prod.tolist() == (rows @ rows).tolist()
-
-
-class TestFourierMotzkin:
-    def _fraction(self, rows, nvars):
-        return dependence._fourier_motzkin_fraction(
-            [
-                (tuple(Fraction(x) for x in r[:nvars]), Fraction(r[nvars]))
-                for r in rows
-            ],
-            nvars,
-        )
-
-    def test_round_guard_and_wide_entries_count(self, monkeypatch):
-        # send even tiny systems to the int64 kernel
-        monkeypatch.setattr(dependence, "_SCALAR_FM_MAX_ROWS", 0)
-        rose = _counter("ir.dependence.fm.fallbacks")
-        plain = [[1, 0, 5], [0, 1, 3], [0, -1, 0]]
-        assert dependence._fm_feasible(plain, 2) == self._fraction(plain, 2)
-        assert rose() == 0
-        big = 2**45  # the next elimination round could overflow int64
-        guarded = [[big, 1, big], [-big, 1, 0], [0, -1, 0]]
-        assert dependence._fm_feasible(guarded, 2) == self._fraction(guarded, 2)
-        assert rose() == 1
-        huge = [[2**70, 1], [-(2**70), -1]]  # not even an int64 entry
-        assert dependence._fm_feasible(huge, 1) == self._fraction(huge, 1)
-        assert rose() == 2
 
 
 def _recurrence():
