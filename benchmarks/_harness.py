@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md's experiment index): it computes the same rows/series
-the paper reports, prints them (run with ``-s`` to see the output, or
-read ``EXPERIMENTS.md`` for the recorded values), asserts the *shape*
-claims (who wins, orderings, rough factors) and times the computation
-under ``pytest-benchmark``.
+Every paper ``bench_*.py`` file regenerates one table or figure of the
+paper: it computes the same rows/series the paper reports, prints them
+(run with ``-s`` to see the output) and asserts the *shape* claims (who
+wins, orderings, rough factors).  The subsystem files gate on
+deterministic counts and bit-identity; timing claims belong to
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import sys
+import time
 from typing import Iterable, Mapping, Sequence
 
 
@@ -46,36 +47,30 @@ def series(label: str, xs: Sequence, ys: Sequence[float]) -> None:
     print(f"  {label}: {pairs}")
 
 
-def previous_stat(name: str, section: str, key: str) -> float:
-    """A numeric stat from the ``BENCH_<name>.json`` currently on disk
-    (0.0 when the artifact, section or key does not exist yet) — the
-    trend-delta baseline the campaign gates record against."""
-    path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), f"BENCH_{name}.json"
+def best_of(fn, repeats: int = 3) -> float:
+    """Smallest wall time of ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def check_speedup_floor(measured: float, target: float, what: str) -> None:
+    """Fail unless an in-run twin-vs-vectorized speedup reaches its
+    floor.  A floor is kept only while the ratio clears it by at least
+    2x on every run, so it is enforced on every run."""
+    assert measured >= target, (
+        f"{what} speedup {measured:.1f}x below the {target}x floor"
     )
-    try:
-        with open(path) as fh:
-            return float(json.load(fh)[section][key])
-    except (OSError, ValueError, KeyError, TypeError):
-        return 0.0
-
-
-def mean_residual_ratio(rows) -> float:
-    """Mean per-group Feautrier residual ratio of ``summarize_results``
-    rows (0.0 when no group has a ratio) — the campaign quality trend
-    recorded next to the throughput trend."""
-    ratios = [
-        row["residual_ratio"] for row in rows
-        if row.get("residual_ratio") is not None
-    ]
-    return sum(ratios) / len(ratios) if ratios else 0.0
 
 
 def record_bench(name: str, stats: Mapping, section: str = "") -> str:
     """Persist one benchmark's measurements as ``BENCH_<name>.json``.
 
-    The file lands next to the ``bench_*.py`` sources so the perf
-    trajectory is tracked per-PR (see PERFORMANCE.md for the schema
+    The file lands next to the ``bench_*.py`` sources, so a re-record
+    shows up in the diff (see PERFORMANCE.md for the schema
     conventions: wall times in seconds, sizes as plain counts, cache
     stats as the ``stats()`` dicts of the caches involved).  A
     ``python``/``platform`` stamp is added so recorded numbers can be

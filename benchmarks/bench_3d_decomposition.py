@@ -31,8 +31,8 @@ def compute():
     return factors, direct, split
 
 
-def test_3d_decomposition(benchmark):
-    factors, direct, split = benchmark(compute)
+def test_3d_decomposition():
+    factors, direct, split = compute()
     assert verify_factors(T3, factors)
     print_table(
         f"m = 3 extension — T={T3.tolist()} on a {P}x{P}x{P} T3D mesh",

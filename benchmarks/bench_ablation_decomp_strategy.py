@@ -37,8 +37,8 @@ def strategies(bound=4):
     return count, stats, phase_sum
 
 
-def test_a3_strategy_mix(benchmark):
-    count, stats, phases = benchmark(strategies)
+def test_a3_strategy_mix():
+    count, stats, phases = strategies()
     print_table(
         "A3 — dispatcher strategy mix on det-1 matrices, |coeff| <= 4",
         ["matrices", "direct", "similarity", "search", "unirow"],
@@ -62,7 +62,7 @@ def test_a3_strategy_mix(benchmark):
     assert stats.get("similarity", 0) > 0
 
 
-def test_a3_all_plans_small(benchmark):
+def test_a3_all_plans_small():
     def worst_case(bound=4):
         worst = 0
         for t in enumerate_det1(bound):
@@ -70,5 +70,5 @@ def test_a3_all_plans_small(benchmark):
             worst = max(worst, plan.num_phases)
         return worst
 
-    worst = benchmark(worst_case)
+    worst = worst_case()
     assert worst <= 4, "no plan should exceed four axis-parallel phases"

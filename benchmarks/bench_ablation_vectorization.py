@@ -43,7 +43,7 @@ def build_program():
     return program, machine, result
 
 
-def test_a4_vectorization_savings(benchmark):
+def test_a4_vectorization_savings():
     def run():
         program, machine, result = build_program()
         rep = execute(program, machine)
@@ -51,7 +51,7 @@ def test_a4_vectorization_savings(benchmark):
         read_opt = result.residual_by_label("R")
         return rep, read_opt
 
-    rep, read_opt = benchmark(run)
+    rep, read_opt = run()
     assert read_opt.vectorizable
     s = rep.stats("R")
     print_table(

@@ -68,7 +68,7 @@ def localized_traffic(nest, m, use_rank_weights):
     return total
 
 
-def test_a1_rank_weights_help(benchmark):
+def test_a1_rank_weights_help():
     def sweep():
         rng = random.Random(20260612)
         with_w, without_w = 0, 0
@@ -78,7 +78,7 @@ def test_a1_rank_weights_help(benchmark):
             without_w += localized_traffic(nest, 2, False)
         return with_w, without_w
 
-    with_w, without_w = benchmark(sweep)
+    with_w, without_w = sweep()
     print_table(
         "A1 — localized traffic (sum of ranks) over 30 random nests",
         ["rank weights", "unit weights"],
@@ -87,7 +87,7 @@ def test_a1_rank_weights_help(benchmark):
     assert with_w >= without_w, "rank weights must not lose traffic"
 
 
-def test_a1_edmonds_vs_greedy(benchmark):
+def test_a1_edmonds_vs_greedy():
     def sweep():
         rng = random.Random(42)
         edmonds_total, greedy_total = 0, 0
@@ -103,7 +103,7 @@ def test_a1_edmonds_vs_greedy(benchmark):
                 wins += 1
         return edmonds_total, greedy_total, wins
 
-    e_total, g_total, wins = benchmark(sweep)
+    e_total, g_total, wins = sweep()
     print_table(
         "A1 — branching weight: Edmonds vs greedy (30 random nests)",
         ["edmonds", "greedy", "strict wins"],

@@ -19,8 +19,8 @@ def build():
     return build_access_graph(motivating_example(), m=2)
 
 
-def test_fig1_access_graph(benchmark):
-    ag = benchmark(build)
+def test_fig1_access_graph():
+    ag = build()
     labels = sorted({e.payload.ref.label for e in ag.graph.edges()})
     rows = []
     for lab in labels:
@@ -39,7 +39,7 @@ def test_fig1_access_graph(benchmark):
     assert all(weights[l] == 2 for l in ("F1", "F2", "F3", "F4", "F6"))
 
 
-def test_fig2_weight_distribution(benchmark):
+def test_fig2_weight_distribution():
     def weight_hist():
         ag = build()
         hist = {}
@@ -47,7 +47,7 @@ def test_fig2_weight_distribution(benchmark):
             hist[e.weight] = hist.get(e.weight, 0) + 1
         return hist
 
-    hist = benchmark(weight_hist)
+    hist = weight_hist()
     # square accesses contribute two directed edges each
     assert hist[3] == 4  # F5, F7 in both directions
     assert hist[2] == 7  # F2, F3 (x2 each) + F1 + F4 + F6

@@ -23,8 +23,8 @@ def run_branching():
     return ag, chosen
 
 
-def test_fig3_maximum_branching(benchmark):
-    ag, chosen = benchmark(run_branching)
+def test_fig3_maximum_branching():
+    ag, chosen = run_branching()
     g = ag.graph
     rows = [
         [
@@ -47,8 +47,8 @@ def test_fig3_maximum_branching(benchmark):
     assert {"F5", "F7"} <= labels
 
 
-def test_fig3_local_residual_split(benchmark):
-    result = benchmark(lambda: two_step_heuristic(motivating_example(), m=2))
+def test_fig3_local_residual_split():
+    result = two_step_heuristic(motivating_example(), m=2)
     assert result.alignment.local_labels == {"F1", "F2", "F4", "F5", "F7"}
     residual_graph_labels = {
         r.ref.label

@@ -39,8 +39,8 @@ def classify_cases():
     return cases
 
 
-def test_fig45_classification(benchmark):
-    cases = benchmark(classify_cases)
+def test_fig45_classification():
+    cases = classify_cases()
     rows = [
         [name, bc.extent.value, bc.p, bc.axis_parallel]
         for name, bc in cases
@@ -56,7 +56,7 @@ def test_fig45_classification(benchmark):
     assert by_name["hidden"].extent is Extent.HIDDEN
 
 
-def test_fig45_cost_total_vs_partial(benchmark):
+def test_fig45_cost_total_vs_partial():
     """A partial (row) broadcast is cheaper than a total one."""
     machine = MeshModel(4, 4)
 
@@ -69,5 +69,5 @@ def test_fig45_cost_total_vs_partial(benchmark):
         )
         return total, partial
 
-    total, partial = benchmark(price)
+    total, partial = price()
     assert partial < total

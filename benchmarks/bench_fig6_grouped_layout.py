@@ -19,8 +19,8 @@ def layout():
     return d, order, owners
 
 
-def test_fig6_grouped_layout(benchmark):
-    d, order, owners = benchmark(layout)
+def test_fig6_grouped_layout():
+    d, order, owners = layout()
     print_table(
         "Figure 6 — grouped partition (n=12, k=3, P=4)",
         ["physical proc", "virtual indices"],
@@ -31,7 +31,7 @@ def test_fig6_grouped_layout(benchmark):
     assert owners[3] == [5, 8, 11]
 
 
-def test_fig6_classes_never_split_badly(benchmark):
+def test_fig6_classes_never_split_badly():
     """Within each residue class, consecutive class members live on the
     same or adjacent physical processors — the property that makes the
     class-internal translations cheap."""
@@ -45,5 +45,5 @@ def test_fig6_classes_never_split_badly(benchmark):
                 worst = max(worst, abs(d.phys(b) - d.phys(a)))
         return worst
 
-    worst = benchmark(check)
+    worst = check()
     assert worst <= 1

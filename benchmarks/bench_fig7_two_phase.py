@@ -24,8 +24,8 @@ T = IntMat([[1, 3], [2, 7]])
 FACTORS = [L(2), U(3)]
 
 
-def test_fig7_factorization(benchmark):
-    ok = benchmark(lambda: verify_factors(T, FACTORS))
+def test_fig7_factorization():
+    ok = verify_factors(T, FACTORS)
     assert ok
     # i' = i + 3 j ; then j'' = j' + 2 i' — the paper's two maps
     assert (U(3) @ IntMat.col([1, 1])) == IntMat.col([4, 1])
@@ -33,7 +33,7 @@ def test_fig7_factorization(benchmark):
     assert (T @ IntMat.col([1, 1])) == IntMat.col([4, 9])
 
 
-def test_fig7_two_phase_execution(benchmark):
+def test_fig7_two_phase_execution():
     """Both phases stay axis-parallel on the grouped layout and the
     two-phase schedule beats the direct general pattern (the paper's
     10x6 virtual grid)."""
@@ -52,7 +52,7 @@ def test_fig7_two_phase_execution(benchmark):
             "direct": machine.time_general(grouped, T, size=4),
         }
 
-    times = benchmark(price)
+    times = price()
     print_table(
         "Figure 7 — two-phase execution of T = L(2)U(3) (10x6 on 3x2)",
         ["schedule", "time"],
@@ -62,7 +62,7 @@ def test_fig7_two_phase_execution(benchmark):
     assert times["grouped"] <= times["block"]
 
 
-def test_fig7_matched_stride_fully_local(benchmark):
+def test_fig7_matched_stride_fully_local():
     """When the grid sizes align classes with physical blocks, the
     grouped partition makes the elementary phases entirely local —
     the limit case of the paper's construction."""
@@ -70,5 +70,5 @@ def test_fig7_matched_stride_fully_local(benchmark):
     grouped = Distribution2D(
         GroupedDistribution(12, 3, k=3), GroupedDistribution(12, 2, k=2)
     )
-    t = benchmark(lambda: machine.time_decomposed(grouped, FACTORS, size=4))
+    t = machine.time_decomposed(grouped, FACTORS, size=4)
     assert t == 0.0

@@ -62,8 +62,8 @@ def compute_figure(k):
 
 
 @pytest.mark.parametrize("k", KS)
-def test_fig8_grouped_partition(benchmark, k):
-    data = benchmark(compute_figure, k)
+def test_fig8_grouped_partition(k):
+    data = compute_figure(k)
     print(f"\nFigure 8 — U({k}) on {N}x{N} virtual, {P}x{Q} mesh "
           f"(ratios over grouped partition)")
     series("CYCLIC(B), B=1..8 (dotted)", BLOCK_SIZES, data["cyclic_b_ratios"])
@@ -86,7 +86,7 @@ def test_fig8_grouped_partition(benchmark, k):
         assert data["cyclic_ratio"] >= 1.0
 
 
-def test_fig8_block_suffers_most_at_large_k(benchmark):
+def test_fig8_block_suffers_most_at_large_k():
     def worst_block_ratio():
         out = {}
         for k in KS:
@@ -94,7 +94,7 @@ def test_fig8_block_suffers_most_at_large_k(benchmark):
             out[k] = d["block_ratio"]
         return out
 
-    ratios = benchmark(worst_block_ratio)
+    ratios = worst_block_ratio()
     print_table(
         "Figure 8 — BLOCK/grouped ratio by stride k",
         ["k"] + [str(k) for k in KS],
@@ -103,14 +103,12 @@ def test_fig8_block_suffers_most_at_large_k(benchmark):
     assert max(ratios.values()) > 1.2, "BLOCK pays visibly somewhere"
 
 
-def test_fig8_matched_stride_is_free(benchmark):
+def test_fig8_matched_stride_is_free():
     """k == P: every residue class coincides with one physical block
     and the U(k) communication is entirely processor-local under the
     grouped partition — the strongest possible ratio of the figure."""
     machine = MeshModel(P, Q)
-    t = benchmark(
-        lambda: time_u_comm(machine, GroupedDistribution(N, P, k=P), P)
-    )
+    t = time_u_comm(machine, GroupedDistribution(N, P, k=P), P)
     assert t == 0.0
     block = time_u_comm(machine, BlockDistribution(N, P), P)
     assert block > 0.0

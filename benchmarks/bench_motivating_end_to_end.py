@@ -27,8 +27,8 @@ def run():
     )
 
 
-def test_motivating_example_outcome(benchmark):
-    result = benchmark(run)
+def test_motivating_example_outcome():
+    result = run()
     rows = []
     for o in result.optimized:
         desc = o.classification
@@ -55,7 +55,7 @@ def test_motivating_example_outcome(benchmark):
     assert f8.macro is not None and f8.macro.axis_parallel
 
 
-def test_motivating_example_execution_cost(benchmark):
+def test_motivating_example_execution_cost():
     """End-to-end costing: the optimized mapping on the mesh, with
     collective hardware for the broadcasts."""
     result = run()
@@ -65,7 +65,7 @@ def test_motivating_example_execution_cost(benchmark):
         mapping=result, folding=folding, params={"N": 5, "M": 5}
     )
 
-    rep = benchmark(lambda: execute(program, machine, collectives=CM5Model()))
+    rep = execute(program, machine, collectives=CM5Model())
     assert rep.stats("F2").time == 0.0
     assert rep.stats("F6").macro_ops > 0
     assert rep.total_time > 0

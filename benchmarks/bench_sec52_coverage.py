@@ -37,8 +37,8 @@ def coverage(bound=5):
     return total, hist, failures
 
 
-def test_sec52_exhaustive_coverage(benchmark):
-    total, hist, failures = benchmark(coverage)
+def test_sec52_exhaustive_coverage():
+    total, hist, failures = coverage()
     print_table(
         "Section 5.2.1 — factor-count histogram, det=1, |coeff| <= 5",
         ["total", "0", "1", "2", "3", "4", "undecomposable<=4"],
@@ -49,7 +49,7 @@ def test_sec52_exhaustive_coverage(benchmark):
     assert total == 308  # |SL2(Z) ∩ [-5,5]^4| — verified count
 
 
-def test_sec52_similarity_matches_three_factor_condition(benchmark):
+def test_sec52_similarity_matches_three_factor_condition():
     """The sufficient similarity condition is the same divisibility as
     the 3-factor decomposition: they succeed on the same inputs."""
 
@@ -71,5 +71,5 @@ def test_sec52_similarity_matches_three_factor_condition(benchmark):
                 agree += 1
         return agree, total
 
-    agree, total = benchmark(compare)
+    agree, total = compare()
     assert agree == total

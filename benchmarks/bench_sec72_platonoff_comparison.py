@@ -34,8 +34,8 @@ def compare(n: int):
     return rep_ours, rep_theirs
 
 
-def test_sec72_comparison(benchmark):
-    rep_ours, rep_theirs = benchmark(compare, 4)
+def test_sec72_comparison():
+    rep_ours, rep_theirs = compare(4)
     print_table(
         "Section 7.2 — Example 5, n=4 (two-step heuristic vs broadcast-first)",
         ["strategy", "messages", "volume", "time"],
@@ -50,11 +50,11 @@ def test_sec72_comparison(benchmark):
     assert rep_theirs.total_time > 0.0
 
 
-def test_sec72_gap_grows_with_n(benchmark):
+def test_sec72_gap_grows_with_n():
     def sweep():
         return [(n, compare(n)[1].total_volume) for n in (2, 3, 4)]
 
-    volumes = benchmark(sweep)
+    volumes = sweep()
     print_table(
         "Section 7.2 — broadcast-first residual volume vs n",
         ["n", "volume"],

@@ -29,8 +29,8 @@ def compute_row(size: int = 100):
     }
 
 
-def test_table1_cm5_ratios(benchmark):
-    row = benchmark(compute_row)
+def test_table1_cm5_ratios():
+    row = compute_row()
     base = row["reduction"]
     ratios = {k: v / base for k, v in row.items()}
     print_table(
@@ -49,11 +49,11 @@ def test_table1_cm5_ratios(benchmark):
     assert ratios["general"] > 10, "order-of-magnitude gap vs collectives"
 
 
-def test_table1_stable_across_sizes(benchmark):
+def test_table1_stable_across_sizes():
     def sweep():
         return [compute_row(size) for size in (50, 100, 400, 1000)]
 
-    rows = benchmark(sweep)
+    rows = sweep()
     for row in rows:
         assert (
             row["reduction"]

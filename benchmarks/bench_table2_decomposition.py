@@ -40,8 +40,8 @@ def compute_times():
     return {"direct": direct, "L": l_time, "U": u_time, "LU": l_time + u_time}
 
 
-def test_table2_decomposition(benchmark):
-    times = benchmark(compute_times)
+def test_table2_decomposition():
+    times = compute_times()
     base = times["LU"]
     print_table(
         f"Table 2 — T={T.tolist()} on a {P}x{Q} mesh (CYCLIC), "
@@ -56,7 +56,7 @@ def test_table2_decomposition(benchmark):
     assert times["direct"] / times["LU"] > 1.3, "a clear gap, as measured"
 
 
-def test_table2_ordering_robust_to_machine_constants(benchmark):
+def test_table2_ordering_robust_to_machine_constants():
     """The decomposition win is not an artefact of one parameter
     choice: it holds across a grid of start-up / bandwidth constants.
     (Real message-passing machines have alpha >> beta — the Paragon's
@@ -77,6 +77,6 @@ def test_table2_ordering_robust_to_machine_constants(benchmark):
                 out.append((alpha, beta, direct, split))
         return out
 
-    rows = benchmark(sweep)
+    rows = sweep()
     for alpha, beta, direct, split in rows:
         assert split < direct, f"ordering broke at alpha={alpha}, beta={beta}"

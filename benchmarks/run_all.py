@@ -1,52 +1,50 @@
 #!/usr/bin/env python3
-"""Run every ``bench_*.py`` non-interactively and track the results.
+"""Run every ``bench_*.py`` non-interactively and record the results.
 
 CI / per-PR entry point::
 
-    python benchmarks/run_all.py            # fast: shape claims only
-    python benchmarks/run_all.py --timed    # full pytest-benchmark timing
+    python benchmarks/run_all.py              # every bench file
     python benchmarks/run_all.py --match fig  # subset by filename substring
-    python benchmarks/run_all.py --profile  # cProfile hotspots -> BENCH_profile.json
+    python benchmarks/run_all.py --profile    # cProfile hotspots -> BENCH_profile.json
 
 Each benchmark file runs in its own pytest subprocess (``PYTHONPATH``
-is set up automatically, so this works from a clean checkout).  Shape
-claims — the asserts inside the bench tests about who wins, orderings
-and speedup floors — always run; ``--timed`` additionally lets
-pytest-benchmark do its calibrated timing rounds instead of a single
-pass.  Benchmarks that call ``record_bench`` refresh their
+is set up automatically, so this works from a clean checkout).  The
+suite has one mode: the paper files assert the paper's shape claims
+(who wins, orderings, rough factors), the subsystem files gate on
+deterministic counts and bit-identity, plus the two in-run
+twin-vs-vectorized speedup floors that clear their target by more than
+2x (legality, runtime executor).  Timing claims belong to
+``perfbench/``.  Benchmarks that call ``record_bench`` refresh their
 ``BENCH_<name>.json`` artifacts as they go, and a ``BENCH_run_all.json``
 summary (per-file status and wall time) is always written.
 
-Exit status is nonzero iff any benchmark fails, so a shape-claim or
-speedup regression fails the pipeline.
+Exit status is nonzero iff any benchmark fails.
 
 Registered subsystem gates (beyond the paper artefacts):
 
-* ``bench_perf_core.py`` — vectorized mesh core speedups (PERFORMANCE.md);
-* ``bench_campaign_throughput.py`` — the campaign subsystem's default
-  grid must complete with every task ok and zero error/timeout records,
-  resume must be a no-op on a completed checkpoint, and the measured
-  nests-compiled-per-second lands in ``BENCH_campaign.json`` (section
-  ``grid_2d``); its ``cold_compile`` family additionally gates the
-  cold-start path in strict mode: a cold run against a warm
-  ``REPRO_CAMPAIGN_COMPILE_DIR`` disk cache must reach >= 200 tasks/s
-  and the integer Fourier-Motzkin kernel must hold a >= 3x speedup
-  (bit-identical verdicts) over the ``Fraction`` baseline on the
-  systems the reference compiles actually run;
-* ``bench_mesh3d_e2e.py`` — the same gate for the m = 3 path: a small
-  campaign grid against ``t3d`` on a ``2x2x2`` cube, recorded under
-  ``grid_3d`` in the same artifact;
+* ``bench_campaign.py`` — the campaign gates, in ``BENCH_campaign.json``:
+  the ``grid_2d``, ``grid_3d`` (``t3d`` on a 2x2x2 cube) and
+  ``grid_triangular`` grids each complete with every task ok and zero
+  error/timeout records, one compile per compile key and a no-op
+  resume; a warm repeat run hits every compile and baseline price,
+  prices each compile-key group in one ``execute_group`` call and
+  launches the segmented kernel at most once per machine model per
+  call (``steady_state``); whole-group and fused pricing write the
+  same records as one-task groups and the per-phase oracle; a cold run
+  compiles every nest, a warm disk compile cache makes no
+  ``compile_nest`` call, and the integer Fourier–Motzkin kernel agrees
+  with the ``Fraction`` oracle on the grid's systems
+  (``cold_compile``);
+* ``bench_perf_core.py`` — vectorized mesh core vs the per-element
+  oracles: bit-identity, and warm calls make no route-cache miss and
+  one hit per remote message; speedups recorded in
+  ``BENCH_perf_core.json``;
 * ``bench_runtime_exec.py`` — vectorized runtime executor vs the
   per-element Python baseline (bit-identity + >= 5x floor), recorded in
   ``BENCH_runtime_exec.json``;
 * ``bench_legality.py`` — vectorized schedule-legality checker vs the
   per-element Python baseline (bit-identity on seed + 50 generated
-  workloads always; >= 5x floor in strict mode), recorded in
-  ``BENCH_legality.json``;
-* ``bench_triangular_campaign.py`` — the triangular-domain campaign
-  gate (LU/Cholesky/back-substitution corpus + generated triangular
-  nests against ``paragon`` 4x4 and ``t3d`` 2x2x2, zero error records),
-  recorded under ``grid_triangular`` in ``BENCH_campaign.json``;
+  workloads + >= 5x floor), recorded in ``BENCH_legality.json``;
 * ``bench_chaos.py`` — the robustness gate: a campaign with injected
   worker kills, SIGALRM-proof hangs and transient failures (the
   ``REPRO_FAULT_INJECT`` harness) must complete under the ``resilient``
@@ -54,13 +52,13 @@ Registered subsystem gates (beyond the paper artefacts):
   bit-identically to the unfaulted run on a ``retry_failures`` resume
   (and self-heal in-run with ``retries=2``); measurements in
   ``BENCH_chaos.json``;
-* ``bench_trace_overhead.py`` — the observability gate: tracing
-  disabled (the default) must cost <= 5% of the recorded ``grid_2d``
-  throughput (a disabled ``span()`` is pinned to nanoseconds), and a
-  traced run's per-stage totals (compile + price + executor overhead)
-  must sum exactly to the summed task wall time with the instrumented
-  stages covering >= 50% of it; the stage shares land in
-  ``BENCH_trace.json`` (section ``grid_2d``).
+* ``bench_trace_overhead.py`` — the observability gate: a disabled
+  ``span()`` is pinned to nanoseconds, a traced run makes the same
+  pricing calls and compiles as an untraced one, and its per-stage
+  totals (compile + price + executor overhead) sum exactly to the
+  summed task wall time with the instrumented stages covering >= 50%
+  of it; the stage shares land in ``BENCH_trace.json`` (section
+  ``grid_2d``).
 
 ``--profile`` runs the reference scenarios (a *cold* inline campaign
 grid + the reference pricing workload) under ``cProfile`` and writes
@@ -399,17 +397,12 @@ def bench_files(match: str = "") -> list:
     return [f for f in files if match in f]
 
 
-def run_one(fname: str, timed: bool) -> dict:
+def run_one(fname: str) -> dict:
     env = os.environ.copy()
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     cmd = [sys.executable, "-m", "pytest", fname, "-q", "-p", "no:cacheprovider"]
-    if timed:
-        # timed runs are assumed quiet enough to enforce speedup floors
-        env.setdefault("REPRO_PERF_STRICT", "1")
-    else:
-        cmd.append("--benchmark-disable")
     t0 = time.perf_counter()
     proc = subprocess.run(
         cmd, cwd=BENCH_DIR, env=env, capture_output=True, text=True
@@ -431,11 +424,6 @@ def run_one(fname: str, timed: bool) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--timed",
-        action="store_true",
-        help="run full pytest-benchmark timing rounds (slower)",
-    )
     parser.add_argument(
         "--match",
         default="",
@@ -462,7 +450,7 @@ def main(argv=None) -> int:
     results = []
     failed = 0
     for fname in files:
-        res = run_one(fname, args.timed)
+        res = run_one(fname)
         results.append(res)
         status = "ok" if res["returncode"] == 0 else f"FAIL (rc={res['returncode']})"
         print(f"  {fname:<42} {res['seconds']:>8.2f}s  {status}", flush=True)
@@ -477,7 +465,6 @@ def main(argv=None) -> int:
     record_bench(
         "run_all",
         {
-            "timed": args.timed,
             "match": args.match,
             "total": len(results),
             "failed": failed,

@@ -50,9 +50,11 @@ group)::
     python -m repro campaign summarize runs/demo.jsonl \
         --timings runs/demo_trace.jsonl
 
-Malformed arguments (bad ``--mesh``, bad ``--params``, a non-positive
-``--timeout``, a mesh rank that cannot match ``--m``) produce a
-friendly message on stderr and exit code 2.
+Malformed input (a nest syntax error, bad ``--mesh``, bad ``--params``,
+a size parameter ``--execute`` needs but ``--params`` leaves unbound,
+``--m`` or ``--jobs`` below 1, a non-positive ``--timeout``, a mesh rank
+that cannot match ``--m``) produces a friendly message on stderr and
+exit code 2.
 """
 
 from __future__ import annotations
@@ -183,6 +185,8 @@ def _map_parser() -> argparse.ArgumentParser:
 def map_main(argv: List[str]) -> int:
     args = _map_parser().parse_args(argv)
     m = _parse_int(args.m, "--m")
+    if m < 1:
+        raise CliError(f"--m must be >= 1, got {m}")
     mesh = _parse_mesh(args.mesh)
     params = _parse_params(args.params)
     if args.execute and len(mesh) != m:
@@ -193,7 +197,7 @@ def map_main(argv: List[str]) -> int:
         )
 
     from .alignment import two_step_heuristic
-    from .ir import outer_sequential_schedules, parse_nest
+    from .ir import NestSyntaxError, outer_sequential_schedules, parse_nest
     from .report import format_mapping_summary
 
     try:
@@ -202,7 +206,24 @@ def map_main(argv: List[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    nest = parse_nest(source, name=args.nest_file)
+    try:
+        nest = parse_nest(source, name=args.nest_file)
+    except NestSyntaxError as exc:
+        raise CliError(f"{args.nest_file}: {exc}") from None
+    if args.execute:
+        unbound = sorted({
+            name
+            for s in nest.statements
+            for con in s.domain.constraints
+            for name, _ in con.param_coeffs
+        } - set(params))
+        if unbound:
+            raise CliError(
+                "--execute needs a value for every size parameter: "
+                f"{', '.join(unbound)} unbound (pass e.g. --params "
+                + ",".join(f"{name}=4" for name in unbound)
+                + ")"
+            )
     print(nest.describe())
     for s in nest.statements:
         if not s.is_rectangular:
@@ -448,6 +469,8 @@ def campaign_main(argv: List[str]) -> int:
             f"--timeout must be positive, got {args.timeout} "
             "(omit it for no per-task cap)"
         )
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     if args.retries < 0:
         raise CliError(f"--retries must be >= 0, got {args.retries}")
     try:

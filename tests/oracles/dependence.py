@@ -10,8 +10,9 @@ verdict for verdict:
 * :func:`fm_feasible` — the same on ``_fm_feasible``'s integer
   ``[coeffs..., rhs]`` rows.
 
-``benchmarks/bench_campaign_throughput.py`` also times it as the
-baseline of the integer kernel's speedup floor.
+Unlike the kernel it does not divide rows by a gcd; it normalizes each
+surviving row to a leading coefficient of +-1 and drops duplicates after
+every round, which keeps its cost close to the kernel's row counts.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ def fourier_motzkin_fraction(ineqs: List[Ineq], nvars: int) -> bool:
     """
     system = [([Fraction(x) for x in coeffs], Fraction(rhs)) for coeffs, rhs in ineqs]
     for var in range(nvars):
-        # early-exit before combining: an already-contradictory row
-        # (no variables, negative rhs) ends the search — this also
-        # covers infeasibility present before the *last* round
+        # an already-contradictory input row (no variables, negative
+        # rhs) ends the search; later rounds catch their own below
         if any(all(x == 0 for x in c) and r < 0 for c, r in system):
             return False
         pos, neg, rest = [], [], []
@@ -52,15 +52,19 @@ def fourier_motzkin_fraction(ineqs: List[Ineq], nvars: int) -> bool:
                 rhs = pr / a + nr / b
                 coeffs[var] = Fraction(0)
                 new.append((coeffs, rhs))
-        system = new
-        # prune trivially true rows to keep the blow-up in check
-        system = [
-            (c, r)
-            for c, r in system
-            if any(x != 0 for x in c) or r < 0
-        ]
-        if any(all(x == 0 for x in c) and r < 0 for c, r in system):
-            return False
+        # drop trivially true rows, scale each live row by a positive
+        # rational so its first nonzero coefficient is +-1 and drop
+        # duplicates: none of this changes the solution set, and it
+        # keeps the pairwise blow-up in check
+        system = {}
+        for c, r in new:
+            lead = next((abs(x) for x in c if x != 0), None)
+            if lead is None:
+                if r < 0:
+                    return False
+                continue
+            system[(tuple(x / lead for x in c), r / lead)] = None
+        system = list(system)
     # all variables eliminated: feasible iff no 0 <= negative row remains
     return not any(r < 0 for _, r in system)
 

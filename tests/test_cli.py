@@ -90,6 +90,38 @@ class TestCliHardening:
         assert main([nest_file, "--m", "two"]) == 2
         assert "bad --m" in capsys.readouterr().err
 
+    def test_nest_syntax_error_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.nest"
+        p.write_text("array a(1)\nfor i = 1..n\n  S: a[i] = a[i]\n")
+        assert main([str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot parse" in err
+
+    def test_execute_with_unbound_size_parameter_exits_2(
+        self, nest_file, capsys
+    ):
+        rc = main([nest_file, "--execute", "--mesh", "2x2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n unbound" in err
+        assert "--params" in err
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_m_exits_2(self, nest_file, capsys, m):
+        assert main([nest_file, "--m", m]) == 2
+        assert f"--m must be >= 1, got {m}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_campaign_nonpositive_jobs_exits_2(self, tmp_path, capsys, jobs):
+        out = str(tmp_path / "r.jsonl")
+        rc = main(
+            ["campaign", "run", "--out", out, "--nests", "1", "--no-corpus",
+             "--jobs", jobs]
+        )
+        assert rc == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_campaign_shares_parsers(self, tmp_path, capsys):
         out = str(tmp_path / "r.jsonl")
         assert main(["campaign", "run", "--out", out, "--mesh", "4"]) == 2

@@ -14,19 +14,19 @@ import pytest
 from repro._config import KNOBS, Settings
 from repro.campaign import run_campaign
 
-SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
-def _sources():
-    for root, _dirs, names in os.walk(PACKAGE):
+def _sources(top=PACKAGE):
+    for root, _dirs, names in os.walk(top):
         for name in sorted(names):
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path) as fh:
-                    yield os.path.relpath(path, PACKAGE), fh.read()
+                    yield os.path.relpath(path, top), fh.read()
 
 
 class TestParsing:
@@ -89,6 +89,20 @@ def test_src_names_exactly_the_settings_knobs():
     for _rel, text in _sources():
         names.update(re.findall(r"REPRO_[A-Z_]+", text))
     assert names == set(KNOBS.values())
+
+
+def test_benchmarks_name_only_the_settings_knobs():
+    """The benchmark harness has one mode: no environment switch of its
+    own (such as a strict-timing flag) may come back."""
+    names = {
+        (rel, name)
+        for rel, text in _sources(BENCHMARKS)
+        for name in re.findall(r"REPRO_[A-Z_]+", text)
+    }
+    assert names, "no benchmark sources found"
+    assert {
+        (rel, name) for rel, name in names if name not in KNOBS.values()
+    } == set()
 
 
 class TestMalformedKnobFailsTheRun:
