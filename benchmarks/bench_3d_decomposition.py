@@ -7,8 +7,6 @@ factors (each moving data parallel to one axis of the cube) and prices
 direct vs decomposed execution on the T3D model.
 """
 
-import pytest
-
 from repro.decomp import unirow_decomposition, verify_factors
 from repro.distribution import CyclicDistribution
 from repro.linalg import IntMat

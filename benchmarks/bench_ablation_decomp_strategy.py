@@ -7,8 +7,6 @@ axis-parallel phases each needs — fewer phases means fewer
 communication rounds.
 """
 
-import pytest
-
 from repro.decomp import (
     decompose_2x2,
     decompose_dataflow,

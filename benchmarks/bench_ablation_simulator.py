@@ -13,8 +13,6 @@ they agree where it matters:
 
 import random
 
-import pytest
-
 from repro.machine import CostParams, EventSimulator, Mesh, Message, phase_time
 
 from _harness import print_table

@@ -7,8 +7,6 @@ time-invariant (``ker M_S ⊆ ker(M_a F_a)``), execute it with and
 without vectorization and measure the message-count and time savings.
 """
 
-import pytest
-
 from repro.alignment import two_step_heuristic
 from repro.ir import NestBuilder, outer_sequential_schedules
 from repro.machine import MeshModel

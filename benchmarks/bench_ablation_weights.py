@@ -10,10 +10,8 @@ nests, (a) the localized traffic with and without rank weights, and
 
 import random
 
-import pytest
-
 from repro.alignment import align, build_access_graph, maximum_branching
-from repro.baselines import feautrier_align, greedy_edge_selection
+from repro.baselines import greedy_edge_selection
 from repro.ir import NestBuilder
 from repro.linalg import IntMat, rank
 

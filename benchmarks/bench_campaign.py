@@ -20,8 +20,9 @@ job (calibrated, with a measured noise band).  Wall times land in
 * ``test_steady_state_counts`` — a repeat inline run of ``grid_2d``
   with warm caches: every compile and every baseline price is a hit,
   each compile-key group prices all its cells in one ``execute_group``
-  call, and the segmented kernel launches at most once per machine
-  model per call.
+  call, the segmented kernel launches at most once per machine model
+  per call, ``comm_batches`` runs once per distinct (nest, mesh)
+  folding and the store takes one ``RunStore.append`` per group.
 * ``test_batched_vs_per_cell`` / ``test_fused_vs_per_phase_pricing`` —
   whole-group pricing against one-task groups and fused pricing
   against the per-phase oracle write identical records.
@@ -199,10 +200,15 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     each compile-key group's cells in one ``execute_group`` call whose
     point-to-point kernel (``phase_times_segmented``) launches at most
     once per machine model — the ceiling ``run_all.py --profile``
-    enforces.  ``runtime.price.launches`` also counts the CM-5
-    collective lanes, so it is recorded next to the gated count."""
+    enforces.  Twin cells (paragon and cm5 on one mesh) share one
+    extraction, so ``comm_batches`` runs once per distinct (nest, mesh)
+    folding, and each group's records go to the store in one
+    ``RunStore.append``.  ``runtime.price.launches`` also counts the
+    CM-5 collective lanes, so it is recorded next to the gated count,
+    as is ``runtime.price.phases``."""
     from repro.machine import machine_spec, machines
     from repro.obs import metrics
+    from repro.runtime import MappedProgram
 
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
@@ -220,13 +226,17 @@ def test_steady_state_counts(tmp_path, monkeypatch):
 
     pricing = count_pricing_calls(monkeypatch, str(tmp_path / "pricing.log"))
     kernel_calls = _record_calls(monkeypatch, machines, "phase_times_segmented")
+    extractions = _record_calls(monkeypatch, MappedProgram, "comm_batches")
+    appends = _record_calls(monkeypatch, RunStore, "append")
     launches = metrics.counter("runtime.price.launches")
-    launches_before = launches.value
+    phases = metrics.counter("runtime.price.phases")
+    launches_before, phases_before = launches.value, phases.value
     steady = run_campaign(
         tasks, str(tmp_path / "steady.jsonl"),
         CampaignConfig(jobs=1), meta=meta,
     )
     all_launches = launches.value - launches_before
+    phases_priced = phases.value - phases_before
     kernel_launches = len(kernel_calls)
     singles, group_calls = pricing()
 
@@ -238,6 +248,11 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     assert sorted(group_calls) == sorted(len(g) for g in groups)
     ceiling = len(models) * len(group_calls)
     assert 0 < kernel_launches <= ceiling
+    # one extraction per distinct folding, one store write per group
+    foldings = {(t.compile_key, t.mesh) for t in tasks}
+    assert len(foldings) < len(tasks)
+    assert len(extractions) == len(foldings)
+    assert len(appends) == len(groups)
 
     record_bench(
         "campaign",
@@ -254,6 +269,10 @@ def test_steady_state_counts(tmp_path, monkeypatch):
             "segmented_kernel_launches": kernel_launches,
             "kernel_launch_ceiling": ceiling,
             "price_launches": all_launches,
+            "phases_priced": phases_priced,
+            "comm_batches_calls": len(extractions),
+            "distinct_foldings": len(foldings),
+            "store_appends": len(appends),
         },
         section="steady_state",
     )
@@ -292,7 +311,8 @@ def test_batched_vs_per_cell(tmp_path):
                 store = RunStore(path)
                 store.start(meta)
                 for task in tasks:
-                    store.append(run_task_group([task])[0])
+                    store.append(run_task_group([task]))
+                store.close()
             wall = time.perf_counter() - t0
         _, results = RunStore(path).load()
         assert len(results) == len(tasks)

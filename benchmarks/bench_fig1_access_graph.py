@@ -7,8 +7,6 @@ access-matrix ranks, so the two depth-3 square writes carry the
 maximum weight 3.
 """
 
-import pytest
-
 from repro.alignment import build_access_graph
 from repro.ir import motivating_example
 

@@ -5,8 +5,6 @@ become local and 2 remain; both maximum-weight (3) edges are zeroed
 out; the component has a single input vertex.
 """
 
-import pytest
-
 from repro.alignment import (
     build_access_graph,
     maximum_branching,

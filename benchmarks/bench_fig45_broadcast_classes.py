@@ -8,11 +8,8 @@ price the three cases on the mesh model (a total broadcast reaches the
 whole grid, a partial one a single row).
 """
 
-import pytest
-
 from repro.linalg import IntMat
 from repro.machine import (
-    Mesh,
     MeshModel,
     broadcast_tree_phases,
     partial_broadcast_row_phases,

@@ -5,8 +5,6 @@ physical processors: the virtual indices are re-ordered class-major as
 ``0 3 6 9 | 1 4 7 10 | 2 5 8 11`` and block-partitioned.
 """
 
-import pytest
-
 from repro.distribution import GroupedDistribution
 
 from _harness import print_table

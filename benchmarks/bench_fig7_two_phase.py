@@ -7,8 +7,6 @@ the two communications are performed one after the other, each
 axis-parallel and class-local.
 """
 
-import pytest
-
 from repro.decomp import L, U, verify_factors
 from repro.distribution import (
     BlockDistribution,
@@ -16,7 +14,7 @@ from repro.distribution import (
     GroupedDistribution,
 )
 from repro.linalg import IntMat
-from repro.machine import MeshModel, decomposed_phases
+from repro.machine import MeshModel
 
 from _harness import print_table
 

@@ -7,8 +7,6 @@ access also becomes an axis-parallel broadcast under the same
 unimodular rotation (the footnote's lucky coincidence).
 """
 
-import pytest
-
 from repro.alignment import two_step_heuristic, var_node
 from repro.ir import motivating_example
 from repro.linalg import IntMat

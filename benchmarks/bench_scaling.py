@@ -12,7 +12,7 @@ import pytest
 
 from repro.alignment import two_step_heuristic
 from repro.ir import NestBuilder
-from repro.linalg import IntMat, rank
+from repro.linalg import IntMat
 
 
 def chain_nest(n_stmts: int):

@@ -9,8 +9,6 @@ histogram; the similarity remark is exercised by checking the
 sufficient condition coincides with 3-factor decomposability.
 """
 
-import pytest
-
 from repro.decomp import (
     decompose_2x2,
     decompose_three,

@@ -5,8 +5,6 @@ per element per time step; the two-step heuristic (zero out first,
 optimize residuals second) maps the nest with **no** communication.
 """
 
-import pytest
-
 from repro.alignment import two_step_heuristic
 from repro.baselines import platonoff_mapping
 from repro.ir import outer_sequential_schedules, platonoff_example

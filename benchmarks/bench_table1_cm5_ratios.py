@@ -12,8 +12,6 @@ tree collectives, software-overhead translations, per-element software
 addressing + fat-tree contention for general patterns).
 """
 
-import pytest
-
 from repro.machine import CM5Model
 
 from _harness import print_table

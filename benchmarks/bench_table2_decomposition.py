@@ -12,12 +12,10 @@ non-square mesh so the L/U asymmetry shows, price the direct pattern
 the orderings.
 """
 
-import pytest
-
 from repro.decomp import L, U
 from repro.distribution import CyclicDistribution, Distribution2D
 from repro.linalg import IntMat
-from repro.machine import MeshModel, affine_pattern, decomposed_phases
+from repro.machine import MeshModel, decomposed_phases
 
 from _harness import print_table
 

@@ -17,7 +17,7 @@ Run:  python examples/matmul_alignment.py
 """
 
 from repro.alignment import two_step_heuristic
-from repro.ir import NestBuilder, outer_sequential_schedules, trivial_schedules
+from repro.ir import NestBuilder
 from repro.machine import MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 

@@ -52,7 +52,8 @@ group)::
 
 Malformed input (a nest syntax error, bad ``--mesh``, bad ``--params``,
 a size parameter ``--execute`` needs but ``--params`` leaves unbound,
-``--m`` or ``--jobs`` below 1, a non-positive ``--timeout``, a mesh rank
+``--m`` or ``--jobs`` below 1, a negative ``--nests``, ``--max-tasks``,
+``--retries`` or ``--backoff``, a non-positive ``--timeout``, a mesh rank
 that cannot match ``--m``) produces a friendly message on stderr and
 exit code 2.
 """
@@ -473,6 +474,12 @@ def campaign_main(argv: List[str]) -> int:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     if args.retries < 0:
         raise CliError(f"--retries must be >= 0, got {args.retries}")
+    if args.nests < 0:
+        raise CliError(f"--nests must be >= 0, got {args.nests}")
+    if args.max_tasks is not None and args.max_tasks < 0:
+        raise CliError(f"--max-tasks must be >= 0, got {args.max_tasks}")
+    if args.backoff < 0:
+        raise CliError(f"--backoff must be >= 0, got {args.backoff}")
     try:
         settings = Settings.from_env()
     except ValueError as exc:

@@ -2,7 +2,8 @@
 
 Three environment knobs configure a campaign (see :data:`KNOBS`):
 ``REPRO_CAMPAIGN_COMPILE_DIR`` (persistent compile-cache directory),
-``REPRO_STORE_FSYNC`` (fsync every result-store write) and
+``REPRO_STORE_FSYNC`` (fsync every result-store write: one per
+compile-key group, not per record) and
 ``REPRO_FAULT_INJECT`` (the chaos harness's fault spec, see
 :mod:`repro.campaign.faults`).  Everything else is a module constant or
 an argument.
@@ -52,7 +53,8 @@ class Settings:
 
     #: persistent compile-cache directory (None = no disk tier)
     compile_dir: Optional[str] = None
-    #: force fsync on every result-store write
+    #: force fsync on every result-store write (one write per
+    #: compile-key group's records)
     fsync: bool = False
     #: raw fault-injection spec (None = injection off)
     fault_spec: Optional[str] = None

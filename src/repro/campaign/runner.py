@@ -6,10 +6,11 @@ prices any subset of one compile-key group — the two-step heuristic
 every record carries its heuristic-vs-baseline ratio.
 :func:`run_campaign` drives a task list through a pluggable execution
 backend (see :mod:`repro.campaign.executors`: ``inline``, ``pool``,
-``resilient``), all of which call :func:`run_task_group` per group and
-append each result to the :class:`~repro.campaign.store.RunStore` as
-it lands; killing the process at any point loses at most the in-flight
-groups, and re-running with ``resume=True`` executes exactly the tasks
+``resilient``), all of which call :func:`run_task_group` per group;
+each batch of results a backend yields (one compile-key group, on the
+inline backend) goes to the :class:`~repro.campaign.store.RunStore`
+with one write as it lands; killing the process at any point loses at
+most the in-flight groups, and re-running with ``resume=True`` executes exactly the tasks
 whose results are not on disk yet.
 
 Failures are **typed**: every non-ok record carries an ``error_kind``
@@ -526,7 +527,10 @@ def run_task_group(
     * **Price**: one-task groups price through
       :func:`repro.runtime.execute`, larger ones through one
       :func:`repro.runtime.execute_group` call, heuristic and baseline
-      alike (both looked up on :mod:`repro.runtime` at call time).
+      alike (both looked up on :mod:`repro.runtime` at call time).  In
+      that call the cells that fold identically (the paragon and cm5
+      cells of one mesh) share one extraction, phase grouping and
+      kernel rows.
     * **Timeouts**: the survivors run under the group deadline
       ``timeout * len(survivors)``; past it they re-run as one-task
       groups under ``timeout`` each, so a slow task still ends as
@@ -541,6 +545,9 @@ def run_task_group(
     and ``TaskResult.attempts``.  While tracing is enabled one capture
     covers the call and its span tree goes on the first record;
     ``seconds`` is the call's wall time split evenly across the records.
+    The caller stores the returned records with one
+    :meth:`~repro.campaign.store.RunStore.append` (``run_campaign`` does
+    so per backend batch).
     """
     if timeout is not None and timeout <= 0:
         raise ValueError(
@@ -865,7 +872,8 @@ def run_campaign(
     meta: Optional[Dict] = None,
     progress: Optional[Callable[[TaskResult], None]] = None,
 ) -> CampaignOutcome:
-    """Execute ``tasks``, checkpointing each result to ``out_path``.
+    """Execute ``tasks``, checkpointing each group's results to
+    ``out_path``.
 
     ``resume=False`` starts a fresh run (the file is truncated);
     ``resume=True`` loads the checkpoint, verifies the grid digest in
@@ -880,6 +888,11 @@ def run_campaign(
         raise ValueError(
             f"timeout must be positive, got {config.timeout!r} (omit it "
             "for no per-task cap)"
+        )
+    if config.max_tasks is not None and config.max_tasks < 0:
+        raise ValueError(
+            f"max_tasks must be >= 0, got {config.max_tasks!r} (omit it "
+            "for no cap)"
         )
     settings = config.settings
     if settings is None:
@@ -966,42 +979,45 @@ def run_campaign(
         for s in ("ok", "error", "timeout", "crashed")
     }
 
-    def record(result: TaskResult) -> None:
+    def record(batch: List[TaskResult]) -> None:
         nonlocal ran, ok, errors, timeouts, crashed, retried
         nonlocal cache_hits, cache_misses, baseline_hits, baseline_misses
+        # one store write per batch (a compile-key group's records)
         with span("store.append"):
-            store.append(result)
-        ran += 1
-        if result.status == "ok":
-            ok += 1
-        elif result.status == "timeout":
-            timeouts += 1
-        elif result.status == "crashed":
-            crashed += 1
-        else:
-            errors += 1
-        status_counters.get(
-            result.status, status_counters["error"]
-        ).inc()
-        retried += max(0, result.attempts - 1)
-        if result.compile_cache_hit is True:
-            cache_hits += 1
-        elif result.compile_cache_hit is False:
-            cache_misses += 1
-        if result.baseline_cache_hit is True:
-            baseline_hits += 1
-        elif result.baseline_cache_hit is False:
-            baseline_misses += 1
-        if trace_writer is not None:
-            # fold the worker's span tree into the campaign aggregate
-            # and stream the per-task record (flushed immediately: a
-            # killed run loses at most the in-flight task's trace)
-            merge_spans(result.trace)
-            trace_writer.write_task(
-                result, compile_keys.get(result.task_id)
-            )
-        if progress is not None:
-            progress(result)
+            store.append(batch)
+        for result in batch:
+            ran += 1
+            if result.status == "ok":
+                ok += 1
+            elif result.status == "timeout":
+                timeouts += 1
+            elif result.status == "crashed":
+                crashed += 1
+            else:
+                errors += 1
+            status_counters.get(
+                result.status, status_counters["error"]
+            ).inc()
+            retried += max(0, result.attempts - 1)
+            if result.compile_cache_hit is True:
+                cache_hits += 1
+            elif result.compile_cache_hit is False:
+                cache_misses += 1
+            if result.baseline_cache_hit is True:
+                baseline_hits += 1
+            elif result.baseline_cache_hit is False:
+                baseline_misses += 1
+            if trace_writer is not None:
+                # fold the worker's span tree into the campaign
+                # aggregate and stream the per-task record (flushed
+                # immediately: a killed run loses at most the in-flight
+                # group's trace)
+                merge_spans(result.trace)
+                trace_writer.write_task(
+                    result, compile_keys.get(result.task_id)
+                )
+            if progress is not None:
+                progress(result)
 
     # cluster cells of one compiled nest so each group lands on one
     # worker: K machine x mesh cells -> one compile + K prices
@@ -1042,9 +1058,9 @@ def run_campaign(
                 }
             )
         for batch in backend.run(groups):
-            for result in batch:
-                record(result)
+            record(batch)
     finally:
+        store.close()
         if trace_writer is not None:
             trace_writer.write_summary(
                 span_snapshot(), obs_metrics.snapshot()

@@ -2,17 +2,17 @@
 
 One campaign run is one JSONL file: a ``meta`` record first (grid
 digest, spec echo), then one ``result`` record per completed task,
-appended and flushed as tasks finish.  The loader is tolerant of a
-truncated final line — the expected state of a file whose writer was
-killed mid-record — so a resumed campaign picks up exactly the tasks
-whose results made it to disk.
+appended and flushed one compile-key group at a time.  The loader is
+tolerant of a truncated final line — the expected state of a file whose
+writer was killed mid-write — so a resumed campaign picks up exactly the
+tasks whose results made it to disk.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..report import format_mesh
@@ -92,19 +92,34 @@ class TaskResult:
         return d
 
     def to_dict(self) -> Dict:
-        d = asdict(self)
-        d["record"] = "result"
-        d["mesh"] = list(self.mesh)
-        d.pop("compile_cache_hit", None)
-        d.pop("baseline_cache_hit", None)
-        d.pop("trace", None)
+        """The JSONL record: every field except the in-memory telemetry
+        (``compile_cache_hit``, ``baseline_cache_hit``, ``trace``)."""
+        d = {
+            "task_id": self.task_id,
+            "workload": self.workload,
+            "machine": self.machine,
+            "mesh": list(self.mesh),
+            "m": self.m,
+            "rank_weights": self.rank_weights,
+            "status": self.status,
+            "counts": dict(self.counts),
+            "residuals": self.residuals,
+            "total_time": self.total_time,
+            "total_messages": self.total_messages,
+            "total_volume": self.total_volume,
+            "baseline_residuals": self.baseline_residuals,
+            "baseline_time": self.baseline_time,
+            "error": self.error,
+        }
         # default-valued taxonomy fields are omitted so records of a
         # fault-free campaign stay byte-identical to the historical
         # format (golden-tested)
-        if self.error_kind is None:
-            d.pop("error_kind", None)
-        if self.attempts == 1:
-            d.pop("attempts", None)
+        if self.error_kind is not None:
+            d["error_kind"] = self.error_kind
+        if self.attempts != 1:
+            d["attempts"] = self.attempts
+        d["seconds"] = self.seconds
+        d["record"] = "result"
         return d
 
     @staticmethod
@@ -134,18 +149,23 @@ class TaskResult:
 class RunStore:
     """Append-only JSONL store for one campaign run.
 
-    ``fsync`` controls whether every append is forced to stable storage
-    (survives power loss, not just process death).  Appends are always
-    flushed to the OS — a killed writer loses at most the in-flight
-    record either way — but per-record ``fsync`` costs real throughput
-    on large campaigns, so it is **opt-in**: pass ``fsync=True`` (the
-    campaign runner passes ``REPRO_STORE_FSYNC`` through its
-    :class:`~repro._config.Settings`).
+    :meth:`append` writes one compile-key group's records with one
+    ``write`` and one flush through a single handle, opened on the first
+    append and closed by :meth:`close` (``run_campaign`` closes it when
+    the run ends).  ``fsync`` controls whether every appended group is
+    also forced to stable storage (survives power loss, not just process
+    death).  A killed writer loses at most the in-flight group either
+    way — a cut write leaves whole records plus at most one partial
+    line, which the loader skips — but a per-group ``fsync`` costs
+    throughput on large campaigns, so it is **opt-in**: pass
+    ``fsync=True`` (the campaign runner passes ``REPRO_STORE_FSYNC``
+    through its :class:`~repro._config.Settings`).
     """
 
     def __init__(self, path: str, fsync: bool = False):
         self.path = path
         self.fsync = fsync
+        self._fh = None
 
     # -- writing --------------------------------------------------------
 
@@ -159,6 +179,7 @@ class RunStore:
         leaves either the previous file or the new one-line file on
         disk, never a half-written meta record.
         """
+        self.close()
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         tmp = self._tmp_path()
@@ -183,6 +204,7 @@ class RunStore:
         one stale line per retry).  Temp-file + rename, so a crash
         mid-compaction leaves the previous file intact.
         """
+        self.close()
         meta = {k: v for k, v in meta.items() if k != "_skipped_lines"}
         meta.pop("record", None)
         tmp = self._tmp_path()
@@ -223,14 +245,26 @@ class RunStore:
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
 
-    def append(self, result: TaskResult) -> None:
-        """Append one result and flush — this *is* the checkpoint."""
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(result.to_dict(), sort_keys=True))
-            fh.write("\n")
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+    def append(self, results: Sequence[TaskResult]) -> None:
+        """Append one group's results with one write and one flush (plus
+        one ``fsync`` when enabled) — this *is* the checkpoint."""
+        if self._fh is None:
+            self._fh = open(self.path, "a")
+        self._fh.write(
+            "".join(
+                json.dumps(r.to_dict(), sort_keys=True) + "\n"
+                for r in results
+            )
+        )
+        self._fh.flush()
+        if self.fsync:
+            os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        """Close the append handle (the next :meth:`append` reopens)."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     # -- reading --------------------------------------------------------
 

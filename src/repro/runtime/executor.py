@@ -129,7 +129,7 @@ class _Job:
 
 
 def _mixed_segments(blist: Sequence[CommBatch]) -> PhaseSegments:
-    """One cell's label spanning statements with different schedule
+    """One folding's label spanning statements with different schedule
     dimensionalities: mixed-width time rows cannot concatenate, so
     bucket by time tuple like the python path, then normalize the
     phases to one int64 *bucket index* column."""
@@ -152,28 +152,28 @@ def _mixed_segments(blist: Sequence[CommBatch]) -> PhaseSegments:
 
 
 def _label_segments(
-    per_cell: List[List[CommBatch]], vec: bool
+    per_source: List[List[CommBatch]], vec: bool
 ) -> List[Tuple[int, PhaseSegments]]:
-    """``(cell, phases)`` of one label for every cell with surviving
-    events, in cell order.  Phases come in ascending time order, each
-    with lex-sorted unique pairs — the per-phase ``np.unique`` outputs,
-    concatenated."""
-    if len(per_cell) == 1 and len(per_cell[0]) == 1:
-        # one batch owns the label of a one-cell call (the common
+    """``(source, phases)`` of one label for every distinct folding
+    (``per_source[source]``) with surviving events, in source order.
+    Phases come in ascending time order, each with lex-sorted unique
+    pairs — the per-phase ``np.unique`` outputs, concatenated."""
+    if len(per_source) == 1 and len(per_source[0]) == 1:
+        # one batch owns the label of a one-folding call (the common
         # case): its memoized phase partition
-        return [(0, per_cell[0][0].phase_partition(vec))]
-    widths = {b.times.shape[1] for blist in per_cell for b in blist}
+        return [(0, per_source[0][0].phase_partition(vec))]
+    widths = {b.times.shape[1] for blist in per_source for b in blist}
     if not vec and len(widths) > 1:
         return [
             (k, _mixed_segments(blist))
-            for k, blist in enumerate(per_cell)
+            for k, blist in enumerate(per_source)
             if blist
         ]
-    # stack all cells' rows as [cell | (time) | sender | receiver] and
-    # group them once
+    # stack all sources' rows as [source | (time) | sender | receiver]
+    # and group them once
     tw = 0 if vec else widths.pop()
     blocks: List[np.ndarray] = []
-    for k, blist in enumerate(per_cell):
+    for k, blist in enumerate(per_source):
         for b in blist:
             pairs = b.send_pairs()
             cols = [np.full((pairs.shape[0], 1), k, dtype=np.int64)]
@@ -182,14 +182,14 @@ def _label_segments(
             cols.append(pairs)
             blocks.append(np.concatenate(cols, axis=1))
     uniq, counts = unique_rows(np.concatenate(blocks, axis=0))
-    # cell blocks are contiguous (the cell id is the sort-major
+    # source blocks are contiguous (the source id is the sort-major
     # column); within a block the rows are ``[time | pair]``-sorted
-    cell_col = uniq[:, 0]
-    change = np.nonzero(cell_col[1:] != cell_col[:-1])[0] + 1
+    source_col = uniq[:, 0]
+    change = np.nonzero(source_col[1:] != source_col[:-1])[0] + 1
     bounds = [0] + change.tolist() + [uniq.shape[0]]
     return [
         (
-            int(cell_col[cs]),
+            int(source_col[cs]),
             segments_from_sorted_unique(
                 uniq[cs:ce, 1 + tw:], counts[cs:ce], uniq[cs:ce, 1: 1 + tw]
             ),
@@ -237,8 +237,10 @@ def _price_jobs(cells, jobs: List[_Job], payload: int) -> List[List[float]]:
     """Each job's per-phase times, in phase order, from one call per
     pricing lane: one fused kernel launch per distinct point-to-point
     model (:func:`_model_key`), one vectorized call per (collectives
-    model, kind).  Every phase prices independently of its lane
-    neighbours, so the times equal per-phase pricing bit for bit."""
+    model, kind).  Jobs of one lane that share a :class:`PhaseSegments`
+    object (twin cells, see :func:`_execute_cells`) price it once.
+    Every phase prices independently of its lane neighbours, so the
+    times equal per-phase pricing bit for bit."""
     p2p: Dict[Tuple, Tuple[MachineModel, List[int]]] = {}
     # collectives models are unhashable dataclasses: lanes match by
     # equality
@@ -257,13 +259,46 @@ def _price_jobs(cells, jobs: List[_Job], payload: int) -> List[List[float]]:
     lanes = [(m, None, idx) for m, idx in p2p.values()] + macro
     out: List[List[float]] = [[] for _ in jobs]
     for model, kind, idx in lanes:
-        times = _lane_times(model, kind, [jobs[i].seg for i in idx], payload)
-        at = 0
+        # id(seg) -> offset of its first phase in the lane's times; the
+        # jobs hold their segments, so the ids stay valid for the loop
+        at: Dict[int, int] = {}
+        segs: List[PhaseSegments] = []
+        n = 0
         for i in idx:
-            n = jobs[i].seg.n_phases
-            out[i] = times[at: at + n]
-            at += n
+            seg = jobs[i].seg
+            if id(seg) not in at:
+                at[id(seg)] = n
+                segs.append(seg)
+                n += seg.n_phases
+        times = _lane_times(model, kind, segs, payload)
+        for i in idx:
+            seg = jobs[i].seg
+            start = at[id(seg)]
+            out[i] = times[start: start + seg.n_phases]
     return out
+
+
+def _fold_sources(
+    programs: Sequence[MappedProgram],
+) -> Tuple[List[MappedProgram], List[int]]:
+    """``(sources, source_of)``: the programs with distinct foldings, in
+    first-seen order, and each program's index into ``sources``.
+
+    Programs of one mapping and size bindings whose
+    :class:`~repro.runtime.mapping.Folding` compares equal (same mesh,
+    extent and schemes) are *twins* — the paragon and cm5 cells of one
+    mesh — with the same communication rows."""
+    sources: List[MappedProgram] = []
+    source_of: List[int] = []
+    for p in programs:
+        d = next(
+            (j for j, q in enumerate(sources) if q.folding == p.folding),
+            len(sources),
+        )
+        if d == len(sources):
+            sources.append(p)
+        source_of.append(d)
+    return sources, source_of
 
 
 def _execute_cells(
@@ -273,23 +308,29 @@ def _execute_cells(
     """The one pricing path behind :func:`execute` and
     :func:`execute_group`.
 
-    **Collect**: per label (sorted), per cell, the surviving
+    **Twins**: cells whose programs fold identically
+    (:func:`_fold_sources`) share one ``comm_batches()`` extraction and
+    one phase grouping per label; a one-cell call has no twins.
+    **Collect**: per label (sorted), per distinct folding, the surviving
     ``(sender, receiver)`` rows are grouped into phases — one
-    ``unique_rows`` over all cells' rows stacked with a leading cell-id
-    column, so each cell's block comes out in its own phase order.
-    **Price**: :func:`_price_jobs` prices every phase of the call at
-    once.  **Fold**: the per-phase times are added in collect order
-    (labels sorted, then cells, then phases) — the float accumulation
-    sequence of per-phase pricing, so every total is bit-identical.
+    ``unique_rows`` over all foldings' rows stacked with a leading
+    source-id column, so each folding's block comes out in its own phase
+    order — and every cell gets its own :class:`AccessCommStats` and
+    jobs over its folding's shared :class:`PhaseSegments`.
+    **Price**: :func:`_price_jobs` prices every distinct phase of the
+    call at once.  **Fold**: the per-phase times are added in collect
+    order (labels sorted, then cells, then phases) — the float
+    accumulation sequence of per-phase pricing, so every total is
+    bit-identical.
     """
     K = len(cells)
-    programs = [c[0] for c in cells]
-    base = programs[0]
+    base = cells[0][0]
+    sources, source_of = _fold_sources([c[0] for c in cells])
     with span("exec.extract"):
-        batch_lists = [p.comm_batches() for p in programs]
+        batch_lists = [p.comm_batches() for p in sources]
 
     per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
-    # label -> per-cell lists of surviving batches
+    # label -> per-source lists of surviving batches
     remaining: Dict[str, List[List[CommBatch]]] = {}
     classifications: Dict[str, str] = {}
     for bi, b0 in enumerate(batch_lists[0]):
@@ -300,28 +341,31 @@ def _execute_cells(
         label = b0.access_label
         if label not in classifications:
             classifications[label] = _classification_of(base, label)
-        # the virtual arrays are shared objects across cells, so the
+        # the virtual arrays are shared objects across foldings, so the
         # virtual-locality mask is computed once and seeded into every
-        # cell's batch before its (per-cell) physical masks
+        # source's batch before its (per-folding) physical masks
         virt_local = b0.virtual_local_mask()
         n_virt_local = int(virt_local.sum())
+        phys_local_of: List[int] = []
+        for d, blist in enumerate(batch_lists):
+            b = blist[bi]
+            b.__dict__.setdefault("_virt_local", virt_local)
+            _, phys_local, send = b.locality_masks()
+            phys_local_of.append(int(phys_local.sum()))
+            if send.any():
+                remaining.setdefault(
+                    label, [[] for _ in sources]
+                )[d].append(b)
         for k in range(K):
-            b = batch_lists[k][bi]
             st = per_access[k].get(label)
             if st is None:
                 st = AccessCommStats(
                     label=label, classification=classifications[label]
                 )
                 per_access[k][label] = st
-            st.events += b.n
+            st.events += b0.n
             st.virtual_local += n_virt_local
-            b.__dict__.setdefault("_virt_local", virt_local)
-            _, phys_local, send = b.locality_masks()
-            st.phys_local += int(phys_local.sum())
-            if send.any():
-                remaining.setdefault(
-                    label, [[] for _ in range(K)]
-                )[k].append(b)
+            st.phys_local += phys_local_of[source_of[k]]
 
     jobs: List[_Job] = []
     for label in sorted(remaining):
@@ -329,9 +373,13 @@ def _execute_cells(
         if classifications[label] == "macro":
             opt = base.mapping.residual_by_label(label)
             kind = opt.macro.kind.value if opt.macro else "broadcast"
-        for k, seg in _label_segments(
-            remaining[label], _vectorizable(base, label)
-        ):
+        segs = dict(
+            _label_segments(remaining[label], _vectorizable(base, label))
+        )
+        for k in range(K):
+            seg = segs.get(source_of[k])
+            if seg is None:
+                continue
             st = per_access[k][label]
             st.messages_before_vectorization += int(seg.n_events.sum())
             st.messages_after_vectorization += seg.pairs.shape[0]
@@ -401,11 +449,14 @@ def execute_group(
     Every cell must fold the **same mapping** with the **same size
     bindings** (the campaign's compile-key group invariant: domains,
     schedule times and virtual coordinates are shared arrays; only the
-    folded physical coordinates differ per cell).  Each label's rows
-    are grouped once for all K cells, and every phase of the call —
-    all labels, all cells — prices in one fused kernel launch per
-    distinct point-to-point model plus one collectives call per
-    (collectives model, kind).
+    folded physical coordinates differ per cell).  Twin cells — equal
+    foldings, like the paragon and cm5 cells of one mesh — share one
+    ``comm_batches()`` extraction and one phase grouping, and each
+    distinct phase prices once per lane.  Each label's rows are grouped
+    once for all distinct foldings, and every phase of the call — all
+    labels, all cells — prices in one fused kernel launch per distinct
+    point-to-point model plus one collectives call per (collectives
+    model, kind).
     """
     if not cells:
         return []

@@ -117,7 +117,8 @@ class TestGoldenByteIdentity:
         store = RunStore(plain_path)
         store.start({})
         for task in rw_sweep_grid:
-            store.append(run_task_group([task])[0])
+            store.append(run_task_group([task]))
+        store.close()
 
         _, batched = RunStore(batched_path).load()
         _, plain = RunStore(plain_path).load()

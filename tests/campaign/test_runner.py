@@ -125,14 +125,15 @@ class TestResume:
         victim = results[tasks[0].task_id]
         from repro.campaign import TaskResult
 
-        store.append(
+        store.append([
             TaskResult(
                 task_id=victim.task_id, workload=victim.workload,
                 machine=victim.machine, mesh=victim.mesh, m=victim.m,
                 rank_weights=victim.rank_weights, status="timeout",
                 error="task exceeded 0.0s",
             )
-        )
+        ])
+        store.close()
         # plain resume: the failure counts as done, nothing re-runs
         plain = run_campaign(tasks, path, resume=True, meta=meta)
         assert plain.ran == 0
@@ -154,6 +155,17 @@ class TestResume:
         )
         assert outcome.ran == 0
         assert outcome.remaining == len(tasks)
+
+    def test_negative_max_tasks_rejected(self, small_grid, tmp_path):
+        # a negative cap used to slice ``pending[:-1]`` and silently
+        # drop the last task
+        spec, tasks = small_grid
+        path = tmp_path / "neg.jsonl"
+        with pytest.raises(ValueError, match="max_tasks must be >= 0"):
+            run_campaign(
+                tasks, str(path), CampaignConfig(max_tasks=-1), meta={}
+            )
+        assert not path.exists()
 
     def test_resume_on_missing_file_starts_fresh(self, small_grid, tmp_path):
         spec, tasks = small_grid

@@ -7,13 +7,17 @@ import os
 
 import pytest
 
+from repro._config import Settings
 from repro.campaign import (
+    CampaignConfig,
     RunStore,
     TaskResult,
+    default_spec,
     merge_stores,
     run_campaign,
     summarize_results,
 )
+from repro.campaign.sweep import group_by_compile_key
 
 
 def _result(i, status="ok", machine="paragon"):
@@ -42,7 +46,7 @@ class TestRunStore:
         store = RunStore(str(tmp_path / "run.jsonl"))
         store.start({"spec_digest": "abc"})
         for i in range(3):
-            store.append(_result(i))
+            store.append([_result(i)])
         meta, results = store.load()
         assert meta["spec_digest"] == "abc"
         assert sorted(results) == ["id0000", "id0001", "id0002"]
@@ -52,8 +56,8 @@ class TestRunStore:
         path = tmp_path / "run.jsonl"
         store = RunStore(str(path))
         store.start({"spec_digest": "abc"})
-        store.append(_result(0))
-        store.append(_result(1))
+        store.append([_result(0)])
+        store.append([_result(1)])
         # simulate a writer killed mid-record
         text = path.read_text()
         path.write_text(text + json.dumps(_result(2).to_dict())[: 40])
@@ -65,7 +69,7 @@ class TestRunStore:
         path = tmp_path / "run.jsonl"
         store = RunStore(str(path))
         store.start({"spec_digest": "abc"})
-        store.append(_result(0))
+        store.append([_result(0)])
         bad = _result(1).to_dict()
         bad["mesh"] = 7  # scalar where a pair belongs
         with open(path, "a") as fh:
@@ -78,7 +82,7 @@ class TestRunStore:
         path = tmp_path / "run.jsonl"
         store = RunStore(str(path))
         store.start({"spec_digest": "abc"})
-        store.append(_result(0))
+        store.append([_result(0)])
         # drop the meta line, keep the result
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[1:]) + "\n")
@@ -137,7 +141,7 @@ class TestDurability:
     def test_fsynced_append_roundtrips(self, tmp_path):
         store = RunStore(str(tmp_path / "run.jsonl"), fsync=True)
         store.start({"spec_digest": "abc"})
-        store.append(_result(0))
+        store.append([_result(0)])
         meta, results = store.load()
         assert meta["spec_digest"] == "abc" and sorted(results) == ["id0000"]
 
@@ -151,8 +155,8 @@ class TestDurability:
         path = tmp_path / "run.jsonl"
         store = RunStore(str(path))
         store.start({"spec_digest": "abc"})
-        store.append(_result(0, status="error"))
-        store.append(_result(0))  # supersedes the failure
+        store.append([_result(0, status="error")])
+        store.append([_result(0)])  # supersedes the failure
         text = path.read_text()
         path.write_text(text + '{"half a rec')  # killed writer
         meta, results = store.load()
@@ -165,13 +169,104 @@ class TestDurability:
         assert results["id0000"].status == "ok"
 
 
+class TestGroupWrites:
+    """A campaign writes each compile-key group's records with one
+    ``RunStore.append`` (one write and one flush, plus one fsync when
+    enabled) through one handle that the run closes."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # 3 generated + 8 corpus nests, paragon and cm5 on one mesh
+        tasks = default_spec(seed=0, nests=3, meshes=((2, 2),)).expand()
+        return tasks, group_by_compile_key(tasks)
+
+    def test_one_append_per_group(self, grid, tmp_path, monkeypatch):
+        tasks, groups = grid
+        batches = []
+        append = RunStore.append
+
+        def counted(self, results):
+            batches.append([r.task_id for r in results])
+            return append(self, results)
+
+        monkeypatch.setattr(RunStore, "append", counted)
+        path = tmp_path / "run.jsonl"
+        outcome = run_campaign(
+            tasks, str(path), CampaignConfig(executor="inline"), meta={}
+        )
+        assert outcome.ran == len(tasks)
+        assert batches == [[t.task_id for t in g] for g in groups]
+        # one meta line, then every record on its own line
+        assert len(path.read_text().splitlines()) == 1 + len(tasks)
+
+    def test_one_fsync_per_group(self, grid, tmp_path, monkeypatch):
+        tasks, groups = grid
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        run_campaign(
+            tasks, str(tmp_path / "run.jsonl"),
+            CampaignConfig(executor="inline", settings=Settings(fsync=True)),
+            meta={},
+        )
+        assert len(synced) == 1 + len(groups)  # the meta record + groups
+
+    def test_handle_closed_after_run(self, tmp_path, monkeypatch):
+        stores = []
+        init = RunStore.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            stores.append(self)
+
+        monkeypatch.setattr(RunStore, "__init__", tracked)
+        tasks = default_spec(seed=0, nests=1, meshes=((2, 2),)).expand()
+        run_campaign(tasks[:2], str(tmp_path / "run.jsonl"), meta={})
+        assert [s._fh for s in stores] == [None]
+
+    def test_group_append_is_one_write_and_flush(self, tmp_path, monkeypatch):
+        from repro.campaign import store as store_module
+
+        calls = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                calls.append("write")
+                return self.fh.write(text)
+
+            def flush(self):
+                calls.append("flush")
+                self.fh.flush()
+
+            def close(self):
+                self.fh.close()
+
+        store = RunStore(str(tmp_path / "run.jsonl"))
+        store.start({"spec_digest": "abc"})
+        monkeypatch.setattr(
+            store_module, "open",
+            lambda *args, **kwargs: Recording(open(*args, **kwargs)),
+            raising=False,
+        )
+        store.append([_result(i) for i in range(3)])
+        store.append([_result(3)])
+        store.close()
+        monkeypatch.undo()
+        assert calls == ["write", "flush", "write", "flush"]
+        meta, results = store.load()
+        assert sorted(results) == [f"id{i:04d}" for i in range(4)]
+        assert results["id0002"] == _result(2)
+
+
 class TestMergeCrashSafety:
     def _shard(self, tmp_path, name, indices, digest="abc"):
         p = str(tmp_path / name)
         store = RunStore(p)
         store.start({"spec_digest": digest})
         for i in indices:
-            store.append(_result(i))
+            store.append([_result(i)])
         return p
 
     def test_failed_merge_leaves_existing_output_untouched(self, tmp_path):

@@ -4,10 +4,11 @@ Hypothesis draws compile-key groups — one compiled nest folded onto
 paragon and cm5 cells over two or three 2-D meshes, in any order, at
 any payload, with default or non-dyadic cost parameters (so float
 fold order shows in the totals) — from a pool that holds macro, vectorizable,
-mixed-schedule-width and all-local labels.  ``execute_group`` must
-equal the per-phase oracle bit for bit (every ``CommReport`` and
-``AccessCommStats`` field, floats compared by their hex form), and
-``execute`` must equal ``execute_group`` on each one-cell group.
+mixed-schedule-width (vectorizable or not) and all-local labels.
+``execute_group`` must equal the per-phase oracle bit for bit (every
+``CommReport`` and ``AccessCommStats`` field, floats compared by their
+hex form), and ``execute`` must equal ``execute_group`` on each
+one-cell group.
 """
 
 import dataclasses
@@ -38,30 +39,42 @@ MESH_MACHINES = [("paragon",), ("cm5",), ("paragon", "cm5"), ("cm5", "paragon")]
 COST_PARAMS = [CostParams(), CostParams(alpha=19.7, beta=1.3, gamma=0.41)]
 
 
-def _mixed_width_nest():
+def _mixed_width_nest(s2_first=False):
     """Label ``R`` is read by a depth-2 statement scheduled in one time
     dimension and a depth-3 statement scheduled in two, so its phases
-    have time rows of two widths."""
+    have time rows of two widths.  With ``s2_first`` the depth-3
+    statement comes first, so ``R``'s first residual (the one its
+    vectorizability is read from) is not vectorizable and the phases
+    are bucketed by time tuples of both widths."""
     b = NestBuilder("mixed-width")
     b.array("a", 2).array("b", 2).array("c", 3)
     l2 = [("i", 1, "N"), ("j", 1, "N")]
     l3 = l2 + [("k", 1, "N")]
-    b.statement(
-        "S1", l2,
-        writes=[("b", [[1, 0], [0, 1]], [0, 0], "W1")],
-        reads=[
-            ("a", [[1, 0], [0, 1]], [0, 0], "A1"),
-            ("a", [[0, 1], [1, 0]], [1, 0], "R"),
-        ],
-    )
-    b.statement(
-        "S2", l3,
-        writes=[("c", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], "W2")],
-        reads=[
-            ("a", [[1, 0, 0], [0, 1, 0]], [0, 0], "A2"),
-            ("a", [[1, 1, 0], [0, 0, 1]], [0, 1], "R"),
-        ],
-    )
+
+    def s1():
+        b.statement(
+            "S1", l2,
+            writes=[("b", [[1, 0], [0, 1]], [0, 0], "W1")],
+            reads=[
+                ("a", [[1, 0], [0, 1]], [0, 0], "A1"),
+                ("a", [[0, 1], [1, 0]], [1, 0], "R"),
+            ],
+        )
+
+    def s2():
+        b.statement(
+            "S2", l3,
+            writes=[
+                ("c", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], "W2")
+            ],
+            reads=[
+                ("a", [[1, 0, 0], [0, 1, 0]], [0, 0], "A2"),
+                ("a", [[1, 1, 0], [0, 0, 1]], [0, 1], "R"),
+            ],
+        )
+
+    for statement in (s2, s1) if s2_first else (s1, s2):
+        statement()
     nest = b.build()
     schedules = ScheduledNest(
         nest,
@@ -91,14 +104,14 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-POOL = sorted(WORKLOADS) + ["mixed-width"]
+POOL = sorted(WORKLOADS) + ["mixed-width", "mixed-width-seq"]
 
 
 @functools.lru_cache(maxsize=None)
 def compiled(name):
     """``(compiled nest, size bindings)`` of one pool entry."""
-    if name == "mixed-width":
-        return _mixed_width_nest()
+    if name.startswith("mixed-width"):
+        return _mixed_width_nest(s2_first=name == "mixed-width-seq")
     w = WORKLOADS[name]
     nest = w.resolve()
     params = dict(w.params)
@@ -191,10 +204,17 @@ def test_pool_covers_every_label_kind():
                 kinds.add("all-local")
             if len({b.times.shape[1] for b in sending}) > 1:
                 kinds.add("mixed-width")
-    assert kinds == {"macro", "vectorizable", "all-local", "mixed-width"}
+                if not _vectorizable(program, label):
+                    kinds.add("mixed-width-sequential")
+    assert kinds == {
+        "macro", "vectorizable", "all-local", "mixed-width",
+        "mixed-width-sequential",
+    }
 
 
-@pytest.mark.parametrize("name", ["example1", "gauss", "mixed-width"])
+@pytest.mark.parametrize(
+    "name", ["example1", "gauss", "mixed-width", "mixed-width-seq"]
+)
 def test_one_kernel_launch_per_machine_model(name, monkeypatch):
     """paragon and cm5 cells on one mesh share a model: a group over
     three meshes launches the point-to-point kernel at most once per

@@ -122,6 +122,22 @@ class TestCliHardening:
         assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nests", "-1"), ("--max-tasks", "-1"), ("--backoff", "-0.5")],
+    )
+    def test_campaign_negative_count_exits_2(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = str(tmp_path / "r.jsonl")
+        rc = main(
+            ["campaign", "run", "--out", out, "--nests", "1", "--no-corpus",
+             flag, value]
+        )
+        assert rc == 2
+        assert f"{flag} must be >= 0, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_campaign_shares_parsers(self, tmp_path, capsys):
         out = str(tmp_path / "r.jsonl")
         assert main(["campaign", "run", "--out", out, "--mesh", "4"]) == 2

@@ -1,4 +1,5 @@
-"""No module under ``src/repro`` keeps an unused top-level import.
+"""No module under ``src/repro``, ``benchmarks/`` or ``examples/`` keeps
+an unused top-level import.
 
 Standard library only (``ast``): every name a non-``__init__`` module
 binds with a top-level ``import`` / ``from ... import`` must be read
@@ -10,7 +11,10 @@ and are skipped.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def unused_imports(source: str):
@@ -64,12 +68,22 @@ def test_scanner_flags_only_unused_names():
     assert unused_imports(source) == [(2, "os"), (4, "Tuple")]
 
 
-def test_src_has_no_unused_top_level_imports():
-    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+def _offenders(tree: pathlib.Path):
+    modules = sorted(p for p in tree.rglob("*.py") if p.name != "__init__.py")
     assert modules
-    offenders = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in modules
         for line, name in unused_imports(path.read_text())
     ]
+
+
+def test_src_has_no_unused_top_level_imports():
+    offenders = _offenders(SRC)
+    assert offenders == [], "unused imports:\n" + "\n".join(offenders)
+
+
+@pytest.mark.parametrize("tree", ["benchmarks", "examples"])
+def test_scripts_have_no_unused_top_level_imports(tree):
+    offenders = _offenders(ROOT / tree)
     assert offenders == [], "unused imports:\n" + "\n".join(offenders)
