@@ -78,9 +78,9 @@ land in the same artifact (``segmented_kernel_launches``,
 ``kernel_launch_ceiling``, ``phases_per_launch``).  Since the compile
 path went to Python ints only (integer FM, ``IntMat``, fraction-free
 kernels and ``unimodular_inverse``) it also asserts that no ``repro``
-function calls into ``fractions`` or ``FracMat``
-(``fraction_calls_from_repro`` == 0, ``FracMat``'s own internals
-aside), that ``FracMat.rref`` never runs (``fracmat_rref_calls`` == 0),
+function calls into ``fractions`` or the ``FracMat`` oracle of
+``tests/oracles/linalg.py`` (``fraction_calls_from_repro`` == 0), that
+``FracMat.rref`` never runs (``fracmat_rref_calls`` == 0),
 and that ``integer_kernel_basis`` runs its elimination at most once per
 distinct matrix (``integer_kernel_basis_misses`` <=
 ``integer_kernel_basis_distinct``).
@@ -209,15 +209,16 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     kernel_distinct = len(kernel_memo) - kernel_keys_before
     kernel_evicted = len(kernel_memo) >= kernel_memo.maxsize
     kernel_lookups = kernel_memo.hits + kernel_memo.misses - kernel_lookups_before
+    # FracMat lives in the rational test oracle, never under repro/
+    fracmat_py = os.path.join("oracles", "linalg.py")
     rref_calls = sum(
         nc
         for func, (_cc, nc, *_rest) in stats.stats.items()
-        if _is(func, "rref", os.path.join("linalg", "fracmat.py"))
+        if _is(func, "rref", fracmat_py)
     )
-    # calls from repro code (FracMat's own internals aside) into
-    # ``fractions`` or ``FracMat``: the compile path is Python ints only
+    # calls from repro code into ``fractions`` or the rational oracle
+    # (``FracMat``): the compile path is Python ints only
     repro_dir = os.path.join(SRC_DIR, "repro") + os.sep
-    fracmat_py = os.path.join("linalg", "fracmat.py")
 
     def _rational(fname: str) -> bool:
         return fname.endswith(fracmat_py) or os.path.basename(fname) == "fractions.py"
@@ -227,7 +228,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         for (fname, _l, _n), (*_head, callers) in stats.stats.items()
         if _rational(fname)
         for (cfile, _cl, _cn), (_cc, nc, *_rest) in callers.items()
-        if cfile.startswith(repro_dir) and not cfile.endswith(fracmat_py)
+        if cfile.startswith(repro_dir)
     )
 
     kernel_launches = _ncalls("phase_times_segmented")

@@ -16,7 +16,7 @@ Public API tour
 * Compare: :mod:`repro.baselines` implements Feautrier-style greedy
   placement and Platonoff's broadcast-first strategy.
 
-Sub-packages: :mod:`repro.linalg` (exact integer/rational linear
+Sub-packages: :mod:`repro.linalg` (exact integer linear
 algebra), :mod:`repro.ir` (loop nests, dependences, schedules),
 :mod:`repro.alignment` (access graph, Edmonds branching, the two-step
 heuristic), :mod:`repro.macrocomm` (Section 4 detectors),

@@ -32,7 +32,7 @@ from ..linalg import (
     IntMat,
     is_unimodular,
     rank,
-    solve_integer_xf_eq_s,
+    solve_axb,
     unimodular_inverse,
 )
 from ..macrocomm import (
@@ -140,7 +140,8 @@ def _dataflow_matrix(res: ResidualComm) -> Optional[IntMat]:
     mf = res.M_x @ res.ref.access.F
     if rank(mf) < mf.nrows:
         return None
-    return solve_integer_xf_eq_s(res.M_S, mf)
+    sol = solve_axb(mf.T, res.M_S.T)  # T mf = M_S, transposed
+    return None if sol is None else sol.particular.T
 
 
 def _joint_axis_rotation(dirs: List[IntMat]) -> Optional[IntMat]:

@@ -31,7 +31,7 @@ from ..ir import AccessKind, LoopNest, ScheduledNest
 from ..linalg import (
     IntMat,
     kernel_intersection_basis,
-    solve_integer_xf_eq_s,
+    solve_axb,
     unimodular_completion,
     unimodular_inverse,
 )
@@ -96,10 +96,10 @@ def platonoff_mapping(
         s_key = stmt_node(stmt.name)
         x_key = var_node(acc.array)
         if s_key in allocations and x_key not in allocations:
-            # M_x F = M_S
-            mx = solve_integer_xf_eq_s(allocations[s_key], acc.F)
-            if mx is not None:
-                allocations[x_key] = mx
+            # M_x F = M_S, solved transposed: F^T M_x^T = M_S^T
+            sol = solve_axb(acc.F.T, allocations[s_key].T)
+            if sol is not None:
+                allocations[x_key] = sol.particular.T
         elif x_key in allocations and s_key not in allocations:
             allocations[s_key] = allocations[x_key] @ acc.F
 

@@ -1,17 +1,22 @@
-"""Exact integer / rational linear algebra substrate.
+"""Exact integer linear algebra substrate.
 
 Everything the alignment algorithms of the paper need, implemented from
-scratch over Python's arbitrary-precision integers and
-:class:`fractions.Fraction`:
+scratch over Python's arbitrary-precision integers:
 
-* :class:`IntMat` / :class:`FracMat` — exact matrix types;
-* Hermite forms (:func:`row_hnf`, the paper's :func:`right_hermite`,
-  :func:`right_hermite_narrow`, :func:`flat_hermite`);
-* :func:`smith_normal_form` and invariant factors;
-* one-sided pseudo-inverses, rational and integer;
+* :class:`IntMat` — the exact, immutable, hashable matrix type;
+* the paper's right Hermite form (:func:`right_hermite`,
+  :func:`right_hermite_narrow`), :func:`rank` and
+  :func:`unimodular_inverse` on a fraction-free elimination;
+* :func:`smith_normal_form`;
+* :func:`solve_axb`, the one integer solve ``A X = B`` behind
+  dependence lattices, Lemma 2's ``X F = S`` and the integer weights
+  ``G F = Id`` (:func:`best_left_inverse`);
 * kernel bases and the kernel set operations of Section 4;
-* linear Diophantine solvers and the ``X F = S`` equation of Lemma 2;
-* unimodular generation / completion / enumeration.
+* unimodular completion and enumeration.
+
+The rational side of Lemma 2 (pseudo-inverses, the compatibility
+condition ``S F^+ F = S``) is a test oracle, ``tests/oracles/linalg.py``:
+no compile stage needs it.
 
 The normal-form entry points are memoized on their hashable ``IntMat``
 arguments (:mod:`repro.linalg.cache`; inspect with :func:`cache_stats`,
@@ -25,58 +30,26 @@ from .cache import (
     get_cache,
     memoize_normal_form,
 )
-from .diophantine import (
-    DiophantineSolution,
-    compatibility_condition,
-    has_integer_solution,
-    solve_axb,
-    solve_integer_xf_eq_s,
-    solve_xf_eq_s,
-    solve_xf_eq_s_family,
-)
-from .fracmat import FracMat
+from .diophantine import DiophantineSolution, best_left_inverse, solve_axb
 from .hermite import (
-    flat_hermite,
     is_unimodular,
     rank,
     right_hermite,
     right_hermite_narrow,
-    row_hnf,
     unimodular_inverse,
 )
-from .intmat import IntMat, matrix_product
+from .intmat import IntMat
 from .kernels import (
-    in_kernel,
     integer_kernel_basis,
     kernel_difference_directions,
-    kernel_dim,
     kernel_intersection_basis,
     left_kernel_basis,
-    restrict_to_left_kernel,
 )
-from .pseudoinverse import (
-    best_left_inverse,
-    integer_left_inverse,
-    integer_right_inverse,
-    left_inverse_family,
-    left_pseudoinverse,
-    pseudoinverse,
-    right_pseudoinverse,
-)
-from .smith import invariant_factors, smith_normal_form
-from .unimodular import (
-    elementary_row_matrix,
-    enumerate_unimodular_2x2,
-    full_rank,
-    random_unimodular,
-    swap_matrix,
-    unimodular_completion,
-)
+from .smith import smith_normal_form
+from .unimodular import enumerate_unimodular_2x2, unimodular_completion
 
 __all__ = [
     "IntMat",
-    "FracMat",
-    "matrix_product",
     # memoization
     "NormalFormCache",
     "memoize_normal_form",
@@ -84,45 +57,23 @@ __all__ = [
     "clear_caches",
     "get_cache",
     # hermite
-    "row_hnf",
     "right_hermite",
     "right_hermite_narrow",
-    "flat_hermite",
     "rank",
     "is_unimodular",
     "unimodular_inverse",
     # smith
     "smith_normal_form",
-    "invariant_factors",
-    # pseudoinverse
-    "pseudoinverse",
-    "right_pseudoinverse",
-    "left_pseudoinverse",
-    "integer_left_inverse",
-    "integer_right_inverse",
-    "left_inverse_family",
-    "best_left_inverse",
     # kernels
     "integer_kernel_basis",
     "left_kernel_basis",
-    "kernel_dim",
     "kernel_intersection_basis",
     "kernel_difference_directions",
-    "in_kernel",
-    "restrict_to_left_kernel",
     # diophantine
     "DiophantineSolution",
     "solve_axb",
-    "has_integer_solution",
-    "compatibility_condition",
-    "solve_xf_eq_s",
-    "solve_xf_eq_s_family",
-    "solve_integer_xf_eq_s",
+    "best_left_inverse",
     # unimodular
-    "random_unimodular",
     "unimodular_completion",
     "enumerate_unimodular_2x2",
-    "elementary_row_matrix",
-    "swap_matrix",
-    "full_rank",
 ]

@@ -1,12 +1,16 @@
 """Memoization layer for the exact normal-form machinery.
 
 Every :class:`~repro.linalg.intmat.IntMat` is immutable and hashable,
-and the normal-form computations (Hermite, Smith, pseudo-inverses) are
-pure functions of their matrix arguments — yet the benchmark drivers
-used to re-reduce the same handful of access / allocation matrices from
-scratch on every call.  This module provides an LRU-bounded memo cache
-keyed on the (hashable) arguments, with hit/miss counters exposed for
-tests and for the perf-tracking harness.
+and the normal-form computations are pure functions of their matrix
+arguments, while one compile re-reduces the same handful of access /
+allocation matrices many times.  This module provides an LRU-bounded
+memo cache keyed on the (hashable) arguments, with hit/miss counters
+exposed for tests and for the perf-tracking harness.
+
+The memoized linalg functions are ``right_hermite``, ``rank``,
+``unimodular_inverse``, ``smith_normal_form``, ``best_left_inverse``,
+``integer_kernel_basis`` and ``kernel_difference_directions``;
+:func:`cache_stats` lists every registered cache by name.
 
 Usage::
 

@@ -1,141 +1,94 @@
-"""Linear Diophantine systems and the matrix equations of the paper.
+"""Linear Diophantine systems: the one integer solve of the package.
 
-Two solvers matter for alignment:
+:func:`solve_axb` solves ``A X = B`` over the integers through the
+Smith normal form ``U A V = D`` (Schrijver, *Theory of Linear and
+Integer Programming*, 1986).  The system becomes ``D Y = U B`` with
+``X = V Y``: row ``i`` is solvable iff ``d_i`` divides all of row ``i``
+of ``U B`` (a zero ``d_i`` needs a zero row).  Every integer system of
+the paper is one call:
 
-* ``A x = b`` over the integers (dependence analysis, distribution
-  arithmetic) — solved through the Smith normal form, returning one
-  particular solution plus a lattice basis of the homogeneous solutions.
-* ``X F = S`` for a given flat/narrow ``F`` (Lemma 2): solvable iff the
-  compatibility condition ``S F^+ F = S`` holds, with solution family
-  ``X = S F^+ + Y (Id - F F^+)``.
+* ``A x = b`` for dependence analysis (one column);
+* ``X F = S`` of Lemma 2, as ``F^T X^T = S^T``;
+* an integer weight ``G`` with ``G F = Id`` (Section 2.2.2), as
+  ``F^T G^T = Id`` — :func:`best_left_inverse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .fracmat import FracMat
+from .cache import memoize_normal_form
 from .intmat import IntMat
-from .pseudoinverse import pseudoinverse
+from .kernels import left_kernel_basis
 from .smith import smith_normal_form
 
 
 @dataclass(frozen=True)
 class DiophantineSolution:
-    """Solutions of ``A x = b`` over Z: ``x = particular + Z-combinations
-    of homogeneous basis columns``."""
+    """Solutions of ``A X = B`` over Z: ``X = particular + H`` where
+    every column of ``H`` is a Z-combination of the homogeneous basis
+    columns."""
 
-    particular: IntMat  # n x 1
+    particular: IntMat  # n x k
     homogeneous: List[IntMat]  # list of n x 1 lattice basis columns
 
-    def sample(self, coeffs: List[int]) -> IntMat:
-        """The solution ``particular + sum coeffs[i] * homogeneous[i]``."""
-        x = self.particular
-        for c, h in zip(coeffs, self.homogeneous):
-            x = x + c * h
-        return x
 
+def solve_axb(a_mat: IntMat, b_mat: IntMat) -> Optional[DiophantineSolution]:
+    """Solve ``A X = B`` over the integers, ``B`` being ``m x k``.
 
-def solve_axb(a_mat: IntMat, b_col: IntMat) -> Optional[DiophantineSolution]:
-    """Solve ``A x = b`` over the integers.
-
-    Returns ``None`` when no integer solution exists; otherwise a
-    particular solution together with a basis of the integer kernel
-    lattice of ``A`` (so *all* integer solutions are representable).
+    Returns ``None`` when no integer solution exists; otherwise an
+    ``n x k`` particular solution together with a basis of the integer
+    kernel lattice of ``A`` (the columns of ``V`` over the zero
+    invariant factors), so *all* integer solutions are representable.
     """
     m, n = a_mat.shape
-    if b_col.shape != (m, 1):
-        raise ValueError("right-hand side must be an m x 1 column")
+    if b_mat.nrows != m:
+        raise ValueError(f"right-hand side must have {m} rows")
     u, d, v = smith_normal_form(a_mat)
-    c = u @ b_col
-    y = [0] * n
+    c = (u @ b_mat).rows()
     r = min(m, n)
+    y = [[0] * b_mat.ncols for _ in range(n)]
     for i in range(m):
         di = d[i, i] if i < r else 0
         if di == 0:
-            if c[i, 0] != 0:
+            if any(c[i]):
                 return None
+        elif any(x % di for x in c[i]):
+            return None
         else:
-            if c[i, 0] % di != 0:
-                return None
-            y[i] = c[i, 0] // di
-    particular = v @ IntMat.col(y)
-    # homogeneous: columns of V corresponding to zero diagonal entries
-    hom: List[IntMat] = []
-    for j in range(n):
-        dj = d[j, j] if j < r else 0
-        if dj == 0:
-            hom.append(v.col_vector(j))
-    return DiophantineSolution(particular=particular, homogeneous=hom)
+            y[i] = [x // di for x in c[i]]
+    hom = [v.col_vector(j) for j in range(n) if j >= r or d[j, j] == 0]
+    return DiophantineSolution(particular=v @ IntMat(y), homogeneous=hom)
 
 
-def has_integer_solution(a_mat: IntMat, b_col: IntMat) -> bool:
-    """True iff ``A x = b`` admits an integer solution."""
-    return solve_axb(a_mat, b_col) is not None
+@memoize_normal_form("best_left_inverse")
+def best_left_inverse(f_mat: IntMat) -> Optional[IntMat]:
+    """An integer left inverse (``G F = Id``) of a narrow full-column-rank
+    ``F`` with small entries, or ``None`` when none exists.
 
-
-def compatibility_condition(s_mat: IntMat, f_mat: IntMat) -> bool:
-    """Lemma 2's condition for ``X F = S`` to be solvable: ``S F^+ F = S``.
-
-    ``F`` is ``a x d`` of full rank ``d`` (narrow or square); ``S`` is
-    ``m x d``.  When ``F`` is flat of full row rank the equation is
-    always solvable (Lemma 1 direction) and this returns True.
+    The compiler prefers small allocation coefficients (they become
+    processor-index arithmetic).  We take ``G0`` from the Smith solve
+    and greedily reduce each row by integer multiples of the
+    left-kernel basis rows, minimizing the sum of squares: every
+    ``G0 + M K`` is a left inverse (the remark of Section 2.2.2).
     """
-    a, d = f_mat.shape
-    if a < d:
-        return True
-    fp = pseudoinverse(f_mat)
-    sf = FracMat.from_int(s_mat)
-    ff = FracMat.from_int(f_mat)
-    return (sf @ fp @ ff) == sf
-
-
-def solve_xf_eq_s(s_mat: IntMat, f_mat: IntMat) -> Optional[FracMat]:
-    """One rational solution ``X`` of ``X F = S`` or ``None``.
-
-    Lemma 2: when compatible, ``X = S F^+`` is a solution; Lemma 3 shows
-    it has full rank ``m`` when ``m <= d <= a`` and ``F`` has rank ``d``.
-    """
-    if not compatibility_condition(s_mat, f_mat):
+    u, v = f_mat.shape
+    if u < v:
+        raise ValueError("best_left_inverse requires a narrow matrix")
+    sol = solve_axb(f_mat.T, IntMat.identity(v))
+    if sol is None:
         return None
-    return FracMat.from_int(s_mat) @ pseudoinverse(f_mat)
-
-
-def solve_xf_eq_s_family(
-    s_mat: IntMat, f_mat: IntMat
-) -> Optional[Tuple[FracMat, FracMat]]:
-    """Solution family of ``X F = S``: returns ``(X0, P)`` with the
-    general solution ``X = X0 + Y P`` for arbitrary ``Y`` (``P = Id -
-    F F^+`` projects onto the left kernel of ``F``)."""
-    x0 = solve_xf_eq_s(s_mat, f_mat)
-    if x0 is None:
-        return None
-    a = f_mat.nrows
-    fp = pseudoinverse(f_mat)
-    proj = FracMat.identity(a) - (FracMat.from_int(f_mat) @ fp)
-    return x0, proj
-
-
-def solve_integer_xf_eq_s(s_mat: IntMat, f_mat: IntMat) -> Optional[IntMat]:
-    """One *integer* solution of ``X F = S`` (via Smith), or ``None``."""
-    # X F = S  <=>  F^T X^T = S^T
-    u, d, v = smith_normal_form(f_mat.T)
-    rhs = u @ s_mat.T
-    a, m_rows = rhs.shape
-    n = f_mat.nrows  # unknowns per column of X^T
-    r = min(d.nrows, d.ncols)
-    y = [[0] * m_rows for _ in range(d.ncols)]
-    for i in range(d.nrows):
-        di = d[i, i] if i < r else 0
-        for j in range(m_rows):
-            if di == 0:
-                if rhs[i, j] != 0:
-                    return None
-            else:
-                if rhs[i, j] % di != 0:
-                    return None
-                if i < d.ncols:
-                    y[i][j] = rhs[i, j] // di
-    xt = v @ IntMat(y)
-    return xt.T
+    rows = [list(r) for r in sol.particular.T.rows()]
+    for kb in left_kernel_basis(f_mat):
+        kv = list(kb[0])
+        weight = sum(x * x for x in kv)
+        if weight == 0:
+            continue
+        for ri, row in enumerate(rows):
+            # best integer multiple to subtract (least-squares rounding)
+            dot = sum(a * b for a, b in zip(row, kv))
+            t = round(dot / weight)
+            if t:
+                rows[ri] = [a - t * b for a, b in zip(row, kv)]
+    return IntMat(rows)

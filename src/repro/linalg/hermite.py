@@ -8,9 +8,9 @@ off-diagonal entries such that ``A = Q H``.  For a narrow rectangular
 ``A = Q [H ; 0]``; Section 4.1 applies it to the broadcast-direction
 matrix ``D`` to rotate partial broadcasts parallel to the grid axes.
 
-We also provide the classical row-style HNF (upper triangular, used as a
-canonical form in tests) and the flat decomposition ``F = [H | 0] Q``
-used in the proof of Lemma 1.
+The flat decomposition ``F = [H | 0] Q`` used in the proof of Lemma 1
+is the transpose of ``right_hermite(F^T)``.  :func:`_xgcd` is the
+extended gcd shared with the Smith form.
 """
 
 from __future__ import annotations
@@ -99,50 +99,6 @@ def _row_negate(a: List[List[int]], u: List[List[int]], i: int) -> None:
     u[i] = [-x for x in u[i]]
 
 
-# ---------------------------------------------------------------------------
-# classical (upper-triangular) row HNF — canonical form
-# ---------------------------------------------------------------------------
-
-@memoize_normal_form("row_hnf")
-def row_hnf(a_mat: IntMat) -> Tuple[IntMat, IntMat]:
-    """Row-style Hermite normal form.
-
-    Returns ``(U, H)`` with ``U`` unimodular, ``H = U @ A`` in row
-    echelon form with positive pivots and entries above each pivot
-    reduced into ``[0, pivot)``.  ``H`` is the canonical representative
-    of the left-equivalence class of ``A``.
-    """
-    m, n = a_mat.shape
-    a = a_mat.tolist()
-    u = IntMat.identity(m).tolist()
-    r = 0
-    for c in range(n):
-        # eliminate below position (r, c)
-        for i in range(r + 1, m):
-            if a[i][c] != 0:
-                _rows_combine(a, u, i, r, c)
-        if a[r][c] == 0:
-            # column has no pivot at/below r
-            nz = next((i for i in range(r, m) if a[i][c] != 0), None)
-            if nz is None:
-                continue
-            a[r], a[nz] = a[nz], a[r]
-            u[r], u[nz] = u[nz], u[r]
-            for i in range(r + 1, m):
-                if a[i][c] != 0:
-                    _rows_combine(a, u, i, r, c)
-        if a[r][c] < 0:
-            _row_negate(a, u, r)
-        piv = a[r][c]
-        for i in range(r):
-            q = a[i][c] // piv
-            _row_addmul(a, u, i, r, -q)
-        r += 1
-        if r == m:
-            break
-    return IntMat(u), IntMat(a)
-
-
 @memoize_normal_form("rank")
 def rank(a_mat: IntMat) -> int:
     """Rank of an integer matrix over Q (fraction-free elimination)."""
@@ -212,22 +168,3 @@ def right_hermite_narrow(a_mat: IntMat) -> Tuple[IntMat, IntMat]:
     p = a_mat.ncols
     h = IntMat([list(h_full[i]) for i in range(p)])
     return q, h
-
-
-def flat_hermite(f_mat: IntMat) -> Tuple[IntMat, IntMat]:
-    """Decompose a flat full-row-rank ``F`` (``a x d``, ``a <= d``) as
-    ``F = [H | 0] Q`` with ``Q`` unimodular ``d x d`` and ``H`` an
-    ``a x a`` upper-triangular non-singular matrix.
-
-    This is the column-operation dual used in the proof of Lemma 1.
-    Returns ``(H, Q)``.
-    """
-    a, d = f_mat.shape
-    if a > d:
-        raise ValueError("flat_hermite requires a flat matrix")
-    # column ops on F == row ops on F^T
-    qt, ht = right_hermite(f_mat.T)  # F^T = Qt @ Ht, Ht = [H^T ; 0]
-    h = IntMat([row[:a] for row in zip(*ht.tolist())])  # top block transposed
-    q = qt.T
-    # F = (Qt @ Ht)^T = Ht^T @ Qt^T = [H | 0] @ Q
-    return h, q

@@ -1,10 +1,13 @@
 """Arbitrary-precision integer matrices.
 
 The whole alignment machinery of the paper works over :math:`\\mathbb{Z}`
-(access matrices, allocation matrices, unimodular transforms) or over
-:math:`\\mathbb{Q}` (pseudo-inverses).  Fixed-width dtypes are unsafe for
-Hermite/Smith eliminations, whose intermediate entries can grow quickly,
-so :class:`IntMat` stores Python ints in an immutable tuple-of-tuples.
+(access matrices, allocation matrices, unimodular transforms), and
+the matrix equations it solves (``X F = S`` of Lemma 2, weights with
+``G F = Id``) are solved for integer unknowns.  Fixed-width dtypes are
+unsafe for Hermite/Smith eliminations, whose intermediate entries can
+grow quickly, so :class:`IntMat` stores Python ints in an immutable
+tuple-of-tuples.  ``Fraction`` entries are accepted on input when they
+are integral.
 
 Matrices in the paper's examples are small (at most 3x4), so clarity
 and exactness come first: every operation, products and determinants
@@ -395,14 +398,3 @@ class IntMat:
     def _check_same_shape(self, other: "IntMat") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-
-def matrix_product(factors: Sequence[IntMat]) -> IntMat:
-    """Product ``factors[0] @ factors[1] @ ...`` (identity for empty input
-    is ill-defined without a size, so at least one factor is required)."""
-    if not factors:
-        raise ValueError("matrix_product needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc @ f
-    return acc

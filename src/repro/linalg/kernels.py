@@ -16,7 +16,7 @@ their ``IntMat`` arguments, so the detectors of one compile share work.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .cache import memoize_normal_form
 from .intmat import IntMat
@@ -105,11 +105,6 @@ def left_kernel_basis(a_mat: IntMat) -> List[IntMat]:
     return [v.T for v in integer_kernel_basis(a_mat.T)]
 
 
-def kernel_dim(a_mat: IntMat) -> int:
-    """Dimension of the right kernel of ``A``."""
-    return a_mat.ncols - len(integer_rref(a_mat.rows())[1])
-
-
 def stacked(mats: Sequence[IntMat]) -> IntMat:
     """Stack matrices with equal column counts vertically."""
     if not mats:
@@ -170,24 +165,3 @@ def _kernel_difference_directions(
             if len(chosen) == p - q:
                 break
     return tuple(inter[i] for i in chosen)
-
-
-def in_kernel(a_mat: IntMat, v: IntMat) -> bool:
-    """True iff the column vector ``v`` satisfies ``A v = 0``."""
-    return (a_mat @ v).is_zero()
-
-
-def restrict_to_left_kernel(diff: IntMat, m: int) -> Optional[IntMat]:
-    """Find a full-rank ``m x n`` integer matrix ``M`` with ``M @ diff == 0``.
-
-    Used in step 1(c)ii of the heuristic: when two parallel paths have
-    weight difference ``diff = F_{p1} - F_{p2}`` of deficient rank, any
-    allocation matrix whose rows lie in the left kernel of ``diff``
-    makes both paths' communications local simultaneously.  Returns
-    ``None`` when the left kernel has dimension < ``m``.
-    """
-    basis = left_kernel_basis(diff)
-    if len(basis) < m:
-        return None
-    rows = [b[0] for b in basis[:m]]
-    return IntMat(rows)

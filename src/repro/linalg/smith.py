@@ -3,9 +3,10 @@
 For any integer matrix ``A`` (``m x n``) there exist unimodular ``U``
 (``m x m``) and ``V`` (``n x n``) such that ``U A V = D`` is diagonal
 with non-negative invariant factors ``d_1 | d_2 | ... | d_r`` followed
-by zeros.  The Smith form drives the exact solvers for one-sided
-integer inverses (``G F = Id``) and linear Diophantine systems used by
-the access-graph machinery.
+by zeros.  It drives the one integer solve of the package,
+:func:`repro.linalg.diophantine.solve_axb` (dependence lattices,
+``X F = S`` and integer left inverses ``G F = Id``), and the
+unimodular completion of Section 4.1.
 """
 
 from __future__ import annotations
@@ -13,21 +14,8 @@ from __future__ import annotations
 from typing import Tuple
 
 from .cache import memoize_normal_form
+from .hermite import _xgcd
 from .intmat import IntMat
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 @memoize_normal_form("smith_normal_form")
@@ -155,14 +143,3 @@ def smith_normal_form(a_mat: IntMat) -> Tuple[IntMat, IntMat, IntMat]:
         k += 1
 
     return IntMat(u), IntMat(a), IntMat(v)
-
-
-@memoize_normal_form("invariant_factors")
-def invariant_factors(a_mat: IntMat) -> Tuple[int, ...]:
-    """The non-zero invariant factors ``d_1 | d_2 | ...`` of ``A``."""
-    _, d, _ = smith_normal_form(a_mat)
-    out = []
-    for k in range(min(d.nrows, d.ncols)):
-        if d[k, k] != 0:
-            out.append(d[k, k])
-    return tuple(out)

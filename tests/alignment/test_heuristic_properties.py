@@ -18,7 +18,7 @@ from repro.alignment import (
 )
 from repro.decomp import verify_factors
 from repro.ir import NestBuilder, trivial_schedules
-from repro.linalg import FracMat, IntMat, full_rank, rank
+from repro.linalg import IntMat, rank
 
 
 def _random_full_rank(rng: random.Random, rows: int, cols: int) -> IntMat:

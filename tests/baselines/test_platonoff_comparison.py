@@ -121,9 +121,9 @@ class TestFeautrierBaseline:
         assert len(edmonds.alignment.local_labels) >= len(greedy.local_labels)
 
     def test_greedy_allocations_full_rank(self):
-        from repro.linalg import full_rank
+        from repro.linalg import rank
 
         nest = motivating_example()
         al = feautrier_align(nest, 2)
         for node, mat in al.allocations.items():
-            assert full_rank(mat)
+            assert rank(mat) == min(mat.shape)

@@ -1,12 +1,12 @@
-"""Tests for the exact rational matrix type."""
+"""Tests for the exact rational matrix type of the linalg oracle."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.linalg import FracMat, IntMat
+from repro.linalg import IntMat
 
-from oracles.linalg import nullspace, rank
+from oracles.linalg import FracMat, nullspace, rank
 
 
 class TestBasics:

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from repro.linalg import (
     IntMat,
-    flat_hermite,
-    invariant_factors,
     is_unimodular,
     rank,
     right_hermite,
     right_hermite_narrow,
-    row_hnf,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -63,45 +60,17 @@ def full_col_rank_matrices(max_dim=4, max_entry=5):
     return build()
 
 
-class TestRowHNF:
-    def test_identity(self):
-        u, h = row_hnf(IntMat.identity(3))
-        assert h == IntMat.identity(3)
-        assert u == IntMat.identity(3)
+def invariant_factors(a):
+    """The non-zero diagonal of the Smith form of ``a``."""
+    _, d, _ = smith_normal_form(a)
+    return tuple(x for x in (d[k, k] for k in range(min(d.shape))) if x)
 
-    def test_reconstruction(self):
-        a = IntMat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        u, h = row_hnf(a)
-        assert is_unimodular(u)
-        assert u @ a == h
 
-    def test_echelon_shape(self):
-        a = IntMat([[0, 2], [3, 1]])
-        _, h = row_hnf(a)
-        # pivots positive, entries above pivots reduced
-        assert h[0, 0] > 0
-
-    @given(int_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_property_reconstruction(self, a):
-        u, h = row_hnf(a)
-        assert is_unimodular(u)
-        assert u @ a == h
-
-    @given(int_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_property_canonical_pivots(self, a):
-        _, h = row_hnf(a)
-        # every pivot is positive; entries above a pivot lie in [0, pivot)
-        m, n = h.shape
-        r = 0
-        for c in range(n):
-            if r < m and h[r, c] != 0:
-                piv = h[r, c]
-                assert piv > 0
-                for i in range(r):
-                    assert 0 <= h[i, c] < piv
-                r += 1
+def flat_hermite(f):
+    """``(H, Q)`` with ``F = [H | 0] Q`` for flat full-row-rank ``F``:
+    the transpose of ``right_hermite(F^T) = (Q^T, [H^T ; 0])``."""
+    qt, ht = right_hermite(f.T)
+    return IntMat([row[: f.nrows] for row in zip(*ht.rows())]), qt.T
 
 
 class TestRightHermite:

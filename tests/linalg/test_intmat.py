@@ -1,8 +1,12 @@
 """Unit tests for the exact integer matrix type."""
 
+from fractions import Fraction
+from functools import reduce
+from operator import matmul
+
 import pytest
 
-from repro.linalg import IntMat, matrix_product
+from repro.linalg import IntMat
 
 
 class TestConstruction:
@@ -40,6 +44,15 @@ class TestConstruction:
 
     def test_accepts_integral_float(self):
         assert IntMat([[2.0]])[0, 0] == 2
+
+    def test_accepts_integral_fraction(self):
+        m = IntMat([[Fraction(6, 3), Fraction(-4, 1)]])
+        assert m == IntMat([[2, -4]])
+        assert all(type(x) is int for x in m[0])
+
+    def test_rejects_fractional_fraction(self):
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+            IntMat([[1, Fraction(1, 2)]])
 
     def test_from_numpy(self):
         import numpy as np
@@ -91,11 +104,7 @@ class TestArithmetic:
 
     def test_matrix_product(self):
         mats = [IntMat([[1, 1], [0, 1]])] * 3
-        assert matrix_product(mats) == IntMat([[1, 3], [0, 1]])
-
-    def test_matrix_product_empty(self):
-        with pytest.raises(ValueError):
-            matrix_product([])
+        assert reduce(matmul, mats) == IntMat([[1, 3], [0, 1]])
 
 
 class TestDeterminant:

@@ -25,7 +25,6 @@ from repro.linalg import (
     get_cache,
     integer_kernel_basis,
     kernel_difference_directions,
-    kernel_dim,
     rank,
     unimodular_inverse,
 )
@@ -80,7 +79,7 @@ class TestKernelsAgainstOracle:
         assert list(integer_kernel_basis(a)) == oracle.integer_kernel_basis(a)
         assert integer_kernel_basis.__wrapped__(a) == integer_kernel_basis(a)
         assert rank(a) == oracle.rank(a)
-        assert kernel_dim(a) == oracle.kernel_dim(a)
+        assert len(integer_kernel_basis(a)) == oracle.kernel_dim(a)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

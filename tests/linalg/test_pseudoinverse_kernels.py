@@ -8,34 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import (
-    FracMat,
     IntMat,
     best_left_inverse,
-    compatibility_condition,
-    full_rank,
-    has_integer_solution,
-    in_kernel,
     integer_kernel_basis,
-    integer_left_inverse,
-    integer_right_inverse,
     is_unimodular,
     kernel_difference_directions,
-    kernel_dim,
     kernel_intersection_basis,
-    left_inverse_family,
     left_kernel_basis,
-    left_pseudoinverse,
-    pseudoinverse,
     rank,
-    random_unimodular,
-    restrict_to_left_kernel,
-    right_pseudoinverse,
     solve_axb,
-    solve_integer_xf_eq_s,
-    solve_xf_eq_s,
-    solve_xf_eq_s_family,
     unimodular_completion,
 )
+
+from oracles.linalg import (
+    FracMat,
+    compatibility_condition,
+    left_pseudoinverse,
+    pseudoinverse,
+    right_pseudoinverse,
+    solve_xf_eq_s,
+    solve_xf_eq_s_family,
+)
+from unimodular_gen import random_unimodular
 
 # The paper's Example 1 access matrices (Section 2.1).
 F1 = IntMat([[1, 0], [0, 1], [1, 1]])  # narrow 3x2
@@ -67,28 +61,30 @@ class TestPseudoInverses:
             left_pseudoinverse(IntMat([[1, 2]]))
 
     def test_integer_left_inverse(self):
-        g = integer_left_inverse(F1)
-        assert g is not None
-        assert g @ F1 == IntMat.identity(2)
+        # G F = Id, solved transposed: F^T G^T = Id
+        sol = solve_axb(F1.T, IntMat.identity(2))
+        assert sol is not None
+        assert sol.particular.T @ F1 == IntMat.identity(2)
 
     def test_integer_left_inverse_none(self):
         # F = (2, 0)^T has invariant factor 2: no integer G with G F = 1
         f = IntMat([[2], [0]])
-        assert integer_left_inverse(f) is None
+        assert solve_axb(f.T, IntMat.identity(1)) is None
+        assert best_left_inverse(f) is None
 
     def test_integer_right_inverse(self):
         f = IntMat([[1, 0, 1], [0, 1, 1]])
-        r = integer_right_inverse(f)
-        assert r is not None
-        assert f @ r == IntMat.identity(2)
+        sol = solve_axb(f, IntMat.identity(2))
+        assert sol is not None
+        assert f @ sol.particular == IntMat.identity(2)
 
     def test_integer_right_inverse_none(self):
-        assert integer_right_inverse(IntMat([[2, 0]])) is None
+        assert solve_axb(IntMat([[2, 0]]), IntMat.identity(1)) is None
 
     def test_left_inverse_family(self):
-        fam = left_inverse_family(F1)
-        assert fam is not None
-        g0, kernel = fam
+        # every G0 + M K, K a left-kernel basis, is a left inverse
+        g0 = solve_axb(F1.T, IntMat.identity(2)).particular.T
+        kernel = left_kernel_basis(F1)
         assert g0 @ F1 == IntMat.identity(2)
         assert len(kernel) == 1
         # any member of the family is also a left inverse
@@ -108,11 +104,11 @@ class TestKernels:
         f7 = IntMat([[1, 0, 1], [0, 1, 1]])
         basis = integer_kernel_basis(f7)
         assert len(basis) == 1
-        assert in_kernel(f7, basis[0])
+        assert (f7 @ basis[0]).is_zero()
 
     def test_kernel_dim(self):
-        assert kernel_dim(IntMat([[1, 0, 1], [0, 1, 1]])) == 1
-        assert kernel_dim(IntMat.identity(3)) == 0
+        assert len(integer_kernel_basis(IntMat([[1, 0, 1], [0, 1, 1]]))) == 1
+        assert integer_kernel_basis(IntMat.identity(3)) == ()
 
     def test_left_kernel(self):
         f = IntMat([[1, 0], [0, 1], [1, 1]])
@@ -139,7 +135,7 @@ class TestKernels:
         outside = IntMat([[0, 1, 0]])
         dirs = kernel_difference_directions([a], outside)
         assert len(dirs) == 1
-        assert not in_kernel(outside, dirs[0])
+        assert not (outside @ dirs[0]).is_zero()
 
     def test_difference_all_hidden(self):
         a = IntMat([[1, 0]])
@@ -147,16 +143,17 @@ class TestKernels:
         assert kernel_difference_directions([a], outside) == []
 
     def test_restrict_to_left_kernel(self):
-        # diff of rank 1 in a 3-row space: a 2-row full-rank M exists
-        diff = IntMat([[1, 1], [1, 1], [1, 1]]).T  # 2x3 rank 1
-        m = restrict_to_left_kernel(diff.T, m=2)
-        assert m is not None
-        assert (m @ diff.T).is_zero()
-        assert full_rank(m)
+        # diff of rank 1 in a 3-row space: its left kernel holds a
+        # 2-row full-rank M with M diff = 0
+        diff = IntMat([[1, 1], [1, 1], [1, 1]])  # 3x2 rank 1
+        basis = left_kernel_basis(diff)
+        assert len(basis) == 2
+        m = IntMat([b[0] for b in basis])
+        assert (m @ diff).is_zero()
+        assert rank(m) == 2
 
     def test_restrict_impossible(self):
-        diff = IntMat.identity(2)
-        assert restrict_to_left_kernel(diff, m=1) is None
+        assert left_kernel_basis(IntMat.identity(2)) == []
 
 
 class TestDiophantine:
@@ -172,20 +169,22 @@ class TestDiophantine:
     def test_solution_lattice(self):
         a = IntMat([[2, 3]])
         sol = solve_axb(a, IntMat([[7]]))
-        x = sol.sample([5])
+        x = sol.particular + 5 * sol.homogeneous[0]
         assert (a @ x) == IntMat([[7]])
 
     def test_no_solution(self):
-        assert not has_integer_solution(IntMat([[2, 4]]), IntMat([[3]]))
+        assert solve_axb(IntMat([[2, 4]]), IntMat([[3]])) is None
 
     def test_inconsistent_zero_row(self):
         a = IntMat([[1, 1], [1, 1]])
-        assert not has_integer_solution(a, IntMat([[0], [1]]))
+        assert solve_axb(a, IntMat([[0], [1]])) is None
 
-    def test_compatibility_condition_flat_always(self):
+    def test_compatibility_condition_flat(self):
+        # X F = S with flat F needs S in the row space of F
         f = IntMat([[1, 0, 0], [0, 1, 0]])
-        s = IntMat([[5, 7, 9]])
-        assert compatibility_condition(s, f)
+        assert compatibility_condition(IntMat([[5, 7, 0]]), f)
+        assert not compatibility_condition(IntMat([[5, 7, 9]]), f)
+        assert solve_axb(f.T, IntMat([[5, 7, 9]]).T) is None
 
     def test_solve_xf_eq_s(self):
         # narrow F with integral structure
@@ -207,14 +206,14 @@ class TestDiophantine:
     def test_solve_integer_xf_eq_s(self):
         f = IntMat([[1, 0], [0, 1], [1, 1]])
         s = IntMat([[2, 3], [4, 5]])
-        x = solve_integer_xf_eq_s(s, f)
-        assert x is not None
-        assert x @ f == s
+        sol = solve_axb(f.T, s.T)  # X F = S, transposed
+        assert sol is not None
+        assert sol.particular.T @ f == s
 
     def test_solve_integer_xf_eq_s_infeasible(self):
         f = IntMat([[2], [0]])
         s = IntMat([[1]])
-        assert solve_integer_xf_eq_s(s, f) is None
+        assert solve_axb(f.T, s.T) is None
 
 
 class TestUnimodular:
