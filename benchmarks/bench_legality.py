@@ -8,8 +8,8 @@ dense domain point matrices, matmul subscripts/times and ``np.unique``
 label intersections.  This gate measures
 
 * :func:`repro.ir.schedule_violations` (vectorized) vs
-  :func:`repro.ir.schedule_violations_python` (the kept per-element
-  baseline) on the reference legality workload — the motivating example
+  ``schedule_violations_python`` (the per-element test oracle in
+  ``tests/oracles/legality.py``) on the reference legality workload — the motivating example
   at ``N = M = 5`` under an outer-sequential schedule, the regime
   campaign compilation lives in — with a >= 5x floor, and
 
@@ -23,6 +23,9 @@ Bit-identity gates, and so does the 5x floor: the ratio measured
 it holds on any run.  Results go to ``BENCH_legality.json``.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro.campaign import generate_triangular_workloads, generate_workloads
@@ -34,11 +37,20 @@ from repro.ir import (
     platonoff_example,
     schedule_is_legal,
     schedule_violations,
-    schedule_violations_python,
     trivial_schedules,
 )
 
-from _harness import best_of, check_speedup_floor, print_table, record_bench
+sys.path.append(
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+)
+from oracles.legality import schedule_violations_python  # noqa: E402
+
+from _harness import (  # noqa: E402
+    best_of,
+    check_speedup_floor,
+    print_table,
+    record_bench,
+)
 
 PARAMS = {"N": 5, "M": 5}
 REPEATS = 2

@@ -13,8 +13,8 @@ execution, the regime campaign pricing lives in.  It measures
   cache, so the full extraction is inside the measurement.  The
   warm-cache time (the campaign's price-many regime, where the virtual
   stage is shared across grid cells) is recorded separately;
-* ``comm_events`` (vectorized extraction, materialized events) vs
-  ``comm_events_python``;
+* ``comm_events`` (vectorized extraction, events materialized by the
+  test helper ``tests/oracles/events.py``) vs ``comm_events_python``;
 
 and asserts the two executors are **bit-identical** on the reference
 workload, the paper's seed scenarios and a slice of the campaign
@@ -25,6 +25,9 @@ Bit-identity gates, and so does the 5x floor: the cold ratio measured
 it holds on any run.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro import compile_nest
@@ -33,7 +36,17 @@ from repro.ir import motivating_example, platonoff_example
 from repro.machine import CM5Model, MeshModel
 from repro.runtime import execute, execute_python
 
-from _harness import best_of, check_speedup_floor, print_table, record_bench
+sys.path.append(
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+)
+from oracles.events import comm_events  # noqa: E402
+
+from _harness import (  # noqa: E402
+    best_of,
+    check_speedup_floor,
+    print_table,
+    record_bench,
+)
 
 PARAMS = {"N": 14, "M": 14}
 MESH = (4, 4)
@@ -70,7 +83,7 @@ def measurements(reference):
 
     t_vec = best_of(lambda: execute(cold(), machine))
     t_py = best_of(lambda: execute_python(cold(), machine))
-    t_events_vec = best_of(lambda: cold().comm_events())
+    t_events_vec = best_of(lambda: comm_events(cold()))
     t_events_py = best_of(lambda: cold().comm_events_python())
 
     # the price-many regime: virtual stage cached on the mapping (only
@@ -143,7 +156,7 @@ def test_seed_scenarios_bit_identical():
             assert execute(prog, machine, collectives=cm5) == execute_python(
                 prog, machine, collectives=cm5
             )
-            assert prog.comm_events() == prog.comm_events_python()
+            assert comm_events(prog) == prog.comm_events_python()
 
 
 def test_generated_corpus_bit_identical():

@@ -382,7 +382,9 @@ def summarize_results(results: Iterable[TaskResult]) -> List[Dict]:
     visible as perf drift).
     """
     groups: Dict[Tuple, List[TaskResult]] = {}
-    for r in results:
+    # task_id order, not arrival order: a jobs > 1 run completes tasks
+    # in any order, and the float sums below depend on the order
+    for r in sorted(results, key=lambda r: r.task_id):
         key = (r.machine, r.mesh, r.m, r.rank_weights)
         groups.setdefault(key, []).append(r)
 

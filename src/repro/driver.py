@@ -99,9 +99,11 @@ def compile_nest(
         dependence enumeration and raise ``ValueError`` on conflicts.
     """
     with span("parse"):
-        nest = (
-            parse_nest(source, name=name) if isinstance(source, str) else source
-        )
+        if isinstance(source, str):
+            nest = parse_nest(source, name=name)
+        else:
+            nest = source
+            nest.validate()  # an IR nest may skip the builder's check
     bounds = params or {p: 3 for p in _collect_params(nest)}
     if schedules is None:
         with span("schedule.infer"):

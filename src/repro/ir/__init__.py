@@ -29,11 +29,7 @@ from .examples import (
     reduction_example,
 )
 from .loopnest import ArrayDecl, Bound, LoopDim, LoopNest, NestBuilder, Statement
-from .legality import (
-    schedule_is_legal,
-    schedule_violations,
-    schedule_violations_python,
-)
+from .legality import schedule_is_legal, schedule_violations
 from .parser import NestSyntaxError, parse_nest
 from .schedule import (
     Schedule,
@@ -79,5 +75,4 @@ __all__ = [
     "NestSyntaxError",
     "schedule_is_legal",
     "schedule_violations",
-    "schedule_violations_python",
 ]

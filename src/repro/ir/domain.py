@@ -27,8 +27,13 @@ The two consumers shape the API:
   rectangular *bounding box* (``np.meshgrid``, ``itertools.product``
   row order — the PR-4 dense path) and filters it with the vectorized
   membership mask, so the int64-matmul pipeline downstream survives
-  intact.  :meth:`Domain.enumerate_points` is the scalar twin with the
-  same point order.
+  intact.  Extraction and legality enumerate only through it, and
+  evaluate their affine maps over it with :func:`affine_rows` — on
+  int64 when :func:`int64_proven` holds, else exactly on object
+  arrays of Python ints.
+  :meth:`Domain.enumerate_points` yields the same points in the same
+  order one tuple at a time; only the per-element test oracles walk it
+  (through ``Statement.iteration_domain``).
 """
 
 from __future__ import annotations
@@ -303,6 +308,36 @@ class Domain:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Domain({self.describe()})"
+
+
+#: int64 safety bound of the affine stages evaluated over point
+#: matrices: a stage whose magnitude bound reaches it runs exactly
+INT64_SAFE = 2 ** 62
+
+
+def int64_proven(points: np.ndarray, *stages) -> bool:
+    """True when no int64 overflow is possible through the chained
+    affine stages ``(mat, off)`` (``off`` may be ``None``) applied to
+    the rows of ``points`` — a conservative max-abs bound, in the
+    style of the IntMat matmul fast path."""
+    bound = int(abs(points).max()) if points.size else 0
+    for mat, off in stages:
+        bound = mat.ncols * mat.max_abs() * bound + (
+            off.max_abs() if off is not None else 0
+        )
+        if bound >= INT64_SAFE:
+            return False
+    return True
+
+
+def affine_rows(points: np.ndarray, mat, off=None) -> np.ndarray:
+    """``mat @ I + off`` for every row ``I`` of ``points`` in one
+    matmul, in ``points``' dtype (int64, or object for exact Python
+    ints): an ``(n, mat.nrows)`` array."""
+    out = points @ mat.to_numpy(points.dtype).T
+    if off is not None:
+        out = out + off.to_numpy(points.dtype).T
+    return out
 
 
 def _param(params: Dict[str, int], name: str) -> int:

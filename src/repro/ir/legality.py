@@ -28,45 +28,28 @@ become dense int64 point matrices (the same
 consumes), schedule times and access subscripts are single matmuls over
 whole domains, and subscript collisions are found with one
 ``np.unique`` label intersection per access pair instead of the
-quadratic per-element scan.  The per-element implementation is kept as
-:func:`schedule_violations_python`, the measured baseline the
-vectorized path is asserted bit-identical against (messages and order
-included) — the same old-vs-new pattern as ``execute_python``;
-``benchmarks/bench_legality.py`` gates both the
-bit-identity and the speedup floor.
+quadratic per-element scan.  Every nest takes this one path, depth-0
+statements included.  When the int64 bound of the times or subscripts
+cannot be proven, the same matmuls run exactly on object arrays of
+Python ints: times stay object arrays (the row comparisons work on
+them), and each subscript column is ranked to int64 jointly over all
+accesses of one array, which keeps exactly the collisions.  The
+per-element reference lives in ``tests/oracles/legality.py``; the tests
+and ``benchmarks/bench_legality.py`` assert the two bit-identical
+(messages and order included) and gate the speedup floor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
+from .domain import affine_rows, int64_proven
 from .schedule import ScheduledNest
-
-#: int64 safety bound shared with the runtime layer's affine stages
-_INT64_SAFE = 2 ** 62
-
-
-def _lex_lt(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    """Lexicographic a < b with implicit zero-padding."""
-    n = max(len(a), len(b))
-    ap = tuple(a) + (0,) * (n - len(a))
-    bp = tuple(b) + (0,) * (n - len(b))
-    return ap < bp
-
-
-def _lex_cmp(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """-1/0/1 lexicographic comparison with implicit zero-padding."""
-    if _lex_lt(a, b):
-        return -1
-    if _lex_lt(b, a):
-        return 1
-    return 0
-
 
 def _common_prefix(names1: Sequence[str], names2: Sequence[str]) -> int:
     """Number of leading loops the two statements share (by variable
@@ -78,25 +61,6 @@ def _common_prefix(names1: Sequence[str], names2: Sequence[str]) -> int:
             break
         k += 1
     return k
-
-
-def _original_order(
-    idx1: Tuple[int, ...],
-    idx2: Tuple[int, ...],
-    prefix: int,
-    pos1: int,
-    pos2: int,
-) -> int:
-    """-1 when instance 1 executes first in the original nest, +1 when
-    instance 2 does, 0 only for the same instance of one statement."""
-    a, b = tuple(idx1[:prefix]), tuple(idx2[:prefix])
-    if a != b:
-        return -1 if a < b else 1
-    if pos1 != pos2:
-        return -1 if pos1 < pos2 else 1
-    if tuple(idx1) != tuple(idx2):
-        return -1 if tuple(idx1) < tuple(idx2) else 1
-    return 0
 
 
 def _same_step_message(s1, idx1, s2, idx2, array, cell, t1) -> str:
@@ -113,81 +77,9 @@ def _order_message(snk_s, snk_idx, t_snk, src_s, src_idx, t_src, array, cell) ->
     )
 
 
-def schedule_violations_python(
-    scheduled: ScheduledNest, params: Dict[str, int], limit: int = 10
-) -> List[str]:
-    """Per-element reference implementation of
-    :func:`schedule_violations` — one witness pair at a time, exactly
-    the messages (and order) of the vectorized path.  Kept as the
-    measured baseline and bit-identity cross-check."""
-    nest = scheduled.nest
-    pos = {s.name: p for p, s in enumerate(nest.statements)}
-    out: List[str] = []
-    pairs = nest.all_accesses()
-    for i, (s1, a1) in enumerate(pairs):
-        for j in range(i, len(pairs)):
-            s2, a2 = pairs[j]
-            if a1.array != a2.array:
-                continue
-            if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
-                continue
-            th1 = scheduled.schedule_of(s1.name)
-            th2 = scheduled.schedule_of(s2.name)
-            prefix = _common_prefix(s1.index_names, s2.index_names)
-            p1, p2 = pos[s1.name], pos[s2.name]
-            for idx1 in s1.iteration_domain(params):
-                cell1 = a1.apply(idx1)
-                for idx2 in s2.iteration_domain(params):
-                    if s1 is s2 and idx1 == idx2:
-                        continue
-                    if a2.apply(idx2) != cell1:
-                        continue
-                    d = _original_order(idx1, idx2, prefix, p1, p2)
-                    if i == j and d >= 0:
-                        # a self-paired access sees each unordered
-                        # instance pair twice; keep the source-first one
-                        continue
-                    t1 = th1.time_of(idx1)
-                    t2 = th2.time_of(idx2)
-                    tc = _lex_cmp(t1, t2)
-                    if tc == 0:
-                        out.append(
-                            _same_step_message(
-                                s1.name, idx1, s2.name, idx2,
-                                a1.array, cell1, t1,
-                            )
-                        )
-                    elif (d < 0) == (tc > 0):
-                        # the sink is scheduled strictly before the
-                        # source: an order violation
-                        if d < 0:
-                            src = (s1.name, idx1, t1)
-                            snk = (s2.name, idx2, t2)
-                        else:
-                            src = (s2.name, idx2, t2)
-                            snk = (s1.name, idx1, t1)
-                        out.append(
-                            _order_message(
-                                snk[0], snk[1], snk[2],
-                                src[0], src[1], src[2],
-                                a1.array, cell1,
-                            )
-                        )
-                    else:
-                        continue
-                    if len(out) >= limit:
-                        return out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized witness enumeration
-# ---------------------------------------------------------------------------
-
-
 def _lex_cmp_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise -1/0/1 lexicographic comparison of two equal-shape
-    integer matrices."""
+    integer matrices (int64 or object)."""
     n = a.shape[0]
     if n == 0 or a.shape[1] == 0:
         return np.zeros(n, dtype=np.int64)
@@ -206,22 +98,22 @@ def _pad_cols(t: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((t, pad), axis=1)
 
 
-def _vector_safe(points: np.ndarray, *mats) -> bool:
-    """Conservative int64-overflow proof for ``points @ mat.T + off``
-    chains (max-abs magnitudes, same style as the runtime layer)."""
-    bound = int(abs(points).max()) if points.size else 0
-    for mat, off in mats:
-        b = mat.ncols * mat.max_abs() * bound + (
-            off.max_abs() if off is not None else 0
-        )
-        if b >= _INT64_SAFE:
-            return False
-    return True
+def _rank_columns(blocks: List[np.ndarray]) -> List[np.ndarray]:
+    """The subscript matrices of all accesses to one array, each column
+    replaced by the rank of its value among that column's values over
+    *all* the blocks: int64 matrices whose rows collide exactly where
+    the exact rows do (ranking each access alone would not)."""
+    stacked = np.concatenate(blocks, axis=0)
+    ranked = np.empty(stacked.shape, dtype=np.int64)
+    for col in range(stacked.shape[1]):
+        inv = np.unique(stacked[:, col], return_inverse=True)[1]
+        ranked[:, col] = np.asarray(inv).ravel()
+    return np.split(ranked, np.cumsum([b.shape[0] for b in blocks])[:-1])
 
 
-#: ``schedule_violations`` calls answered by the per-element path (a
-#: depth-0 statement, or an int64 bound that could not be proven)
-_fallbacks = obs_metrics.counter("ir.legality.fallbacks")
+#: ``schedule_violations`` calls evaluated on the exact (object-dtype)
+#: lane because the int64 bound could not be proven
+_exact_lane = obs_metrics.counter("ir.legality.fallbacks")
 
 
 @traced("legality.violations")
@@ -238,34 +130,41 @@ def schedule_violations(
     descriptions; an empty list means the schedule is legal on these
     bounds.
 
-    Vectorized over dense domain point matrices; bit-identical (message
-    strings and order) to :func:`schedule_violations_python`.
+    Vectorized over dense domain point matrices, on int64 or — when
+    the int64 bound is unproven — exactly on Python ints.
     """
     nest = scheduled.nest
-    if any(s.depth == 0 for s in nest.statements):
-        _fallbacks.inc()
-        return schedule_violations_python(scheduled, params, limit)
-
-    # per-statement point/time matrices, per-access subscript matrices
-    points: Dict[str, np.ndarray] = {}
-    times: Dict[str, np.ndarray] = {}
-    subs: List[np.ndarray] = []
     pairs = nest.all_accesses()
     pos = {s.name: p for p, s in enumerate(nest.statements)}
-    for stmt in nest.statements:
-        pts = stmt.domain.point_matrix(params)
-        theta = scheduled.schedule_of(stmt.name).theta
-        if not _vector_safe(pts, (theta, None)):
-            _fallbacks.inc()
-            return schedule_violations_python(scheduled, params, limit)
-        points[stmt.name] = pts
-        times[stmt.name] = pts @ theta.to_numpy().T
-    for stmt, acc in pairs:
-        pts = points[stmt.name]
-        if not _vector_safe(pts, (acc.F, acc.c)):
-            _fallbacks.inc()
-            return schedule_violations_python(scheduled, params, limit)
-        subs.append(pts @ acc.F.to_numpy().T + acc.c.to_numpy().T)
+    # a statement without accesses is in no witness pair: it needs no
+    # points and no schedule
+    active = [s for s in nest.statements if s.accesses]
+    points = {s.name: s.domain.point_matrix(params) for s in active}
+    thetas = {s.name: scheduled.schedule_of(s.name).theta for s in active}
+    proven = all(
+        int64_proven(points[name], (theta, None))
+        for name, theta in thetas.items()
+    ) and all(int64_proven(points[s.name], (a.F, a.c)) for s, a in pairs)
+    if not proven:
+        _exact_lane.inc()
+    dtype = np.int64 if proven else object
+
+    # per-statement time matrices, per-access subscript matrices
+    times = {
+        name: affine_rows(points[name].astype(dtype, copy=False), theta)
+        for name, theta in thetas.items()
+    }
+    subs = [
+        affine_rows(points[s.name].astype(dtype, copy=False), a.F, a.c)
+        for s, a in pairs
+    ]
+    if not proven:
+        by_array: Dict[str, List[int]] = {}
+        for k, (_, a) in enumerate(pairs):
+            by_array.setdefault(a.array, []).append(k)
+        for ks in by_array.values():
+            for k, ranked in zip(ks, _rank_columns([subs[k] for k in ks])):
+                subs[k] = ranked
 
     out: List[str] = []
     for i, (s1, a1) in enumerate(pairs):

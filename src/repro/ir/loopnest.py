@@ -213,8 +213,22 @@ class LoopNest:
         return [(s, a) for s in self.statements for a in s.accesses]
 
     def validate(self) -> None:
+        """Validate every statement and reject two accesses with one
+        effective label (``label`` or ``"<stmt>:<array>"``): the
+        alignment and the executor key residuals and prices by label,
+        so a label must name exactly one access."""
+        owner: Dict[str, str] = {}
         for s in self.statements:
             s.validate()
+            for a in s.accesses:
+                label = a.label or f"{s.name}:{a.array}"
+                if label in owner:
+                    raise ValueError(
+                        f"access label {label!r} names an access of "
+                        f"statement {owner[label]} and one of statement "
+                        f"{s.name}: labels must be unique"
+                    )
+                owner[label] = s.name
 
     def describe(self) -> str:
         lines = [f"loop nest {self.name!r}:"]

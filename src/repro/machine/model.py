@@ -13,7 +13,8 @@ executor calls:
   n_phases)`` — price many phases of point-to-point messages in one
   call (the pricing path of :func:`repro.runtime.execute`);
 * ``time_phase(messages) -> PhaseReport`` — price one phase (the
-  per-event reference :func:`repro.runtime.execute_python`).
+  per-event test oracle :func:`repro.runtime.execute_python` prices
+  every phase through it).
 
 The **registry** maps the machine names the CLI and the campaign layer
 speak (``paragon``, ``cm5``, ``t3d``) to a :class:`MachineSpec`: the

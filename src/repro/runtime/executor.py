@@ -23,9 +23,12 @@ reductions — virtual/physical locality masks are whole-column
 comparisons, the per-time-step phase split and the ``(sender,
 receiver)`` pair coalescing are ``unique_rows`` group-bys — then price
 every phase of the call in one fused kernel launch per machine model.
-The original per-event implementation is kept as
-:func:`execute_python`; the two are bit-identical (asserted on
-randomized generated workloads and the paper's seed scenarios in
+Every label names exactly one access (``LoopNest.validate`` rejects a
+repeated label), so each label prices from one batch per folding, with
+one schedule width and one residual.  The per-event implementation
+:func:`execute_python` is the test oracle — no production path calls
+it; the two are bit-identical (asserted on randomized generated
+workloads and the paper's seed scenarios in
 ``tests/runtime/test_runtime_vectorized.py`` and measured against each
 other in ``benchmarks/bench_runtime_exec.py`` — the same old-vs-new
 pattern as the machine layer's oracles in ``tests/oracles/machine.py``).
@@ -47,7 +50,6 @@ from .mapping import (
     CommEvent,
     MappedProgram,
     PhaseSegments,
-    build_phase_segments,
     segments_from_sorted_unique,
 )
 
@@ -128,59 +130,33 @@ class _Job:
     kind: Optional[str]
 
 
-def _mixed_segments(blist: Sequence[CommBatch]) -> PhaseSegments:
-    """One folding's label spanning statements with different schedule
-    dimensionalities: mixed-width time rows cannot concatenate, so
-    bucket by time tuple like the python path, then normalize the
-    phases to one int64 *bucket index* column."""
-    buckets: Dict[Tuple[int, ...], List[List[int]]] = {}
-    for b in blist:
-        t_arr = b.times[b.locality_masks()[2]]
-        for trow, prow in zip(t_arr.tolist(), b.send_pairs().tolist()):
-            buckets.setdefault(tuple(trow), []).append(prow)
-    blocks = []
-    for i, tkey in enumerate(sorted(buckets)):
-        rows = np.array(buckets[tkey], dtype=np.int64)
-        blocks.append(
-            np.concatenate(
-                (np.full((rows.shape[0], 1), i, dtype=np.int64), rows),
-                axis=1,
-            )
-        )
-    stacked = np.concatenate(blocks, axis=0)
-    return build_phase_segments(stacked[:, 1:], stacked[:, :1])
-
-
 def _label_segments(
-    per_source: List[List[CommBatch]], vec: bool
+    per_source: List[Optional[CommBatch]], vec: bool
 ) -> List[Tuple[int, PhaseSegments]]:
     """``(source, phases)`` of one label for every distinct folding
-    (``per_source[source]``) with surviving events, in source order.
-    Phases come in ascending time order, each with lex-sorted unique
-    pairs — the per-phase ``np.unique`` outputs, concatenated."""
-    if len(per_source) == 1 and len(per_source[0]) == 1:
-        # one batch owns the label of a one-folding call (the common
-        # case): its memoized phase partition
-        return [(0, per_source[0][0].phase_partition(vec))]
-    widths = {b.times.shape[1] for blist in per_source for b in blist}
-    if not vec and len(widths) > 1:
-        return [
-            (k, _mixed_segments(blist))
-            for k, blist in enumerate(per_source)
-            if blist
-        ]
+    whose batch (``per_source[source]``, ``None`` without surviving
+    events) sends, in source order.  Phases come in ascending time
+    order, each with lex-sorted unique pairs — the per-phase
+    ``np.unique`` outputs, concatenated."""
+    if len(per_source) == 1:
+        # a one-folding call (the common case): the batch's memoized
+        # phase partition
+        return [(0, per_source[0].phase_partition(vec))]
     # stack all sources' rows as [source | (time) | sender | receiver]
-    # and group them once
-    tw = 0 if vec else widths.pop()
+    # and group them once; one label is one access, so every source's
+    # time rows have the same width
+    tw = 0
     blocks: List[np.ndarray] = []
-    for k, blist in enumerate(per_source):
-        for b in blist:
-            pairs = b.send_pairs()
-            cols = [np.full((pairs.shape[0], 1), k, dtype=np.int64)]
-            if not vec:
-                cols.append(b.times[b.locality_masks()[2]])
-            cols.append(pairs)
-            blocks.append(np.concatenate(cols, axis=1))
+    for k, b in enumerate(per_source):
+        if b is None:
+            continue
+        pairs = b.send_pairs()
+        cols = [np.full((pairs.shape[0], 1), k, dtype=np.int64)]
+        if not vec:
+            tw = b.times.shape[1]
+            cols.append(b.times[b.locality_masks()[2]])
+        cols.append(pairs)
+        blocks.append(np.concatenate(cols, axis=1))
     uniq, counts = unique_rows(np.concatenate(blocks, axis=0))
     # source blocks are contiguous (the source id is the sort-major
     # column); within a block the rows are ``[time | pair]``-sorted
@@ -330,8 +306,9 @@ def _execute_cells(
         batch_lists = [p.comm_batches() for p in sources]
 
     per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
-    # label -> per-source lists of surviving batches
-    remaining: Dict[str, List[List[CommBatch]]] = {}
+    # label -> per-source batch with surviving events (``None`` where
+    # the source has none); labels are unique (``LoopNest.validate``)
+    remaining: Dict[str, List[Optional[CommBatch]]] = {}
     classifications: Dict[str, str] = {}
     for bi, b0 in enumerate(batch_lists[0]):
         if b0.n == 0:
@@ -339,8 +316,7 @@ def _execute_cells(
             # path (which only creates entries while iterating events)
             continue
         label = b0.access_label
-        if label not in classifications:
-            classifications[label] = _classification_of(base, label)
+        classifications[label] = _classification_of(base, label)
         # the virtual arrays are shared objects across foldings, so the
         # virtual-locality mask is computed once and seeded into every
         # source's batch before its (per-folding) physical masks
@@ -353,19 +329,15 @@ def _execute_cells(
             _, phys_local, send = b.locality_masks()
             phys_local_of.append(int(phys_local.sum()))
             if send.any():
-                remaining.setdefault(
-                    label, [[] for _ in sources]
-                )[d].append(b)
+                remaining.setdefault(label, [None] * len(sources))[d] = b
         for k in range(K):
-            st = per_access[k].get(label)
-            if st is None:
-                st = AccessCommStats(
-                    label=label, classification=classifications[label]
-                )
-                per_access[k][label] = st
-            st.events += b0.n
-            st.virtual_local += n_virt_local
-            st.phys_local += phys_local_of[source_of[k]]
+            per_access[k][label] = AccessCommStats(
+                label=label,
+                classification=classifications[label],
+                events=b0.n,
+                virtual_local=n_virt_local,
+                phys_local=phys_local_of[source_of[k]],
+            )
 
     jobs: List[_Job] = []
     for label in sorted(remaining):
@@ -430,8 +402,7 @@ def execute(
 
     Vectorized over the program's :class:`CommBatch` arrays, through
     the same one-cell path as :func:`execute_group`; the per-event
-    reference implementation is :func:`execute_python`
-    (bit-identical).
+    test oracle is :func:`execute_python` (bit-identical).
     """
     return _execute_cells([(program, machine, collectives)], payload)[0]
 
@@ -485,7 +456,8 @@ def execute_python(
 
     Builds one :class:`CommEvent` per access per domain point and
     re-buckets them with Python dicts — the pre-vectorization behaviour,
-    kept as the measured baseline and bit-identity cross-check.
+    kept as the test oracle and measured baseline; no production path
+    calls it.
     """
     events = program.comm_events_python()
     per_access: Dict[str, AccessCommStats] = {}

@@ -25,11 +25,18 @@ Affine accesses and virtual placements are evaluated as single integer
 matmuls over the whole domain, and :class:`Folding` applies its modular
 arithmetic to whole coordinate columns at once
 (:meth:`Folding.fold_array`).  The executor prices the pre-masked
-batches directly — it never re-enumerates a domain.  The arrays — one :class:`CommBatch` per
-access — feed the executor's group-by pricing directly; the original
-per-element path is kept as :meth:`MappedProgram.comm_events_python`,
-the measured baseline that the vectorized path is asserted bit-identical
-against.
+batches directly — it never re-enumerates a domain.  The arrays — one
+:class:`CommBatch` per access — feed the executor's group-by pricing
+directly.
+
+There is one extraction algorithm and two lanes of arithmetic: when the
+int64 bound of the affine stages is proven, the matmuls run on int64;
+otherwise the *same* matmuls run exactly, on object arrays of Python
+ints, and the results are cast to int64 (a value past int64 raises
+``OverflowError``).  The per-element event list
+:meth:`MappedProgram.comm_events_python` is the test oracle the batches
+are asserted bit-identical against; no production path calls it.
+
 The virtual-grid stage (schedule times, sender/receiver virtual
 coordinates) depends only on the mapping and the size bindings, so it is
 cached **on the mapping** and shared by every folding of the same
@@ -47,6 +54,7 @@ import numpy as np
 from ..alignment import MappingResult
 from ..distribution import Distribution1D, make_1d
 from ..ir import AccessKind
+from ..ir.domain import affine_rows, int64_proven
 from ..linalg import IntMat
 from ..machine.backend import unique_rows
 from ..obs import metrics as obs_metrics
@@ -54,13 +62,9 @@ from ..obs import metrics as obs_metrics
 Virtual = Tuple[int, ...]
 Phys = Tuple[int, ...]
 
-#: int64 safety bound shared with the IntMat fast paths: intermediate
-#: products beyond this fall back to the exact per-element Python path
-_INT64_SAFE = 2 ** 62
-
-#: ``comm_batches`` calls built from the per-element events because the
-#: int64 bound of the affine stages could not be proven
-_event_fallbacks = obs_metrics.counter("runtime.comm_batches.fallbacks")
+#: virtual-stage evaluations on the exact (object-dtype) lane because
+#: the int64 bound of the affine stages could not be proven
+_exact_lane = obs_metrics.counter("runtime.comm_batches.fallbacks")
 
 
 @dataclass
@@ -340,40 +344,6 @@ class CommBatch:
         return seg
 
 
-def _domain_matrix(stmt, params: Dict[str, int]) -> np.ndarray:
-    """The statement's iteration domain as an ``(n, d)`` int64 matrix,
-    points in bounding-box ``itertools.product`` row-major order.
-
-    Delegates to :meth:`repro.ir.Domain.point_matrix`: rectangular
-    domains return the dense box unchanged (the historical layout);
-    triangular/trapezoidal domains return the box rows that survive the
-    vectorized membership mask — the exact rows (and order)
-    ``Statement.iteration_domain`` enumerates."""
-    return stmt.domain.point_matrix(params)
-
-
-def _affine_rows(idx: np.ndarray, mat: IntMat, off: Optional[IntMat]) -> np.ndarray:
-    """Evaluate ``mat @ I + off`` for every domain row of ``idx`` in one
-    integer matmul: returns an ``(n, mat.nrows)`` array."""
-    out = idx @ mat.to_numpy().T
-    if off is not None:
-        out = out + off.to_numpy().T
-    return out
-
-
-def _vector_bound_ok(idx: np.ndarray, *stages) -> bool:
-    """Prove no int64 overflow is possible through the chained affine
-    stages ``(mat, off)`` applied to ``idx`` (same style as the IntMat
-    matmul fast-path bound).  Conservative: uses max-abs magnitudes."""
-    bound = int(abs(idx).max()) if idx.size else 0
-    for mat, off in stages:
-        k = mat.ncols
-        bound = k * mat.max_abs() * bound + (off.max_abs() if off is not None else 0)
-        if bound >= _INT64_SAFE:
-            return False
-    return True
-
-
 @dataclass
 class MappedProgram:
     """A fully mapped program ready for execution on a machine model."""
@@ -411,10 +381,10 @@ class MappedProgram:
         For a read, data flows array-owner -> statement processor; for
         a write, statement processor -> array owner.
 
-        This is the pre-vectorization reference path — the measured
-        baseline of ``bench_runtime_exec.py`` and the bit-identity
-        cross-check for :meth:`comm_batches` (see
-        ``tests/runtime/test_runtime_vectorized.py``).
+        This is the pre-vectorization reference path — the test oracle
+        and measured baseline :meth:`comm_batches` is checked against
+        (``tests/runtime/test_runtime_vectorized.py``,
+        ``bench_runtime_exec.py``); no production path calls it.
         """
         out: List[CommEvent] = []
         nest = self.mapping.alignment.nest
@@ -447,7 +417,12 @@ class MappedProgram:
 
     def _virtual_batches(self) -> List[Tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
         """Per access: ``(label, stmt, times, sender_v, receiver_v)``
-        arrays over the whole iteration domain.
+        int64 arrays over the whole iteration domain.
+
+        The dtype is picked once for the whole nest: int64 when every
+        affine stage is proven to stay inside the int64 bound, else
+        object arrays of Python ints, whose exact results are cast to
+        int64 (``OverflowError`` on a value past int64).
 
         Depends only on the mapping and the size bindings — not on the
         folding — so the result is cached **on the mapping object**,
@@ -467,29 +442,46 @@ class MappedProgram:
             return hit
         al = self.mapping.alignment
         sched = self.mapping.schedules
+        # per statement: domain points, schedule, placement ``(M, a)``
+        # and per access its array's placement
+        plans = [
+            (
+                stmt,
+                stmt.domain.point_matrix(self.params),
+                sched.schedule_of(stmt.name).theta,
+                (al.allocation_of_stmt(stmt.name), al.offset_of_stmt(stmt.name)),
+                [
+                    (
+                        acc,
+                        (
+                            al.allocation_of_array(acc.array),
+                            al.offset_of_array(acc.array),
+                        ),
+                    )
+                    for acc in stmt.accesses
+                ],
+            )
+            for stmt in al.nest.statements
+        ]
+        proven = all(
+            int64_proven(idx, (theta, None))
+            and int64_proven(idx, place)
+            and all(int64_proven(idx, (acc.F, acc.c), owner) for acc, owner in owners)
+            for _, idx, theta, place, owners in plans
+        )
+        if not proven:
+            _exact_lane.inc()
+        dtype = np.int64 if proven else object
         out = []
-        for stmt in al.nest.statements:
-            idx = _domain_matrix(stmt, self.params)
-            theta = sched.schedule_of(stmt.name).theta
-            m_s = al.allocation_of_stmt(stmt.name)
-            a_s = al.offset_of_stmt(stmt.name)
-            if not _vector_bound_ok(idx, (theta, None)) or not _vector_bound_ok(
-                idx, (m_s, a_s)
-            ):
-                cache[key] = None  # poison: caller falls back per call
-                return None
-            times = _affine_rows(idx, theta, None)
-            stmt_v = _affine_rows(idx, m_s, a_s)
-            for acc in stmt.accesses:
+        for stmt, idx, theta, place, owners in plans:
+            idx = idx.astype(dtype, copy=False)
+            times = affine_rows(idx, theta).astype(np.int64, copy=False)
+            stmt_v = affine_rows(idx, *place).astype(np.int64, copy=False)
+            for acc, owner in owners:
                 label = acc.label or f"{stmt.name}:{acc.array}"
-                m_x = al.allocation_of_array(acc.array)
-                a_x = al.offset_of_array(acc.array)
-                if not _vector_bound_ok(idx, (acc.F, acc.c), (m_x, a_x)):
-                    cache[key] = None
-                    return None
-                owner_v = _affine_rows(
-                    _affine_rows(idx, acc.F, acc.c), m_x, a_x
-                )
+                owner_v = affine_rows(
+                    affine_rows(idx, acc.F, acc.c), *owner
+                ).astype(np.int64, copy=False)
                 if acc.kind is AccessKind.READ:
                     sv, rv = owner_v, stmt_v
                 else:
@@ -501,33 +493,23 @@ class MappedProgram:
     def comm_batches(self) -> List[CommBatch]:
         """The communications of :meth:`comm_events_python` as dense
         per-access arrays (one :class:`CommBatch` per access, rows in
-        event order), memoized on the program instance.
-
-        Falls back to building the batches from the per-element path in
-        the (pathological) case where the int64 overflow bound cannot be
-        proven for the affine stages.
-        """
+        event order), memoized on the program instance."""
         gen = self.mapping.alignment.mutation_count
         cached = self.__dict__.get("_comm_batches")
         if cached is not None and cached[0] == gen:
             return cached[1]
-        virtual = self._virtual_batches()
-        if virtual is None:
-            _event_fallbacks.inc()
-            batches = self._batches_from_events(self.comm_events_python())
-        else:
-            batches = [
-                CommBatch(
-                    access_label=label,
-                    stmt=stmt,
-                    times=times,
-                    sender_virtual=sv,
-                    receiver_virtual=rv,
-                    sender=self._fold_batch(sv),
-                    receiver=self._fold_batch(rv),
-                )
-                for label, stmt, times, sv, rv in virtual
-            ]
+        batches = [
+            CommBatch(
+                access_label=label,
+                stmt=stmt,
+                times=times,
+                sender_virtual=sv,
+                receiver_virtual=rv,
+                sender=self._fold_batch(sv),
+                receiver=self._fold_batch(rv),
+            )
+            for label, stmt, times, sv, rv in self._virtual_batches()
+        ]
         self.__dict__["_comm_batches"] = (gen, batches)
         return batches
 
@@ -535,76 +517,3 @@ class MappedProgram:
         if virtual.shape[0] == 0:
             return np.empty_like(virtual)
         return self.folding.fold_array(virtual)
-
-    def _batches_from_events(self, events: List[CommEvent]) -> List[CommBatch]:
-        """Exact-arithmetic fallback: regroup the per-element event
-        stream (statement-major, ``itertools.product`` order — exactly
-        how :meth:`comm_events_python` emits it) into the batch layout."""
-
-        def rows(vals: List[Tuple[int, ...]], width: int) -> np.ndarray:
-            return np.array(vals, dtype=np.int64).reshape(len(vals), width)
-
-        m = self.mapping.alignment.m
-        rank = self.folding.rank
-        sched = self.mapping.schedules
-        batches: List[CommBatch] = []
-        pos = 0
-        for stmt in self.mapping.alignment.nest.statements:
-            n = stmt.domain_size(self.params)
-            t_dims = sched.schedule_of(stmt.name).time_dims
-            for acc in stmt.accesses:
-                label = acc.label or f"{stmt.name}:{acc.array}"
-                evs = events[pos : pos + n]
-                pos += n
-                batches.append(
-                    CommBatch(
-                        access_label=label,
-                        stmt=stmt.name,
-                        times=rows([e.time for e in evs], t_dims),
-                        sender_virtual=rows(
-                            [e.sender_virtual for e in evs], m
-                        ),
-                        receiver_virtual=rows(
-                            [e.receiver_virtual for e in evs], m
-                        ),
-                        sender=rows([e.sender for e in evs], rank),
-                        receiver=rows([e.receiver for e in evs], rank),
-                    )
-                )
-        return batches
-
-    def comm_events(self) -> List[CommEvent]:
-        """Element-level communications of the whole execution (same
-        list as :meth:`comm_events_python`), memoized on the instance —
-        ``execute()`` and ``count_nonlocal_virtual()`` no longer
-        re-enumerate the iteration domain on separate calls.
-
-        Built from the vectorized :meth:`comm_batches` arrays; the
-        object construction only happens when a caller actually wants
-        per-element events.
-        """
-        gen = self.mapping.alignment.mutation_count
-        cached = self.__dict__.get("_comm_events")
-        if cached is not None and cached[0] == gen:
-            return cached[1]
-        out: List[CommEvent] = []
-        for b in self.comm_batches():
-            label = b.access_label
-            times = [tuple(t) for t in b.times.tolist()]
-            svs = [tuple(v) for v in b.sender_virtual.tolist()]
-            rvs = [tuple(v) for v in b.receiver_virtual.tolist()]
-            sps = [tuple(p) for p in b.sender.tolist()]
-            rps = [tuple(p) for p in b.receiver.tolist()]
-            for t, sv, rv, sp, rp in zip(times, svs, rvs, sps, rps):
-                out.append(
-                    CommEvent(
-                        access_label=label,
-                        time=t,
-                        sender_virtual=sv,
-                        receiver_virtual=rv,
-                        sender=sp,
-                        receiver=rp,
-                    )
-                )
-        self.__dict__["_comm_events"] = (gen, out)
-        return out

@@ -1,9 +1,11 @@
 """JSONL store: append/load roundtrip, truncation tolerance, summary,
 durability knobs and crash-safe rewrites."""
 
+import dataclasses
 import glob
 import json
 import os
+import random
 
 import pytest
 
@@ -306,6 +308,33 @@ class TestSummarize:
         assert paragon["residuals"] == 2
         assert paragon["baseline_residuals"] == 4
         assert paragon["mean_time_ratio"] == 3.0
+
+    def test_rows_do_not_depend_on_arrival_order(self):
+        """Sums run in ``task_id`` order, so a shuffled result list (a
+        ``jobs > 1`` run's completion order) gives identical rows, floats
+        compared by their hex form."""
+        # ratios 0.1, 0.2, 0.3 and seconds 0.1, 0.2, 0.3 sum to
+        # different floats in different orders
+        results = [
+            dataclasses.replace(
+                _result(i), total_time=10.0, baseline_time=float(i + 1),
+                seconds=(i + 1) / 10,
+            )
+            for i in range(3)
+        ] + [_result(3, machine="cm5"), _result(4, status="error")]
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+        def hexed(rows):
+            return [
+                {k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+                for r in rows
+            ]
+
+        want = hexed(summarize_results(results))
+        rng = random.Random(5)
+        for _ in range(12):
+            shuffled = rng.sample(results, len(results))
+            assert hexed(summarize_results(shuffled)) == want
 
     def test_all_failed_group_has_null_ratio_and_valid_json(self):
         rows = summarize_results([_result(0, status="error")])

@@ -12,10 +12,11 @@ from repro.ir import (
     parse_nest,
     schedule_is_legal,
     schedule_violations,
-    schedule_violations_python,
     trivial_schedules,
 )
 from repro.linalg import IntMat
+
+from oracles.legality import schedule_violations_python
 
 PARAMS = {"N": 3, "M": 3}
 

@@ -15,6 +15,8 @@ from repro.runtime import (
     execute,
 )
 
+from oracles.events import comm_events
+
 PARAMS = {"N": 3, "M": 3}
 
 
@@ -84,7 +86,7 @@ class TestFolding:
 
 class TestCommEvents:
     def test_local_accesses_have_equal_virtuals(self, program):
-        events = program.comm_events()
+        events = comm_events(program)
         local_labels = program.mapping.alignment.local_labels
         for ev in events:
             if ev.access_label in local_labels:
@@ -97,7 +99,7 @@ class TestCommEvents:
 
     def test_event_count_matches_domain(self, program):
         nest = program.mapping.alignment.nest
-        events = program.comm_events()
+        events = comm_events(program)
         expected = sum(
             s.domain_size(PARAMS) * len(s.accesses) for s in nest.statements
         )
@@ -106,7 +108,7 @@ class TestCommEvents:
     def test_read_direction(self, program):
         # for reads, the receiver is the statement processor
         ev = next(
-            e for e in program.comm_events() if e.access_label == "F6"
+            e for e in comm_events(program) if e.access_label == "F6"
         )
         # find the matching index: receiver must equal M_S2 @ idx
         assert ev.receiver_virtual is not None

@@ -15,6 +15,8 @@ from repro.linalg import IntMat, rank
 from repro.machine import Mesh, MeshModel
 from repro.runtime import Folding, MappedProgram, execute
 
+from oracles.events import comm_events
+
 
 def _random_full_rank(rng, rows, cols):
     for _ in range(50):
@@ -60,7 +62,7 @@ class TestClassificationMatchesEvents:
         program = _program(nest)
         local = program.mapping.alignment.local_labels
         shifts = {}
-        for ev in program.comm_events():
+        for ev in comm_events(program):
             if ev.access_label in local:
                 delta = tuple(
                     r - s for r, s in zip(ev.receiver_virtual, ev.sender_virtual)
@@ -96,7 +98,7 @@ class TestClassificationMatchesEvents:
             if o.classification == "translation"
         }
         shifts = {}
-        for ev in program.comm_events():
+        for ev in comm_events(program):
             if ev.access_label in translations:
                 delta = tuple(
                     r - s for r, s in zip(ev.receiver_virtual, ev.sender_virtual)
@@ -120,7 +122,7 @@ class TestBroadcastShapeObserved:
             params={"N": 3, "M": 3},
         )
         senders = {}
-        for ev in program.comm_events():
+        for ev in comm_events(program):
             if ev.access_label == "F6":
                 senders.setdefault(
                     (ev.sender_virtual, ev.time), set()

@@ -3,8 +3,9 @@
 Hypothesis draws compile-key groups — one compiled nest folded onto
 paragon and cm5 cells over two or three 2-D meshes, in any order, at
 any payload, with default or non-dyadic cost parameters (so float
-fold order shows in the totals) — from a pool that holds macro, vectorizable,
-mixed-schedule-width (vectorizable or not) and all-local labels.
+fold order shows in the totals) — from a pool that holds macro,
+vectorizable and all-local labels, and nests whose statements have
+schedules of two widths, in either statement order.
 ``execute_group`` must equal the per-phase oracle bit for bit (every
 ``CommReport`` and ``AccessCommStats`` field, floats compared by their
 hex form), and ``execute`` must equal ``execute_group`` on each
@@ -39,13 +40,11 @@ MESH_MACHINES = [("paragon",), ("cm5",), ("paragon", "cm5"), ("cm5", "paragon")]
 COST_PARAMS = [CostParams(), CostParams(alpha=19.7, beta=1.3, gamma=0.41)]
 
 
-def _mixed_width_nest(s2_first=False):
-    """Label ``R`` is read by a depth-2 statement scheduled in one time
-    dimension and a depth-3 statement scheduled in two, so its phases
-    have time rows of two widths.  With ``s2_first`` the depth-3
-    statement comes first, so ``R``'s first residual (the one its
-    vectorizability is read from) is not vectorizable and the phases
-    are bucketed by time tuples of both widths."""
+def _mixed_width_builder(s2_first=False, shared_label=False):
+    """A depth-2 statement scheduled in one time dimension and a
+    depth-3 statement scheduled in two, each reading ``a`` through its
+    own label ``R1`` / ``R2`` (``R`` for both with ``shared_label``);
+    with ``s2_first`` the depth-3 statement comes first."""
     b = NestBuilder("mixed-width")
     b.array("a", 2).array("b", 2).array("c", 3)
     l2 = [("i", 1, "N"), ("j", 1, "N")]
@@ -57,7 +56,7 @@ def _mixed_width_nest(s2_first=False):
             writes=[("b", [[1, 0], [0, 1]], [0, 0], "W1")],
             reads=[
                 ("a", [[1, 0], [0, 1]], [0, 0], "A1"),
-                ("a", [[0, 1], [1, 0]], [1, 0], "R"),
+                ("a", [[0, 1], [1, 0]], [1, 0], "R" if shared_label else "R1"),
             ],
         )
 
@@ -69,13 +68,19 @@ def _mixed_width_nest(s2_first=False):
             ],
             reads=[
                 ("a", [[1, 0, 0], [0, 1, 0]], [0, 0], "A2"),
-                ("a", [[1, 1, 0], [0, 0, 1]], [0, 1], "R"),
+                ("a", [[1, 1, 0], [0, 0, 1]], [0, 1], "R" if shared_label else "R2"),
             ],
         )
 
     for statement in (s2, s1) if s2_first else (s1, s2):
         statement()
-    nest = b.build()
+    return b
+
+
+def _mixed_width_nest(s2_first=False):
+    """:func:`_mixed_width_builder`'s nest compiled under its one- and
+    two-dimensional schedules."""
+    nest = _mixed_width_builder(s2_first).build()
     schedules = ScheduledNest(
         nest,
         {
@@ -199,17 +204,52 @@ def test_pool_covers_every_label_kind():
                 kinds.add("macro")
             if _vectorizable(program, label):
                 kinds.add("vectorizable")
-            sending = [b for b in batches if b.locality_masks()[2].any()]
-            if not sending:
+            if not any(b.locality_masks()[2].any() for b in batches):
                 kinds.add("all-local")
-            if len({b.times.shape[1] for b in sending}) > 1:
-                kinds.add("mixed-width")
-                if not _vectorizable(program, label):
-                    kinds.add("mixed-width-sequential")
-    assert kinds == {
-        "macro", "vectorizable", "all-local", "mixed-width",
-        "mixed-width-sequential",
-    }
+    assert kinds == {"macro", "vectorizable", "all-local"}
+
+
+def test_labels_name_one_access():
+    """Every pool nest gives each label one batch, and a label shared
+    by two accesses is rejected when the nest is built."""
+    for name in POOL:
+        c, params = compiled(name)
+        batches = c.program(MeshModel(2, 2), params).comm_batches()
+        labels = [b.access_label for b in batches]
+        assert len(labels) == len(set(labels)), name
+    for s2_first in (False, True):
+        with pytest.raises(ValueError, match="'R'.*statement S[12].*S[12]"):
+            _mixed_width_builder(s2_first, shared_label=True).build()
+    # an IR nest assembled without the builder is checked by compile_nest
+    nest = _mixed_width_builder().build()
+    statements = [
+        dataclasses.replace(s, accesses=[
+            dataclasses.replace(a, label="R1") if a.label == "R2" else a
+            for a in s.accesses
+        ])
+        for s in nest.statements
+    ]
+    with pytest.raises(ValueError, match="'R1'"):
+        compile_nest(
+            dataclasses.replace(nest, statements=statements), m=2,
+            params={"N": 3}, check_legality=False,
+        )
+
+
+@pytest.mark.parametrize("payload", [1, 3])
+def test_statement_order_does_not_change_a_price(payload):
+    """The mixed-width nest prices bit-identically in both statement
+    orders, on every cell of a paragon/cm5 grid."""
+    grid = [
+        (machine, mesh, cost)
+        for mesh in [(2, 2), (4, 3)]
+        for machine in ("paragon", "cm5")
+        for cost in COST_PARAMS
+    ]
+    first = execute_group(fold("mixed-width", grid), payload=payload)
+    second = execute_group(fold("mixed-width-seq", grid), payload=payload)
+    assert [bits(r) for r in first] == [bits(r) for r in second]
+    assert all(r.total_time > 0 for r in first)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from repro.ir import motivating_example, platonoff_example
 from repro.machine import CM5Model, MeshModel, machine_spec
 from repro.runtime import count_nonlocal_virtual, execute, execute_python
 
+from oracles.events import comm_events
+
 PARAMS = {"N": 3, "M": 3}
 
 
@@ -31,7 +33,7 @@ def _compiled_program(nest_or_src, m=2, machine=None, params=None, **kw):
 class TestSeedScenarios:
     def test_motivating_example_bit_identical(self):
         _c, prog, machine = _compiled_program(motivating_example())
-        assert prog.comm_events() == prog.comm_events_python()
+        assert comm_events(prog) == prog.comm_events_python()
         assert execute(prog, machine) == execute_python(prog, machine)
 
     def test_motivating_with_collectives_bit_identical(self):
@@ -45,7 +47,7 @@ class TestSeedScenarios:
         _c, prog, machine = _compiled_program(
             platonoff_example(), params={"n": 3}
         )
-        assert prog.comm_events() == prog.comm_events_python()
+        assert comm_events(prog) == prog.comm_events_python()
         assert execute(prog, machine) == execute_python(prog, machine)
 
     def test_payload_scaling_bit_identical(self):
@@ -66,7 +68,7 @@ class TestSeedScenarios:
         )
         c = compile_nest(src, m=3, params={"N": 3})
         prog = c.program(machine, {"N": 3})
-        assert prog.comm_events() == prog.comm_events_python()
+        assert comm_events(prog) == prog.comm_events_python()
         assert execute(prog, machine) == execute_python(prog, machine)
 
 
@@ -83,7 +85,7 @@ class TestGeneratedWorkloads:
             nest = wl.resolve()
             c = compile_nest(nest, m=2, params=dict(wl.params), name=wl.name)
             prog = c.program(MeshModel(2, 2), dict(wl.params))
-            assert prog.comm_events() == prog.comm_events_python(), wl.name
+            assert comm_events(prog) == prog.comm_events_python(), wl.name
 
     def test_execute_bit_identical(self, workloads):
         cm5 = CM5Model()
@@ -107,7 +109,7 @@ class TestGeneratedWorkloads:
         machine = MeshModel(2, 2)
         prog = c.program(machine, {"N": 0, "M": 0})
         assert execute(prog, machine) == execute_python(prog, machine)
-        assert prog.comm_events() == prog.comm_events_python()
+        assert comm_events(prog) == prog.comm_events_python()
 
     def test_count_nonlocal_virtual_matches_python(self, workloads):
         for wl in workloads[:6]:
@@ -124,8 +126,8 @@ class TestGeneratedWorkloads:
 class TestMemoization:
     def test_comm_events_memoized_on_instance(self):
         _c, prog, _machine = _compiled_program(motivating_example())
-        first = prog.comm_events()
-        assert prog.comm_events() is first
+        first = comm_events(prog)
+        assert comm_events(prog) is first
 
     def test_execute_and_count_share_batches(self):
         _c, prog, machine = _compiled_program(motivating_example())

@@ -26,9 +26,8 @@ TWIN_GRID = [
 ]
 
 #: pool entries with macro labels (priced on the CM-5 collectives lane)
-#: and with labels whose phases have two time widths, vectorizable
-#: (``mixed-width``) or not (``mixed-width-seq``; the pool coverage test
-#: of ``test_pricing_differential.py`` checks both kinds)
+#: and with statements scheduled in two time widths, in either
+#: statement order (``mixed-width`` / ``mixed-width-seq``)
 NAMES = ["example1", "gauss", "lu", "mixed-width", "mixed-width-seq"]
 
 

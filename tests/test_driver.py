@@ -6,6 +6,8 @@ from repro import CompiledNest, compile_nest
 from repro.ir import motivating_example, outer_sequential_schedules, trivial_schedules
 from repro.machine import CM5Model, MeshModel
 
+from oracles.events import comm_events
+
 EX1 = """
 array a(2), b(3), c(3)
 for i = 1..N:
@@ -102,7 +104,7 @@ class TestMesh3DEndToEnd:
         assert rep.total_time >= 0
         # folded coordinates are 3-tuples
         program = c.program(MeshModel(2, 2, 2), params={})
-        ev = program.comm_events()[0]
+        ev = comm_events(program)[0]
         assert len(ev.sender) == 3 and len(ev.receiver) == 3
 
     def test_m3_nonlocal_nest_prices_messages(self):

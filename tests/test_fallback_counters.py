@@ -3,7 +3,9 @@
 Each test forces one guard, checks that its ``*.fallbacks`` counter
 rises by exactly the number of fallbacks taken (and not at all on the
 fast path), and that the fallback's answer still equals an independent
-reference.
+reference.  In the runtime extraction and the legality checker the
+"fallback" is the exact lane: the same vectorized algorithm on object
+arrays of Python ints.
 """
 
 import dataclasses
@@ -17,16 +19,16 @@ from repro.ir import (
     motivating_example,
     outer_sequential_schedules,
     schedule_violations,
-    schedule_violations_python,
     trivial_schedules,
 )
-from repro.ir import legality
+from repro.ir import domain
 from repro.ir.loopnest import Statement
 from repro.machine import MeshModel
 from repro.machine.backend import unique_rows
 from repro.obs import metrics
 from repro.runtime import execute, execute_python
-from repro.runtime import mapping
+
+from oracles.legality import schedule_violations_python
 
 
 def _counter(name):
@@ -82,7 +84,8 @@ class TestLegality:
         }
         assert rose() == 0
 
-        # a depth-0 statement (no accesses, so no new violations)
+        # a depth-0 statement (no accesses, so no new violations and
+        # no schedule) rides the vectorized path: no count
         flat = ScheduledNest(
             nest=dataclasses.replace(
                 nest, statements=nest.statements + [Statement("S0", [])]
@@ -90,23 +93,24 @@ class TestLegality:
             schedules=parallel.schedules,
         )
         assert schedule_violations(flat, {}, 10) == want[id(parallel)]
-        assert rose() == 1
+        assert want[id(parallel)] == schedule_violations_python(flat, {}, 10)
+        assert rose() == 0
 
         # points 1..4: the schedule bound is 4 * |theta|, the read's
         # subscript bound 4 + |-1| = 5
-        monkeypatch.setattr(legality, "_INT64_SAFE", 4)
+        monkeypatch.setattr(domain, "INT64_SAFE", 4)
         got = schedule_violations(sequential, {}, 10)  # schedule exit
         assert got == want[id(sequential)]
-        assert rose() == 2
-        monkeypatch.setattr(legality, "_INT64_SAFE", 5)
+        assert rose() == 1
+        monkeypatch.setattr(domain, "INT64_SAFE", 5)
         got = schedule_violations(parallel, {}, 10)  # access exit
         assert got == want[id(parallel)]
         assert got == schedule_violations_python(parallel, {}, 10)
-        assert rose() == 3
+        assert rose() == 2
 
 
 class TestCommBatches:
-    def test_unprovable_bound_builds_from_events(self, monkeypatch):
+    def test_unprovable_bound_takes_the_exact_lane(self, monkeypatch):
         machine = MeshModel(2, 2)
         params = {"N": 3, "M": 3}
         rose = _counter("runtime.comm_batches.fallbacks")
@@ -114,10 +118,13 @@ class TestCommBatches:
         want = execute(ref.program(machine, params), machine)
         assert rose() == 0
 
-        monkeypatch.setattr(mapping, "_INT64_SAFE", 1)
+        monkeypatch.setattr(domain, "INT64_SAFE", 1)
         compiled = compile_nest(motivating_example(), m=2, params=params)
         prog = compiled.program(machine, params)
         got = execute(prog, machine)
         prog.comm_batches()  # memoized on the program: no second count
         assert rose() == 1
         assert got == want == execute_python(prog, machine)
+        for b in prog.comm_batches():
+            for arr in (b.times, b.sender_virtual, b.sender):
+                assert arr.dtype == np.int64
