@@ -83,7 +83,16 @@ function calls into ``fractions`` or the ``FracMat`` oracle of
 ``FracMat.rref`` never runs (``fracmat_rref_calls`` == 0),
 and that ``integer_kernel_basis`` runs its elimination at most once per
 distinct matrix (``integer_kernel_basis_misses`` <=
-``integer_kernel_basis_distinct``).
+``integer_kernel_basis_distinct``).  Since the cold compile reads each
+nest's dependence facts once (the dependence and macro memos start
+empty for the profiled run), it asserts that step 2 computes each
+macro verdict at most once per distinct argument
+(``macro_verdicts_computed`` <= ``macro_verdicts_distinct``), that
+legality labels only the pairs the dependence test kept
+(``legality_label_passes`` <= ``legality_kept_pairs``), and that
+schedule inference makes at most one carried-depth solve per kept pair
+plus one per level raise (``schedule_depth_solves`` <=
+``schedule_depth_ceiling``).
 """
 
 from __future__ import annotations
@@ -94,6 +103,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(BENCH_DIR), "src")
@@ -117,7 +127,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     sys.path.insert(0, SRC_DIR)
     from repro import compile_nest
     from repro.campaign import CampaignConfig, default_spec, run_campaign
-    from repro.ir import motivating_example
+    from repro.alignment import heuristic
+    from repro.ir import clear_dependence_caches, motivating_example
     from repro.linalg import get_cache
     from repro.machine import MeshModel, machine_spec
     from repro.obs import metrics
@@ -144,10 +155,19 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     kernel_memo = get_cache("integer_kernel_basis")
     kernel_keys_before = len(kernel_memo)
     kernel_lookups_before = kernel_memo.hits + kernel_memo.misses
+    # generating the workloads inferred their schedules and ran step 2:
+    # start the dependence and macro memos empty so the profiled
+    # compiles compute them, and record what the dependence-fact gates
+    # bound (every uncached depth walk, every legality pass)
+    clear_dependence_caches()
+    heuristic._macro_cache.clear()
 
     prof = cProfile.Profile()
     t0 = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
+    with _recording_dependence_facts() as (
+        depth_walks,
+        legality_passes,
+    ), tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "profile.jsonl")
         prof.enable()
         run_campaign(tasks, out, CampaignConfig(jobs=1), meta={})
@@ -231,6 +251,27 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         if cfile.startswith(repro_dir)
     )
 
+    # dependence-fact gates: each macro verdict is computed once per
+    # distinct argument; legality labels only the pairs the dependence
+    # test kept; schedule inference solves each kept pair once, plus
+    # once per level raise
+    macro_runs = sum(
+        nc
+        for func, (_cc, nc, *_rest) in stats.stats.items()
+        if _is(func, "_macro_verdict", os.path.join("alignment", "heuristic.py"))
+    )
+    macro_distinct = len(heuristic._macro_cache)
+    macro_evicted = macro_distinct >= heuristic._macro_cache.maxsize
+    label_passes = _ncalls("_shared_labels")
+    kept_pairs = sum(_kept_pairs(sn.nest, p) for sn, p in legality_passes)
+    depth_solves = _ncalls("dependent_within")
+    # the walk starts at level 1, so a nest of outer depth d raised the
+    # level at most d - 1 times
+    depth_ceiling = sum(
+        _kept_pairs(nest, p) + max((depth or 0) - 1, 0)
+        for nest, p, depth in depth_walks
+    )
+
     kernel_launches = _ncalls("phase_times_segmented")
     price_calls = _ncalls("execute") + _ncalls("execute_group")
     launch_ceiling = len(models) * price_calls
@@ -265,6 +306,12 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "integer_kernel_basis_distinct": kernel_distinct,
             "fracmat_rref_calls": rref_calls,
             "fraction_calls_from_repro": fraction_calls,
+            "macro_verdicts_computed": macro_runs,
+            "macro_verdicts_distinct": macro_distinct,
+            "legality_label_passes": label_passes,
+            "legality_kept_pairs": kept_pairs,
+            "schedule_depth_solves": depth_solves,
+            "schedule_depth_ceiling": depth_ceiling,
             "hotspots": rows,
         },
     )
@@ -388,7 +435,79 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"matrices over {kernel_lookups} calls; 0 calls into fractions/"
         "FracMat)"
     )
+
+    if macro_evicted or macro_runs > macro_distinct:
+        print(
+            f"FAIL: _detect_macro computed {macro_runs} verdicts for "
+            f"{macro_distinct} distinct arguments"
+            + (" (its memo filled up)" if macro_evicted else "")
+            + " — the macro memo is not engaged (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    if label_passes > kept_pairs:
+        print(
+            f"FAIL: legality labelled {label_passes} access pairs, but the "
+            f"dependence test kept only {kept_pairs} — disproved pairs "
+            "reach the label pass again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    if depth_walks == [] or depth_solves > depth_ceiling:
+        print(
+            f"FAIL: schedule inference made {depth_solves} carried-depth "
+            f"solves over {len(depth_walks)} nests, above the {depth_ceiling} "
+            "kept pairs + level raises — it probes disproved pairs or "
+            "levels below the current one (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        "gate ok: dependence facts computed once "
+        f"({macro_runs} macro verdicts for {macro_distinct} distinct "
+        f"arguments; {label_passes} legality label passes <= {kept_pairs} "
+        f"kept pairs; {depth_solves} carried-depth solves <= {depth_ceiling} "
+        f"kept pairs + level raises over {len(depth_walks)} nests)"
+    )
     return 0
+
+
+def _kept_pairs(nest, params) -> int:
+    """Access pairs of ``nest`` the dependence test does not disprove."""
+    from repro.ir.dependence import test_dependence
+
+    pairs = nest.all_accesses()
+    return sum(
+        test_dependence(s1, a1, s2, a2, params) is not None
+        for i, (s1, a1) in enumerate(pairs)
+        for s2, a2 in pairs[i:]
+    )
+
+
+@contextmanager
+def _recording_dependence_facts():
+    """Wrap the uncached schedule-depth walk and the legality pass for
+    the block; yields the lists they fill (``(nest, params, depth)`` per
+    walk, ``(scheduled, params)`` per pass)."""
+    from repro.ir import legality, schedule
+
+    walks, passes = [], []
+    depth, violations = schedule._outer_depth, legality.schedule_violations
+
+    def walk(nest, params):
+        out = depth(nest, params)
+        walks.append((nest, dict(params), out))
+        return out
+
+    def check(scheduled, params, *args, **kwargs):
+        passes.append((scheduled, dict(params)))
+        return violations(scheduled, params, *args, **kwargs)
+
+    schedule._outer_depth, legality.schedule_violations = walk, check
+    try:
+        yield walks, passes
+    finally:
+        schedule._outer_depth, legality.schedule_violations = depth, violations
 
 
 def bench_files(match: str = "") -> list:

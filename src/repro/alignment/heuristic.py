@@ -35,6 +35,7 @@ from ..linalg import (
     solve_axb,
     unimodular_inverse,
 )
+from ..linalg.cache import _MISSING, NormalFormCache
 from ..macrocomm import (
     Extent,
     MacroComm,
@@ -111,23 +112,53 @@ class MappingResult:
         return "\n".join(lines)
 
 
+#: macro verdicts per ``(theta, F, M_x, M_S, is_read)``; counters under
+#: ``alignment.macro.cache.detect_macro.{hits,misses}``
+_macro_cache = NormalFormCache(
+    "detect_macro", maxsize=4096, namespace="alignment.macro.cache"
+)
+
+
 def _detect_macro(
     res: ResidualComm, schedules: ScheduledNest
 ) -> Optional[MacroComm]:
-    theta = schedules.schedule_of(res.ref.stmt).theta
-    f = res.ref.access.F
-    if res.is_read:
-        bc = detect_broadcast(theta, f, res.M_S)
+    """The macro-communication verdict of one residual, memoized on
+    the matrices it depends on: phase B, phase C and the re-detect
+    after a rotation ask the same question, and campaign grids compile
+    equal nests many times.  A :class:`MacroComm` is frozen, so hits
+    share it safely."""
+    key = (
+        schedules.schedule_of(res.ref.stmt).theta,
+        res.ref.access.F,
+        res.M_x,
+        res.M_S,
+        res.is_read,
+    )
+    value = _macro_cache.get(key)
+    if value is _MISSING:
+        value = _macro_verdict(*key)
+        _macro_cache.put(key, value)
+    return value
+
+
+def _macro_verdict(
+    theta: IntMat, f: IntMat, m_x: IntMat, m_s: IntMat, is_read: bool
+) -> Optional[MacroComm]:
+    """The memo-free verdict: broadcast, then scatter, for a read;
+    reduction, then gather, for a write — the first one that is not
+    hidden wins."""
+    if is_read:
+        bc = detect_broadcast(theta, f, m_s)
         if bc is not None and bc.extent is not Extent.HIDDEN:
             return bc
-        sc = detect_scatter(theta, f, res.M_x, res.M_S)
+        sc = detect_scatter(theta, f, m_x, m_s)
         if sc is not None and sc.extent is not Extent.HIDDEN:
             return sc
         return bc or sc
-    red = detect_reduction(theta, f, res.M_x, res.M_S)
+    red = detect_reduction(theta, f, m_x, m_s)
     if red is not None and red.extent is not Extent.HIDDEN:
         return red
-    ga = detect_gather(theta, f, res.M_x, res.M_S)
+    ga = detect_gather(theta, f, m_x, m_s)
     if ga is not None and ga.extent is not Extent.HIDDEN:
         return ga
     return red or ga

@@ -32,10 +32,13 @@ Two implementation notes:
   elimination over ``Fraction`` at any magnitude.
 * **Memoization** — :func:`test_dependence` is cached on a canonical
   ``(F, c, kind, domain, params)`` key through the linalg-cache
-  framework (counters under ``ir.dependence.cache.*``), so schedule
-  inference and legality checking stop re-running identical FM systems
-  within one compile.  Size: :data:`DEPENDENCE_CACHE_SIZE` entries per
-  memo (verdicts are identical with the memo off).
+  framework (counters under ``ir.dependence.cache.*``): schedule
+  inference asks it once per access pair, and legality checking then
+  reads the same verdicts to skip disproved pairs.  Schedule inference
+  memoizes its outer depth per ``(nest, params)`` in the second memo
+  here; only the pairs inference keeps reach the carried-level test
+  :func:`dependent_within`.  Size: :data:`DEPENDENCE_CACHE_SIZE`
+  entries per memo (verdicts are identical with the memo off).
 """
 
 from __future__ import annotations
@@ -231,10 +234,10 @@ _dep_cache = NormalFormCache(
     maxsize=DEPENDENCE_CACHE_SIZE,
     namespace="ir.dependence.cache",
 )
-#: the ``_inner_loops_parallel`` memo (owned here so one constant
-#: governs both; filled by :mod:`repro.ir.schedule`)
+#: the sequential outer depth per ``(nest, params)`` (owned here so
+#: one constant governs both; filled by :mod:`repro.ir.schedule`)
 _schedule_cache = NormalFormCache(
-    "inner_loops_parallel",
+    "schedule_depth",
     maxsize=DEPENDENCE_CACHE_SIZE,
     namespace="ir.dependence.cache",
 )
@@ -255,7 +258,7 @@ def dependence_cache_stats() -> Dict[str, Dict[str, int]]:
     dependence-analysis memo caches of this process."""
     return {
         "test_dependence": _dep_cache.stats(),
-        "inner_loops_parallel": _schedule_cache.stats(),
+        "schedule_depth": _schedule_cache.stats(),
     }
 
 
@@ -375,6 +378,44 @@ def _has_distinct_solution(sol, depth: int) -> bool:
         if col[:depth] != col[depth:]:
             return True
     return False
+
+
+def dependent_within(
+    s1: Statement,
+    a1: AffineAccess,
+    s2: Statement,
+    a2: AffineAccess,
+    params: Dict[str, int],
+    outer: int,
+) -> bool:
+    """Whether a witness pair of the two accesses survives with the
+    first ``outer`` loop indices of both instances equal (the
+    dependence is then not carried by those loops).
+
+    Stacks ``I1[j] = I2[j]`` (``j < outer <= min(depths)``) under
+    ``[F1 | -F2]`` and re-runs the lattice and domain tests, plus the
+    distinct-instance test for the self-pair of one access.  At
+    ``outer = 0`` this is :func:`test_dependence`'s verdict.  Each
+    equality restricts the witness lattice (and its rational hull), so
+    the verdict is monotone: once ``False`` it stays ``False`` for
+    every larger ``outer``.
+    """
+    d1, d2 = s1.depth, s2.depth
+    eq_rows = []
+    for j in range(outer):
+        row = [0] * (d1 + d2)
+        row[j] = 1
+        row[d1 + j] = -1
+        eq_rows.append(row)
+    a = IntMat(a1.F.hstack(-1 * a2.F).tolist() + eq_rows)
+    b = IntMat.col(list((a2.c - a1.c).column_tuple(0)) + [0] * outer)
+    sol = solve_axb(a, b)
+    if sol is None or not domain_feasible(sol, s1, s2, params):
+        return False
+    if s1 is s2 and a1 is a2:
+        # same-instance solutions of a single access aren't dependences
+        return _has_distinct_solution(sol, d1)
+    return True
 
 
 def find_dependences(nest: LoopNest, params: Dict[str, int]) -> List[Dependence]:

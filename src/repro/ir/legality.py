@@ -29,11 +29,21 @@ consumes), schedule times and access subscripts are single matmuls over
 whole domains, and subscript collisions are found with one
 ``np.unique`` label intersection per access pair instead of the
 quadratic per-element scan.  Every nest takes this one path, depth-0
-statements included.  When the int64 bound of the times or subscripts
-cannot be proven, the same matmuls run exactly on object arrays of
-Python ints: times stay object arrays (the row comparisons work on
-them), and each subscript column is ranked to int64 jointly over all
-accesses of one array, which keeps exactly the collisions.  The
+statements included.
+
+A pair that :func:`~repro.ir.dependence.test_dependence` disproves is
+skipped before any labelling.  The skip is a proof, not a weaker
+check: a failed GCD or lattice test, or an infeasible rational
+relaxation of the domain system, leaves no integer witness pair on
+these bounds (and a lattice of only same-instance solutions leaves
+none with distinct instances).  After :func:`~repro.ir.infer_schedules`
+walked the same pairs, each verdict is a memo hit.
+
+When the int64 bound of the times or subscripts cannot be proven, the
+same matmuls run exactly on object arrays of Python ints: times stay
+object arrays (the row comparisons work on them), and each subscript
+column is ranked to int64 jointly over all accesses of one array,
+which keeps exactly the collisions.  The
 per-element reference lives in ``tests/oracles/legality.py``; the tests
 and ``benchmarks/bench_legality.py`` assert the two bit-identical
 (messages and order included) and gate the speedup floor.
@@ -48,6 +58,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
+from .dependence import test_dependence
 from .domain import affine_rows, int64_proven
 from .schedule import ScheduledNest
 
@@ -109,6 +120,22 @@ def _rank_columns(blocks: List[np.ndarray]) -> List[np.ndarray]:
         inv = np.unique(stacked[:, col], return_inverse=True)[1]
         ranked[:, col] = np.asarray(inv).ravel()
     return np.split(ranked, np.cumsum([b.shape[0] for b in blocks])[:-1])
+
+
+def _shared_labels(sub1: np.ndarray, sub2: np.ndarray):
+    """Label every distinct subscript row of the two accesses; returns
+    the labels of ``sub1``'s rows, of ``sub2``'s rows, and the sorted
+    labels both touch (a presence test on the labels ``np.unique``
+    already returned, which keeps ``np.intersect1d`` and the lazy
+    ``numpy.ma`` import it triggers out of the pass)."""
+    uniq, inv = np.unique(
+        np.concatenate((sub1, sub2), axis=0), axis=0, return_inverse=True
+    )
+    inv = np.asarray(inv).ravel()
+    n1, n = sub1.shape[0], uniq.shape[0]
+    l1, l2 = inv[:n1], inv[n1:]
+    both = (np.bincount(l1, minlength=n) > 0) & (np.bincount(l2, minlength=n) > 0)
+    return l1, l2, np.flatnonzero(both)
 
 
 #: ``schedule_violations`` calls evaluated on the exact (object-dtype)
@@ -178,15 +205,9 @@ def schedule_violations(
             n1, n2 = sub1.shape[0], sub2.shape[0]
             if n1 == 0 or n2 == 0:
                 continue
-            # label every distinct subscript cell, intersect the labels
-            _, inv = np.unique(
-                np.concatenate((sub1, sub2), axis=0),
-                axis=0,
-                return_inverse=True,
-            )
-            inv = np.asarray(inv).ravel()
-            l1, l2 = inv[:n1], inv[n1:]
-            shared = np.intersect1d(l1, l2)
+            if test_dependence(s1, a1, s2, a2, params) is None:
+                continue  # proven: no witness pair on these bounds
+            l1, l2, shared = _shared_labels(sub1, sub2)
             if shared.size == 0:
                 continue
             # cross product of the colliding instances per shared label,

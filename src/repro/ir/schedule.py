@@ -10,12 +10,18 @@ A fully-parallel nest (all DOALL, the motivating example) has the
 *trivial* schedule ``theta_S = 0`` of dimension 0, conventionally
 represented by a ``1 x d`` zero matrix so that kernels are the whole
 iteration space.
+
+:func:`infer_schedules` derives outer-sequential schedules from the
+nest's own dependence facts: one :func:`~repro.ir.dependence.test_dependence`
+verdict per access pair, and carried-level tests only for the pairs it
+keeps.  The level-probing scheduler it replaced is the test oracle
+``tests/oracles/schedule.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..linalg import IntMat
 from ..linalg.cache import _MISSING
@@ -24,7 +30,8 @@ from .dependence import (
     _params_key,
     _schedule_cache,
     dependence_cache_enabled,
-    find_dependences,
+    dependent_within,
+    test_dependence,
 )
 from .loopnest import LoopNest
 
@@ -114,20 +121,30 @@ def infer_schedules(nest: LoopNest, params: Dict[str, int]) -> ScheduledNest:
     """Pick the cheapest valid schedule the library knows how to verify.
 
     Strategy: if the nest is dependence-free, everything runs at time 0
-    (trivial schedule).  Otherwise, sequentialize outer loops one at a
-    time until the remaining inner loops carry no dependence; this is a
+    (trivial schedule).  Otherwise the first ``outer`` loops become the
+    time dimensions, with ``outer`` the smallest depth whose inner loops
+    carry no dependence (fully sequential when none does).  This is a
     deliberately simple scheduler — the paper takes the schedule as an
     input of the mapping problem, not as its contribution.
+
+    ``outer`` is the dependence level of Allen & Kennedy ("Automatic
+    translation of FORTRAN programs to vector form", TOPLAS 1987),
+    found in one walk over the access pairs (see :func:`_outer_depth`)
+    and memoized per ``(nest, params)`` under
+    ``ir.dependence.cache.schedule_depth.*``: campaign grids re-infer
+    identical nests once per knob value.
     """
-    deps = find_dependences(nest, params)
-    if not deps:
+    if not dependence_cache_enabled():
+        outer = _outer_depth(nest, params)
+    else:
+        key = (_nest_key(nest), _params_key(params))
+        outer = _schedule_cache.get(key)
+        if outer is _MISSING:
+            outer = _outer_depth(nest, params)
+            _schedule_cache.put(key, outer)
+    if outer is None:
         return trivial_schedules(nest)
-    max_depth = max(s.depth for s in nest.statements)
-    for outer in range(1, max_depth + 1):
-        if _inner_loops_parallel(nest, params, outer):
-            return outer_sequential_schedules(nest, outer)
-    # fully sequential fallback
-    return outer_sequential_schedules(nest, max_depth)
+    return outer_sequential_schedules(nest, outer)
 
 
 def _nest_key(nest: LoopNest):
@@ -141,72 +158,36 @@ def _nest_key(nest: LoopNest):
     )
 
 
-def _inner_loops_parallel(nest: LoopNest, params: Dict[str, int], outer: int) -> bool:
-    """Memoized per ``(nest, params, level)`` through the dependence
-    memo framework (``ir.dependence.cache.inner_loops_parallel.*``
-    counters): :func:`infer_schedules` probes levels 1..depth of the
-    same nest, and campaign grids re-infer identical nests once per
-    knob value."""
-    if not dependence_cache_enabled():
-        return _inner_loops_parallel_uncached(nest, params, outer)
-    key = (_nest_key(nest), _params_key(params), outer)
-    value = _schedule_cache.get(key)
-    if value is _MISSING:
-        value = _inner_loops_parallel_uncached(nest, params, outer)
-        _schedule_cache.put(key, value)
-    return value
+def _outer_depth(nest: LoopNest, params: Dict[str, int]) -> Optional[int]:
+    """The number of outer loops to sequentialize, or ``None`` when the
+    nest has no dependence.
 
-
-def _inner_loops_parallel_uncached(
-    nest: LoopNest, params: Dict[str, int], outer: int
-) -> bool:
-    """Check that all dependences are carried by (or preserved within)
-    the first ``outer`` loops: for each dependence witness lattice,
-    require equal outer indices => equal full indices would be exact;
-    we approximate conservatively by testing that no dependence exists
-    between instances sharing the same outer-index values.
-
-    Approximation: we strengthen the dependence system with
-    ``I1[k] == I2[k]`` for the outer dims and re-run the lattice and
-    bounds tests.
+    Walks the pairs :func:`test_dependence` did not disprove, once
+    each, with one monotone level: a pair still dependent with the
+    first ``level`` indices of both instances equal
+    (:func:`dependent_within`) raises it.  Equalities only shrink a
+    pair's witness set, so no pair is probed below the current level,
+    and the result is the largest level any pair needs — the first
+    level at which every pair is independent.  A pair dependent with
+    all its common indices equal is carried by no loop: the nest runs
+    fully sequential.
     """
-    from ..linalg import solve_axb
-    from .dependence import domain_feasible
-
+    max_depth = max((s.depth for s in nest.statements), default=0)
+    level = None
     pairs = nest.all_accesses()
     with span("compile.dependence"):
         for i, (s1, a1) in enumerate(pairs):
             for s2, a2 in pairs[i:]:
-                if a1.array != a2.array:
+                if test_dependence(s1, a1, s2, a2, params) is None:
                     continue
-                from .access import AccessKind
-
-                if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
-                    continue
-                k = min(outer, s1.depth, s2.depth)
-                # stacked system: F1 I1 - F2 I2 = c2 - c1, I1[j] = I2[j]
-                f1, f2 = a1.F, a2.F
-                eq_rows = []
-                for j in range(k):
-                    row = [0] * (s1.depth + s2.depth)
-                    row[j] = 1
-                    row[s1.depth + j] = -1
-                    eq_rows.append(row)
-                a = f1.hstack(-1 * f2)
-                full = IntMat(a.tolist() + eq_rows)
-                rhs_entries = [
-                    (a2.c - a1.c)[r, 0] for r in range(a1.F.nrows)
-                ] + [0] * k
-                sol = solve_axb(full, IntMat.col(rhs_entries))
-                if sol is None:
-                    continue
-                if not domain_feasible(sol, s1, s2, params):
-                    continue
-                # same-instance solutions of a single access aren't deps
-                if s1 is s2 and a1 is a2:
-                    from .dependence import _has_distinct_solution
-
-                    if not _has_distinct_solution(sol, s1.depth):
-                        continue
-                return False
-    return True
+                level = level or 1
+                common = min(s1.depth, s2.depth)
+                while True:
+                    k = min(level, common)
+                    # k == 0: test_dependence just said dependent
+                    if k and not dependent_within(s1, a1, s2, a2, params, k):
+                        break
+                    if k == common:
+                        return max_depth  # carried by no loop
+                    level += 1
+    return level

@@ -53,9 +53,10 @@ class Extent(Enum):
     HIDDEN = "hidden"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacroComm:
-    """A detected macro-communication pattern."""
+    """A detected macro-communication pattern (frozen: step 2 shares
+    one verdict between every residual that asks the same question)."""
 
     kind: MacroKind
     #: displacement directions in iteration space (columns)

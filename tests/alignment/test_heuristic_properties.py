@@ -2,6 +2,7 @@
 hold for *any* affine loop nest, exercised on a randomized family."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,3 +154,18 @@ class TestStep1cInvariants:
         # both reads can be local simultaneously: M_x rows in the left
         # kernel of (F1 - F2) = [[0,0],[0,0],[-1,-1]]
         assert {"R1", "R2"} <= al.local_labels
+
+
+@pytest.mark.parametrize("seed", [10, 475, 1752])
+def test_heuristic_finishes_where_the_word_search_once_hung(seed):
+    """These nests reach ``shortest_decomposition`` with residual
+    matrices like ``[[-57, -32], [98, 55]]``, on which a plain BFS over
+    six-factor words ran for tens of seconds at GBs of RSS."""
+    start = time.perf_counter()
+    result = two_step_heuristic(random_nest(seed), 2)
+    assert time.perf_counter() - start < 5.0
+    plans = [o.decomposition for o in result.optimized if o.decomposition]
+    assert plans
+    for o in result.optimized:
+        if o.decomposition is not None and o.decomposition.strategy == "search":
+            assert verify_factors(o.dataflow, o.decomposition.factors)

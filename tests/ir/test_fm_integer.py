@@ -247,13 +247,18 @@ class TestDependenceMemo:
         assert after["misses"] == before["misses"]
 
     def test_schedule_memo_hits_across_reinference(self):
-        for nest, params in _pipeline_workloads():
+        workloads = _pipeline_workloads()
+        clear_dependence_caches()  # the generators infer schedules too
+        for nest, params in workloads:
             infer_schedules(nest, params)
-        before = dependence_cache_stats()["inner_loops_parallel"]
-        for nest, params in _pipeline_workloads():
+        before = dependence_cache_stats()["schedule_depth"]
+        # one entry per (nest, params), not one per probed level
+        assert before["misses"] == before["size"] <= len(workloads)
+        for nest, params in workloads:
             infer_schedules(nest, params)
-        after = dependence_cache_stats()["inner_loops_parallel"]
+        after = dependence_cache_stats()["schedule_depth"]
         assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + len(workloads)
 
     def test_disabling_bypasses_and_clears(self, monkeypatch):
         nest, params = _pipeline_workloads()[0]
@@ -275,8 +280,8 @@ class TestDependenceMemo:
         names = {
             "ir.dependence.cache.test_dependence.hits",
             "ir.dependence.cache.test_dependence.misses",
-            "ir.dependence.cache.inner_loops_parallel.hits",
-            "ir.dependence.cache.inner_loops_parallel.misses",
+            "ir.dependence.cache.schedule_depth.hits",
+            "ir.dependence.cache.schedule_depth.misses",
             "ir.dependence.cache",  # the full-stats provider
         }
         assert names <= set(snap)
