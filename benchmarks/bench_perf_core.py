@@ -8,6 +8,10 @@ mesh-simulation core is held to.  It measures old-vs-new throughput of
   ``phase_time_python``), up to a 32x32 mesh with 10k messages;
 * the event-driven wormhole simulator (``EventSimulator.run`` vs
   ``simulate_python``) on the same workloads;
+* the fused segmented kernel (``phase_times_segmented``) on five
+  launch shapes, from a dense 8x8 launch to a sparse 64x64 one with
+  one message per phase (timed alone, checked phase by phase against
+  ``phase_time``);
 
 (the baselines are the test oracles of ``tests/oracles/machine.py``)
 
@@ -29,6 +33,7 @@ import os
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from repro.distribution import BlockDistribution, CyclicDistribution, Distribution2D
@@ -42,6 +47,7 @@ from repro.machine import (
     affine_pattern,
     decomposed_phases,
     phase_time,
+    phase_times_segmented,
 )
 
 sys.path.append(
@@ -111,6 +117,57 @@ def measure_workloads():
     return rows
 
 
+#: (mesh side, message count, phase count) launches of the segmented
+#: kernel: dense ones, then two sparse ones of 1-2.5 messages per phase
+LAUNCHES = [
+    (8, 1_000, 10),
+    (16, 4_000, 50),
+    (32, 10_000, 100),
+    (32, 200, 200),
+    (64, 500, 500),
+]
+
+
+def measure_launches():
+    rows = []
+    for side, nmsg, n_phases in LAUNCHES:
+        mesh = Mesh(side, side)
+        rng = np.random.default_rng(side * n_phases)
+        senders = rng.integers(0, side, (nmsg, 2))
+        receivers = rng.integers(0, side, (nmsg, 2))
+        sizes = rng.integers(1, 17, nmsg)
+        phase_ids = rng.integers(0, n_phases, nmsg)
+
+        def launch():
+            return phase_times_segmented(
+                mesh, senders, receivers, sizes, phase_ids, PARAMS,
+                n_phases=n_phases,
+            )
+
+        report = launch()
+        for p in range(n_phases):
+            m = phase_ids == p
+            msgs = [
+                Message(src=tuple(a), dst=tuple(b), size=z)
+                for a, b, z in zip(
+                    senders[m].tolist(), receivers[m].tolist(),
+                    sizes[m].tolist(),
+                )
+            ]
+            assert report.report(p) == phase_time(mesh, msgs, PARAMS), (
+                f"segmented kernel diverged on {side}x{side} phase {p}"
+            )
+        rows.append(
+            {
+                "mesh": f"{side}x{side}",
+                "messages": nmsg,
+                "phases": n_phases,
+                "segmented_ms": best_of(launch, repeats=5) * 1e3,
+            }
+        )
+    return rows
+
+
 def route_lookups(cache: RouteCache, fn) -> dict:
     """Route-cache hits and misses of one call of ``fn``."""
     hits, misses = cache.hits, cache.misses
@@ -121,6 +178,11 @@ def route_lookups(cache: RouteCache, fn) -> dict:
 @pytest.fixture(scope="module")
 def workload_rows():
     return measure_workloads()
+
+
+@pytest.fixture(scope="module")
+def launch_rows():
+    return measure_launches()
 
 
 def test_warm_calls_hit_the_route_cache(workload_rows):
@@ -168,6 +230,23 @@ def test_event_simulator_speedup(workload_rows):
     )
 
 
+def test_segmented_kernel_launches(launch_rows):
+    """The fused kernel on each launch shape, bit-identical to
+    per-phase ``phase_time`` (checked while measuring); the wall times
+    are records."""
+    print_table(
+        "Perf core — segmented kernel launches",
+        ["mesh", "msgs", "phases", "segmented (ms)"],
+        [
+            [r["mesh"], r["messages"], r["phases"], r["segmented_ms"]]
+            for r in launch_rows
+        ],
+    )
+    assert [(r["messages"], r["phases"]) for r in launch_rows] == [
+        (nmsg, n_phases) for _side, nmsg, n_phases in LAUNCHES
+    ]
+
+
 def seed_scenario_phases():
     """The paper's seed scenarios: Figure 7's general affine pattern and
     the decomposed L/U phases of Table 2, on the 3x4 example mesh."""
@@ -195,7 +274,7 @@ def test_seed_scenarios_bit_identical():
         assert sim.run(msgs) == simulate_python(sim, msgs)
 
 
-def test_record_perf_core(workload_rows):
+def test_record_perf_core(workload_rows, launch_rows):
     """Persist the measurements (plus cache hit rates) for perf tracking."""
     # exercise the linalg cache so its hit rates are meaningful
     a = IntMat([[1, 1], [0, 1]])
@@ -209,6 +288,7 @@ def test_record_perf_core(workload_rows):
         {
             "params": {"alpha": PARAMS.alpha, "beta": PARAMS.beta, "gamma": PARAMS.gamma},
             "workloads": workload_rows,
+            "segmented_launches": launch_rows,
             "linalg_cache": cache_stats(),
         },
     )

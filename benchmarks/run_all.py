@@ -92,7 +92,11 @@ legality labels only the pairs the dependence test kept
 (``legality_label_passes`` <= ``legality_kept_pairs``), and that
 schedule inference makes at most one carried-depth solve per kept pair
 plus one per level raise (``schedule_depth_solves`` <=
-``schedule_depth_ceiling``).
+``schedule_depth_ceiling``).  Since the contention kernel went
+route-free, it reruns the grid warm and asserts that
+``phase_times_segmented`` makes no route-cache lookup
+(``warm_kernel_route_lookups`` == 0) and no ``unique_rows`` call
+(``warm_kernel_unique_rows_calls`` == 0).
 """
 
 from __future__ import annotations
@@ -174,6 +178,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         execute(compiled.program(machine, params), machine)
         prof.disable()
     wall = time.perf_counter() - t0
+    warm = _profile_warm_kernel(tasks)
 
     stats = pstats.Stats(prof)
     stats.sort_stats("cumulative")
@@ -312,6 +317,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "legality_kept_pairs": kept_pairs,
             "schedule_depth_solves": depth_solves,
             "schedule_depth_ceiling": depth_ceiling,
+            "warm_kernel_launches": warm["launches"],
+            "warm_kernel_route_lookups": warm["route_lookups"],
+            "warm_kernel_unique_rows_calls": warm["unique_rows"],
             "hotspots": rows,
         },
     )
@@ -406,6 +414,43 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"{phases_priced / kernel_launches:.1f} phases per launch)"
     )
 
+    # the route-free kernel gates: on a warm steady pass the segmented
+    # kernel looks up no route (a link_ids call is one route-cache hit
+    # or miss) and runs no unique_rows group-by; its link loads and
+    # fanouts come from one sort of interval end points
+    route_free = True
+    if warm["launches"] == 0:
+        print(
+            "FAIL: the warm steady pass launched no phase_times_segmented "
+            "(see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        route_free = False
+    if warm["route_lookups"]:
+        print(
+            f"FAIL: phase_times_segmented made {warm['route_lookups']} "
+            f"route-cache lookups (hits + misses) over {warm['launches']} "
+            "launches of a warm steady pass — pricing gathers routes again "
+            "(see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        route_free = False
+    if warm["unique_rows"]:
+        print(
+            f"FAIL: phase_times_segmented made {warm['unique_rows']} "
+            f"unique_rows calls over {warm['launches']} launches of a warm "
+            "steady pass — the kernel runs a group-by again "
+            "(see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        route_free = False
+    if not route_free:
+        return 1
+    print(
+        "gate ok: route-free contention kernel (0 route-cache lookups and "
+        f"0 unique_rows calls over {warm['launches']} warm kernel launches)"
+    )
+
     # the exact-arithmetic gate: the compile path runs on Python ints.
     # Any call from repro code into ``fractions`` or ``FracMat`` (or any
     # FracMat.rref at all) means a Fraction path is back; more
@@ -470,6 +515,56 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"kept pairs + level raises over {len(depth_walks)} nests)"
     )
     return 0
+
+
+def _profile_warm_kernel(tasks) -> dict:
+    """Run ``tasks`` once more in-process (compile and baseline caches
+    warm from the profiled run) with every ``phase_times_segmented``
+    launch under its own profiler; return the launches and the
+    ``RouteCache.link_ids`` and ``unique_rows`` calls made inside them.
+    A profiler sees a call whatever name it was imported under."""
+    import cProfile
+    import pstats
+    import tempfile
+
+    from repro.campaign import CampaignConfig, run_campaign
+    from repro.machine import machines
+
+    kernel = machines.phase_times_segmented
+    inner = cProfile.Profile()
+    launches = 0
+
+    def profiled(*args, **kwargs):
+        nonlocal launches
+        launches += 1
+        inner.enable()
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            inner.disable()
+
+    machines.phase_times_segmented = profiled
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "warm.jsonl")
+            run_campaign(tasks, out, CampaignConfig(jobs=1), meta={})
+    finally:
+        machines.phase_times_segmented = kernel
+    if not launches:
+        return {"launches": 0, "route_lookups": 0, "unique_rows": 0}
+    stats = pstats.Stats(inner).stats
+
+    def calls(fn_name: str) -> int:
+        return sum(
+            nc for (_f, _l, name), (_cc, nc, *_rest) in stats.items()
+            if name == fn_name
+        )
+
+    return {
+        "launches": launches,
+        "route_lookups": calls("link_ids"),
+        "unique_rows": calls("unique_rows"),
+    }
 
 
 def _kept_pairs(nest, params) -> int:

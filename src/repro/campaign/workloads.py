@@ -43,6 +43,7 @@ from ..ir import (
     parse_nest,
     trivial_schedules,
 )
+from ..obs import metrics as obs_metrics
 
 # ---------------------------------------------------------------------------
 # Workload
@@ -430,7 +431,12 @@ def _random_triangular_source(rng: random.Random) -> str:
 
 
 def _workload_is_valid(workload: Workload, m: int = 2) -> bool:
-    """Full-pipeline validation: parse, legal schedule, heuristic runs."""
+    """Full-pipeline validation: parse, legal schedule, heuristic runs.
+
+    Every rejection is counted by reason:
+    ``campaign.workloads.rejected.illegal_schedule`` when the inferred
+    schedule fails legality, ``campaign.workloads.rejected.<Type>``
+    when a stage raises ``<Type>``."""
     from ..alignment import two_step_heuristic
     from ..ir import infer_schedules, schedule_is_legal
 
@@ -439,11 +445,17 @@ def _workload_is_valid(workload: Workload, m: int = 2) -> bool:
         bounds = dict(workload.params)
         schedules = infer_schedules(nest, bounds)
         if not schedule_is_legal(schedules, bounds):
+            _rejected("illegal_schedule")
             return False
         two_step_heuristic(nest, m=m, schedules=schedules)
-    except Exception:
+    except Exception as exc:
+        _rejected(type(exc).__name__)
         return False
     return True
+
+
+def _rejected(reason: str) -> None:
+    obs_metrics.counter(f"campaign.workloads.rejected.{reason}").inc()
 
 
 def _generate_validated(
@@ -493,8 +505,9 @@ def generate_workloads(
     Deterministic: the same ``(seed, count, params)`` produces a
     byte-identical corpus (sources included), because candidate
     generation and validation are both pure functions of the seeded RNG
-    stream.  Candidates that fail validation are discarded and the RNG
-    simply advances — a larger ``count`` extends the corpus of a
+    stream.  Candidates that fail validation are discarded (counted by
+    reason under ``campaign.workloads.rejected.*``) and the RNG simply
+    advances — a larger ``count`` extends the corpus of a
     smaller one.
 
     ``params`` overrides the default size bindings; generated nests

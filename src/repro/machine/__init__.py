@@ -5,8 +5,9 @@
   messages (endpoints are coordinate tuples of the mesh rank);
 * :mod:`~repro.machine.routecache` — integer link ids and LRU-cached
   NumPy route arrays (the vectorized core; see PERFORMANCE.md);
-* :mod:`~repro.machine.contention` — analytic link-contention timing
-  over the route caches;
+* :mod:`~repro.machine.contention` — analytic link-contention timing:
+  per phase over the route caches, fused over many phases from
+  interval sums along the routing lines;
 * :mod:`~repro.machine.eventsim` — event-driven store-and-forward
   simulator (cross-validation);
 * :mod:`~repro.machine.patterns` — translation / affine / decomposed /

@@ -1,14 +1,14 @@
 """NumPy group-by primitives of the pricing kernels.
 
-:func:`unique_rows` is the row group-by every pricing path runs (the
-batched group executor :func:`repro.runtime.executor.execute_group`,
-the phase partition of :mod:`repro.runtime.mapping`, the route caches
-and the Fourier–Motzkin dedupe); :func:`segment_max` and
-:func:`weighted_bincount` are the scatter reductions of the fused
-segmented contention kernel
-(:func:`repro.machine.contention.phase_times_segmented`).  All float
-cost arithmetic stays with the callers, so these helpers only ever
-see exact int64 keys or float64 sums the callers guard.
+:func:`unique_rows` is the row group-by of the pricing front end (the
+batched group executor :func:`repro.runtime.executor.execute_group`
+and the phase partition of :mod:`repro.runtime.mapping`);
+:func:`segment_max` and :func:`weighted_bincount` are scatter
+reductions of the fused segmented contention kernel
+(:func:`repro.machine.contention.phase_times_segmented`), which runs
+no group-by of its own.  All float cost arithmetic stays with the
+callers, so these helpers only ever see exact int64 keys or float64
+sums the callers guard.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
     ``np.unique(..., axis=0)`` compares rows as opaque byte strings,
     which makes its sort the single hottest call of a batched pricing
     run.  Rows here are small ints (cell ids, phase times, mesh
-    coordinates — and the Fourier–Motzkin kernel's signed inequality
-    rows), so after shifting each column by its minimum every row packs
+    coordinates), so after shifting each column by its minimum every row packs
     into one int64 key whose scalar order equals the row's
     lexicographic order — a 1-D unique over the keys returns the same
     rows in the same order and the same counts, roughly an order of
@@ -81,8 +80,8 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
 def segment_max(values: np.ndarray, segment_ids: np.ndarray, n_segments: int):
     """Per-segment maximum of ``values`` grouped by ``segment_ids``
     (dense ``(n_segments,)`` output, ``0`` for empty segments — the
-    identity of every quantity the contention kernel reduces: link
-    loads, hop counts, sender fanouts are all non-negative)."""
+    identity of every quantity the contention kernel reduces this way:
+    hop counts and size magnitudes are non-negative)."""
     out = np.zeros(n_segments, dtype=np.asarray(values).dtype)
     np.maximum.at(out, segment_ids, values)
     return out
@@ -91,7 +90,7 @@ def segment_max(values: np.ndarray, segment_ids: np.ndarray, n_segments: int):
 def weighted_bincount(
     keys: np.ndarray, weights: np.ndarray, minlength: int
 ) -> np.ndarray:
-    """``np.bincount(keys, weights, minlength)`` — the load-accumulation
-    primitive of the fused segmented pricing kernel (float64 sums;
-    callers guard exactness)."""
+    """``np.bincount(keys, weights, minlength)`` — the per-phase volume
+    sum of the fused segmented pricing kernel (float64 sums; callers
+    guard exactness)."""
     return np.bincount(keys, weights=weights, minlength=minlength)

@@ -23,18 +23,26 @@ all messages of the phase.  The original per-element implementation
 lives on as the test oracle ``phase_time_python`` in
 ``tests/oracles/machine.py`` — the perf-core benchmark's baseline and
 the bit-identity cross-check of ``tests/machine/test_routecache.py``.
+
+:func:`phase_times_segmented`, the pricing path of every executor
+launch, prices many phases at once without any route: under
+dimension-order routing a message crosses each mesh axis as one
+straight run of links, so the load on a line of links is a sum of
+intervals, and one sort of all interval end points yields every
+phase's link loads and sender fanouts (:func:`_fanout_and_load`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from .backend import segment_max, unique_rows, weighted_bincount
-from .routecache import gather_route_ids, max_link_load, route_cache_for
+from .backend import segment_max, weighted_bincount
+from .routecache import max_link_load, route_cache_for
 from .topology import Message
 
 
@@ -158,12 +166,6 @@ class SegmentedPhaseReport:
         )
 
 
-#: dense per-(phase, link) load matrices are capped at this many cells
-#: (512 KB of float64); larger phase x link products — the norm once a
-#: launch stacks every phase of a compile-key group — take the
-#: compressed-key path instead
-_DENSE_LOAD_CELLS = 1 << 16
-
 #: float64 integer arithmetic is exact below this (same bound as
 #: :func:`~repro.machine.routecache.max_link_load`)
 _EXACT_F64 = 2 ** 53
@@ -242,30 +244,29 @@ def phase_times_segmented(
     to its phase (ids in ``[0, n_phases)``; segments may be empty).
     One kernel prices every segment:
 
-    * per-link loads come from a single weighted ``bincount`` over the
-      combined key ``phase_id * num_links + link_id``, with the link
-      ids of all routes gathered at once from the route cache
-      (:func:`~repro.machine.routecache.gather_route_ids`);
-    * per-segment max-fanout / max-hops / max-load are scatter-max
-      (``np.maximum.at``-style) reductions;
+    * max fanout and max link load come from one sort of interval end
+      points (:func:`_fanout_and_load`), with no route lookup: ``cache``
+      only serves the exact fallback below;
+    * message and volume counts are bincounts over ``phase_ids`` and
+      max hops a scatter-max of the Manhattan distances, exactly
+      ``route length - 2`` for dimension-order routes;
     * the :class:`CostParams` cost formula evaluates vectorized across
       all segments.
 
+    An endpoint off the mesh, or a phase id outside ``[0, n_phases)``,
+    raises ``ValueError``.
+
     Bit-identical to calling :func:`phase_time` once per segment
     (property-tested in ``tests/runtime/test_segmented_pricing.py``):
-    every float64 partial sum of a segment — its volume and each of its
-    link loads, routes being simple paths — is bounded by its largest
-    ``|size|`` times its message count.  A segment whose bound reaches
-    ``2**53``, or that holds a negative size, is priced alone through
-    the exact :func:`phase_time` (counted in
-    ``machine.contention.exact_fallbacks``); the others
+    loads and fanouts are int64 sums; the volume is a float64 sum,
+    exact while a segment's largest ``|size|`` times its message count
+    stays below ``2**53``.  A segment past that bound, or that holds a
+    negative size, is priced alone through the exact :func:`phase_time`
+    (counted in ``machine.contention.exact_fallbacks``); the others
     stay on the kernel.  The final ``alpha*fanout + beta*load +
     gamma*hops`` arithmetic performs the same IEEE operations in the
-    same order.  Max hops is the Manhattan distance, exactly
-    ``route length - 2`` for the caches' dimension-order routes.
+    same order.
     """
-    if cache is None:
-        cache = route_cache_for(mesh)
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -273,13 +274,21 @@ def phase_times_segmented(
     n = senders.shape[0]
     if n_phases is None:
         n_phases = int(phase_ids.max()) + 1 if n else 0
-    if n == 0 or n_phases == 0:
+    if n == 0:
         return _zero_report(n_phases)
+    rank = mesh.ndim
+    if senders.shape[1:] != (rank,) or receivers.shape != senders.shape:
+        raise ValueError(
+            f"endpoint rows must be (n, {rank}) on a rank-{rank} mesh, "
+            f"got senders {senders.shape} and receivers {receivers.shape}"
+        )
+    ends = np.concatenate((senders, receivers), axis=1)
+    _check_launch(mesh.dims, ends, phase_ids, n_phases)
 
     # per-segment exactness guard, skipped when the whole launch is
     # already in range (float products of exact integers are exact
     # below 2**53 and never round down past it); negative sizes, which
-    # the zero-based scatter-max cannot reduce, also go exact
+    # the zero-based max reductions cannot reduce, also go exact
     mag = np.abs(sizes.astype(np.float64))
     negative = sizes < 0
     if float(mag.max()) * n >= _EXACT_F64 or negative.any():
@@ -297,50 +306,26 @@ def phase_times_segmented(
                 n_phases, bad,
             )
 
-    nonlocal_mask = np.any(senders != receivers, axis=1)
+    remote = np.any(senders != receivers, axis=1)
     local_messages = np.bincount(
-        phase_ids[~nonlocal_mask], minlength=n_phases
+        phase_ids[~remote], minlength=n_phases
     ).astype(np.int64)
-    if not nonlocal_mask.all():
-        senders = senders[nonlocal_mask]
-        receivers = receivers[nonlocal_mask]
-        sizes = sizes[nonlocal_mask]
-        phase_ids = phase_ids[nonlocal_mask]
-    if senders.shape[0] == 0:
+    if not remote.all():
+        ends = ends[remote]
+        sizes = sizes[remote]
+        phase_ids = phase_ids[remote]
+    if ends.shape[0] == 0:
         return _zero_report(n_phases, local_messages)
 
-    hops = np.abs(receivers - senders).sum(axis=1)
+    hops = np.abs(ends[:, rank:] - ends[:, :rank]).sum(axis=1)
     total_messages = np.bincount(phase_ids, minlength=n_phases).astype(np.int64)
     total_volume = weighted_bincount(
         phase_ids, sizes.astype(np.float64), n_phases
     ).astype(np.int64)
     max_hops = segment_max(hops, phase_ids, n_phases)
-
-    # max messages per sender, per segment: one group-by over the
-    # (phase, sender) key, then a scatter-max of the group counts
-    fan_rows = np.concatenate((phase_ids[:, None], senders), axis=1)
-    ufan, fan_counts = unique_rows(fan_rows)
-    max_fanout = segment_max(fan_counts.astype(np.int64), ufan[:, 0], n_phases)
-
-    # bottleneck link load per segment: one weighted bincount over the
-    # combined (phase, link) key
-    flat_ids, lens = gather_route_ids(cache, senders, receivers)
-    num_links = cache.num_links
-    keys = np.repeat(phase_ids, lens) * num_links + flat_ids
-    weights = np.repeat(sizes, lens).astype(np.float64)
-    if n_phases * num_links <= _DENSE_LOAD_CELLS:
-        loads = weighted_bincount(keys, weights, n_phases * num_links)
-        max_load = (
-            loads.reshape(n_phases, num_links).max(axis=1).astype(np.int64)
-        )
-    else:
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        sums = weighted_bincount(
-            np.asarray(inv).ravel(), weights, ukeys.shape[0]
-        )
-        max_load = segment_max(
-            sums.astype(np.int64), ukeys // num_links, n_phases
-        )
+    max_fanout, max_load = _fanout_and_load(
+        mesh.dims, ends, sizes, phase_ids, n_phases
+    )
 
     times = (
         params.alpha * max_fanout.astype(np.float64)
@@ -356,6 +341,107 @@ def phase_times_segmented(
         total_volume=total_volume,
         local_messages=local_messages,
     )
+
+
+def _check_launch(dims, ends, phase_ids, n_phases) -> None:
+    """Reject what packed keys would silently alias: an endpoint off the
+    mesh and a phase id outside ``[0, n_phases)``.  Viewed unsigned, a
+    negative value wraps past every bound, so each check is one max."""
+    sides = np.array(dims * 2, dtype=np.uint64)
+    if (ends.view(np.uint64).max(axis=0) >= sides).any():
+        raise ValueError("endpoint outside the mesh")
+    if int(phase_ids.view(np.uint64).max()) >= n_phases:
+        raise ValueError(
+            f"phase_ids must lie in [0, {n_phases}), got ids in "
+            f"[{int(phase_ids.min())}, {int(phase_ids.max())}]"
+        )
+
+
+def _fanout_and_load(dims, ends, sizes, phase_ids, n_phases):
+    """Per-phase max fanout and max link load of remote messages
+    (``ends`` holds each message's sender then receiver coordinates),
+    for a mesh of any rank, from one sort of interval end points.
+
+    Every link class is a family of *lines* along which a message loads
+    one interval of positions:
+
+    * fanout (weight 1), injection and ejection: one line per node, the
+      interval ``[0, 1)``;
+    * axis ``a``, one class per direction: one line per node with
+      coordinate ``a`` dropped.  Routing runs from the last axis to the
+      first, so while a message crosses axis ``a`` the axes above ``a``
+      hold the receiver's coordinates and those below the sender's; it
+      loads ``[min(s_a, d_a), max(s_a, d_a))`` (``+`` links indexed by
+      source, ``-`` links by destination, as in
+      :class:`~repro.machine.routecache.RouteCache`), an empty interval
+      with weight 0 when it does not move along ``a``.
+
+    ``(phase, class, line, position, start/end)`` packs into one int64
+    key, ends sorting before starts at a position, so after one
+    ``argsort`` a single int64 ``cumsum`` of the ``±`` weights passes
+    through every link's load and never rises above the largest one
+    (each line nets to zero, so no per-line offset).  One max reduction
+    per ``(phase, class)`` run of the sorted keys gives both maxima.
+    """
+    rank = len(dims)
+    n_nodes = 1
+    for side in dims:
+        n_nodes *= side
+    n_classes = 3 + 2 * rank
+    span = 2 * (max(dims) + 1)  # positions 0 .. max side, x start/end
+    if n_phases * n_classes * n_nodes * span >= 1 << 63:
+        raise ValueError(
+            f"contention keys overflow int64: {n_phases} phases x "
+            f"{n_classes} link classes x {n_nodes} nodes x {span} "
+            "position slots >= 2**63"
+        )
+    n = ends.shape[0]
+    src, dst = ends[:, :rank], ends[:, rank:]
+    # one column per line family: fanout, injection, ejection, axes
+    cls = np.empty((n, 3 + rank), dtype=np.int64)
+    cls[:, :3] = (0, 1, 2)
+    np.add(dst < src, np.arange(3, n_classes, 2), out=cls[:, 3:])
+    lo = np.zeros_like(cls)
+    hi = np.ones_like(cls)
+    np.minimum(src, dst, out=lo[:, 3:])
+    np.maximum(src, dst, out=hi[:, 3:])
+    weights = np.empty_like(cls)
+    weights[:, 0] = 1
+    weights[:, 1:3] = sizes[:, None]
+    np.multiply(src != dst, sizes[:, None], out=weights[:, 3:])
+    cls += phase_ids[:, None] * n_classes
+    key = (cls * n_nodes + ends @ _line_matrix(dims)) * span
+    keys = np.concatenate(((key + 2 * lo + 1).ravel(), (key + 2 * hi).ravel()))
+    weights = weights.ravel()
+    order = np.argsort(keys)
+    run = np.cumsum(np.concatenate((weights, -weights))[order])
+    group = keys[order] // (n_nodes * span)  # phase * n_classes + class
+    heads = np.flatnonzero(np.diff(group)) + 1
+    heads = np.concatenate(([0], heads))
+    peaks = np.zeros(n_phases * n_classes, dtype=np.int64)
+    peaks[group[heads]] = np.maximum.reduceat(run, heads)
+    peaks = peaks.reshape(n_phases, n_classes)
+    return peaks[:, 0], peaks[:, 1:].max(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _line_matrix(dims):
+    """``(2*rank, 3 + rank)`` int64 matrix taking a message's ``[sender
+    | receiver]`` row to its line per family: the sender's node (fanout,
+    injection), the receiver's (ejection), and for axis ``a`` the node
+    with the sender's coordinates below ``a``, the receiver's above it
+    and ``0`` at ``a``."""
+    rank = len(dims)
+    strides = [1] * rank
+    for a in range(rank - 2, -1, -1):
+        strides[a] = strides[a + 1] * dims[a + 1]
+    out = np.zeros((2 * rank, 3 + rank), dtype=np.int64)
+    out[:rank, 0] = out[:rank, 1] = out[rank:, 2] = strides
+    for a in range(rank):
+        out[:a, 3 + a] = strides[:a]
+        out[rank + a + 1:, 3 + a] = strides[a + 1:]
+    out.flags.writeable = False
+    return out
 
 
 def phased_time(

@@ -14,6 +14,10 @@ link per message.  This module replaces both costs:
 With ids in hand the analytic contention bound becomes one
 ``np.bincount`` over all messages of a phase, and the event simulator's
 per-link dict probes become array ``max`` / assignment over id slices.
+The cache serves those per-phase paths and the exact fallback of the
+fused kernel :func:`~repro.machine.contention.phase_times_segmented`;
+the kernel itself gathers no route, it sums each message's interval
+along the same dimension-order lines.
 
 Link-id layout of a :class:`~repro.machine.topology.Mesh` with sides
 ``d_0 .. d_{m-1}`` and ``N`` nodes, for any rank ``m``:
@@ -240,49 +244,6 @@ def max_link_load(cache: RouteCache, id_arrays, sizes) -> int:
         for i in ids.tolist():
             acc[i] = acc.get(i, 0) + size
     return max(acc.values(), default=0)
-
-
-def gather_route_ids(
-    cache: RouteCache, senders: np.ndarray, receivers: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Link ids of every ``(senders[i], receivers[i])`` route as one
-    ragged gather: ``(flat_ids, lens)`` where ``lens[i]`` is route ``i``'s
-    length and ``flat_ids`` is the concatenation of all routes in
-    message order.
-
-    The fused pricing kernel's route lookup: instead of probing the
-    cache once per message (the per-phase Python loop this replaces),
-    the endpoint pairs are deduplicated once — ``unique_rows`` on the
-    packed int64 fast path — the cache is probed once per *unique*
-    pair, and each message's id slice is materialized by one vectorized
-    gather over the unique routes.
-    """
-    from .backend import unique_rows
-
-    n = senders.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rank = senders.shape[1]
-    pairs = np.concatenate((senders, receivers), axis=1)
-    upairs, _counts, inverse = unique_rows(pairs, return_inverse=True)
-    routes = [
-        cache.link_ids(tuple(row[:rank]), tuple(row[rank:]))
-        for row in upairs.tolist()
-    ]
-    ulens = np.array([r.shape[0] for r in routes], dtype=np.int64)
-    ustarts = np.concatenate(([0], np.cumsum(ulens)))
-    uflat = (
-        np.concatenate(routes) if routes else np.empty(0, dtype=np.int64)
-    )
-    lens = ulens[inverse]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lens
-    # ragged gather: for message i, rows ustarts[inverse[i]] ..+ lens[i]
-    offsets = np.repeat(ustarts[inverse], lens)
-    ends = np.cumsum(lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
-    return uflat[offsets + within], lens
 
 
 # ---------------------------------------------------------------------------

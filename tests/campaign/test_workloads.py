@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import compile_nest
 from repro.alignment import two_step_heuristic
 from repro.campaign import Workload, corpus, generate_workloads
+from repro.campaign.workloads import _workload_is_valid
 from repro.ir import infer_schedules, parse_nest, schedule_is_legal
+from repro.obs import metrics
 
 #: one generated nest per seed keeps the 50-seed sweep fast while still
 #: exercising 50 independent RNG streams
@@ -89,3 +92,46 @@ class TestCorpus:
         wl.schedule = "bogus"
         with pytest.raises(ValueError):
             wl.resolve_schedules(wl.resolve())
+
+
+#: two statements write ``a[0]`` in one iteration: the inferred
+#: outer-sequential schedule puts both in one time step, which legality
+#: rejects (the scheduler cannot order statements within a step)
+SAME_STEP_WRITES = """array a(1), b(1), c(1)
+for i = 1..N:
+  S0: a[0] = f(b[i])
+  S1: a[0] = g(c[i])
+"""
+
+
+def _candidate(source: str) -> Workload:
+    return Workload(
+        name="candidate", kind="generated", source=source,
+        schedule="infer", params={"N": 4},
+    )
+
+
+class TestGeneratorRejections:
+    """A discarded candidate is counted by reason, never silently."""
+
+    def test_illegal_inferred_schedule_is_loud_and_counted(self):
+        nest = parse_nest(SAME_STEP_WRITES)
+        schedules = infer_schedules(nest, {"N": 4})
+        assert [s.theta.tolist() for s in schedules.schedules.values()] == [
+            [[1]], [[1]],
+        ]
+        assert not schedule_is_legal(schedules, {"N": 4})
+        with pytest.raises(ValueError, match="schedule is illegal"):
+            compile_nest(nest, m=1, params={"N": 4})
+        rejected = metrics.counter(
+            "campaign.workloads.rejected.illegal_schedule"
+        )
+        before = rejected.value
+        assert not _workload_is_valid(_candidate(SAME_STEP_WRITES))
+        assert rejected.value == before + 1
+
+    def test_raising_stage_counted_by_exception_type(self):
+        rejected = metrics.counter("campaign.workloads.rejected.NestSyntaxError")
+        before = rejected.value
+        assert not _workload_is_valid(_candidate("garbage\n"))
+        assert rejected.value == before + 1

@@ -13,6 +13,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import compile_nest
 from repro.campaign import (
@@ -34,7 +36,9 @@ from repro.ir import motivating_example
 from repro.machine import (
     CM5Model,
     CostParams,
+    Mesh,
     MeshModel,
+    Message,
     machine_spec,
     phase_times_segmented,
 )
@@ -42,6 +46,7 @@ from repro.machine.contention import _EXACT_F64
 from repro.obs import clear_spans, metrics, set_enabled, span_snapshot
 from repro.runtime import execute, execute_group
 
+from oracles.machine import phase_time_python
 from oracles.pricing import (
     execute_per_phase,
     per_phase_pricing,
@@ -205,6 +210,161 @@ class TestKernelBitIdentity:
         for i, s in enumerate(sizes.tolist()):
             assert red[i] == cm5.reduction_time(s)
             assert bro[i] == cm5.broadcast_time(s)
+
+
+class TestKernelInputChecks:
+    """What packed keys would silently alias fails loudly instead."""
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 4), (4, 0), (0, -5)])
+    @pytest.mark.parametrize("column", ["senders", "receivers"])
+    def test_endpoint_off_the_mesh(self, bad, column):
+        mesh = Mesh(4, 4)
+        ends = {
+            "senders": np.array([[0, 0], [1, 2]], dtype=np.int64),
+            "receivers": np.array([[3, 3], [2, 1]], dtype=np.int64),
+        }
+        ends[column][1] = bad
+        with pytest.raises(ValueError, match="endpoint outside the mesh"):
+            phase_times_segmented(
+                mesh, ends["senders"], ends["receivers"], np.array([1, 2]),
+                np.array([0, 0]), CostParams(),
+            )
+
+    def test_endpoint_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank-3 mesh"):
+            phase_times_segmented(
+                Mesh(2, 2, 2), np.zeros((1, 2), dtype=np.int64),
+                np.ones((1, 2), dtype=np.int64), np.array([1]),
+                np.array([0]), CostParams(),
+            )
+
+    @pytest.mark.parametrize(
+        "phase_ids, n_phases", [([0, -1], None), ([0, 2], 2), ([-3, 0], 4)]
+    )
+    def test_phase_ids_out_of_range(self, phase_ids, n_phases):
+        with pytest.raises(ValueError, match="phase_ids"):
+            phase_times_segmented(
+                Mesh(4, 4), np.array([[0, 0], [1, 1]]),
+                np.array([[3, 3], [2, 0]]), np.array([1, 2]),
+                np.array(phase_ids), CostParams(), n_phases=n_phases,
+            )
+
+    def test_key_size_bound(self):
+        """7 link classes x 2**42 nodes x (2**21 + 1) positions x 2
+        passes 2**63 on one phase: named, not wrapped."""
+        side = 1 << 21
+        with pytest.raises(ValueError, match=r"1 phases x 7 link classes"):
+            phase_times_segmented(
+                Mesh(side, side), np.array([[0, 0]]),
+                np.array([[side - 1, 3]]), np.array([1]), np.array([0]),
+                CostParams(),
+            )
+        # well inside the bound the same launch prices as usual
+        mesh = Mesh(1 << 10, 1 << 10)
+        srep = phase_times_segmented(
+            mesh, np.array([[0, 0]]), np.array([[1023, 3]]), np.array([5]),
+            np.array([0]), CostParams(),
+        )
+        assert srep.report(0) == phase_time_python(
+            mesh, [Message((0, 0), (1023, 3), 5)], CostParams()
+        )
+
+
+def test_abutting_intervals_do_not_stack():
+    """``0 -> 1`` and ``1 -> 2`` load neighbouring links of one line:
+    the interval ending at 1 leaves before the one starting there
+    enters, so the load is 10, not 20."""
+    srep = phase_times_segmented(
+        Mesh(3), np.array([[0], [1]]), np.array([[1], [2]]),
+        np.array([10, 10]), np.array([0, 0]), CostParams(),
+    )
+    assert srep.max_link_load.tolist() == [10]
+
+
+@st.composite
+def launches(draw):
+    """A fused launch on a rank-1..3 mesh (sides from 1): dense (few
+    phases, many messages) or sparse (many phases, one message each),
+    with empty segments and maybe one segment of local messages only.
+    A *relay* launch starts each message where the previous one ended,
+    so intervals abut on a line.  Returns ``(mesh, n_phases, rows)``, a
+    row being ``(phase, src, dst, size)``."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    coord = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    if draw(st.booleans()):  # sparse
+        n_phases = draw(st.integers(1, 60))
+        phases = draw(
+            st.lists(st.integers(0, n_phases - 1), unique=True, max_size=60)
+        )
+    else:
+        n_phases = draw(st.integers(1, 5))
+        phases = draw(st.lists(st.integers(0, n_phases - 1), max_size=60))
+    local_phase = draw(st.none() | st.integers(0, n_phases - 1))
+    relay = draw(st.booleans())
+    rows = []
+    for p in phases:
+        src = rows[-1][2] if relay and rows else draw(coord)
+        local = p == local_phase or draw(st.integers(0, 5)) == 0
+        dst = src if local else draw(coord)
+        rows.append((p, src, dst, draw(st.integers(0, 40))))
+    return Mesh(*dims), n_phases, rows
+
+
+def kernel_vs_oracle(mesh, n_phases, rows, params):
+    """Price ``rows`` in one launch and compare every segment, field by
+    field, with ``phase_time_python`` on that segment's messages."""
+    rank = mesh.ndim
+    srep = phase_times_segmented(
+        mesh,
+        np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, rank),
+        np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, rank),
+        np.array([r[3] for r in rows], dtype=np.int64),
+        np.array([r[0] for r in rows], dtype=np.int64),
+        params,
+        n_phases=n_phases,
+    )
+    assert len(srep) == n_phases
+    for p in range(n_phases):
+        want = phase_time_python(
+            mesh, [Message(s, d, z) for q, s, d, z in rows if q == p], params
+        )
+        assert vars(srep.report(p)) == vars(want), (mesh, p)
+
+
+PARAMS_DRAWN = st.sampled_from(
+    [CostParams(), CostParams(alpha=19.7, beta=1.3, gamma=0.41)]
+)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(launches(), PARAMS_DRAWN)
+def test_kernel_matches_per_phase_oracle(launch, params):
+    kernel_vs_oracle(*launch, params)
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(launches(), PARAMS_DRAWN, st.data())
+def test_oversize_segment_goes_exact(launch, params, data):
+    """One segment past the float64-exact bound goes through the exact
+    per-phase path, counted exactly once; every segment still matches
+    the oracle."""
+    mesh, n_phases, rows = launch
+    if not rows:
+        rows = [(0, (0,) * mesh.ndim, (0,) * mesh.ndim, 1)]
+    big = data.draw(st.sampled_from(sorted({r[0] for r in rows})))
+    k = sum(r[0] == big for r in rows)
+    size = data.draw(st.integers(-(-_EXACT_F64 // k), 1 << 56))
+    rows = [(p, s, d, size if p == big else z) for p, s, d, z in rows]
+    fallbacks = metrics.counter("machine.contention.exact_fallbacks")
+    before = fallbacks.value
+    kernel_vs_oracle(mesh, n_phases, rows, params)
+    assert fallbacks.value == before + 1
 
 
 def assert_segmented_matches_baseline(cells):
