@@ -22,7 +22,9 @@ job (calibrated, with a measured noise band).  Wall times land in
   each compile-key group prices all its cells in one ``execute_group``
   call, the segmented kernel launches at most once per machine model
   per call, ``comm_batches`` runs once per distinct (nest, mesh)
-  folding and the store takes one ``RunStore.append`` per group.
+  folding with one ``Folding.fold_array`` call each, pricing makes at
+  most one ``unique_rows`` call per pricing call with no axis-unique
+  fallback, and the store takes one ``RunStore.append`` per group.
 * ``test_batched_vs_per_cell`` / ``test_fused_vs_per_phase_pricing`` —
   whole-group pricing against one-task groups and fused pricing
   against the per-phase oracle write identical records.
@@ -203,12 +205,16 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     enforces.  Twin cells (paragon and cm5 on one mesh) share one
     extraction, so ``comm_batches`` runs once per distinct (nest, mesh)
     folding, and each group's records go to the store in one
-    ``RunStore.append``.  ``runtime.price.launches`` also counts the
-    CM-5 collective lanes, so it is recorded next to the gated count,
-    as is ``runtime.price.phases``."""
-    from repro.machine import machine_spec, machines
+    ``RunStore.append``.  Each extraction folds its stacked sender and
+    receiver rows with one ``Folding.fold_array`` call, and each
+    pricing call groups all its labels and foldings with at most one
+    ``unique_rows`` call, whose packed key never falls back to the axis
+    unique.  ``runtime.price.launches`` also counts the CM-5 collective
+    lanes, so it is recorded next to the gated count, as is
+    ``runtime.price.phases``."""
+    from repro.machine import backend, machine_spec, machines
     from repro.obs import metrics
-    from repro.runtime import MappedProgram
+    from repro.runtime import Folding, MappedProgram, executor
 
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
@@ -227,16 +233,25 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     pricing = count_pricing_calls(monkeypatch, str(tmp_path / "pricing.log"))
     kernel_calls = _record_calls(monkeypatch, machines, "phase_times_segmented")
     extractions = _record_calls(monkeypatch, MappedProgram, "comm_batches")
+    folds = _record_calls(monkeypatch, Folding, "fold_array")
+    # the executor is the one importer of unique_rows in src
+    groupbys = [
+        _record_calls(monkeypatch, module, "unique_rows")
+        for module in (executor, backend)
+    ]
     appends = _record_calls(monkeypatch, RunStore, "append")
     launches = metrics.counter("runtime.price.launches")
     phases = metrics.counter("runtime.price.phases")
+    fallbacks = metrics.counter("machine.unique_rows.fallbacks")
     launches_before, phases_before = launches.value, phases.value
+    fallbacks_before = fallbacks.value
     steady = run_campaign(
         tasks, str(tmp_path / "steady.jsonl"),
         CampaignConfig(jobs=1), meta=meta,
     )
     all_launches = launches.value - launches_before
     phases_priced = phases.value - phases_before
+    wide_groupbys = fallbacks.value - fallbacks_before
     kernel_launches = len(kernel_calls)
     singles, group_calls = pricing()
 
@@ -253,6 +268,12 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     assert len(foldings) < len(tasks)
     assert len(extractions) == len(foldings)
     assert len(appends) == len(groups)
+    # one fold per extraction, at most one group-by per pricing call,
+    # every group-by key packed into one int64
+    assert len(folds) == len(extractions)
+    groupby_calls = sum(map(len, groupbys))
+    assert 0 < groupby_calls <= singles + len(group_calls)
+    assert wide_groupbys == 0
 
     record_bench(
         "campaign",
@@ -272,6 +293,9 @@ def test_steady_state_counts(tmp_path, monkeypatch):
             "phases_priced": phases_priced,
             "comm_batches_calls": len(extractions),
             "distinct_foldings": len(foldings),
+            "fold_array_calls": len(folds),
+            "unique_rows_calls": groupby_calls,
+            "unique_rows_fallbacks": wide_groupbys,
             "store_appends": len(appends),
         },
         section="steady_state",

@@ -6,7 +6,7 @@ reference pricing workload is the paper's motivating example at
 ``N = M = 14`` on a 4x4 Paragon mesh — ~28k element communications per
 execution, the regime campaign pricing lives in.  It measures
 
-* ``execute`` (dense ``CommBatch`` arrays + ``np.unique`` group-bys)
+* ``execute`` (stacked extraction arrays + one ``unique_rows`` group-by)
   vs ``execute_python`` (one ``CommEvent`` object per element, dict
   re-bucketing) — target >= 5x on the **cold** path: every timed run
   gets a fresh program *and* a cleared mapping-level virtual-batch

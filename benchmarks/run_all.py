@@ -96,7 +96,14 @@ plus one per level raise (``schedule_depth_solves`` <=
 route-free, it reruns the grid warm and asserts that
 ``phase_times_segmented`` makes no route-cache lookup
 (``warm_kernel_route_lookups`` == 0) and no ``unique_rows`` call
-(``warm_kernel_unique_rows_calls`` == 0).
+(``warm_kernel_unique_rows_calls`` == 0).  Since extraction folds one
+stacked array per folding and pricing groups every label at once, it
+asserts on the same warm pass that ``Folding.fold_array`` runs once per
+extraction (``warm_fold_array_calls`` == ``warm_extractions``), that
+pricing makes at most one ``unique_rows`` call per pricing call
+(``warm_pricing_unique_rows_calls`` <= ``warm_pricing_calls``) and that
+no group-by key falls back to the axis unique
+(``warm_unique_rows_fallbacks`` == 0).
 """
 
 from __future__ import annotations
@@ -320,6 +327,11 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "warm_kernel_launches": warm["launches"],
             "warm_kernel_route_lookups": warm["route_lookups"],
             "warm_kernel_unique_rows_calls": warm["unique_rows"],
+            "warm_extractions": warm["extractions"],
+            "warm_fold_array_calls": warm["folds"],
+            "warm_pricing_calls": warm["pricing_calls"],
+            "warm_pricing_unique_rows_calls": warm["groupbys"],
+            "warm_unique_rows_fallbacks": warm["groupby_fallbacks"],
             "hotspots": rows,
         },
     )
@@ -451,6 +463,44 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"0 unique_rows calls over {warm['launches']} warm kernel launches)"
     )
 
+    # the stacked-extraction gates: on the warm pass every extraction
+    # folds its stacked rows in one fold_array call, every pricing call
+    # groups all its labels and foldings in at most one unique_rows
+    # call, and no group-by key is too wide to pack into one int64
+    stacked = True
+    if not 0 < warm["folds"] == warm["extractions"]:
+        print(
+            f"FAIL: the warm pass made {warm['folds']} fold_array calls "
+            f"for {warm['extractions']} extractions — extraction folds "
+            "per access again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        stacked = False
+    if not 0 < warm["groupbys"] <= warm["pricing_calls"]:
+        print(
+            f"FAIL: the warm pass made {warm['groupbys']} pricing "
+            f"unique_rows calls over {warm['pricing_calls']} pricing calls "
+            "— the group-by runs per label again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        stacked = False
+    if warm["groupby_fallbacks"]:
+        print(
+            f"FAIL: {warm['groupby_fallbacks']} unique_rows calls of the "
+            "warm pass fell back to the axis unique — a group-by key no "
+            "longer packs into 63 bits (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        stacked = False
+    if not stacked:
+        return 1
+    print(
+        "gate ok: stacked extraction and one group-by per pricing call "
+        f"({warm['folds']} fold_array calls for {warm['extractions']} "
+        f"extractions, {warm['groupbys']} unique_rows calls over "
+        f"{warm['pricing_calls']} pricing calls, 0 fallbacks)"
+    )
+
     # the exact-arithmetic gate: the compile path runs on Python ints.
     # Any call from repro code into ``fractions`` or ``FracMat`` (or any
     # FracMat.rref at all) means a Fraction path is back; more
@@ -521,14 +571,19 @@ def _profile_warm_kernel(tasks) -> dict:
     """Run ``tasks`` once more in-process (compile and baseline caches
     warm from the profiled run) with every ``phase_times_segmented``
     launch under its own profiler; return the launches and the
-    ``RouteCache.link_ids`` and ``unique_rows`` calls made inside them.
-    A profiler sees a call whatever name it was imported under."""
+    ``RouteCache.link_ids`` and ``unique_rows`` calls made inside them
+    (a profiler sees a call whatever name it was imported under), plus
+    the pass's extractions, folds, pricing calls, pricing group-bys and
+    group-by fallbacks, counted by wrappers around the entry points."""
     import cProfile
     import pstats
     import tempfile
 
+    import repro.runtime as runtime
     from repro.campaign import CampaignConfig, run_campaign
     from repro.machine import machines
+    from repro.obs import metrics
+    from repro.runtime import Folding, MappedProgram, executor
 
     kernel = machines.phase_times_segmented
     inner = cProfile.Profile()
@@ -543,15 +598,48 @@ def _profile_warm_kernel(tasks) -> dict:
         finally:
             inner.disable()
 
+    # the executor is the one importer of unique_rows in src
+    counted = {
+        "extractions": (MappedProgram, "comm_batches"),
+        "folds": (Folding, "fold_array"),
+        "groupbys": (executor, "unique_rows"),
+        "execute": (runtime, "execute"),
+        "execute_group": (runtime, "execute_group"),
+    }
+    saved = {key: getattr(*target) for key, target in counted.items()}
+    counts = dict.fromkeys(counted, 0)
+
+    def counting(key):
+        fn = saved[key]
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    fallbacks = metrics.counter("machine.unique_rows.fallbacks")
+    fallbacks_before = fallbacks.value
     machines.phase_times_segmented = profiled
+    for key, (owner, name) in counted.items():
+        setattr(owner, name, counting(key))
     try:
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "warm.jsonl")
             run_campaign(tasks, out, CampaignConfig(jobs=1), meta={})
     finally:
         machines.phase_times_segmented = kernel
+        for key, (owner, name) in counted.items():
+            setattr(owner, name, saved[key])
+    passes = {
+        "extractions": counts["extractions"],
+        "folds": counts["folds"],
+        "groupbys": counts["groupbys"],
+        "pricing_calls": counts["execute"] + counts["execute_group"],
+        "groupby_fallbacks": fallbacks.value - fallbacks_before,
+    }
     if not launches:
-        return {"launches": 0, "route_lookups": 0, "unique_rows": 0}
+        return {"launches": 0, "route_lookups": 0, "unique_rows": 0, **passes}
     stats = pstats.Stats(inner).stats
 
     def calls(fn_name: str) -> int:
@@ -564,6 +652,7 @@ def _profile_warm_kernel(tasks) -> dict:
         "launches": launches,
         "route_lookups": calls("link_ids"),
         "unique_rows": calls("unique_rows"),
+        **passes,
     }
 
 

@@ -174,7 +174,8 @@ def _map_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="K",
         help="schedule the first K loops sequentially (default: infer "
-        "all-parallel)",
+        "the schedules from the dependences); an illegal schedule "
+        "exits 2",
     )
     ap.add_argument("--spmd", action="store_true", help="emit SPMD pseudo-code")
     ap.add_argument(
@@ -197,7 +198,7 @@ def map_main(argv: List[str]) -> int:
             f"--m {len(mesh)}, or a {m}-D mesh)"
         )
 
-    from .alignment import two_step_heuristic
+    from .driver import compile_nest
     from .ir import NestSyntaxError, outer_sequential_schedules, parse_nest
     from .report import format_mapping_summary
 
@@ -234,29 +235,32 @@ def map_main(argv: List[str]) -> int:
     schedules = None
     if args.outer_sequential > 0:
         schedules = outer_sequential_schedules(nest, outer=args.outer_sequential)
-    result = two_step_heuristic(nest, m=m, schedules=schedules)
-    print(result.describe())
+    try:
+        compiled = compile_nest(nest, m=m, schedules=schedules, params=params)
+    except ValueError as exc:
+        raise CliError(f"{args.nest_file}: {exc}") from None
+    for s in nest.statements:
+        theta = compiled.schedules.schedule_of(s.name).theta
+        print(f"schedule {s.name}: theta={theta.tolist()}")
     print()
-    print(format_mapping_summary(result))
+    print(compiled.mapping.describe())
+    print()
+    print(format_mapping_summary(compiled.mapping))
 
     if args.spmd:
-        from .codegen import generate_spmd
-
         print()
-        print(generate_spmd(result))
+        print(compiled.spmd)
 
     if args.execute:
         from .machine import machine_for_mesh
-        from .runtime import Folding, MappedProgram, execute
+        from .runtime import execute
 
         try:
             machine = machine_for_mesh(mesh).make(mesh)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        folding = Folding(mesh=machine.mesh, extent=4 * max(mesh))
-        program = MappedProgram(mapping=result, folding=folding, params=params)
         print()
-        print(execute(program, machine).describe())
+        print(execute(compiled.program(machine, params), machine).describe())
     return 0
 
 

@@ -21,7 +21,6 @@ from .mapping import (
     Folding,
     MappedProgram,
     PhaseSegments,
-    build_phase_segments,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "CommReport",
     "AccessCommStats",
     "PhaseSegments",
-    "build_phase_segments",
     "execute",
     "execute_group",
     "execute_python",

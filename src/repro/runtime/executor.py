@@ -14,24 +14,26 @@ The report distinguishes, per access:
   classified by step 2 of the heuristic.
 
 :func:`execute` and :func:`execute_group` share one **vectorized**
-path: they consume the dense per-access arrays of
+path over the stacked arrays of
 :meth:`~repro.runtime.mapping.MappedProgram.comm_batches` (one row per
 element communication; polyhedral domains arrive already masked down
 to their in-domain rows, so the executor never re-enumerates an
-iteration set) and replace the per-event Python bucketing with array
-reductions — virtual/physical locality masks are whole-column
-comparisons, the per-time-step phase split and the ``(sender,
-receiver)`` pair coalescing are ``unique_rows`` group-bys — then price
-every phase of the call in one fused kernel launch per machine model.
-Every label names exactly one access (``LoopNest.validate`` rejects a
-repeated label), so each label prices from one batch per folding, with
-one schedule width and one residual.  The per-event implementation
-:func:`execute_python` is the test oracle — no production path calls
-it; the two are bit-identical (asserted on randomized generated
-workloads and the paper's seed scenarios in
-``tests/runtime/test_runtime_vectorized.py`` and measured against each
-other in ``benchmarks/bench_runtime_exec.py`` — the same old-vs-new
-pattern as the machine layer's oracles in ``tests/oracles/machine.py``).
+iteration set).  Per pricing call, virtual locality is one mask over
+the stacked virtual rows and physical locality one mask per distinct
+folding; the per-time-step phase split and the ``(sender, receiver)``
+pair coalescing of every label and every folding are **one**
+``unique_rows`` group-by; every phase of the call then prices in one
+fused kernel launch per machine model.  Every label names exactly one
+access (``LoopNest.validate`` rejects a repeated label), so each label
+prices from one row block per folding, with one schedule width and one
+residual.  The per-event implementation :func:`execute_python` is the
+test oracle — no production path calls it; the two are bit-identical
+(asserted on randomized generated workloads and the paper's seed
+scenarios in ``tests/runtime/test_runtime_vectorized.py`` and
+``tests/runtime/test_pricing_differential.py``, and measured against
+each other in ``benchmarks/bench_runtime_exec.py`` — the same
+old-vs-new pattern as the machine layer's oracles in
+``tests/oracles/machine.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from ..machine.backend import unique_rows
 from ..obs import metrics as obs_metrics
 from ..obs import span
 from .mapping import (
-    CommBatch,
     CommEvent,
     MappedProgram,
     PhaseSegments,
@@ -125,53 +126,10 @@ class _Job:
 
     cell: int
     st: AccessCommStats
-    seg: PhaseSegments
+    #: the call's ``(label, source)`` phase block the job prices
+    block: int
     #: collective kind for jobs on the collectives lane, else ``None``
     kind: Optional[str]
-
-
-def _label_segments(
-    per_source: List[Optional[CommBatch]], vec: bool
-) -> List[Tuple[int, PhaseSegments]]:
-    """``(source, phases)`` of one label for every distinct folding
-    whose batch (``per_source[source]``, ``None`` without surviving
-    events) sends, in source order.  Phases come in ascending time
-    order, each with lex-sorted unique pairs — the per-phase
-    ``np.unique`` outputs, concatenated."""
-    if len(per_source) == 1:
-        # a one-folding call (the common case): the batch's memoized
-        # phase partition
-        return [(0, per_source[0].phase_partition(vec))]
-    # stack all sources' rows as [source | (time) | sender | receiver]
-    # and group them once; one label is one access, so every source's
-    # time rows have the same width
-    tw = 0
-    blocks: List[np.ndarray] = []
-    for k, b in enumerate(per_source):
-        if b is None:
-            continue
-        pairs = b.send_pairs()
-        cols = [np.full((pairs.shape[0], 1), k, dtype=np.int64)]
-        if not vec:
-            tw = b.times.shape[1]
-            cols.append(b.times[b.locality_masks()[2]])
-        cols.append(pairs)
-        blocks.append(np.concatenate(cols, axis=1))
-    uniq, counts = unique_rows(np.concatenate(blocks, axis=0))
-    # source blocks are contiguous (the source id is the sort-major
-    # column); within a block the rows are ``[time | pair]``-sorted
-    source_col = uniq[:, 0]
-    change = np.nonzero(source_col[1:] != source_col[:-1])[0] + 1
-    bounds = [0] + change.tolist() + [uniq.shape[0]]
-    return [
-        (
-            int(source_col[cs]),
-            segments_from_sorted_unique(
-                uniq[cs:ce, 1 + tw:], counts[cs:ce], uniq[cs:ce, 1: 1 + tw]
-            ),
-        )
-        for cs, ce in zip(bounds[:-1], bounds[1:])
-    ]
 
 
 def _model_key(machine: MachineModel) -> Tuple:
@@ -181,42 +139,45 @@ def _model_key(machine: MachineModel) -> Tuple:
     return (type(machine), machine.mesh, machine.params)
 
 
-def _lane_times(model, kind: Optional[str], segs, payload: int) -> List[float]:
-    """Per-phase times of all ``segs`` (in order) from one lane call:
-    the fused point-to-point kernel of ``model`` when ``kind`` is
-    ``None``, else one vectorized ``kind`` collective per phase."""
-    if len(segs) == 1:
-        pairs, counts, starts = segs[0].pairs, segs[0].counts, segs[0].starts
-    else:
-        pairs = np.concatenate([s.pairs for s in segs], axis=0)
-        counts = np.concatenate([s.counts for s in segs])
-        lens = np.concatenate([np.diff(s.starts) for s in segs])
-        starts = np.concatenate(([0], np.cumsum(lens)))
-    n_phases = starts.shape[0] - 1
+def _lane_times(
+    model, kind: Optional[str], seg: PhaseSegments, lens, sel, payload: int
+) -> List[float]:
+    """Per-phase times of the phases of ``seg`` (``lens`` rows each)
+    selected by the per-phase mask ``sel`` (``None``: all of them), in
+    order, from one lane call: the fused point-to-point kernel of
+    ``model`` when ``kind`` is ``None``, else one vectorized ``kind``
+    collective per phase."""
+    pairs, counts = seg.pairs, seg.counts
+    if sel is not None:
+        rows = np.repeat(sel, lens)
+        pairs, counts, lens = pairs[rows], counts[rows], lens[sel]
+    n_phases = lens.shape[0]
     sizes = counts * payload
     _launches.inc()
     _phases.inc(n_phases)
     with span("exec.segmented", count=n_phases):
         if kind is not None:
-            seg_sizes = np.maximum.reduceat(sizes, starts[:-1])
+            seg_sizes = np.maximum.reduceat(sizes, np.cumsum(lens) - lens)
             return model.macro_times_segmented(kind, seg_sizes).tolist()
         rank = pairs.shape[1] // 2
-        phase_ids = np.repeat(
-            np.arange(n_phases, dtype=np.int64), np.diff(starts)
-        )
+        phase_ids = np.repeat(np.arange(n_phases, dtype=np.int64), lens)
         return model.time_phases_segmented(
             pairs[:, :rank], pairs[:, rank:], sizes, phase_ids, n_phases
         ).times.tolist()
 
 
-def _price_jobs(cells, jobs: List[_Job], payload: int) -> List[List[float]]:
+def _price_jobs(
+    cells, jobs: List[_Job], seg: PhaseSegments, bounds: List[int],
+    payload: int,
+) -> List[List[float]]:
     """Each job's per-phase times, in phase order, from one call per
     pricing lane: one fused kernel launch per distinct point-to-point
     model (:func:`_model_key`), one vectorized call per (collectives
-    model, kind).  Jobs of one lane that share a :class:`PhaseSegments`
-    object (twin cells, see :func:`_execute_cells`) price it once.
-    Every phase prices independently of its lane neighbours, so the
-    times equal per-phase pricing bit for bit."""
+    model, kind).  Block ``b`` owns phases ``bounds[b]:bounds[b+1]`` of
+    ``seg``; jobs of one lane that share a block (twin cells, see
+    :func:`_execute_cells`) price it once.  Every phase prices
+    independently of its lane neighbours, so the times equal per-phase
+    pricing bit for bit."""
     p2p: Dict[Tuple, Tuple[MachineModel, List[int]]] = {}
     # collectives models are unhashable dataclasses: lanes match by
     # equality
@@ -234,23 +195,25 @@ def _price_jobs(cells, jobs: List[_Job], payload: int) -> List[List[float]]:
             macro.append((coll, job.kind, [i]))
     lanes = [(m, None, idx) for m, idx in p2p.values()] + macro
     out: List[List[float]] = [[] for _ in jobs]
+    n_blocks = len(bounds) - 1
+    lens, block_phases = np.diff(seg.starts), np.diff(bounds)
     for model, kind, idx in lanes:
-        # id(seg) -> offset of its first phase in the lane's times; the
-        # jobs hold their segments, so the ids stay valid for the loop
+        blocks = sorted({jobs[i].block for i in idx})
+        sel = None
+        if len(blocks) < n_blocks:
+            in_lane = np.zeros(n_blocks, dtype=bool)
+            in_lane[blocks] = True
+            sel = np.repeat(in_lane, block_phases)
+        times = _lane_times(model, kind, seg, lens, sel, payload)
+        # block -> offset of its first phase in the lane's times
         at: Dict[int, int] = {}
-        segs: List[PhaseSegments] = []
         n = 0
+        for b in blocks:
+            at[b] = n
+            n += bounds[b + 1] - bounds[b]
         for i in idx:
-            seg = jobs[i].seg
-            if id(seg) not in at:
-                at[id(seg)] = n
-                segs.append(seg)
-                n += seg.n_phases
-        times = _lane_times(model, kind, segs, payload)
-        for i in idx:
-            seg = jobs[i].seg
-            start = at[id(seg)]
-            out[i] = times[start: start + seg.n_phases]
+            b = jobs[i].block
+            out[i] = times[at[b]: at[b] + bounds[b + 1] - bounds[b]]
     return out
 
 
@@ -277,6 +240,14 @@ def _fold_sources(
     return sources, source_of
 
 
+def _count_by_access(mask: np.ndarray, offsets: np.ndarray) -> List:
+    """Set entries of ``mask`` (``(..., n)`` bool) per access, from
+    cumulative-sum differences at the access ``offsets``."""
+    c = np.zeros(mask.shape[:-1] + (mask.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(mask, axis=-1, out=c[..., 1:])
+    return (c[..., offsets[1:]] - c[..., offsets[:-1]]).tolist()
+
+
 def _execute_cells(
     cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
     payload: int,
@@ -285,103 +256,143 @@ def _execute_cells(
     :func:`execute_group`.
 
     **Twins**: cells whose programs fold identically
-    (:func:`_fold_sources`) share one ``comm_batches()`` extraction and
-    one phase grouping per label; a one-cell call has no twins.
-    **Collect**: per label (sorted), per distinct folding, the surviving
-    ``(sender, receiver)`` rows are grouped into phases — one
-    ``unique_rows`` over all foldings' rows stacked with a leading
-    source-id column, so each folding's block comes out in its own phase
-    order — and every cell gets its own :class:`AccessCommStats` and
-    jobs over its folding's shared :class:`PhaseSegments`.
-    **Price**: :func:`_price_jobs` prices every distinct phase of the
-    call at once.  **Fold**: the per-phase times are added in collect
-    order (labels sorted, then cells, then phases) — the float
-    accumulation sequence of per-phase pricing, so every total is
-    bit-identical.
+    (:func:`_fold_sources`) share one ``comm_batches()`` extraction; a
+    one-cell call has no twins.  **Locality**: one mask over the
+    stacked virtual rows of every access and one over each distinct
+    folding's stacked physical rows; the per-access counts are
+    cumulative-sum differences at the access offsets.  **Group**: the
+    surviving rows of every access and every distinct folding are
+    stacked as ``[label rank | source | time | sender | receiver]`` —
+    time columns zero-padded to the nest's widest schedule, and all
+    zero for vectorizable labels so their time steps merge into one
+    phase — and grouped by **one** ``unique_rows`` call; the sorted
+    result splits into phases and into contiguous ``(label, source)``
+    blocks, each folding's phases of one label in ascending time
+    order.  Every cell gets its own :class:`AccessCommStats` and one
+    job per label over its folding's block.  **Price**:
+    :func:`_price_jobs` prices every distinct phase of the call at
+    once.  **Fold**: the per-phase times are added in collect order
+    (labels sorted, then cells, then phases) — the float accumulation
+    sequence of per-phase pricing, so every total is bit-identical.
     """
     K = len(cells)
     base = cells[0][0]
     sources, source_of = _fold_sources([c[0] for c in cells])
     with span("exec.extract"):
-        batch_lists = [p.comm_batches() for p in sources]
+        extractions = [p.comm_batches() for p in sources]
+    # every source shares the mapping and bindings, so one virtual stage
+    stage = extractions[0].stage
+    n, offsets = stage.n, stage.offsets
+    virt_local = np.all(stage.virtual[:n] == stage.virtual[n:], axis=1)
+    phys = np.stack([e.phys for e in extractions])  # (sources, 2n, rank)
+    phys_local = ~virt_local & np.all(phys[:, :n] == phys[:, n:], axis=2)
+    send = ~virt_local & ~phys_local
+    lengths = np.diff(offsets)
+    events = lengths.tolist()
+    n_virt_local = _count_by_access(virt_local, offsets)
+    n_phys_local = _count_by_access(phys_local, offsets)
 
     per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
-    # label -> per-source batch with surviving events (``None`` where
-    # the source has none); labels are unique (``LoopNest.validate``)
-    remaining: Dict[str, List[Optional[CommBatch]]] = {}
+    # accesses with events; no events -> no stats entry, exactly like
+    # the per-event path (which only creates entries while iterating
+    # events)
+    active = [a for a in range(len(stage.labels)) if events[a]]
     classifications: Dict[str, str] = {}
-    for bi, b0 in enumerate(batch_lists[0]):
-        if b0.n == 0:
-            # no events -> no stats entry, exactly like the per-event
-            # path (which only creates entries while iterating events)
-            continue
-        label = b0.access_label
+    for a in active:
+        label = stage.labels[a]
         classifications[label] = _classification_of(base, label)
-        # the virtual arrays are shared objects across foldings, so the
-        # virtual-locality mask is computed once and seeded into every
-        # source's batch before its (per-folding) physical masks
-        virt_local = b0.virtual_local_mask()
-        n_virt_local = int(virt_local.sum())
-        phys_local_of: List[int] = []
-        for d, blist in enumerate(batch_lists):
-            b = blist[bi]
-            b.__dict__.setdefault("_virt_local", virt_local)
-            _, phys_local, send = b.locality_masks()
-            phys_local_of.append(int(phys_local.sum()))
-            if send.any():
-                remaining.setdefault(label, [None] * len(sources))[d] = b
         for k in range(K):
             per_access[k][label] = AccessCommStats(
                 label=label,
                 classification=classifications[label],
-                events=b0.n,
-                virtual_local=n_virt_local,
-                phys_local=phys_local_of[source_of[k]],
+                events=events[a],
+                virtual_local=n_virt_local[a],
+                phys_local=n_phys_local[source_of[k]][a],
             )
 
+    source_idx, rows = np.nonzero(send)
+    if not rows.size:
+        return _reports(per_access, [0.0] * K)
+    # label ranks follow the sorted label order; labels are unique
+    # (``LoopNest.validate``)
+    by_name = sorted(active, key=stage.labels.__getitem__)
+    rank = np.zeros(len(stage.labels), dtype=np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    vec = np.zeros(len(stage.labels), dtype=bool)
+    vec[[a for a in active if _vectorizable(base, stage.labels[a])]] = True
+    times = stage.times
+    if vec.any():
+        times = np.where(np.repeat(vec, lengths)[:, None], 0, times)
+    tw = times.shape[1]
+    uniq, counts = unique_rows(
+        np.concatenate(
+            (
+                np.repeat(rank, lengths)[rows, None],
+                source_idx[:, None],
+                times[rows],
+                phys[source_idx, rows],
+                phys[source_idx, rows + n],
+            ),
+            axis=1,
+        )
+    )
+    seg = segments_from_sorted_unique(uniq[:, 2 + tw:], counts, uniq[:, : 2 + tw])
+    # (label rank, source) of every phase; blocks are their runs
+    heads = uniq[seg.starts[:-1], :2]
+    change = np.nonzero(np.any(heads[1:] != heads[:-1], axis=1))[0] + 1
+    bounds = np.concatenate(([0], change, [heads.shape[0]]))
+    block_rows = np.diff(seg.starts[bounds]).tolist()
+    block_events = np.add.reduceat(seg.n_events, bounds[:-1]).tolist()
+    bounds = bounds.tolist()
+    # label rank -> source -> block, ranks ascending
+    blocks: Dict[int, Dict[int, int]] = {}
+    for b, (r, d) in enumerate(heads[bounds[:-1]].tolist()):
+        blocks.setdefault(r, {})[d] = b
+
     jobs: List[_Job] = []
-    for label in sorted(remaining):
+    for r, block_of in blocks.items():
+        label = stage.labels[by_name[r]]
         kind = None
         if classifications[label] == "macro":
             opt = base.mapping.residual_by_label(label)
             kind = opt.macro.kind.value if opt.macro else "broadcast"
-        segs = dict(
-            _label_segments(remaining[label], _vectorizable(base, label))
-        )
         for k in range(K):
-            seg = segs.get(source_of[k])
-            if seg is None:
+            b = block_of.get(source_of[k])
+            if b is None:
                 continue
             st = per_access[k][label]
-            st.messages_before_vectorization += int(seg.n_events.sum())
-            st.messages_after_vectorization += seg.pairs.shape[0]
-            st.volume += int((seg.counts * payload).sum())
+            st.messages_before_vectorization += block_events[b]
+            st.messages_after_vectorization += block_rows[b]
+            st.volume += block_events[b] * payload
             job_kind = kind if cells[k][2] is not None else None
             if job_kind is not None:
-                st.macro_ops += seg.n_phases
-            jobs.append(_Job(k, st, seg, job_kind))
+                st.macro_ops += bounds[b + 1] - bounds[b]
+            jobs.append(_Job(k, st, b, job_kind))
 
     totals = [0.0] * K
-    for job, times in zip(jobs, _price_jobs(cells, jobs, payload)):
+    priced = _price_jobs(cells, jobs, seg, bounds, payload)
+    for job, phase_times in zip(jobs, priced):
         st = job.st
-        for t in times:
+        for t in phase_times:
             st.time += t
             totals[job.cell] += t
+    return _reports(per_access, totals)
 
-    reports: List[CommReport] = []
-    for k in range(K):
-        pa = per_access[k]
-        reports.append(
-            CommReport(
-                per_access=pa,
-                total_time=totals[k],
-                total_messages=sum(
-                    s.messages_after_vectorization for s in pa.values()
-                ),
-                total_volume=sum(s.volume for s in pa.values()),
-            )
+
+def _reports(
+    per_access: List[Dict[str, AccessCommStats]], totals: List[float]
+) -> List[CommReport]:
+    return [
+        CommReport(
+            per_access=pa,
+            total_time=total,
+            total_messages=sum(
+                s.messages_after_vectorization for s in pa.values()
+            ),
+            total_volume=sum(s.volume for s in pa.values()),
         )
-    return reports
+        for pa, total in zip(per_access, totals)
+    ]
 
 
 def execute(
@@ -400,7 +411,7 @@ def execute(
     accesses the heuristic classified as macro-communications with
     hardware collective costs instead (the CM-5 situation of Table 1).
 
-    Vectorized over the program's :class:`CommBatch` arrays, through
+    Vectorized over the program's stacked extraction, through
     the same one-cell path as :func:`execute_group`; the per-event
     test oracle is :func:`execute_python` (bit-identical).
     """
@@ -422,12 +433,12 @@ def execute_group(
     schedule times and virtual coordinates are shared arrays; only the
     folded physical coordinates differ per cell).  Twin cells — equal
     foldings, like the paragon and cm5 cells of one mesh — share one
-    ``comm_batches()`` extraction and one phase grouping, and each
-    distinct phase prices once per lane.  Each label's rows are grouped
-    once for all distinct foldings, and every phase of the call — all
-    labels, all cells — prices in one fused kernel launch per distinct
-    point-to-point model plus one collectives call per (collectives
-    model, kind).
+    ``comm_batches()`` extraction and their phases, and each distinct
+    phase prices once per lane.  The rows of all labels and all
+    distinct foldings are grouped by one ``unique_rows`` call, and
+    every phase of the call — all labels, all cells — prices in one
+    fused kernel launch per distinct point-to-point model plus one
+    collectives call per (collectives model, kind).
     """
     if not cells:
         return []
@@ -539,16 +550,15 @@ def count_nonlocal_virtual(program: MappedProgram) -> Dict[str, int]:
     """Per-access count of element communications that are non-local on
     the *virtual* grid (mapping quality independent of folding).
 
-    Vectorized over the program's (memoized) batches, so calling this
-    next to :func:`execute` costs no extra domain enumeration.
+    One mask over the program's (memoized) stacked virtual rows, so
+    calling this next to :func:`execute` costs no extra domain
+    enumeration.
     """
-    out: Dict[str, int] = {}
-    for b in program.comm_batches():
-        if b.n == 0:
-            continue
-        moved = int(
-            np.any(b.sender_virtual != b.receiver_virtual, axis=1).sum()
-        )
-        if moved:
-            out[b.access_label] = out.get(b.access_label, 0) + moved
-    return out
+    stage = program.comm_batches().stage
+    n = stage.n
+    moved = np.any(stage.virtual[:n] != stage.virtual[n:], axis=1)
+    return {
+        label: c
+        for label, c in zip(stage.labels, _count_by_access(moved, stage.offsets))
+        if c
+    }

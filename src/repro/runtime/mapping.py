@@ -22,12 +22,14 @@ membership mask (one int64 matmul against the half-space system; see
 :meth:`repro.ir.Domain.point_matrix`), so triangular/trapezoidal nests
 ride the same dense path and rectangular nests skip the mask entirely.
 Affine accesses and virtual placements are evaluated as single integer
-matmuls over the whole domain, and :class:`Folding` applies its modular
-arithmetic to whole coordinate columns at once
-(:meth:`Folding.fold_array`).  The executor prices the pre-masked
-batches directly — it never re-enumerates a domain.  The arrays — one
-:class:`CommBatch` per access — feed the executor's group-by pricing
-directly.
+matmuls over the whole domain.  The folding-independent results — every
+access's schedule times and sender/receiver virtual coordinates — are
+stacked into one :class:`VirtualStage` (one ``[senders; receivers]``
+coordinate array with per-access row offsets), and
+:meth:`MappedProgram.comm_batches` folds that stack onto the mesh with
+**one** :meth:`Folding.fold_array` call per folding.  The per-access
+:class:`CommBatch` objects are views into the stacked arrays; the
+executor works on the stack itself.
 
 There is one extraction algorithm and two lanes of arithmetic: when the
 int64 bound of the affine stages is proven, the matmuls run on int64;
@@ -37,9 +39,8 @@ ints, and the results are cast to int64 (a value past int64 raises
 :meth:`MappedProgram.comm_events_python` is the test oracle the batches
 are asserted bit-identical against; no production path calls it.
 
-The virtual-grid stage (schedule times, sender/receiver virtual
-coordinates) depends only on the mapping and the size bindings, so it is
-cached **on the mapping** and shared by every folding of the same
+The virtual stage depends only on the mapping and the size bindings, so
+it is cached **on the mapping** and shared by every folding of the same
 compiled nest — the compile-once/price-many situation of the campaign
 runner.
 """
@@ -56,7 +57,6 @@ from ..distribution import Distribution1D, make_1d
 from ..ir import AccessKind
 from ..ir.domain import affine_rows, int64_proven
 from ..linalg import IntMat
-from ..machine.backend import unique_rows
 from ..obs import metrics as obs_metrics
 
 Virtual = Tuple[int, ...]
@@ -161,16 +161,16 @@ class CommEvent:
 
 @dataclass
 class PhaseSegments:
-    """Segment-id layout of one label's priced phases — the input of
-    the fused segmented pricing kernel.
+    """Segment-id layout of the priced phases of one pricing call — the
+    input of the fused segmented pricing kernel.
 
     The coalesced ``(sender | receiver)`` rows of **all** phases sit in
     one phase-major matrix; ``starts`` delimits the segments (phase
-    ``i`` owns rows ``starts[i]:starts[i+1]``, in the same ascending
-    time order — and with the same lex-sorted rows per phase — that the
-    per-phase ``np.unique`` group-bys used to produce one sub-array at
-    a time).  ``counts`` carries each unique pair's multiplicity,
-    ``n_events`` each phase's pre-coalescing event count.
+    ``i`` owns rows ``starts[i]:starts[i+1]``; within one label and
+    folding, phases come in ascending time order, each with lex-sorted
+    rows — the per-phase ``np.unique`` group-bys, concatenated).
+    ``counts`` carries each unique pair's multiplicity, ``n_events``
+    each phase's pre-coalescing event count.
     """
 
     #: (U, 2*rank) unique coalesced pair rows of all phases, phase-major
@@ -182,61 +182,17 @@ class PhaseSegments:
     #: (S,) events per phase before pair coalescing
     n_events: np.ndarray
 
-    @property
-    def n_phases(self) -> int:
-        return self.starts.shape[0] - 1
-
-
-def build_phase_segments(
-    pairs: np.ndarray, times: Optional[np.ndarray] = None
-) -> PhaseSegments:
-    """Group raw ``(sender | receiver)`` event rows into the
-    :class:`PhaseSegments` layout with **one** ``unique_rows`` call.
-
-    With ``times`` (one row per event), events group into one phase per
-    distinct time vector: the combined ``[time | pair]`` unique sorts
-    time-major, so segment boundaries are where the time prefix changes
-    — phases come out in ascending time order with lex-sorted unique
-    pairs and their multiplicities, exactly what a per-phase
-    ``np.unique`` group-by produced.  Without ``times`` (vectorizable
-    access, or a width-0 schedule) every event lands in one phase.
-    """
-    n = pairs.shape[0]
-    if times is None or times.shape[1] == 0:
-        upairs, counts = unique_rows(pairs)
-        return PhaseSegments(
-            pairs=upairs,
-            counts=counts,
-            starts=np.array([0, upairs.shape[0]], dtype=np.int64),
-            n_events=np.array([n], dtype=np.int64),
-        )
-    tw = times.shape[1]
-    stacked = np.concatenate((times, pairs), axis=1)
-    uniq, counts = unique_rows(stacked)
-    return segments_from_sorted_unique(uniq[:, tw:], counts, uniq[:, :tw])
-
 
 def segments_from_sorted_unique(
     pairs: np.ndarray, counts: np.ndarray, prefix: np.ndarray
 ) -> PhaseSegments:
-    """:class:`PhaseSegments` from already-uniqued rows: ``pairs`` and
-    ``counts`` sorted so that equal ``prefix`` rows (the phase key) are
-    contiguous.  Used directly by the batched group executor, which
-    uniques one ``[cell | time | pair]`` tensor for all K cells and
-    slices per-cell blocks out of it."""
-    u = pairs.shape[0]
-    if u == 0:
-        return PhaseSegments(
-            pairs=pairs,
-            counts=counts,
-            starts=np.zeros(1, dtype=np.int64),
-            n_events=np.empty(0, dtype=np.int64),
-        )
-    if prefix.shape[1] == 0:
-        starts = np.array([0, u], dtype=np.int64)
-    else:
-        change = np.nonzero(np.any(prefix[1:] != prefix[:-1], axis=1))[0]
-        starts = np.concatenate(([0], change + 1, [u])).astype(np.int64)
+    """:class:`PhaseSegments` from already-uniqued, non-empty rows:
+    ``pairs`` and ``counts`` sorted so that equal ``prefix`` rows (the
+    phase key) are contiguous.  The executor uniques one ``[label |
+    source | time | pair]`` matrix per pricing call and passes the
+    first three column groups as ``prefix``."""
+    change = np.nonzero(np.any(prefix[1:] != prefix[:-1], axis=1))[0]
+    starts = np.concatenate(([0], change + 1, [pairs.shape[0]])).astype(np.int64)
     n_events = np.add.reduceat(counts, starts[:-1]).astype(np.int64)
     return PhaseSegments(
         pairs=pairs, counts=counts, starts=starts, n_events=n_events
@@ -249,17 +205,8 @@ class CommBatch:
 
     One row per iteration-domain point, in ``itertools.product`` order
     (the exact order :meth:`MappedProgram.comm_events_python` emits
-    events in).  All arrays are int64.
-
-    The executor's group-by reductions over a batch — locality masks
-    and the per-phase ``np.unique`` pair coalescing — are **memoized on
-    the instance** (:meth:`locality_masks`, :meth:`phase_partition`):
-    pricing the same program again (the heuristic-vs-baseline
-    comparison, bench reruns, the batched group path) reuses one
-    extraction instead of re-uniquing per call.  Batches are rebuilt
-    whenever the mapping mutates (see
-    :meth:`MappedProgram.comm_batches`), so the caches can never serve
-    stale arrays.
+    events in).  All arrays are int64 views into one folding's
+    :class:`Extraction`.
     """
 
     access_label: str
@@ -277,71 +224,47 @@ class CommBatch:
     def n(self) -> int:
         return self.sender_virtual.shape[0]
 
-    def virtual_local_mask(self) -> np.ndarray:
-        """Rows local on the *virtual* grid (folding-independent), so
-        the batched group executor seeds it across the K cells of one
-        compiled nest — their virtual arrays are the same objects."""
-        mask = self.__dict__.get("_virt_local")
-        if mask is None:
-            mask = np.all(self.sender_virtual == self.receiver_virtual, axis=1)
-            self.__dict__["_virt_local"] = mask
-        return mask
 
-    def locality_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(virtual_local, phys_local, send)`` row masks, memoized.
+@dataclass(eq=False)
+class VirtualStage:
+    """The folding-independent half of an extraction, stacked over every
+    access of the nest: access ``a`` owns rows
+    ``offsets[a]:offsets[a+1]`` of ``times`` and of each half of
+    ``virtual``."""
 
-        ``phys_local`` counts only rows *not* already virtual-local
-        (matching the per-event path's early-continue order); ``send``
-        is what survives both filters.
-        """
-        cached = self.__dict__.get("_locality")
-        if cached is None:
-            virt_local = self.virtual_local_mask()
-            nonlocal_mask = ~virt_local
-            phys_local = nonlocal_mask & np.all(
-                self.sender == self.receiver, axis=1
-            )
-            send = nonlocal_mask & ~phys_local
-            cached = (virt_local, phys_local, send)
-            self.__dict__["_locality"] = cached
-        return cached
+    labels: Tuple[str, ...]
+    stmts: Tuple[str, ...]
+    #: (A+1,) row offsets of the accesses
+    offsets: np.ndarray
+    #: (n, T) schedule times, zero-padded to the nest's widest schedule
+    times: np.ndarray
+    #: per access, its statement's schedule width
+    widths: Tuple[int, ...]
+    #: (2n, m) every access's sender rows, then every access's receivers
+    virtual: np.ndarray
 
-    def send_pairs(self) -> np.ndarray:
-        """``sender | receiver`` rows of the surviving (send) events,
-        concatenated columns — the executor's phase group-by input."""
-        pairs = self.__dict__.get("_send_pairs")
-        if pairs is None:
-            send = self.locality_masks()[2]
-            pairs = np.concatenate(
-                (self.sender[send], self.receiver[send]), axis=1
-            )
-            self.__dict__["_send_pairs"] = pairs
-        return pairs
+    @property
+    def n(self) -> int:
+        return self.times.shape[0]
 
-    def phase_partition(self, vectorizable: bool) -> PhaseSegments:
-        """The batch's send events grouped into priced phases, in the
-        segment-id layout (:class:`PhaseSegments`) the fused pricing
-        kernel consumes — no per-phase sub-arrays are materialized.
 
-        Vectorizable accesses merge every time step into one phase;
-        otherwise phases follow ascending time order (matching the
-        per-event path's sorted bucket keys), each phase's rows
-        lex-sorted — exactly the per-phase ``np.unique`` outputs,
-        concatenated.  One packed ``unique_rows`` call per batch,
-        memoized per ``vectorizable`` flag.
-        """
-        cache = self.__dict__.setdefault("_phase_partition", {})
-        hit = cache.get(vectorizable)
-        if hit is not None:
-            return hit
-        pairs = self.send_pairs()
-        if vectorizable:
-            seg = build_phase_segments(pairs)
-        else:
-            send = self.locality_masks()[2]
-            seg = build_phase_segments(pairs, self.times[send])
-        cache[vectorizable] = seg
-        return seg
+@dataclass(eq=False)
+class Extraction:
+    """One folding's communications: the shared :class:`VirtualStage`,
+    its rows folded onto the mesh in one :meth:`Folding.fold_array`
+    call, and one :class:`CommBatch` view per access (iterating an
+    extraction yields the batches)."""
+
+    stage: VirtualStage
+    #: (2n, rank) folded ``stage.virtual``
+    phys: np.ndarray
+    batches: List[CommBatch]
+
+    def __iter__(self):
+        return iter(self.batches)
+
+    def __len__(self) -> int:
+        return len(self.batches)
 
 
 @dataclass
@@ -415,9 +338,10 @@ class MappedProgram:
 
     # -- vectorized communication extraction ----------------------------
 
-    def _virtual_batches(self) -> List[Tuple[str, str, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per access: ``(label, stmt, times, sender_v, receiver_v)``
-        int64 arrays over the whole iteration domain.
+    def _virtual_batches(self) -> VirtualStage:
+        """Times and sender/receiver virtual coordinates of every access
+        over its whole iteration domain, stacked as one
+        :class:`VirtualStage`.
 
         The dtype is picked once for the whole nest: int64 when every
         affine stage is proven to stay inside the int64 bound, else
@@ -472,48 +396,71 @@ class MappedProgram:
         if not proven:
             _exact_lane.inc()
         dtype = np.int64 if proven else object
-        out = []
+        labels, stmts, times, senders, receivers = [], [], [], [], []
         for stmt, idx, theta, place, owners in plans:
             idx = idx.astype(dtype, copy=False)
-            times = affine_rows(idx, theta).astype(np.int64, copy=False)
+            t = affine_rows(idx, theta).astype(np.int64, copy=False)
             stmt_v = affine_rows(idx, *place).astype(np.int64, copy=False)
             for acc, owner in owners:
-                label = acc.label or f"{stmt.name}:{acc.array}"
                 owner_v = affine_rows(
                     affine_rows(idx, acc.F, acc.c), *owner
                 ).astype(np.int64, copy=False)
-                if acc.kind is AccessKind.READ:
-                    sv, rv = owner_v, stmt_v
-                else:
-                    sv, rv = stmt_v, owner_v
-                out.append((label, stmt.name, times, sv, rv))
-        cache[key] = out
-        return out
+                read = acc.kind is AccessKind.READ
+                labels.append(acc.label or f"{stmt.name}:{acc.array}")
+                stmts.append(stmt.name)
+                times.append(t)
+                senders.append(owner_v if read else stmt_v)
+                receivers.append(stmt_v if read else owner_v)
+        offsets = np.concatenate(
+            ([0], np.cumsum([t.shape[0] for t in times], dtype=np.int64))
+        )
+        widths = tuple(t.shape[1] for t in times)
+        padded = np.zeros((int(offsets[-1]), max(widths, default=0)), np.int64)
+        for lo, hi, t in zip(offsets[:-1], offsets[1:], times):
+            padded[lo:hi, : t.shape[1]] = t
+        stage = VirtualStage(
+            labels=tuple(labels),
+            stmts=tuple(stmts),
+            offsets=offsets,
+            times=padded,
+            widths=widths,
+            virtual=np.concatenate(
+                senders + receivers + [np.empty((0, al.m), np.int64)]
+            ),
+        )
+        # every folding's batches are views of these shared arrays
+        for shared in (stage.offsets, stage.times, stage.virtual):
+            shared.flags.writeable = False
+        cache[key] = stage
+        return stage
 
-    def comm_batches(self) -> List[CommBatch]:
+    def comm_batches(self) -> Extraction:
         """The communications of :meth:`comm_events_python` as dense
-        per-access arrays (one :class:`CommBatch` per access, rows in
-        event order), memoized on the program instance."""
+        arrays: the stacked virtual stage folded with **one**
+        :meth:`Folding.fold_array` call, with one :class:`CommBatch`
+        view per access (rows in event order), memoized on the program
+        instance."""
         gen = self.mapping.alignment.mutation_count
         cached = self.__dict__.get("_comm_batches")
         if cached is not None and cached[0] == gen:
             return cached[1]
+        stage = self._virtual_batches()
+        phys = self.folding.fold_array(stage.virtual)
+        n, off = stage.n, stage.offsets.tolist()
         batches = [
             CommBatch(
                 access_label=label,
                 stmt=stmt,
-                times=times,
-                sender_virtual=sv,
-                receiver_virtual=rv,
-                sender=self._fold_batch(sv),
-                receiver=self._fold_batch(rv),
+                times=stage.times[lo:hi, :w],
+                sender_virtual=stage.virtual[lo:hi],
+                receiver_virtual=stage.virtual[n + lo: n + hi],
+                sender=phys[lo:hi],
+                receiver=phys[n + lo: n + hi],
             )
-            for label, stmt, times, sv, rv in self._virtual_batches()
+            for label, stmt, w, lo, hi in zip(
+                stage.labels, stage.stmts, stage.widths, off[:-1], off[1:]
+            )
         ]
-        self.__dict__["_comm_batches"] = (gen, batches)
-        return batches
-
-    def _fold_batch(self, virtual: np.ndarray) -> np.ndarray:
-        if virtual.shape[0] == 0:
-            return np.empty_like(virtual)
-        return self.folding.fold_array(virtual)
+        extraction = Extraction(stage=stage, phys=phys, batches=batches)
+        self.__dict__["_comm_batches"] = (gen, extraction)
+        return extraction

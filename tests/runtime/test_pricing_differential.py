@@ -10,11 +10,19 @@ schedules of two widths, in either statement order.
 ``CommReport`` and ``AccessCommStats`` field, floats compared by their
 hex form), and ``execute`` must equal ``execute_group`` on each
 one-cell group.
+
+A second strategy draws small nests directly — nests of one to
+three statements with schedules of different widths and negative
+entries, triangular and empty domains, rank-deficient accesses that
+the heuristic turns into macro-communications — and checks that
+multi-folding ``execute_group`` calls equal ``execute_python`` cell by
+cell: the edge cases of the one stacked group-by per pricing call.
 """
 
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,8 +36,9 @@ from repro.campaign.workloads import (
 )
 from repro.ir.loopnest import NestBuilder
 from repro.ir.schedule import Schedule, ScheduledNest
+from repro.linalg import IntMat
 from repro.machine import CostParams, MeshModel, machine_spec
-from repro.runtime import execute, execute_group
+from repro.runtime import execute, execute_group, execute_python
 from repro.runtime.executor import _classification_of, _vectorizable
 
 from oracles.pricing import execute_group_per_phase
@@ -145,6 +154,14 @@ def fold(name, grid):
     return cells
 
 
+def _sends(batch):
+    """Rows of ``batch`` that move on both the virtual grid and the
+    mesh: the events that survive both locality filters."""
+    return np.any(batch.sender_virtual != batch.receiver_virtual, axis=1) & (
+        np.any(batch.sender != batch.receiver, axis=1)
+    )
+
+
 def bits(report):
     """Every field of a report, floats by their exact hex form."""
 
@@ -204,7 +221,7 @@ def test_pool_covers_every_label_kind():
                 kinds.add("macro")
             if _vectorizable(program, label):
                 kinds.add("vectorizable")
-            if not any(b.locality_masks()[2].any() for b in batches):
+            if not any(_sends(b).any() for b in batches):
                 kinds.add("all-local")
     assert kinds == {"macro", "vectorizable", "all-local"}
 
@@ -278,3 +295,157 @@ def test_one_kernel_launch_per_machine_model(name, monkeypatch):
     got = execute_group(cells)
     assert len(launches) == len(set(launches)) <= 3
     assert got == execute_group_per_phase(cells)
+
+
+#: access matrices by statement depth (arrays are 2-D); the
+#: rank-deficient ones give broadcasts the heuristic may detect as
+#: macro-communications
+DRAWN_F = {
+    2: [
+        [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 0]],
+        [[0, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [0, 0]],
+    ],
+    3: [
+        [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 0, 0]], [[0, 0, 1], [0, 1, 0]],
+        [[1, 0, 1], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]],
+    ],
+}
+
+
+@st.composite
+def drawn_nests(draw):
+    """``(compiled nest, size bindings)`` of a drawn nest: one to three
+    statements of depth 2 or 3, some with a triangular or an empty
+    domain, each scheduled by a drawn matrix of width 1 to depth - 1
+    with entries in {-1, 0, 1}, half its rows of one sign, mostly
+    negative (legality is not checked: pricing must agree with the
+    oracle on any schedule)."""
+    b = NestBuilder("drawn")
+    b.array("a", 2).array("b", 2).array("c", 2)
+    schedules = {}
+    for k in range(draw(st.sampled_from([1, 2, 2, 3]))):
+        depth = draw(st.sampled_from([2, 3]))
+        loops = [("i", 1, "N"), ("j", 1, "N"), ("k", 1, "N")][:depth]
+        shape = draw(st.sampled_from(["rect", "rect", "tri", "empty"]))
+        if shape == "tri":
+            loops[1] = ("j", "i", "N")
+        elif shape == "empty":
+            loops[0] = ("i", 1, 0)
+
+        def access():
+            return (
+                draw(st.sampled_from("abc")),
+                draw(st.sampled_from(DRAWN_F[depth])),
+                [draw(st.integers(-1, 1)) for _ in range(2)],
+            )
+
+        b.statement(
+            f"S{k}", loops, writes=[access()],
+            reads=[access() for _ in range(draw(st.integers(1, 2)))],
+        )
+        def theta_row():
+            if draw(st.booleans()):
+                # one sign for the row: on the positive domains its
+                # times all have that sign (or are all zero)
+                sign = draw(st.sampled_from([-1, -1, 1]))
+                return [sign * draw(st.integers(0, 1)) for _ in range(depth)]
+            return [draw(st.integers(-1, 1)) for _ in range(depth)]
+
+        width = draw(st.sampled_from([depth - 1, depth - 1, 1]))
+        schedules[f"S{k}"] = Schedule(
+            IntMat([theta_row() for _ in range(width)])
+        )
+    nest = b.build()
+    params = {"N": draw(st.integers(2, 3))}
+    return (
+        compile_nest(
+            nest, m=2, params=params,
+            schedules=ScheduledNest(nest, schedules), check_legality=False,
+        ),
+        params,
+    )
+
+
+@st.composite
+def drawn_groups(draw):
+    """A drawn nest folded onto two or three meshes, paragon and/or cm5
+    cells per mesh, at a drawn payload."""
+    compiled_nest, params = draw(drawn_nests())
+    meshes = draw(
+        st.lists(st.sampled_from(MESHES), min_size=2, max_size=3, unique=True)
+    )
+    cells = []
+    for mesh in meshes:
+        for machine_name in draw(st.sampled_from(MESH_MACHINES)):
+            spec = machine_spec(machine_name)
+            machine = spec.make(mesh)
+            cells.append((
+                compiled_nest.program(machine, params), machine,
+                spec.make_collectives(mesh),
+            ))
+    return draw(st.permutations(cells)), draw(st.integers(1, 3))
+
+
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(drawn_groups())
+def test_drawn_groups_match_python_oracle(group):
+    cells, payload = group
+    got = execute_group(cells, payload=payload)
+    want = [
+        execute_python(p, m, collectives=c, payload=payload)
+        for p, m, c in cells
+    ]
+    assert [bits(r) for r in got] == [bits(r) for r in want]
+
+
+def _drawn_kinds(cells):
+    """The stacked group-by edge cases one drawn group exercises."""
+    kinds = set()
+    program = cells[0][0]
+    active = [b for b in program.comm_batches() if b.n]
+    if len(program.comm_batches()) > len(active):
+        kinds.add("empty-domain")
+    widths = {b.times.shape[1] for b in active}
+    if len(widths) > 1:
+        kinds.add("mixed-widths")
+        # a column some label pads with zeros while every real entry of
+        # it is negative: the padding falls outside the column's range
+        for j in range(min(widths), max(widths)):
+            real = [b.times[:, j] for b in active if b.times.shape[1] > j]
+            if all((col < 0).all() for col in real):
+                kinds.add("padding-outside-range")
+    if any((b.times < 0).any() for b in active):
+        kinds.add("negative-times")
+    vec = {_vectorizable(program, b.access_label) for b in active}
+    if vec == {True, False}:
+        kinds.add("vectorizable-and-not")
+    for b in active:
+        if not _sends(b).any():
+            kinds.add("all-local")
+        elif _classification_of(program, b.access_label) == "macro" and any(
+            c is not None for _, _, c in cells
+        ):
+            kinds.add("macro-on-cm5")
+    return kinds
+
+
+def test_drawn_groups_cover_every_edge_case():
+    """The drawn-nest strategy reaches each edge case of the stacked
+    group-by."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(drawn_groups())
+    def probe(group):
+        seen.update(_drawn_kinds(group[0]))
+
+    probe()
+    assert seen == {
+        "empty-domain", "mixed-widths", "padding-outside-range",
+        "negative-times", "vectorizable-and-not", "all-local",
+        "macro-on-cm5",
+    }

@@ -13,6 +13,23 @@ for t = 1..n:
 """
 
 
+#: ``S0`` reads the row its previous ``i`` iteration wrote: the inferred
+#: schedule runs ``i`` sequentially
+CARRIED_SRC = """array a(2)
+for i = 1..N:
+  for j = 1..N:
+    S0: a[i, j] = f(a[i-1, j])
+"""
+
+#: two statements write ``a[0]`` in one ``i`` iteration: no
+#: outer-sequential schedule orders them
+SAME_STEP_SRC = """array a(1)
+for i = 1..N:
+  S0: a[0] = f(a[i])
+  S1: a[0] = g(a[i])
+"""
+
+
 @pytest.fixture()
 def nest_file(tmp_path):
     p = tmp_path / "ex5.nest"
@@ -52,6 +69,24 @@ class TestCli:
     def test_parse_params(self):
         assert _parse_params("N=4,M=7") == {"N": 4, "M": 7}
         assert _parse_params("") == {}
+
+    def test_inferred_schedule_is_legal(self, tmp_path, capsys):
+        p = tmp_path / "carried.nest"
+        p.write_text(CARRIED_SRC)
+        assert main([str(p), "--params", "N=4", "--execute"]) == 0
+        out = capsys.readouterr().out
+        assert "schedule S0: theta=[[1, 0]]" in out
+        assert "total:" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--outer-sequential", "1"]])
+    def test_same_step_statements_exit_2(self, tmp_path, capsys, extra):
+        p = tmp_path / "same_step.nest"
+        p.write_text(SAME_STEP_SRC)
+        assert main([str(p), "--params", "N=4", "--execute", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "schedule is illegal" in captured.err
+        assert "total:" not in captured.out
 
     def test_explicit_map_subcommand_matches_default(self, nest_file, capsys):
         assert main([nest_file]) == 0

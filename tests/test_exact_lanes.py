@@ -18,6 +18,14 @@ with its per-element oracle:
 
 Each ``*.fallbacks`` counter rises at most once per call, exactly once
 when a shift reaches 2^62, and never on an unshifted nest.
+
+The same guards are drawn on 3-D triangular nests (3-D arrays, depth-3
+statements with ``i <= j <= k`` or ``k <= j`` domains) compiled with
+``m = 3`` and folded onto two rank-3 meshes: the stacked extraction of
+each folding matches the per-element events, ``execute`` matches
+``execute_python``, and ``runtime.comm_batches.fallbacks`` counts the
+exact-lane virtual stage once per mapping and size bindings, however
+many foldings read it.
 """
 
 import dataclasses
@@ -198,6 +206,110 @@ def test_generated_cases_reach_both_outcomes():
             s.loops[0].lower.const >= 2**62 for s in scheduled.nest.statements
         )
         seen.add((bounds, all(_fits(ev) for ev in events)))
+
+    probe()
+    assert (True, True) in seen and (False, False) in seen
+
+
+#: depth-3 access matrices onto 3-D arrays
+F3_MENU = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, 0, 0], [1, 0, 0], [0, 1, 1]],
+    [[1, 0, 0], [0, 1, 0], [0, 1, 0]],
+]
+MESHES_3D = [(2, 2, 2), (3, 2, 2), (2, 3, 2)]
+
+
+@st.composite
+def shifted_3d_nests(draw):
+    """``(shift, scheduled nest)`` like :func:`shifted_nests`, on
+    triangular depth-3 statements over 3-D arrays."""
+    where = draw(st.sampled_from(["none", "offsets", "offsets", "bounds"]))
+    shift = 0
+    if where != "none":
+        shift = draw(
+            st.sampled_from(OFFSET_SHIFTS if where == "offsets" else BOUND_SHIFTS)
+        )
+    base = shift if where == "bounds" else 0
+    n = draw(st.integers(1, 3))
+    b = NestBuilder("shifted3d")
+    b.array("a", 3).array("b", 3)
+
+    def access(shifted):
+        c = [draw(st.integers(-1, 1)) for _ in range(3)]
+        if where == "offsets":
+            signs = [draw(st.sampled_from([-1, 1]))] if shifted else []
+            signs += [draw(st.sampled_from([-1, 0, 1])) for _ in c[len(signs):]]
+            c = [x + s * shift for x, s in zip(c, signs)]
+        return (draw(st.sampled_from("ab")), draw(st.sampled_from(F3_MENU)), c)
+
+    for k in range(draw(st.integers(1, 2))):
+        inner = draw(st.sampled_from([("j", base + n), (base + 1, "j")]))
+        b.statement(
+            f"S{k}",
+            [("i", base + 1, base + n), ("j", "i", base + n), ("k", *inner)],
+            writes=[access(k == 0)],
+            reads=[access(False) for _ in range(draw(st.integers(0, 2)))],
+        )
+    nest = b.build()
+    kind = draw(st.sampled_from(["trivial", "outer", "skewed"]))
+    if kind == "trivial":
+        return shift, trivial_schedules(nest)
+    if kind == "outer":
+        return shift, outer_sequential_schedules(nest, 1)
+    return shift, ScheduledNest(
+        nest, {s.name: Schedule(IntMat([[1, 1, 1]])) for s in nest.statements}
+    )
+
+
+@SETTINGS
+@given(shifted_3d_nests(), st.lists(
+    st.sampled_from(MESHES_3D), min_size=2, max_size=2, unique=True,
+))
+def test_3d_extraction_and_pricing_match_oracle(case, meshes):
+    shift, scheduled = case
+    compiled = compile_nest(
+        scheduled.nest, m=3, schedules=scheduled, params={},
+        check_legality=False,
+    )
+    rose = _counter("runtime.comm_batches.fallbacks")
+    for mesh in meshes:
+        machine = MeshModel(*mesh)
+        program = compiled.program(machine, {})
+        events = program.comm_events_python()
+        if all(_fits(ev) for ev in events):
+            assert comm_events(program) == events
+            assert execute(program, machine) == execute_python(program, machine)
+        else:
+            with pytest.raises(OverflowError):
+                program.comm_batches()
+            # a failed stage is not cached: count one folding only
+            break
+    _check_lane_count(rose(), shift)
+
+
+def test_3d_cases_reach_both_outcomes():
+    """The 3-D strategy reaches exact-lane nests whose values fit int64
+    and ones that overflow."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(shifted_3d_nests())
+    def probe(case):
+        shift, scheduled = case
+        if shift < 2**62:
+            return
+        compiled = compile_nest(
+            scheduled.nest, m=3, schedules=scheduled, params={},
+            check_legality=False,
+        )
+        program = compiled.program(MeshModel(2, 2, 2), {})
+        bounds = any(
+            s.loops[0].lower.const >= 2**62 for s in scheduled.nest.statements
+        )
+        seen.add((bounds, all(_fits(ev) for ev in program.comm_events_python())))
 
     probe()
     assert (True, True) in seen and (False, False) in seen
