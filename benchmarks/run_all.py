@@ -28,8 +28,8 @@ Registered subsystem gates (beyond the paper artefacts):
   error/timeout records, one compile per compile key and a no-op
   resume; a warm repeat run hits every compile and baseline price,
   prices each compile-key group in one ``execute_group`` call and
-  launches the segmented kernel at most once per machine model per
-  call (``steady_state``); whole-group and fused pricing write the
+  launches the segmented kernel at most once per call, every mesh of
+  the group in that one launch (``steady_state``); whole-group and fused pricing write the
   same records as one-task groups and the per-phase oracle; a cold run
   compiles every nest, a warm disk compile cache makes no
   ``compile_nest`` call, and the integer Fourier–Motzkin kernel agrees
@@ -72,10 +72,12 @@ below batched pricing and dependence analysis (``find_dependences``,
 ``_test_dependence_uncached``) out of the top-10 (exit 1 if either
 compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts that
-``phase_times_segmented`` ran, and at most once per distinct machine
-model per pricing call (``execute`` / ``execute_group``) — the counts
-land in the same artifact (``segmented_kernel_launches``,
-``kernel_launch_ceiling``, ``phases_per_launch``).  Since the compile
+``phase_times_segmented`` ran, and, since every mesh of a call shares
+one launch, at most once per pricing call (``execute`` /
+``execute_group``) — the counts land in the same artifact
+(``segmented_kernel_launches``, ``kernel_launch_ceiling``,
+``phases_per_launch``); the warm rerun below holds the same ceiling
+(``warm_kernel_launches`` <= ``warm_pricing_calls``).  Since the compile
 path went to Python ints only (integer FM, ``IntMat``, fraction-free
 kernels and ``unimodular_inverse``) it also asserts that no ``repro``
 function calls into ``fractions`` or the ``FracMat`` oracle of
@@ -141,7 +143,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     from repro.alignment import heuristic
     from repro.ir import clear_dependence_caches, motivating_example
     from repro.linalg import get_cache
-    from repro.machine import MeshModel, machine_spec
+    from repro.machine import MeshModel
     from repro.obs import metrics
     from repro.runtime import execute
 
@@ -153,12 +155,6 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     machine = MeshModel(4, 4)
     params = {"N": 14, "M": 14}
 
-    # distinct point-to-point models (cm5 and paragon share one per mesh)
-    models = {
-        (type(mm), mm.mesh, mm.params)
-        for mm in [machine_spec(t.machine).make(t.mesh) for t in tasks]
-        + [machine]
-    }
     phases = metrics.counter("runtime.price.phases")
     phases_before = phases.value
     # the kernel memo never evicts below maxsize, so the growth of its
@@ -286,7 +282,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
 
     kernel_launches = _ncalls("phase_times_segmented")
     price_calls = _ncalls("execute") + _ncalls("execute_group")
-    launch_ceiling = len(models) * price_calls
+    launch_ceiling = price_calls
     phases_priced = phases.value - phases_before
 
     from _harness import record_bench
@@ -305,7 +301,6 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "compile_stage_cumtime_s": compile_ct,
             "pricing_stage_cumtime_s": price_ct,
             "price_calls": price_calls,
-            "machine_models": len(models),
             "segmented_kernel_launches": kernel_launches,
             "kernel_launch_ceiling": launch_ceiling,
             "phases_priced": phases_priced,
@@ -398,9 +393,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
 
     # the fused-pricing gate: every pricing call (one compile-key
     # group's heuristic or baseline cells) launches the segmented kernel
-    # at most once per machine model, with every label, cell and phase
-    # on that model stacked into the launch.  More launches mean labels
-    # or cells are leaking back onto per-(cell, label) launches.
+    # at most once, with every label, cell, mesh and phase stacked into
+    # the launch.  More launches mean meshes, labels or cells are
+    # leaking back onto launches of their own.
     if kernel_launches == 0:
         print(
             "FAIL: phase_times_segmented never ran in the reference "
@@ -412,24 +407,24 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     if kernel_launches > launch_ceiling:
         print(
             f"FAIL: {kernel_launches} phase_times_segmented launches in "
-            f"the reference profile, above {len(models)} machine models "
-            f"x {price_calls} pricing calls = {launch_ceiling} — pricing "
-            "has regressed to more than one launch per model per call "
+            f"the reference profile, above {price_calls} pricing calls — "
+            "pricing has regressed to more than one launch per call "
             "(see BENCH_profile.json)",
             file=sys.stderr,
         )
         return 1
     print(
         "gate ok: fused pricing engaged "
-        f"({kernel_launches} segmented kernel launches <= {len(models)} "
-        f"models x {price_calls} pricing calls, "
+        f"({kernel_launches} segmented kernel launches <= "
+        f"{price_calls} pricing calls, "
         f"{phases_priced / kernel_launches:.1f} phases per launch)"
     )
 
     # the route-free kernel gates: on a warm steady pass the segmented
-    # kernel looks up no route (a link_ids call is one route-cache hit
-    # or miss) and runs no unique_rows group-by; its link loads and
-    # fanouts come from one sort of interval end points
+    # kernel launches at most once per pricing call, looks up no route
+    # (a link_ids call is one route-cache hit or miss) and runs no
+    # unique_rows group-by; its link loads and fanouts come from one
+    # sort of interval end points
     route_free = True
     if warm["launches"] == 0:
         print(
@@ -447,6 +442,15 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             file=sys.stderr,
         )
         route_free = False
+    if warm["launches"] > warm["pricing_calls"]:
+        print(
+            f"FAIL: the warm steady pass made {warm['launches']} "
+            f"phase_times_segmented launches for {warm['pricing_calls']} "
+            "pricing calls — pricing has regressed to more than one "
+            "launch per call (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        route_free = False
     if warm["unique_rows"]:
         print(
             f"FAIL: phase_times_segmented made {warm['unique_rows']} "
@@ -460,7 +464,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         return 1
     print(
         "gate ok: route-free contention kernel (0 route-cache lookups and "
-        f"0 unique_rows calls over {warm['launches']} warm kernel launches)"
+        f"0 unique_rows calls over {warm['launches']} warm kernel launches "
+        f"<= {warm['pricing_calls']} pricing calls)"
     )
 
     # the stacked-extraction gates: on the warm pass every extraction

@@ -375,7 +375,7 @@ def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
 #: 0 to switch the memo off; records are byte-identical either way)
 BASELINE_CACHE_SIZE = 512
 
-_baseline_cache: "OrderedDict[str, float]" = OrderedDict()
+_baseline_cache: "OrderedDict[Tuple, float]" = OrderedDict()
 _baseline_hits = obs_metrics.counter("campaign.baseline_cache.hits")
 _baseline_misses = obs_metrics.counter("campaign.baseline_cache.misses")
 
@@ -399,20 +399,19 @@ def clear_baseline_cache() -> None:
 obs_metrics.register_provider("campaign.baseline_cache", baseline_cache_stats)
 
 
-def _baseline_price_key(task: SweepTask) -> str:
-    """Digest of everything the baseline *price* depends on: the cell
-    minus the heuristic knobs (``rank_weights`` deliberately absent —
-    the baseline mapping and the folding never see it)."""
-    spec = {
-        "workload": task.workload.to_dict(),
-        "m": task.m,
-        "machine": task.machine,
-        "mesh": list(task.mesh),
-    }
-    return hashlib.sha1(canonical_json(spec).encode()).hexdigest()[:16]
+def _baseline_price_keys(live: Sequence[SweepTask]) -> List[Tuple]:
+    """Memo keys of everything each cell's baseline *price* depends on:
+    the cell minus the heuristic knobs (``rank_weights`` deliberately
+    absent — the baseline mapping and the folding never see it).  The
+    cells of one compile-key group share the workload, so its digest is
+    encoded once per group."""
+    workload = hashlib.sha1(
+        canonical_json(live[0].workload.to_dict()).encode()
+    ).hexdigest()
+    return [(workload, t.m, t.machine, tuple(t.mesh)) for t in live]
 
 
-def _baseline_lookup(key: str) -> Tuple[Optional[float], bool]:
+def _baseline_lookup(key: Tuple) -> Tuple[Optional[float], bool]:
     """``(price, hit)`` — a disabled cache always misses (mirroring the
     compile LRU's counter semantics)."""
     if BASELINE_CACHE_SIZE > 0:
@@ -425,7 +424,7 @@ def _baseline_lookup(key: str) -> Tuple[Optional[float], bool]:
     return None, False
 
 
-def _baseline_store(key: str, price: float) -> None:
+def _baseline_store(key: Tuple, price: float) -> None:
     if BASELINE_CACHE_SIZE > 0:
         _baseline_cache[key] = price
         while len(_baseline_cache) > BASELINE_CACHE_SIZE:
@@ -690,7 +689,7 @@ def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
                     [(p, *mc) for p, mc in zip(programs, machines)], grouped
                 )
 
-            bkeys = [_baseline_price_key(t) for t in live]
+            bkeys = _baseline_price_keys(live)
             lookups = [_baseline_lookup(k) for k in bkeys]
             btimes = [btime for btime, _ in lookups]
             misses = [i for i, (_, bhit) in enumerate(lookups) if not bhit]

@@ -29,7 +29,11 @@ launch, prices many phases at once without any route: under
 dimension-order routing a message crosses each mesh axis as one
 straight run of links, so the load on a line of links is a sum of
 intervals, and one sort of all interval end points yields every
-phase's link loads and sender fanouts (:func:`_fanout_and_load`).
+phase's link loads and sender fanouts (:func:`_fanout_and_load`).  The
+phases of one launch may lie on different meshes of one rank (the
+cells of a campaign group): each phase carries its own mesh sides, and
+the sort keys every phase on the bounding mesh, where a sub-mesh route
+loads the same line positions.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from .backend import segment_max, weighted_bincount
 from .routecache import max_link_load, route_cache_for
-from .topology import Message
+from .topology import Mesh, Message
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,16 @@ class CostParams:
         vals = {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma}
         vals.update(kw)
         return CostParams(**vals)
+
+    def phase_times(self, fanout, load, hops) -> np.ndarray:
+        """``alpha * fanout + beta * load + gamma * hops`` over int64
+        per-phase arrays: the same IEEE operations, in the same order,
+        as :func:`phase_time` performs on one phase."""
+        return (
+            self.alpha * fanout.astype(np.float64)
+            + self.beta * load.astype(np.float64)
+            + self.gamma * hops.astype(np.float64)
+        )
 
 
 @dataclass
@@ -191,21 +205,25 @@ def _zero_report(n_phases: int, local_messages=None) -> SegmentedPhaseReport:
 
 
 def _segmented_exact_fallback(
-    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases, bad
+    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases, bad,
+    phase_dims,
 ) -> SegmentedPhaseReport:
     """Pathological-magnitude fallback: the segments ``bad`` are priced
-    one by one through the exact :func:`phase_time` (bit-identical at
-    any magnitude, never fast), every other segment by the fused
-    kernel."""
+    one by one, each on its own mesh, through the exact
+    :func:`phase_time` (bit-identical at any magnitude, never fast),
+    every other segment by the fused kernel."""
     keep = ~np.isin(phase_ids, bad)
     rep = phase_times_segmented(
         mesh, senders[keep], receivers[keep], sizes[keep], phase_ids[keep],
-        params, cache, n_phases,
+        params, cache, n_phases, phase_dims,
     )
     for s in bad.tolist():
         m = phase_ids == s
+        own = mesh
+        if phase_dims is not None and tuple(phase_dims[s]) != mesh.dims:
+            own = Mesh(*phase_dims[s].tolist())
         r = phase_time(
-            mesh,
+            own,
             [
                 Message(src=tuple(a), dst=tuple(b), size=z)
                 for a, b, z in zip(
@@ -214,7 +232,7 @@ def _segmented_exact_fallback(
                 )
             ],
             params,
-            cache,
+            cache if own is mesh else None,
         )
         rep.times[s] = r.time
         rep.max_link_load[s] = r.max_link_load
@@ -235,6 +253,7 @@ def phase_times_segmented(
     params: CostParams,
     cache=None,
     n_phases: Optional[int] = None,
+    phase_dims: Optional[np.ndarray] = None,
 ) -> SegmentedPhaseReport:
     """Fused :func:`phase_time` over many phases in one call.
 
@@ -253,19 +272,28 @@ def phase_times_segmented(
     * the :class:`CostParams` cost formula evaluates vectorized across
       all segments.
 
-    An endpoint off the mesh, or a phase id outside ``[0, n_phases)``,
-    raises ``ValueError``.
+    The phases may lie on different meshes of one rank: ``phase_dims``,
+    an ``(n_phases, rank)`` int64 array, gives each phase the sides of
+    its own mesh (``None``: every phase is on ``mesh``, which then only
+    fixes the rank).  The sort keys every phase on the elementwise-max
+    *bounding* mesh: a dimension-order route inside a sub-mesh loads the
+    same line positions in the bounding mesh, and phase ids keep the
+    meshes apart, so no per-phase statistic changes.
+
+    An endpoint off its phase's mesh, or a phase id outside ``[0,
+    n_phases)``, raises ``ValueError``.
 
     Bit-identical to calling :func:`phase_time` once per segment
     (property-tested in ``tests/runtime/test_segmented_pricing.py``):
     loads and fanouts are int64 sums; the volume is a float64 sum,
     exact while a segment's largest ``|size|`` times its message count
     stays below ``2**53``.  A segment past that bound, or that holds a
-    negative size, is priced alone through the exact :func:`phase_time`
-    (counted in ``machine.contention.exact_fallbacks``); the others
-    stay on the kernel.  The final ``alpha*fanout + beta*load +
-    gamma*hops`` arithmetic performs the same IEEE operations in the
-    same order.
+    negative size, is priced alone on its own mesh through the exact
+    :func:`phase_time` (counted in
+    ``machine.contention.exact_fallbacks``); the others stay on the
+    kernel.  The final ``alpha*fanout + beta*load + gamma*hops``
+    arithmetic (:meth:`CostParams.phase_times`) performs the same IEEE
+    operations in the same order.
     """
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
@@ -283,7 +311,12 @@ def phase_times_segmented(
             f"got senders {senders.shape} and receivers {receivers.shape}"
         )
     ends = np.concatenate((senders, receivers), axis=1)
-    _check_launch(mesh.dims, ends, phase_ids, n_phases)
+    dims = mesh.dims
+    if phase_dims is not None:
+        phase_dims = np.asarray(phase_dims, dtype=np.int64)
+    _check_launch(dims, ends, phase_ids, n_phases, phase_dims)
+    if phase_dims is not None:
+        dims = tuple(phase_dims.max(axis=0).tolist())
 
     # per-segment exactness guard, skipped when the whole launch is
     # already in range (float products of exact integers are exact
@@ -303,7 +336,7 @@ def phase_times_segmented(
             _exact_fallbacks.inc(int(bad.size))
             return _segmented_exact_fallback(
                 mesh, senders, receivers, sizes, phase_ids, params, cache,
-                n_phases, bad,
+                n_phases, bad, phase_dims,
             )
 
     remote = np.any(senders != receivers, axis=1)
@@ -324,16 +357,10 @@ def phase_times_segmented(
     ).astype(np.int64)
     max_hops = segment_max(hops, phase_ids, n_phases)
     max_fanout, max_load = _fanout_and_load(
-        mesh.dims, ends, sizes, phase_ids, n_phases
-    )
-
-    times = (
-        params.alpha * max_fanout.astype(np.float64)
-        + params.beta * max_load.astype(np.float64)
-        + params.gamma * max_hops.astype(np.float64)
+        dims, ends, sizes, phase_ids, n_phases
     )
     return SegmentedPhaseReport(
-        times=times,
+        times=params.phase_times(max_fanout, max_load, max_hops),
         max_link_load=max_load,
         max_hops=max_hops,
         max_msgs_per_sender=max_fanout,
@@ -343,18 +370,31 @@ def phase_times_segmented(
     )
 
 
-def _check_launch(dims, ends, phase_ids, n_phases) -> None:
-    """Reject what packed keys would silently alias: an endpoint off the
-    mesh and a phase id outside ``[0, n_phases)``.  Viewed unsigned, a
-    negative value wraps past every bound, so each check is one max."""
-    sides = np.array(dims * 2, dtype=np.uint64)
-    if (ends.view(np.uint64).max(axis=0) >= sides).any():
-        raise ValueError("endpoint outside the mesh")
+def _check_launch(dims, ends, phase_ids, n_phases, phase_dims) -> None:
+    """Reject what packed keys would silently alias: a phase id outside
+    ``[0, n_phases)``, per-phase mesh sides that are not ``(n_phases,
+    rank)`` positive ints, and an endpoint off its mesh (``dims``, or
+    with ``phase_dims`` its phase's own sides).  Viewed unsigned, a
+    negative value wraps past every bound, so each one-mesh check is
+    one max."""
     if int(phase_ids.view(np.uint64).max()) >= n_phases:
         raise ValueError(
             f"phase_ids must lie in [0, {n_phases}), got ids in "
             f"[{int(phase_ids.min())}, {int(phase_ids.max())}]"
         )
+    ends = ends.view(np.uint64)
+    if phase_dims is None:
+        off = ends.max(axis=0) >= np.array(dims * 2, dtype=np.uint64)
+    else:
+        shape = (n_phases, len(dims))
+        if phase_dims.shape != shape or (phase_dims <= 0).any():
+            raise ValueError(
+                f"phase_dims must be {shape} positive mesh sides, got "
+                f"{phase_dims.shape}"
+            )
+        off = ends >= np.tile(phase_dims, 2).view(np.uint64)[phase_ids]
+    if off.any():
+        raise ValueError("endpoint outside the mesh")
 
 
 def _fanout_and_load(dims, ends, sizes, phase_ids, n_phases):

@@ -69,17 +69,19 @@ class MeshModel:
         return phase_time(self.mesh, messages, self.params)
 
     def time_phases_segmented(
-        self, senders, receivers, sizes, phase_ids, n_phases=None
+        self, senders, receivers, sizes, phase_ids, n_phases=None,
+        phase_dims=None,
     ) -> SegmentedPhaseReport:
         """Fused multi-phase :meth:`time_phase`: all phases of a
         pricing call enter as endpoint coordinate matrices plus an
         int64 segment column and are priced by one kernel
         (:func:`~repro.machine.contention.phase_times_segmented`) —
         the executor's pricing entry (bit-identical to per-phase
-        pricing)."""
+        pricing).  ``phase_dims`` puts each phase on its own mesh of
+        this model's rank (``None``: on :attr:`mesh`)."""
         return phase_times_segmented(
             self.mesh, senders, receivers, sizes, phase_ids, self.params,
-            n_phases=n_phases,
+            n_phases=n_phases, phase_dims=phase_dims,
         )
 
     def time_phases(self, phases: Iterable[Sequence[Message]]) -> float:

@@ -8,10 +8,16 @@ executor calls:
 * ``mesh`` — the physical topology (its ``dims`` fold the virtual
   grid);
 * ``params`` — the :class:`~repro.machine.contention.CostParams`
-  (with ``mesh``, the key under which models share a kernel launch);
+  that turn a phase's contention statistics (sender fanout, link load,
+  hops) into its time;
 * ``time_phases_segmented(senders, receivers, sizes, phase_ids,
-  n_phases)`` — price many phases of point-to-point messages in one
-  call (the pricing path of :func:`repro.runtime.execute`);
+  n_phases, phase_dims=None)`` — price many phases of point-to-point
+  messages in one call, each phase on its own mesh of the model's rank
+  when ``phase_dims`` gives per-phase sides (the pricing path of
+  :func:`repro.runtime.execute`).  Every point-to-point model of a
+  pricing call shares one such launch, made through the call's first
+  model: the launch's statistics are priced under each model's own
+  ``params``;
 * ``time_phase(messages) -> PhaseReport`` — price one phase (the
   per-event test oracle :func:`repro.runtime.execute_python` prices
   every phase through it).
@@ -51,7 +57,8 @@ class MachineModel(Protocol):
     params: CostParams
 
     def time_phases_segmented(
-        self, senders, receivers, sizes, phase_ids, n_phases=None
+        self, senders, receivers, sizes, phase_ids, n_phases=None,
+        phase_dims=None,
     ) -> SegmentedPhaseReport:
         ...
 

@@ -22,12 +22,15 @@ iteration set).  Per pricing call, virtual locality is one mask over
 the stacked virtual rows and physical locality one mask per distinct
 folding; the per-time-step phase split and the ``(sender, receiver)``
 pair coalescing of every label and every folding are **one**
-``unique_rows`` group-by; every phase of the call then prices in one
-fused kernel launch per machine model.  Every label names exactly one
-access (``LoopNest.validate`` rejects a repeated label), so each label
-prices from one row block per folding, with one schedule width and one
-residual.  The per-event implementation :func:`execute_python` is the
-test oracle — no production path calls it; the two are bit-identical
+``unique_rows`` group-by; every point-to-point phase of the call then
+prices in **one** fused kernel launch, whatever meshes its cells fold
+onto (each phase carries its own mesh sides), and each machine's cost
+parameters turn the launch's contention statistics into its times.
+Every label names exactly one access (``LoopNest.validate`` rejects a
+repeated label), so each label prices from one row block per folding,
+with one schedule width and one residual.  The per-event
+implementation :func:`execute_python` is the test oracle — no
+production path calls it; the two are bit-identical
 (asserted on randomized generated workloads and the paper's seed
 scenarios in ``tests/runtime/test_runtime_vectorized.py`` and
 ``tests/runtime/test_pricing_differential.py``, and measured against
@@ -132,38 +135,45 @@ class _Job:
     kind: Optional[str]
 
 
-def _model_key(machine: MachineModel) -> Tuple:
-    """Machines agreeing on type, mesh and cost parameters price any
-    phase identically (cm5 and paragon cells on one mesh do), so they
-    share one kernel launch."""
-    return (type(machine), machine.mesh, machine.params)
-
-
-def _lane_times(
-    model, kind: Optional[str], seg: PhaseSegments, lens, sel, payload: int
-) -> List[float]:
-    """Per-phase times of the phases of ``seg`` (``lens`` rows each)
-    selected by the per-phase mask ``sel`` (``None``: all of them), in
-    order, from one lane call: the fused point-to-point kernel of
-    ``model`` when ``kind`` is ``None``, else one vectorized ``kind``
-    collective per phase."""
-    pairs, counts = seg.pairs, seg.counts
-    if sel is not None:
-        rows = np.repeat(sel, lens)
-        pairs, counts, lens = pairs[rows], counts[rows], lens[sel]
+def _kernel_times(
+    cells, jobs: List[_Job], idx: List[int], blocks: List[int],
+    block_phases, pairs, sizes, lens,
+) -> Dict[int, List[float]]:
+    """Per-phase times, by cell, of the point-to-point jobs ``idx``
+    (``blocks`` in order, ``lens`` rows per phase) from **one** fused
+    kernel launch, made through the first job's machine.  When the
+    blocks lie on several meshes every phase carries its own mesh sides;
+    each distinct :class:`~repro.machine.CostParams` then turns the
+    launch's contention statistics into times."""
+    dims_of = {jobs[i].block: cells[jobs[i].cell][1].mesh.dims for i in idx}
+    phase_dims = None
+    if len(set(dims_of.values())) > 1:
+        phase_dims = np.repeat(
+            np.array([dims_of[b] for b in blocks], dtype=np.int64),
+            block_phases[blocks], axis=0,
+        )
     n_phases = lens.shape[0]
-    sizes = counts * payload
-    _launches.inc()
-    _phases.inc(n_phases)
-    with span("exec.segmented", count=n_phases):
-        if kind is not None:
-            seg_sizes = np.maximum.reduceat(sizes, np.cumsum(lens) - lens)
-            return model.macro_times_segmented(kind, seg_sizes).tolist()
-        rank = pairs.shape[1] // 2
-        phase_ids = np.repeat(np.arange(n_phases, dtype=np.int64), lens)
-        return model.time_phases_segmented(
-            pairs[:, :rank], pairs[:, rank:], sizes, phase_ids, n_phases
-        ).times.tolist()
+    rank = pairs.shape[1] // 2
+    launcher = cells[jobs[idx[0]].cell][1]
+    rep = launcher.time_phases_segmented(
+        pairs[:, :rank], pairs[:, rank:], sizes,
+        np.repeat(np.arange(n_phases, dtype=np.int64), lens), n_phases,
+        phase_dims=phase_dims,
+    )
+    priced = [(launcher.params, rep.times.tolist())]
+    times: Dict[int, List[float]] = {}
+    for k in {jobs[i].cell for i in idx}:
+        params = cells[k][1].params
+        for seen, t in priced:
+            if seen == params:
+                break
+        else:
+            t = params.phase_times(
+                rep.max_msgs_per_sender, rep.max_link_load, rep.max_hops
+            ).tolist()
+            priced.append((params, t))
+        times[k] = t
+    return times
 
 
 def _price_jobs(
@@ -171,40 +181,60 @@ def _price_jobs(
     payload: int,
 ) -> List[List[float]]:
     """Each job's per-phase times, in phase order, from one call per
-    pricing lane: one fused kernel launch per distinct point-to-point
-    model (:func:`_model_key`), one vectorized call per (collectives
+    pricing lane: **one** fused kernel launch for every point-to-point
+    job of the call, whatever mesh its cell folds onto
+    (:func:`_kernel_times`), and one vectorized call per (collectives
     model, kind).  Block ``b`` owns phases ``bounds[b]:bounds[b+1]`` of
     ``seg``; jobs of one lane that share a block (twin cells, see
     :func:`_execute_cells`) price it once.  Every phase prices
     independently of its lane neighbours, so the times equal per-phase
     pricing bit for bit."""
-    p2p: Dict[Tuple, Tuple[MachineModel, List[int]]] = {}
+    p2p: List[int] = []
     # collectives models are unhashable dataclasses: lanes match by
     # equality
     macro: List[Tuple[CM5Model, str, List[int]]] = []
     for i, job in enumerate(jobs):
-        _, machine, coll = cells[job.cell]
         if job.kind is None:
-            p2p.setdefault(_model_key(machine), (machine, []))[1].append(i)
+            p2p.append(i)
             continue
+        coll = cells[job.cell][2]
         for lane_coll, lane_kind, idx in macro:
             if lane_kind == job.kind and lane_coll == coll:
                 idx.append(i)
                 break
         else:
             macro.append((coll, job.kind, [i]))
-    lanes = [(m, None, idx) for m, idx in p2p.values()] + macro
+    lanes = ([(None, None, p2p)] if p2p else []) + macro
     out: List[List[float]] = [[] for _ in jobs]
     n_blocks = len(bounds) - 1
     lens, block_phases = np.diff(seg.starts), np.diff(bounds)
-    for model, kind, idx in lanes:
+    for coll, kind, idx in lanes:
         blocks = sorted({jobs[i].block for i in idx})
-        sel = None
+        pairs, counts, lane_lens = seg.pairs, seg.counts, lens
         if len(blocks) < n_blocks:
             in_lane = np.zeros(n_blocks, dtype=bool)
             in_lane[blocks] = True
             sel = np.repeat(in_lane, block_phases)
-        times = _lane_times(model, kind, seg, lens, sel, payload)
+            rows = np.repeat(sel, lens)
+            pairs, counts, lane_lens = pairs[rows], counts[rows], lens[sel]
+        sizes = counts * payload
+        n_phases = lane_lens.shape[0]
+        _launches.inc()
+        _phases.inc(n_phases)
+        with span("exec.segmented", count=n_phases):
+            if kind is None:
+                times = _kernel_times(
+                    cells, jobs, idx, blocks, block_phases, pairs, sizes,
+                    lane_lens,
+                )
+            else:
+                seg_sizes = np.maximum.reduceat(
+                    sizes, np.cumsum(lane_lens) - lane_lens
+                )
+                lane_times = coll.macro_times_segmented(kind, seg_sizes)
+                times = dict.fromkeys(
+                    (jobs[i].cell for i in idx), lane_times.tolist()
+                )
         # block -> offset of its first phase in the lane's times
         at: Dict[int, int] = {}
         n = 0
@@ -213,7 +243,8 @@ def _price_jobs(
             n += bounds[b + 1] - bounds[b]
         for i in idx:
             b = jobs[i].block
-            out[i] = times[at[b]: at[b] + bounds[b + 1] - bounds[b]]
+            cell_times = times[jobs[i].cell]
+            out[i] = cell_times[at[b]: at[b] + bounds[b + 1] - bounds[b]]
     return out
 
 
@@ -436,9 +467,9 @@ def execute_group(
     ``comm_batches()`` extraction and their phases, and each distinct
     phase prices once per lane.  The rows of all labels and all
     distinct foldings are grouped by one ``unique_rows`` call, and
-    every phase of the call — all labels, all cells — prices in one
-    fused kernel launch per distinct point-to-point model plus one
-    collectives call per (collectives model, kind).
+    every point-to-point phase of the call — all labels, all cells, all
+    meshes — prices in one fused kernel launch, plus one collectives
+    call per (collectives model, kind).
     """
     if not cells:
         return []

@@ -354,7 +354,9 @@ class MappedProgram:
         (the campaign's machine x mesh grid cells) reuses one
         evaluation.  The alignment's ``mutation_count`` is part of the
         key, so a later ``rotate_component`` naturally invalidates
-        every entry cached before the rotation.
+        every entry cached before the rotation.  A value past int64 is
+        remembered under the same key: every later folding re-raises an
+        equal ``OverflowError`` without re-running the exact lane.
         """
         key = (
             tuple(sorted(self.params.items())),
@@ -362,6 +364,9 @@ class MappedProgram:
         )
         cache = self.mapping.__dict__.setdefault("_virtual_batch_cache", {})
         hit = cache.get(key)
+        if isinstance(hit, OverflowError):
+            # the exact lane already failed for these bindings
+            raise OverflowError(*hit.args)
         if hit is not None:
             return hit
         al = self.mapping.alignment
@@ -397,20 +402,25 @@ class MappedProgram:
             _exact_lane.inc()
         dtype = np.int64 if proven else object
         labels, stmts, times, senders, receivers = [], [], [], [], []
-        for stmt, idx, theta, place, owners in plans:
-            idx = idx.astype(dtype, copy=False)
-            t = affine_rows(idx, theta).astype(np.int64, copy=False)
-            stmt_v = affine_rows(idx, *place).astype(np.int64, copy=False)
-            for acc, owner in owners:
-                owner_v = affine_rows(
-                    affine_rows(idx, acc.F, acc.c), *owner
-                ).astype(np.int64, copy=False)
-                read = acc.kind is AccessKind.READ
-                labels.append(acc.label or f"{stmt.name}:{acc.array}")
-                stmts.append(stmt.name)
-                times.append(t)
-                senders.append(owner_v if read else stmt_v)
-                receivers.append(stmt_v if read else owner_v)
+        try:
+            for stmt, idx, theta, place, owners in plans:
+                idx = idx.astype(dtype, copy=False)
+                t = affine_rows(idx, theta).astype(np.int64, copy=False)
+                stmt_v = affine_rows(idx, *place).astype(np.int64, copy=False)
+                for acc, owner in owners:
+                    owner_v = affine_rows(
+                        affine_rows(idx, acc.F, acc.c), *owner
+                    ).astype(np.int64, copy=False)
+                    read = acc.kind is AccessKind.READ
+                    labels.append(acc.label or f"{stmt.name}:{acc.array}")
+                    stmts.append(stmt.name)
+                    times.append(t)
+                    senders.append(owner_v if read else stmt_v)
+                    receivers.append(stmt_v if read else owner_v)
+        except OverflowError as exc:
+            # remembered without its traceback, which pins the arrays
+            cache[key] = OverflowError(*exc.args)
+            raise
         offsets = np.concatenate(
             ([0], np.cumsum([t.shape[0] for t in times], dtype=np.int64))
         )

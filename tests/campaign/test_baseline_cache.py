@@ -98,6 +98,83 @@ class TestBaselineCacheBehaviour:
         assert baseline_cache_stats()["size"] <= 2
 
 
+def _spec(**kw):
+    args = dict(
+        seed=0, nests=2, include_corpus=False, meshes=((4, 4), (2, 2))
+    )
+    args.update(kw)
+    return default_spec(**args)
+
+
+class TestPerGroupKeys:
+    """Each cell's key is the group's one workload digest plus its
+    ``(m, machine, mesh)``."""
+
+    def test_rank_weights_alone_share_every_baseline(self, tmp_path):
+        first, second = (
+            _spec(rank_weights=(rw,)).expand() for rw in (True, False)
+        )
+        assert {t.compile_key for t in first}.isdisjoint(
+            t.compile_key for t in second
+        )
+        cold = run_campaign(
+            first, str(tmp_path / "a.jsonl"), CampaignConfig(jobs=1), meta={}
+        )
+        warm = run_campaign(
+            second, str(tmp_path / "b.jsonl"), CampaignConfig(jobs=1), meta={}
+        )
+        assert cold.baseline_cache_misses == len(first)
+        assert warm.baseline_cache_hits == len(second)
+        assert warm.baseline_cache_misses == 0
+        _, a = RunStore(str(tmp_path / "a.jsonl")).load()
+        _, b = RunStore(str(tmp_path / "b.jsonl")).load()
+        assert sorted(r.baseline_time for r in a.values()) == sorted(
+            r.baseline_time for r in b.values()
+        )
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(machines=("paragon",)), dict(meshes=((3, 2),))],
+        ids=["machine", "mesh"],
+    )
+    def test_other_machine_or_mesh_misses(self, other, tmp_path):
+        run_campaign(
+            _spec(machines=("cm5",)).expand(), str(tmp_path / "a.jsonl"),
+            CampaignConfig(jobs=1), meta={},
+        )
+        tasks = _spec(**{"machines": ("cm5",), **other}).expand()
+        outcome = run_campaign(
+            tasks, str(tmp_path / "b.jsonl"), CampaignConfig(jobs=1), meta={}
+        )
+        assert outcome.baseline_cache_hits == 0
+        assert outcome.baseline_cache_misses == len(tasks)
+
+    def test_keys_share_one_workload_digest_per_group(self, rw_sweep_grid):
+        key = rw_sweep_grid[0].compile_key
+        group = [t for t in rw_sweep_grid if t.compile_key == key]
+        keys = runner._baseline_price_keys(group)
+        assert len(group) > 1 and len(set(keys)) == len(group)
+        assert len({k[0] for k in keys}) == 1
+        assert [k[1:] for k in keys] == [
+            (t.m, t.machine, tuple(t.mesh)) for t in group
+        ]
+
+    def test_steady_rerun_of_the_bench_grid_hits_every_baseline(
+        self, tmp_path
+    ):
+        tasks = default_spec(
+            seed=0, nests=8, machines=("paragon", "cm5"),
+            meshes=((4, 4), (2, 2)), ms=(2,), shapes=("rect",),
+        ).expand()
+        for name in ("warm", "steady"):
+            outcome = run_campaign(
+                tasks, str(tmp_path / f"{name}.jsonl"),
+                CampaignConfig(jobs=1), meta={},
+            )
+        assert outcome.ok == len(tasks)
+        assert outcome.baseline_cache_hits == len(tasks)
+
+
 class TestGoldenByteIdentity:
     def test_batched_records_identical_to_per_task(
         self, rw_sweep_grid, tmp_path, monkeypatch

@@ -1,7 +1,7 @@
 """Per-phase pricing reference.
 
-The executor prices every phase of a call in one fused kernel launch
-per machine model.  This module is what it must agree with, bit for
+The executor prices every point-to-point phase of a call in one fused
+kernel launch.  This module is what it must agree with, bit for
 bit: every phase is grouped with plain Python dicts and priced alone
 through the model's ``time_phase`` (or the scalar collective costs), and
 the times are folded in the executor's order — labels sorted, phases in

@@ -269,13 +269,12 @@ def test_statement_order_does_not_change_a_price(payload):
     assert all(r.total_time > 0 for r in first)
 
 
-@pytest.mark.parametrize(
-    "name", ["example1", "gauss", "mixed-width", "mixed-width-seq"]
-)
-def test_one_kernel_launch_per_machine_model(name, monkeypatch):
-    """paragon and cm5 cells on one mesh share a model: a group over
-    three meshes launches the point-to-point kernel at most once per
-    mesh."""
+#: the meshes of the launch tests: square and non-square, nested and not
+LAUNCH_MESHES = [(2, 2), (3, 2), (4, 4)]
+
+
+def _count_launches(monkeypatch):
+    """The meshes of every point-to-point kernel launch from now on."""
     import repro.machine.machines as machines
 
     launches = []
@@ -286,15 +285,52 @@ def test_one_kernel_launch_per_machine_model(name, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(machines, "phase_times_segmented", counting)
+    return launches
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "gauss", "mixed-width", "mixed-width-seq"]
+)
+def test_one_kernel_launch_per_pricing_call(name, monkeypatch):
+    """paragon and cm5 cells over three meshes price every
+    point-to-point phase of the group in one kernel launch."""
+    launches = _count_launches(monkeypatch)
     grid = [
         (machine, mesh)
-        for mesh in [(2, 2), (3, 2), (4, 4)]
+        for mesh in LAUNCH_MESHES
         for machine in ("paragon", "cm5")
     ]
     cells = fold(name, grid)
     got = execute_group(cells)
-    assert len(launches) == len(set(launches)) <= 3
+    assert len(launches) == 1
     assert got == execute_group_per_phase(cells)
+
+
+@pytest.mark.parametrize("scaled_first", [False, True])
+@pytest.mark.parametrize("name", ["example1", "gauss", "mixed-width"])
+def test_three_mesh_group_matches_per_cell(name, scaled_first, monkeypatch):
+    """paragon and cm5 twins on three meshes, plus a paragon with a
+    scaled ``alpha`` sharing the 3x2 mesh: one kernel launch prices the
+    group, each machine's cost parameters price its own cells, and
+    every cell equals ``execute`` and ``execute_python``."""
+    scaled = ("paragon", (3, 2), CostParams().scaled(alpha=7.25))
+    grid = [
+        (machine, mesh)
+        for mesh in LAUNCH_MESHES
+        for machine in ("paragon", "cm5")
+    ]
+    grid.insert(0 if scaled_first else len(grid), scaled)
+    cells = fold(name, grid)
+    launches = _count_launches(monkeypatch)
+    got = execute_group(cells)
+    assert len(launches) == 1
+    for cell, report in zip(cells, got):
+        assert bits(report) == bits(execute(*cell))
+        assert bits(report) == bits(execute_python(*cell))
+    # the scaled cell shares the default paragon's phases, not its times
+    at = grid.index(scaled)
+    default = grid.index(("paragon", (3, 2)))
+    assert got[at].total_time != got[default].total_time
 
 
 #: access matrices by statement depth (arrays are 2-D); the

@@ -367,6 +367,184 @@ def test_oversize_segment_goes_exact(launch, params, data):
     assert fallbacks.value == before + 1
 
 
+@st.composite
+def multi_mesh_launches(draw):
+    """A fused launch over two or three distinct meshes of one rank (2
+    or 3, sides from 1, so shapes like 2x5 next to 5x2 that neither
+    nest nor bound each other): each phase lies on a drawn mesh, with
+    empty and all-local phases next to remote ones.  Returns
+    ``(meshes, phase_mesh, rows)``: ``phase_mesh[p]`` indexes phase
+    ``p``'s mesh, a row is ``(phase, src, dst, size)``."""
+    rank = draw(st.sampled_from([2, 3]))
+    side = st.integers(1, 5)
+    meshes = draw(
+        st.lists(
+            st.tuples(*[side] * rank), min_size=2, max_size=3, unique=True
+        )
+    )
+    n_phases = draw(st.integers(1, 12))
+    phase_mesh = draw(
+        st.lists(
+            st.integers(0, len(meshes) - 1),
+            min_size=n_phases, max_size=n_phases,
+        )
+    )
+    local_phase = draw(st.none() | st.integers(0, n_phases - 1))
+    rows = []
+    for p in draw(st.lists(st.integers(0, n_phases - 1), max_size=50)):
+        dims = meshes[phase_mesh[p]]
+        coord = st.tuples(*(st.integers(0, d - 1) for d in dims))
+        src = draw(coord)
+        local = p == local_phase or draw(st.integers(0, 5)) == 0
+        dst = src if local else draw(coord)
+        rows.append((p, src, dst, draw(st.integers(0, 40))))
+    return meshes, phase_mesh, rows
+
+
+def _launch(mesh, rows, params, n_phases, phase_dims=None):
+    rank = mesh.ndim
+    return phase_times_segmented(
+        mesh,
+        np.array([r[1] for r in rows], dtype=np.int64).reshape(-1, rank),
+        np.array([r[2] for r in rows], dtype=np.int64).reshape(-1, rank),
+        np.array([r[3] for r in rows], dtype=np.int64),
+        np.array([r[0] for r in rows], dtype=np.int64),
+        params,
+        n_phases=n_phases,
+        phase_dims=phase_dims,
+    )
+
+
+def multi_mesh_vs_per_mesh(meshes, phase_mesh, rows, params):
+    """Price ``rows`` in one multi-mesh launch and compare every phase,
+    column by column, with a per-mesh launch of that mesh's phases and
+    with ``phase_time_python`` on its own mesh."""
+    n_phases = len(phase_mesh)
+    phase_dims = np.array([meshes[k] for k in phase_mesh], dtype=np.int64)
+    fused = _launch(Mesh(*meshes[0]), rows, params, n_phases, phase_dims)
+    assert len(fused) == n_phases
+    for k, dims in enumerate(meshes):
+        mesh = Mesh(*dims)
+        own = [p for p in range(n_phases) if phase_mesh[p] == k]
+        local_id = {p: j for j, p in enumerate(own)}
+        alone = _launch(
+            mesh,
+            [(local_id[q], s, d, z) for q, s, d, z in rows if q in local_id],
+            params,
+            len(own),
+        )
+        for p, j in local_id.items():
+            got = vars(fused.report(p))
+            assert got == vars(alone.report(j)), (meshes, p)
+            want = phase_time_python(
+                mesh, [Message(s, d, z) for q, s, d, z in rows if q == p],
+                params,
+            )
+            assert got == vars(want), (meshes, p)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(multi_mesh_launches(), PARAMS_DRAWN)
+def test_multi_mesh_launch_matches_per_mesh(launch, params):
+    multi_mesh_vs_per_mesh(*launch, params)
+
+
+class TestMultiMeshLaunch:
+    """A launch whose phases lie on several meshes of one rank."""
+
+    @pytest.mark.parametrize(
+        "meshes",
+        [[(2, 5), (5, 2)], [(1, 4), (4, 1), (3, 3)], [(2, 3, 1), (1, 2, 3)]],
+    )
+    def test_crossed_shapes_with_empty_and_local_phases(self, meshes):
+        """Phase 0 is empty and phase 1 all-local, next to a remote
+        phase on every mesh."""
+        rng = np.random.default_rng(7)
+        phase_mesh = [0, 1] + list(range(len(meshes))) * 2
+        rows = [(1, (0,) * len(meshes[1]), (0,) * len(meshes[1]), 4)]
+        for p, k in enumerate(phase_mesh[2:], start=2):
+            for _ in range(6):
+                src, dst = (
+                    tuple(int(rng.integers(0, d)) for d in meshes[k])
+                    for _ in range(2)
+                )
+                rows.append((p, src, dst, int(rng.integers(1, 9))))
+        multi_mesh_vs_per_mesh(meshes, phase_mesh, rows, CostParams())
+
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("bad", [(3, 0), (0, 2), (-1, 0)])
+    def test_endpoint_off_its_own_mesh(self, bad, column):
+        """``bad`` lies inside the 5x5 bounding mesh of 2x5 and 5x2 (or
+        is negative) but off phase 1's 2x2 mesh."""
+        rows = [(0, (4, 0), (0, 1), 1), (1, (0, 0), (1, 1), 1)]
+        row = list(rows[1])
+        row[column] = bad
+        rows[1] = tuple(row)
+        with pytest.raises(ValueError, match="endpoint outside the mesh"):
+            _launch(
+                Mesh(2, 5), rows, CostParams(), 3,
+                np.array([[5, 2], [2, 2], [2, 5]]),
+            )
+
+    def test_phase_dims_shape_checked(self):
+        with pytest.raises(ValueError, match="phase_dims"):
+            _launch(
+                Mesh(2, 2), [(0, (0, 0), (1, 1), 1)], CostParams(), 2,
+                np.array([[2, 2]]),
+            )
+        with pytest.raises(ValueError, match="phase_dims"):
+            _launch(
+                Mesh(2, 2), [(0, (0, 0), (1, 1), 1)], CostParams(), 1,
+                np.array([[2, 0]]),
+            )
+
+    def test_oversize_segment_goes_exact_on_its_own_mesh(self, monkeypatch):
+        """An oversize segment of a 3x2 phase in a launch with a 2x4
+        mesh is priced alone, on 3x2, through the exact path (counted
+        once); every other segment stays fused and matches."""
+        from repro.machine import contention
+
+        exact_meshes = []
+        exact = contention.phase_time
+
+        def spy(mesh, *args, **kwargs):
+            exact_meshes.append(mesh.dims)
+            return exact(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(contention, "phase_time", spy)
+        meshes = [(2, 4), (3, 2)]
+        big = 2 ** 52
+        rows = [
+            (0, (0, 0), (1, 3), 5),
+            (1, (0, 0), (2, 1), big),
+            (1, (2, 0), (0, 1), big),
+            (1, (1, 1), (1, 1), 3),
+            (2, (1, 0), (0, 2), 7),
+            (3, (2, 1), (0, 0), 2),
+        ]
+        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
+        before = fallbacks.value
+        multi_mesh_vs_per_mesh(meshes, [0, 1, 0, 1], rows, CostParams())
+        # the fused launch and the 3x2 launch each take the exact path
+        # once, on 3x2; the oracle walks its own routes
+        assert fallbacks.value == before + 2
+        assert exact_meshes == [(3, 2), (3, 2)]
+
+    def test_key_size_bound_on_the_bounding_mesh(self):
+        """1 x 2**21 next to 2**21 x 1 bound a 2**21 x 2**21 mesh, whose
+        keys pass 2**63: named, not wrapped."""
+        side = 1 << 21
+        with pytest.raises(ValueError, match=r"2 phases x 7 link classes"):
+            _launch(
+                Mesh(1, side),
+                [(0, (0, 0), (0, side - 1), 1), (1, (0, 0), (3, 0), 1)],
+                CostParams(), 2, np.array([[1, side], [side, 1]]),
+            )
+
+
 def assert_segmented_matches_baseline(cells):
     """execute() and execute_group() vs the per-phase oracle: every
     report equal, float for float."""
