@@ -13,7 +13,7 @@ they agree where it matters:
 
 import random
 
-from repro.machine import CostParams, EventSimulator, Mesh, Message, phase_time
+from repro.machine import CostParams, EventSimulator, Mesh, MeshModel, Message
 
 from _harness import print_table
 
@@ -31,12 +31,13 @@ def random_pattern(rng: random.Random, mesh: Mesh, nmsg: int):
 
 def collect(seed=7, trials=40):
     rng = random.Random(seed)
-    mesh = Mesh(4, 4)
+    machine = MeshModel(4, 4, params=PARAMS)
+    mesh = machine.mesh
     sim = EventSimulator(mesh, PARAMS)
     pairs = []
     for _ in range(trials):
         msgs = random_pattern(rng, mesh, rng.randint(4, 24))
-        analytic = phase_time(mesh, msgs, PARAMS)
+        analytic = machine.time_phase(msgs)
         simulated = sim.run(msgs)
         pairs.append((analytic.time, simulated, analytic.max_link_load))
     return pairs

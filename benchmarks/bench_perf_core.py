@@ -1,17 +1,18 @@
-"""Perf core — vectorized RouteCache simulators vs the per-element
-Python baselines.
+"""Perf core — the contention kernel and the vectorized event
+simulator vs the per-element Python baselines.
 
 Not a paper artefact: this is the performance benchmark the vectorized
 mesh-simulation core is held to.  It measures old-vs-new throughput of
 
-* the analytic contention model (``phase_time`` vs
+* the analytic contention model (``MeshModel.time_phase``, a
+  one-segment launch of the contention kernel, vs
   ``phase_time_python``), up to a 32x32 mesh with 10k messages;
 * the event-driven wormhole simulator (``EventSimulator.run`` vs
   ``simulate_python``) on the same workloads;
-* the fused segmented kernel (``phase_times_segmented``) on five
+* the contention kernel (``phase_times_segmented``) on five
   launch shapes, from a dense 8x8 launch to a sparse 64x64 one with
   one message per phase (timed alone, checked phase by phase against
-  ``phase_time``);
+  ``phase_time_python``);
 
 (the baselines are the test oracles of ``tests/oracles/machine.py``)
 
@@ -24,9 +25,11 @@ The speedups are records, not gates: over ten runs on a 2-vCPU host
 the 32x32 analytic ratio ranged 6.2–9.0x and the event-simulator ratio
 5.4–12.5x, too close to the 5x and 3x the vectorization was sized for
 to make a single-sample floor, and the oracles' own cost is not
-pinned.  What the vectorized core relies on is gated instead, as a count: a warm ``phase_time`` or
-``EventSimulator.run`` call on each workload's pattern makes no
-route-cache miss and exactly one cache hit per remote message.
+pinned.  What the vectorized core relies on is gated instead, as a
+count: on each workload's pattern a ``time_phase`` call makes no
+route-cache lookup at all (the kernel gathers no route), and a warm
+``EventSimulator.run`` call makes no route-cache miss and exactly one
+cache hit per remote message.
 """
 
 import os
@@ -42,12 +45,13 @@ from repro.machine import (
     CostParams,
     EventSimulator,
     Mesh,
+    MeshModel,
     Message,
     RouteCache,
     affine_pattern,
     decomposed_phases,
-    phase_time,
     phase_times_segmented,
+    route_cache_for,
 )
 
 sys.path.append(
@@ -77,15 +81,18 @@ def random_pattern(mesh: Mesh, nmsg: int, seed: int):
 def measure_workloads():
     rows = []
     for side, nmsg in WORKLOADS:
-        mesh = Mesh(side, side)
+        machine = MeshModel(side, side, params=PARAMS)
+        mesh = machine.mesh
         msgs = random_pattern(mesh, nmsg, seed=side)
-        cache = RouteCache(mesh)
+        # the shared cache of this mesh: a route gather by time_phase
+        # would go through it
+        cache = route_cache_for(mesh)
         sim = EventSimulator(mesh, PARAMS, cache=cache)
 
-        fast_report = phase_time(mesh, msgs, PARAMS, cache=cache)  # warm
+        fast_report = machine.time_phase(msgs)
         slow_report = phase_time_python(mesh, msgs, PARAMS)
         assert fast_report == slow_report, "vectorized analytic model diverged"
-        t_fast = best_of(lambda: phase_time(mesh, msgs, PARAMS, cache=cache))
+        t_fast = best_of(lambda: machine.time_phase(msgs))
         t_slow = best_of(lambda: phase_time_python(mesh, msgs, PARAMS))
 
         fast_make = sim.run(msgs)  # warm
@@ -99,8 +106,8 @@ def measure_workloads():
                 "mesh": f"{side}x{side}",
                 "messages": nmsg,
                 "remote_messages": sum(m.src != m.dst for m in msgs),
-                "warm_phase_time_route_lookups": route_lookups(
-                    cache, lambda: phase_time(mesh, msgs, PARAMS, cache=cache)
+                "time_phase_route_lookups": route_lookups(
+                    cache, lambda: machine.time_phase(msgs)
                 ),
                 "warm_eventsim_route_lookups": route_lookups(
                     cache, lambda: sim.run(msgs)
@@ -154,7 +161,8 @@ def measure_launches():
                     sizes[m].tolist(),
                 )
             ]
-            assert report.report(p) == phase_time(mesh, msgs, PARAMS), (
+            want = phase_time_python(mesh, msgs, PARAMS)
+            assert report.report(p) == want, (
                 f"segmented kernel diverged on {side}x{side} phase {p}"
             )
         rows.append(
@@ -186,11 +194,14 @@ def launch_rows():
 
 
 def test_warm_calls_hit_the_route_cache(workload_rows):
-    """Warm calls on a pattern build no route: zero misses and one hit
-    per remote message, for the analytic model and the simulator."""
+    """The analytic model looks up no route at all; a warm simulator
+    call builds no route: zero misses and one hit per remote
+    message."""
     for r in workload_rows:
+        assert r["time_phase_route_lookups"] == {"hits": 0, "misses": 0}, (
+            r["mesh"]
+        )
         want = {"hits": r["remote_messages"], "misses": 0}
-        assert r["warm_phase_time_route_lookups"] == want, r["mesh"]
         assert r["warm_eventsim_route_lookups"] == want, r["mesh"]
 
 
@@ -231,9 +242,9 @@ def test_event_simulator_speedup(workload_rows):
 
 
 def test_segmented_kernel_launches(launch_rows):
-    """The fused kernel on each launch shape, bit-identical to
-    per-phase ``phase_time`` (checked while measuring); the wall times
-    are records."""
+    """The kernel on each launch shape, bit-identical to the per-phase
+    ``phase_time_python`` (checked while measuring); the wall times are
+    records."""
     print_table(
         "Perf core — segmented kernel launches",
         ["mesh", "msgs", "phases", "segmented (ms)"],
@@ -266,9 +277,10 @@ def seed_scenario_phases():
 def test_seed_scenarios_bit_identical():
     """Old and new simulators agree exactly on the paper's scenarios."""
     mesh, phases = seed_scenario_phases()
+    machine = MeshModel(*mesh.dims, params=PARAMS)
     sim = EventSimulator(mesh, PARAMS)
     for msgs in phases:
-        assert phase_time(mesh, msgs, PARAMS) == phase_time_python(
+        assert machine.time_phase(msgs) == phase_time_python(
             mesh, msgs, PARAMS
         )
         assert sim.run(msgs) == simulate_python(sim, msgs)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..machine import machine_names, machine_spec
@@ -55,9 +56,11 @@ class SweepTask:
     m: int
     rank_weights: bool
 
-    @property
+    @cached_property
     def compile_key(self) -> str:
-        """Digest of everything the *compile* stage depends on.
+        """Digest of everything the *compile* stage depends on,
+        computed on first read (a task is not changed after
+        :meth:`make`).
 
         ``two_step_heuristic`` and the Feautrier baseline are functions
         of the workload, the virtual grid dimension and the heuristic

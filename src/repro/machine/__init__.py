@@ -3,13 +3,13 @@
 * :mod:`~repro.machine.topology` — the rank-generic :class:`Mesh`
   (2-D Paragon, 3-D T3D, any rank), dimension-order routing and
   messages (endpoints are coordinate tuples of the mesh rank);
-* :mod:`~repro.machine.routecache` — integer link ids and LRU-cached
-  NumPy route arrays (the vectorized core; see PERFORMANCE.md);
 * :mod:`~repro.machine.contention` — analytic link-contention timing:
-  per phase over the route caches, fused over many phases from
-  interval sums along the routing lines;
+  one kernel prices any number of phases from interval sums along the
+  routing lines, with no route lookup;
 * :mod:`~repro.machine.eventsim` — event-driven store-and-forward
   simulator (cross-validation);
+* :mod:`~repro.machine.routecache` — integer link ids and LRU-cached
+  NumPy route arrays, the event simulator's routes;
 * :mod:`~repro.machine.patterns` — translation / affine / decomposed /
   broadcast / reduction message generators;
 * :mod:`~repro.machine.model` — the :class:`MachineModel` protocol and
@@ -22,10 +22,7 @@ from .contention import (
     CostParams,
     PhaseReport,
     SegmentedPhaseReport,
-    phase_time,
     phase_times_segmented,
-    phased_time,
-    total_time,
 )
 from .eventsim import EventSimulator
 from .model import (
@@ -62,10 +59,7 @@ __all__ = [
     "CostParams",
     "PhaseReport",
     "SegmentedPhaseReport",
-    "phase_time",
     "phase_times_segmented",
-    "phased_time",
-    "total_time",
     "EventSimulator",
     "MachineModel",
     "MachineSpec",

@@ -3,12 +3,10 @@
 :func:`unique_rows` is the row group-by of the pricing front end (the
 batched group executor :func:`repro.runtime.executor.execute_group`
 and the phase partition of :mod:`repro.runtime.mapping`);
-:func:`segment_max` and :func:`weighted_bincount` are scatter
-reductions of the fused segmented contention kernel
+:func:`segment_max` is a scatter reduction of the contention kernel
 (:func:`repro.machine.contention.phase_times_segmented`), which runs
 no group-by of its own.  All float cost arithmetic stays with the
-callers, so these helpers only ever see exact int64 keys or float64
-sums the callers guard.
+callers, so these helpers only ever see exact int64 keys and values.
 """
 
 from __future__ import annotations
@@ -80,17 +78,9 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
 def segment_max(values: np.ndarray, segment_ids: np.ndarray, n_segments: int):
     """Per-segment maximum of ``values`` grouped by ``segment_ids``
     (dense ``(n_segments,)`` output, ``0`` for empty segments — the
-    identity of every quantity the contention kernel reduces this way:
-    hop counts and size magnitudes are non-negative)."""
+    identity of the hop counts the contention kernel reduces this way,
+    which are non-negative)."""
     out = np.zeros(n_segments, dtype=np.asarray(values).dtype)
     np.maximum.at(out, segment_ids, values)
     return out
 
-
-def weighted_bincount(
-    keys: np.ndarray, weights: np.ndarray, minlength: int
-) -> np.ndarray:
-    """``np.bincount(keys, weights, minlength)`` — the per-phase volume
-    sum of the fused segmented pricing kernel (float64 sums; callers
-    guard exactness)."""
-    return np.bincount(keys, weights=weights, minlength=minlength)

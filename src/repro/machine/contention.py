@@ -16,38 +16,35 @@ the phenomena the paper measures — serial conflicts on shared links —
 without modelling flit-level detail (the event-driven simulator in
 :mod:`repro.machine.eventsim` cross-checks it).
 
-:func:`phase_time` is vectorized: routes come from the per-mesh
-:class:`~repro.machine.routecache.RouteCache` as integer link-id
-arrays and the link-load accumulation is a single ``np.bincount`` over
-all messages of the phase.  The original per-element implementation
-lives on as the test oracle ``phase_time_python`` in
-``tests/oracles/machine.py`` — the perf-core benchmark's baseline and
-the bit-identity cross-check of ``tests/machine/test_routecache.py``.
+One kernel prices every phase: :func:`phase_times_segmented` takes
+many phases at once, as endpoint coordinate matrices plus a segment
+column, and looks up no route.  Under dimension-order routing a
+message crosses each mesh axis as one straight run of links, so the
+load on a line of links is a sum of intervals, and one sort of all
+interval end points yields every phase's link loads and sender fanouts
+(:func:`_fanout_and_load`).  One phase is a one-segment launch
+(:meth:`repro.machine.machines.MeshModel.time_phase`).  The phases of
+one launch may lie on different meshes of one rank (the cells of a
+campaign group): each phase carries its own mesh sides, and the sort
+keys every phase on the bounding mesh, where a sub-mesh route loads the
+same line positions.
 
-:func:`phase_times_segmented`, the pricing path of every executor
-launch, prices many phases at once without any route: under
-dimension-order routing a message crosses each mesh axis as one
-straight run of links, so the load on a line of links is a sum of
-intervals, and one sort of all interval end points yields every
-phase's link loads and sender fanouts (:func:`_fanout_and_load`).  The
-phases of one launch may lie on different meshes of one rank (the
-cells of a campaign group): each phase carries its own mesh sides, and
-the sort keys every phase on the bounding mesh, where a sub-mesh route
-loads the same line positions.
+Every statistic is an int64 sum, exact while a phase's volume fits
+int64 (a larger one raises ``OverflowError``).  The per-element
+implementation lives on as the test oracle ``phase_time_python`` in
+``tests/oracles/machine.py`` — the perf-core benchmark's baseline and
+the differential the kernel is property-tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ..obs import metrics as obs_metrics
-from .backend import segment_max, weighted_bincount
-from .routecache import max_link_load, route_cache_for
-from .topology import Mesh, Message
+from .backend import segment_max
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,9 @@ class CostParams:
 
     def phase_times(self, fanout, load, hops) -> np.ndarray:
         """``alpha * fanout + beta * load + gamma * hops`` over int64
-        per-phase arrays: the same IEEE operations, in the same order,
-        as :func:`phase_time` performs on one phase."""
+        per-phase arrays (the kernel's statistics): each element takes
+        the same IEEE operations, in the same order, as the scalar
+        formula on one phase."""
         return (
             self.alpha * fanout.astype(np.float64)
             + self.beta * load.astype(np.float64)
@@ -94,68 +92,13 @@ class PhaseReport:
         )
 
 
-def phase_time(
-    mesh,
-    messages: Sequence[Message],
-    params: CostParams,
-    cache=None,
-) -> PhaseReport:
-    """Time for one phase of simultaneous messages on the mesh.
-
-    ``mesh`` is a :class:`~repro.machine.topology.Mesh` of any rank;
-    message endpoints are coordinate tuples of that rank.  Vectorized:
-    link loads accumulate by ``np.bincount`` over the cached link-id
-    arrays of all routes at once.  ``cache`` defaults to the shared per-mesh
-    :func:`~repro.machine.routecache.route_cache_for` cache; pass an
-    explicit one for isolation.
-    """
-    if cache is None:
-        cache = route_cache_for(mesh)
-    sender_msgs: Dict = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    id_arrays: List = []
-    sizes: List[int] = []
-    for m in messages:
-        if m.src == m.dst:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        ids = cache.link_ids(m.src, m.dst)
-        n = ids.shape[0]
-        if n - 2 > max_hops:
-            max_hops = n - 2  # == mesh.hops(m.src, m.dst) by construction
-        id_arrays.append(ids)
-        sizes.append(m.size)
-    max_load = max_link_load(cache, id_arrays, sizes)
-    max_fanout = max(sender_msgs.values(), default=0)
-    time = (
-        params.alpha * max_fanout
-        + params.beta * max_load
-        + params.gamma * max_hops
-    )
-    return PhaseReport(
-        time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
-    )
-
-
 @dataclass
 class SegmentedPhaseReport:
     """Per-segment timing breakdown of a fused multi-phase pricing
     call: every field is an ``(S,)`` array, one entry per phase segment
-    (:func:`phase_times_segmented`).  :meth:`report` rebuilds the exact
-    :class:`PhaseReport` of one segment — the surface the bit-identity
-    property suite compares against the per-phase path."""
+    (:func:`phase_times_segmented`).  :meth:`report` rebuilds the
+    :class:`PhaseReport` of one segment — the surface the property
+    suite compares against the per-element oracle."""
 
     times: np.ndarray
     max_link_load: np.ndarray
@@ -180,15 +123,6 @@ class SegmentedPhaseReport:
         )
 
 
-#: float64 integer arithmetic is exact below this (same bound as
-#: :func:`~repro.machine.routecache.max_link_load`)
-_EXACT_F64 = 2 ** 53
-
-#: segments repriced through the exact per-phase path because their
-#: magnitudes could break float64 exactness
-_exact_fallbacks = obs_metrics.counter("machine.contention.exact_fallbacks")
-
-
 def _zero_report(n_phases: int, local_messages=None) -> SegmentedPhaseReport:
     def zeros():
         return np.zeros(n_phases, dtype=np.int64)
@@ -204,46 +138,6 @@ def _zero_report(n_phases: int, local_messages=None) -> SegmentedPhaseReport:
     )
 
 
-def _segmented_exact_fallback(
-    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases, bad,
-    phase_dims,
-) -> SegmentedPhaseReport:
-    """Pathological-magnitude fallback: the segments ``bad`` are priced
-    one by one, each on its own mesh, through the exact
-    :func:`phase_time` (bit-identical at any magnitude, never fast),
-    every other segment by the fused kernel."""
-    keep = ~np.isin(phase_ids, bad)
-    rep = phase_times_segmented(
-        mesh, senders[keep], receivers[keep], sizes[keep], phase_ids[keep],
-        params, cache, n_phases, phase_dims,
-    )
-    for s in bad.tolist():
-        m = phase_ids == s
-        own = mesh
-        if phase_dims is not None and tuple(phase_dims[s]) != mesh.dims:
-            own = Mesh(*phase_dims[s].tolist())
-        r = phase_time(
-            own,
-            [
-                Message(src=tuple(a), dst=tuple(b), size=z)
-                for a, b, z in zip(
-                    senders[m].tolist(), receivers[m].tolist(),
-                    sizes[m].tolist(),
-                )
-            ],
-            params,
-            cache if own is mesh else None,
-        )
-        rep.times[s] = r.time
-        rep.max_link_load[s] = r.max_link_load
-        rep.max_hops[s] = r.max_hops
-        rep.max_msgs_per_sender[s] = r.max_msgs_per_sender
-        rep.total_messages[s] = r.total_messages
-        rep.total_volume[s] = r.total_volume
-        rep.local_messages[s] = r.local_messages
-    return rep
-
-
 def phase_times_segmented(
     mesh,
     senders: np.ndarray,
@@ -251,22 +145,20 @@ def phase_times_segmented(
     sizes: np.ndarray,
     phase_ids: np.ndarray,
     params: CostParams,
-    cache=None,
     n_phases: Optional[int] = None,
     phase_dims: Optional[np.ndarray] = None,
 ) -> SegmentedPhaseReport:
-    """Fused :func:`phase_time` over many phases in one call.
+    """Price many phases in one call.
 
     All messages of all phases enter together: ``senders``/``receivers``
-    are ``(n, rank)`` int64 coordinate rows, ``sizes`` the message
-    sizes, and ``phase_ids`` an int64 segment column assigning each row
-    to its phase (ids in ``[0, n_phases)``; segments may be empty).
-    One kernel prices every segment:
+    are ``(n, rank)`` int64 coordinate rows, ``sizes`` the non-negative
+    message sizes, and ``phase_ids`` an int64 segment column assigning
+    each row to its phase (ids in ``[0, n_phases)``; segments may be
+    empty).  One kernel prices every segment:
 
     * max fanout and max link load come from one sort of interval end
-      points (:func:`_fanout_and_load`), with no route lookup: ``cache``
-      only serves the exact fallback below;
-    * message and volume counts are bincounts over ``phase_ids`` and
+      points (:func:`_fanout_and_load`), with no route lookup;
+    * message and volume counts are int64 sums over ``phase_ids`` and
       max hops a scatter-max of the Manhattan distances, exactly
       ``route length - 2`` for dimension-order routes;
     * the :class:`CostParams` cost formula evaluates vectorized across
@@ -280,20 +172,17 @@ def phase_times_segmented(
     same line positions in the bounding mesh, and phase ids keep the
     meshes apart, so no per-phase statistic changes.
 
-    An endpoint off its phase's mesh, or a phase id outside ``[0,
-    n_phases)``, raises ``ValueError``.
+    An endpoint off its phase's mesh, a phase id outside ``[0,
+    n_phases)`` or a negative size raises ``ValueError``; a phase whose
+    volume passes int64 raises ``OverflowError``.
 
-    Bit-identical to calling :func:`phase_time` once per segment
-    (property-tested in ``tests/runtime/test_segmented_pricing.py``):
-    loads and fanouts are int64 sums; the volume is a float64 sum,
-    exact while a segment's largest ``|size|`` times its message count
-    stays below ``2**53``.  A segment past that bound, or that holds a
-    negative size, is priced alone on its own mesh through the exact
-    :func:`phase_time` (counted in
-    ``machine.contention.exact_fallbacks``); the others stay on the
-    kernel.  The final ``alpha*fanout + beta*load + gamma*hops``
-    arithmetic (:meth:`CostParams.phase_times`) performs the same IEEE
-    operations in the same order.
+    Every statistic is an int64 sum whose partial sums stay between 0
+    and the phase's volume, so each field equals the per-element oracle
+    ``phase_time_python`` at any int64 magnitude (property-tested in
+    ``tests/runtime/test_segmented_pricing.py``), and the final
+    ``alpha*fanout + beta*load + gamma*hops`` arithmetic
+    (:meth:`CostParams.phase_times`) performs the same IEEE operations
+    in the same order.
     """
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
@@ -314,30 +203,9 @@ def phase_times_segmented(
     dims = mesh.dims
     if phase_dims is not None:
         phase_dims = np.asarray(phase_dims, dtype=np.int64)
-    _check_launch(dims, ends, phase_ids, n_phases, phase_dims)
+    _check_launch(dims, ends, sizes, phase_ids, n_phases, phase_dims)
     if phase_dims is not None:
         dims = tuple(phase_dims.max(axis=0).tolist())
-
-    # per-segment exactness guard, skipped when the whole launch is
-    # already in range (float products of exact integers are exact
-    # below 2**53 and never round down past it); negative sizes, which
-    # the zero-based max reductions cannot reduce, also go exact
-    mag = np.abs(sizes.astype(np.float64))
-    negative = sizes < 0
-    if float(mag.max()) * n >= _EXACT_F64 or negative.any():
-        seg_bound = segment_max(mag, phase_ids, n_phases) * np.bincount(
-            phase_ids, minlength=n_phases
-        )
-        bad = np.flatnonzero(
-            (seg_bound >= _EXACT_F64)
-            | (np.bincount(phase_ids[negative], minlength=n_phases) > 0)
-        )
-        if bad.size:
-            _exact_fallbacks.inc(int(bad.size))
-            return _segmented_exact_fallback(
-                mesh, senders, receivers, sizes, phase_ids, params, cache,
-                n_phases, bad, phase_dims,
-            )
 
     remote = np.any(senders != receivers, axis=1)
     local_messages = np.bincount(
@@ -350,11 +218,12 @@ def phase_times_segmented(
     if ends.shape[0] == 0:
         return _zero_report(n_phases, local_messages)
 
+    if int(sizes.max()) * sizes.shape[0] >= 1 << 63:
+        _check_volumes(sizes, phase_ids, n_phases)
     hops = np.abs(ends[:, rank:] - ends[:, :rank]).sum(axis=1)
     total_messages = np.bincount(phase_ids, minlength=n_phases).astype(np.int64)
-    total_volume = weighted_bincount(
-        phase_ids, sizes.astype(np.float64), n_phases
-    ).astype(np.int64)
+    total_volume = np.zeros(n_phases, dtype=np.int64)
+    np.add.at(total_volume, phase_ids, sizes)
     max_hops = segment_max(hops, phase_ids, n_phases)
     max_fanout, max_load = _fanout_and_load(
         dims, ends, sizes, phase_ids, n_phases
@@ -370,18 +239,22 @@ def phase_times_segmented(
     )
 
 
-def _check_launch(dims, ends, phase_ids, n_phases, phase_dims) -> None:
+def _check_launch(dims, ends, sizes, phase_ids, n_phases, phase_dims) -> None:
     """Reject what packed keys would silently alias: a phase id outside
     ``[0, n_phases)``, per-phase mesh sides that are not ``(n_phases,
     rank)`` positive ints, and an endpoint off its mesh (``dims``, or
-    with ``phase_dims`` its phase's own sides).  Viewed unsigned, a
-    negative value wraps past every bound, so each one-mesh check is
-    one max."""
+    with ``phase_dims`` its phase's own sides); and a negative size,
+    which the zero-based max reductions cannot reduce.  Viewed
+    unsigned, a negative value wraps past every bound, so each one-mesh
+    check is one max."""
     if int(phase_ids.view(np.uint64).max()) >= n_phases:
         raise ValueError(
             f"phase_ids must lie in [0, {n_phases}), got ids in "
             f"[{int(phase_ids.min())}, {int(phase_ids.max())}]"
         )
+    smallest = int(sizes.min())
+    if smallest < 0:
+        raise ValueError(f"message sizes must be non-negative, got {smallest}")
     ends = ends.view(np.uint64)
     if phase_dims is None:
         off = ends.max(axis=0) >= np.array(dims * 2, dtype=np.uint64)
@@ -395,6 +268,21 @@ def _check_launch(dims, ends, phase_ids, n_phases, phase_dims) -> None:
         off = ends >= np.tile(phase_dims, 2).view(np.uint64)[phase_ids]
     if off.any():
         raise ValueError("endpoint outside the mesh")
+
+
+def _check_volumes(sizes, phase_ids, n_phases) -> None:
+    """Raise ``OverflowError`` if a phase's remote volume reaches
+    ``2**63``: every partial sum of the kernel is bounded by its phase's
+    volume, so this one check keeps all of them in int64.  The volumes
+    are summed exactly, as Python ints."""
+    volumes = np.zeros(n_phases, dtype=object)
+    np.add.at(volumes, phase_ids, sizes.astype(object))
+    for phase, volume in enumerate(volumes.tolist()):
+        if volume >= 1 << 63:
+            raise OverflowError(
+                f"phase {phase} moves a volume of {volume} >= 2**63, "
+                "past the kernel's int64 sums"
+            )
 
 
 def _fanout_and_load(dims, ends, sizes, phase_ids, n_phases):
@@ -483,16 +371,3 @@ def _line_matrix(dims):
     out.flags.writeable = False
     return out
 
-
-def phased_time(
-    mesh,
-    phases: Iterable[Sequence[Message]],
-    params: CostParams,
-) -> List[PhaseReport]:
-    """Time a sequence of phases executed one after the other (the
-    decomposed-communication schedule: L then U, not in parallel)."""
-    return [phase_time(mesh, msgs, params) for msgs in phases]
-
-
-def total_time(reports: Iterable[PhaseReport]) -> float:
-    return sum(r.time for r in reports)

@@ -41,10 +41,7 @@ from .contention import (
     CostParams,
     PhaseReport,
     SegmentedPhaseReport,
-    phase_time,
     phase_times_segmented,
-    phased_time,
-    total_time,
 )
 from .eventsim import EventSimulator
 from .model import MachineSpec, register_machine
@@ -66,26 +63,47 @@ class MeshModel:
         self.params = CostParams() if params is None else params
 
     def time_phase(self, messages: Sequence[Message]) -> PhaseReport:
-        return phase_time(self.mesh, messages, self.params)
+        """One phase, priced as a one-segment kernel launch."""
+        return self._launch([messages]).report(0)
 
     def time_phases_segmented(
         self, senders, receivers, sizes, phase_ids, n_phases=None,
         phase_dims=None,
     ) -> SegmentedPhaseReport:
-        """Fused multi-phase :meth:`time_phase`: all phases of a
-        pricing call enter as endpoint coordinate matrices plus an
-        int64 segment column and are priced by one kernel
-        (:func:`~repro.machine.contention.phase_times_segmented`) —
-        the executor's pricing entry (bit-identical to per-phase
-        pricing).  ``phase_dims`` puts each phase on its own mesh of
-        this model's rank (``None``: on :attr:`mesh`)."""
+        """All phases of a pricing call, as endpoint coordinate
+        matrices plus an int64 segment column, priced by one launch of
+        the kernel (:func:`~repro.machine.contention.phase_times_segmented`)
+        that also serves :meth:`time_phase` — the executor's pricing
+        entry.  ``phase_dims`` puts each phase on its own mesh of this
+        model's rank (``None``: on :attr:`mesh`)."""
         return phase_times_segmented(
             self.mesh, senders, receivers, sizes, phase_ids, self.params,
             n_phases=n_phases, phase_dims=phase_dims,
         )
 
     def time_phases(self, phases: Iterable[Sequence[Message]]) -> float:
-        return total_time(phased_time(self.mesh, phases, self.params))
+        """Phases run one after the other (the decomposed-communication
+        schedule: L then U, not in parallel), priced in one launch; the
+        times are summed in phase order."""
+        return sum(self._launch(phases).times.tolist())
+
+    def _launch(
+        self, phases: Iterable[Sequence[Message]]
+    ) -> SegmentedPhaseReport:
+        """One kernel launch over ``phases``, one segment per phase."""
+        rank = self.mesh.ndim
+        phases = [list(phase) for phase in phases]
+        msgs = [m for phase in phases for m in phase]
+        return self.time_phases_segmented(
+            np.array([m.src for m in msgs], dtype=np.int64).reshape(-1, rank),
+            np.array([m.dst for m in msgs], dtype=np.int64).reshape(-1, rank),
+            np.array([m.size for m in msgs], dtype=np.int64),
+            np.repeat(
+                np.arange(len(phases), dtype=np.int64),
+                [len(phase) for phase in phases],
+            ),
+            n_phases=len(phases),
+        )
 
     def time_event_driven(self, phases: Iterable[Sequence[Message]]) -> float:
         sim = EventSimulator(self.mesh, self.params)

@@ -18,9 +18,11 @@ executor calls:
   pricing call shares one such launch, made through the call's first
   model: the launch's statistics are priced under each model's own
   ``params``;
-* ``time_phase(messages) -> PhaseReport`` — price one phase (the
-  per-event test oracle :func:`repro.runtime.execute_python` prices
-  every phase through it).
+* ``time_phase(messages) -> PhaseReport`` — price one phase of
+  :class:`~repro.machine.topology.Message` objects; the mesh model
+  makes it a one-segment launch of the same kernel (the per-event test
+  oracle :func:`repro.runtime.execute_python` prices every phase
+  through it).
 
 The **registry** maps the machine names the CLI and the campaign layer
 speak (``paragon``, ``cm5``, ``t3d``) to a :class:`MachineSpec`: the

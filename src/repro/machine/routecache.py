@@ -1,9 +1,9 @@
 """Precomputed integer link ids and cached NumPy route arrays.
 
-The per-element simulators in :mod:`repro.machine.contention` and
-:mod:`repro.machine.eventsim` used to rebuild every dimension-order
-route as a list of tuple-keyed links and probe a Python dict once per
-link per message.  This module replaces both costs:
+The event-driven simulator (:mod:`repro.machine.eventsim`) used to
+rebuild every dimension-order route as a list of tuple-keyed links and
+probe a Python dict once per link per message.  This module replaces
+both costs:
 
 * every directed link of a mesh gets a dense **integer id** computed by
   closed-form arithmetic (no enumeration, no dict of tuples);
@@ -11,13 +11,12 @@ link per message.  This module replaces both costs:
   ids** along the dimension-order route, memoized in an LRU-bounded
   cache (one cache per mesh).
 
-With ids in hand the analytic contention bound becomes one
-``np.bincount`` over all messages of a phase, and the event simulator's
-per-link dict probes become array ``max`` / assignment over id slices.
-The cache serves those per-phase paths and the exact fallback of the
-fused kernel :func:`~repro.machine.contention.phase_times_segmented`;
-the kernel itself gathers no route, it sums each message's interval
-along the same dimension-order lines.
+With ids in hand the event simulator's per-link dict probes become
+array ``max`` / assignment over id slices.  The simulator is the
+cache's only user in ``repro``: the analytic contention kernel
+:func:`~repro.machine.contention.phase_times_segmented` gathers no
+route, it sums each message's interval along the same dimension-order
+lines.
 
 Link-id layout of a :class:`~repro.machine.topology.Mesh` with sides
 ``d_0 .. d_{m-1}`` and ``N`` nodes, for any rank ``m``:
@@ -216,36 +215,6 @@ def _dot(coords, strides) -> int:
     return sum(map(mul, coords, strides))
 
 
-def max_link_load(cache: RouteCache, id_arrays, sizes) -> int:
-    """Bottleneck link load of one phase: each message's size is added
-    to every link of its id array, vectorized over all messages at once.
-
-    Uses a float64-weighted ``np.bincount`` (the fast path) whenever the
-    total volume bounds every partial sum below ``2**53``, where float64
-    integer arithmetic is exact; beyond that it falls back to exact
-    per-link accumulation so the result stays bit-identical to the
-    pure-Python dict sums at any magnitude.
-    """
-    if not id_arrays:
-        return 0
-    lens = [a.shape[0] for a in id_arrays]
-    # exact arbitrary-precision bound on every partial sum
-    total = sum(s * n for s, n in zip(sizes, lens))
-    if total <= 2 ** 53:
-        all_ids = np.concatenate(id_arrays)
-        weights = np.repeat(
-            np.asarray(sizes, dtype=np.int64), np.asarray(lens, dtype=np.int64)
-        )
-        loads = np.bincount(all_ids, weights=weights, minlength=cache.num_links)
-        return int(loads.max())
-    # pathological magnitudes: exact Python accumulation
-    acc: Dict[int, int] = {}
-    for ids, size in zip(id_arrays, sizes):
-        for i in ids.tolist():
-            acc[i] = acc.get(i, 0) + size
-    return max(acc.values(), default=0)
-
-
 # ---------------------------------------------------------------------------
 # per-mesh registry
 # ---------------------------------------------------------------------------
@@ -261,7 +230,7 @@ def route_cache_for(mesh, maxsize: Optional[int] = None) -> RouteCache:
     alive.  ``maxsize`` only applies when this call creates the cache —
     an already-registered cache is returned as-is, whatever its bound.
     Pass an explicit ``RouteCache(mesh, maxsize=...)`` to the
-    simulators instead when isolation or a guaranteed bound is needed
+    simulator instead when isolation or a guaranteed bound is needed
     (tests do).
     """
     cache = _MESH_CACHES.get(mesh)

@@ -56,6 +56,39 @@ class TestCompileKeyGrouping:
         for g in by_key.values():
             assert len({(t.machine, t.mesh) for t in g}) == 4
 
+    def test_compile_key_encoded_once_per_task(self, monkeypatch):
+        """Reading ``compile_key`` again re-encodes nothing: one
+        ``canonical_json`` call per task however often the key is
+        read, and the same digest as a fresh encoding."""
+        import hashlib
+        import pickle
+
+        from repro.campaign import sweep
+
+        tasks = default_spec(seed=0, nests=2, meshes=((4, 4),)).expand()
+        encoded = []
+        encode = sweep.canonical_json
+
+        def counting(obj):
+            encoded.append(obj)
+            return encode(obj)
+
+        monkeypatch.setattr(sweep, "canonical_json", counting)
+        for _ in range(5):
+            keys = [t.compile_key for t in tasks]
+        assert len(encoded) == len(tasks)
+        for t, key in zip(tasks, keys):
+            spec = {
+                "workload": t.workload.to_dict(),
+                "m": t.m,
+                "rank_weights": t.rank_weights,
+            }
+            digest = hashlib.sha1(encode(spec).encode()).hexdigest()[:12]
+            assert key == digest
+            # the cached key rides along with a pickled task
+            assert pickle.loads(pickle.dumps(t)).compile_key == key
+        assert len(encoded) == len(tasks)
+
     def test_grouping_preserves_order(self, multi_cell_grid):
         _spec, tasks = multi_cell_grid
         groups = group_by_compile_key(tasks)

@@ -1,13 +1,15 @@
 """The NumPy group-by helpers of :mod:`repro.machine.backend`: the
 packed-key ``unique_rows`` fast path and its fallbacks, and
-bit-identity of the array-native phase timing oracle."""
+bit-identity of the array-native phase timing oracle with the
+per-element one."""
 
 import numpy as np
 import pytest
 
-from repro.machine import CostParams, Mesh, Message, phase_time
+from repro.machine import CostParams, Mesh, Message
 from repro.machine.backend import unique_rows
 
+from oracles.machine import phase_time_python
 from oracles.pricing import phase_time_arrays
 
 
@@ -52,7 +54,7 @@ class TestUniqueRows:
 
 class TestPhaseTimeArrays:
     """The array-native phase timing oracle must price exactly like the
-    ``Message``-object ``phase_time``."""
+    ``Message``-object ``phase_time_python``."""
 
     def random_messages_2d(self, rng, mesh, n):
         coords = rng.integers(
@@ -73,7 +75,7 @@ class TestPhaseTimeArrays:
         senders, receivers, sizes, msgs = self.random_messages_2d(
             rng, mesh, 40
         )
-        want = phase_time(mesh, msgs, params)
+        want = phase_time_python(mesh, msgs, params)
         got = phase_time_arrays(mesh, senders, receivers, sizes, params)
         assert got == want
 
@@ -88,7 +90,7 @@ class TestPhaseTimeArrays:
             Message(src=tuple(c[0]), dst=tuple(c[1]), size=int(s))
             for c, s in zip(coords.tolist(), sizes.tolist())
         ]
-        want = phase_time(mesh, msgs, params)
+        want = phase_time_python(mesh, msgs, params)
         got = phase_time_arrays(
             mesh, coords[:, 0], coords[:, 1], sizes, params
         )
@@ -105,7 +107,7 @@ class TestPhaseTimeArrays:
         ]
         assert phase_time_arrays(
             mesh, senders, senders, sizes, params
-        ) == phase_time(mesh, msgs, params)
+        ) == phase_time_python(mesh, msgs, params)
 
     def test_empty_phase(self):
         mesh = Mesh(4, 4)
@@ -113,4 +115,4 @@ class TestPhaseTimeArrays:
         empty = np.empty((0, 2), dtype=np.int64)
         assert phase_time_arrays(
             mesh, empty, empty, np.empty(0, dtype=np.int64), params
-        ) == phase_time(mesh, [], params)
+        ) == phase_time_python(mesh, [], params)

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from repro.machine import (
     CM5Model,
     CostParams,
-    Mesh,
+    MeshModel,
     Message,
-    phase_time,
-    phased_time,
-    total_time,
 )
 
 
@@ -42,31 +39,30 @@ class TestCM5Parameters:
 
 class TestPhaseReports:
     def test_phased_time_and_total(self):
-        mesh = Mesh(2, 2)
-        params = CostParams(alpha=1, beta=1, gamma=0)
+        machine = MeshModel(2, 2, params=CostParams(alpha=1, beta=1, gamma=0))
         phases = [
             [Message((0, 0), (0, 1), size=2)],
             [Message((0, 1), (1, 1), size=3)],
         ]
-        reports = phased_time(mesh, phases, params)
-        assert len(reports) == 2
-        assert total_time(reports) == sum(r.time for r in reports)
+        reports = [machine.time_phase(p) for p in phases]
+        assert [r.time for r in reports] == [3.0, 4.0]
+        assert machine.time_phases(phases) == sum(r.time for r in reports)
 
     def test_report_describe(self):
-        mesh = Mesh(2, 2)
-        rep = phase_time(mesh, [Message((0, 0), (1, 1), size=4)], CostParams())
+        rep = MeshModel(2, 2).time_phase([Message((0, 0), (1, 1), size=4)])
         text = rep.describe()
         assert "link_load" in text and "msgs=1" in text
 
     def test_empty_phase(self):
-        rep = phase_time(Mesh(2, 2), [], CostParams())
+        rep = MeshModel(2, 2).time_phase([])
         assert rep.time == 0.0
         assert rep.total_messages == 0
 
     def test_gamma_latency_component(self):
-        mesh = Mesh(1, 5)
         p = CostParams(alpha=0, beta=0, gamma=2.0)
-        rep = phase_time(mesh, [Message((0, 0), (0, 4), size=1)], p)
+        rep = MeshModel(1, 5, params=p).time_phase(
+            [Message((0, 0), (0, 4), size=1)]
+        )
         assert rep.time == 8.0  # 4 hops * gamma
 
     def test_cost_params_scaled(self):

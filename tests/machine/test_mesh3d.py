@@ -12,7 +12,6 @@ from repro.machine import (
     Message,
     MeshModel,
     affine_pattern,
-    phase_time,
 )
 
 
@@ -47,9 +46,10 @@ class TestMesh3D:
 
 class TestTiming3D:
     def test_single_message(self):
-        mesh = Mesh(2, 2, 2)
         p = CostParams(alpha=10, beta=1, gamma=0.5)
-        rep = phase_time(mesh, [Message((0, 0, 0), (0, 0, 1), size=4)], p)
+        rep = MeshModel(2, 2, 2, params=p).time_phase(
+            [Message((0, 0, 0), (0, 0, 1), size=4)]
+        )
         assert rep.time == 10 + 4 + 0.5
         # the full utilization breakdown comes back, like in 2-D
         assert rep.max_link_load == 4
@@ -58,10 +58,7 @@ class TestTiming3D:
         assert rep.total_volume == 4
 
     def test_local_free(self):
-        mesh = Mesh(2, 2, 2)
-        rep = phase_time(
-            mesh, [Message((0, 0, 0), (0, 0, 0), 9)], CostParams()
-        )
+        rep = MeshModel(2, 2, 2).time_phase([Message((0, 0, 0), (0, 0, 0), 9)])
         assert rep.time == 0
         assert rep.local_messages == 1
 

@@ -19,16 +19,22 @@ from repro.machine import (
     CostParams,
     EventSimulator,
     Mesh,
+    MeshModel,
     Message,
     RouteCache,
     clear_route_caches,
-    phase_time,
     route_cache_for,
 )
 from oracles import machine as oracle
 from oracles.machine import phase_time_python, simulate_python
 
 PARAMS = CostParams(alpha=10.0, beta=1.0, gamma=0.5)
+
+
+def time_phase(mesh, msgs, params):
+    """The production pricing of one phase (a one-segment kernel
+    launch)."""
+    return MeshModel(*mesh.dims, params=params).time_phase(msgs)
 
 
 def random_messages(mesh, nmsg, seed, local_fraction=0.2):
@@ -206,7 +212,7 @@ class TestVectorizedBitIdentity:
     def test_phase_time_matches_python(self, seed):
         mesh = Mesh(4, 5)
         msgs = random_messages(mesh, 30, seed)
-        assert phase_time(mesh, msgs, PARAMS) == phase_time_python(
+        assert time_phase(mesh, msgs, PARAMS) == phase_time_python(
             mesh, msgs, PARAMS
         )
 
@@ -223,22 +229,24 @@ class TestVectorizedBitIdentity:
     def test_phase_time_3d_matches_python(self, seed):
         mesh = Mesh(2, 3, 2)
         msgs = random_messages(mesh, 20, seed)
-        assert phase_time(mesh, msgs, PARAMS) == phase_time_python(
+        assert time_phase(mesh, msgs, PARAMS) == phase_time_python(
             mesh, msgs, PARAMS
         )
 
     def test_empty_phase(self):
         mesh = Mesh(2, 2)
-        assert phase_time(mesh, [], PARAMS) == phase_time_python(mesh, [], PARAMS)
+        assert time_phase(mesh, [], PARAMS) == phase_time_python(
+            mesh, [], PARAMS
+        )
         assert EventSimulator(mesh, PARAMS).run([]) == 0.0
 
     def test_huge_sizes_stay_exact(self):
-        """Loads past 2**53 leave the float64 bincount fast path; the
-        fallback must stay bit-identical to the Python dict sums."""
+        """Loads past 2**53, where float64 sums would round, stay
+        bit-identical to the Python dict sums."""
         mesh = Mesh(2, 2)
         big = 2 ** 52
         msgs = [Message((0, 0), (1, 1), size=big) for _ in range(5)]
-        fast = phase_time(mesh, msgs, PARAMS)
+        fast = time_phase(mesh, msgs, PARAMS)
         slow = phase_time_python(mesh, msgs, PARAMS)
         assert fast == slow
         assert fast.max_link_load == 5 * big  # exact, no float rounding
@@ -246,7 +254,7 @@ class TestVectorizedBitIdentity:
     def test_all_local_phase(self):
         mesh = Mesh(2, 2)
         msgs = [Message((0, 0), (0, 0), size=5), Message((1, 1), (1, 1))]
-        rep = phase_time(mesh, msgs, PARAMS)
+        rep = time_phase(mesh, msgs, PARAMS)
         assert rep.time == 0.0 and rep.local_messages == 2
         assert rep == phase_time_python(mesh, msgs, PARAMS)
 
@@ -281,7 +289,7 @@ class TestHopSemantics:
         expected = params.beta * 3 + params.gamma * 1
         assert sim.run(msgs) == expected
         assert simulate_python(sim, msgs) == expected
-        rep = phase_time(mesh, msgs, params)
+        rep = time_phase(mesh, msgs, params)
         assert rep.max_hops == 1
 
     def test_local_message_costs_nothing_in_sim(self):

@@ -14,7 +14,6 @@ from repro.machine import (
     MeshModel,
     broadcast_tree_phases,
     message_counts,
-    phase_time,
     reduction_tree_phases,
     translation_pattern,
 )
@@ -54,18 +53,24 @@ class TestRouting:
             Mesh(2, 2).route((0, 0), (5, 0))
 
 
+def time_phase(mesh, messages, params):
+    """One phase on ``mesh``, priced by the mesh model under
+    ``params``."""
+    return MeshModel(*mesh.dims, params=params).time_phase(messages)
+
+
 class TestContention:
     def test_single_message(self):
         m = Mesh(2, 2)
         p = CostParams(alpha=10, beta=1, gamma=0.5)
-        rep = phase_time(m, [Message((0, 0), (0, 1), size=4)], p)
+        rep = time_phase(m, [Message((0, 0), (0, 1), size=4)], p)
         assert rep.total_messages == 1
         assert rep.max_link_load == 4
         assert rep.time == 10 + 4 + 0.5
 
     def test_local_messages_free(self):
         m = Mesh(2, 2)
-        rep = phase_time(m, [Message((0, 0), (0, 0), size=100)], CostParams())
+        rep = time_phase(m, [Message((0, 0), (0, 0), size=100)], CostParams())
         assert rep.time == 0
         assert rep.local_messages == 1
 
@@ -77,14 +82,14 @@ class TestContention:
             Message((0, 0), (0, 3), size=5),
             Message((0, 1), (0, 2), size=5),
         ]
-        rep = phase_time(m, msgs, p)
+        rep = time_phase(m, msgs, p)
         assert rep.max_link_load == 10
 
     def test_fanout_serializes_at_sender(self):
         m = Mesh(2, 2)
         p = CostParams(alpha=7, beta=0, gamma=0)
         msgs = [Message((0, 0), d, size=1) for d in [(0, 1), (1, 0), (1, 1)]]
-        rep = phase_time(m, msgs, p)
+        rep = time_phase(m, msgs, p)
         assert rep.max_msgs_per_sender == 3
         assert rep.time == 21
 
@@ -143,7 +148,7 @@ class TestEventSim:
             Message((0, 1), (1, 2), size=2),
             Message((1, 0), (0, 0), size=4),
         ]
-        analytic = phase_time(mesh, msgs, params)
+        analytic = time_phase(mesh, msgs, params)
         simulated = EventSimulator(mesh, params).run(msgs)
         assert simulated >= analytic.max_link_load * params.beta
 

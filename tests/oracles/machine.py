@@ -1,16 +1,18 @@
 """Per-element references of the vectorized mesh models.
 
-The machine layer times a phase from cached integer link-id arrays
-(:func:`repro.machine.phase_time`, :meth:`repro.machine.EventSimulator.run`).
-These are the pre-vectorization implementations they must agree with,
-bit for bit: every route is rebuilt as tuple links and every link load
+The machine layer times phases with the route-free contention kernel
+(:func:`repro.machine.phase_times_segmented`, also behind
+:meth:`repro.machine.MeshModel.time_phase`) and simulates them from
+cached integer link-id arrays (:meth:`repro.machine.EventSimulator.run`).
+These are the per-element implementations they must agree with, bit
+for bit: every route is rebuilt as tuple links and every link load
 lives in a dict.  ``benchmarks/bench_perf_core.py`` also times them as
 the speedup baseline, so they walk routes with their own frozen copy of
 dimension-order routing (:func:`route`, :func:`hops`) rather than
 ``Mesh.route``: a change to the production walk cannot move the
 baseline's cost.
 
-* :func:`phase_time_python` — ``phase_time``, any mesh rank;
+* :func:`phase_time_python` — one phase of the kernel, any mesh rank;
 * :func:`simulate_python` — ``EventSimulator.run``, any mesh rank;
 * :func:`route` / :func:`hops` — the reference walk and hop count
   (``tests/machine/test_routecache.py`` checks them link for link
@@ -49,9 +51,9 @@ def hops(src: Node, dst: Node) -> int:
 def phase_time_python(
     mesh: Mesh, messages: Sequence[Message], params: CostParams
 ) -> PhaseReport:
-    """Pure-Python reference implementation of ``phase_time``, any
-    mesh rank (routes walked link by link with :func:`route`; ``mesh``
-    only mirrors ``phase_time``'s signature)."""
+    """Pure-Python reference timing of one phase, any mesh rank (routes
+    walked link by link with :func:`route`; ``mesh`` is unused, kept so
+    the call reads like the kernel's)."""
     link_load: Dict[Link, int] = {}
     sender_msgs: Dict = {}
     max_hops = 0

@@ -3,12 +3,14 @@
 The executor prices every point-to-point phase of a call in one fused
 kernel launch.  This module is what it must agree with, bit for
 bit: every phase is grouped with plain Python dicts and priced alone
-through the model's ``time_phase`` (or the scalar collective costs), and
+through :func:`phase_time_arrays` (or the scalar collective costs), and
 the times are folded in the executor's order — labels sorted, phases in
-ascending time order.
+ascending time order.  No phase goes through the contention kernel, so
+the executor differential does not check the kernel against itself.
 
 * :func:`phase_time_arrays` — one phase from endpoint coordinate
-  matrices, priced with array reductions but no fused segments;
+  matrices, priced from route-cache link ids (:func:`max_link_load`)
+  with no interval sweep and no fused segments;
 * :func:`execute_per_phase` / :func:`execute_group_per_phase` — the
   ``execute`` / ``execute_group`` twins;
 * :func:`per_phase_pricing` — runs a block (a whole campaign, say) with
@@ -23,21 +25,49 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 import repro.runtime as runtime
-from repro.machine import Message, PhaseReport
+from repro.machine import PhaseReport, RouteCache, route_cache_for
 from repro.machine.backend import unique_rows
-from repro.machine.routecache import max_link_load, route_cache_for
 from repro.runtime import AccessCommStats, CommReport
 from repro.runtime.executor import _classification_of, _vectorizable
+
+
+def max_link_load(cache: RouteCache, id_arrays, sizes) -> int:
+    """Bottleneck link load of one phase: each message's size is added
+    to every link of its id array, vectorized over all messages at once.
+
+    Uses a float64-weighted ``np.bincount`` whenever the total volume
+    bounds every partial sum below ``2**53``, where float64 integer
+    arithmetic is exact; beyond that it accumulates per link in Python
+    ints, so the result equals the dict sums of ``phase_time_python``
+    at any magnitude.
+    """
+    if not id_arrays:
+        return 0
+    lens = [a.shape[0] for a in id_arrays]
+    # exact arbitrary-precision bound on every partial sum
+    total = sum(s * n for s, n in zip(sizes, lens))
+    if total <= 2 ** 53:
+        all_ids = np.concatenate(id_arrays)
+        weights = np.repeat(
+            np.asarray(sizes, dtype=np.int64), np.asarray(lens, dtype=np.int64)
+        )
+        loads = np.bincount(all_ids, weights=weights, minlength=cache.num_links)
+        return int(loads.max())
+    acc: Dict[int, int] = {}
+    for ids, size in zip(id_arrays, sizes):
+        for i in ids.tolist():
+            acc[i] = acc.get(i, 0) + size
+    return max(acc.values(), default=0)
 
 
 def phase_time_arrays(
     mesh, senders, receivers, sizes, params, cache=None
 ) -> PhaseReport:
-    """``phase_time`` of one phase given ``(n, rank)`` endpoint matrices
-    and ``(n,)`` sizes instead of ``Message`` objects: fanout from one
-    row group-by, max hops as the Manhattan distance (the route length
-    minus 2 for dimension-order routes), link loads and the cost formula
-    on the same Python ints as ``phase_time``."""
+    """One phase given ``(n, rank)`` endpoint matrices and ``(n,)``
+    sizes: fanout from one row group-by, max hops as the Manhattan
+    distance (the route length minus 2 for dimension-order routes),
+    link loads from the route cache's link-id arrays and the cost
+    formula on Python ints, as ``phase_time_python`` computes them."""
     if cache is None:
         cache = route_cache_for(mesh)
     senders = np.asarray(senders, dtype=np.int64)
@@ -133,11 +163,14 @@ def execute_per_phase(program, machine, collectives=None, payload=1):
                     t = collectives.broadcast_time(size)
                 st.macro_ops += 1
             else:
-                t = machine.time_phase(
-                    [
-                        Message(src=s, dst=d, size=size)
-                        for (s, d), size in sorted(sizes.items())
-                    ]
+                items = sorted(sizes.items())
+                rank = machine.mesh.ndim
+                t = phase_time_arrays(
+                    machine.mesh,
+                    np.array([s for (s, _d), _z in items]).reshape(-1, rank),
+                    np.array([d for (_s, d), _z in items]).reshape(-1, rank),
+                    np.array([z for _key, z in items]),
+                    machine.params,
                 ).time
             st.time += t
             total_time += t

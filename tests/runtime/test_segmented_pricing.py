@@ -42,10 +42,10 @@ from repro.machine import (
     machine_spec,
     phase_times_segmented,
 )
-from repro.machine.contention import _EXACT_F64
 from repro.obs import clear_spans, metrics, set_enabled, span_snapshot
 from repro.runtime import execute, execute_group
 
+import oracles.pricing
 from oracles.machine import phase_time_python
 from oracles.pricing import (
     execute_per_phase,
@@ -55,6 +55,10 @@ from oracles.pricing import (
 from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
 
 PARAMS = {"N": 3, "M": 3}
+
+#: float64 stops representing every integer here: sums past it are
+#: where a float accumulator would round
+F64_EXACT = 2 ** 53
 
 
 def random_phases(rng, mesh_dims, n_phases, events_per_phase, max_size=9):
@@ -139,10 +143,10 @@ class TestKernelBitIdentity:
         assert len(empty) == 0
 
     def test_magnitude_guard_takes_exact_fallback(self):
-        """Sizes past the float64-exact bound still price bit-identical
-        (through the per-phase exact fallback)."""
+        """Sizes past the float64-exact bound price bit-identical: the
+        kernel's sums are int64."""
         mesh = MeshModel(4, 4).mesh
-        big = _EXACT_F64  # one message already overflows the guard
+        big = F64_EXACT  # one message already past float64 exactness
         senders = np.array([[0, 0], [0, 0], [1, 0]], dtype=np.int64)
         receivers = np.array([[3, 3], [2, 1], [3, 2]], dtype=np.int64)
         sizes = np.array([big, 7, 11], dtype=np.int64)
@@ -159,8 +163,7 @@ class TestKernelBitIdentity:
 
     def test_oversize_segment_goes_exact_alone(self):
         """One segment past the float64-exact bound, stacked between
-        small ones: only that segment takes the exact path (counted
-        once), and every segment still matches the oracle."""
+        small ones: every segment still matches the oracle."""
         mesh = MeshModel(4, 4).mesh
         rng = np.random.default_rng(3)
         senders, receivers, sizes, phase_ids = random_phases(
@@ -169,12 +172,9 @@ class TestKernelBitIdentity:
         sizes = sizes.copy()
         sizes[phase_ids == 2] = 2 ** 52  # 6 x 2**52 >= 2**53
         params = CostParams(alpha=19.7, beta=1.3, gamma=0.41)
-        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
-        before = fallbacks.value
         srep = phase_times_segmented(
             mesh, senders, receivers, sizes, phase_ids, params
         )
-        assert fallbacks.value == before + 1
         for pid in range(5):
             m = phase_ids == pid
             assert srep.report(pid) == phase_time_arrays(
@@ -182,20 +182,16 @@ class TestKernelBitIdentity:
             ), pid
 
     def test_large_launch_of_small_segments_stays_fused(self):
-        """The guard bounds each segment, not the launch: segments that
-        are each in range stay on the kernel even when their sum is
-        not."""
+        """Segments that are each below the float64-exact bound price
+        exactly even when their sum is not below it."""
         mesh = MeshModel(4, 4).mesh
         senders = np.array([[0, 0], [1, 1]] * 4, dtype=np.int64)
         receivers = np.array([[3, 3], [2, 0]] * 4, dtype=np.int64)
         sizes = np.full(8, 2 ** 51, dtype=np.int64)
         phase_ids = np.repeat(np.arange(4, dtype=np.int64), 2)
-        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
-        before = fallbacks.value
         srep = phase_times_segmented(
             mesh, senders, receivers, sizes, phase_ids, CostParams()
         )
-        assert fallbacks.value == before
         for pid in range(4):
             m = phase_ids == pid
             assert srep.report(pid) == phase_time_arrays(
@@ -249,6 +245,49 @@ class TestKernelInputChecks:
                 np.array(phase_ids), CostParams(), n_phases=n_phases,
             )
 
+    @pytest.mark.parametrize("dst", [(0, 1), (0, 0)], ids=["remote", "local"])
+    def test_negative_size(self, dst):
+        """A negative size would load links negatively, which the
+        zero-based maxima cannot reduce (and the oracle subtracts):
+        rejected by the kernel and by ``time_phase``, even on a local
+        message."""
+        with pytest.raises(ValueError, match="non-negative, got -5"):
+            phase_times_segmented(
+                Mesh(2, 2), np.array([[0, 0], [1, 1]]),
+                np.array([dst, (1, 0)]), np.array([-5, 3]),
+                np.array([0, 0]), CostParams(),
+            )
+        with pytest.raises(ValueError, match="non-negative, got -5"):
+            MeshModel(2, 2).time_phase([Message((0, 0), dst, -5)])
+
+    def test_volume_past_int64(self):
+        """4 x 2**62 on one phase passes int64: a named
+        ``OverflowError``, not a wrapped sum.  The same messages one per
+        phase each fit, and so does a phase of volume ``2**63 - 1``."""
+        msgs = [Message((0, 0), (0, 1), 2 ** 62)] * 4
+        machine = MeshModel(2, 2)
+        with pytest.raises(OverflowError, match=r"phase 0 .* >= 2\*\*63"):
+            machine.time_phase(msgs)
+        with pytest.raises(OverflowError, match="phase 1 "):
+            phase_times_segmented(
+                Mesh(2, 2), np.array([[0, 0]] * 5), np.array([[0, 1]] * 5),
+                np.array([1] + [2 ** 62] * 4), np.array([0, 1, 1, 1, 1]),
+                CostParams(),
+            )
+        alone = [
+            phase_time_python(machine.mesh, [m], CostParams()) for m in msgs
+        ]
+        assert machine.time_phases([[m] for m in msgs]) == sum(
+            r.time for r in alone
+        )
+        top = [
+            Message((0, 0), (0, 1), 2 ** 62),
+            Message((0, 0), (1, 1), 2 ** 62 - 1),
+        ]
+        assert vars(machine.time_phase(top)) == vars(
+            phase_time_python(machine.mesh, top, CostParams())
+        )
+
     def test_key_size_bound(self):
         """7 link classes x 2**42 nodes x (2**21 + 1) positions x 2
         passes 2**63 on one phase: named, not wrapped."""
@@ -287,8 +326,9 @@ def launches(draw):
     phases, many messages) or sparse (many phases, one message each),
     with empty segments and maybe one segment of local messages only.
     A *relay* launch starts each message where the previous one ended,
-    so intervals abut on a line.  Returns ``(mesh, n_phases, rows)``, a
-    row being ``(phase, src, dst, size)``."""
+    so intervals abut on a line.  Sizes are small, or up to ``2**56``,
+    well past where float64 sums would round.  Returns ``(mesh,
+    n_phases, rows)``, a row being ``(phase, src, dst, size)``."""
     dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
     coord = st.tuples(*(st.integers(0, d - 1) for d in dims))
     if draw(st.booleans()):  # sparse
@@ -301,18 +341,22 @@ def launches(draw):
         phases = draw(st.lists(st.integers(0, n_phases - 1), max_size=60))
     local_phase = draw(st.none() | st.integers(0, n_phases - 1))
     relay = draw(st.booleans())
+    size = st.integers(0, draw(st.sampled_from([40, 1 << 56])))
     rows = []
     for p in phases:
         src = rows[-1][2] if relay and rows else draw(coord)
         local = p == local_phase or draw(st.integers(0, 5)) == 0
         dst = src if local else draw(coord)
-        rows.append((p, src, dst, draw(st.integers(0, 40))))
+        rows.append((p, src, dst, draw(size)))
     return Mesh(*dims), n_phases, rows
 
 
 def kernel_vs_oracle(mesh, n_phases, rows, params):
     """Price ``rows`` in one launch and compare every segment, field by
-    field, with ``phase_time_python`` on that segment's messages."""
+    field, with ``phase_time_python`` on that segment's messages; the
+    same for ``MeshModel.time_phase`` on each segment alone, and
+    ``time_phases`` over all of them against the oracle's times summed
+    in phase order."""
     rank = mesh.ndim
     srep = phase_times_segmented(
         mesh,
@@ -324,11 +368,18 @@ def kernel_vs_oracle(mesh, n_phases, rows, params):
         n_phases=n_phases,
     )
     assert len(srep) == n_phases
-    for p in range(n_phases):
-        want = phase_time_python(
-            mesh, [Message(s, d, z) for q, s, d, z in rows if q == p], params
-        )
-        assert vars(srep.report(p)) == vars(want), (mesh, p)
+    machine = MeshModel(*mesh.dims, params=params)
+    phases = [
+        [Message(s, d, z) for q, s, d, z in rows if q == p]
+        for p in range(n_phases)
+    ]
+    times = []
+    for p, msgs in enumerate(phases):
+        want = vars(phase_time_python(mesh, msgs, params))
+        assert vars(srep.report(p)) == want, (mesh, p)
+        assert vars(machine.time_phase(msgs)) == want, (mesh, p)
+        times.append(want["time"])
+    assert machine.time_phases(phases) == sum(times)
 
 
 PARAMS_DRAWN = st.sampled_from(
@@ -351,20 +402,16 @@ def test_kernel_matches_per_phase_oracle(launch, params):
 )
 @given(launches(), PARAMS_DRAWN, st.data())
 def test_oversize_segment_goes_exact(launch, params, data):
-    """One segment past the float64-exact bound goes through the exact
-    per-phase path, counted exactly once; every segment still matches
-    the oracle."""
+    """One segment whose volume passes the float64-exact bound, next
+    to small ones: every segment still matches the oracle."""
     mesh, n_phases, rows = launch
     if not rows:
         rows = [(0, (0,) * mesh.ndim, (0,) * mesh.ndim, 1)]
     big = data.draw(st.sampled_from(sorted({r[0] for r in rows})))
     k = sum(r[0] == big for r in rows)
-    size = data.draw(st.integers(-(-_EXACT_F64 // k), 1 << 56))
+    size = data.draw(st.integers(-(-F64_EXACT // k), 1 << 56))
     rows = [(p, s, d, size if p == big else z) for p, s, d, z in rows]
-    fallbacks = metrics.counter("machine.contention.exact_fallbacks")
-    before = fallbacks.value
     kernel_vs_oracle(mesh, n_phases, rows, params)
-    assert fallbacks.value == before + 1
 
 
 @st.composite
@@ -501,22 +548,12 @@ class TestMultiMeshLaunch:
                 np.array([[2, 0]]),
             )
 
-    def test_oversize_segment_goes_exact_on_its_own_mesh(self, monkeypatch):
-        """An oversize segment of a 3x2 phase in a launch with a 2x4
-        mesh is priced alone, on 3x2, through the exact path (counted
-        once); every other segment stays fused and matches."""
-        from repro.machine import contention
-
-        exact_meshes = []
-        exact = contention.phase_time
-
-        def spy(mesh, *args, **kwargs):
-            exact_meshes.append(mesh.dims)
-            return exact(mesh, *args, **kwargs)
-
-        monkeypatch.setattr(contention, "phase_time", spy)
+    def test_oversize_segment_goes_exact_on_its_own_mesh(self):
+        """A segment of a 3x2 phase whose volume passes the
+        float64-exact bound, in a launch with a 2x4 mesh: every segment
+        matches its own mesh's launch and the oracle."""
         meshes = [(2, 4), (3, 2)]
-        big = 2 ** 52
+        big = 2 ** 60
         rows = [
             (0, (0, 0), (1, 3), 5),
             (1, (0, 0), (2, 1), big),
@@ -525,13 +562,7 @@ class TestMultiMeshLaunch:
             (2, (1, 0), (0, 2), 7),
             (3, (2, 1), (0, 0), 2),
         ]
-        fallbacks = metrics.counter("machine.contention.exact_fallbacks")
-        before = fallbacks.value
         multi_mesh_vs_per_mesh(meshes, [0, 1, 0, 1], rows, CostParams())
-        # the fused launch and the 3x2 launch each take the exact path
-        # once, on 3x2; the oracle walks its own routes
-        assert fallbacks.value == before + 2
-        assert exact_meshes == [(3, 2), (3, 2)]
 
     def test_key_size_bound_on_the_bounding_mesh(self):
         """1 x 2**21 next to 2**21 x 1 bound a 2**21 x 2**21 mesh, whose
@@ -604,7 +635,7 @@ class TestExecutorBitIdentity3D:
 
 
 class TestSpanTaxonomy:
-    def test_segmented_span_counts_phases(self):
+    def test_segmented_span_counts_phases(self, monkeypatch):
         """One fused kernel launch records ``count = phases``, so stage
         reports keep counting phases after the fusion: the aggregated
         exec.segmented count, and the ``runtime.price.phases`` counter,
@@ -627,28 +658,22 @@ class TestSpanTaxonomy:
         finally:
             set_enabled(prev)
             clear_spans()
-        want = execute_per_phase(prog, _CountingModel(machine), CM5Model())
-        n_phases = _CountingModel.calls + sum(
+        priced = []
+        one_phase = oracles.pricing.phase_time_arrays
+
+        def counting(*args, **kwargs):
+            priced.append(1)
+            return one_phase(*args, **kwargs)
+
+        monkeypatch.setattr(oracles.pricing, "phase_time_arrays", counting)
+        want = execute_per_phase(prog, machine, CM5Model())
+        n_phases = len(priced) + sum(
             s.macro_ops for s in want.per_access.values()
         )
         assert sum(fused.values()) == n_phases > 0
         assert phases.value - before[0] == n_phases
         # one point-to-point launch plus one collectives call
         assert launches.value - before[1] == 2
-
-
-class _CountingModel:
-    """Counts the per-phase ``time_phase`` calls of the oracle."""
-
-    calls = 0
-
-    def __init__(self, inner):
-        self._inner = inner
-        type(self).calls = 0
-
-    def time_phase(self, messages):
-        type(self).calls += 1
-        return self._inner.time_phase(messages)
 
 
 class TestStoreGolden:

@@ -296,10 +296,14 @@ def test_3d_extraction_and_pricing_match_oracle(case, meshes):
 
 def test_3d_cases_reach_both_outcomes():
     """The 3-D strategy reaches exact-lane nests whose values fit int64
-    and ones that overflow."""
+    and ones that overflow.  The probe is derandomized: its draws are
+    fixed, so the answer does not depend on the run (a random probe of
+    150 examples missed one outcome in about one run of ten)."""
     seen = set()
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(
+        max_examples=150, deadline=None, database=None, derandomize=True
+    )
     @given(shifted_3d_nests())
     def probe(case):
         shift, scheduled = case

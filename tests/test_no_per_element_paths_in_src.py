@@ -6,6 +6,12 @@ test oracles.  No module under ``src/repro`` may call them, except the
 oracle chain itself: ``execute_python`` calls ``comm_events_python``,
 which walks ``iteration_domain``, which walks ``enumerate_points``.
 No module under ``src/repro`` may import the test oracles either.
+
+Route gathers are per-element too: ``RouteCache.link_ids`` builds or
+looks up one message's route.  The contention kernel prices every phase
+from interval sums without it, so its one caller is the event-driven
+simulator (``EventSimulator.run``), which walks each message's links.
+
 Standard library only (``ast``); calls and imports inside nested
 functions count too.
 """
@@ -16,13 +22,19 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
-PER_ELEMENT = {"comm_events_python", "iteration_domain", "enumerate_points"}
+PER_ELEMENT = {
+    "comm_events_python",
+    "iteration_domain",
+    "enumerate_points",
+    "link_ids",
+}
 
 #: ``(module path under src/repro, enclosing function, called name)``
 ALLOWED = {
     ("runtime/executor.py", "execute_python", "comm_events_python"),
     ("runtime/mapping.py", "MappedProgram.comm_events_python", "iteration_domain"),
     ("ir/loopnest.py", "Statement.iteration_domain", "enumerate_points"),
+    ("machine/eventsim.py", "EventSimulator.run", "link_ids"),
 }
 
 
@@ -71,6 +83,9 @@ def test_scanner_flags_calls_and_oracle_imports():
         "        return enumerate_points(self)\n"
         "def g(program):\n"
         "    return program.comm_batches()\n"
+        "def phase_time(mesh, messages):\n"
+        "    cache = route_cache_for(mesh)\n"
+        "    return [cache.link_ids(m.src, m.dst) for m in messages]\n"
     )
     assert per_element_uses(source) == [
         (1, "", "tests.oracles.legality"),
@@ -78,6 +93,7 @@ def test_scanner_flags_calls_and_oracle_imports():
         (4, "f", "iteration_domain"),
         (7, "Domain.walk", "tests"),
         (8, "Domain.walk", "enumerate_points"),
+        (13, "phase_time", "link_ids"),
     ]
 
 
