@@ -20,7 +20,8 @@ job (calibrated, with a measured noise band).  Wall times land in
 * ``test_steady_state_counts`` — a repeat inline run of ``grid_2d``
   with warm caches: every compile and every baseline price is a hit,
   each compile-key group prices all its cells in one ``execute_group``
-  call, the segmented kernel launches at most once per call whatever
+  call (as the cold first run does with its heuristic cells and
+  baseline misses together), the segmented kernel launches at most once per call whatever
   meshes its cells fold onto, ``comm_batches`` runs once per distinct (nest, mesh)
   folding with one ``Folding.fold_array`` call each, pricing makes at
   most one ``unique_rows`` call per pricing call with no axis-unique
@@ -202,7 +203,11 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     each compile-key group's cells in one ``execute_group`` call whose
     point-to-point kernel (``phase_times_segmented``) launches at most
     once, every mesh of the group in that one launch — the ceiling
-    ``run_all.py --profile`` enforces.  Twin cells (paragon and cm5 on one mesh) share one
+    ``run_all.py --profile`` enforces.  The cold first run prices the
+    baselines too, in the same call: one ``execute_group`` call per
+    multi-cell group carrying its heuristic cells and baseline misses,
+    so pricing calls and launches stay at most one per multi-cell group
+    plus two per one-task group.  Twin cells (paragon and cm5 on one mesh) share one
     extraction, so ``comm_batches`` runs once per distinct (nest, mesh)
     folding, and each group's records go to the store in one
     ``RunStore.append``.  Each extraction folds its stacked sender and
@@ -219,12 +224,30 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
     groups = group_by_compile_key(tasks)
+    # a multi-cell group prices its heuristic cells and baseline misses
+    # in one call; a one-task group makes one call per mapping
+    multi_cell = sum(1 for g in groups if len(g) > 1)
+    call_ceiling = multi_cell + 2 * (len(groups) - multi_cell)
     clear_compile_cache()
     clear_baseline_cache()
-    run_campaign(
-        tasks, str(tmp_path / "warmup.jsonl"),
-        CampaignConfig(jobs=1), meta=meta,
-    )
+    with monkeypatch.context() as cold_patch:
+        cold_pricing = count_pricing_calls(
+            cold_patch, str(tmp_path / "cold_pricing.log")
+        )
+        cold_kernel = _record_calls(
+            cold_patch, machines, "phase_times_segmented"
+        )
+        cold = run_campaign(
+            tasks, str(tmp_path / "warmup.jsonl"),
+            CampaignConfig(jobs=1), meta=meta,
+        )
+    cold_singles, cold_groups = cold_pricing()
+    cold_calls = cold_singles + len(cold_groups)
+    assert cold.ok == len(tasks) and cold.baseline_cache_hits == 0
+    # the cold run prices both mappings: one call per multi-cell group,
+    # its heuristic cells and baseline misses together
+    assert sorted(cold_groups) == sorted(2 * len(g) for g in groups if len(g) > 1)
+    assert 0 < len(cold_kernel) <= cold_calls <= call_ceiling
 
     pricing = count_pricing_calls(monkeypatch, str(tmp_path / "pricing.log"))
     kernel_calls = _record_calls(monkeypatch, machines, "phase_times_segmented")
@@ -258,8 +281,7 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     assert singles == 0
     assert sorted(group_calls) == sorted(len(g) for g in groups)
     # at most one point-to-point launch per pricing call
-    ceiling = len(group_calls)
-    assert 0 < kernel_launches <= ceiling
+    assert 0 < kernel_launches <= len(group_calls) <= call_ceiling
     # one extraction per distinct folding, one store write per group
     foldings = {(t.compile_key, t.mesh) for t in tasks}
     assert len(foldings) < len(tasks)
@@ -280,11 +302,14 @@ def test_steady_state_counts(tmp_path, monkeypatch):
             "groups": len(groups),
             "compile_cache_hits": steady.compile_cache_hits,
             "baseline_cache_hits": steady.baseline_cache_hits,
+            "pricing_call_ceiling": call_ceiling,
+            "cold_pricing_calls": cold_calls,
+            "cold_cells_per_execute_group": sorted(set(cold_groups)),
+            "cold_segmented_kernel_launches": len(cold_kernel),
             "execute_calls": singles,
             "execute_group_calls": len(group_calls),
             "cells_per_execute_group": sorted(set(group_calls)),
             "segmented_kernel_launches": kernel_launches,
-            "kernel_launch_ceiling": ceiling,
             "price_launches": all_launches,
             "phases_priced": phases_priced,
             "comm_batches_calls": len(extractions),

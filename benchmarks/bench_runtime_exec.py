@@ -35,6 +35,7 @@ from repro.campaign import generate_workloads
 from repro.ir import motivating_example, platonoff_example
 from repro.machine import CM5Model, MeshModel
 from repro.runtime import execute, execute_python
+from repro.runtime.mapping import DOMAIN_CACHE
 
 sys.path.append(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
@@ -71,9 +72,10 @@ def measurements(reference):
     compiled, machine = reference
 
     def cold():
-        """Fresh program *and* cleared mapping-level virtual cache: the
+        """Fresh program *and* cleared virtual and domain caches: the
         timed call pays the whole extraction, not just fold + group-by."""
         compiled.mapping.__dict__.pop("_virtual_batch_cache", None)
+        compiled.schedules.__dict__.pop(DOMAIN_CACHE, None)
         return compiled.program(machine, PARAMS)
 
     # warm + bit-identity on the reference workload itself

@@ -8,8 +8,8 @@ Not a paper artefact — the subsystem gate for :mod:`repro.obs`:
   (``--trace 1`` reports ``trace.overhead_ratio``);
 * **traced runs measure the default path**: a traced and an untraced
   run of the same grid make the same pricing calls (every compile-key
-  group priced in one ``execute_group`` call carrying all its cells)
-  and the same compiles;
+  group priced in one ``execute_group`` call carrying all its cells and
+  its baseline memo misses) and the same compiles;
 * **traced runs account for their time**: per-stage totals (compile +
   price + executor overhead) must sum to the summed task wall time
   exactly (they do by construction — overhead is the residual) and the
@@ -86,12 +86,14 @@ def test_trace_overhead_and_stage_breakdown(tmp_path):
     assert (traced.compile_cache_misses, traced.compile_cache_hits) == (
         plain.compile_cache_misses, plain.compile_cache_hits
     )
-    # the group path: every group here has 4 cells and prices them in
-    # one execute_group call (baselines may be memo hits)
+    # the group path: every group here has 4 cells and prices them,
+    # with its baseline memo misses, in one execute_group call
     sizes = Counter(t.compile_key for t in tasks)
     assert min(sizes.values()) > 1
     assert traced_singles == 0
-    assert not Counter(sizes.values()) - Counter(traced_groups), traced_groups
+    assert len(traced_groups) == len(sizes), traced_groups
+    misses = len(tasks) - traced.baseline_cache_hits
+    assert sum(traced_groups) == len(tasks) + misses, traced_groups
 
     # --- traced run: stage totals must account for the task time ------
     trace = load_trace(trace_path)

@@ -26,10 +26,13 @@ Registered subsystem gates (beyond the paper artefacts):
   the ``grid_2d``, ``grid_3d`` (``t3d`` on a 2x2x2 cube) and
   ``grid_triangular`` grids each complete with every task ok and zero
   error/timeout records, one compile per compile key and a no-op
-  resume; a warm repeat run hits every compile and baseline price,
-  prices each compile-key group in one ``execute_group`` call and
-  launches the segmented kernel at most once per call, every mesh of
-  the group in that one launch (``steady_state``); whole-group and fused pricing write the
+  resume; the cold first run of ``grid_2d`` prices each multi-cell
+  group's heuristic cells and baseline misses in one ``execute_group``
+  call (at most one pricing call per multi-cell group plus two per
+  one-task group); a warm repeat run hits every compile and baseline
+  price, prices each compile-key group in one ``execute_group`` call
+  and launches the segmented kernel at most once per call, every mesh
+  of the group in that one launch (``steady_state``); whole-group and fused pricing write the
   same records as one-task groups and the per-phase oracle; a cold run
   compiles every nest, a warm disk compile cache makes no
   ``compile_nest`` call, and the integer Fourier–Motzkin kernel agrees
@@ -74,10 +77,14 @@ compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts that
 ``phase_times_segmented`` ran, and, since every mesh of a call shares
 one launch, at most once per pricing call (``execute`` /
-``execute_group``) — the counts land in the same artifact
-(``segmented_kernel_launches``, ``kernel_launch_ceiling``,
-``phases_per_launch``); the warm rerun below holds the same ceiling
-(``warm_kernel_launches`` <= ``warm_pricing_calls``).  Since the compile
+``execute_group``); since a multi-cell group prices its heuristic
+cells and baseline misses in one call, it asserts at most one pricing
+call per multi-cell compile-key group plus two per one-task group
+(plus the reference workload's one) — the counts land in the same
+artifact (``price_calls``, ``price_call_ceiling``,
+``segmented_kernel_launches``, ``phases_per_launch``); the warm rerun
+below holds the launch ceiling (``warm_kernel_launches`` <=
+``warm_pricing_calls``).  Since the compile
 path went to Python ints only (integer FM, ``IntMat``, fraction-free
 kernels and ``unimodular_inverse``) it also asserts that no ``repro``
 function calls into ``fractions`` or the ``FracMat`` oracle of
@@ -140,6 +147,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     sys.path.insert(0, SRC_DIR)
     from repro import compile_nest
     from repro.campaign import CampaignConfig, default_spec, run_campaign
+    from repro.campaign.sweep import group_by_compile_key
     from repro.alignment import heuristic
     from repro.ir import clear_dependence_caches, motivating_example
     from repro.linalg import get_cache
@@ -282,7 +290,13 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
 
     kernel_launches = _ncalls("phase_times_segmented")
     price_calls = _ncalls("execute") + _ncalls("execute_group")
-    launch_ceiling = price_calls
+    # a multi-cell group prices its heuristic cells and baseline misses
+    # in one call, a one-task group in one call per mapping; the
+    # reference pricing workload adds one execute call
+    groups = group_by_compile_key(tasks)
+    multi_cell_groups = sum(1 for g in groups if len(g) > 1)
+    one_task_groups = len(groups) - multi_cell_groups
+    call_ceiling = multi_cell_groups + 2 * one_task_groups + 1
     phases_priced = phases.value - phases_before
 
     from _harness import record_bench
@@ -301,8 +315,10 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "compile_stage_cumtime_s": compile_ct,
             "pricing_stage_cumtime_s": price_ct,
             "price_calls": price_calls,
+            "multi_cell_groups": multi_cell_groups,
+            "one_task_groups": one_task_groups,
+            "price_call_ceiling": call_ceiling,
             "segmented_kernel_launches": kernel_launches,
-            "kernel_launch_ceiling": launch_ceiling,
             "phases_priced": phases_priced,
             "phases_per_launch": round(
                 phases_priced / kernel_launches if kernel_launches else 0.0,
@@ -391,11 +407,23 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"(compile {compile_ct:.3f}s < pricing {price_ct:.3f}s cumulative)"
     )
 
-    # the fused-pricing gate: every pricing call (one compile-key
-    # group's heuristic or baseline cells) launches the segmented kernel
-    # at most once, with every label, cell, mesh and phase stacked into
-    # the launch.  More launches mean meshes, labels or cells are
-    # leaking back onto launches of their own.
+    # the fused-pricing gates: a multi-cell compile-key group prices
+    # its heuristic cells and baseline misses in one pricing call (a
+    # one-task group in at most two), and every pricing call launches
+    # the segmented kernel at most once, with every label, cell, mesh,
+    # mapping and phase stacked into the launch.  More calls mean the
+    # two mappings are priced apart again; more launches mean meshes,
+    # labels or cells are leaking back onto launches of their own.
+    if price_calls > call_ceiling:
+        print(
+            f"FAIL: {price_calls} pricing calls in the reference profile, "
+            f"above {call_ceiling} ({multi_cell_groups} multi-cell "
+            f"groups + 2 x {one_task_groups} one-task groups + 1 "
+            "reference call) — a group's heuristic and baseline cells "
+            "are priced apart again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
     if kernel_launches == 0:
         print(
             "FAIL: phase_times_segmented never ran in the reference "
@@ -404,7 +432,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             file=sys.stderr,
         )
         return 1
-    if kernel_launches > launch_ceiling:
+    if kernel_launches > price_calls:
         print(
             f"FAIL: {kernel_launches} phase_times_segmented launches in "
             f"the reference profile, above {price_calls} pricing calls — "
@@ -416,7 +444,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     print(
         "gate ok: fused pricing engaged "
         f"({kernel_launches} segmented kernel launches <= "
-        f"{price_calls} pricing calls, "
+        f"{price_calls} pricing calls <= {call_ceiling} "
+        f"({multi_cell_groups} multi-cell groups + 2 x {one_task_groups} "
+        "one-task groups + 1), "
         f"{phases_priced / kernel_launches:.1f} phases per launch)"
     )
 

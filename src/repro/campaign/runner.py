@@ -29,8 +29,9 @@ depend only on ``(workload, m, heuristic knobs)`` — not on the machine
 or the mesh — so the runner groups the grid by
 :attr:`~repro.campaign.sweep.SweepTask.compile_key` (see
 :func:`~repro.campaign.sweep.group_by_compile_key`) and a group
-compiles its nest once, then prices all its machine x mesh cells in
-one :func:`repro.runtime.execute_group` call.  Compiles are also cached
+compiles its nest once, then prices all its machine x mesh cells —
+the heuristic's and the baseline-memo misses' together — in one
+:func:`repro.runtime.execute_group` call.  Compiles are also cached
 per worker process in an LRU (:data:`COMPILE_CACHE_SIZE` entries), with
 an optional **persistent disk tier** underneath
 (``REPRO_CAMPAIGN_COMPILE_DIR``, see :class:`repro._config.Settings`)
@@ -523,13 +524,15 @@ def run_task_group(
     * **Compile**: the survivors share one compile.  The first priced
       task reports the LRU/disk result in ``compile_cache_hit``, the
       rest reuse that compile and report ``True``.
-    * **Price**: one-task groups price through
-      :func:`repro.runtime.execute`, larger ones through one
-      :func:`repro.runtime.execute_group` call, heuristic and baseline
-      alike (both looked up on :mod:`repro.runtime` at call time).  In
-      that call the cells that fold identically (the paragon and cm5
-      cells of one mesh) share one extraction, phase grouping and
-      kernel rows.
+    * **Price**: a multi-cell group prices its heuristic cells and
+      its baseline-memo misses in one
+      :func:`repro.runtime.execute_group` call; a one-task group makes
+      one :func:`repro.runtime.execute` call per mapping it prices
+      (both looked up on :mod:`repro.runtime` at call time).  In the
+      group call the cells of one mapping that fold identically (the
+      paragon and cm5 cells of one mesh) share one extraction, and
+      both mappings share one domain stage, one phase grouping and one
+      kernel launch.
     * **Timeouts**: the survivors run under the group deadline
       ``timeout * len(survivors)``; past it they re-run as one-task
       groups under ``timeout`` each, so a slow task still ends as
@@ -636,29 +639,23 @@ def _price_live(
     return split
 
 
-def _price(cells: list, grouped: bool) -> list:
-    """Reports of ``(program, machine, collectives)`` cells: one
-    :func:`repro.runtime.execute_group` call for a multi-cell group,
-    :func:`repro.runtime.execute` for a one-task group.  Both names are
-    looked up on :mod:`repro.runtime` at call time, so a caller that
-    wraps them sees every pricing call."""
-    from .. import runtime
-
-    if grouped:
-        return runtime.execute_group(cells)
-    return [runtime.execute(p, m, collectives=c) for p, m, c in cells]
-
-
 def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
     """Compile ``live``'s shared nest once, then fold it onto every
     task's machine x mesh cell and cost both mappings.
 
-    The two halves get their own sub-spans (``price.heuristic`` /
-    ``price.baseline``) so trace reports attribute them directly; the
-    baseline half is served from the per-worker price memo when the
-    same (workload, m, machine, mesh) cell was costed before.  Results
-    are bit-identical whatever the group size, by construction of
-    ``execute_group``."""
+    The baseline price of a cell comes from the per-worker price memo
+    when the same (workload, m, machine, mesh) cell was costed before;
+    only the misses are priced.  A multi-cell group prices its
+    heuristic cells and its baseline misses together in **one**
+    :func:`repro.runtime.execute_group` call (the two mappings share
+    the compile's scheduled nest, so one domain stage, one group-by and
+    one kernel launch); a one-task group makes one
+    :func:`repro.runtime.execute` call per mapping it prices.  Both
+    names are looked up on :mod:`repro.runtime` at call time, so a
+    caller that wraps them sees every pricing call.  The ``price`` span
+    carries the attributes ``cells`` (tasks) and ``baseline_cells``
+    (baseline misses priced).  Results are bit-identical whatever the
+    group size, by construction of ``execute_group``."""
     from .. import runtime
     from ..machine import machine_spec
 
@@ -671,49 +668,45 @@ def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
     # the other cells reuse this compile, which counts as a cache hit
     _compile_hits.inc(len(live) - 1)
 
-    grouped = len(live) > 1
     try:
-        with span("price"):
+        bkeys = _baseline_price_keys(live)
+        lookups = [_baseline_lookup(k) for k in bkeys]
+        btimes = [btime for btime, _ in lookups]
+        misses = [i for i, (_, bhit) in enumerate(lookups) if not bhit]
+        with span("price", cells=len(live), baseline_cells=len(misses)):
             machines = []
             for task in live:
                 spec = machine_spec(task.machine)
                 machines.append(
                     (spec.make(task.mesh), spec.make_collectives(task.mesh))
                 )
-            with span("price.heuristic"):
-                programs = [
-                    cw.compiled.program(machine, cw.params)
-                    for machine, _ in machines
-                ]
-                reports = _price(
-                    [(p, *mc) for p, mc in zip(programs, machines)], grouped
+            programs = [
+                cw.compiled.program(machine, cw.params)
+                for machine, _ in machines
+            ]
+            # same folding as the heuristic's program, so both prices
+            # use one folding policy by construction
+            cells = [(p, *mc) for p, mc in zip(programs, machines)] + [
+                (
+                    runtime.MappedProgram(
+                        mapping=cw.baseline,
+                        folding=programs[i].folding,
+                        params=cw.params,
+                    ),
+                    *machines[i],
                 )
-
-            bkeys = _baseline_price_keys(live)
-            lookups = [_baseline_lookup(k) for k in bkeys]
-            btimes = [btime for btime, _ in lookups]
-            misses = [i for i, (_, bhit) in enumerate(lookups) if not bhit]
-            if misses:
-                # same folding as the heuristic's program, so both
-                # prices use one folding policy by construction
-                with span("price.baseline"):
-                    base_reports = _price(
-                        [
-                            (
-                                runtime.MappedProgram(
-                                    mapping=cw.baseline,
-                                    folding=programs[i].folding,
-                                    params=cw.params,
-                                ),
-                                *machines[i],
-                            )
-                            for i in misses
-                        ],
-                        grouped,
-                    )
-                for i, rep in zip(misses, base_reports):
-                    btimes[i] = rep.total_time
-                    _baseline_store(bkeys[i], rep.total_time)
+                for i in misses
+            ]
+            if len(live) > 1:
+                priced = runtime.execute_group(cells)
+            else:
+                priced = [
+                    runtime.execute(p, m, collectives=c) for p, m, c in cells
+                ]
+            reports = priced[: len(live)]
+            for i, rep in zip(misses, priced[len(live):]):
+                btimes[i] = rep.total_time
+                _baseline_store(bkeys[i], rep.total_time)
     except (MemoryError, _TaskTimeout):
         raise
     except Exception as exc:

@@ -20,7 +20,7 @@ keeps.  The level-probing scheduler it replaced is the test oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..linalg import IntMat
@@ -85,6 +85,11 @@ class ScheduledNest:
 
     def schedule_of(self, stmt: str) -> Schedule:
         return self.schedules[stmt]
+
+    def __getstate__(self):
+        # only the fields: memos other layers keep on the object (the
+        # runtime's domain stages) stay in their process
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def validate_shapes(self) -> None:
         for s in self.nest.statements:

@@ -135,15 +135,10 @@ def _stage_seconds(spans: Dict, stage: str) -> float:
     return float(entry.get("seconds", 0.0))
 
 
-def _subspan_seconds(spans: Dict, name: str) -> float:
-    """Seconds of a named sub-span wherever it nests (span seconds are
-    inclusive, so a sub-span never changes its stage's total — it only
-    attributes a slice of it)."""
-    return sum(
-        float(e.get("seconds", 0.0))
-        for path, e in spans.items()
-        if path.split("/")[-1] == name
-    )
+def _price_attr(spans: Dict, name: str) -> int:
+    """The summed integer attribute ``name`` of a task tree's ``price``
+    span (0 when absent)."""
+    return int((spans.get("price") or {}).get(name, 0))
 
 
 def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
@@ -153,7 +148,10 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
     compiled nest; per group the row reports how much task wall time
     went to the compile stage, the price stage and **executor
     overhead** — the gap between summed task wall time and traced span
-    time (dispatch, IPC, retries, uninstrumented glue).  One span tree
+    time (dispatch, IPC, retries, uninstrumented glue) — and how many
+    baseline cells its pricing priced (``baseline_cells``: the
+    baseline-memo misses, priced in the same call as the heuristic
+    cells).  One span tree
     covers each group run and rides on its first record, so sums stay
     exact per group.  Crashed tasks have no span tree (the worker died
     before reporting); they count as ``traceless`` so lost work is
@@ -170,11 +168,11 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
         seconds = sum(float(t.get("seconds", 0.0)) for t in ts)
         compile_s = sum(_stage_seconds(t.get("spans", {}), "compile") for t in ts)
         price_s = sum(_stage_seconds(t.get("spans", {}), "price") for t in ts)
-        heur_s = sum(
-            _subspan_seconds(t.get("spans", {}), "price.heuristic") for t in ts
-        )
-        base_s = sum(
-            _subspan_seconds(t.get("spans", {}), "price.baseline") for t in ts
+        # one pricing call prices the heuristic cells and the baseline
+        # misses together, so its span counts the cells, not seconds
+        # per half
+        base_cells = sum(
+            _price_attr(t.get("spans", {}), "baseline_cells") for t in ts
         )
         # fused pricing records one exec.segmented span per lane call
         # with count = phases priced, so this stays a *phase* count
@@ -195,8 +193,7 @@ def stage_rows(tasks: Sequence[Dict]) -> List[Dict]:
                 ),
                 "compile_seconds": compile_s,
                 "price_seconds": price_s,
-                "price_heuristic_seconds": heur_s,
-                "price_baseline_seconds": base_s,
+                "baseline_cells": base_cells,
                 "phase_calls": phase_calls,
                 "overhead_seconds": max(0.0, seconds - compile_s - price_s),
                 "seconds": seconds,
@@ -213,12 +210,7 @@ def stage_totals(tasks: Sequence[Dict]) -> Dict[str, float]:
         "tasks": sum(r["tasks"] for r in rows),
         "compile_seconds": sum(r["compile_seconds"] for r in rows),
         "price_seconds": sum(r["price_seconds"] for r in rows),
-        "price_heuristic_seconds": sum(
-            r["price_heuristic_seconds"] for r in rows
-        ),
-        "price_baseline_seconds": sum(
-            r["price_baseline_seconds"] for r in rows
-        ),
+        "baseline_cells": sum(r["baseline_cells"] for r in rows),
         "overhead_seconds": sum(r["overhead_seconds"] for r in rows),
         "task_seconds": sum(r["seconds"] for r in rows),
         "phase_calls": sum(r["phase_calls"] for r in rows),
@@ -239,8 +231,7 @@ def format_stage_breakdown(tasks: Sequence[Dict]) -> str:
             r["ok"],
             r["compile_seconds"],
             r["price_seconds"],
-            r["price_heuristic_seconds"],
-            r["price_baseline_seconds"],
+            r["baseline_cells"],
             r["phase_calls"],
             r["overhead_seconds"],
             r["seconds"],
@@ -255,8 +246,7 @@ def format_stage_breakdown(tasks: Sequence[Dict]) -> str:
             sum(r["ok"] for r in rows),
             totals["compile_seconds"],
             totals["price_seconds"],
-            totals["price_heuristic_seconds"],
-            totals["price_baseline_seconds"],
+            totals["baseline_cells"],
             totals["phase_calls"],
             totals["overhead_seconds"],
             totals["task_seconds"],
@@ -265,7 +255,7 @@ def format_stage_breakdown(tasks: Sequence[Dict]) -> str:
     return format_table(
         [
             "workload", "compile_key", "tasks", "ok", "compile_s",
-            "price_s", "heur_s", "base_s", "phases", "overhead_s",
+            "price_s", "base_cells", "phases", "overhead_s",
             "total_s",
         ],
         table,

@@ -11,7 +11,8 @@ Entering a span pushes its name onto a per-thread stack; on exit the
 elapsed ``perf_counter`` time is recorded under the span's **path** —
 the ``/``-joined stack (``"compile/align.step1"``), so parent/child
 nesting survives aggregation.  The aggregate keeps one ``(count,
-seconds)`` pair per path; :func:`span_snapshot` exports it as a plain
+seconds)`` pair per path, plus the sums of any integer attributes the
+span's exits carried; :func:`span_snapshot` exports it as a plain
 dict and :func:`merge_spans` folds a worker's exported tree back into
 the local aggregate (how multiprocessing campaigns reassemble per-task
 traces shipped through ``TaskResult.trace``).
@@ -41,10 +42,10 @@ SEP = "/"
 _enabled: bool = False
 
 _lock = threading.Lock()
-#: path -> [count, total seconds]
-_aggregate: Dict[str, List[float]] = {}
+#: path -> [count, total seconds(, {attribute: sum})]
+_aggregate: Dict[str, List] = {}
 #: live capture buffers (same layout as the aggregate)
-_captures: List[Dict[str, List[float]]] = []
+_captures: List[Dict[str, List]] = []
 
 
 class _Local(threading.local):
@@ -71,11 +72,12 @@ _NOOP = _NoopSpan()
 
 
 class _Span:
-    __slots__ = ("name", "count", "_t0")
+    __slots__ = ("name", "count", "attrs", "_t0")
 
-    def __init__(self, name: str, count: int = 1):
+    def __init__(self, name: str, count: int = 1, attrs=None):
         self.name = name
         self.count = count
+        self.attrs = attrs
 
     def __enter__(self):
         _local.stack.append(self.name)
@@ -87,25 +89,31 @@ class _Span:
         stack = _local.stack
         path = SEP.join(stack)
         stack.pop()
-        c = self.count
         with _lock:
             for buf in _captures:
-                entry = buf.get(path)
-                if entry is None:
-                    buf[path] = [c, dt]
-                else:
-                    entry[0] += c
-                    entry[1] += dt
-            entry = _aggregate.get(path)
-            if entry is None:
-                _aggregate[path] = [c, dt]
-            else:
-                entry[0] += c
-                entry[1] += dt
+                _add(buf, path, self.count, dt, self.attrs)
+            _add(_aggregate, path, self.count, dt, self.attrs)
         return False
 
 
-def span(name: str, count: int = 1):
+def _add(buf, path: str, count: int, seconds: float, attrs) -> None:
+    """Add one exit (or one merged entry) to ``buf[path]``, a ``[count,
+    seconds]`` list that grows a third item, the attribute sums, once
+    an exit carries attributes."""
+    entry = buf.get(path)
+    if entry is None:
+        entry = buf[path] = [0, 0.0]
+    entry[0] += count
+    entry[1] += seconds
+    if attrs:
+        if len(entry) == 2:
+            entry.append({})
+        sums = entry[2]
+        for key, value in attrs.items():
+            sums[key] = sums.get(key, 0) + value
+
+
+def span(name: str, count: int = 1, **attrs: int):
     """A context manager timing one named stage (no-op when tracing is
     disabled — the check is one module-flag read).
 
@@ -113,10 +121,13 @@ def span(name: str, count: int = 1):
     (default 1).  Fused spans use it to keep logical-unit accounting:
     one ``exec.segmented`` kernel call pricing 37 phases records
     ``count=37``, so stage reports count *phases*, not kernel
-    launches."""
+    launches.  Keyword ``attrs`` are integer attributes summed per
+    path next to ``count`` and ``seconds`` (the campaign's ``price``
+    span records ``cells`` and ``baseline_cells``); their names must
+    not be ``count`` or ``seconds``."""
     if not _enabled:
         return _NOOP
-    return _Span(name, count)
+    return _Span(name, count, attrs)
 
 
 def traced(name: Optional[str] = None) -> Callable:
@@ -171,20 +182,24 @@ def is_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _freeze(buf: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
+def _freeze(buf: Dict[str, List]) -> Dict[str, Dict[str, float]]:
     return {
-        path: {"count": int(c), "seconds": s}
-        for path, (c, s) in sorted(buf.items())
+        path: {
+            "count": int(entry[0]),
+            "seconds": entry[1],
+            **(entry[2] if len(entry) > 2 else {}),
+        }
+        for path, entry in sorted(buf.items())
     }
 
 
 @contextmanager
-def capture() -> Iterator[Dict[str, List[float]]]:
+def capture() -> Iterator[Dict[str, List]]:
     """Collect every span recorded while the context is active into a
     dedicated buffer (in addition to the global aggregate).  Used by
     the campaign runner to attribute spans to one task; freeze the
     yielded buffer with :func:`freeze_capture` after exit."""
-    buf: Dict[str, List[float]] = {}
+    buf: Dict[str, List] = {}
     with _lock:
         _captures.append(buf)
     try:
@@ -194,7 +209,7 @@ def capture() -> Iterator[Dict[str, List[float]]]:
             _captures.remove(buf)
 
 
-def freeze_capture(buf: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
+def freeze_capture(buf: Dict[str, List]) -> Dict[str, Dict[str, float]]:
     """A :func:`capture` buffer as the exported snapshot layout
     (``{path: {"count": n, "seconds": s}}``)."""
     return _freeze(buf)
@@ -218,14 +233,13 @@ def merge_spans(tree: Optional[Dict]) -> None:
         for path, val in tree.items():
             if isinstance(val, dict):
                 c, s = int(val.get("count", 0)), float(val.get("seconds", 0.0))
+                attrs = {
+                    k: v for k, v in val.items() if k not in ("count", "seconds")
+                }
             else:
                 c, s = int(val[0]), float(val[1])
-            entry = _aggregate.get(path)
-            if entry is None:
-                _aggregate[path] = [c, s]
-            else:
-                entry[0] += c
-                entry[1] += s
+                attrs = val[2] if len(val) > 2 else None
+            _add(_aggregate, path, c, s, attrs)
 
 
 def clear_spans() -> None:

@@ -18,17 +18,23 @@ path over the stacked arrays of
 :meth:`~repro.runtime.mapping.MappedProgram.comm_batches` (one row per
 element communication; polyhedral domains arrive already masked down
 to their in-domain rows, so the executor never re-enumerates an
-iteration set).  Per pricing call, virtual locality is one mask over
-the stacked virtual rows and physical locality one mask per distinct
-folding; the per-time-step phase split and the ``(sender, receiver)``
-pair coalescing of every label and every folding are **one**
+iteration set).  One call prices the cells of one compiled nest under
+any of its mappings — the campaign stacks the heuristic's cells and
+the Feautrier baseline's into one call — and every mapping reads one
+shared domain stage (domain points, schedule times, subscripts).  A
+*source* is a distinct ``(mapping, folding)`` pair.  Per mapping, the
+virtual-locality mask, the classifications, the macro kinds and the
+vectorizable rows are tables built once and cached with the mapping's
+virtual stage; per pricing call, physical locality is one mask per
+source; the per-time-step phase split and the ``(sender, receiver)``
+pair coalescing of every label and every source are **one**
 ``unique_rows`` group-by; every point-to-point phase of the call then
 prices in **one** fused kernel launch, whatever meshes its cells fold
 onto (each phase carries its own mesh sides), and each machine's cost
 parameters turn the launch's contention statistics into its times.
 Every label names exactly one access (``LoopNest.validate`` rejects a
-repeated label), so each label prices from one row block per folding,
-with one schedule width and one residual.  The per-event
+repeated label), so each label prices from one row block per source,
+with one schedule width and, per mapping, one residual.  The per-event
 implementation :func:`execute_python` is the test oracle — no
 production path calls it; the two are bit-identical
 (asserted on randomized generated workloads and the paper's seed
@@ -54,6 +60,7 @@ from .mapping import (
     CommEvent,
     MappedProgram,
     PhaseSegments,
+    VirtualStage,
     segments_from_sorted_unique,
 )
 
@@ -121,6 +128,62 @@ def _vectorizable(program: MappedProgram, label: str) -> bool:
         return program.mapping.residual_by_label(label).vectorizable
     except KeyError:
         return False
+
+
+@dataclass(eq=False)
+class _Tables:
+    """Per-access pricing tables of one mapping's
+    :class:`~repro.runtime.mapping.VirtualStage`."""
+
+    #: (n,) rows local on the virtual grid
+    virt_local: np.ndarray
+    #: per access, its virtually local rows
+    n_virt_local: List[int]
+    #: per access, its step-2 classification (``"local"``, ...)
+    classification: Tuple[str, ...]
+    #: per access, the collective kind of a ``"macro"`` access, else None
+    kind: Tuple[Optional[str], ...]
+    #: (n,) rows of vectorizable accesses, whose time steps merge into
+    #: one phase; ``None`` when no access is vectorizable
+    vec_rows: Optional[np.ndarray]
+
+
+def _tables(stage: VirtualStage, mapping) -> _Tables:
+    """The :class:`_Tables` of ``mapping``'s ``stage``, built once and
+    kept on the stage (so on the mapping's stage cache: a rotation,
+    which makes a new stage, makes new tables)."""
+    if stage.tables is not None:
+        return stage.tables
+    n = stage.n
+    virt_local = np.all(stage.virtual[:n] == stage.virtual[n:], axis=1)
+    residuals: Dict[str, object] = {}
+    for opt in mapping.optimized:
+        residuals.setdefault(opt.label, opt)
+    local = mapping.alignment.local_labels
+    classification, kind, vec = [], [], []
+    for label in stage.labels:
+        opt = residuals.get(label)
+        if label in local:
+            cls = "local"
+        else:
+            cls = opt.classification if opt is not None else "general"
+        classification.append(cls)
+        kind.append(
+            (opt.macro.kind.value if opt.macro else "broadcast")
+            if cls == "macro" else None
+        )
+        vec.append(opt is not None and opt.vectorizable)
+    vec_rows = None
+    if any(vec):
+        vec_rows = np.repeat(np.array(vec), np.diff(stage.offsets))
+    stage.tables = _Tables(
+        virt_local=virt_local,
+        n_virt_local=_count_by_access(virt_local, stage.offsets),
+        classification=tuple(classification),
+        kind=tuple(kind),
+        vec_rows=vec_rows,
+    )
+    return stage.tables
 
 
 @dataclass
@@ -248,21 +311,27 @@ def _price_jobs(
     return out
 
 
-def _fold_sources(
+def _sources(
     programs: Sequence[MappedProgram],
 ) -> Tuple[List[MappedProgram], List[int]]:
-    """``(sources, source_of)``: the programs with distinct foldings, in
-    first-seen order, and each program's index into ``sources``.
+    """``(sources, source_of)``: the programs with distinct ``(mapping,
+    folding)`` pairs, in first-seen order, and each program's index into
+    ``sources``.
 
-    Programs of one mapping and size bindings whose
+    Programs of one mapping object whose
     :class:`~repro.runtime.mapping.Folding` compares equal (same mesh,
     extent and schemes) are *twins* — the paragon and cm5 cells of one
-    mesh — with the same communication rows."""
+    mesh — with the same communication rows.  The heuristic and the
+    baseline program of one cell fold identically but map differently,
+    so they are two sources."""
     sources: List[MappedProgram] = []
     source_of: List[int] = []
     for p in programs:
         d = next(
-            (j for j, q in enumerate(sources) if q.folding == p.folding),
+            (
+                j for j, q in enumerate(sources)
+                if q.mapping is p.mapping and q.folding == p.folding
+            ),
             len(sources),
         )
         if d == len(sources):
@@ -286,41 +355,47 @@ def _execute_cells(
     """The one pricing path behind :func:`execute` and
     :func:`execute_group`.
 
-    **Twins**: cells whose programs fold identically
-    (:func:`_fold_sources`) share one ``comm_batches()`` extraction; a
-    one-cell call has no twins.  **Locality**: one mask over the
-    stacked virtual rows of every access and one over each distinct
-    folding's stacked physical rows; the per-access counts are
-    cumulative-sum differences at the access offsets.  **Group**: the
-    surviving rows of every access and every distinct folding are
-    stacked as ``[label rank | source | time | sender | receiver]`` —
-    time columns zero-padded to the nest's widest schedule, and all
-    zero for vectorizable labels so their time steps merge into one
-    phase — and grouped by **one** ``unique_rows`` call; the sorted
-    result splits into phases and into contiguous ``(label, source)``
-    blocks, each folding's phases of one label in ascending time
-    order.  Every cell gets its own :class:`AccessCommStats` and one
-    job per label over its folding's block.  **Price**:
-    :func:`_price_jobs` prices every distinct phase of the call at
-    once.  **Fold**: the per-phase times are added in collect order
-    (labels sorted, then cells, then phases) — the float accumulation
-    sequence of per-phase pricing, so every total is bit-identical.
+    **Sources**: the cells' distinct ``(mapping, folding)`` pairs
+    (:func:`_sources`); twin cells share one ``comm_batches()``
+    extraction, and every source shares one domain stage (offsets,
+    labels, schedule times).  **Tables**: each mapping's
+    virtual-locality mask, classifications, macro kinds and
+    vectorizable rows (:func:`_tables`, built once per mapping).
+    **Locality**: one physical-locality mask over each source's
+    stacked rows; the per-access counts are cumulative-sum differences
+    at the access offsets.  **Group**: the surviving rows of every
+    access and every source are stacked as ``[label rank | source |
+    time | sender | receiver]`` — time columns zero-padded to the
+    nest's widest schedule, and all zero for the rows of a label its
+    mapping vectorizes, so their time steps merge into one phase — and
+    grouped by **one** ``unique_rows`` call; the sorted result splits
+    into phases and into contiguous ``(label, source)`` blocks, each
+    source's phases of one label in ascending time order.  Every cell
+    gets its own :class:`AccessCommStats` and one job per label over
+    its source's block.  **Price**: :func:`_price_jobs` prices every
+    distinct phase of the call at once.  **Fold**: the per-phase times
+    are added in collect order (labels sorted, then cells, then phases)
+    — the float accumulation sequence of per-phase pricing, so every
+    total is bit-identical.
     """
     K = len(cells)
-    base = cells[0][0]
-    sources, source_of = _fold_sources([c[0] for c in cells])
+    sources, source_of = _sources([c[0] for c in cells])
     with span("exec.extract"):
         extractions = [p.comm_batches() for p in sources]
-    # every source shares the mapping and bindings, so one virtual stage
+    # per source, its mapping's tables; sources of one mapping share them
+    tables = [_tables(e.stage, p.mapping) for e, p in zip(extractions, sources)]
+    per_mapping = list({id(t): t for t in tables}.values())
     stage = extractions[0].stage
     n, offsets = stage.n, stage.offsets
-    virt_local = np.all(stage.virtual[:n] == stage.virtual[n:], axis=1)
+    virt_local = (
+        per_mapping[0].virt_local if len(per_mapping) == 1
+        else np.stack([t.virt_local for t in tables])
+    )
     phys = np.stack([e.phys for e in extractions])  # (sources, 2n, rank)
     phys_local = ~virt_local & np.all(phys[:, :n] == phys[:, n:], axis=2)
     send = ~virt_local & ~phys_local
     lengths = np.diff(offsets)
     events = lengths.tolist()
-    n_virt_local = _count_by_access(virt_local, offsets)
     n_phys_local = _count_by_access(phys_local, offsets)
 
     per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
@@ -328,16 +403,15 @@ def _execute_cells(
     # the per-event path (which only creates entries while iterating
     # events)
     active = [a for a in range(len(stage.labels)) if events[a]]
-    classifications: Dict[str, str] = {}
-    for a in active:
-        label = stage.labels[a]
-        classifications[label] = _classification_of(base, label)
-        for k in range(K):
+    for k in range(K):
+        tab = tables[source_of[k]]
+        for a in active:
+            label = stage.labels[a]
             per_access[k][label] = AccessCommStats(
                 label=label,
-                classification=classifications[label],
+                classification=tab.classification[a],
                 events=events[a],
-                virtual_local=n_virt_local[a],
+                virtual_local=tab.n_virt_local[a],
                 phys_local=n_phys_local[source_of[k]][a],
             )
 
@@ -349,18 +423,23 @@ def _execute_cells(
     by_name = sorted(active, key=stage.labels.__getitem__)
     rank = np.zeros(len(stage.labels), dtype=np.int64)
     rank[by_name] = np.arange(len(by_name))
-    vec = np.zeros(len(stage.labels), dtype=bool)
-    vec[[a for a in active if _vectorizable(base, stage.labels[a])]] = True
-    times = stage.times
-    if vec.any():
-        times = np.where(np.repeat(vec, lengths)[:, None], 0, times)
+    times = stage.times[rows]
+    if any(t.vec_rows is not None for t in per_mapping):
+        if len(per_mapping) == 1:
+            zero = per_mapping[0].vec_rows[rows]
+        else:
+            zero = np.stack([
+                t.vec_rows if t.vec_rows is not None else np.zeros(n, bool)
+                for t in tables
+            ])[source_idx, rows]
+        times[zero] = 0
     tw = times.shape[1]
     uniq, counts = unique_rows(
         np.concatenate(
             (
                 np.repeat(rank, lengths)[rows, None],
                 source_idx[:, None],
-                times[rows],
+                times,
                 phys[source_idx, rows],
                 phys[source_idx, rows + n],
             ),
@@ -382,20 +461,18 @@ def _execute_cells(
 
     jobs: List[_Job] = []
     for r, block_of in blocks.items():
-        label = stage.labels[by_name[r]]
-        kind = None
-        if classifications[label] == "macro":
-            opt = base.mapping.residual_by_label(label)
-            kind = opt.macro.kind.value if opt.macro else "broadcast"
+        a = by_name[r]
+        label = stage.labels[a]
         for k in range(K):
-            b = block_of.get(source_of[k])
+            d = source_of[k]
+            b = block_of.get(d)
             if b is None:
                 continue
             st = per_access[k][label]
             st.messages_before_vectorization += block_events[b]
             st.messages_after_vectorization += block_rows[b]
             st.volume += block_events[b] * payload
-            job_kind = kind if cells[k][2] is not None else None
+            job_kind = tables[d].kind[a] if cells[k][2] is not None else None
             if job_kind is not None:
                 st.macro_ops += bounds[b + 1] - bounds[b]
             jobs.append(_Job(k, st, b, job_kind))
@@ -453,37 +530,47 @@ def execute_group(
     cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
     payload: int = 1,
 ) -> List[CommReport]:
-    """Price all K machine x mesh cells of one compiled nest in one
-    batched pass — bit-identical to ``[execute(p, m, collectives=c)
-    for p, m, c in cells]`` (property-tested in
-    ``tests/runtime/test_group_pricing.py`` and against the per-phase
-    oracle in ``tests/runtime/test_pricing_differential.py``).
+    """Price the cells of one compiled nest in one batched pass —
+    bit-identical to ``[execute(p, m, collectives=c) for p, m, c in
+    cells]`` (property-tested in ``tests/runtime/test_group_pricing.py``
+    and against the per-phase oracle in
+    ``tests/runtime/test_pricing_differential.py``).
 
-    Every cell must fold the **same mapping** with the **same size
-    bindings** (the campaign's compile-key group invariant: domains,
-    schedule times and virtual coordinates are shared arrays; only the
-    folded physical coordinates differ per cell).  Twin cells — equal
-    foldings, like the paragon and cm5 cells of one mesh — share one
-    ``comm_batches()`` extraction and their phases, and each distinct
-    phase prices once per lane.  The rows of all labels and all
-    distinct foldings are grouped by one ``unique_rows`` call, and
-    every point-to-point phase of the call — all labels, all cells, all
-    meshes — prices in one fused kernel launch, plus one collectives
-    call per (collectives model, kind).
+    Every cell's mapping must share **one**
+    :class:`~repro.ir.ScheduledNest` object, with the **same size
+    bindings** and one mesh rank — the campaign's compile-key group
+    invariant, met by the heuristic and the Feautrier baseline mapping
+    of one compile alike: domain points, schedule times and subscripts
+    are one shared domain stage, virtual coordinates are per mapping
+    and folded coordinates per ``(mapping, folding)`` source.  A
+    mismatch raises ``ValueError`` naming what differs.  Twin cells —
+    one mapping and equal foldings, like the paragon and cm5 cells of
+    one mesh — share one ``comm_batches()`` extraction and their
+    phases, and each distinct phase prices once per lane.  The rows of
+    all labels and all sources are grouped by one ``unique_rows`` call,
+    and every point-to-point phase of the call — all labels, all cells,
+    all meshes, both mappings — prices in one fused kernel launch, plus
+    one collectives call per (collectives model, kind).
     """
     if not cells:
         return []
     base = cells[0][0]
     for p, _, _ in cells[1:]:
-        if p.mapping is not base.mapping:
+        if p.mapping.schedules is not base.mapping.schedules:
             raise ValueError(
                 "execute_group needs the cells of one compiled nest: "
-                "all programs must share one mapping object"
+                "every mapping must share one ScheduledNest object "
+                "(got mappings over distinct scheduled nests)"
             )
         if p.params != base.params:
             raise ValueError(
                 "execute_group needs identical size bindings across "
                 f"cells (got {base.params!r} vs {p.params!r})"
+            )
+        if p.folding.rank != base.folding.rank:
+            raise ValueError(
+                "execute_group needs one mesh rank across cells (got "
+                f"{base.folding.rank}-D and {p.folding.rank}-D foldings)"
             )
     return _execute_cells(cells, payload)
 
@@ -581,15 +668,16 @@ def count_nonlocal_virtual(program: MappedProgram) -> Dict[str, int]:
     """Per-access count of element communications that are non-local on
     the *virtual* grid (mapping quality independent of folding).
 
-    One mask over the program's (memoized) stacked virtual rows, so
-    calling this next to :func:`execute` costs no extra domain
-    enumeration.
+    Read off the virtual-locality table of the program's (memoized)
+    stacked virtual rows, so calling this next to :func:`execute` costs
+    no extra domain enumeration.
     """
     stage = program.comm_batches().stage
-    n = stage.n
-    moved = np.any(stage.virtual[:n] != stage.virtual[n:], axis=1)
+    tab = _tables(stage, program.mapping)
     return {
-        label: c
-        for label, c in zip(stage.labels, _count_by_access(moved, stage.offsets))
-        if c
+        label: moved
+        for label, events, local in zip(
+            stage.labels, np.diff(stage.offsets).tolist(), tab.n_virt_local
+        )
+        if (moved := events - local)
     }

@@ -39,10 +39,17 @@ ints, and the results are cast to int64 (a value past int64 raises
 :meth:`MappedProgram.comm_events_python` is the test oracle the batches
 are asserted bit-identical against; no production path calls it.
 
-The virtual stage depends only on the mapping and the size bindings, so
-it is cached **on the mapping** and shared by every folding of the same
-compiled nest — the compile-once/price-many situation of the campaign
-runner.
+Extraction runs in two cached stages.  The **domain stage**
+(:func:`domain_stage`: point matrices, padded schedule times, access
+offsets and labels, and every access's subscripts ``F·I + c``)
+depends only on the scheduled nest and the size bindings, so it is
+cached **on the** :class:`~repro.ir.ScheduledNest`, which the
+heuristic and the baseline mapping of one compile share.  The
+**placement stage** (the virtual coordinates: the mapping's
+allocation matmuls over the shared points and subscripts) depends on
+the mapping too, so it is cached **on the mapping** and shared by
+every folding of the same compiled nest — the compile-once/price-many
+situation of the campaign runner.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import numpy as np
 
 from ..alignment import MappingResult
 from ..distribution import Distribution1D, make_1d
-from ..ir import AccessKind
+from ..ir import AccessKind, ScheduledNest
 from ..ir.domain import affine_rows, int64_proven
 from ..linalg import IntMat
 from ..obs import metrics as obs_metrics
@@ -65,6 +72,10 @@ Phys = Tuple[int, ...]
 #: virtual-stage evaluations on the exact (object-dtype) lane because
 #: the int64 bound of the affine stages could not be proven
 _exact_lane = obs_metrics.counter("runtime.comm_batches.fallbacks")
+
+#: attribute of a :class:`~repro.ir.ScheduledNest` holding its domain
+#: stages, keyed by the size bindings
+DOMAIN_CACHE = "_domain_stage_cache"
 
 
 @dataclass
@@ -226,11 +237,112 @@ class CommBatch:
 
 
 @dataclass(eq=False)
+class DomainStage:
+    """The mapping-independent half of an extraction, stacked over every
+    access of a scheduled nest: the domain points of each statement,
+    the padded schedule times and, per access, its subscripts
+    ``F·I + c``.  Access ``a`` owns rows ``offsets[a]:offsets[a+1]``.
+
+    ``proven`` says whether the schedule and subscript stages are
+    proven to stay inside int64; when they are not, the subscripts are
+    exact object arrays of Python ints.  A schedule time past int64 is
+    kept in ``overflow`` (``times`` is then ``None``): every mapping
+    that reads this stage raises an equal ``OverflowError``."""
+
+    labels: Tuple[str, ...]
+    stmts: Tuple[str, ...]
+    #: (A+1,) row offsets of the accesses
+    offsets: np.ndarray
+    #: (n, T) schedule times, zero-padded to the nest's widest schedule
+    times: Optional[np.ndarray]
+    #: per access, its statement's schedule width
+    widths: Tuple[int, ...]
+    #: per statement, its ``(n_s, d)`` int64 domain points
+    points: Tuple[np.ndarray, ...]
+    #: per access, the index of its statement in ``points``
+    stmt_of: Tuple[int, ...]
+    #: per access, its ``(n_s, dim)`` subscripts (int64 when ``proven``)
+    subscripts: Tuple[np.ndarray, ...]
+    proven: bool
+    overflow: Optional[OverflowError] = None
+
+
+def domain_stage(scheduled: ScheduledNest, params: Dict[str, int]) -> DomainStage:
+    """The :class:`DomainStage` of ``scheduled`` under the size bindings
+    ``params``, cached **on the scheduled nest** (keyed by the
+    bindings): the heuristic and baseline mappings of one compile share
+    that object, so their placement stages read one domain
+    enumeration.  The cache stays in-process (``ScheduledNest`` drops it
+    when pickled)."""
+    key = tuple(sorted(params.items()))
+    cache = scheduled.__dict__.setdefault(DOMAIN_CACHE, {})
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    plans = [
+        (
+            stmt,
+            stmt.domain.point_matrix(params),
+            scheduled.schedule_of(stmt.name).theta,
+        )
+        for stmt in scheduled.nest.statements
+    ]
+    proven = all(
+        int64_proven(idx, (theta, None))
+        and all(int64_proven(idx, (acc.F, acc.c)) for acc in stmt.accesses)
+        for stmt, idx, theta in plans
+    )
+    dtype = np.int64 if proven else object
+    labels, stmts, stmt_of, widths, lengths, subscripts = [], [], [], [], [], []
+    times: List[np.ndarray] = []
+    overflow = None
+    for s, (stmt, idx, theta) in enumerate(plans):
+        exact = idx.astype(dtype, copy=False)
+        if overflow is None:
+            try:
+                times.append(affine_rows(exact, theta).astype(np.int64, copy=False))
+            except OverflowError as exc:
+                # remembered without its traceback, which pins the arrays
+                overflow = OverflowError(*exc.args)
+        for acc in stmt.accesses:
+            labels.append(acc.label or f"{stmt.name}:{acc.array}")
+            stmts.append(stmt.name)
+            stmt_of.append(s)
+            widths.append(theta.nrows)
+            lengths.append(idx.shape[0])
+            subscripts.append(affine_rows(exact, acc.F, acc.c))
+    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    padded = None
+    if overflow is None:
+        padded = np.zeros((int(offsets[-1]), max(widths, default=0)), np.int64)
+        for lo, hi, s in zip(offsets[:-1], offsets[1:], stmt_of):
+            padded[lo:hi, : times[s].shape[1]] = times[s]
+        padded.flags.writeable = False
+    offsets.flags.writeable = False
+    stage = DomainStage(
+        labels=tuple(labels),
+        stmts=tuple(stmts),
+        offsets=offsets,
+        times=padded,
+        widths=tuple(widths),
+        points=tuple(idx for _, idx, _ in plans),
+        stmt_of=tuple(stmt_of),
+        subscripts=tuple(subscripts),
+        proven=proven,
+        overflow=overflow,
+    )
+    cache[key] = stage
+    return stage
+
+
+@dataclass(eq=False)
 class VirtualStage:
-    """The folding-independent half of an extraction, stacked over every
-    access of the nest: access ``a`` owns rows
+    """The folding-independent half of one mapping's extraction, stacked
+    over every access of the nest: access ``a`` owns rows
     ``offsets[a]:offsets[a+1]`` of ``times`` and of each half of
-    ``virtual``."""
+    ``virtual``.  ``labels``, ``stmts``, ``offsets``, ``times`` and
+    ``widths`` are the shared :class:`DomainStage`'s; only ``virtual``
+    is this mapping's."""
 
     labels: Tuple[str, ...]
     stmts: Tuple[str, ...]
@@ -242,6 +354,9 @@ class VirtualStage:
     widths: Tuple[int, ...]
     #: (2n, m) every access's sender rows, then every access's receivers
     virtual: np.ndarray
+    #: the executor's per-access pricing tables of this mapping, built
+    #: on first pricing (see ``executor._tables``)
+    tables: Optional[object] = None
 
     @property
     def n(self) -> int:
@@ -341,22 +456,25 @@ class MappedProgram:
     def _virtual_batches(self) -> VirtualStage:
         """Times and sender/receiver virtual coordinates of every access
         over its whole iteration domain, stacked as one
-        :class:`VirtualStage`.
+        :class:`VirtualStage`: the placement matmuls of this mapping
+        over the shared :func:`domain_stage` of its scheduled nest.
 
-        The dtype is picked once for the whole nest: int64 when every
-        affine stage is proven to stay inside the int64 bound, else
-        object arrays of Python ints, whose exact results are cast to
-        int64 (``OverflowError`` on a value past int64).
+        The dtype is picked once per mapping: int64 when every affine
+        stage (schedule, subscripts, placements) is proven to stay
+        inside the int64 bound, else the placements run on object
+        arrays of the shared subscripts, whose exact results are cast
+        to int64 (``OverflowError`` on a value past int64).
 
         Depends only on the mapping and the size bindings — not on the
         folding — so the result is cached **on the mapping object**,
         keyed by the bindings: every folding of the same compiled nest
         (the campaign's machine x mesh grid cells) reuses one
         evaluation.  The alignment's ``mutation_count`` is part of the
-        key, so a later ``rotate_component`` naturally invalidates
-        every entry cached before the rotation.  A value past int64 is
-        remembered under the same key: every later folding re-raises an
-        equal ``OverflowError`` without re-running the exact lane.
+        key, so a later ``rotate_component`` invalidates this
+        mapping's entries (the domain stage, which no rotation
+        changes, stays).  A value past int64 is remembered under the
+        same key: every later folding re-raises an equal
+        ``OverflowError`` without re-running the exact lane.
         """
         key = (
             tuple(sorted(self.params.items())),
@@ -370,77 +488,62 @@ class MappedProgram:
         if hit is not None:
             return hit
         al = self.mapping.alignment
-        sched = self.mapping.schedules
-        # per statement: domain points, schedule, placement ``(M, a)``
-        # and per access its array's placement
-        plans = [
-            (
-                stmt,
-                stmt.domain.point_matrix(self.params),
-                sched.schedule_of(stmt.name).theta,
-                (al.allocation_of_stmt(stmt.name), al.offset_of_stmt(stmt.name)),
-                [
-                    (
-                        acc,
-                        (
-                            al.allocation_of_array(acc.array),
-                            al.offset_of_array(acc.array),
-                        ),
-                    )
-                    for acc in stmt.accesses
-                ],
-            )
-            for stmt in al.nest.statements
+        dom = domain_stage(self.mapping.schedules, self.params)
+        stmts = self.mapping.schedules.nest.statements
+        places = [
+            (al.allocation_of_stmt(s.name), al.offset_of_stmt(s.name))
+            for s in stmts
         ]
-        proven = all(
-            int64_proven(idx, (theta, None))
-            and int64_proven(idx, place)
-            and all(int64_proven(idx, (acc.F, acc.c), owner) for acc, owner in owners)
-            for _, idx, theta, place, owners in plans
+        accesses = [acc for s in stmts for acc in s.accesses]
+        owners = [
+            (al.allocation_of_array(acc.array), al.offset_of_array(acc.array))
+            for acc in accesses
+        ]
+        proven = dom.proven and all(
+            int64_proven(idx, place) for idx, place in zip(dom.points, places)
+        ) and all(
+            int64_proven(dom.points[s], (acc.F, acc.c), owner)
+            for s, acc, owner in zip(dom.stmt_of, accesses, owners)
         )
         if not proven:
             _exact_lane.inc()
         dtype = np.int64 if proven else object
-        labels, stmts, times, senders, receivers = [], [], [], [], []
         try:
-            for stmt, idx, theta, place, owners in plans:
-                idx = idx.astype(dtype, copy=False)
-                t = affine_rows(idx, theta).astype(np.int64, copy=False)
-                stmt_v = affine_rows(idx, *place).astype(np.int64, copy=False)
-                for acc, owner in owners:
-                    owner_v = affine_rows(
-                        affine_rows(idx, acc.F, acc.c), *owner
-                    ).astype(np.int64, copy=False)
-                    read = acc.kind is AccessKind.READ
-                    labels.append(acc.label or f"{stmt.name}:{acc.array}")
-                    stmts.append(stmt.name)
-                    times.append(t)
-                    senders.append(owner_v if read else stmt_v)
-                    receivers.append(stmt_v if read else owner_v)
+            if dom.overflow is not None:
+                raise OverflowError(*dom.overflow.args)
+            stmt_v = [
+                affine_rows(idx.astype(dtype, copy=False), *place).astype(
+                    np.int64, copy=False
+                )
+                for idx, place in zip(dom.points, places)
+            ]
+            senders, receivers = [], []
+            for s, acc, subs, owner in zip(
+                dom.stmt_of, accesses, dom.subscripts, owners
+            ):
+                owner_v = affine_rows(
+                    subs.astype(dtype, copy=False), *owner
+                ).astype(np.int64, copy=False)
+                read = acc.kind is AccessKind.READ
+                senders.append(owner_v if read else stmt_v[s])
+                receivers.append(stmt_v[s] if read else owner_v)
         except OverflowError as exc:
             # remembered without its traceback, which pins the arrays
             cache[key] = OverflowError(*exc.args)
             raise
-        offsets = np.concatenate(
-            ([0], np.cumsum([t.shape[0] for t in times], dtype=np.int64))
-        )
-        widths = tuple(t.shape[1] for t in times)
-        padded = np.zeros((int(offsets[-1]), max(widths, default=0)), np.int64)
-        for lo, hi, t in zip(offsets[:-1], offsets[1:], times):
-            padded[lo:hi, : t.shape[1]] = t
-        stage = VirtualStage(
-            labels=tuple(labels),
-            stmts=tuple(stmts),
-            offsets=offsets,
-            times=padded,
-            widths=widths,
-            virtual=np.concatenate(
-                senders + receivers + [np.empty((0, al.m), np.int64)]
-            ),
+        virtual = np.concatenate(
+            senders + receivers + [np.empty((0, al.m), np.int64)]
         )
         # every folding's batches are views of these shared arrays
-        for shared in (stage.offsets, stage.times, stage.virtual):
-            shared.flags.writeable = False
+        virtual.flags.writeable = False
+        stage = VirtualStage(
+            labels=dom.labels,
+            stmts=dom.stmts,
+            offsets=dom.offsets,
+            times=dom.times,
+            widths=dom.widths,
+            virtual=virtual,
+        )
         cache[key] = stage
         return stage
 

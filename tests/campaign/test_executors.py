@@ -141,9 +141,10 @@ def pricing_calls(monkeypatch, tmp_path):
 
 
 class TestGroupPath:
-    """Every backend prices a multi-cell compile-key group through one
-    ``execute_group`` call — also under a timeout, a fault spec or
-    tracing — and only one-task groups price through ``execute``."""
+    """Every backend prices a multi-cell compile-key group — heuristic
+    cells and baseline misses together — through one ``execute_group``
+    call, also under a timeout, a fault spec or tracing, and only
+    one-task groups price through ``execute``."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -161,9 +162,10 @@ class TestGroupPath:
         )
         assert outcome.ok == len(tasks)
         singles, groups = pricing_calls()
-        # 3 groups of 2 cells: one heuristic and one baseline call each
+        # 3 groups of 2 cells: one call each, carrying the 2 heuristic
+        # cells and the 2 baseline misses
         assert singles == 0
-        assert groups == [2] * 6
+        assert groups == [4] * 3
         got = {k: r.deterministic_dict() for k, r in results.items()}
         assert got == reference
 
@@ -181,10 +183,10 @@ class TestGroupPath:
         assert results[victim.task_id].error_kind == "fault"
         assert outcome.ok == len(tasks) - 1
         singles, groups = pricing_calls()
-        # the victim's sibling is a one-task group; the two other
-        # groups still price whole
+        # the victim's sibling is a one-task group (one execute per
+        # mapping); the two other groups still price whole
         assert singles == 2
-        assert groups == [2] * 4
+        assert groups == [4] * 2
         for tid, r in results.items():
             if tid != victim.task_id:
                 assert r.deterministic_dict() == reference[tid]
@@ -197,7 +199,7 @@ class TestGroupPath:
             grid, tmp_path, name, jobs=2, executor=name, timeout=30.0
         )
         assert outcome.ok == len(grid[1])
-        assert pricing_calls() == (0, [2] * 6)
+        assert pricing_calls() == (0, [4] * 3)
 
 
 class TestWorkerDeath:

@@ -113,33 +113,39 @@ class TestRoundTrip:
         assert "per-stage time by compile-key group" in report
         assert "span aggregate" in report
 
-    def test_price_subspans_attribute_the_two_halves(self, grid, tmp_path):
-        """The price stage splits into ``price.heuristic`` /
-        ``price.baseline`` sub-spans; their seconds are inclusive
-        slices of the price span, so the report attributes the two
-        halves without changing any stage total."""
+    def test_price_span_counts_baseline_misses(self, grid, tmp_path):
+        """A group prices its heuristic cells and its baseline-memo
+        misses in one call, so the ``price`` span carries both counts
+        as attributes (``cells``, ``baseline_cells``) instead of
+        per-half sub-spans: every group reports its miss count, and the
+        stage totals still sum to task seconds."""
         from repro.campaign import clear_baseline_cache
 
-        clear_baseline_cache()  # all baselines priced (and spanned)
-        trace_path = str(tmp_path / "sub.jsonl")
-        _run(grid, tmp_path, "sub", jobs=1, trace=trace_path)
-        trace = load_trace(trace_path)
-        for spans in _traced_by_group(trace["tasks"]).values():
-            assert "price/price.heuristic" in spans
-            assert "price/price.baseline" in spans
-        rows = stage_rows(trace["tasks"])
-        for r in rows:
-            assert r["price_heuristic_seconds"] > 0
-            assert r["price_baseline_seconds"] > 0
+        clear_baseline_cache()  # every baseline misses
+        cold_path = str(tmp_path / "cold.jsonl")
+        _run(grid, tmp_path, "cold", jobs=1, trace=cold_path)
+        # the memo is warm now: every baseline hits
+        warm_path = str(tmp_path / "warm.jsonl")
+        _run(grid, tmp_path, "warm", jobs=1, trace=warm_path)
+        for path, misses in ((cold_path, 2), (warm_path, 0)):
+            tasks = load_trace(path)["tasks"]
+            for spans in _traced_by_group(tasks).values():
+                assert spans["price"]["cells"] == 2
+                assert spans["price"]["baseline_cells"] == misses
+                assert not any(p.startswith("price/price.") for p in spans)
+            rows = stage_rows(tasks)
+            assert len(rows) == 2
+            for r in rows:
+                assert r["baseline_cells"] == misses
+            totals = stage_totals(tasks)
+            assert totals["baseline_cells"] == 2 * misses
             assert (
-                r["price_heuristic_seconds"] + r["price_baseline_seconds"]
-                <= r["price_seconds"] + 1e-6
-            )
-        totals = stage_totals(trace["tasks"])
-        assert totals["price_heuristic_seconds"] > 0
-        assert totals["price_baseline_seconds"] > 0
-        report = format_stage_breakdown(trace["tasks"])
-        assert "heur_s" in report and "base_s" in report
+                totals["compile_seconds"]
+                + totals["price_seconds"]
+                + totals["overhead_seconds"]
+            ) == pytest.approx(totals["task_seconds"], abs=1e-6)
+            report = format_stage_breakdown(tasks)
+            assert "base_cells" in report and "heur_s" not in report
 
     def test_totals_sum_to_task_seconds(self, grid, tmp_path):
         trace_path = str(tmp_path / "t.jsonl")

@@ -15,8 +15,10 @@ A second strategy draws small nests directly — nests of one to
 three statements with schedules of different widths and negative
 entries, triangular and empty domains, rank-deficient accesses that
 the heuristic turns into macro-communications — and checks that
-multi-folding ``execute_group`` calls equal ``execute_python`` cell by
-cell: the edge cases of the one stacked group-by per pricing call.
+multi-folding ``execute_group`` calls, most of them mixing the
+heuristic's cells with the Feautrier baseline's, equal
+``execute_python`` cell by cell: the edge cases of the one stacked
+group-by per pricing call.
 """
 
 import dataclasses
@@ -28,6 +30,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_nest
+from repro.alignment import optimize_residuals
+from repro.baselines import feautrier_align
 from repro.campaign.workloads import (
     corpus,
     generate_triangular_workloads,
@@ -38,7 +42,12 @@ from repro.ir.loopnest import NestBuilder
 from repro.ir.schedule import Schedule, ScheduledNest
 from repro.linalg import IntMat
 from repro.machine import CostParams, MeshModel, machine_spec
-from repro.runtime import execute, execute_group, execute_python
+from repro.runtime import (
+    MappedProgram,
+    execute,
+    execute_group,
+    execute_python,
+)
 from repro.runtime.executor import _classification_of, _vectorizable
 
 from oracles.pricing import execute_group_per_phase
@@ -406,7 +415,9 @@ def drawn_nests(draw):
 @st.composite
 def drawn_groups(draw):
     """A drawn nest folded onto two or three meshes, paragon and/or cm5
-    cells per mesh, at a drawn payload."""
+    cells per mesh, at a drawn payload; most groups also carry the
+    Feautrier baseline's cells on a drawn subset of those foldings (a
+    mixed call, as the campaign makes for its baseline-memo misses)."""
     compiled_nest, params = draw(drawn_nests())
     meshes = draw(
         st.lists(st.sampled_from(MESHES), min_size=2, max_size=3, unique=True)
@@ -420,6 +431,21 @@ def drawn_groups(draw):
                 compiled_nest.program(machine, params), machine,
                 spec.make_collectives(mesh),
             ))
+    if draw(st.sampled_from([False, True, True])):
+        baseline = optimize_residuals(
+            feautrier_align(compiled_nest.nest, 2),
+            compiled_nest.schedules,
+            allow_rotations=False,
+        )
+        cells += [
+            (MappedProgram(baseline, p.folding, params), machine, coll)
+            for (p, machine, coll), keep in zip(
+                cells, draw(st.lists(
+                    st.booleans(), min_size=len(cells), max_size=len(cells),
+                ))
+            )
+            if keep
+        ]
     return draw(st.permutations(cells)), draw(st.integers(1, 3))
 
 
@@ -441,6 +467,8 @@ def test_drawn_groups_match_python_oracle(group):
 def _drawn_kinds(cells):
     """The stacked group-by edge cases one drawn group exercises."""
     kinds = set()
+    if len({id(p.mapping) for p, _, _ in cells}) > 1:
+        kinds.add("mixed-mappings")
     program = cells[0][0]
     active = [b for b in program.comm_batches() if b.n]
     if len(program.comm_batches()) > len(active):
@@ -483,5 +511,5 @@ def test_drawn_groups_cover_every_edge_case():
     assert seen == {
         "empty-domain", "mixed-widths", "padding-outside-range",
         "negative-times", "vectorizable-and-not", "all-local",
-        "macro-on-cm5",
+        "macro-on-cm5", "mixed-mappings",
     }

@@ -178,6 +178,108 @@ class TestMemoization:
         assert r_big == execute_python(c.program(m_big, PARAMS), m_big)
 
 
+class TestDomainStage:
+    """The mapping-independent domain stage is computed once per
+    scheduled nest and size bindings and shared by the heuristic and
+    the baseline mapping of one compile."""
+
+    @staticmethod
+    def _mappings():
+        from repro.alignment import optimize_residuals
+        from repro.baselines import feautrier_align
+
+        c = compile_nest(motivating_example(), m=2, params=PARAMS)
+        base = optimize_residuals(
+            feautrier_align(c.nest, 2), c.schedules, allow_rotations=False
+        )
+        return c, base
+
+    def test_mappings_of_one_compile_share_the_domain_stage(self):
+        from repro.runtime import MappedProgram
+
+        c, base = self._mappings()
+        heur = c.program(MeshModel(2, 2), PARAMS)
+        other = MappedProgram(base, heur.folding, PARAMS)
+        h, b = heur.comm_batches().stage, other.comm_batches().stage
+        assert h is not b
+        assert h.times is b.times and h.offsets is b.offsets
+        assert h.labels == b.labels
+        assert not (h.virtual == b.virtual).all()
+
+    def test_point_matrix_once_per_statement_per_group(self, monkeypatch):
+        """A cold compile-key group (compile done, no price cached)
+        enumerates each statement's domain once, for both mappings and
+        every cell."""
+        from repro.campaign import (
+            clear_baseline_cache,
+            clear_compile_cache,
+            default_spec,
+            run_task_group,
+        )
+        from repro.campaign import runner
+        from repro.campaign.sweep import group_by_compile_key
+        from repro.ir.domain import Domain
+
+        spec = default_spec(
+            seed=0, nests=2, include_corpus=False,
+            machines=("paragon", "cm5"), meshes=((4, 4), (2, 2)),
+        )
+        clear_compile_cache()
+        clear_baseline_cache()
+        for group in group_by_compile_key(spec.expand()):
+            cw, _ = runner._compile_for_task(group[0])
+            calls = []
+            point_matrix = Domain.point_matrix
+
+            def counted(domain, params):
+                calls.append(domain)
+                return point_matrix(domain, params)
+
+            monkeypatch.setattr(Domain, "point_matrix", counted)
+            results = run_task_group(group)
+            monkeypatch.undo()
+            assert all(r.status == "ok" for r in results)
+            assert not any(r.baseline_cache_hit for r in results)
+            assert len(group) == 4
+            assert len(calls) == len(cw.compiled.nest.statements)
+
+    def test_rotation_invalidates_only_the_placement_stage(self):
+        from repro.linalg import IntMat
+        from repro.runtime import MappedProgram
+        from repro.runtime.mapping import DOMAIN_CACHE
+
+        c, base = self._mappings()
+        machine = MeshModel(2, 2)
+        heur = c.program(machine, PARAMS)
+        other = MappedProgram(base, heur.folding, PARAMS)
+        h, b = heur.comm_batches().stage, other.comm_batches().stage
+        domain = c.schedules.__dict__[DOMAIN_CACHE]
+        [stage] = domain.values()
+        al = c.mapping.alignment
+        root = next(iter(set(al.component_root_of.values())))
+        al.rotate_component(root, IntMat([[0, 1], [1, 0]]))
+        rotated = c.program(machine, PARAMS)
+        h2 = rotated.comm_batches().stage
+        assert h2 is not h and h2.times is h.times
+        [after] = domain.values()
+        assert after is stage
+        assert other.comm_batches().stage is b
+        assert execute(rotated, machine) == execute_python(rotated, machine)
+
+    def test_domain_stage_stays_out_of_pickles(self):
+        import pickle
+
+        from repro.runtime.mapping import DOMAIN_CACHE
+
+        c, _ = self._mappings()
+        execute(c.program(MeshModel(2, 2), PARAMS), MeshModel(2, 2))
+        assert c.schedules.__dict__[DOMAIN_CACHE]
+        copy = pickle.loads(pickle.dumps(c))
+        assert DOMAIN_CACHE not in copy.schedules.__dict__
+        assert copy.schedules == c.schedules
+        assert copy.mapping.schedules is copy.schedules
+
+
 class TestFoldArray:
     def test_fold_array_matches_scalar_fold(self):
         import numpy as np
