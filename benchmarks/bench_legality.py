@@ -18,6 +18,10 @@ label intersections.  This gate measures
   rectangular + 25 triangular) under trivial, outer-sequential and
   inferred schedules.
 
+The vectorized timing is cold: ``schedule_violations`` reads the domain
+stage cached on its scheduled nest, so each timed repetition first
+drops that cache and pays the enumeration, not a cache hit.
+
 Bit-identity gates, and so does the 5x floor: the ratio measured
 541–978x over ten runs on a 2-vCPU host, far past twice its floor, so
 it holds on any run.  Results go to ``BENCH_legality.json``.
@@ -39,6 +43,7 @@ from repro.ir import (
     schedule_violations,
     trivial_schedules,
 )
+from repro.ir.domain import DOMAIN_CACHE
 
 sys.path.append(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
@@ -80,7 +85,12 @@ def measurements(reference):
     t_py = best_of(
         lambda: schedule_violations_python(reference, PARAMS, 10), REPEATS
     )
-    t_vec = best_of(lambda: schedule_violations(reference, PARAMS, 10), REPEATS)
+
+    def cold():
+        reference.__dict__.pop(DOMAIN_CACHE, None)
+        return schedule_violations(reference, PARAMS, 10)
+
+    t_vec = best_of(cold, REPEATS)
     events = sum(
         s.domain_size(PARAMS) for s in reference.nest.statements
     )

@@ -33,9 +33,9 @@ import pytest
 from repro import compile_nest
 from repro.campaign import generate_workloads
 from repro.ir import motivating_example, platonoff_example
+from repro.ir.domain import DOMAIN_CACHE
 from repro.machine import CM5Model, MeshModel
 from repro.runtime import execute, execute_python
-from repro.runtime.mapping import DOMAIN_CACHE
 
 sys.path.append(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")

@@ -112,7 +112,12 @@ extraction (``warm_fold_array_calls`` == ``warm_extractions``), that
 pricing makes at most one ``unique_rows`` call per pricing call
 (``warm_pricing_unique_rows_calls`` <= ``warm_pricing_calls``) and that
 no group-by key falls back to the axis unique
-(``warm_unique_rows_fallbacks`` == 0).
+(``warm_unique_rows_fallbacks`` == 0).  Since legality and extraction
+read one domain stage per scheduled nest, it asserts that the cold run
+enumerates each statement with accesses of every compiled nest (and of
+the reference workload) at most once: ``Domain.point_matrix`` calls
+(``domain_enumerations``) <= those statements
+(``domain_enumeration_ceiling``).
 """
 
 from __future__ import annotations
@@ -182,6 +187,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     with _recording_dependence_facts() as (
         depth_walks,
         legality_passes,
+    ), _counting_enumerations() as (
+        enumerations,
+        compiled_nests,
     ), tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "profile.jsonl")
         prof.enable()
@@ -298,6 +306,12 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     one_task_groups = len(groups) - multi_cell_groups
     call_ceiling = multi_cell_groups + 2 * one_task_groups + 1
     phases_priced = phases.value - phases_before
+    # one enumeration per statement with accesses of every compiled nest
+    # and of the reference workload (priced at bindings of its own)
+    enumeration_ceiling = sum(
+        sum(1 for s in nest.statements if s.accesses)
+        for nest in compiled_nests + [compiled.nest]
+    )
 
     from _harness import record_bench
 
@@ -335,6 +349,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "legality_kept_pairs": kept_pairs,
             "schedule_depth_solves": depth_solves,
             "schedule_depth_ceiling": depth_ceiling,
+            "domain_enumerations": len(enumerations),
+            "domain_enumeration_ceiling": enumeration_ceiling,
             "warm_kernel_launches": warm["launches"],
             "warm_kernel_route_lookups": warm["route_lookups"],
             "warm_kernel_unique_rows_calls": warm["unique_rows"],
@@ -599,6 +615,26 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"kept pairs; {depth_solves} carried-depth solves <= {depth_ceiling} "
         f"kept pairs + level raises over {len(depth_walks)} nests)"
     )
+
+    # the one-enumeration gate: legality and extraction read one domain
+    # stage per scheduled nest and bindings, so the cold run calls
+    # point_matrix at most once per statement with accesses
+    if len(enumerations) > enumeration_ceiling:
+        print(
+            f"FAIL: {len(enumerations)} Domain.point_matrix calls in the "
+            f"cold profile, above {enumeration_ceiling} statements with "
+            f"accesses over {len(compiled_nests)} compiled nests + the "
+            "reference workload — legality or extraction enumerates a "
+            "domain of its own again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"gate ok: one domain enumeration per statement "
+        f"({len(enumerations)} point_matrix calls <= {enumeration_ceiling} "
+        f"statements with accesses over {len(compiled_nests)} compiled "
+        "nests + the reference workload)"
+    )
     return 0
 
 
@@ -727,6 +763,33 @@ def _recording_dependence_facts():
         yield walks, passes
     finally:
         schedule._outer_depth, legality.schedule_violations = depth, violations
+
+
+@contextmanager
+def _counting_enumerations():
+    """Count ``Domain.point_matrix`` calls and record the nest of every
+    ``repro.driver.compile_nest`` call for the block; yields the lists
+    they fill (the enumerated domains, the compiled nests)."""
+    from repro import driver
+    from repro.ir.domain import Domain
+
+    calls, nests = [], []
+    point_matrix, compile_nest = Domain.point_matrix, driver.compile_nest
+
+    def enumerate_domain(domain, params):
+        calls.append(domain)
+        return point_matrix(domain, params)
+
+    def compiling(*args, **kwargs):
+        out = compile_nest(*args, **kwargs)
+        nests.append(out.nest)
+        return out
+
+    Domain.point_matrix, driver.compile_nest = enumerate_domain, compiling
+    try:
+        yield calls, nests
+    finally:
+        Domain.point_matrix, driver.compile_nest = point_matrix, compile_nest
 
 
 def bench_files(match: str = "") -> list:

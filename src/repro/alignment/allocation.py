@@ -71,7 +71,9 @@ class Alignment:
     #: access vanishes too (the paper absorbs constants into the
     #: affine allocation functions)
     offsets: Dict[str, IntMat]
-    #: labels of accesses whose communication is local
+    #: labels of accesses whose linear part step 1 aligned
+    #: (``M_x F = M_S``); off the branching a constant offset may
+    #: remain, and the executor prices it
     local_labels: Set[str]
     #: all remaining non-local communications (graph residuals + the
     #: accesses excluded from the graph)

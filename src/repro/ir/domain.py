@@ -27,10 +27,12 @@ The two consumers shape the API:
   rectangular *bounding box* (``np.meshgrid``, ``itertools.product``
   row order — the PR-4 dense path) and filters it with the vectorized
   membership mask, so the int64-matmul pipeline downstream survives
-  intact.  Extraction and legality enumerate only through it, and
-  evaluate their affine maps over it with :func:`affine_rows` — on
-  int64 when :func:`int64_proven` holds, else exactly on object
-  arrays of Python ints.
+  intact.  Its one caller is :func:`domain_stage`: the points, the
+  schedule times and the access subscripts of a scheduled nest under
+  one binding, evaluated with :func:`affine_rows` — on int64 when
+  :func:`int64_proven` holds, else exactly on object arrays of Python
+  ints — and cached on the :class:`~repro.ir.ScheduledNest`.  Legality
+  and the runtime extraction both read that one stage.
   :meth:`Domain.enumerate_points` yields the same points in the same
   order one tuple at a time; only the per-element test oracles walk it
   (through ``Statement.iteration_domain``).
@@ -40,9 +42,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .access import AffineAccess
+    from .loopnest import Statement
+    from .schedule import ScheduledNest
 
 
 @dataclass(frozen=True)
@@ -338,6 +347,123 @@ def affine_rows(points: np.ndarray, mat, off=None) -> np.ndarray:
     if off is not None:
         out = out + off.to_numpy(points.dtype).T
     return out
+
+
+#: attribute of a :class:`~repro.ir.ScheduledNest` holding its domain
+#: stages, keyed by the size bindings
+DOMAIN_CACHE = "_domain_stage_cache"
+
+
+@dataclass(eq=False)
+class DomainStage:
+    """The enumeration of one scheduled nest under one binding of its
+    size parameters — the one fact legality and extraction both read:
+    per statement with accesses, its domain points and schedule times
+    ``θ·I``; per access, its subscripts ``F·I + c``.  Accesses come in
+    :meth:`~repro.ir.LoopNest.all_accesses` order, and access ``a``
+    owns rows ``offsets[a]:offsets[a+1]`` of the stacked ``times``.
+
+    ``proven`` is the lane: when the schedule and subscript stages are
+    proven to stay inside int64 (:func:`int64_proven`), ``stmt_times``
+    and ``subscripts`` are int64, else exact object arrays of Python
+    ints.  ``times`` is the int64 stack of every access's times,
+    zero-padded to the widest schedule; a time past int64 is kept in
+    ``overflow`` instead (``times`` is then ``None``), so every mapping
+    that reads this stage raises an equal ``OverflowError``."""
+
+    #: the statements with accesses, in nest order
+    statements: Tuple["Statement", ...]
+    #: per statement, its ``(n_s, d)`` int64 domain points
+    points: Tuple[np.ndarray, ...]
+    #: per statement, its ``(n_s, t_s)`` schedule times, in the lane's
+    #: dtype
+    stmt_times: Tuple[np.ndarray, ...]
+    #: every access, statement by statement
+    accesses: Tuple["AffineAccess", ...]
+    #: per access, the index of its statement in ``statements``
+    stmt_of: Tuple[int, ...]
+    #: per access, its effective label (``label or "<stmt>:<array>"``)
+    labels: Tuple[str, ...]
+    #: per access, its ``(n_s, dim)`` subscripts, in the lane's dtype
+    subscripts: Tuple[np.ndarray, ...]
+    #: (A+1,) row offsets of the accesses
+    offsets: np.ndarray
+    #: (n, T) int64 schedule times of every access's rows, zero-padded
+    times: Optional[np.ndarray]
+    proven: bool
+    overflow: Optional[OverflowError] = None
+
+    @property
+    def n(self) -> int:
+        return int(self.offsets[-1])
+
+
+def domain_stage(
+    scheduled: "ScheduledNest", params: Dict[str, int]
+) -> DomainStage:
+    """The :class:`DomainStage` of ``scheduled`` under the size bindings
+    ``params``, cached **on the scheduled nest** (keyed by the
+    bindings): the legality check of a compile and the extraction of
+    every mapping of it (the heuristic and the baseline share that
+    object) read one enumeration.  The cache stays in-process
+    (``ScheduledNest`` drops it when pickled).
+
+    A statement without accesses is in no witness pair and sends no
+    message: it gets no points and needs no schedule.  This is the only
+    :meth:`Domain.point_matrix` caller in the library."""
+    key = tuple(sorted(params.items()))
+    cache = scheduled.__dict__.setdefault(DOMAIN_CACHE, {})
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    statements = tuple(s for s in scheduled.nest.statements if s.accesses)
+    points = tuple(s.domain.point_matrix(params) for s in statements)
+    thetas = [scheduled.schedule_of(s.name).theta for s in statements]
+    proven = all(
+        int64_proven(idx, (theta, None))
+        and all(int64_proven(idx, (acc.F, acc.c)) for acc in s.accesses)
+        for s, idx, theta in zip(statements, points, thetas)
+    )
+    dtype = np.int64 if proven else object
+    exact = [idx.astype(dtype, copy=False) for idx in points]
+    stmt_times = tuple(affine_rows(x, theta) for x, theta in zip(exact, thetas))
+    stmt_of = tuple(k for k, s in enumerate(statements) for _ in s.accesses)
+    accesses = tuple(acc for s in statements for acc in s.accesses)
+    offsets = np.concatenate((
+        [0], np.cumsum([points[k].shape[0] for k in stmt_of], dtype=np.int64)
+    ))
+    offsets.flags.writeable = False
+    width = max((stmt_times[k].shape[1] for k in stmt_of), default=0)
+    padded = np.zeros((int(offsets[-1]), width), np.int64)
+    overflow = None
+    try:
+        for lo, hi, k in zip(offsets[:-1], offsets[1:], stmt_of):
+            padded[lo:hi, : stmt_times[k].shape[1]] = stmt_times[k]
+        padded.flags.writeable = False
+    except OverflowError as exc:
+        # remembered without its traceback, which pins the arrays
+        padded, overflow = None, OverflowError(*exc.args)
+    stage = DomainStage(
+        statements=statements,
+        points=points,
+        stmt_times=stmt_times,
+        accesses=accesses,
+        stmt_of=stmt_of,
+        labels=tuple(
+            acc.label or f"{statements[k].name}:{acc.array}"
+            for k, acc in zip(stmt_of, accesses)
+        ),
+        subscripts=tuple(
+            affine_rows(exact[k], acc.F, acc.c)
+            for k, acc in zip(stmt_of, accesses)
+        ),
+        offsets=offsets,
+        times=padded,
+        proven=proven,
+        overflow=overflow,
+    )
+    cache[key] = stage
+    return stage
 
 
 def _param(params: Dict[str, int], name: str) -> int:

@@ -22,14 +22,15 @@ wants.  Two kinds of violation are reported:
   statement order in the nest (and by full lexicographic order inside
   one statement).
 
-:func:`schedule_violations` is **vectorized** — statement domains
-become dense int64 point matrices (the same
-:meth:`~repro.ir.domain.Domain.point_matrix` arrays the runtime layer
-consumes), schedule times and access subscripts are single matmuls over
-whole domains, and subscript collisions are found with one
-``np.unique`` label intersection per access pair instead of the
-quadratic per-element scan.  Every nest takes this one path, depth-0
-statements included.
+:func:`schedule_violations` is **vectorized** over the nest's domain
+stage (:func:`~repro.ir.domain.domain_stage`): the dense point
+matrices, schedule times and access subscripts of whole domains, built
+once per scheduled nest and size bindings and cached on the
+:class:`~repro.ir.ScheduledNest`, so the runtime extraction of every
+mapping of a compile reads the enumeration this check made.  Subscript
+collisions are found with one ``np.unique`` label intersection per
+access pair instead of the quadratic per-element scan.  Every nest
+takes this one path, depth-0 statements included.
 
 A pair that :func:`~repro.ir.dependence.test_dependence` disproves is
 skipped before any labelling.  The skip is a proof, not a weaker
@@ -40,13 +41,14 @@ none with distinct instances).  After :func:`~repro.ir.infer_schedules`
 walked the same pairs, each verdict is a memo hit.
 
 When the int64 bound of the times or subscripts cannot be proven, the
-same matmuls run exactly on object arrays of Python ints: times stay
-object arrays (the row comparisons work on them), and each subscript
-column is ranked to int64 jointly over all accesses of one array,
-which keeps exactly the collisions.  The
-per-element reference lives in ``tests/oracles/legality.py``; the tests
-and ``benchmarks/bench_legality.py`` assert the two bit-identical
-(messages and order included) and gate the speedup floor.
+stage holds them exactly, on object arrays of Python ints: times stay
+object arrays (the row comparisons work on them), and this module ranks
+each subscript column to int64 jointly over all accesses of one array,
+which keeps exactly the collisions; ``ir.legality.fallbacks`` counts
+every call on such a stage, cached or not.  The per-element reference
+lives in ``tests/oracles/legality.py``; the tests and
+``benchmarks/bench_legality.py`` assert the two bit-identical (messages
+and order included) and gate the speedup floor.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
 from .dependence import test_dependence
-from .domain import affine_rows, int64_proven
+from .domain import domain_stage
 from .schedule import ScheduledNest
 
 def _common_prefix(names1: Sequence[str], names2: Sequence[str]) -> int:
@@ -161,31 +163,13 @@ def schedule_violations(
     the int64 bound is unproven — exactly on Python ints.
     """
     nest = scheduled.nest
-    pairs = nest.all_accesses()
     pos = {s.name: p for p, s in enumerate(nest.statements)}
-    # a statement without accesses is in no witness pair: it needs no
-    # points and no schedule
-    active = [s for s in nest.statements if s.accesses]
-    points = {s.name: s.domain.point_matrix(params) for s in active}
-    thetas = {s.name: scheduled.schedule_of(s.name).theta for s in active}
-    proven = all(
-        int64_proven(points[name], (theta, None))
-        for name, theta in thetas.items()
-    ) and all(int64_proven(points[s.name], (a.F, a.c)) for s, a in pairs)
-    if not proven:
+    # the stage's accesses, in its order
+    pairs = nest.all_accesses()
+    stage = domain_stage(scheduled, params)
+    subs = list(stage.subscripts)
+    if not stage.proven:
         _exact_lane.inc()
-    dtype = np.int64 if proven else object
-
-    # per-statement time matrices, per-access subscript matrices
-    times = {
-        name: affine_rows(points[name].astype(dtype, copy=False), theta)
-        for name, theta in thetas.items()
-    }
-    subs = [
-        affine_rows(points[s.name].astype(dtype, copy=False), a.F, a.c)
-        for s, a in pairs
-    ]
-    if not proven:
         by_array: Dict[str, List[int]] = {}
         for k, (_, a) in enumerate(pairs):
             by_array.setdefault(a.array, []).append(k)
@@ -237,7 +221,8 @@ def schedule_violations(
             if r1.size == 0:
                 continue
 
-            p1_pts, p2_pts = points[s1.name], points[s2.name]
+            k1, k2 = stage.stmt_of[i], stage.stmt_of[j]
+            p1_pts, p2_pts = stage.points[k1], stage.points[k2]
             i1, i2 = p1_pts[r1], p2_pts[r2]
             prefix = _common_prefix(s1.index_names, s2.index_names)
             d = _lex_cmp_rows(i1[:, :prefix], i2[:, :prefix])
@@ -253,7 +238,7 @@ def schedule_violations(
                 if r1.size == 0:
                     continue
 
-            t1_all, t2_all = times[s1.name], times[s2.name]
+            t1_all, t2_all = stage.stmt_times[k1], stage.stmt_times[k2]
             width = max(t1_all.shape[1], t2_all.shape[1])
             t1 = _pad_cols(t1_all, width)[r1]
             t2 = _pad_cols(t2_all, width)[r2]

@@ -87,8 +87,8 @@ class ScheduledNest:
         return self.schedules[stmt]
 
     def __getstate__(self):
-        # only the fields: memos other layers keep on the object (the
-        # runtime's domain stages) stay in their process
+        # only the fields: memos kept on the object (the domain stages
+        # of ``domain.domain_stage``) stay in their process
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def validate_shapes(self) -> None:

@@ -12,8 +12,8 @@ subsystem:
   is disabled (the default) and per-task capture buffers so worker
   processes ship their span trees back through
   :class:`~repro.campaign.store.TaskResult`;
-* :mod:`~repro.obs.metrics` — a **registry** of counters, gauges and
-  histograms plus snapshot *providers*, unifying the pre-existing cache
+* :mod:`~repro.obs.metrics` — a **registry** of counters plus snapshot
+  *providers*, unifying the pre-existing cache
   stats (linalg normal forms, route caches, per-worker compile LRU) and
   the executor lifecycle counters under one namespace with a single
   ``snapshot()`` → plain-dict export;
@@ -30,14 +30,10 @@ trace too.
 
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     REGISTRY,
     clear_metrics,
     counter,
-    gauge,
-    histogram,
     register_provider,
     snapshot,
 )
@@ -77,13 +73,9 @@ __all__ = [
     "merge_spans",
     "clear_spans",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
-    "gauge",
-    "histogram",
     "register_provider",
     "snapshot",
     "clear_metrics",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, providers.
+"""The metrics registry: counters and providers.
 
 One process-wide :class:`MetricsRegistry` (module-level ``REGISTRY``)
 holds every metric under a dotted namespace, get-or-create style::
@@ -7,17 +7,13 @@ holds every metric under a dotted namespace, get-or-create style::
 
     counter("campaign.compile_cache.hits").inc()
 
-``snapshot()`` exports everything as one plain dict — counters and
-gauges as numbers, histograms as small stat dicts — plus the output of
-registered **providers**: callables contributing structured sections
-for state that lives elsewhere (the per-mesh route caches, the linalg
-normal-form caches, the compile LRU).  Providers are how the three
-formerly bespoke stats surfaces report through one namespace without
-obs owning their storage.
-
-This is also the export the future ``python -m repro serve`` daemon
-will put behind its ``/metrics`` endpoint: everything JSON-serializable,
-no third-party client library.
+``snapshot()`` exports everything as one plain, JSON-serializable dict
+— counters as numbers — plus the output of registered **providers**:
+callables contributing structured sections for state that lives
+elsewhere (the per-mesh route caches, the linalg normal-form caches,
+the compile LRU).  Providers are how the three formerly bespoke stats
+surfaces report through one namespace without obs owning their
+storage.
 
 Metric updates are plain attribute arithmetic (GIL-coalesced, not
 strictly atomic across free-running threads) — the campaign paths that
@@ -28,7 +24,7 @@ travel back through task results, not shared memory.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List
 
 
 class Counter:
@@ -51,95 +47,21 @@ class Counter:
         self._value = 0
 
 
-class Gauge:
-    """A point-in-time value (queue depths, cache sizes)."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._value = 0.0
-
-    def set(self, v: float) -> None:
-        self._value = v
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = 0.0
-
-
-class Histogram:
-    """Streaming summary stats of observed values (count/sum/min/max).
-
-    Deliberately bucket-free: the consumers here want totals and
-    extremes, and a plain dict export, not quantile sketches.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.reset()
-
-    def observe(self, v: float) -> None:
-        self.count += 1
-        self.total += v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": (self.total / self.count) if self.count else None,
-        }
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-
-Metric = Union[Counter, Gauge, Histogram]
-
-
 class MetricsRegistry:
-    """Name → metric map with get-or-create accessors and providers."""
+    """Name → counter map with a get-or-create accessor, and
+    providers."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._metrics: Dict[str, Metric] = {}
+        self._metrics: Dict[str, Counter] = {}
         self._providers: Dict[str, Callable[[], Dict]] = {}
 
-    def _get(self, name: str, cls) -> Metric:
+    def counter(self, name: str) -> Counter:
         with self._lock:
             m = self._metrics.get(name)
             if m is None:
-                m = cls(name)
-                self._metrics[name] = m
-            elif not isinstance(m, cls):
-                raise TypeError(
-                    f"metric {name!r} is a {type(m).__name__}, "
-                    f"not a {cls.__name__}"
-                )
+                m = self._metrics[name] = Counter(name)
             return m
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
 
     def register_provider(self, name: str, fn: Callable[[], Dict]) -> None:
         """Register (or replace) a snapshot section computed on demand —
@@ -153,17 +75,15 @@ class MetricsRegistry:
 
     def snapshot(self, providers: bool = True) -> Dict:
         """Everything as one plain (JSON-serializable) dict: counters
-        and gauges by value, histograms as stat dicts, provider
-        sections under their registered names.  A provider that raises
-        contributes an ``{"error": ...}`` stub rather than sinking the
-        whole export."""
+        by value, provider sections under their registered names.  A
+        provider that raises contributes an ``{"error": ...}`` stub
+        rather than sinking the whole export."""
         with self._lock:
             metrics = dict(self._metrics)
             provs = dict(self._providers) if providers else {}
         out: Dict = {}
         for name in sorted(metrics):
-            m = metrics[name]
-            out[name] = m.snapshot() if isinstance(m, Histogram) else m.value
+            out[name] = metrics[name].value
         for name in sorted(provs):
             try:
                 out[name] = provs[name]()
@@ -185,14 +105,6 @@ REGISTRY = MetricsRegistry()
 
 def counter(name: str) -> Counter:
     return REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return REGISTRY.gauge(name)
-
-
-def histogram(name: str) -> Histogram:
-    return REGISTRY.histogram(name)
 
 
 def register_provider(name: str, fn: Callable[[], Dict]) -> None:

@@ -8,8 +8,12 @@ everything on a machine model.
 
 The report distinguishes, per access:
 
-* ``local`` — sender == receiver on the *virtual* grid (the zeroed-out
-  communications of step 1; they cost nothing);
+* ``local`` — step 1 aligned the access's linear part
+  (``M_x F = M_S``), but a constant offset may remain.  On a branching
+  edge step 1 cancels it: sender == receiver on the *virtual* grid and
+  the events cost nothing.  Off the branching it need not vanish; then
+  every event moves by one fixed vector and is priced like any other,
+  and the label is still reported ``local``;
 * ``translation`` / ``macro`` / ``decomposed`` / ``general`` — as
   classified by step 2 of the heuristic.
 
@@ -154,14 +158,15 @@ def _tables(stage: VirtualStage, mapping) -> _Tables:
     which makes a new stage, makes new tables)."""
     if stage.tables is not None:
         return stage.tables
-    n = stage.n
+    dom = stage.domain
+    n = dom.n
     virt_local = np.all(stage.virtual[:n] == stage.virtual[n:], axis=1)
     residuals: Dict[str, object] = {}
     for opt in mapping.optimized:
         residuals.setdefault(opt.label, opt)
     local = mapping.alignment.local_labels
     classification, kind, vec = [], [], []
-    for label in stage.labels:
+    for label in dom.labels:
         opt = residuals.get(label)
         if label in local:
             cls = "local"
@@ -175,10 +180,10 @@ def _tables(stage: VirtualStage, mapping) -> _Tables:
         vec.append(opt is not None and opt.vectorizable)
     vec_rows = None
     if any(vec):
-        vec_rows = np.repeat(np.array(vec), np.diff(stage.offsets))
+        vec_rows = np.repeat(np.array(vec), np.diff(dom.offsets))
     stage.tables = _Tables(
         virt_local=virt_local,
-        n_virt_local=_count_by_access(virt_local, stage.offsets),
+        n_virt_local=_count_by_access(virt_local, dom.offsets),
         classification=tuple(classification),
         kind=tuple(kind),
         vec_rows=vec_rows,
@@ -385,8 +390,8 @@ def _execute_cells(
     # per source, its mapping's tables; sources of one mapping share them
     tables = [_tables(e.stage, p.mapping) for e, p in zip(extractions, sources)]
     per_mapping = list({id(t): t for t in tables}.values())
-    stage = extractions[0].stage
-    n, offsets = stage.n, stage.offsets
+    dom = extractions[0].stage.domain
+    n, offsets = dom.n, dom.offsets
     virt_local = (
         per_mapping[0].virt_local if len(per_mapping) == 1
         else np.stack([t.virt_local for t in tables])
@@ -402,11 +407,11 @@ def _execute_cells(
     # accesses with events; no events -> no stats entry, exactly like
     # the per-event path (which only creates entries while iterating
     # events)
-    active = [a for a in range(len(stage.labels)) if events[a]]
+    active = [a for a in range(len(dom.labels)) if events[a]]
     for k in range(K):
         tab = tables[source_of[k]]
         for a in active:
-            label = stage.labels[a]
+            label = dom.labels[a]
             per_access[k][label] = AccessCommStats(
                 label=label,
                 classification=tab.classification[a],
@@ -420,10 +425,10 @@ def _execute_cells(
         return _reports(per_access, [0.0] * K)
     # label ranks follow the sorted label order; labels are unique
     # (``LoopNest.validate``)
-    by_name = sorted(active, key=stage.labels.__getitem__)
-    rank = np.zeros(len(stage.labels), dtype=np.int64)
+    by_name = sorted(active, key=dom.labels.__getitem__)
+    rank = np.zeros(len(dom.labels), dtype=np.int64)
     rank[by_name] = np.arange(len(by_name))
-    times = stage.times[rows]
+    times = dom.times[rows]
     if any(t.vec_rows is not None for t in per_mapping):
         if len(per_mapping) == 1:
             zero = per_mapping[0].vec_rows[rows]
@@ -462,7 +467,7 @@ def _execute_cells(
     jobs: List[_Job] = []
     for r, block_of in blocks.items():
         a = by_name[r]
-        label = stage.labels[a]
+        label = dom.labels[a]
         for k in range(K):
             d = source_of[k]
             b = block_of.get(d)
@@ -674,10 +679,11 @@ def count_nonlocal_virtual(program: MappedProgram) -> Dict[str, int]:
     """
     stage = program.comm_batches().stage
     tab = _tables(stage, program.mapping)
+    dom = stage.domain
     return {
         label: moved
         for label, events, local in zip(
-            stage.labels, np.diff(stage.offsets).tolist(), tab.n_virt_local
+            dom.labels, np.diff(dom.offsets).tolist(), tab.n_virt_local
         )
         if (moved := events - local)
     }

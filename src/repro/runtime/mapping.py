@@ -14,22 +14,27 @@ per physical dimension.  The virtual grid dimension ``m`` must equal
 the mesh rank — a mismatch raises a friendly error instead of the old
 silent collapse-by-summation of extra virtual dimensions.
 
-The communication extraction is **vectorized**: each statement's
-polyhedral iteration domain becomes one dense integer index matrix —
-the rectangular *bounding box* (``np.meshgrid`` over the bounds, points
-in ``itertools.product`` order) filtered by the domain's vectorized
-membership mask (one int64 matmul against the half-space system; see
-:meth:`repro.ir.Domain.point_matrix`), so triangular/trapezoidal nests
-ride the same dense path and rectangular nests skip the mask entirely.
-Affine accesses and virtual placements are evaluated as single integer
-matmuls over the whole domain.  The folding-independent results — every
-access's schedule times and sender/receiver virtual coordinates — are
-stacked into one :class:`VirtualStage` (one ``[senders; receivers]``
-coordinate array with per-access row offsets), and
-:meth:`MappedProgram.comm_batches` folds that stack onto the mesh with
-**one** :meth:`Folding.fold_array` call per folding.  The per-access
-:class:`CommBatch` objects are views into the stacked arrays; the
-executor works on the stack itself.
+The communication extraction is **vectorized** and runs in two cached
+stages.  The **domain stage**
+(:func:`repro.ir.domain.domain_stage`: each statement's domain as one
+dense point matrix — the rectangular bounding box filtered by the
+domain's vectorized membership mask, see
+:meth:`repro.ir.Domain.point_matrix` — its schedule times, and every
+access's subscripts ``F·I + c``) depends only on the scheduled nest
+and the size bindings.  It is ``ir``'s own memo, cached **on the**
+:class:`~repro.ir.ScheduledNest`, so the legality check of a compile
+and the heuristic and baseline mappings of it read one enumeration.
+The **placement stage** (the virtual coordinates: the mapping's
+allocation matmuls over the shared points and subscripts) depends on
+the mapping too, so it is cached **on the mapping** and shared by
+every folding of the same compiled nest — the
+compile-once/price-many situation of the campaign runner.  It is one
+:class:`VirtualStage`: the domain stage plus one ``[senders;
+receivers]`` coordinate array with per-access row offsets, which
+:meth:`MappedProgram.comm_batches` folds onto the mesh with **one**
+:meth:`Folding.fold_array` call per folding.  The executor works on
+the stacked arrays; iterating an :class:`Extraction` builds the
+per-access :class:`CommBatch` views on demand.
 
 There is one extraction algorithm and two lanes of arithmetic: when the
 int64 bound of the affine stages is proven, the matmuls run on int64;
@@ -38,31 +43,19 @@ ints, and the results are cast to int64 (a value past int64 raises
 ``OverflowError``).  The per-element event list
 :meth:`MappedProgram.comm_events_python` is the test oracle the batches
 are asserted bit-identical against; no production path calls it.
-
-Extraction runs in two cached stages.  The **domain stage**
-(:func:`domain_stage`: point matrices, padded schedule times, access
-offsets and labels, and every access's subscripts ``F·I + c``)
-depends only on the scheduled nest and the size bindings, so it is
-cached **on the** :class:`~repro.ir.ScheduledNest`, which the
-heuristic and the baseline mapping of one compile share.  The
-**placement stage** (the virtual coordinates: the mapping's
-allocation matmuls over the shared points and subscripts) depends on
-the mapping too, so it is cached **on the mapping** and shared by
-every folding of the same compiled nest — the compile-once/price-many
-situation of the campaign runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..alignment import MappingResult
 from ..distribution import Distribution1D, make_1d
-from ..ir import AccessKind, ScheduledNest
-from ..ir.domain import affine_rows, int64_proven
+from ..ir import AccessKind
+from ..ir.domain import DomainStage, affine_rows, domain_stage, int64_proven
 from ..linalg import IntMat
 from ..obs import metrics as obs_metrics
 
@@ -72,10 +65,6 @@ Phys = Tuple[int, ...]
 #: virtual-stage evaluations on the exact (object-dtype) lane because
 #: the int64 bound of the affine stages could not be proven
 _exact_lane = obs_metrics.counter("runtime.comm_batches.fallbacks")
-
-#: attribute of a :class:`~repro.ir.ScheduledNest` holding its domain
-#: stages, keyed by the size bindings
-DOMAIN_CACHE = "_domain_stage_cache"
 
 
 @dataclass
@@ -237,149 +226,49 @@ class CommBatch:
 
 
 @dataclass(eq=False)
-class DomainStage:
-    """The mapping-independent half of an extraction, stacked over every
-    access of a scheduled nest: the domain points of each statement,
-    the padded schedule times and, per access, its subscripts
-    ``F·I + c``.  Access ``a`` owns rows ``offsets[a]:offsets[a+1]``.
-
-    ``proven`` says whether the schedule and subscript stages are
-    proven to stay inside int64; when they are not, the subscripts are
-    exact object arrays of Python ints.  A schedule time past int64 is
-    kept in ``overflow`` (``times`` is then ``None``): every mapping
-    that reads this stage raises an equal ``OverflowError``."""
-
-    labels: Tuple[str, ...]
-    stmts: Tuple[str, ...]
-    #: (A+1,) row offsets of the accesses
-    offsets: np.ndarray
-    #: (n, T) schedule times, zero-padded to the nest's widest schedule
-    times: Optional[np.ndarray]
-    #: per access, its statement's schedule width
-    widths: Tuple[int, ...]
-    #: per statement, its ``(n_s, d)`` int64 domain points
-    points: Tuple[np.ndarray, ...]
-    #: per access, the index of its statement in ``points``
-    stmt_of: Tuple[int, ...]
-    #: per access, its ``(n_s, dim)`` subscripts (int64 when ``proven``)
-    subscripts: Tuple[np.ndarray, ...]
-    proven: bool
-    overflow: Optional[OverflowError] = None
-
-
-def domain_stage(scheduled: ScheduledNest, params: Dict[str, int]) -> DomainStage:
-    """The :class:`DomainStage` of ``scheduled`` under the size bindings
-    ``params``, cached **on the scheduled nest** (keyed by the
-    bindings): the heuristic and baseline mappings of one compile share
-    that object, so their placement stages read one domain
-    enumeration.  The cache stays in-process (``ScheduledNest`` drops it
-    when pickled)."""
-    key = tuple(sorted(params.items()))
-    cache = scheduled.__dict__.setdefault(DOMAIN_CACHE, {})
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    plans = [
-        (
-            stmt,
-            stmt.domain.point_matrix(params),
-            scheduled.schedule_of(stmt.name).theta,
-        )
-        for stmt in scheduled.nest.statements
-    ]
-    proven = all(
-        int64_proven(idx, (theta, None))
-        and all(int64_proven(idx, (acc.F, acc.c)) for acc in stmt.accesses)
-        for stmt, idx, theta in plans
-    )
-    dtype = np.int64 if proven else object
-    labels, stmts, stmt_of, widths, lengths, subscripts = [], [], [], [], [], []
-    times: List[np.ndarray] = []
-    overflow = None
-    for s, (stmt, idx, theta) in enumerate(plans):
-        exact = idx.astype(dtype, copy=False)
-        if overflow is None:
-            try:
-                times.append(affine_rows(exact, theta).astype(np.int64, copy=False))
-            except OverflowError as exc:
-                # remembered without its traceback, which pins the arrays
-                overflow = OverflowError(*exc.args)
-        for acc in stmt.accesses:
-            labels.append(acc.label or f"{stmt.name}:{acc.array}")
-            stmts.append(stmt.name)
-            stmt_of.append(s)
-            widths.append(theta.nrows)
-            lengths.append(idx.shape[0])
-            subscripts.append(affine_rows(exact, acc.F, acc.c))
-    offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    padded = None
-    if overflow is None:
-        padded = np.zeros((int(offsets[-1]), max(widths, default=0)), np.int64)
-        for lo, hi, s in zip(offsets[:-1], offsets[1:], stmt_of):
-            padded[lo:hi, : times[s].shape[1]] = times[s]
-        padded.flags.writeable = False
-    offsets.flags.writeable = False
-    stage = DomainStage(
-        labels=tuple(labels),
-        stmts=tuple(stmts),
-        offsets=offsets,
-        times=padded,
-        widths=tuple(widths),
-        points=tuple(idx for _, idx, _ in plans),
-        stmt_of=tuple(stmt_of),
-        subscripts=tuple(subscripts),
-        proven=proven,
-        overflow=overflow,
-    )
-    cache[key] = stage
-    return stage
-
-
-@dataclass(eq=False)
 class VirtualStage:
-    """The folding-independent half of one mapping's extraction, stacked
-    over every access of the nest: access ``a`` owns rows
-    ``offsets[a]:offsets[a+1]`` of ``times`` and of each half of
-    ``virtual``.  ``labels``, ``stmts``, ``offsets``, ``times`` and
-    ``widths`` are the shared :class:`DomainStage`'s; only ``virtual``
-    is this mapping's."""
+    """The folding-independent half of one mapping's extraction: the
+    shared :class:`~repro.ir.domain.DomainStage` of its scheduled nest
+    and this mapping's virtual coordinates, stacked over every access
+    (access ``a`` owns rows ``offsets[a]:offsets[a+1]`` of the domain
+    stage's ``times`` and of each half of ``virtual``)."""
 
-    labels: Tuple[str, ...]
-    stmts: Tuple[str, ...]
-    #: (A+1,) row offsets of the accesses
-    offsets: np.ndarray
-    #: (n, T) schedule times, zero-padded to the nest's widest schedule
-    times: np.ndarray
-    #: per access, its statement's schedule width
-    widths: Tuple[int, ...]
+    domain: DomainStage
     #: (2n, m) every access's sender rows, then every access's receivers
     virtual: np.ndarray
     #: the executor's per-access pricing tables of this mapping, built
     #: on first pricing (see ``executor._tables``)
     tables: Optional[object] = None
 
-    @property
-    def n(self) -> int:
-        return self.times.shape[0]
-
 
 @dataclass(eq=False)
 class Extraction:
-    """One folding's communications: the shared :class:`VirtualStage`,
-    its rows folded onto the mesh in one :meth:`Folding.fold_array`
-    call, and one :class:`CommBatch` view per access (iterating an
-    extraction yields the batches)."""
+    """One folding's communications: the shared :class:`VirtualStage`
+    and its rows folded onto the mesh in one :meth:`Folding.fold_array`
+    call.  Iterating an extraction yields one :class:`CommBatch` view
+    per access, built on demand (pricing reads the stacked arrays)."""
 
     stage: VirtualStage
     #: (2n, rank) folded ``stage.virtual``
     phys: np.ndarray
-    batches: List[CommBatch]
 
-    def __iter__(self):
-        return iter(self.batches)
+    def __iter__(self) -> Iterator[CommBatch]:
+        dom, virtual, phys = self.stage.domain, self.stage.virtual, self.phys
+        n, off = dom.n, dom.offsets.tolist()
+        for a, (lo, hi) in enumerate(zip(off[:-1], off[1:])):
+            k = dom.stmt_of[a]
+            yield CommBatch(
+                access_label=dom.labels[a],
+                stmt=dom.statements[k].name,
+                times=dom.times[lo:hi, : dom.stmt_times[k].shape[1]],
+                sender_virtual=virtual[lo:hi],
+                receiver_virtual=virtual[n + lo: n + hi],
+                sender=phys[lo:hi],
+                receiver=phys[n + lo: n + hi],
+            )
 
     def __len__(self) -> int:
-        return len(self.batches)
+        return len(self.stage.domain.labels)
 
 
 @dataclass
@@ -489,21 +378,19 @@ class MappedProgram:
             return hit
         al = self.mapping.alignment
         dom = domain_stage(self.mapping.schedules, self.params)
-        stmts = self.mapping.schedules.nest.statements
         places = [
             (al.allocation_of_stmt(s.name), al.offset_of_stmt(s.name))
-            for s in stmts
+            for s in dom.statements
         ]
-        accesses = [acc for s in stmts for acc in s.accesses]
         owners = [
             (al.allocation_of_array(acc.array), al.offset_of_array(acc.array))
-            for acc in accesses
+            for acc in dom.accesses
         ]
         proven = dom.proven and all(
             int64_proven(idx, place) for idx, place in zip(dom.points, places)
         ) and all(
             int64_proven(dom.points[s], (acc.F, acc.c), owner)
-            for s, acc, owner in zip(dom.stmt_of, accesses, owners)
+            for s, acc, owner in zip(dom.stmt_of, dom.accesses, owners)
         )
         if not proven:
             _exact_lane.inc()
@@ -519,7 +406,7 @@ class MappedProgram:
             ]
             senders, receivers = [], []
             for s, acc, subs, owner in zip(
-                dom.stmt_of, accesses, dom.subscripts, owners
+                dom.stmt_of, dom.accesses, dom.subscripts, owners
             ):
                 owner_v = affine_rows(
                     subs.astype(dtype, copy=False), *owner
@@ -536,44 +423,23 @@ class MappedProgram:
         )
         # every folding's batches are views of these shared arrays
         virtual.flags.writeable = False
-        stage = VirtualStage(
-            labels=dom.labels,
-            stmts=dom.stmts,
-            offsets=dom.offsets,
-            times=dom.times,
-            widths=dom.widths,
-            virtual=virtual,
-        )
+        stage = VirtualStage(domain=dom, virtual=virtual)
         cache[key] = stage
         return stage
 
     def comm_batches(self) -> Extraction:
         """The communications of :meth:`comm_events_python` as dense
         arrays: the stacked virtual stage folded with **one**
-        :meth:`Folding.fold_array` call, with one :class:`CommBatch`
-        view per access (rows in event order), memoized on the program
-        instance."""
+        :meth:`Folding.fold_array` call (iterating the result yields one
+        :class:`CommBatch` view per access, rows in event order),
+        memoized on the program instance."""
         gen = self.mapping.alignment.mutation_count
         cached = self.__dict__.get("_comm_batches")
         if cached is not None and cached[0] == gen:
             return cached[1]
         stage = self._virtual_batches()
-        phys = self.folding.fold_array(stage.virtual)
-        n, off = stage.n, stage.offsets.tolist()
-        batches = [
-            CommBatch(
-                access_label=label,
-                stmt=stmt,
-                times=stage.times[lo:hi, :w],
-                sender_virtual=stage.virtual[lo:hi],
-                receiver_virtual=stage.virtual[n + lo: n + hi],
-                sender=phys[lo:hi],
-                receiver=phys[n + lo: n + hi],
-            )
-            for label, stmt, w, lo, hi in zip(
-                stage.labels, stage.stmts, stage.widths, off[:-1], off[1:]
-            )
-        ]
-        extraction = Extraction(stage=stage, phys=phys, batches=batches)
+        extraction = Extraction(
+            stage=stage, phys=self.folding.fold_array(stage.virtual)
+        )
         self.__dict__["_comm_batches"] = (gen, extraction)
         return extraction

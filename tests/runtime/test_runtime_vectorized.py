@@ -179,9 +179,10 @@ class TestMemoization:
 
 
 class TestDomainStage:
-    """The mapping-independent domain stage is computed once per
-    scheduled nest and size bindings and shared by the heuristic and
-    the baseline mapping of one compile."""
+    """The domain stage (``repro.ir.domain.domain_stage``) is computed
+    once per scheduled nest and size bindings and shared by the
+    legality check of a compile and the extraction of the heuristic
+    and the baseline mapping."""
 
     @staticmethod
     def _mappings():
@@ -202,14 +203,13 @@ class TestDomainStage:
         other = MappedProgram(base, heur.folding, PARAMS)
         h, b = heur.comm_batches().stage, other.comm_batches().stage
         assert h is not b
-        assert h.times is b.times and h.offsets is b.offsets
-        assert h.labels == b.labels
+        assert h.domain is b.domain
         assert not (h.virtual == b.virtual).all()
 
     def test_point_matrix_once_per_statement_per_group(self, monkeypatch):
-        """A cold compile-key group (compile done, no price cached)
-        enumerates each statement's domain once, for both mappings and
-        every cell."""
+        """A cold compile-key group — the compile with its legality
+        check, then the heuristic and baseline pricing of every cell —
+        enumerates each statement with accesses once."""
         from repro.campaign import (
             clear_baseline_cache,
             clear_compile_cache,
@@ -226,27 +226,69 @@ class TestDomainStage:
         )
         clear_compile_cache()
         clear_baseline_cache()
+        calls = []
+        point_matrix = Domain.point_matrix
+
+        def counted(domain, params):
+            calls.append(domain)
+            return point_matrix(domain, params)
+
         for group in group_by_compile_key(spec.expand()):
-            cw, _ = runner._compile_for_task(group[0])
-            calls = []
-            point_matrix = Domain.point_matrix
-
-            def counted(domain, params):
-                calls.append(domain)
-                return point_matrix(domain, params)
-
+            assert len(group) == 4 and group[0].workload.check_legality
+            calls.clear()
             monkeypatch.setattr(Domain, "point_matrix", counted)
             results = run_task_group(group)
             monkeypatch.undo()
             assert all(r.status == "ok" for r in results)
+            assert results[0].compile_cache_hit is False
             assert not any(r.baseline_cache_hit for r in results)
-            assert len(group) == 4
-            assert len(calls) == len(cw.compiled.nest.statements)
+            cw, hit = runner._compile_for_task(group[0])
+            assert hit
+            active = [s for s in cw.compiled.nest.statements if s.accesses]
+            assert sorted(map(id, calls)) == sorted(id(s.domain) for s in active)
+
+    def test_legality_and_extraction_in_either_order(self):
+        """``schedule_violations`` gives the same messages before and
+        after the extraction on one scheduled nest, whichever of the
+        two filled the stage."""
+        from repro.ir import (
+            parse_nest,
+            schedule_violations,
+            trivial_schedules,
+        )
+        from repro.ir.domain import DOMAIN_CACHE
+
+        from oracles.legality import schedule_violations_python
+
+        machine = MeshModel(2, 2)
+        nest = parse_nest(
+            "array a(2), b(2)\n"
+            "for i = 1..N:\n"
+            "  for j = 1..N:\n"
+            "    S: a[i, j] = f(a[i - 1, j], b[j, i])\n"
+        )
+        want = schedule_violations_python(trivial_schedules(nest), PARAMS)
+        assert want  # theta = 0 puts every dependent pair on one step
+        legality_first, extraction_first = (
+            trivial_schedules(nest), trivial_schedules(nest)
+        )
+        got = [schedule_violations(legality_first, PARAMS)]
+        for sched in (legality_first, extraction_first):
+            c = compile_nest(
+                nest, m=2, schedules=sched, params=PARAMS,
+                check_legality=False,
+            )
+            prog = c.program(machine, PARAMS)
+            assert execute(prog, machine) == execute_python(prog, machine)
+            got.append(schedule_violations(sched, PARAMS))
+            [stage] = sched.__dict__[DOMAIN_CACHE].values()
+            assert prog.comm_batches().stage.domain is stage
+        assert got == [want] * 3
 
     def test_rotation_invalidates_only_the_placement_stage(self):
         from repro.linalg import IntMat
         from repro.runtime import MappedProgram
-        from repro.runtime.mapping import DOMAIN_CACHE
+        from repro.ir.domain import DOMAIN_CACHE
 
         c, base = self._mappings()
         machine = MeshModel(2, 2)
@@ -260,7 +302,7 @@ class TestDomainStage:
         al.rotate_component(root, IntMat([[0, 1], [1, 0]]))
         rotated = c.program(machine, PARAMS)
         h2 = rotated.comm_batches().stage
-        assert h2 is not h and h2.times is h.times
+        assert h2 is not h and h2.domain is h.domain is stage
         [after] = domain.values()
         assert after is stage
         assert other.comm_batches().stage is b
@@ -269,7 +311,7 @@ class TestDomainStage:
     def test_domain_stage_stays_out_of_pickles(self):
         import pickle
 
-        from repro.runtime.mapping import DOMAIN_CACHE
+        from repro.ir.domain import DOMAIN_CACHE
 
         c, _ = self._mappings()
         execute(c.program(MeshModel(2, 2), PARAMS), MeshModel(2, 2))
@@ -278,6 +320,20 @@ class TestDomainStage:
         assert DOMAIN_CACHE not in copy.schedules.__dict__
         assert copy.schedules == c.schedules
         assert copy.mapping.schedules is copy.schedules
+
+    def test_batches_are_built_on_demand(self):
+        """Pricing reads the stacked arrays only; the per-access views
+        are made when the extraction is iterated, each time afresh."""
+        _c, prog, machine = _compiled_program(motivating_example())
+        execute(prog, machine)
+        extraction = prog.comm_batches()
+        assert "batches" not in vars(extraction)
+        first, again = list(extraction), list(extraction)
+        assert len(first) == len(extraction) == len(again)
+        assert all(x is not y for x, y in zip(first, again))
+        assert [b.access_label for b in first] == list(
+            extraction.stage.domain.labels
+        )
 
 
 class TestFoldArray:

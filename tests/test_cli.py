@@ -78,6 +78,24 @@ class TestCli:
         assert "schedule S0: theta=[[1, 0]]" in out
         assert "total:" in out
 
+    def test_local_label_with_an_offset_is_priced(self, tmp_path, capsys):
+        """``local`` means step 1 aligned the access's linear part: the
+        read ``a[i-1, j]`` keeps its constant offset, so each of its
+        events still moves one row and is priced."""
+        p = tmp_path / "carried.nest"
+        p.write_text(CARRIED_SRC)
+        assert main([str(p), "--params", "N=4", "--execute"]) == 0
+        out = capsys.readouterr().out
+        assert "local: ['F1', 'F2']" in out
+        assert (
+            "F1     [local      ] events=16 virt-local=16 msgs=0 "
+            "macro_ops=0 time=0.0"
+        ) in out
+        assert (
+            "F2     [local      ] events=16 virt-local=0 msgs=16 "
+            "macro_ops=0 time=87.0"
+        ) in out
+
     @pytest.mark.parametrize("extra", [[], ["--outer-sequential", "1"]])
     def test_same_step_statements_exit_2(self, tmp_path, capsys, extra):
         p = tmp_path / "same_step.nest"

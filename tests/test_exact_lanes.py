@@ -19,6 +19,12 @@ with its per-element oracle:
 Each ``*.fallbacks`` counter rises at most once per call, exactly once
 when a shift reaches 2^62, and never on an unshifted nest.
 
+Legality and extraction read one domain stage, cached on the scheduled
+nest: legality run after an extraction (one that raised
+``OverflowError`` included) reads the stage the extraction built and
+still equals its oracle, and a nest whose schedule times pass int64
+keeps its exact times for the witness search.
+
 The same guards are drawn on 3-D triangular nests (3-D arrays, depth-3
 statements with ``i <= j <= k`` or ``k <= j`` domains) compiled with
 ``m = 3`` and folded onto two rank-3 meshes: the stacked extraction of
@@ -43,6 +49,7 @@ from repro.ir import (
     schedule_violations,
     trivial_schedules,
 )
+from repro.ir.domain import DOMAIN_CACHE
 from repro.ir.loopnest import Statement
 from repro.linalg import IntMat
 from repro.machine import MeshModel
@@ -184,6 +191,45 @@ def test_extraction_and_pricing_match_oracle(case, mesh):
         with pytest.raises(OverflowError):
             program.comm_batches()
     _check_lane_count(rose(), shift)
+    # legality, run second, reads the domain stage this extraction built
+    [stage] = scheduled.__dict__[DOMAIN_CACHE].values()
+    rose = _counter("ir.legality.fallbacks")
+    got = schedule_violations(scheduled, {}, LIMIT)
+    _check_lane_count(rose(), shift)
+    assert got == schedule_violations_python(scheduled, {}, LIMIT)
+    [after] = scheduled.__dict__[DOMAIN_CACHE].values()
+    assert after is stage
+
+
+def test_time_overflow_keeps_exact_witnesses():
+    """A shifted nest whose schedule times pass int64 (bounds at
+    2^62 + 1, ``theta = (1, 1)``): the shared stage keeps the exact
+    times, so legality finds the oracle's witnesses, while every
+    extraction of it raises ``OverflowError``."""
+    base = 2**62 + 1
+    b = NestBuilder("shifted")
+    b.array("a", 2)
+    b.statement(
+        "S0",
+        [("i", base, base + 1), ("j", base, base + 1)],
+        writes=[("a", [[1, 0], [0, 1]], [0, 0])],
+        reads=[("a", [[0, 1], [1, 0]], [0, 0])],
+    )
+    nest = b.build()
+    scheduled = ScheduledNest(nest, {"S0": Schedule(IntMat([[1, 1]]))})
+    compiled = compile_nest(
+        nest, m=2, schedules=scheduled, params={}, check_legality=False,
+    )
+    with pytest.raises(OverflowError):
+        compiled.program(MeshModel(2, 2), {}).comm_batches()
+    [stage] = scheduled.__dict__[DOMAIN_CACHE].values()
+    assert stage.times is None and stage.overflow is not None
+    assert stage.stmt_times[0].dtype == object
+    rose = _counter("ir.legality.fallbacks")
+    got = schedule_violations(scheduled, {}, LIMIT)
+    assert rose() == 1
+    assert got and got == schedule_violations_python(scheduled, {}, LIMIT)
+    assert f"at the same time step ({2 * base + 1},)" in got[0]
 
 
 def test_generated_cases_reach_both_outcomes():
