@@ -72,7 +72,8 @@ the top-10 hotspot list, and since the cold-compile fast path landed
 (integer FM kernel + dependence memoization) it asserts that pricing,
 not the compile stage, owns the cold profile — compile cumulative time
 below batched pricing and dependence analysis (``find_dependences``,
-``_test_dependence_uncached``) out of the top-10 (exit 1 if either
+and the facts walk ``_walk_pairs`` / ``_carried_levels``) out of the
+top-10 (exit 1 if either
 compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts that
 ``phase_times_segmented`` ran, and, since every mesh of a call shares
@@ -97,11 +98,18 @@ nest's dependence facts once (the dependence and macro memos start
 empty for the profiled run), it asserts that step 2 computes each
 macro verdict at most once per distinct argument
 (``macro_verdicts_computed`` <= ``macro_verdicts_distinct``), that
-legality labels only the pairs the dependence test kept
-(``legality_label_passes`` <= ``legality_kept_pairs``), and that
-schedule inference makes at most one carried-depth solve per kept pair
-plus one per level raise (``schedule_depth_solves`` <=
-``schedule_depth_ceiling``).  Since the contention kernel went
+legality labels only the pairs the dependence test kept and no
+sequential outer loop provably orders (``legality_label_passes`` <=
+``legality_kept_pairs`` - ``legality_ordered_pairs``, the ordered
+pairs counted by the stacked re-solve of ``tests/oracles/schedule.py``),
+and that the dependence layer makes one Smith solve per pair that
+reaches the lattice test plus one per carried-level probe with a
+non-zero homogeneous equality row (``dependence_solves`` <=
+``dependence_solve_ceiling`` = ``dependence_lattice_pairs`` +
+``carried_probes_solving``, over ``dependence_walks`` walks and
+``carried_probes`` probes).  Since the heuristic and the Feautrier
+baseline share one access graph per compile, it asserts
+``access_graph_builds`` <= ``compiles``.  Since the contention kernel went
 route-free, it reruns the grid warm and asserts that
 ``phase_times_segmented`` makes no route-cache lookup
 (``warm_kernel_route_lookups`` == 0) and no ``unique_rows`` call
@@ -150,6 +158,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     import pstats
 
     sys.path.insert(0, SRC_DIR)
+    # the stacked carried-level oracle bounds the legality gate
+    sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "tests"))
     from repro import compile_nest
     from repro.campaign import CampaignConfig, default_spec, run_campaign
     from repro.campaign.sweep import group_by_compile_key
@@ -185,7 +195,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     prof = cProfile.Profile()
     t0 = time.perf_counter()
     with _recording_dependence_facts() as (
-        depth_walks,
+        dependence_walks,
+        carried_probes,
         legality_passes,
     ), _counting_enumerations() as (
         enumerations,
@@ -288,13 +299,25 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     macro_evicted = macro_distinct >= heuristic._macro_cache.maxsize
     label_passes = _ncalls("_shared_labels")
     kept_pairs = sum(_kept_pairs(sn.nest, p) for sn, p in legality_passes)
-    depth_solves = _ncalls("dependent_within")
-    # the walk starts at level 1, so a nest of outer depth d raised the
-    # level at most d - 1 times
-    depth_ceiling = sum(
-        _kept_pairs(nest, p) + max((depth or 0) - 1, 0)
-        for nest, p, depth in depth_walks
+    ordered_pairs = sum(_ordered_pairs(sn, p) for sn, p in legality_passes)
+    # Smith solves made by the dependence layer: one per pair that
+    # passes the GCD test, one per carried-level probe with a non-zero
+    # homogeneous equality row (a probe whose rows are all zero is
+    # decided without a solve)
+    dependence_py = os.path.join("ir", "dependence.py")
+    dependence_solves = sum(
+        nc
+        for func, (*_head, callers) in stats.stats.items()
+        if _is(func, "solve_axb", os.path.join("linalg", "diophantine.py"))
+        for (cfile, _cl, _cn), (_cc, nc, *_rest) in callers.items()
+        if cfile.endswith(dependence_py)
     )
+    lattice_pairs = sum(_lattice_pairs(nest) for nest, _p in dependence_walks)
+    solving_probes = sum(
+        _probe_has_nonzero_row(sol, d1, outer) for sol, d1, outer in carried_probes
+    )
+    dependence_solve_ceiling = lattice_pairs + solving_probes
+    graph_builds = _ncalls("build_access_graph")
 
     kernel_launches = _ncalls("phase_times_segmented")
     price_calls = _ncalls("execute") + _ncalls("execute_group")
@@ -347,8 +370,15 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "macro_verdicts_distinct": macro_distinct,
             "legality_label_passes": label_passes,
             "legality_kept_pairs": kept_pairs,
-            "schedule_depth_solves": depth_solves,
-            "schedule_depth_ceiling": depth_ceiling,
+            "legality_ordered_pairs": ordered_pairs,
+            "dependence_walks": len(dependence_walks),
+            "dependence_solves": dependence_solves,
+            "dependence_lattice_pairs": lattice_pairs,
+            "carried_probes": len(carried_probes),
+            "carried_probes_solving": solving_probes,
+            "dependence_solve_ceiling": dependence_solve_ceiling,
+            "access_graph_builds": graph_builds,
+            "compiles": len(compiled_nests),
             "domain_enumerations": len(enumerations),
             "domain_enumeration_ceiling": enumeration_ceiling,
             "warm_kernel_launches": warm["launches"],
@@ -408,7 +438,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     fm_offenders = [
         r["function"]
         for r in rows[:10]
-        if r["function"] in ("_test_dependence_uncached", "find_dependences")
+        if r["function"] in ("_walk_pairs", "_carried_levels", "find_dependences")
     ]
     if fm_offenders:
         print(
@@ -591,20 +621,24 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             file=sys.stderr,
         )
         return 1
-    if label_passes > kept_pairs:
+    if label_passes > kept_pairs - ordered_pairs:
         print(
             f"FAIL: legality labelled {label_passes} access pairs, but the "
-            f"dependence test kept only {kept_pairs} — disproved pairs "
-            "reach the label pass again (see BENCH_profile.json)",
+            f"dependence test kept only {kept_pairs} and a sequential outer "
+            f"loop provably orders {ordered_pairs} of them — disproved or "
+            "ordered pairs reach the label pass again (see BENCH_profile.json)",
             file=sys.stderr,
         )
         return 1
-    if depth_walks == [] or depth_solves > depth_ceiling:
+    if not dependence_walks or dependence_solves > dependence_solve_ceiling:
         print(
-            f"FAIL: schedule inference made {depth_solves} carried-depth "
-            f"solves over {len(depth_walks)} nests, above the {depth_ceiling} "
-            "kept pairs + level raises — it probes disproved pairs or "
-            "levels below the current one (see BENCH_profile.json)",
+            f"FAIL: the dependence layer made {dependence_solves} Smith "
+            f"solves over {len(dependence_walks)} nests, above the "
+            f"{dependence_solve_ceiling} pairs reaching the lattice test "
+            f"({lattice_pairs}) + carried-level probes with a non-zero "
+            f"homogeneous row ({solving_probes}) — a carried level re-solves "
+            "a stacked system, or a pair is solved twice (see "
+            "BENCH_profile.json)",
             file=sys.stderr,
         )
         return 1
@@ -612,8 +646,25 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         "gate ok: dependence facts computed once "
         f"({macro_runs} macro verdicts for {macro_distinct} distinct "
         f"arguments; {label_passes} legality label passes <= {kept_pairs} "
-        f"kept pairs; {depth_solves} carried-depth solves <= {depth_ceiling} "
-        f"kept pairs + level raises over {len(depth_walks)} nests)"
+        f"kept pairs - {ordered_pairs} ordered; {dependence_solves} "
+        f"dependence solves <= {lattice_pairs} lattice pairs + "
+        f"{solving_probes} solving probes of {len(carried_probes)} over "
+        f"{len(dependence_walks)} nests)"
+    )
+
+    # the one-graph gate: the heuristic and the Feautrier baseline of a
+    # compile share one access graph
+    if graph_builds > len(compiled_nests):
+        print(
+            f"FAIL: build_access_graph ran {graph_builds} times for "
+            f"{len(compiled_nests)} compiles — the baseline builds its own "
+            "access graph again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"gate ok: one access graph per compile ({graph_builds} "
+        f"build_access_graph calls <= {len(compiled_nests)} compiles)"
     )
 
     # the one-enumeration gate: legality and extraction read one domain
@@ -727,42 +778,114 @@ def _profile_warm_kernel(tasks) -> dict:
     }
 
 
+def _candidate_pairs(nest):
+    """``(s1, a1, s2, a2)`` of every access pair on one array with at
+    least one write: the pairs the dependence walk tests."""
+    from repro.ir import AccessKind
+
+    pairs = nest.all_accesses()
+    for i, (s1, a1) in enumerate(pairs):
+        for s2, a2 in pairs[i:]:
+            if a1.array == a2.array and AccessKind.WRITE in (a1.kind, a2.kind):
+                yield s1, a1, s2, a2
+
+
 def _kept_pairs(nest, params) -> int:
     """Access pairs of ``nest`` the dependence test does not disprove."""
     from repro.ir.dependence import test_dependence
 
-    pairs = nest.all_accesses()
     return sum(
         test_dependence(s1, a1, s2, a2, params) is not None
-        for i, (s1, a1) in enumerate(pairs)
-        for s2, a2 in pairs[i:]
+        for s1, a1, s2, a2 in _candidate_pairs(nest)
+    )
+
+
+def _lattice_pairs(nest) -> int:
+    """Candidate pairs that pass the GCD test, and so reach the one
+    lattice solve of the dependence walk."""
+    from repro.ir.dependence import gcd_test
+
+    return sum(
+        gcd_test(a1.F, a1.c, a2.F, a2.c)
+        for _s1, a1, _s2, a2 in _candidate_pairs(nest)
+    )
+
+
+def _ordered_pairs(scheduled, params) -> int:
+    """Kept pairs of a legality check that a sequential outer loop
+    provably orders: every statement with accesses is scheduled by
+    ``Schedule.sequential_outer(depth, L)``, and the stacked re-solve of
+    ``tests/oracles/schedule.py`` finds no witness with the first
+    ``min(L, shared loops)`` indices of both instances equal."""
+    from repro.ir import Schedule
+    from repro.ir.dependence import test_dependence
+    from repro.ir.legality import _common_prefix
+    from oracles.schedule import dependent_within
+
+    stmts = [s for s in scheduled.nest.statements if s.accesses]
+    if not stmts:
+        return 0
+    outer = scheduled.schedule_of(stmts[0].name).time_dims
+    if any(
+        scheduled.schedule_of(s.name) != Schedule.sequential_outer(s.depth, outer)
+        for s in stmts
+    ):
+        return 0
+    ordered = 0
+    for s1, a1, s2, a2 in _candidate_pairs(scheduled.nest):
+        k = min(outer, _common_prefix(s1.index_names, s2.index_names))
+        if (
+            k
+            and test_dependence(s1, a1, s2, a2, params) is not None
+            and not dependent_within(s1, a1, s2, a2, params, k)
+        ):
+            ordered += 1
+    return ordered
+
+
+def _probe_has_nonzero_row(sol, d1: int, outer: int) -> bool:
+    """Whether a carried-level probe at ``outer`` on the witness lattice
+    ``sol`` has an index equality ``I1[j] = I2[j]`` whose homogeneous
+    part is not zero (the only probes that need a solve)."""
+    return any(
+        h[j, 0] != h[d1 + j, 0] for h in sol.homogeneous for j in range(outer)
     )
 
 
 @contextmanager
 def _recording_dependence_facts():
-    """Wrap the uncached schedule-depth walk and the legality pass for
-    the block; yields the lists they fill (``(nest, params, depth)`` per
-    walk, ``(scheduled, params)`` per pass)."""
-    from repro.ir import legality, schedule
+    """Wrap the dependence walk, its carried-level probes and the
+    legality pass for the block; yields the lists they fill
+    (``(nest, params)`` per walk, ``(lattice, d1, outer)`` per probe,
+    ``(scheduled, params)`` per pass)."""
+    from repro.ir import dependence, legality
 
-    walks, passes = [], []
-    depth, violations = schedule._outer_depth, legality.schedule_violations
+    walks, probes, passes = [], [], []
+    walk_pairs = dependence._walk_pairs
+    probe = dependence._dependent_at
+    violations = legality.schedule_violations
 
     def walk(nest, params):
-        out = depth(nest, params)
-        walks.append((nest, dict(params), out))
-        return out
+        walks.append((nest, dict(params)))
+        return walk_pairs(nest, params)
+
+    def probing(sol, s1, s2, params, outer, self_pair):
+        probes.append((sol, s1.depth, outer))
+        return probe(sol, s1, s2, params, outer, self_pair)
 
     def check(scheduled, params, *args, **kwargs):
         passes.append((scheduled, dict(params)))
         return violations(scheduled, params, *args, **kwargs)
 
-    schedule._outer_depth, legality.schedule_violations = walk, check
+    dependence._walk_pairs = walk
+    dependence._dependent_at = probing
+    legality.schedule_violations = check
     try:
-        yield walks, passes
+        yield walks, probes, passes
     finally:
-        schedule._outer_depth, legality.schedule_violations = depth, violations
+        dependence._walk_pairs = walk_pairs
+        dependence._dependent_at = probe
+        legality.schedule_violations = violations
 
 
 @contextmanager

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..alignment.access_graph import (
+    AccessGraph,
     AccessRef,
     build_access_graph,
     stmt_node,
@@ -70,9 +71,20 @@ def feautrier_align(
     nest: LoopNest,
     m: int,
     root_allocations: Optional[Dict[str, IntMat]] = None,
+    access_graph: Optional[AccessGraph] = None,
 ) -> Alignment:
-    """Step-1 alignment using greedy selection instead of Edmonds."""
-    ag = build_access_graph(nest, m)
+    """Step-1 alignment using greedy selection instead of Edmonds.
+
+    ``access_graph`` is ``build_access_graph(nest, m)`` when the caller
+    already built it (the heuristic's alignment of the same compile
+    carries it); neither alignment mutates the graph, so they share it.
+    """
+    if access_graph is None:
+        ag = build_access_graph(nest, m)
+    elif access_graph.m != m:
+        raise ValueError(f"access graph built for m={access_graph.m}, not m={m}")
+    else:
+        ag = access_graph
     g = ag.graph
     chosen = greedy_edge_selection(g)
 

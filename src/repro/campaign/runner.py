@@ -311,7 +311,8 @@ def _compile_cache_put(key: str, cw: _CompiledWorkload) -> None:
 
 def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
     """The compile stage: two-step heuristic + Feautrier baseline for
-    the task's ``(workload, m, rank_weights)``, LRU-cached per worker
+    the task's ``(workload, m, rank_weights)``, over one access graph,
+    LRU-cached per worker
     with an optional persistent disk tier underneath.
     Returns ``(compiled, cache_hit)``."""
     key = task.compile_key
@@ -350,7 +351,10 @@ def _compile_for_task(task: SweepTask) -> Tuple[_CompiledWorkload, bool]:
         )
         with span("baseline"):
             baseline = optimize_residuals(
-                feautrier_align(nest, task.m),
+                feautrier_align(
+                    nest, task.m,
+                    access_graph=compiled.mapping.alignment.access_graph,
+                ),
                 compiled.schedules,
                 allow_rotations=False,
             )

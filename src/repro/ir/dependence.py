@@ -30,15 +30,23 @@ Two implementation notes:
   (:func:`_fm_feasible`): each round cross-multiplies opposing rows
   and divides the result by its gcd, which gives the same verdicts as
   elimination over ``Fraction`` at any magnitude.
-* **Memoization** — :func:`test_dependence` is cached on a canonical
-  ``(F, c, kind, domain, params)`` key through the linalg-cache
-  framework (counters under ``ir.dependence.cache.*``): schedule
-  inference asks it once per access pair, and legality checking then
-  reads the same verdicts to skip disproved pairs.  Schedule inference
-  memoizes its outer depth per ``(nest, params)`` in the second memo
-  here; only the pairs inference keeps reach the carried-level test
-  :func:`dependent_within`.  Size: :data:`DEPENDENCE_CACHE_SIZE`
-  entries per memo (verdicts are identical with the memo off).
+* **One set of facts per compile** — :func:`dependence_facts` walks
+  the access pairs of a nest once and keeps, per pair, its verdict,
+  its witness lattice ``x = p + H y`` and the level at which the walk
+  found it independent (:class:`DependenceFacts`; the levels come from
+  one walk over the kept pairs, made on first use).  Schedule
+  inference, legality checking, :func:`find_dependences` and
+  :func:`is_fully_parallel` all read these facts, so each verdict has
+  one path.  A carried level comes from the pair's own lattice: the
+  index equalities ``I1[j] = I2[j]`` become rows in ``y``, and only
+  the rows with a non-zero homogeneous part need a (small) solve
+  (:func:`_dependent_at`).  The facts are memoized on the nest's
+  content and the size binding, in one memo of
+  :data:`DEPENDENCE_CACHE_SIZE` entries counted under
+  ``ir.dependence.cache.dependence_facts.{hits,misses}``; campaign
+  grids compile identical nests once per knob value.  The memo lives
+  in its process (nothing of it is pickled), and verdicts are
+  identical with it off.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..linalg import IntMat, solve_axb
+from ..linalg import DiophantineSolution, IntMat, solve_axb
 from ..linalg.cache import _MISSING, NormalFormCache
 from ..obs import span
 from ..obs.metrics import register_provider
@@ -200,8 +208,24 @@ def domain_feasible(sol, s1: Statement, s2: Statement, params: Dict[str, int]) -
     (``for j = i..N``) enter the Fourier–Motzkin system exactly instead
     of being widened to their rectangular hull.
     """
-    part = sol.particular.column_tuple(0)
-    hom_cols = [h.column_tuple(0) for h in sol.homogeneous]
+    return _lattice_in_domains(
+        sol.particular.column_tuple(0),
+        [h.column_tuple(0) for h in sol.homogeneous],
+        s1,
+        s2,
+        params,
+    )
+
+
+def _lattice_in_domains(
+    part: Sequence[int],
+    hom_cols: Sequence[Sequence[int]],
+    s1: Statement,
+    s2: Statement,
+    params: Dict[str, int],
+) -> bool:
+    """:func:`domain_feasible` on the lattice ``part + H y`` given as
+    tuples."""
     nvars = len(hom_cols)
     d1 = s1.depth
     assert len(part) == d1 + s2.depth
@@ -222,62 +246,7 @@ def domain_feasible(sol, s1: Statement, s2: Statement, params: Dict[str, int]) -
 
 
 # ---------------------------------------------------------------------------
-# memo caches — test_dependence and schedule inference
-# ---------------------------------------------------------------------------
-
-#: entries of each memo below (tests patch it to 0 to bypass both)
-DEPENDENCE_CACHE_SIZE = 4096
-
-#: counters live under ``ir.dependence.cache.<name>.{hits,misses}``
-_dep_cache = NormalFormCache(
-    "test_dependence",
-    maxsize=DEPENDENCE_CACHE_SIZE,
-    namespace="ir.dependence.cache",
-)
-#: the sequential outer depth per ``(nest, params)`` (owned here so
-#: one constant governs both; filled by :mod:`repro.ir.schedule`)
-_schedule_cache = NormalFormCache(
-    "schedule_depth",
-    maxsize=DEPENDENCE_CACHE_SIZE,
-    namespace="ir.dependence.cache",
-)
-
-
-def dependence_cache_enabled() -> bool:
-    return DEPENDENCE_CACHE_SIZE > 0
-
-
-def clear_dependence_caches() -> None:
-    """Empty both memo caches and reset their counters."""
-    _dep_cache.clear()
-    _schedule_cache.clear()
-
-
-def dependence_cache_stats() -> Dict[str, Dict[str, int]]:
-    """``{cache name: {hits, misses, size, maxsize}}`` for the
-    dependence-analysis memo caches of this process."""
-    return {
-        "test_dependence": _dep_cache.stats(),
-        "schedule_depth": _schedule_cache.stats(),
-    }
-
-
-register_provider("ir.dependence.cache", dependence_cache_stats)
-
-
-def _domain_key(s: Statement):
-    """Canonical hashable key of a statement's iteration domain — the
-    constraint tuple (frozen dataclasses) plus depth; names don't enter
-    the dependence verdict."""
-    return (s.depth, s.domain.constraints)
-
-
-def _params_key(params: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
-    return tuple(sorted(params.items()))
-
-
-# ---------------------------------------------------------------------------
-# driver
+# per-pair tests
 # ---------------------------------------------------------------------------
 
 def _dep_kind(kind1: AccessKind, kind2: AccessKind) -> str:
@@ -290,153 +259,321 @@ def _dep_kind(kind1: AccessKind, kind2: AccessKind) -> str:
     return "input"
 
 
+def _witness_lattice(
+    s1: Statement,
+    a1: AffineAccess,
+    s2: Statement,
+    a2: AffineAccess,
+    params: Dict[str, int],
+    self_pair: bool,
+) -> Optional[DiophantineSolution]:
+    """The integer solution lattice of ``F1 I1 + c1 = F2 I2 + c2``, or
+    ``None`` when the GCD, lattice or domain test disproves the pair —
+    for the ``self_pair`` of one access also when its only solutions
+    are same-instance ones (``I1 = I2``)."""
+    if not gcd_test(a1.F, a1.c, a2.F, a2.c):
+        return None
+    sol = lattice_test(a1.F, a1.c, a2.F, a2.c)
+    if sol is None or not domain_feasible(sol, s1, s2, params):
+        return None
+    if self_pair and not _has_distinct_solution(sol, s1.depth):
+        return None
+    return sol
+
+
+def _has_distinct_solution(sol, depth: int) -> bool:
+    """True when the solution lattice contains a point with I1 != I2."""
+    return _has_distinct_point(
+        sol.particular.column_tuple(0),
+        [h.column_tuple(0) for h in sol.homogeneous],
+        depth,
+    )
+
+
+def _has_distinct_point(
+    part: Tuple[int, ...], hom_cols: Sequence[Tuple[int, ...]], depth: int
+) -> bool:
+    return any(col[:depth] != col[depth:] for col in (part, *hom_cols))
+
+
+def _dependent_at(
+    sol: DiophantineSolution,
+    s1: Statement,
+    s2: Statement,
+    params: Dict[str, int],
+    outer: int,
+    self_pair: bool,
+) -> bool:
+    """Whether the kept pair with witness lattice ``sol`` keeps a
+    witness once the first ``outer`` indices of both instances are
+    equal (the dependence is then not carried by those loops).
+
+    On the lattice ``x = p + H y`` of ``x = (I1; I2)`` each equality
+    ``I1[j] = I2[j]`` is the row ``(H[j] - H[d1 + j]) y = p[d1 + j] -
+    p[j]`` in ``y``.  A row with a zero homogeneous part needs no
+    solve: its right-hand side is zero (the equality holds on the whole
+    lattice) or not (it holds nowhere).  The other rows go through one
+    Smith solve ``y = q + G z``, and the restricted lattice ``x = (p +
+    H q) + (H G) z`` through the domain and distinct-instance tests.
+    It has the integer points, and so the rational affine hull, of the
+    stacked system ``[F1 | -F2] x = c2 - c1, I1[j] = I2[j]``, so the
+    verdicts are the stacked re-solve's.  Each equality restricts the
+    witness set, so the verdict is monotone in ``outer``.
+    """
+    d1 = s1.depth
+    part = sol.particular.column_tuple(0)
+    hom = [h.column_tuple(0) for h in sol.homogeneous]
+    rows, rhs = [], []
+    for j in range(outer):
+        row = [h[j] - h[d1 + j] for h in hom]
+        b = part[d1 + j] - part[j]
+        if any(row):
+            rows.append(row)
+            rhs.append(b)
+        elif b:
+            return False  # I1[j] - I2[j] is the non-zero constant -b
+    if not rows:
+        # every equality holds on the whole lattice, which the kept
+        # verdict already proved dependent
+        return True
+    restricted = solve_axb(IntMat(rows), IntMat.col(rhs))
+    if restricted is None:
+        return False
+    q = restricted.particular.column_tuple(0)
+    n = len(part)
+    part2 = tuple(
+        part[r] + sum(h[r] * qc for h, qc in zip(hom, q) if qc) for r in range(n)
+    )
+    hom2 = [
+        tuple(sum(h[r] * gc for h, gc in zip(hom, g) if gc) for r in range(n))
+        for g in (c.column_tuple(0) for c in restricted.homogeneous)
+    ]
+    if not _lattice_in_domains(part2, hom2, s1, s2, params):
+        return False
+    return not self_pair or _has_distinct_point(part2, hom2, d1)
+
+
 def test_dependence(
     s1: Statement,
     a1: AffineAccess,
     s2: Statement,
     a2: AffineAccess,
     params: Dict[str, int],
-    same_statement_distinct: bool = True,
 ) -> Optional[str]:
     """Full dependence test between two accesses to the same array.
 
     Returns the dependence kind string when a dependence may exist, or
     ``None`` when it is disproved.  ``params`` binds symbolic sizes for
-    the bounds test.
-
-    The verdict is a pure function of the access matrices, kinds, the
-    two domains and the parameter binding, so it is memoized on that
-    canonical key (see the module docstring) — schedule inference and
-    legality checks re-ask the same questions many times per compile.
+    the bounds test.  The self-pair of one access (``s1 is s2 and a1
+    is a2``) needs two distinct instances.  The compile path reads
+    these verdicts from :func:`dependence_facts`, which makes this test
+    for every pair of a nest at once.
     """
     if a1.array != a2.array:
         return None
     if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
         return None  # input "dependences" don't constrain parallelism
-    if not dependence_cache_enabled():
-        return _test_dependence_uncached(
-            s1, a1, s2, a2, params, same_statement_distinct
-        )
-    key = (
-        a1.F,
-        a1.c,
-        a1.kind,
-        a2.F,
-        a2.c,
-        a2.kind,
-        _domain_key(s1),
-        _domain_key(s2),
-        s1 is s2 and a1 is a2,
-        same_statement_distinct,
-        _params_key(params),
-    )
-    value = _dep_cache.get(key)
-    if value is _MISSING:
-        value = _test_dependence_uncached(
-            s1, a1, s2, a2, params, same_statement_distinct
-        )
-        _dep_cache.put(key, value)
-    return value
+    sol = _witness_lattice(s1, a1, s2, a2, params, s1 is s2 and a1 is a2)
+    return None if sol is None else _dep_kind(a1.kind, a2.kind)
 
 
-def _test_dependence_uncached(
-    s1: Statement,
-    a1: AffineAccess,
-    s2: Statement,
-    a2: AffineAccess,
-    params: Dict[str, int],
-    same_statement_distinct: bool = True,
-) -> Optional[str]:
-    """The memo-free dependence test (the bit-identity baseline the
-    memoized entry is tested against)."""
-    if a1.array != a2.array:
-        return None
-    if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
-        return None
-    if not gcd_test(a1.F, a1.c, a2.F, a2.c):
-        return None
-    sol = lattice_test(a1.F, a1.c, a2.F, a2.c)
-    if sol is None:
-        return None
-    if not domain_feasible(sol, s1, s2, params):
-        return None
-    if s1 is s2 and a1 is a2 and same_statement_distinct:
-        # self-dependence of a single access needs I1 != I2; a lattice
-        # with only the trivial diagonal solution is not a dependence.
-        if not _has_distinct_solution(sol, s1.depth):
-            return None
-    return _dep_kind(a1.kind, a2.kind)
+# ---------------------------------------------------------------------------
+# the dependence facts of a nest, and their memo
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PairFacts:
+    """The verdict and witness lattice of one access pair."""
+
+    #: dependence kind (``"flow"``, ``"anti"``, ``"output"``), or
+    #: ``None`` when the pair is disproved
+    kind: Optional[str]
+    #: the witness lattice of a kept pair (``None`` when disproved)
+    lattice: Optional[DiophantineSolution] = None
 
 
-def _has_distinct_solution(sol, depth: int) -> bool:
-    """True when the solution lattice contains a point with I1 != I2."""
-    part = sol.particular.column_tuple(0)
-    if part[:depth] != part[depth:]:
-        return True
-    for h in sol.homogeneous:
-        col = h.column_tuple(0)
-        if col[:depth] != col[depth:]:
-            return True
-    return False
+_DISPROVED = PairFacts(kind=None)
 
 
-def dependent_within(
-    s1: Statement,
-    a1: AffineAccess,
-    s2: Statement,
-    a2: AffineAccess,
-    params: Dict[str, int],
-    outer: int,
-) -> bool:
-    """Whether a witness pair of the two accesses survives with the
-    first ``outer`` loop indices of both instances equal (the
-    dependence is then not carried by those loops).
+class DependenceFacts:
+    """The dependence facts of one nest under one size binding.
 
-    Stacks ``I1[j] = I2[j]`` (``j < outer <= min(depths)``) under
-    ``[F1 | -F2]`` and re-runs the lattice and domain tests, plus the
-    distinct-instance test for the self-pair of one access.  At
-    ``outer = 0`` this is :func:`test_dependence`'s verdict.  Each
-    equality restricts the witness lattice (and its rational hull), so
-    the verdict is monotone: once ``False`` it stays ``False`` for
-    every larger ``outer``.
+    ``pairs`` maps ``(i, j)`` to the :class:`PairFacts` of every pair
+    ``i <= j`` of positions in ``nest.all_accesses()`` on one array
+    with at least one write, in walk order (``i`` major).  The carried
+    levels (:attr:`outer`, :meth:`level`) come from one walk over the
+    kept pairs, made on first use: checking an explicit schedule that
+    is not outer-sequential never needs them.
     """
-    d1, d2 = s1.depth, s2.depth
-    eq_rows = []
-    for j in range(outer):
-        row = [0] * (d1 + d2)
-        row[j] = 1
-        row[d1 + j] = -1
-        eq_rows.append(row)
-    a = IntMat(a1.F.hstack(-1 * a2.F).tolist() + eq_rows)
-    b = IntMat.col(list((a2.c - a1.c).column_tuple(0)) + [0] * outer)
-    sol = solve_axb(a, b)
-    if sol is None or not domain_feasible(sol, s1, s2, params):
-        return False
-    if s1 is s2 and a1 is a2:
-        # same-instance solutions of a single access aren't dependences
-        return _has_distinct_solution(sol, d1)
-    return True
+
+    def __init__(
+        self,
+        nest: LoopNest,
+        params: Dict[str, int],
+        pairs: Dict[Tuple[int, int], PairFacts],
+    ):
+        self.pairs = pairs
+        self._nest = nest
+        self._params = dict(params)
+        self._carried: Optional[Tuple[Optional[int], Dict]] = None
+
+    @property
+    def outer(self) -> Optional[int]:
+        """The sequential outer depth of
+        :func:`~repro.ir.infer_schedules`, ``None`` when every pair is
+        disproved."""
+        return self._levels()[0]
+
+    def level(self, i: int, j: int) -> Optional[int]:
+        """The level ``k`` at which the walk found kept pair ``(i, j)``
+        independent: no witness survives once the first ``k`` indices
+        of both instances are equal.  ``None`` when not shown (the pair
+        is carried by no loop, or disproved)."""
+        return self._levels()[1].get((i, j))
+
+    def _levels(self):
+        if self._carried is None:
+            self._carried = _carried_levels(self._nest, self._params, self.pairs)
+        return self._carried
+
+
+#: entries of the facts memo (tests patch it to 0 to bypass it)
+DEPENDENCE_CACHE_SIZE = 4096
+
+#: counters live under ``ir.dependence.cache.<name>.{hits,misses}``
+_facts_cache = NormalFormCache(
+    "dependence_facts",
+    maxsize=DEPENDENCE_CACHE_SIZE,
+    namespace="ir.dependence.cache",
+)
+
+
+def dependence_cache_enabled() -> bool:
+    return DEPENDENCE_CACHE_SIZE > 0
+
+
+def clear_dependence_caches() -> None:
+    """Empty the facts memo and reset its counters."""
+    _facts_cache.clear()
+
+
+def dependence_cache_stats() -> Dict[str, Dict[str, int]]:
+    """``{cache name: {hits, misses, size, maxsize}}`` for the
+    dependence-analysis memo of this process."""
+    return {"dependence_facts": _facts_cache.stats()}
+
+
+register_provider("ir.dependence.cache", dependence_cache_stats)
+
+
+def _params_key(params: Dict[str, int]) -> Tuple[Tuple[str, int], ...]:
+    return tuple(sorted(params.items()))
+
+
+def _nest_key(nest: LoopNest):
+    """Canonical hashable key of a nest's dependence-relevant content:
+    per-statement depth, domain constraints and access list (order
+    preserved — pair positions and the self-pair are positional).
+    Statement names don't enter any verdict."""
+    return tuple(
+        (s.depth, s.domain.constraints, tuple(s.accesses))
+        for s in nest.statements
+    )
+
+
+def dependence_facts(nest: LoopNest, params: Dict[str, int]) -> DependenceFacts:
+    """The :class:`DependenceFacts` of ``nest`` under ``params``,
+    memoized on the nest's content (see the module docstring)."""
+    if not dependence_cache_enabled():
+        return _walk_pairs(nest, params)
+    key = (_nest_key(nest), _params_key(params))
+    facts = _facts_cache.get(key)
+    if facts is _MISSING:
+        facts = _walk_pairs(nest, params)
+        _facts_cache.put(key, facts)
+    return facts
+
+
+def _walk_pairs(nest: LoopNest, params: Dict[str, int]) -> DependenceFacts:
+    """One walk over the access pairs: each candidate pair's verdict
+    and witness lattice."""
+    facts: Dict[Tuple[int, int], PairFacts] = {}
+    pairs = nest.all_accesses()
+    with span("compile.dependence"):
+        for i, (s1, a1) in enumerate(pairs):
+            for j in range(i, len(pairs)):
+                s2, a2 = pairs[j]
+                if a1.array != a2.array:
+                    continue
+                if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
+                    continue
+                sol = _witness_lattice(s1, a1, s2, a2, params, i == j)
+                facts[i, j] = (
+                    _DISPROVED if sol is None
+                    else PairFacts(_dep_kind(a1.kind, a2.kind), sol)
+                )
+    return DependenceFacts(nest, params, facts)
+
+
+def _carried_levels(
+    nest: LoopNest,
+    params: Dict[str, int],
+    facts: Dict[Tuple[int, int], PairFacts],
+) -> Tuple[Optional[int], Dict[Tuple[int, int], int]]:
+    """``(outer, levels)``: the sequential outer depth, and the level at
+    which each kept pair was found independent, from one walk over the
+    kept pairs with one monotone level.
+
+    A kept pair still dependent with the first ``level`` indices of
+    both instances equal (:func:`_dependent_at`) raises the level.
+    Equalities only shrink a pair's witness set, so no pair is probed
+    below the current level, and the final level is the largest any
+    pair needs — the first level at which every pair is independent,
+    the dependence level of Allen & Kennedy ("Automatic translation of
+    FORTRAN programs to vector form", TOPLAS 1987).  A pair dependent
+    with all its common indices equal is carried by no loop: the level
+    becomes the nest's depth (fully sequential), and the walk goes on
+    probing the later pairs at their common depth, so their levels are
+    known too.
+    """
+    max_depth = max((s.depth for s in nest.statements), default=0)
+    pairs = nest.all_accesses()
+    level = None
+    levels: Dict[Tuple[int, int], int] = {}
+    with span("compile.dependence"):
+        for (i, j), pf in facts.items():
+            if pf.kind is None:
+                continue
+            s1, s2 = pairs[i][0], pairs[j][0]
+            level = level or 1
+            common = min(s1.depth, s2.depth)
+            while True:
+                k = min(level, common)
+                # k == 0: the pair was just kept
+                if k and not _dependent_at(pf.lattice, s1, s2, params, k, i == j):
+                    levels[i, j] = k
+                    break
+                if k == common:
+                    level = max_depth  # carried by no loop
+                    break
+                level += 1
+    return level, levels
 
 
 def find_dependences(nest: LoopNest, params: Dict[str, int]) -> List[Dependence]:
     """All (conservatively) existing non-input dependences of the nest."""
-    out: List[Dependence] = []
-    with span("compile.dependence"):
-        pairs = nest.all_accesses()
-        for i, (s1, a1) in enumerate(pairs):
-            for s2, a2 in pairs[i:]:
-                kind = test_dependence(s1, a1, s2, a2, params)
-                if kind is not None:
-                    out.append(
-                        Dependence(
-                            array=a1.array,
-                            source=s1.name,
-                            sink=s2.name,
-                            kind=kind,
-                            proven=False,
-                        )
-                    )
-    return out
+    pairs = nest.all_accesses()
+    return [
+        Dependence(
+            array=pairs[i][1].array,
+            source=pairs[i][0].name,
+            sink=pairs[j][0].name,
+            kind=pf.kind,
+            proven=False,
+        )
+        for (i, j), pf in dependence_facts(nest, params).pairs.items()
+        if pf.kind is not None
+    ]
 
 
 def is_fully_parallel(nest: LoopNest, params: Dict[str, int]) -> bool:

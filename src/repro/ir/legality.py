@@ -32,13 +32,33 @@ collisions are found with one ``np.unique`` label intersection per
 access pair instead of the quadratic per-element scan.  Every nest
 takes this one path, depth-0 statements included.
 
-A pair that :func:`~repro.ir.dependence.test_dependence` disproves is
-skipped before any labelling.  The skip is a proof, not a weaker
-check: a failed GCD or lattice test, or an infeasible rational
-relaxation of the domain system, leaves no integer witness pair on
-these bounds (and a lattice of only same-instance solutions leaves
-none with distinct instances).  After :func:`~repro.ir.infer_schedules`
-walked the same pairs, each verdict is a memo hit.
+The witness search reads the nest's
+:func:`~repro.ir.dependence.dependence_facts` (the facts schedule
+inference computed) and labels only the pairs they leave open.  Two
+kinds of pair are skipped before any labelling, and both skips are
+proofs, not weaker checks:
+
+* **disproved** — a failed GCD or lattice test, or an infeasible
+  rational relaxation of the domain system, leaves no integer witness
+  pair on these bounds (and a lattice of only same-instance solutions
+  leaves none with distinct instances);
+* **ordered by a sequential loop** — every statement's ``theta`` is
+  ``Schedule.sequential_outer(depth, L)`` for one ``L``, and the facts
+  show the pair has no witness once the first ``k`` indices of both
+  instances are equal, with ``k <= min(L, prefix)`` (``prefix`` the
+  loops the two statements share, :func:`_common_prefix`).  Then every
+  witness pair ``(I1, I2)`` differs first at some index ``j < k``.
+  Since ``j < prefix``, the original order of the two instances is the
+  sign of ``I1[j] - I2[j]``; since ``j < L``, their times are the
+  first ``L`` indices (zero-padded), so they too differ first at
+  ``j`` with that sign.  The pair has neither a same-step conflict
+  nor an order violation.  The skip never fires on trivial, skewed or
+  other explicit schedules, and checking those makes no carried-level
+  probe.
+
+``ir.legality.pairs.{empty,disproved,ordered,labelled}`` count every
+outcome of a candidate pair (same array, at least one write): a domain
+without points, the two skips, and the label pass.
 
 When the int64 bound of the times or subscripts cannot be proven, the
 stage holds them exactly, on object arrays of Python ints: times stay
@@ -53,16 +73,16 @@ and order included) and gate the speedup floor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs import traced
 from .access import AccessKind
-from .dependence import test_dependence
+from .dependence import dependence_facts
 from .domain import domain_stage
-from .schedule import ScheduledNest
+from .schedule import Schedule, ScheduledNest
 
 def _common_prefix(names1: Sequence[str], names2: Sequence[str]) -> int:
     """Number of leading loops the two statements share (by variable
@@ -143,6 +163,26 @@ def _shared_labels(sub1: np.ndarray, sub2: np.ndarray):
 #: ``schedule_violations`` calls evaluated on the exact (object-dtype)
 #: lane because the int64 bound could not be proven
 _exact_lane = obs_metrics.counter("ir.legality.fallbacks")
+#: candidate pairs by outcome (see the module docstring)
+_pairs_empty = obs_metrics.counter("ir.legality.pairs.empty")
+_pairs_disproved = obs_metrics.counter("ir.legality.pairs.disproved")
+_pairs_ordered = obs_metrics.counter("ir.legality.pairs.ordered")
+_pairs_labelled = obs_metrics.counter("ir.legality.pairs.labelled")
+
+
+def _sequential_outer_depth(scheduled: ScheduledNest) -> Optional[int]:
+    """``L`` when every statement with accesses (the others are in no
+    pair and need no schedule) is scheduled by
+    ``Schedule.sequential_outer(depth, L)`` for one ``L``, else
+    ``None``."""
+    stmts = [s for s in scheduled.nest.statements if s.accesses]
+    if not stmts:
+        return None
+    outer = scheduled.schedule_of(stmts[0].name).time_dims
+    for s in stmts:
+        if scheduled.schedule_of(s.name) != Schedule.sequential_outer(s.depth, outer):
+            return None
+    return outer
 
 
 @traced("legality.violations")
@@ -166,6 +206,8 @@ def schedule_violations(
     pos = {s.name: p for p, s in enumerate(nest.statements)}
     # the stage's accesses, in its order
     pairs = nest.all_accesses()
+    facts = dependence_facts(nest, params)
+    outer = _sequential_outer_depth(scheduled)
     stage = domain_stage(scheduled, params)
     subs = list(stage.subscripts)
     if not stage.proven:
@@ -186,11 +228,19 @@ def schedule_violations(
             if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
                 continue
             sub1, sub2 = subs[i], subs[j]
-            n1, n2 = sub1.shape[0], sub2.shape[0]
-            if n1 == 0 or n2 == 0:
+            if sub1.shape[0] == 0 or sub2.shape[0] == 0:
+                _pairs_empty.inc()
                 continue
-            if test_dependence(s1, a1, s2, a2, params) is None:
+            if facts.pairs[i, j].kind is None:
+                _pairs_disproved.inc()
                 continue  # proven: no witness pair on these bounds
+            prefix = _common_prefix(s1.index_names, s2.index_names)
+            if outer is not None:
+                level = facts.level(i, j)
+                if level is not None and level <= min(outer, prefix):
+                    _pairs_ordered.inc()
+                    continue  # proven: a sequential loop orders every witness
+            _pairs_labelled.inc()
             l1, l2, shared = _shared_labels(sub1, sub2)
             if shared.size == 0:
                 continue
@@ -224,7 +274,6 @@ def schedule_violations(
             k1, k2 = stage.stmt_of[i], stage.stmt_of[j]
             p1_pts, p2_pts = stage.points[k1], stage.points[k2]
             i1, i2 = p1_pts[r1], p2_pts[r2]
-            prefix = _common_prefix(s1.index_names, s2.index_names)
             d = _lex_cmp_rows(i1[:, :prefix], i2[:, :prefix])
             tie = d == 0
             if tie.any():

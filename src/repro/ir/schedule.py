@@ -12,27 +12,20 @@ represented by a ``1 x d`` zero matrix so that kernels are the whole
 iteration space.
 
 :func:`infer_schedules` derives outer-sequential schedules from the
-nest's own dependence facts: one :func:`~repro.ir.dependence.test_dependence`
-verdict per access pair, and carried-level tests only for the pairs it
-keeps.  The level-probing scheduler it replaced is the test oracle
+nest's :func:`~repro.ir.dependence.dependence_facts`: one verdict and
+one witness lattice per access pair, and carried levels read off the
+lattices of the pairs it keeps.  Legality checking reads the same
+facts.  The level-probing scheduler it replaced is the test oracle
 ``tests/oracles/schedule.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..linalg import IntMat
-from ..linalg.cache import _MISSING
-from ..obs import span
-from .dependence import (
-    _params_key,
-    _schedule_cache,
-    dependence_cache_enabled,
-    dependent_within,
-    test_dependence,
-)
+from .dependence import dependence_facts
 from .loopnest import LoopNest
 
 
@@ -66,8 +59,11 @@ class Schedule:
         (sequential) and the inner loops are all parallel.
 
         This matches Example 5 of the paper: ``t`` sequential, the inner
-        ``i, j, k`` loops parallel, i.e. ``theta = e_1^T``.
+        ``i, j, k`` loops parallel, i.e. ``theta = e_1^T``.  With
+        ``outer = 0`` every loop is parallel: the trivial schedule.
         """
+        if outer == 0:
+            return Schedule.trivial(depth)
         rows = [[1 if j == i else 0 for j in range(depth)] for i in range(outer)]
         return Schedule(theta=IntMat(rows))
 
@@ -134,65 +130,11 @@ def infer_schedules(nest: LoopNest, params: Dict[str, int]) -> ScheduledNest:
 
     ``outer`` is the dependence level of Allen & Kennedy ("Automatic
     translation of FORTRAN programs to vector form", TOPLAS 1987),
-    found in one walk over the access pairs (see :func:`_outer_depth`)
-    and memoized per ``(nest, params)`` under
-    ``ir.dependence.cache.schedule_depth.*``: campaign grids re-infer
-    identical nests once per knob value.
+    found in the one walk of
+    :func:`~repro.ir.dependence.dependence_facts`, whose memo campaign
+    grids hit when they re-infer identical nests once per knob value.
     """
-    if not dependence_cache_enabled():
-        outer = _outer_depth(nest, params)
-    else:
-        key = (_nest_key(nest), _params_key(params))
-        outer = _schedule_cache.get(key)
-        if outer is _MISSING:
-            outer = _outer_depth(nest, params)
-            _schedule_cache.put(key, outer)
+    outer = dependence_facts(nest, params).outer
     if outer is None:
         return trivial_schedules(nest)
     return outer_sequential_schedules(nest, outer)
-
-
-def _nest_key(nest: LoopNest):
-    """Canonical hashable key of a nest's dependence-relevant content:
-    per-statement depth, domain constraints and access list (order
-    preserved — the self-pair identity checks are positional).
-    Statement names don't enter any verdict."""
-    return tuple(
-        (s.depth, s.domain.constraints, tuple(s.accesses))
-        for s in nest.statements
-    )
-
-
-def _outer_depth(nest: LoopNest, params: Dict[str, int]) -> Optional[int]:
-    """The number of outer loops to sequentialize, or ``None`` when the
-    nest has no dependence.
-
-    Walks the pairs :func:`test_dependence` did not disprove, once
-    each, with one monotone level: a pair still dependent with the
-    first ``level`` indices of both instances equal
-    (:func:`dependent_within`) raises it.  Equalities only shrink a
-    pair's witness set, so no pair is probed below the current level,
-    and the result is the largest level any pair needs — the first
-    level at which every pair is independent.  A pair dependent with
-    all its common indices equal is carried by no loop: the nest runs
-    fully sequential.
-    """
-    max_depth = max((s.depth for s in nest.statements), default=0)
-    level = None
-    pairs = nest.all_accesses()
-    with span("compile.dependence"):
-        for i, (s1, a1) in enumerate(pairs):
-            for s2, a2 in pairs[i:]:
-                if test_dependence(s1, a1, s2, a2, params) is None:
-                    continue
-                level = level or 1
-                common = min(s1.depth, s2.depth)
-                while True:
-                    k = min(level, common)
-                    # k == 0: test_dependence just said dependent
-                    if k and not dependent_within(s1, a1, s2, a2, params, k):
-                        break
-                    if k == common:
-                        return max_depth  # carried by no loop
-                    level += 1
-    return level

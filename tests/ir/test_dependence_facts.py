@@ -29,15 +29,18 @@ from repro.ir import (
     Schedule,
     ScheduledNest,
     infer_schedules,
+    outer_sequential_schedules,
     schedule_violations,
-    trivial_schedules,
 )
+from repro.ir import dependence
+from repro.ir.dependence import _dependent_at, dependence_facts
 # renamed so that pytest does not collect it as a test
 from repro.ir.dependence import test_dependence as dependence_verdict
 from repro.linalg import IntMat
+from repro.obs import metrics
 
 from oracles.legality import schedule_violations_python
-from oracles.schedule import infer_schedules_probing
+from oracles.schedule import dependent_within, infer_schedules_probing
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 LIMIT = 25
@@ -50,23 +53,26 @@ SETTINGS = settings(
 )
 
 
-def _loops(shape, depth):
-    """The first ``depth`` loops of a rect, tri or 3-D tri nest (every
-    statement shares the outer loops by name, so prefixes interleave)."""
+def _loops(shape, depth, names=VARS):
+    """The first ``depth`` loops of a rect, tri or 3-D tri nest, with
+    loop variables ``names`` (statements that share the outer names
+    interleave their instances on those loops)."""
     if shape == "rect":
         bounds = [(0, "N")] * 3
     elif shape == "tri":
-        bounds = [(0, "N"), ("i", "N"), (0, "N")]
+        bounds = [(0, "N"), (names[0], "N"), (0, "N")]
     else:  # tri3d
-        bounds = [(0, "N"), ("i", "N"), (0, "j")]
-    return [(VARS[d], lo, hi) for d, (lo, hi) in enumerate(bounds[:depth])]
+        bounds = [(0, "N"), (names[0], "N"), (0, names[1])]
+    return [(names[d], lo, hi) for d, (lo, hi) in enumerate(bounds[:depth])]
 
 
 @st.composite
 def generated_nests(draw):
     """``(nest, params)`` of one to three statements with small affine
     accesses, so pairs on one array are often, but not always,
-    disproved."""
+    disproved.  A read may shift the statement's write (a stencil), and
+    a later statement may rename its outer or its second loop, so two
+    statements can share fewer loops than their common depth."""
     shape = draw(st.sampled_from(["rect", "tri", "tri3d"]))
     full = 2 if shape == "tri" else 3
     b = NestBuilder(f"gen-{shape}")
@@ -80,30 +86,52 @@ def generated_nests(draw):
         c = [draw(st.integers(-1, 1)) for _ in range(ARRAYS[arr])]
         return (arr, rows, c)
 
+    def shifted(write):
+        # a stencil read of the write: every instance pair keeps one
+        # constant index distance
+        arr, rows, c = write
+        return (arr, rows, [x + draw(st.integers(-1, 1)) for x in c])
+
     for k in range(draw(st.integers(1, 3))):
         depth = draw(st.integers(1, full))
+        names = draw(st.sampled_from([VARS] * 4 + ["pjk", "iqk"])) if k else VARS
+        write = access(depth)
         b.statement(
             f"S{k}",
-            _loops(shape, depth),
-            writes=[access(depth)],
-            reads=[access(depth) for _ in range(draw(st.integers(0, 2)))],
+            _loops(shape, depth, names),
+            writes=[write],
+            reads=[
+                shifted(write) if draw(st.booleans()) else access(depth)
+                for _ in range(draw(st.integers(0, 2)))
+            ],
         )
     return b.build(), {"N": draw(st.integers(1, 3))}
 
 
+def _not_outer_sequential(nest):
+    """Two schedules that are not outer-sequential and are illegal for
+    most dependent nests: the outer loop run backwards, and the skewed
+    ``theta = (2, 1, ..., 1)``."""
+    return [
+        ScheduledNest(nest, {
+            s.name: Schedule(IntMat([row(s.depth)])) for s in nest.statements
+        })
+        for row in (lambda d: [-1] + [0] * (d - 1), lambda d: [2] + [1] * (d - 1))
+    ]
+
+
 def _schedules(nest, params):
-    """The inferred schedule and two mutants that are illegal for most
-    dependent nests: all parallel, and the outer loop run backwards.
-    (Outer-sequential inference does not order two statements inside
-    one step, so the inferred schedule can be illegal too.)"""
-    reversed_outer = ScheduledNest(
-        nest,
-        {
-            s.name: Schedule(IntMat([[-1] + [0] * (s.depth - 1)]))
-            for s in nest.statements
-        },
+    """The inferred schedule, every outer-sequential one (``L`` from 0,
+    the all-parallel trivial schedule, to the nest's depth) and the two
+    of :func:`_not_outer_sequential`.  (Outer-sequential inference does
+    not order two statements inside one step, so the inferred schedule
+    can be illegal too.)"""
+    max_depth = max(s.depth for s in nest.statements)
+    return (
+        [infer_schedules(nest, params)]
+        + [outer_sequential_schedules(nest, L) for L in range(max_depth + 1)]
+        + _not_outer_sequential(nest)
     )
-    return [infer_schedules(nest, params), trivial_schedules(nest), reversed_outer]
 
 
 def _pair_verdicts(nest, params):
@@ -130,6 +158,30 @@ def test_inferred_schedules_match_probing_oracle(case):
     nest, params = case
     got = infer_schedules(nest, params)
     assert got.schedules == infer_schedules_probing(nest, params).schedules
+
+
+@SETTINGS
+@given(generated_nests())
+def test_carried_levels_match_the_stacked_oracle(case):
+    """Each pair's verdict is the dependence test's; each kept pair's
+    carried-level probe on its own lattice equals the stacked re-solve
+    at every level up to the pair's common depth; and the level the
+    walk recorded for a pair proves it independent there."""
+    nest, params = case
+    facts = dependence_facts(nest, params)
+    pairs = nest.all_accesses()
+    for (i, j), pf in facts.pairs.items():
+        (s1, a1), (s2, a2) = pairs[i], pairs[j]
+        assert pf.kind == dependence_verdict(s1, a1, s2, a2, params)
+        if pf.kind is None:
+            continue
+        for k in range(1, min(s1.depth, s2.depth) + 1):
+            assert _dependent_at(
+                pf.lattice, s1, s2, params, k, i == j
+            ) == dependent_within(s1, a1, s2, a2, params, k)
+        level = facts.level(i, j)
+        if level is not None:
+            assert not dependent_within(s1, a1, s2, a2, params, level)
 
 
 @SETTINGS
@@ -225,3 +277,44 @@ def test_compile_and_price_never_import_numpy_ma():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+OUTCOMES = ("empty", "disproved", "ordered", "labelled")
+
+
+def test_ordered_pair_skip_fires_only_under_outer_sequential_schedules():
+    """Every candidate pair of a legality check that runs to the end
+    (fewer violations than its limit) lands in exactly one
+    ``ir.legality.pairs.*`` outcome.  The ordered-pair skip fires, with
+    pairs left to label, on generated nests under outer-sequential
+    schedules; checking a schedule that is not outer-sequential makes
+    no carried-level probe, even on a cold facts memo."""
+    seen = set()
+    counters = {k: metrics.counter(f"ir.legality.pairs.{k}") for k in OUTCOMES}
+    real_probe = dependence._dependent_at
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(generated_nests())
+    def probe(case):
+        nest, params = case
+        candidates = sum(_pair_verdicts(nest, params))
+        probes = []
+
+        def counting(*args):
+            probes.append(args)
+            return real_probe(*args)
+
+        dependence.clear_dependence_caches()
+        with mock.patch.object(dependence, "_dependent_at", counting):
+            for scheduled in _not_outer_sequential(nest):
+                schedule_violations(scheduled, params, LIMIT)
+            assert probes == []
+            for scheduled in _schedules(nest, params):
+                before = {k: c.value for k, c in counters.items()}
+                if len(schedule_violations(scheduled, params, LIMIT)) < LIMIT:
+                    rose = {k: c.value - before[k] for k, c in counters.items()}
+                    assert sum(rose.values()) == candidates
+                    seen.update(k for k, n in rose.items() if n)
+
+    probe()
+    assert {"disproved", "ordered", "labelled"} <= seen

@@ -240,9 +240,9 @@ class TestDependenceMemo:
     def test_repeat_analysis_hits_the_cache(self):
         nest, params = _pipeline_workloads()[0]
         find_dependences(nest, params)
-        before = dependence_cache_stats()["test_dependence"]
+        before = dependence_cache_stats()["dependence_facts"]
         find_dependences(nest, params)
-        after = dependence_cache_stats()["test_dependence"]
+        after = dependence_cache_stats()["dependence_facts"]
         assert after["hits"] > before["hits"]
         assert after["misses"] == before["misses"]
 
@@ -251,25 +251,25 @@ class TestDependenceMemo:
         clear_dependence_caches()  # the generators infer schedules too
         for nest, params in workloads:
             infer_schedules(nest, params)
-        before = dependence_cache_stats()["schedule_depth"]
-        # one entry per (nest, params), not one per probed level
+        before = dependence_cache_stats()["dependence_facts"]
+        # one entry per (nest content, params), not one per probed level
         assert before["misses"] == before["size"] <= len(workloads)
         for nest, params in workloads:
             infer_schedules(nest, params)
-        after = dependence_cache_stats()["schedule_depth"]
+        after = dependence_cache_stats()["dependence_facts"]
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + len(workloads)
 
     def test_disabling_bypasses_and_clears(self, monkeypatch):
         nest, params = _pipeline_workloads()[0]
         find_dependences(nest, params)
-        assert dependence_cache_stats()["test_dependence"]["size"] > 0
+        assert dependence_cache_stats()["dependence_facts"]["size"] > 0
         monkeypatch.setattr(dep, "DEPENDENCE_CACHE_SIZE", 0)
         clear_dependence_caches()
-        stats = dependence_cache_stats()["test_dependence"]
+        stats = dependence_cache_stats()["dependence_facts"]
         assert stats == {"hits": 0, "misses": 0, "size": 0, "maxsize": stats["maxsize"]}
         find_dependences(nest, params)
-        assert dependence_cache_stats()["test_dependence"]["size"] == 0
+        assert dependence_cache_stats()["dependence_facts"]["size"] == 0
 
     def test_counters_live_in_obs_registry(self):
         from repro import obs
@@ -278,10 +278,8 @@ class TestDependenceMemo:
         find_dependences(nest, params)
         snap = obs.snapshot()
         names = {
-            "ir.dependence.cache.test_dependence.hits",
-            "ir.dependence.cache.test_dependence.misses",
-            "ir.dependence.cache.schedule_depth.hits",
-            "ir.dependence.cache.schedule_depth.misses",
+            "ir.dependence.cache.dependence_facts.hits",
+            "ir.dependence.cache.dependence_facts.misses",
             "ir.dependence.cache",  # the full-stats provider
         }
         assert names <= set(snap)

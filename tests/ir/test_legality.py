@@ -163,3 +163,48 @@ for k = 1..N:
             sn = infer_schedules(nest, params)
             self._assert_identical(sn, params)
             self._assert_identical(trivial_schedules(nest), params)
+
+
+def _renamed_loops_nest():
+    """``S0`` writes ``a[i]``, then ``S1`` reads ``a[p + 1]`` in a loop
+    of its own: the pair is independent once the outer indices are
+    equal (level 1), but the two statements share no loop, so the
+    original order puts all of ``S0`` first."""
+    b = NestBuilder("renamed")
+    b.array("a", 1).array("b", 1)
+    b.statement("S0", [("i", 1, "N")], writes=[("a", [[1]], [0])])
+    b.statement(
+        "S1", [("p", 1, "N")],
+        writes=[("b", [[1]], [0])], reads=[("a", [[1]], [1])],
+    )
+    return b.build()
+
+
+def _inner_carried_nest():
+    """``a[i, j] = a[i, j - 1]``: carried by the inner loop (level 2)."""
+    b = NestBuilder("inner")
+    b.array("a", 2)
+    b.statement(
+        "S", [("i", 1, "N"), ("j", 1, "N")],
+        writes=[("a", [[1, 0], [0, 1]], [0, 0])],
+        reads=[("a", [[1, 0], [0, 1]], [0, -1])],
+    )
+    return b.build()
+
+
+@pytest.mark.parametrize(
+    "make, legal_from",
+    [(_renamed_loops_nest, None), (_inner_carried_nest, 2)],
+)
+def test_ordered_pair_skip_needs_shared_and_sequential_loops(make, legal_from):
+    """The ordered-pair skip holds only for levels within both the
+    sequential loops and the loops the two statements share: a pair
+    with level 1 between statements that share no loop is misordered
+    under every outer-sequential schedule, and a pair carried by the
+    inner loop conflicts until both loops are sequential."""
+    nest = make()
+    for outer in range(3):
+        scheduled = outer_sequential_schedules(nest, outer)
+        got = schedule_violations(scheduled, PARAMS, 5)
+        assert got == schedule_violations_python(scheduled, PARAMS, 5)
+        assert (not got) == (legal_from is not None and outer >= legal_from)

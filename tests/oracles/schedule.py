@@ -7,7 +7,10 @@ the scheduler it must agree with, schedule for schedule: probe
 ``F1 I1 - F2 I2 = c2 - c1, I1[j] = I2[j] (j < outer)`` for *every*
 access pair, the first level at which no pair keeps a witness wins.
 Nothing is memoized and no verdict of ``find_dependences`` is reused
-beyond the dependence-free check.
+beyond the dependence-free check.  :func:`dependent_within` is that
+stacked per-pair test; ``repro.ir.dependence._dependent_at``, which
+adds the equalities in the parameter space of the pair's own lattice,
+must agree with it at every level.
 """
 
 from __future__ import annotations
@@ -26,6 +29,25 @@ from repro.ir.dependence import _has_distinct_solution, domain_feasible
 from repro.linalg import IntMat, solve_axb
 
 
+def dependent_within(s1, a1, s2, a2, params: Dict[str, int], outer: int) -> bool:
+    """Whether the pair keeps a witness with the first ``outer``
+    indices of both instances equal (``outer <= min(depths)``), by
+    re-solving the stacked system ``[F1 | -F2] x = c2 - c1, I1[j] =
+    I2[j]`` and re-running the domain and distinct-instance tests."""
+    eq_rows = []
+    for j in range(outer):
+        row = [0] * (s1.depth + s2.depth)
+        row[j] = 1
+        row[s1.depth + j] = -1
+        eq_rows.append(row)
+    full = IntMat(a1.F.hstack(-1 * a2.F).tolist() + eq_rows)
+    rhs = [(a2.c - a1.c)[r, 0] for r in range(a1.F.nrows)] + [0] * outer
+    sol = solve_axb(full, IntMat.col(rhs))
+    if sol is None or not domain_feasible(sol, s1, s2, params):
+        return False
+    return not (s1 is s2 and a1 is a2) or _has_distinct_solution(sol, s1.depth)
+
+
 def inner_loops_parallel(nest: LoopNest, params: Dict[str, int], outer: int) -> bool:
     """True when no access pair keeps a witness with the first
     ``outer`` indices of both instances equal (capped at each
@@ -38,20 +60,8 @@ def inner_loops_parallel(nest: LoopNest, params: Dict[str, int], outer: int) -> 
             if a1.kind is AccessKind.READ and a2.kind is AccessKind.READ:
                 continue
             k = min(outer, s1.depth, s2.depth)
-            eq_rows = []
-            for j in range(k):
-                row = [0] * (s1.depth + s2.depth)
-                row[j] = 1
-                row[s1.depth + j] = -1
-                eq_rows.append(row)
-            full = IntMat(a1.F.hstack(-1 * a2.F).tolist() + eq_rows)
-            rhs = [(a2.c - a1.c)[r, 0] for r in range(a1.F.nrows)] + [0] * k
-            sol = solve_axb(full, IntMat.col(rhs))
-            if sol is None or not domain_feasible(sol, s1, s2, params):
-                continue
-            if s1 is s2 and a1 is a2 and not _has_distinct_solution(sol, s1.depth):
-                continue
-            return False
+            if dependent_within(s1, a1, s2, a2, params, k):
+                return False
     return True
 
 

@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_nest
@@ -42,6 +42,7 @@ from repro.ir.loopnest import NestBuilder
 from repro.ir.schedule import Schedule, ScheduledNest
 from repro.linalg import IntMat
 from repro.machine import CostParams, MeshModel, machine_spec
+from repro.obs import metrics
 from repro.runtime import (
     MappedProgram,
     execute,
@@ -413,12 +414,13 @@ def drawn_nests(draw):
 
 
 @st.composite
-def drawn_groups(draw):
-    """A drawn nest folded onto two or three meshes, paragon and/or cm5
-    cells per mesh, at a drawn payload; most groups also carry the
-    Feautrier baseline's cells on a drawn subset of those foldings (a
-    mixed call, as the campaign makes for its baseline-memo misses)."""
-    compiled_nest, params = draw(drawn_nests())
+def drawn_groups(draw, nests=drawn_nests()):
+    """A drawn nest (of ``nests``) folded onto two or three meshes,
+    paragon and/or cm5 cells per mesh, at a drawn payload; most groups
+    also carry the Feautrier baseline's cells on a drawn subset of those
+    foldings (a mixed call, as the campaign makes for its baseline-memo
+    misses)."""
+    compiled_nest, params = draw(nests)
     meshes = draw(
         st.lists(st.sampled_from(MESHES), min_size=2, max_size=3, unique=True)
     )
@@ -513,3 +515,84 @@ def test_drawn_groups_cover_every_edge_case():
         "negative-times", "vectorizable-and-not", "all-local",
         "macro-on-cm5", "mixed-mappings",
     }
+
+
+#: a schedule coefficient whose time steps, one loop iteration apart,
+#: span more than 2**57: the time column alone needs 58 key bits
+WIDE = 2**58
+
+
+@st.composite
+def wide_time_nests(draw):
+    """``(compiled nest, size bindings)`` of one or two depth-2
+    statements on rectangular domains, each scheduled by a row whose
+    first entry is near ``WIDE`` (legality is not checked)."""
+    b = NestBuilder("wide-time")
+    b.array("a", 2).array("b", 2)
+    schedules = {}
+    for k in range(draw(st.integers(1, 2))):
+
+        def access():
+            return (
+                draw(st.sampled_from("ab")),
+                draw(st.sampled_from(DRAWN_F[2])),
+                [draw(st.integers(-1, 1)) for _ in range(2)],
+            )
+
+        b.statement(
+            f"S{k}", [("i", 1, "N"), ("j", 1, "N")], writes=[access()],
+            reads=[access() for _ in range(draw(st.integers(1, 2)))],
+        )
+        schedules[f"S{k}"] = Schedule(IntMat([[
+            draw(st.sampled_from([1, -1])) * WIDE + draw(st.integers(-2, 2)),
+            draw(st.integers(-1, 1)),
+        ]]))
+    nest = b.build()
+    params = {"N": draw(st.integers(2, 3))}
+    return (
+        compile_nest(
+            nest, m=2, params=params,
+            schedules=ScheduledNest(nest, schedules), check_legality=False,
+        ),
+        params,
+    )
+
+
+def _wide_time_key(cells):
+    """Whether the stacked group-by key of ``execute_group(cells)``
+    needs more than 63 bits: its time column (zero on the rows of a
+    label the mapping vectorizes) spans at least ``2**57`` over the
+    rows that leave their node, and each of the six other columns
+    needs at least one bit."""
+    times = []
+    for p, _, _ in cells:
+        for batch in p.comm_batches():
+            send = _sends(batch)
+            if not send.any():
+                continue
+            t = batch.times[send][:, 0]
+            times.append(0 * t if _vectorizable(p, batch.access_label) else t)
+    if not times:
+        return False
+    t = np.concatenate(times)
+    return int(t.max()) - int(t.min()) >= 2**57
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(drawn_groups(wide_time_nests()))
+def test_wide_time_keys_fall_back_once_per_pricing_call(group):
+    """A group whose group-by key passes 63 bits prices through the
+    axis-unique fallback inside ``execute_group``: the counter rises by
+    exactly one for the call, and the prices equal the per-phase
+    oracle's."""
+    cells, payload = group
+    assume(_wide_time_key(cells))
+    fallbacks = metrics.counter("machine.unique_rows.fallbacks")
+    before = fallbacks.value
+    got = execute_group(cells, payload=payload)
+    assert fallbacks.value - before == 1
+    want = execute_group_per_phase(cells, payload=payload)
+    assert [bits(r) for r in got] == [bits(r) for r in want]

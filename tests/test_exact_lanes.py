@@ -234,10 +234,17 @@ def test_time_overflow_keeps_exact_witnesses():
 
 def test_generated_cases_reach_both_outcomes():
     """The strategy reaches exact-lane nests whose values fit int64 and
-    ones that overflow, under both kinds of shift."""
+    ones that overflow, under both kinds of shift.  The probe is
+    derandomized, like the 3-D one below, so its draws are fixed: a
+    random probe of 150 examples missed ``(False, False)`` under 3 of
+    61 seeds tried (107, 121, 153).  Hypothesis draws correlated
+    examples, and fewer than a third of them pass the ``2**62`` filter,
+    so the fixed probe runs 300."""
     seen = set()
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(
+        max_examples=300, deadline=None, database=None, derandomize=True
+    )
     @given(shifted_nests())
     def probe(case):
         shift, scheduled = case
