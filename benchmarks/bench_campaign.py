@@ -13,7 +13,9 @@ job (calibrated, with a measured noise band).  Wall times land in
   ``grid_3d`` (``t3d`` on a 2x2x2 cube, m = 3) and ``grid_triangular``
   (the triangular corpus + generated triangular nests on ``paragon``
   4x4 and ``t3d`` 2x2x2).  Every task ok with zero error/timeout
-  records, one compile per compile key, resume a no-op, the heuristic
+  records, one compile per compile key, ``min(jobs, groups)`` worker
+  processes for the whole run (long-lived supervised workers), resume a
+  no-op, the heuristic
   never leaving more residuals than the Feautrier baseline, at least
   one group whose baseline has residuals, and the expected machines
   and meshes in the summary.
@@ -56,6 +58,7 @@ from repro.campaign import (
 )
 from repro.campaign import runner
 from repro.campaign.sweep import canonical_json, group_by_compile_key
+from repro.obs import metrics
 
 sys.path.append(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
@@ -130,12 +133,16 @@ def test_campaign_grid_gate(tmp_path, name):
     if name == "grid_triangular":
         assert len(tasks) == 2 * (grid["nests"] + 4)  # + 4 corpus kernels
 
-    # pool workers inherit the parent's caches: start them cold
+    # supervised workers fork from this process and inherit its
+    # caches: start them cold
     clear_compile_cache()
     clear_baseline_cache()
+    spawns = metrics.counter("campaign.executor.resilient.spawns")
+    spawned = spawns.value
     t0 = time.perf_counter()
     outcome = run_campaign(tasks, out, CampaignConfig(jobs=JOBS), meta=meta)
     wall = time.perf_counter() - t0
+    spawned = spawns.value - spawned
 
     # --- the gate: every task completes, zero errors/timeouts ---------
     assert outcome.ran == len(tasks)
@@ -147,6 +154,9 @@ def test_campaign_grid_gate(tmp_path, name):
     # other cells of its group hit the per-worker cache
     assert outcome.compile_cache_misses == nests
     assert outcome.compile_cache_hits == len(tasks) - nests
+    # long-lived workers: a faultless run starts one per job slot it
+    # fills and none after
+    assert spawned == min(JOBS, nests), spawned
 
     # resume on a completed checkpoint is a no-op
     again = run_campaign(tasks, out, resume=True, meta=meta)
@@ -182,6 +192,7 @@ def test_campaign_grid_gate(tmp_path, name):
             "wall_seconds": round(wall, 3),
             "tasks_per_second": round(len(tasks) / wall, 2),
             "unique_compiles": outcome.compile_cache_misses,
+            "worker_spawns": spawned,
             "compile_cache": {
                 "hits": outcome.compile_cache_hits,
                 "misses": outcome.compile_cache_misses,

@@ -3,8 +3,8 @@ every fault, and converge back to the clean results on resume.
 
 Not a paper artefact — the robustness gate for the fault-tolerant
 execution layer (:mod:`repro.campaign.executors`).  The harness injects
-all three fault modes into a multi-cell grid under the ``resilient``
-backend:
+all three fault modes into a multi-cell grid run the default way at
+``jobs > 1`` (the supervised worker pool):
 
 * ``kill`` — the worker is SIGKILLed mid-task (the OOM-killer /
   segfault scenario);
@@ -30,7 +30,10 @@ The gate asserts that
    self-heal in-run: zero failure records, attempt counts > 1;
 5. the faulted and self-healing runs take the default group path:
    every group with two or more unfaulted tasks prices them in one
-   ``execute_group`` call (faults drop out per task first).
+   ``execute_group`` call (faults drop out per task first);
+6. workers are long-lived and replaced only when they die: each
+   faulted run starts ``jobs`` workers plus one per worker death, hang
+   kill and heartbeat loss.
 
 Measurements land in ``BENCH_chaos.json`` (schema in PERFORMANCE.md).
 """
@@ -46,6 +49,10 @@ from repro.campaign import (
     run_campaign,
     would_fault,
 )
+from repro.obs import metrics
+
+#: the supervisor's lifecycle counters
+LIFECYCLE = ("spawns", "worker_deaths", "hang_kills", "heartbeat_losses")
 
 SEED = 0
 NESTS = 4
@@ -90,6 +97,25 @@ def _pick_fail_seed(clauses_prefix, tasks, victims):
         if hit:
             return seed
     raise AssertionError("no seed under 1000 draws a fail fault")
+
+
+def _lifecycle():
+    return {
+        name: metrics.counter(f"campaign.executor.resilient.{name}").value
+        for name in LIFECYCLE
+    }
+
+
+def _check_spawns(before):
+    """Gate 6: ``jobs`` spawns plus one per lost worker; returns the
+    run's lifecycle counts."""
+    counts = {k: v - before[k] for k, v in _lifecycle().items()}
+    losses = (
+        counts["worker_deaths"] + counts["hang_kills"]
+        + counts["heartbeat_losses"]
+    )
+    assert counts["spawns"] == JOBS + losses, counts
+    return counts
 
 
 def test_chaos_gate(tmp_path, monkeypatch):
@@ -150,16 +176,17 @@ def test_chaos_gate(tmp_path, monkeypatch):
     # --- gate 1+2: the faulted campaign finishes, faults are typed ----
     out = str(tmp_path / "chaos.jsonl")
     monkeypatch.setenv("REPRO_FAULT_INJECT", spec_text)
+    lifecycle = _lifecycle()
     t0 = time.perf_counter()
     faulted = run_campaign(
         tasks, out,
         CampaignConfig(
-            jobs=JOBS, executor="resilient", timeout=TIMEOUT,
-            heartbeat_timeout=10.0, backoff=0.01,
+            jobs=JOBS, timeout=TIMEOUT, heartbeat_timeout=10.0, backoff=0.01,
         ),
         meta=meta,
     )
     faulted_wall = time.perf_counter() - t0
+    faulted_lifecycle = _check_spawns(lifecycle)
     monkeypatch.delenv("REPRO_FAULT_INJECT")
 
     assert faulted.ran == len(tasks)  # nothing lost, nothing hung
@@ -199,21 +226,23 @@ def test_chaos_gate(tmp_path, monkeypatch):
     open(pricing_log, "w").close()
     transient = spec_text.replace("times=99", "times=1")
     monkeypatch.setenv("REPRO_FAULT_INJECT", transient)
+    lifecycle = _lifecycle()
     t0 = time.perf_counter()
     selfheal = run_campaign(
         tasks, healed_path,
         CampaignConfig(
-            jobs=JOBS, executor="resilient", timeout=TIMEOUT,
-            heartbeat_timeout=10.0, retries=2, backoff=0.01,
+            jobs=JOBS, timeout=TIMEOUT, heartbeat_timeout=10.0,
+            retries=2, backoff=0.01,
         ),
         meta=meta,
     )
     selfheal_wall = time.perf_counter() - t0
+    selfheal_lifecycle = _check_spawns(lifecycle)
     monkeypatch.delenv("REPRO_FAULT_INJECT")
     assert selfheal.ok == len(tasks)
     assert selfheal.crashed == 0 and selfheal.errors == 0
     assert selfheal.retried >= 1
-    # a group whose killed or hung task is retried in a fresh worker
+    # a group whose killed or hung task is retried in another worker
     # prices more cells than predicted; every group still prices whole
     _, group_calls = pricing()
     assert sum(n > 1 for n in group_calls) >= len(multi), group_calls
@@ -236,10 +265,12 @@ def test_chaos_gate(tmp_path, monkeypatch):
             "faulted_crashed": faulted.crashed,
             "faulted_timeouts": faulted.timeouts,
             "faulted_errors": faulted.errors,
+            "faulted_lifecycle": faulted_lifecycle,
             "resume_seconds": round(resume_wall, 3),
             "resume_reran": resumed.ran,
             "converged_bit_identical": True,
             "selfheal_seconds": round(selfheal_wall, 3),
             "selfheal_retry_attempts": selfheal.retried,
+            "selfheal_lifecycle": selfheal_lifecycle,
         },
     )

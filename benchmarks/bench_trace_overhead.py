@@ -64,8 +64,8 @@ def test_trace_overhead_and_stage_breakdown(tmp_path):
     meta = {"spec_digest": spec.digest()}
 
     def counted_run(name, trace=None):
-        """One pool run of the grid, with every pricing call logged (in
-        the fork-started workers too)."""
+        """One supervised-worker run of the grid, with every pricing
+        call logged (in the fork-started workers too)."""
         with pytest.MonkeyPatch.context() as patch:
             pricing = count_pricing_calls(patch, str(tmp_path / f"{name}.log"))
             outcome = run_campaign(

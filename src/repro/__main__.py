@@ -32,13 +32,14 @@ meshes with ``--m 2``, ``t3d`` wants 3-D meshes with ``--m 3``), e.g.::
     python -m repro campaign run --machines paragon,t3d \
         --mesh 4x4,2x2x2 --m 2,3 --out runs/mixed.jsonl
 
-``--executor`` picks the execution backend (``inline``, ``pool`` or
-``resilient`` — see :mod:`repro.campaign.executors`); ``--retries`` /
+``--jobs 1`` (the default) runs in this process; ``--jobs N`` runs on
+N long-lived supervised worker processes that survive worker crashes
+and hangs (see :mod:`repro.campaign.executors`).  ``--retries`` /
 ``--backoff`` retry transient failures (worker crash, timeout, OOM)
 with capped exponential backoff::
 
-    python -m repro campaign run --executor resilient --retries 2 \
-        --timeout 60 --jobs 4 --out runs/hardened.jsonl
+    python -m repro campaign run --retries 2 --timeout 60 --jobs 4 \
+        --out runs/hardened.jsonl
 
 ``--trace`` records a span/metric JSONL trace next to the results, and
 ``trace report`` / ``summarize --timings`` render its per-stage time
@@ -291,7 +292,10 @@ def _campaign_parser() -> argparse.ArgumentParser:
             help="number of generated workloads (default: 20)",
         )
         p.add_argument(
-            "--jobs", type=int, default=1, help="parallel worker processes"
+            "--jobs", type=int, default=1,
+            help="worker processes: 1 runs in this process (default), "
+            "N > 1 runs on N supervised workers with per-task crash and "
+            "hang recovery",
         )
         _add_common_args(p, campaign=True)
         p.add_argument(
@@ -321,12 +325,6 @@ def _campaign_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECS",
             help="per-task wall-clock cap (must be positive)",
-        )
-        p.add_argument(
-            "--executor", choices=("inline", "pool", "resilient"),
-            default=None,
-            help="execution backend (default: pool when --jobs > 1, "
-            "else inline; resilient adds per-task crash/hang recovery)",
         )
         p.add_argument(
             "--retries", type=int, default=0, metavar="N",
@@ -556,7 +554,6 @@ def campaign_main(argv: List[str]) -> int:
                 timeout=args.timeout,
                 max_tasks=args.max_tasks,
                 retry_failures=args.retry_failed,
-                executor=args.executor,
                 retries=args.retries,
                 backoff=args.backoff,
                 settings=settings,

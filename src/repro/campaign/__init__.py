@@ -14,9 +14,9 @@ at a time.
 * :mod:`~repro.campaign.runner` — campaign orchestration, the one
   group execution path (typed per-task errors, timeouts, tracing),
   JSONL checkpoint/resume;
-* :mod:`~repro.campaign.executors` — pluggable execution backends
-  (``inline``, ``pool``, ``resilient``) with retry/backoff,
-  worker-death recovery and hang detection;
+* :mod:`~repro.campaign.executors` — the two execution backends,
+  picked by ``jobs``: inline, and long-lived supervised workers with
+  retry/backoff, worker-death recovery and hang detection;
 * :mod:`~repro.campaign.faults` — deterministic fault-injection
   harness (``REPRO_FAULT_INJECT``) for chaos testing;
 * :mod:`~repro.campaign.store` — typed result records, tolerant JSONL
@@ -26,14 +26,7 @@ CLI: ``python -m repro campaign run|resume|summarize``.
 """
 
 from .._config import Settings
-from .executors import (
-    BACKOFF_CAP,
-    Executor,
-    ExecutorConfig,
-    RETRYABLE_KINDS,
-    executor_names,
-    make_executor,
-)
+from .executors import BACKOFF_CAP, ExecutorConfig, RETRYABLE_KINDS
 from .faults import FAULT_ENV, InjectedFault, parse_fault_spec, would_fault
 from .runner import (
     CampaignConfig,
@@ -103,10 +96,7 @@ __all__ = [
     "compile_cache_stats",
     "clear_baseline_cache",
     "baseline_cache_stats",
-    "Executor",
     "ExecutorConfig",
-    "executor_names",
-    "make_executor",
     "RETRYABLE_KINDS",
     "BACKOFF_CAP",
     "FAULT_ENV",

@@ -1,14 +1,14 @@
-"""The ``Executor`` interface and the shared worker-side machinery.
+"""The execution config and the machinery both backends share.
 
-An executor takes the runner's compile-key groups (all machine x mesh
+A backend takes the runner's compile-key groups (all machine x mesh
 cells of one compiled nest; see
 :func:`repro.campaign.sweep.group_by_compile_key`) and yields batches
 of :class:`~repro.campaign.store.TaskResult` as they complete.  The
 runner records every result to the JSONL checkpoint the moment a batch
-lands, so executor choice never changes durability semantics — only
-how (and how safely) the work is driven.
+lands, so the backend never changes durability semantics — only where
+the work runs.
 
-Worker-side helpers shared by all backends:
+Worker-side helpers shared by both backends:
 
 * :func:`init_worker` — install the parent's
   :class:`~repro._config.Settings` snapshot (disk-tier directory, fault
@@ -18,15 +18,14 @@ Worker-side helpers shared by all backends:
 * :func:`iter_group` / :func:`run_group` — one compile-key group
   through :func:`repro.campaign.runner.run_task_group`, re-running
   retryable failures as a smaller group with capped exponential
-  backoff.  Every backend runs its groups through these.
+  backoff.  Both backends run their groups through these.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..._config import Settings
 from ...obs import metrics as obs_metrics
@@ -46,7 +45,7 @@ BACKOFF_CAP = 30.0
 
 @dataclass
 class ExecutorConfig:
-    """Backend-independent execution knobs (built by the runner from
+    """Execution knobs of one run (built by the runner from
     :class:`~repro.campaign.runner.CampaignConfig`)."""
 
     jobs: int = 1
@@ -63,27 +62,8 @@ class ExecutorConfig:
     trace: bool = False
 
 
-class Executor(ABC):
-    """Submit compile-key groups, yield ``TaskResult`` batches."""
-
-    #: registry name (set by subclasses)
-    name: str = ""
-
-    def __init__(self, config: ExecutorConfig):
-        self.config = config
-
-    @abstractmethod
-    def run(
-        self, groups: Sequence[List[SweepTask]]
-    ) -> Iterator[List[TaskResult]]:
-        """Execute every task of every group, yielding result batches
-        as they complete.  Implementations must be non-hanging: worker
-        death, hung tasks and transient failures become typed failure
-        records, never a stuck iterator."""
-
-
 def mp_context(name: Optional[str] = None):
-    """The multiprocessing context for process-based backends: the
+    """The multiprocessing context of the supervised workers: the
     named method when given, else fork when the platform has it (cheap
     workers, inherited imports), else the platform default."""
     import multiprocessing
@@ -110,9 +90,9 @@ def init_worker(
     """Prepare a worker process: the settings snapshot (disk tier and
     fault plan) and the tracing flag.
 
-    Called in every worker entry point of the process backends (the
-    inline backend applies the settings alone, with both capabilities
-    off).  Passing both through the call rather than
+    Called in every supervised worker when it starts (the inline
+    backend applies the settings alone, with both capabilities off).
+    Passing both through the call rather than
     relying on fork-inherited globals is what keeps spawn-context
     workers honouring the parent's configuration (a spawn worker
     re-imports ``repro.obs`` with tracing off, which would silently
@@ -137,9 +117,9 @@ def iter_group(
     with ``attempt + 1`` after a capped exponential backoff, within a
     budget of ``config.retries + 1`` attempts per task.  ``attempts``
     carries attempts a previous (crashed) worker already consumed, so
-    supervisors resume the count instead of restarting it.  ``sleep``
-    and ``on_attempt`` let the resilient worker announce backoffs and
-    deadlines to its supervisor."""
+    the supervisor resumes the count instead of restarting it.
+    ``sleep`` and ``on_attempt`` let a supervised worker announce
+    backoffs and deadlines to its supervisor."""
     attempts = {t.task_id: (attempts or {}).get(t.task_id, 1) for t in group}
     pending = list(group)
     rounds = 0
@@ -169,40 +149,10 @@ def iter_group(
 
 
 def run_group(
-    group: Sequence[SweepTask],
-    config: ExecutorConfig,
-    attempts: Optional[Dict[str, int]] = None,
+    group: Sequence[SweepTask], config: ExecutorConfig
 ) -> List[TaskResult]:
-    """:func:`iter_group` collected in group order (the in-worker half
-    of the inline and pool backends)."""
-    final = {r.task_id: r for r in iter_group(group, config, attempts)}
+    """:func:`iter_group` collected in group order (one inline
+    batch)."""
+    final = {r.task_id: r for r in iter_group(group, config)}
     return [final[t.task_id] for t in group]
 
-
-_REGISTRY: Dict[str, Type[Executor]] = {}
-
-
-def register_executor(cls: Type[Executor]) -> Type[Executor]:
-    """Class decorator adding a backend to the registry."""
-    if not cls.name:
-        raise ValueError(f"executor class {cls.__name__} has no name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def executor_names() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def make_executor(name: str, config: ExecutorConfig) -> Executor:
-    """Instantiate a backend by registry name (friendly ``ValueError``
-    on an unknown name)."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r} "
-            f"(known: {', '.join(executor_names())})"
-        ) from None
-    return cls(config)

@@ -1,8 +1,8 @@
 """The in-process backend: no workers, no pickling, easiest to debug.
 
 Runs every group sequentially in the calling process, through the same
-:func:`~repro.campaign.executors.base.run_group` as the process
-backends (SIGALRM group deadlines need the main thread).  Fault injection
+:func:`~repro.campaign.executors.base.iter_group` as the supervised
+workers (SIGALRM group deadlines need the main thread).  Fault injection
 is armed *without* the kill/hang capabilities — an injected ``kill``
 must not shoot the main process, so both are downgraded to transient
 failures (see :mod:`repro.campaign.faults`).
@@ -19,19 +19,16 @@ from ..._config import Settings
 from ..runner import apply_settings
 from ..store import TaskResult
 from ..sweep import SweepTask
-from .base import Executor, register_executor, run_group
+from .base import ExecutorConfig, run_group
 
 
-@register_executor
-class InlineExecutor(Executor):
-    name = "inline"
-
-    def run(
-        self, groups: Sequence[List[SweepTask]]
-    ) -> Iterator[List[TaskResult]]:
-        apply_settings(self.config.settings)
-        try:
-            for group in groups:
-                yield run_group(group, self.config)
-        finally:
-            apply_settings(Settings())
+def run_inline(
+    groups: Sequence[List[SweepTask]], config: ExecutorConfig
+) -> Iterator[List[TaskResult]]:
+    """Run ``groups`` in order in this process, one batch per group."""
+    apply_settings(config.settings)
+    try:
+        for group in groups:
+            yield run_group(group, config)
+    finally:
+        apply_settings(Settings())

@@ -1,22 +1,27 @@
-"""The supervised-worker backend: per-task crash/hang recovery.
+"""The supervised-worker backend: long-lived children with per-task
+crash/hang recovery.
 
-Each compile-key group runs in its own child process under active
-supervision (up to ``jobs`` children at a time).  The child runs the
-group through :func:`~repro.campaign.executors.base.iter_group` — the
-same group path as every backend — and streams a message per event
-over a pipe: work started (the tasks and their deadline), backoff
-begun, result ready, heartbeat.  The parent turns every failure mode
-into a typed record instead of a hung campaign:
+At most ``jobs`` children start once; each takes one compile-key group
+at a time over its pipe, so a child's compile LRU, baseline memo,
+dependence/linalg caches and imports survive from group to group.  A
+child runs its group through
+:func:`~repro.campaign.executors.base.iter_group` — the same group path
+as the inline backend — and streams a message per event: work started
+(the tasks and their deadline), backoff begun, result ready, group
+done, heartbeat.  The parent turns every failure mode into a typed
+record instead of a hung campaign, and replaces a child only when it
+dies or is killed:
 
 * **worker death** (SIGKILL, OOM killer, segfault): the pipe hits EOF /
   the process exits.  A death while one task was in flight (its fault
   check, or a one-task group) is charged to that task: it is retried
-  in a fresh child (capped exponential backoff) while the attempt
-  budget lasts, then recorded as ``status="crashed"``
-  (``error_kind="crash"``).  A death inside a multi-task group cannot
-  be charged to one task, so each unreported task re-runs alone in its
-  own child, where a second death is attributable.  Tasks that
-  already reported results are *not* re-run;
+  (capped exponential backoff) while the attempt budget lasts, then
+  recorded as ``status="crashed"`` (``error_kind="crash"``).  A death
+  inside a multi-task group cannot be charged to one task, so each
+  unreported task re-runs alone, where a second death is
+  attributable.  Tasks that already reported results are *not*
+  re-run.  A group whose workers keep dying before any task starts
+  gives up after ``retries + 2`` hand-outs;
 * **hangs SIGALRM cannot interrupt** (native code holding the GIL, or
   masked alarms): detected two ways — the announced deadline (the
   task's ``timeout``, or the group deadline ``timeout x tasks``, plus
@@ -30,33 +35,33 @@ into a typed record instead of a hung campaign:
 
 This also works on platforms without SIGALRM or ``fork`` — pass
 ``mp_context="spawn"``; all worker configuration travels through the
-supervision pipe rather than fork-inherited globals.
+process arguments rather than fork-inherited globals.  A worker whose
+supervisor is gone exits at its next heartbeat.
 
-Results stream to the caller (and thus the JSONL checkpoint) the
-moment each group round finishes, so killing the *campaign* process
-mid-group loses at most the in-flight round.
+Results stream to the caller (and thus the JSONL checkpoint) as they
+arrive, so killing the *campaign* process mid-group loses at most the
+in-flight rounds.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as conn_wait
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...obs import metrics as obs_metrics
 from ..runner import _failure_result, crashed_result
 from ..store import TaskResult
 from ..sweep import SweepTask
 from .base import (
-    Executor,
     ExecutorConfig,
     backoff_delay,
     init_worker,
     iter_group,
     mp_context,
-    register_executor,
 )
 
 #: parent poll interval while supervising (seconds)
@@ -66,19 +71,21 @@ _HANG_GRACE = 1.0
 #: extra slack allowed on announced backoff sleeps
 _BACKOFF_SLACK = 0.5
 
+#: one unit of work: the tasks, the attempts they already consumed and
+#: how many children it has been handed to
+_Item = Tuple[List[SweepTask], Dict[str, int], int]
+
 
 def _heartbeat_interval(config: ExecutorConfig) -> float:
     return max(0.05, min(1.0, config.heartbeat_timeout / 4.0))
 
 
-def _supervised_entry(
-    conn, group: List[SweepTask], config: ExecutorConfig,
-    attempts: Dict[str, int],
-) -> None:
-    """Child-process main: run the group, streaming supervision events."""
+def _worker_main(conn, config: ExecutorConfig) -> None:
+    """Child-process main: run each group the parent sends, streaming
+    supervision events, until the parent sends ``None``."""
     init_worker(config, allow_kill=True, allow_hang=True)
+    supervisor = os.getppid()
     send_lock = threading.Lock()
-    stop = threading.Event()
 
     def send(msg: Tuple) -> None:
         with send_lock:
@@ -86,14 +93,17 @@ def _supervised_entry(
 
     def beat() -> None:
         interval = _heartbeat_interval(config)
-        while not stop.wait(interval):
+        while True:
+            time.sleep(interval)
             try:
+                if os.getppid() != supervisor:
+                    raise OSError("supervisor gone")
                 send(("hb",))
-            except OSError:  # parent went away; nothing left to tell
-                return
+            except OSError:  # nobody left to report to
+                os._exit(1)
 
     threading.Thread(target=beat, daemon=True).start()
-    try:
+    for group, attempts in iter(conn.recv, None):
         for result in iter_group(
             group,
             config,
@@ -105,30 +115,35 @@ def _supervised_entry(
         ):
             send(("result", result))
         send(("done",))
-    finally:
-        stop.set()
-        conn.close()
 
 
 class _Child:
     """Supervisor-side state of one worker process."""
 
-    def __init__(self, proc, conn, tasks: List[SweepTask],
-                 attempts: Dict[str, int], spawns: int = 1):
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
+        self.last_msg = time.monotonic()
+        self.kill_reason: Optional[str] = None
+        self.assign(None)
+
+    def assign(self, item: Optional[_Item]) -> None:
+        """Hand the child one work item (``None`` marks it idle)."""
+        self.busy = item is not None
+        tasks, attempts, self.tries = item or ([], {}, 0)
         self.tasks = deque(tasks)  # not yet reported
         self.attempts = dict(attempts)
-        self.spawns = spawns
-        now = time.monotonic()
-        self.last_msg = now
         #: the announced unit of work: its task ids, start and budget
         self.current_ids: List[str] = []
         self.attempt_started: Optional[float] = None
         self.attempt_budget: Optional[float] = None
         self.deadline_extra = 0.0
-        self.finished = False
-        self.kill_reason: Optional[str] = None
+        if item is not None:
+            self.last_msg = time.monotonic()
+            try:
+                self.conn.send((tasks, attempts))
+            except OSError:
+                pass  # already dead: reaped as a death before any task
 
     def hang_deadline(self) -> Optional[float]:
         if self.attempt_budget is None or self.attempt_started is None:
@@ -141,75 +156,86 @@ class _Child:
         )
 
 
-@register_executor
-class ResilientExecutor(Executor):
-    name = "resilient"
+def run_supervised(
+    groups: Sequence[List[SweepTask]], config: ExecutorConfig
+) -> Iterator[List[TaskResult]]:
+    """Run ``groups`` on at most ``config.jobs`` supervised workers,
+    yielding result batches as they arrive."""
+    return _Supervisor(config).run(groups)
+
+
+class _Supervisor:
+    def __init__(self, config: ExecutorConfig):
+        self.config = config
+        self.ctx = mp_context(config.mp_context)
+        self.ready: Deque[_Item] = deque()
+        #: backoff-delayed items, sorted by due time
+        self.delayed: List[Tuple[float, _Item]] = []
+        self.children: List[_Child] = []
+
+    def spawn(self) -> _Child:
+        parent_conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(
+            target=_worker_main, args=(child_conn, self.config), daemon=True
+        )
+        proc.start()
+        child_conn.close()
+        obs_metrics.counter("campaign.executor.resilient.spawns").inc()
+        child = _Child(proc, parent_conn)
+        self.children.append(child)
+        return child
 
     def run(
         self, groups: Sequence[List[SweepTask]]
     ) -> Iterator[List[TaskResult]]:
-        cfg = self.config
-        ctx = mp_context(cfg.mp_context)
-        slots = max(1, cfg.jobs)
-        ready: "deque[Tuple[List[SweepTask], Dict[str, int], int]]" = deque(
-            (list(group), {}, 1) for group in groups
-        )
-        delayed: List[
-            Tuple[float, List[SweepTask], Dict[str, int], int]
-        ] = []
-        children: List[_Child] = []
-
-        def spawn(
-            tasks: List[SweepTask], attempts: Dict[str, int], spawns: int
-        ) -> _Child:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_supervised_entry,
-                args=(child_conn, tasks, cfg, attempts),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            obs_metrics.counter("campaign.executor.resilient.spawns").inc()
-            return _Child(proc, parent_conn, tasks, attempts, spawns=spawns)
-
+        slots = max(1, self.config.jobs)
+        self.ready.extend((list(group), {}, 1) for group in groups)
         try:
-            while ready or delayed or children:
+            while (
+                self.ready or self.delayed
+                or any(c.busy for c in self.children)
+            ):
                 now = time.monotonic()
-                if delayed:
-                    due = [it for it in delayed if it[0] <= now]
-                    for it in due:
-                        delayed.remove(it)
-                        ready.append((it[1], it[2], it[3]))
-                while ready and len(children) < slots:
-                    children.append(spawn(*ready.popleft()))
-                if not children:
-                    if delayed:
+                while self.delayed and self.delayed[0][0] <= now:
+                    self.ready.append(self.delayed.pop(0)[1])
+                for child in self.children:
+                    if self.ready and not child.busy:
+                        child.assign(self.ready.popleft())
+                while self.ready and len(self.children) < slots:
+                    self.spawn().assign(self.ready.popleft())
+                if not any(c.busy for c in self.children):
+                    if self.delayed:
                         time.sleep(
-                            min(_POLL, max(0.0, delayed[0][0] - now))
+                            min(_POLL, max(0.0, self.delayed[0][0] - now))
                         )
                     continue
 
                 # multiplex over the supervision pipes
                 try:
-                    conn_wait([c.conn for c in children], timeout=_POLL)
+                    conn_wait([c.conn for c in self.children], timeout=_POLL)
                 except OSError:
                     pass
                 now = time.monotonic()
-                for child in list(children):
+                for child in list(self.children):
                     batch = self._drain(child, now)
                     if batch:
                         yield batch
-                    for late in self._reap(child, children, ready, delayed, now):
-                        yield late
+                    yield from self._reap(child, now)
         finally:
-            for child in children:
+            for child in self.children:
+                if child.busy:
+                    child.proc.kill()
+                else:
+                    try:
+                        child.conn.send(None)
+                    except OSError:
+                        pass
+            for child in self.children:
+                child.proc.join(timeout=1.0)
                 if child.proc.is_alive():
                     child.proc.kill()
-                child.proc.join(timeout=1.0)
+                    child.proc.join(timeout=1.0)
                 child.conn.close()
-
-    # -- supervisor internals -------------------------------------------
 
     def _drain(self, child: _Child, now: float) -> List[TaskResult]:
         """Pull every pending message off one child's pipe."""
@@ -239,27 +265,16 @@ class ResilientExecutor(Executor):
                     child.attempt_started = None
                 child.tasks = deque(t for t in child.tasks if t.task_id != tid)
             elif kind == "done":
-                child.finished = True
+                child.assign(None)
             # "hb" only refreshes last_msg
         return batch
 
-    def _reap(
-        self,
-        child: _Child,
-        children: List[_Child],
-        ready,
-        delayed,
-        now: float,
-    ) -> Iterator[List[TaskResult]]:
-        """Handle completion, hang deadlines and death for one child."""
+    def _reap(self, child: _Child, now: float) -> Iterator[List[TaskResult]]:
+        """Handle hang deadlines and death for one child."""
         cfg = self.config
-        if child.finished:
-            children.remove(child)
-            child.proc.join(timeout=5.0)
-            child.conn.close()
-            return
-        alive = child.proc.is_alive()
-        if alive:
+        if child.proc.is_alive():
+            if not child.busy:
+                return
             deadline = child.hang_deadline()
             if deadline is not None and now > deadline:
                 child.kill_reason = (
@@ -289,32 +304,35 @@ class ResilientExecutor(Executor):
         final = self._drain(child, now)
         if final:
             yield final
-        if child.finished:
-            children.remove(child)
-            child.conn.close()
-            return
-        children.remove(child)
+        self.children.remove(child)
         child.conn.close()
         if child.kill_reason is None:
             obs_metrics.counter(
                 "campaign.executor.resilient.worker_deaths"
             ).inc()
+        if child.busy:
+            yield from self._requeue(child, now)
+        if self.ready or self.delayed:
+            self.spawn()  # replace the dead worker while work waits
 
+    def _requeue(self, child: _Child, now: float) -> Iterator[List[TaskResult]]:
+        """Charge a dead worker's loss and queue what it left unreported."""
+        cfg = self.config
         remaining = list(child.tasks)
         attempts = dict(child.attempts)
-        spawns = child.spawns + 1
+        tries = child.tries + 1
         pending = {t.task_id for t in remaining}
         lost_ids = [i for i in child.current_ids if i in pending]
         if len(lost_ids) > 1:
             # died inside a multi-task group: no single task to charge,
             # so each re-runs alone, where a second death is attributable
-            ready.extend(([t], attempts, spawns) for t in remaining)
+            self.ready.extend(([t], attempts, tries) for t in remaining)
             return
         lost_id = lost_ids[0] if lost_ids else None
-        if lost_id is None and spawns > cfg.retries + 2:
-            # the worker keeps dying/wedging before reaching any task
-            # (e.g. an import-time crash): give up on the whole group
-            # rather than respawning forever
+        if lost_id is None and tries > cfg.retries + 2:
+            # the group keeps killing its worker before reaching any task
+            # (e.g. an import-time crash): give up on it rather than
+            # handing it out forever
             why = child.kill_reason or (
                 "worker process repeatedly died before starting a task "
                 f"(exitcode {child.proc.exitcode})"
@@ -346,12 +364,13 @@ class ResilientExecutor(Executor):
                 remaining = [t for t in remaining if t.task_id != lost_id]
             else:
                 attempts[lost_id] = consumed + 1
-        if remaining:
-            delay = 0.0
-            if lost_id is not None and lost_id in attempts:
-                delay = backoff_delay(cfg.backoff, attempts[lost_id] - 1)
-            if delay > 0:
-                delayed.append((now + delay, remaining, attempts, spawns))
-                delayed.sort(key=lambda it: it[0])
-            else:
-                ready.append((remaining, attempts, spawns))
+        if not remaining:
+            return
+        delay = 0.0
+        if lost_id is not None and lost_id in attempts:
+            delay = backoff_delay(cfg.backoff, attempts[lost_id] - 1)
+        if delay > 0:
+            self.delayed.append((now + delay, (remaining, attempts, tries)))
+            self.delayed.sort(key=lambda it: it[0])
+        else:
+            self.ready.append((remaining, attempts, tries))

@@ -19,7 +19,7 @@ Spec grammar (clauses separated by ``;``, options by ``,``)::
            | "seed=I"   seed of the probability hash (default 0)
            | "task=S"   fire on task ids starting with S
            | "times=I"  with task=: sabotage the first I attempts (default 1)
-           | "n=I"      fire on the I-th injection check of this process
+           | "n=I"      fire on the I-th injection check of this worker
 
 Examples::
 
@@ -29,24 +29,28 @@ Examples::
 
 Selection is **order-independent** for ``p=``/``task=`` clauses: the
 decision is a pure function of ``(seed, mode, task_id, attempt)``, so
-the same tasks fault no matter how a pool schedules them, and a retry
+the same tasks fault no matter how workers schedule them, and a retry
 (``attempt`` + 1) re-rolls — injected faults are *transient* by
-construction unless ``times=``/``p=1`` pins them.  ``n=`` is a
-per-process counter for targeted unit tests.  Clauses are checked in
-order; the first that fires wins.
+construction unless ``times=``/``p=1`` pins them.  ``n=`` counts
+injection checks per worker *process*, for targeted unit tests: an
+inline run is one worker whose count starts with the run, and a
+supervised worker is long-lived, so its count runs across every group
+it takes (``fail:n=1`` fires once per worker: twice at ``jobs=2`` on a
+grid of three or more groups).  Clauses are checked in order; the
+first that fires wins.
 
 Fault modes and the capability gate:
 
 * ``fail`` — raise :class:`InjectedFault` (recorded as a typed
   ``error_kind="fault"`` error);
 * ``kill`` — ``SIGKILL`` the current process.  Only honoured when the
-  executor marked the process *sacrificial* (``allow_kill=True``, i.e.
-  a pool/supervised worker); otherwise downgraded to ``fail`` so an
-  inline run cannot shoot the main process;
+  backend marked the process *sacrificial* (``allow_kill=True``, i.e.
+  a supervised worker); otherwise downgraded to ``fail`` so an inline
+  run cannot shoot the main process;
 * ``hang`` — block ``SIGALRM`` and sleep forever, simulating a hung
-  native call.  Only honoured under the ``resilient`` executor
+  native call.  Only honoured in a supervised worker
   (``allow_hang=True``), whose supervisor detects and kills hung
-  workers; elsewhere downgraded to ``fail``.
+  workers; inline it is downgraded to ``fail``.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class FaultClause:
         """Pure selector: does this clause fire for this check?
 
         ``counter`` is the 1-based index of the injection check within
-        the process (used by ``n=`` clauses only).
+        the worker process (used by ``n=`` clauses only).
         """
         if self.n is not None:
             return counter == self.n
@@ -154,7 +158,7 @@ def would_fault(
 
     Pure — this is how the chaos harness computes the expected fault
     set before running.  ``n=`` clauses are skipped: they depend on the
-    per-process check counter, which is execution-order dependent.
+    per-worker check counter, which is execution-order dependent.
     """
     for clause in clauses:
         if clause.n is None and clause.fires(task_id, attempt, counter=0):
@@ -194,8 +198,8 @@ def activate(
 ) -> None:
     """Arm fault injection for this process (``None``/empty disarms).
 
-    Executors call this in their worker entry points with the
-    capabilities the backend can survive; see the module doc for the
+    Both backends call this (through ``apply_settings``) with the
+    capabilities they can survive; see the module doc for the
     downgrade rules.
     """
     global _active

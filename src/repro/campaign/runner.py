@@ -4,10 +4,11 @@
 prices any subset of one compile-key group — the two-step heuristic
 *and* the greedy Feautrier baseline on the same machine models, so
 every record carries its heuristic-vs-baseline ratio.
-:func:`run_campaign` drives a task list through a pluggable execution
-backend (see :mod:`repro.campaign.executors`: ``inline``, ``pool``,
-``resilient``), all of which call :func:`run_task_group` per group;
-each batch of results a backend yields (one compile-key group, on the
+:func:`run_campaign` drives a task list through one of two backends
+(see :mod:`repro.campaign.executors`), both of which call
+:func:`run_task_group` per group: ``jobs == 1`` (or a one-task run)
+runs inline, ``jobs > 1`` on long-lived supervised workers.  Each
+batch of results a backend yields (one compile-key group, on the
 inline backend) goes to the :class:`~repro.campaign.store.RunStore`
 with one write as it lands; killing the process at any point loses at
 most the in-flight groups, and re-running with ``resume=True`` executes exactly the tasks
@@ -17,10 +18,10 @@ Failures are **typed**: every non-ok record carries an ``error_kind``
 from the taxonomy in :data:`repro.campaign.store.ERROR_KINDS` —
 ``compile``/``price`` for deterministic stage failures, ``timeout``
 for wall-clock caps and supervisor-detected hangs, ``crash`` for
-worker death (the ``pool``/``resilient`` backends convert a SIGKILLed
-worker into ``status="crashed"`` records instead of hanging the
-campaign), ``oom`` for in-process memory exhaustion and ``fault`` for
-injected transient failures.  Transient kinds are retried with capped
+worker death (the supervisor converts a SIGKILLed worker into
+``status="crashed"`` records instead of hanging the campaign), ``oom``
+for in-process memory exhaustion and ``fault`` for injected transient
+failures.  Transient kinds are retried with capped
 exponential backoff when ``CampaignConfig.retries`` is set; the
 attempt count lands in ``TaskResult.attempts``.
 
@@ -60,7 +61,7 @@ import time
 import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._config import Settings
@@ -441,7 +442,7 @@ def _baseline_store(key: Tuple, price: float) -> None:
 # ---------------------------------------------------------------------------
 #
 # A compile-key group (the machine x mesh cells of one compiled nest) is
-# the unit of execution: inline, pool and resilient backends all hand
+# the unit of execution: the inline and supervised backends both hand
 # any subset of one group to run_task_group, which decides each task's
 # injected fault alone, compiles the survivors' nest once and prices
 # all their cells in one pass.  A group deadline or a price error
@@ -784,19 +785,16 @@ class CampaignConfig:
     #: crashed (by default failures count as done and are never
     #: retried); the superseded failure lines are compacted away
     retry_failures: bool = False
-    #: execution backend (see :mod:`repro.campaign.executors`); None
-    #: picks ``pool`` for ``jobs > 1`` and ``inline`` otherwise
-    executor: Optional[str] = None
     #: extra attempts per task for transient failures (fault/crash/
     #: oom/timeout kinds); 0 disables in-run retries
     retries: int = 0
     #: base delay of the capped exponential retry backoff, in seconds
     #: (delay = backoff * 2**(retry - 1), capped at BACKOFF_CAP)
     backoff: float = 0.5
-    #: resilient executor: max silence (no heartbeat/result) from a
-    #: supervised worker before it is declared wedged and killed
+    #: max silence (no heartbeat/result) from a busy supervised worker
+    #: before it is declared wedged and killed
     heartbeat_timeout: float = 30.0
-    #: multiprocessing start method for the process-based executors
+    #: multiprocessing start method of the supervised workers
     #: (None = fork when available, else the platform default)
     mp_context: Optional[str] = None
     #: the run's deployment settings (None = parse the ``REPRO_*``
@@ -804,8 +802,20 @@ class CampaignConfig:
     settings: Optional[Settings] = None
     #: write a span/metric JSONL trace of this run to the given path
     #: (enables tracing for the duration of the run — including in the
-    #: executor's worker processes — and restores the flag afterwards)
+    #: supervised workers — and restores the flag afterwards)
     trace: Optional[str] = None
+    #: retired backend selector: ``jobs`` picks the backend.  Accepted
+    #: only as ``"inline"`` with ``jobs=1``, which is what ``jobs``
+    #: picks anyway, so callers that still pass it keep working
+    executor: InitVar[Optional[str]] = None
+
+    def __post_init__(self, executor: Optional[str]) -> None:
+        if executor is not None and (executor, self.jobs) != ("inline", 1):
+            raise ValueError(
+                f"executor={executor!r} with jobs={self.jobs!r}: the "
+                "executor selector is retired and jobs picks the backend "
+                "(jobs=1 runs inline, jobs > 1 on supervised workers)"
+            )
 
 
 @dataclass
@@ -876,10 +886,23 @@ def run_campaign(
     its meta record against ``meta["spec_digest"]`` (when both are
     present) and runs only the tasks without a stored result.
 
-    A malformed ``REPRO_*`` knob raises ``ValueError`` naming it before
-    the store is touched or any worker starts.
+    ``jobs == 1`` (or a one-task run) runs inline; ``jobs > 1`` runs
+    on at most ``jobs`` long-lived supervised workers.  A malformed
+    ``CampaignConfig`` field or ``REPRO_*`` knob raises ``ValueError``
+    naming it before the store is touched or any worker starts.
     """
     config = config or CampaignConfig()
+    for field, value, bad, want in (
+        ("jobs", config.jobs, config.jobs < 1, ">= 1"),
+        ("retries", config.retries, config.retries < 0, ">= 0"),
+        ("backoff", config.backoff, config.backoff < 0, ">= 0"),
+        (
+            "heartbeat_timeout", config.heartbeat_timeout,
+            config.heartbeat_timeout <= 0, "positive",
+        ),
+    ):
+        if bad:
+            raise ValueError(f"{field} must be {want}, got {value!r}")
     if config.timeout is not None and config.timeout <= 0:
         raise ValueError(
             f"timeout must be positive, got {config.timeout!r} (omit it "
@@ -1019,41 +1042,35 @@ def run_campaign(
     # worker: K machine x mesh cells -> one compile + K prices
     groups = group_by_compile_key(capped)
 
-    from .executors import ExecutorConfig, make_executor
+    from .executors import ExecutorConfig, run_inline, run_supervised
 
-    name = config.executor
-    if name is None:
-        name = "pool" if config.jobs > 1 and len(capped) > 1 else "inline"
-    # process backends take groups largest-first so the run does not
+    supervised = config.jobs > 1 and len(capped) > 1
+    # supervised workers take groups largest-first so the run does not
     # end on one straggler group; inline keeps grid order
-    groups = order_groups_for_dispatch(
-        groups, largest_first=(name != "inline" and config.jobs > 1)
-    )
-    backend = make_executor(
-        name,
-        ExecutorConfig(
-            jobs=config.jobs,
-            timeout=config.timeout,
-            retries=config.retries,
-            backoff=config.backoff,
-            heartbeat_timeout=config.heartbeat_timeout,
-            mp_context=config.mp_context,
-            settings=settings,
-            trace=obs_tracing.is_enabled(),
-        ),
+    groups = order_groups_for_dispatch(groups, largest_first=supervised)
+    backend = run_supervised if supervised else run_inline
+    exec_config = ExecutorConfig(
+        jobs=config.jobs,
+        timeout=config.timeout,
+        retries=config.retries,
+        backoff=config.backoff,
+        heartbeat_timeout=config.heartbeat_timeout,
+        mp_context=config.mp_context,
+        settings=settings,
+        trace=obs_tracing.is_enabled(),
     )
     try:
         if trace_writer is not None:
             trace_writer.write_meta(
                 {
                     "spec_digest": meta.get("spec_digest"),
-                    "executor": name,
+                    "executor": "resilient" if supervised else "inline",
                     "jobs": config.jobs,
                     "tasks": len(capped),
                     "groups": len(groups),
                 }
             )
-        for batch in backend.run(groups):
+        for batch in backend(groups, exec_config):
             record(batch)
     finally:
         store.close()

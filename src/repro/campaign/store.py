@@ -29,7 +29,7 @@ CLASS_KEYS = ("local", "translation", "macro", "decomposed", "general")
 ERROR_KINDS = ("compile", "price", "timeout", "crash", "oom", "fault")
 
 #: ``TaskResult.status`` values ("crashed" = the worker died under the
-#: task; resilient/pool executors record it instead of hanging)
+#: task; the supervisor records it instead of hanging)
 STATUSES = ("ok", "error", "timeout", "crashed")
 
 

@@ -178,7 +178,7 @@ def group_by_compile_key(tasks: Sequence[SweepTask]) -> List[List[SweepTask]]:
 
     The runner dispatches one group — all machine x mesh cells of one
     compiled nest — to one worker, so the compile stage runs once per
-    group no matter how the pool schedules work.
+    group no matter how the workers schedule work.
     """
     groups: Dict[str, List[SweepTask]] = {}
     order: List[str] = []
@@ -198,9 +198,9 @@ def order_groups_for_dispatch(
 
     With ``largest_first`` the groups are sorted by descending size
     (ties broken by first task id, so the order stays deterministic) —
-    longest-processing-time-first scheduling, which keeps a process
-    pool from ending on one straggler group.  Without it the
-    first-occurrence grid order is preserved (the inline backend uses
+    longest-processing-time-first scheduling, which keeps a run on
+    supervised workers from ending on one straggler group.  Without it
+    the first-occurrence grid order is preserved (the inline backend uses
     this so single-process runs append records in grid order).
     """
     if not largest_first:

@@ -122,7 +122,7 @@ class TestCacheBehaviour:
         )
         nests = len({t.compile_key for t in tasks})
         # grouping pins every cell of one nest to one worker, so the
-        # compile count is exact even under pool scheduling
+        # compile count is exact whichever worker of the pool runs it
         assert outcome.compile_cache_misses == nests
         assert outcome.compile_cache_hits == len(tasks) - nests
 

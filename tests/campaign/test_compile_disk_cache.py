@@ -234,7 +234,6 @@ class TestWorkerPassthrough:
             "spawned",
             disk=disk,
             jobs=2,
-            executor="pool",
             mp_context="spawn",
         )
         assert outcome.ok == len(tasks)

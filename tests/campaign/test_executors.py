@@ -1,6 +1,7 @@
-"""The pluggable execution backends: parity with inline, worker-death
-recovery, retry/backoff telemetry, hang detection and configuration
-pass-through for spawn-context workers."""
+"""The execution backends: the supervised worker pool's parity with
+inline, long-lived workers, worker-death recovery, retry/backoff
+telemetry, hang detection, configuration pass-through for
+spawn-context workers and validation of the run's config."""
 
 import pytest
 
@@ -14,8 +15,6 @@ from repro.campaign import (
     compile_cache_stats,
     default_spec,
     execute_task,
-    executor_names,
-    make_executor,
     run_campaign,
 )
 from repro.campaign import faults, runner
@@ -25,7 +24,7 @@ from repro.campaign.executors import (
     backoff_delay,
     init_worker,
 )
-from repro.obs import tracing
+from repro.obs import metrics, tracing
 
 
 @pytest.fixture(scope="module")
@@ -64,17 +63,25 @@ def _run(grid, tmp_path, name, **kw):
     return outcome, results
 
 
-class TestRegistry:
-    def test_three_backends_registered(self):
-        assert executor_names() == ["inline", "pool", "resilient"]
+def _spawns():
+    return metrics.counter("campaign.executor.resilient.spawns").value
 
-    def test_unknown_name_is_friendly(self):
-        with pytest.raises(ValueError, match="unknown executor 'warp'"):
-            make_executor("warp", ExecutorConfig())
+
+class TestRegistry:
+    """There is no backend registry: ``jobs`` picks the backend."""
 
     def test_runner_rejects_unknown_executor(self, grid, tmp_path):
-        with pytest.raises(ValueError, match="unknown executor"):
-            _run(grid, tmp_path, "bad", executor="warp")
+        # the retired selector is accepted only as the inline jobs=1
+        # picks anyway (test_explicit_inline_matches_default)
+        for kw in (
+            {"executor": "warp"},
+            {"executor": "pool", "jobs": 2},
+            {"executor": "resilient", "jobs": 2},
+            {"executor": "inline", "jobs": 2},
+        ):
+            with pytest.raises(ValueError, match="jobs picks the backend"):
+                _run(grid, tmp_path, "bad", **kw)
+        assert not (tmp_path / "bad.jsonl").exists()
 
     def test_backoff_delay_is_capped_exponential(self):
         assert backoff_delay(0.5, 1) == 0.5
@@ -85,14 +92,16 @@ class TestRegistry:
 
 
 class TestParity:
-    @pytest.mark.parametrize("name", ["pool", "resilient"])
-    def test_process_backends_match_inline(
-        self, grid, tmp_path, reference, name
+    def test_supervised_workers_match_inline(
+        self, grid, tmp_path, reference
     ):
-        outcome, results = _run(grid, tmp_path, name, jobs=2, executor=name)
+        spawns = _spawns()
+        outcome, results = _run(grid, tmp_path, "pool", jobs=2)
         assert outcome.ok == len(reference) and outcome.crashed == 0
         got = {k: r.deterministic_dict() for k, r in results.items()}
         assert got == reference
+        # long-lived workers: two start for three groups, none after
+        assert _spawns() - spawns == 2
 
     def test_explicit_inline_matches_default(self, grid, tmp_path, reference):
         _, results = _run(grid, tmp_path, "inline", executor="inline")
@@ -126,8 +135,8 @@ def pricing_calls(monkeypatch, tmp_path):
 
     monkeypatch.setattr(runtime, "execute", counted_execute)
     monkeypatch.setattr(runtime, "execute_group", counted_execute_group)
-    # pool workers fork from this process: start them with empty caches
-    # so every heuristic and baseline cell is priced
+    # supervised workers fork from this process: start them with empty
+    # caches so every heuristic and baseline cell is priced
     clear_compile_cache()
     clear_baseline_cache()
 
@@ -141,10 +150,11 @@ def pricing_calls(monkeypatch, tmp_path):
 
 
 class TestGroupPath:
-    """Every backend prices a multi-cell compile-key group — heuristic
+    """Both backends price a multi-cell compile-key group — heuristic
     cells and baseline misses together — through one ``execute_group``
     call, also under a timeout, a fault spec or tracing, and only
-    one-task groups price through ``execute``."""
+    one-task groups price through ``execute``.  "pool" here is the
+    ``jobs > 1`` supervised worker pool."""
 
     @pytest.mark.parametrize(
         "extra",
@@ -157,9 +167,7 @@ class TestGroupPath:
         spec, tasks = grid
         if "trace" in extra:
             extra = {"trace": str(tmp_path / "trace.jsonl")}
-        outcome, results = _run(
-            grid, tmp_path, "pool", jobs=2, executor="pool", **extra
-        )
+        outcome, results = _run(grid, tmp_path, "pool", jobs=2, **extra)
         assert outcome.ok == len(tasks)
         singles, groups = pricing_calls()
         # 3 groups of 2 cells: one call each, carrying the 2 heuristic
@@ -177,9 +185,7 @@ class TestGroupPath:
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", f"fail:task={victim.task_id},times=99"
         )
-        outcome, results = _run(
-            grid, tmp_path, "faulted", jobs=2, executor="pool"
-        )
+        outcome, results = _run(grid, tmp_path, "faulted", jobs=2)
         assert results[victim.task_id].error_kind == "fault"
         assert outcome.ok == len(tasks) - 1
         singles, groups = pricing_calls()
@@ -191,13 +197,10 @@ class TestGroupPath:
             if tid != victim.task_id:
                 assert r.deterministic_dict() == reference[tid]
 
-    @pytest.mark.parametrize("name", ["inline", "resilient"])
-    def test_other_backends_price_groups_through_execute_group(
-        self, grid, tmp_path, pricing_calls, name
+    def test_inline_prices_groups_through_execute_group(
+        self, grid, tmp_path, pricing_calls
     ):
-        outcome, _ = _run(
-            grid, tmp_path, name, jobs=2, executor=name, timeout=30.0
-        )
+        outcome, _ = _run(grid, tmp_path, "inline", timeout=30.0)
         assert outcome.ok == len(grid[1])
         assert pricing_calls() == (0, [4] * 3)
 
@@ -205,18 +208,22 @@ class TestGroupPath:
 class TestWorkerDeath:
     """A SIGKILLed worker must surface as typed records, never a hang."""
 
-    @pytest.mark.parametrize("name", ["pool", "resilient"])
     def test_kill_surfaces_crashed_and_campaign_continues(
-        self, grid, tmp_path, monkeypatch, name
+        self, grid, tmp_path, monkeypatch
     ):
         spec, tasks = grid
         victim = tasks[0]
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", f"kill:task={victim.task_id},times=99"
         )
-        outcome, results = _run(
-            grid, tmp_path, name, jobs=2, executor=name, backoff=0.01,
-        )
+        spawns = _spawns()
+        deaths = metrics.counter("campaign.executor.resilient.worker_deaths")
+        before = deaths.value
+        outcome, results = _run(grid, tmp_path, "pool", jobs=2, backoff=0.01)
+        # the dead worker is replaced (its group's sibling still waits);
+        # the other keeps running groups
+        assert deaths.value - before == 1
+        assert _spawns() - spawns == 2 + 1
         assert outcome.crashed >= 1
         crashed = [r for r in results.values() if r.status == "crashed"]
         assert any(r.task_id == victim.task_id for r in crashed)
@@ -230,8 +237,8 @@ class TestWorkerDeath:
         self, grid, tmp_path, monkeypatch, reference
     ):
         # a worker that dies while pricing a multi-task group cannot be
-        # charged to one task: each task re-runs alone in its own child
-        # (one-task groups price through execute, which works here)
+        # charged to one task: each task re-runs alone as a one-task
+        # group (which prices through execute, which works here)
         import os
         import signal
 
@@ -241,9 +248,7 @@ class TestWorkerDeath:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(runtime, "execute_group", dying_group)
-        outcome, results = _run(
-            grid, tmp_path, "resilient", jobs=2, executor="resilient",
-        )
+        outcome, results = _run(grid, tmp_path, "resilient", jobs=2)
         assert outcome.ok == len(grid[1]) and outcome.crashed == 0
         got = {k: r.deterministic_dict() for k, r in results.items()}
         assert got == reference
@@ -252,7 +257,7 @@ class TestWorkerDeath:
         self, grid, tmp_path, monkeypatch
     ):
         # the victim's compile-key group has 2 mesh cells; only the
-        # victim task is lost, its sibling completes in the respawn
+        # victim task is lost, its sibling completes in another worker
         spec, tasks = grid
         victim = tasks[0]
         siblings = [
@@ -264,17 +269,13 @@ class TestWorkerDeath:
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", f"kill:task={victim.task_id},times=99"
         )
-        _, results = _run(
-            grid, tmp_path, "resilient", jobs=2, executor="resilient",
-            backoff=0.01,
-        )
+        _, results = _run(grid, tmp_path, "resilient", jobs=2, backoff=0.01)
         assert results[victim.task_id].status == "crashed"
         for s in siblings:
             assert results[s.task_id].status == "ok"
 
-    @pytest.mark.parametrize("name", ["pool", "resilient"])
     def test_retries_heal_a_transient_kill(
-        self, grid, tmp_path, monkeypatch, reference, name
+        self, grid, tmp_path, monkeypatch, reference
     ):
         spec, tasks = grid
         victim = tasks[0]
@@ -283,8 +284,7 @@ class TestWorkerDeath:
             "REPRO_FAULT_INJECT", f"kill:task={victim.task_id},times=1"
         )
         outcome, results = _run(
-            grid, tmp_path, name, jobs=2, executor=name,
-            retries=2, backoff=0.01,
+            grid, tmp_path, "pool", jobs=2, retries=2, backoff=0.01,
         )
         assert outcome.crashed == 0 and outcome.ok == len(tasks)
         assert outcome.retried >= 1
@@ -292,6 +292,19 @@ class TestWorkerDeath:
         # the healed record is bit-identical to the unfaulted run
         got = {k: r.deterministic_dict() for k, r in results.items()}
         assert got == reference
+
+
+class TestLongLivedWorkers:
+    def test_counter_fault_fires_once_per_worker(
+        self, grid, tmp_path, monkeypatch
+    ):
+        # n= counts injection checks per worker process, across every
+        # group the worker takes: two workers on three groups fire twice
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:n=1")
+        outcome, results = _run(grid, tmp_path, "n1", jobs=2, retries=0)
+        faulted = [r for r in results.values() if r.error_kind == "fault"]
+        assert len(faulted) == 2
+        assert outcome.ok == len(grid[1]) - 2
 
 
 class TestHangDetection:
@@ -304,7 +317,7 @@ class TestHangDetection:
             "REPRO_FAULT_INJECT", f"hang:task={victim.task_id},times=99"
         )
         outcome, results = _run(
-            grid, tmp_path, "resilient", jobs=2, executor="resilient",
+            grid, tmp_path, "resilient", jobs=2,
             timeout=2.0, heartbeat_timeout=10.0, backoff=0.01,
         )
         rec = results[victim.task_id]
@@ -321,7 +334,7 @@ class TestHangDetection:
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT", f"hang:task={victim.task_id},times=99"
         )
-        _, results = _run(grid, tmp_path, "inline", executor="inline")
+        _, results = _run(grid, tmp_path, "inline")
         rec = results[victim.task_id]
         assert rec.status == "error" and rec.error_kind == "fault"
         assert "downgraded" in rec.error
@@ -340,7 +353,7 @@ class TestSpawnConfigPassthrough:
             fault_spec=f"fail:task={victim.task_id},times=99",
         )
         outcome, results = _run(
-            grid, tmp_path, "spawned", jobs=2, executor="pool",
+            grid, tmp_path, "spawned", jobs=2,
             mp_context="spawn", settings=settings,
         )
         assert results[victim.task_id].error_kind == "fault"
@@ -349,7 +362,7 @@ class TestSpawnConfigPassthrough:
         assert len(list(disk.iterdir())) == groups
 
     def test_init_worker_applies_settings_and_trace(self, tmp_path):
-        # the executor backend's worker config: disk tier, fault plan
+        # the supervised workers' config: disk tier, fault plan
         # and tracing flag land in the worker process
         prev_trace = tracing.is_enabled()
         disk = str(tmp_path / "cache")
@@ -370,6 +383,32 @@ class TestSpawnConfigPassthrough:
             runner.apply_settings(Settings())
             tracing.set_enabled(prev_trace)
         assert compile_cache_stats()["dir"] is None
+
+
+class TestConfigValidation:
+    """A malformed field raises naming it before the store is touched
+    (``heartbeat_timeout=0`` used to store timeout and crashed records
+    that ``--resume`` then counted as done)."""
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("jobs", 0),
+            ("retries", -3),
+            ("backoff", -0.5),
+            ("heartbeat_timeout", 0.0),
+        ],
+        ids=["jobs", "retries", "backoff", "heartbeat_timeout"],
+    )
+    def test_run_campaign_rejects_malformed_field(
+        self, grid, tmp_path, field, bad
+    ):
+        kw = {field: bad}
+        if field != "jobs":
+            kw["jobs"] = 2
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            _run(grid, tmp_path, "bad", **kw)
+        assert not (tmp_path / "bad.jsonl").exists()
 
 
 class TestTimeoutValidation:

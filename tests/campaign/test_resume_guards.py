@@ -204,7 +204,7 @@ class TestKilledMidWrite:
         )
         first = run_campaign(
             tasks, out,
-            CampaignConfig(jobs=2, executor="pool", backoff=0.01),
+            CampaignConfig(jobs=2, backoff=0.01),
             meta=meta,
         )
         assert first.crashed >= 1

@@ -194,7 +194,7 @@ class TestGroupWrites:
         monkeypatch.setattr(RunStore, "append", counted)
         path = tmp_path / "run.jsonl"
         outcome = run_campaign(
-            tasks, str(path), CampaignConfig(executor="inline"), meta={}
+            tasks, str(path), CampaignConfig(), meta={}
         )
         assert outcome.ran == len(tasks)
         assert batches == [[t.task_id for t in g] for g in groups]
@@ -207,7 +207,7 @@ class TestGroupWrites:
         monkeypatch.setattr(os, "fsync", synced.append)
         run_campaign(
             tasks, str(tmp_path / "run.jsonl"),
-            CampaignConfig(executor="inline", settings=Settings(fsync=True)),
+            CampaignConfig(settings=Settings(fsync=True)),
             meta={},
         )
         assert len(synced) == 1 + len(groups)  # the meta record + groups

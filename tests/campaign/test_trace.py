@@ -195,7 +195,7 @@ class TestWorkers:
         off and would otherwise return empty span trees."""
         trace_path = str(tmp_path / "spawn.jsonl")
         outcome, _, _ = _run(
-            grid, tmp_path, "spawn", jobs=2, executor="resilient",
+            grid, tmp_path, "spawn", jobs=2,
             mp_context="spawn", trace=trace_path,
         )
         assert outcome.ok == 4
@@ -208,8 +208,8 @@ class TestWorkers:
 
     def test_crashed_task_attributed_traceless(self, grid, tmp_path, monkeypatch):
         """A task whose worker is killed appears in the trace as a
-        traceless record; the rest of its group re-runs in a fresh
-        worker and still carries spans."""
+        traceless record; the rest of its group re-runs as its own
+        group and still carries spans."""
         spec, tasks = grid
         victim = tasks[0]
         monkeypatch.setenv(
@@ -217,7 +217,7 @@ class TestWorkers:
         )
         trace_path = str(tmp_path / "crash.jsonl")
         outcome, results, _ = _run(
-            grid, tmp_path, "crash", jobs=2, executor="resilient",
+            grid, tmp_path, "crash", jobs=2,
             backoff=0.01, trace=trace_path,
         )
         assert outcome.crashed == 1 and outcome.ok == 3

@@ -110,8 +110,8 @@ class TestMalformedKnobFailsTheRun:
     unparsed: each worker died initialising and every task was stored
     as ``crashed``, which ``--resume`` then counted as done."""
 
-    @pytest.mark.parametrize("executor", ["inline", "pool", "resilient"])
-    def test_cli_exits_naming_the_knob(self, tmp_path, executor):
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["inline", "resilient"])
+    def test_cli_exits_naming_the_knob(self, tmp_path, jobs):
         out = tmp_path / "o.jsonl"
         env = {
             k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
@@ -121,8 +121,8 @@ class TestMalformedKnobFailsTheRun:
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro", "campaign", "run",
-                "--out", str(out), "--nests", "2", "--jobs", "2",
-                "--executor", executor, "--no-corpus",
+                "--out", str(out), "--nests", "2", "--jobs", jobs,
+                "--no-corpus",
             ],
             env=env, capture_output=True, text=True, timeout=300,
         )
