@@ -25,7 +25,9 @@ job (calibrated, with a measured noise band).  Wall times land in
   call (as the cold first run does with its heuristic cells and
   baseline misses together), the segmented kernel launches at most once per call whatever
   meshes its cells fold onto, ``comm_batches`` runs once per distinct (nest, mesh)
-  folding with one ``Folding.fold_array`` call each, pricing makes at
+  folding, the warm pass folds nothing and builds no heuristic program
+  and no machine model (the compile entry keeps them; the cold pass
+  folds once per extraction), pricing makes at
   most one ``unique_rows`` call per pricing call with no axis-unique
   fallback, and the store takes one ``RunStore.append`` per group.
 * ``test_batched_vs_per_cell`` / ``test_fused_vs_per_phase_pricing`` —
@@ -219,16 +221,23 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     multi-cell group carrying its heuristic cells and baseline misses,
     so pricing calls and launches stay at most one per multi-cell group
     plus two per one-task group.  Twin cells (paragon and cm5 on one mesh) share one
-    extraction, so ``comm_batches`` runs once per distinct (nest, mesh)
+    program, so ``comm_batches`` runs once per distinct (nest, mesh)
     folding, and each group's records go to the store in one
-    ``RunStore.append``.  Each extraction folds its stacked sender and
-    receiver rows with one ``Folding.fold_array`` call, and each
+    ``RunStore.append``.  On the cold run each extraction folds its
+    stacked sender and receiver rows with one ``Folding.fold_array``
+    call and each (nest, mesh) folding gets one heuristic program.  The
+    compile entry keeps its machine models and heuristic programs, and
+    each program its folded extraction and pricing rows, so the steady
+    run makes no ``fold_array`` call, builds no heuristic program
+    (``CompiledNest.program``) and no machine model
+    (``MachineSpec.make``).  Each
     pricing call groups all its labels and foldings with at most one
     ``unique_rows`` call, whose packed key never falls back to the axis
     unique.  ``runtime.price.launches`` also counts the CM-5 collective
     lanes, so it is recorded next to the gated count, as is
     ``runtime.price.phases``."""
-    from repro.machine import backend, machines
+    from repro.driver import CompiledNest
+    from repro.machine import MachineSpec, backend, machines
     from repro.obs import metrics
     from repro.runtime import Folding, MappedProgram, executor
 
@@ -248,6 +257,11 @@ def test_steady_state_counts(tmp_path, monkeypatch):
         cold_kernel = _record_calls(
             cold_patch, machines, "phase_times_segmented"
         )
+        cold_extractions = _record_calls(
+            cold_patch, MappedProgram, "comm_batches"
+        )
+        cold_folds = _record_calls(cold_patch, Folding, "fold_array")
+        cold_programs = _record_calls(cold_patch, CompiledNest, "program")
         cold = run_campaign(
             tasks, str(tmp_path / "warmup.jsonl"),
             CampaignConfig(jobs=1), meta=meta,
@@ -259,6 +273,11 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     # its heuristic cells and baseline misses together
     assert sorted(cold_groups) == sorted(2 * len(g) for g in groups if len(g) > 1)
     assert 0 < len(cold_kernel) <= cold_calls <= call_ceiling
+    # the cold run folds each extraction once and builds one heuristic
+    # program per (nest, mesh) folding, shared by its twin cells
+    foldings = {(t.compile_key, t.mesh) for t in tasks}
+    assert 0 < len(cold_folds) == len(cold_extractions)
+    assert len(cold_programs) == len(foldings) < len(tasks)
 
     pricing = count_pricing_calls(monkeypatch, str(tmp_path / "pricing.log"))
     kernel_calls = _record_calls(monkeypatch, machines, "phase_times_segmented")
@@ -270,6 +289,8 @@ def test_steady_state_counts(tmp_path, monkeypatch):
         for module in (executor, backend)
     ]
     appends = _record_calls(monkeypatch, RunStore, "append")
+    programs = _record_calls(monkeypatch, CompiledNest, "program")
+    makes = _record_calls(monkeypatch, MachineSpec, "make")
     launches = metrics.counter("runtime.price.launches")
     phases = metrics.counter("runtime.price.phases")
     fallbacks = metrics.counter("machine.unique_rows.fallbacks")
@@ -294,13 +315,14 @@ def test_steady_state_counts(tmp_path, monkeypatch):
     # at most one point-to-point launch per pricing call
     assert 0 < kernel_launches <= len(group_calls) <= call_ceiling
     # one extraction per distinct folding, one store write per group
-    foldings = {(t.compile_key, t.mesh) for t in tasks}
-    assert len(foldings) < len(tasks)
     assert len(extractions) == len(foldings)
     assert len(appends) == len(groups)
-    # one fold per extraction, at most one group-by per pricing call,
-    # every group-by key packed into one int64
-    assert len(folds) == len(extractions)
+    # the compile entries keep their machine models and programs, and
+    # each program its folded extraction: the warm pass folds nothing
+    # and builds neither
+    assert len(folds) == len(programs) == len(makes) == 0
+    # at most one group-by per pricing call, every group-by key packed
+    # into one int64
     groupby_calls = sum(map(len, groupbys))
     assert 0 < groupby_calls <= singles + len(group_calls)
     assert wide_groupbys == 0
@@ -326,6 +348,11 @@ def test_steady_state_counts(tmp_path, monkeypatch):
             "comm_batches_calls": len(extractions),
             "distinct_foldings": len(foldings),
             "fold_array_calls": len(folds),
+            "cold_comm_batches_calls": len(cold_extractions),
+            "cold_fold_array_calls": len(cold_folds),
+            "cold_program_builds": len(cold_programs),
+            "program_builds": len(programs),
+            "machine_makes": len(makes),
             "unique_rows_calls": groupby_calls,
             "unique_rows_fallbacks": wide_groupbys,
             "store_appends": len(appends),

@@ -114,10 +114,17 @@ route-free, it reruns the grid warm and asserts that
 ``phase_times_segmented`` makes no route-cache lookup
 (``warm_kernel_route_lookups`` == 0) and no ``unique_rows`` call
 (``warm_kernel_unique_rows_calls`` == 0).  Since extraction folds one
-stacked array per folding and pricing groups every label at once, it
-asserts on the same warm pass that ``Folding.fold_array`` runs once per
-extraction (``warm_fold_array_calls`` == ``warm_extractions``), that
-pricing makes at most one ``unique_rows`` call per pricing call
+stacked array per program, it asserts that the cold run folds once per
+extraction (``cold_fold_array_calls`` == ``cold_extractions``).  Since
+a compile entry keeps its machine models and heuristic programs, and a
+program its folded extraction and pricing rows, it asserts that the
+warm pass still extracts (``warm_extractions`` > 0) but folds nothing
+(``warm_fold_array_calls`` == 0), builds no heuristic program
+(``warm_program_builds`` == 0, ``CompiledNest.program`` calls) and no
+machine model (``warm_machine_makes`` == 0, ``MachineSpec.make``
+calls).  Since pricing groups every label at once, it asserts on the
+warm pass that pricing makes at most one ``unique_rows`` call per
+pricing call
 (``warm_pricing_unique_rows_calls`` <= ``warm_pricing_calls``) and that
 no group-by key falls back to the axis unique
 (``warm_unique_rows_fallbacks`` == 0).  Since legality and extraction
@@ -298,6 +305,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     macro_distinct = len(heuristic._macro_cache)
     macro_evicted = macro_distinct >= heuristic._macro_cache.maxsize
     label_passes = _ncalls("_shared_labels")
+    cold_extractions = _ncalls("comm_batches")
+    cold_folds = _ncalls("fold_array")
     kept_pairs = sum(_kept_pairs(sn.nest, p) for sn, p in legality_passes)
     ordered_pairs = sum(_ordered_pairs(sn, p) for sn, p in legality_passes)
     # Smith solves made by the dependence layer: one per pair that
@@ -384,8 +393,12 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "warm_kernel_launches": warm["launches"],
             "warm_kernel_route_lookups": warm["route_lookups"],
             "warm_kernel_unique_rows_calls": warm["unique_rows"],
+            "cold_extractions": cold_extractions,
+            "cold_fold_array_calls": cold_folds,
             "warm_extractions": warm["extractions"],
             "warm_fold_array_calls": warm["folds"],
+            "warm_program_builds": warm["programs"],
+            "warm_machine_makes": warm["makes"],
             "warm_pricing_calls": warm["pricing_calls"],
             "warm_pricing_unique_rows_calls": warm["groupbys"],
             "warm_unique_rows_fallbacks": warm["groupby_fallbacks"],
@@ -544,16 +557,31 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"<= {warm['pricing_calls']} pricing calls)"
     )
 
-    # the stacked-extraction gates: on the warm pass every extraction
-    # folds its stacked rows in one fold_array call, every pricing call
-    # groups all its labels and foldings in at most one unique_rows
-    # call, and no group-by key is too wide to pack into one int64
+    # the stacked-extraction gates: on the cold run every extraction
+    # folds its stacked rows in one fold_array call; the warm pass
+    # extracts through the programs its compile entries keep, so it
+    # folds nothing and builds no program and no machine model; every
+    # pricing call groups all its labels and foldings in at most one
+    # unique_rows call, and no group-by key is too wide to pack into
+    # one int64
     stacked = True
-    if not 0 < warm["folds"] == warm["extractions"]:
+    if not 0 < cold_folds == cold_extractions:
         print(
-            f"FAIL: the warm pass made {warm['folds']} fold_array calls "
-            f"for {warm['extractions']} extractions — extraction folds "
-            "per access again (see BENCH_profile.json)",
+            f"FAIL: the cold run made {cold_folds} fold_array calls for "
+            f"{cold_extractions} extractions — extraction folds per "
+            "access again (see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        stacked = False
+    rebuilt = warm["folds"] or warm["programs"] or warm["makes"]
+    if not warm["extractions"] or rebuilt:
+        print(
+            f"FAIL: the warm pass made {warm['extractions']} extractions, "
+            f"{warm['folds']} fold_array calls, {warm['programs']} "
+            f"heuristic program builds and {warm['makes']} machine "
+            "builds — it must extract through the programs its compile "
+            "entries keep, without refolding or rebuilding them (see "
+            "BENCH_profile.json)",
             file=sys.stderr,
         )
         stacked = False
@@ -577,8 +605,10 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         return 1
     print(
         "gate ok: stacked extraction and one group-by per pricing call "
-        f"({warm['folds']} fold_array calls for {warm['extractions']} "
-        f"extractions, {warm['groupbys']} unique_rows calls over "
+        f"({cold_folds} cold fold_array calls for {cold_extractions} "
+        f"extractions; warm: {warm['extractions']} extractions, 0 folds, "
+        "0 program and 0 machine builds, "
+        f"{warm['groupbys']} unique_rows calls over "
         f"{warm['pricing_calls']} pricing calls, 0 fallbacks)"
     )
 
@@ -695,15 +725,17 @@ def _profile_warm_kernel(tasks) -> dict:
     launch under its own profiler; return the launches and the
     ``RouteCache.link_ids`` and ``unique_rows`` calls made inside them
     (a profiler sees a call whatever name it was imported under), plus
-    the pass's extractions, folds, pricing calls, pricing group-bys and
-    group-by fallbacks, counted by wrappers around the entry points."""
+    the pass's extractions, folds, heuristic program and machine
+    builds, pricing calls, pricing group-bys and group-by fallbacks,
+    counted by wrappers around the entry points."""
     import cProfile
     import pstats
     import tempfile
 
     import repro.runtime as runtime
     from repro.campaign import CampaignConfig, run_campaign
-    from repro.machine import machines
+    from repro.driver import CompiledNest
+    from repro.machine import MachineSpec, machines
     from repro.obs import metrics
     from repro.runtime import Folding, MappedProgram, executor
 
@@ -724,6 +756,8 @@ def _profile_warm_kernel(tasks) -> dict:
     counted = {
         "extractions": (MappedProgram, "comm_batches"),
         "folds": (Folding, "fold_array"),
+        "programs": (CompiledNest, "program"),
+        "makes": (MachineSpec, "make"),
         "groupbys": (executor, "unique_rows"),
         "execute": (runtime, "execute"),
         "execute_group": (runtime, "execute_group"),
@@ -756,6 +790,8 @@ def _profile_warm_kernel(tasks) -> dict:
     passes = {
         "extractions": counts["extractions"],
         "folds": counts["folds"],
+        "programs": counts["programs"],
+        "makes": counts["makes"],
         "groupbys": counts["groupbys"],
         "pricing_calls": counts["execute"] + counts["execute_group"],
         "groupby_fallbacks": fallbacks.value - fallbacks_before,

@@ -23,7 +23,7 @@ benchmark harness need to cost the program on a machine model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..decomp import DecompositionPlan, decompose_dataflow
@@ -77,6 +77,11 @@ class MappingResult:
     optimized: List[OptimizedResidual]
     #: unimodular rotation applied per component root (identity if none)
     rotations: Dict[str, IntMat] = field(default_factory=dict)
+
+    def __getstate__(self):
+        # only the fields: memos kept on the object (the placement
+        # stages of ``MappedProgram.comm_batches``) stay in their process
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def local_count(self) -> int:

@@ -38,7 +38,12 @@ an optional **persistent disk tier** underneath
 (``REPRO_CAMPAIGN_COMPILE_DIR``, see :class:`repro._config.Settings`)
 that shares compiled workloads across workers *and* runs — atomic
 pickles keyed by ``compile_key`` plus a code-version fingerprint, where
-stale, corrupt or truncated entries are misses, never errors.  Stored records are byte-identical whatever
+stale, corrupt or truncated entries are misses, never errors.  An LRU
+entry also keeps one heuristic program per mesh (with the program's
+folded extraction and pricing rows), and the process keeps one machine
+model per (machine, mesh) cell, so a warm pass re-prices without
+rebuilding or refolding them; the disk tier pickles the compile
+outputs only.  Stored records are byte-identical whatever
 the caches hold (asserted in ``tests/campaign/test_compile_cache.py``);
 cache hits are reported in memory only
 (``TaskResult.compile_cache_hit``,
@@ -61,10 +66,11 @@ import time
 import traceback
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._config import Settings
+from ..machine import machine_spec
 from ..obs import (
     TraceWriter,
     capture,
@@ -114,11 +120,76 @@ def _alarm_handler(signum, frame):
 
 @dataclass
 class _CompiledWorkload:
-    """Everything the price stage needs, machine/mesh independent."""
+    """Everything the price stage needs: the compile outputs, which are
+    machine and mesh independent and are all the disk tier pickles,
+    and the pricing inputs that pricing builds on first use and reuses
+    while this entry lives (in the compile LRU, or for one group call
+    when the LRU is off):
+
+    * one heuristic :class:`~repro.runtime.MappedProgram` per mesh:
+      the folding depends only on the mesh, so twin cells (paragon and
+      cm5 on one mesh) share one program, and with it one memoized
+      extraction and its pricing rows (baseline programs, one per mesh
+      with baseline-memo misses, die with their pricing call);
+    * the workload digest of :func:`_baseline_price_keys`.
+
+    The machine models are compile independent, so every entry shares
+    them (:func:`_machine`).
+    """
 
     compiled: object  # driver.CompiledNest
     baseline: object  # alignment.MappingResult (Feautrier, frozen)
     params: Dict[str, int]
+    programs: Dict[Tuple[int, ...], object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    workload_digest: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        # the compile outputs only: programs and their arrays stay in
+        # their process
+        return {
+            "compiled": self.compiled,
+            "baseline": self.baseline,
+            "params": self.params,
+        }
+
+    def __setstate__(self, state):
+        self.__init__(**state)
+
+    def program(self, machine):
+        """The heuristic's program folded onto ``machine``'s mesh."""
+        key = machine.mesh.dims
+        program = self.programs.get(key)
+        if program is None:
+            program = self.programs[key] = self.compiled.program(
+                machine, self.params
+            )
+        return program
+
+
+#: per process, the ``(spec, machine, collectives)`` models of each
+#: (machine name, mesh) cell priced so far — stateless and compile
+#: independent, so shared by every compile entry (one copy per entry
+#: measured ~1% slower cold passes); bounded by the cells of the grids
+#: run, dropped by :func:`clear_compile_cache`
+_machine_models: Dict[Tuple[str, Tuple[int, ...]], Tuple] = {}
+
+
+def _machine(task: SweepTask) -> Tuple[object, object]:
+    """``(machine, collectives)`` models of ``task``'s cell, built once
+    per process and rebuilt when the machine name is registered
+    again (the kept models remember the spec object they came from)."""
+    spec = machine_spec(task.machine)
+    key = (task.machine, task.mesh)
+    kept = _machine_models.get(key)
+    if kept is None or kept[0] is not spec:
+        kept = _machine_models[key] = (
+            spec, spec.make(task.mesh), spec.make_collectives(task.mesh)
+        )
+    return kept[1], kept[2]
 
 
 #: entries of the per-process compile LRU (tests patch it to 0 to
@@ -151,6 +222,7 @@ def compile_cache_stats() -> Dict[str, object]:
 
 def clear_compile_cache() -> None:
     _compile_cache.clear()
+    _machine_models.clear()
     _compile_hits.reset()
     _compile_misses.reset()
     _disk_hits.reset()
@@ -178,7 +250,8 @@ obs_metrics.register_provider("campaign.compile_cache", compile_cache_stats)
 # a run faster, not break it.  Stored task records are byte-identical
 # with the tier on or off (asserted in
 # ``tests/campaign/test_compile_disk_cache.py``): the pickle carries the
-# same frozen compile outputs a fresh compile produces.
+# same frozen compile outputs a fresh compile produces, and never the
+# entry's programs (``_CompiledWorkload.__getstate__``).
 
 #: the disk-tier directory of the running campaign, installed per
 #: process by :func:`apply_settings`
@@ -405,15 +478,23 @@ def clear_baseline_cache() -> None:
 obs_metrics.register_provider("campaign.baseline_cache", baseline_cache_stats)
 
 
-def _baseline_price_keys(live: Sequence[SweepTask]) -> List[Tuple]:
+def _workload_digest(task: SweepTask) -> str:
+    return hashlib.sha1(
+        canonical_json(task.workload.to_dict()).encode()
+    ).hexdigest()
+
+
+def _baseline_price_keys(
+    live: Sequence[SweepTask], workload: Optional[str] = None
+) -> List[Tuple]:
     """Memo keys of everything each cell's baseline *price* depends on:
     the cell minus the heuristic knobs (``rank_weights`` deliberately
     absent — the baseline mapping and the folding never see it).  The
-    cells of one compile-key group share the workload, so its digest is
-    encoded once per group."""
-    workload = hashlib.sha1(
-        canonical_json(live[0].workload.to_dict()).encode()
-    ).hexdigest()
+    cells of one compile-key group share the workload, whose digest is
+    ``workload`` (the one a compiled workload keeps) or is encoded once
+    for the group."""
+    if workload is None:
+        workload = _workload_digest(live[0])
     return [(workload, t.m, t.machine, tuple(t.mesh)) for t in live]
 
 
@@ -648,6 +729,13 @@ def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
     """Compile ``live``'s shared nest once, then fold it onto every
     task's machine x mesh cell and cost both mappings.
 
+    The cells' machine models (:func:`_machine`) and heuristic programs
+    (:meth:`_CompiledWorkload.program`) are built when first needed and
+    then kept, so a warm compile re-prices through the same program
+    objects: their extractions fold once and keep their pricing rows.
+    The ``cell_setup`` span, under ``price``, times that per-cell
+    setup.
+
     The baseline price of a cell comes from the per-worker price memo
     when the same (workload, m, machine, mesh) cell was costed before;
     only the misses are priced.  A multi-cell group prices its
@@ -662,7 +750,6 @@ def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
     (baseline misses priced).  Results are bit-identical whatever the
     group size, by construction of ``execute_group``."""
     from .. import runtime
-    from ..machine import machine_spec
 
     try:
         cw, hit = _compile_for_task(live[0])
@@ -674,34 +761,31 @@ def _compile_and_price(live: Sequence[SweepTask]) -> List[TaskResult]:
     _compile_hits.inc(len(live) - 1)
 
     try:
-        bkeys = _baseline_price_keys(live)
+        if cw.workload_digest is None:
+            cw.workload_digest = _workload_digest(live[0])
+        bkeys = _baseline_price_keys(live, cw.workload_digest)
         lookups = [_baseline_lookup(k) for k in bkeys]
         btimes = [btime for btime, _ in lookups]
         misses = [i for i, (_, bhit) in enumerate(lookups) if not bhit]
         with span("price", cells=len(live), baseline_cells=len(misses)):
-            machines = []
-            for task in live:
-                spec = machine_spec(task.machine)
-                machines.append(
-                    (spec.make(task.mesh), spec.make_collectives(task.mesh))
-                )
-            programs = [
-                cw.compiled.program(machine, cw.params)
-                for machine, _ in machines
-            ]
-            # same folding as the heuristic's program, so both prices
-            # use one folding policy by construction
-            cells = [(p, *mc) for p, mc in zip(programs, machines)] + [
-                (
-                    runtime.MappedProgram(
-                        mapping=cw.baseline,
-                        folding=programs[i].folding,
-                        params=cw.params,
-                    ),
-                    *machines[i],
-                )
-                for i in misses
-            ]
+            with span("cell_setup"):
+                machines = [_machine(task) for task in live]
+                programs = [cw.program(machine) for machine, _ in machines]
+                # one baseline program per heuristic program (so per
+                # mesh, shared by twin cells), with its folding: both
+                # prices use one folding policy by construction
+                baselines: Dict[int, object] = {}
+                for i in misses:
+                    if id(programs[i]) not in baselines:
+                        baselines[id(programs[i])] = runtime.MappedProgram(
+                            mapping=cw.baseline,
+                            folding=programs[i].folding,
+                            params=cw.params,
+                        )
+                cells = [(p, *mc) for p, mc in zip(programs, machines)] + [
+                    (baselines[id(programs[i])], *machines[i])
+                    for i in misses
+                ]
             if len(live) > 1:
                 priced = runtime.execute_group(cells)
             else:

@@ -29,10 +29,14 @@ shared domain stage (domain points, schedule times, subscripts).  A
 *source* is a distinct ``(mapping, folding)`` pair.  Per mapping, the
 virtual-locality mask, the classifications, the macro kinds and the
 vectorizable rows are tables built once and cached with the mapping's
-virtual stage; per pricing call, physical locality is one mask per
-source; the per-time-step phase split and the ``(sender, receiver)``
-pair coalescing of every label and every source are **one**
-``unique_rows`` group-by; every point-to-point phase of the call then
+virtual stage.  Per source, the send rows (the rows neither virtually
+nor physically local, already in the group-by layout) and the
+per-access physically local counts are built on the source's first
+pricing, in one stacked pass with the call's other new sources, and
+kept on its extraction, so a program priced again reuses them.  Per
+pricing call, the per-time-step phase split and the ``(sender,
+receiver)`` pair coalescing of every label and every source are
+**one** ``unique_rows`` group-by; every point-to-point phase of the call then
 prices in **one** fused kernel launch, whatever meshes its cells fold
 onto (each phase carries its own mesh sides), and each machine's cost
 parameters turn the launch's contention statistics into its times.
@@ -52,7 +56,7 @@ old-vs-new pattern as the machine layer's oracles in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +66,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import span
 from .mapping import (
     CommEvent,
+    Extraction,
     MappedProgram,
     PhaseSegments,
     VirtualStage,
@@ -223,11 +228,12 @@ def _kernel_times(
     n_phases = lens.shape[0]
     rank = pairs.shape[1] // 2
     launcher = cells[jobs[idx[0]].cell][1]
-    rep = launcher.time_phases_segmented(
-        pairs[:, :rank], pairs[:, rank:], sizes,
-        np.repeat(np.arange(n_phases, dtype=np.int64), lens), n_phases,
-        phase_dims=phase_dims,
-    )
+    with span("exec.kernel"):
+        rep = launcher.time_phases_segmented(
+            pairs[:, :rank], pairs[:, rank:], sizes,
+            np.repeat(np.arange(n_phases, dtype=np.int64), lens), n_phases,
+            phase_dims=phase_dims,
+        )
     priced = [(launcher.params, rep.times.tolist())]
     times: Dict[int, List[float]] = {}
     for k in {jobs[i].cell for i in idx}:
@@ -335,7 +341,8 @@ def _sources(
         d = next(
             (
                 j for j, q in enumerate(sources)
-                if q.mapping is p.mapping and q.folding == p.folding
+                if q is p
+                or (q.mapping is p.mapping and q.folding == p.folding)
             ),
             len(sources),
         )
@@ -353,6 +360,78 @@ def _count_by_access(mask: np.ndarray, offsets: np.ndarray) -> List:
     return (c[..., offsets[1:]] - c[..., offsets[:-1]]).tolist()
 
 
+class _Rows(NamedTuple):
+    """One source's pricing rows, kept on its
+    :class:`~repro.runtime.mapping.Extraction` (so they live and die
+    with the program that memoizes it)."""
+
+    #: (r, 2 + tw + 2 * rank) read-only int64 rows in the group-by
+    #: layout ``[label rank | source | time | sender | receiver]``: the
+    #: rows that move on the virtual grid and on the mesh, in row
+    #: order, time zeroed on the labels the mapping vectorizes.  The
+    #: source column holds the index the source had in the call that
+    #: built the rows; a later call rewrites it in its own copy
+    send: np.ndarray
+    #: per access, its physically (not virtually) local rows
+    n_phys_local: List[int]
+
+
+def _fill_rows(
+    extractions: Sequence[Extraction], tables: Sequence[_Tables],
+    dom, label_rank: np.ndarray,
+) -> np.ndarray:
+    """Build the :class:`_Rows` of ``extractions`` (sources without
+    them, with their mappings' ``tables``) in **one** stacked pass and
+    keep each source's slice on its extraction; returns the stacked
+    rows, source column ``0..`` in ``extractions`` order.
+
+    **Locality**: one physical-locality mask over the sources' stacked
+    rows; the per-access counts are cumulative-sum differences at the
+    access offsets.  **Rows**: ``np.nonzero`` on the ``(sources, n)``
+    send mask walks it source by source, so each source's rows are one
+    contiguous slice of the result.  ``label_rank`` is each row's label
+    rank."""
+    n = dom.n
+    per_mapping = list({id(t): t for t in tables}.values())
+    virt_local = (
+        per_mapping[0].virt_local if len(per_mapping) == 1
+        else np.stack([t.virt_local for t in tables])
+    )
+    phys = np.stack([e.phys for e in extractions])  # (sources, 2n, rank)
+    phys_local = ~virt_local & np.all(phys[:, :n] == phys[:, n:], axis=2)
+    send = ~virt_local & ~phys_local
+    n_phys_local = _count_by_access(phys_local, dom.offsets)
+    source_idx, rows = np.nonzero(send)
+    times = dom.times[rows]
+    if any(t.vec_rows is not None for t in per_mapping):
+        if len(per_mapping) == 1:
+            zero = per_mapping[0].vec_rows[rows]
+        else:
+            zero = np.stack([
+                t.vec_rows if t.vec_rows is not None else np.zeros(n, bool)
+                for t in tables
+            ])[source_idx, rows]
+        times[zero] = 0
+    stacked = np.concatenate(
+        (
+            label_rank[rows, None],
+            source_idx[:, None],
+            times,
+            phys[source_idx, rows],
+            phys[source_idx, rows + n],
+        ),
+        axis=1,
+    )
+    # the kept blocks are views: the stack is read-only from here on
+    stacked.flags.writeable = False
+    ends = np.cumsum(np.count_nonzero(send, axis=1)).tolist()
+    for e, lo, hi, counts in zip(
+        extractions, [0] + ends[:-1], ends, n_phys_local
+    ):
+        e.rows = _Rows(stacked[lo:hi], counts)
+    return stacked
+
+
 def _execute_cells(
     cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
     payload: int,
@@ -366,22 +445,26 @@ def _execute_cells(
     labels, schedule times).  **Tables**: each mapping's
     virtual-locality mask, classifications, macro kinds and
     vectorizable rows (:func:`_tables`, built once per mapping).
-    **Locality**: one physical-locality mask over each source's
-    stacked rows; the per-access counts are cumulative-sum differences
-    at the access offsets.  **Group**: the surviving rows of every
-    access and every source are stacked as ``[label rank | source |
-    time | sender | receiver]`` — time columns zero-padded to the
-    nest's widest schedule, and all zero for the rows of a label its
-    mapping vectorizes, so their time steps merge into one phase — and
-    grouped by **one** ``unique_rows`` call; the sorted result splits
-    into phases and into contiguous ``(label, source)`` blocks, each
-    source's phases of one label in ascending time order.  Every cell
-    gets its own :class:`AccessCommStats` and one job per label over
-    its source's block.  **Price**: :func:`_price_jobs` prices every
-    distinct phase of the call at once.  **Fold**: the per-phase times
-    are added in collect order (labels sorted, then cells, then phases)
-    — the float accumulation sequence of per-phase pricing, so every
-    total is bit-identical.
+    **Rows**: each source's send rows and per-access physically local
+    counts (:class:`_Rows`), kept on its extraction; the sources
+    without them are filled together in one stacked pass
+    (:func:`_fill_rows`).  **Group**: the rows of every source are
+    stacked as ``[label rank | source | time | sender | receiver]`` —
+    time columns zero-padded to the nest's widest schedule, and all
+    zero for the rows of a label its mapping vectorizes, so their time
+    steps merge into one phase — and grouped by **one** ``unique_rows``
+    call; the sorted result splits into phases and into contiguous
+    ``(label, source)`` blocks, each source's phases of one label in
+    ascending time order.  A call that filled every source groups the
+    filled stack as it is; any other call concatenates every source's
+    rows in source order and writes the source column — the same
+    matrix either way.  Every cell gets its own
+    :class:`AccessCommStats` and one job per label over its source's
+    block.  **Price**: :func:`_price_jobs` prices every distinct phase
+    of the call at once.  **Fold**: the per-phase times are added in
+    collect order (labels sorted, then cells, then phases) — the float
+    accumulation sequence of per-phase pricing, so every total is
+    bit-identical.
     """
     K = len(cells)
     sources, source_of = _sources([c[0] for c in cells])
@@ -389,27 +472,38 @@ def _execute_cells(
         extractions = [p.comm_batches() for p in sources]
     # per source, its mapping's tables; sources of one mapping share them
     tables = [_tables(e.stage, p.mapping) for e, p in zip(extractions, sources)]
-    per_mapping = list({id(t): t for t in tables}.values())
     dom = extractions[0].stage.domain
-    n, offsets = dom.n, dom.offsets
-    virt_local = (
-        per_mapping[0].virt_local if len(per_mapping) == 1
-        else np.stack([t.virt_local for t in tables])
-    )
-    phys = np.stack([e.phys for e in extractions])  # (sources, 2n, rank)
-    phys_local = ~virt_local & np.all(phys[:, :n] == phys[:, n:], axis=2)
-    send = ~virt_local & ~phys_local
-    lengths = np.diff(offsets)
+    lengths = np.diff(dom.offsets)
     events = lengths.tolist()
-    n_phys_local = _count_by_access(phys_local, offsets)
-
-    per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
     # accesses with events; no events -> no stats entry, exactly like
     # the per-event path (which only creates entries while iterating
     # events)
     active = [a for a in range(len(dom.labels)) if events[a]]
+    # label ranks follow the sorted label order; labels are unique
+    # (``LoopNest.validate``)
+    by_name = sorted(active, key=dom.labels.__getitem__)
+
+    missing = [d for d, e in enumerate(extractions) if e.rows is None]
+    if missing:
+        rank = np.zeros(len(dom.labels), dtype=np.int64)
+        rank[by_name] = np.arange(len(by_name))
+        stacked = _fill_rows(
+            [extractions[d] for d in missing],
+            [tables[d] for d in missing],
+            dom,
+            np.repeat(rank, lengths),
+        )
+    rows = [e.rows for e in extractions]
+    if len(missing) < len(sources):
+        stacked = np.concatenate([r.send for r in rows])
+        stacked[:, 1] = np.repeat(
+            np.arange(len(rows)), [r.send.shape[0] for r in rows]
+        )
+
+    per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
     for k in range(K):
         tab = tables[source_of[k]]
+        n_phys_local = rows[source_of[k]].n_phys_local
         for a in active:
             label = dom.labels[a]
             per_access[k][label] = AccessCommStats(
@@ -417,40 +511,14 @@ def _execute_cells(
                 classification=tab.classification[a],
                 events=events[a],
                 virtual_local=tab.n_virt_local[a],
-                phys_local=n_phys_local[source_of[k]][a],
+                phys_local=n_phys_local[a],
             )
 
-    source_idx, rows = np.nonzero(send)
-    if not rows.size:
+    if not stacked.shape[0]:
         return _reports(per_access, [0.0] * K)
-    # label ranks follow the sorted label order; labels are unique
-    # (``LoopNest.validate``)
-    by_name = sorted(active, key=dom.labels.__getitem__)
-    rank = np.zeros(len(dom.labels), dtype=np.int64)
-    rank[by_name] = np.arange(len(by_name))
-    times = dom.times[rows]
-    if any(t.vec_rows is not None for t in per_mapping):
-        if len(per_mapping) == 1:
-            zero = per_mapping[0].vec_rows[rows]
-        else:
-            zero = np.stack([
-                t.vec_rows if t.vec_rows is not None else np.zeros(n, bool)
-                for t in tables
-            ])[source_idx, rows]
-        times[zero] = 0
-    tw = times.shape[1]
-    uniq, counts = unique_rows(
-        np.concatenate(
-            (
-                np.repeat(rank, lengths)[rows, None],
-                source_idx[:, None],
-                times,
-                phys[source_idx, rows],
-                phys[source_idx, rows + n],
-            ),
-            axis=1,
-        )
-    )
+    tw = dom.times.shape[1]
+    with span("exec.groupby"):
+        uniq, counts = unique_rows(stacked)
     seg = segments_from_sorted_unique(uniq[:, 2 + tw:], counts, uniq[:, : 2 + tw])
     # (label rank, source) of every phase; blocks are their runs
     heads = uniq[seg.starts[:-1], :2]

@@ -32,9 +32,11 @@ compile-once/price-many situation of the campaign runner.  It is one
 :class:`VirtualStage`: the domain stage plus one ``[senders;
 receivers]`` coordinate array with per-access row offsets, which
 :meth:`MappedProgram.comm_batches` folds onto the mesh with **one**
-:meth:`Folding.fold_array` call per folding.  The executor works on
-the stacked arrays; iterating an :class:`Extraction` builds the
-per-access :class:`CommBatch` views on demand.
+:meth:`Folding.fold_array` call per program (memoized on it, so a
+program kept across pricing calls folds once).  The executor works on
+the stacked arrays and keeps each extraction's pricing rows on it;
+iterating an :class:`Extraction` builds the per-access
+:class:`CommBatch` views on demand.
 
 There is one extraction algorithm and two lanes of arithmetic: when the
 int64 bound of the affine stages is proven, the matmuls run on int64;
@@ -246,11 +248,19 @@ class Extraction:
     """One folding's communications: the shared :class:`VirtualStage`
     and its rows folded onto the mesh in one :meth:`Folding.fold_array`
     call.  Iterating an extraction yields one :class:`CommBatch` view
-    per access, built on demand (pricing reads the stacked arrays)."""
+    per access, built on demand (pricing reads the stacked arrays).
+
+    An extraction is memoized on its program and dies with it (or with
+    the next ``rotate_component`` of the mapping, which makes a new
+    one), and so do its pricing rows."""
 
     stage: VirtualStage
     #: (2n, rank) folded ``stage.virtual``
     phys: np.ndarray
+    #: the executor's pricing rows of this source — its send rows in
+    #: the group-by layout and its per-access physically local counts
+    #: — built on its first pricing (see ``executor._fill_rows``)
+    rows: Optional[object] = None
 
     def __iter__(self) -> Iterator[CommBatch]:
         dom, virtual, phys = self.stage.domain, self.stage.virtual, self.phys

@@ -199,3 +199,151 @@ class TestGoldenByteIdentity:
         assert {k: r.deterministic_dict() for k, r in a.items()} == {
             k: r.deterministic_dict() for k, r in b.items()
         }
+
+
+class TestCellLifetime:
+    """A compile entry keeps one heuristic program per mesh, whose
+    extraction keeps its folded rows and pricing rows, and they live
+    and die with the entry; the process keeps one machine model per
+    (machine name, mesh) cell until ``clear_compile_cache()``."""
+
+    @staticmethod
+    def _entry(tasks):
+        """The LRU entry of ``tasks``' first compile key, and one of its
+        programs."""
+        cw = runner._compile_cache[tasks[0].compile_key]
+        return cw, next(iter(cw.programs.values()))
+
+    def test_warm_rerun_reuses_cells(self, multi_cell_grid, tmp_path):
+        _spec, tasks = multi_cell_grid
+        run_campaign(tasks, str(tmp_path / "a.jsonl"), CampaignConfig(), meta={})
+        cw, program = self._entry(tasks)
+        meshes = {t.mesh for t in tasks if t.compile_key == tasks[0].compile_key}
+        # twin cells share one program per mesh
+        assert set(cw.programs) == meshes
+        extraction = program.comm_batches()
+        assert extraction.rows is not None
+        models = dict(runner._machine_models)
+        assert set(models) == {(t.machine, t.mesh) for t in tasks}
+        run_campaign(tasks, str(tmp_path / "b.jsonl"), CampaignConfig(), meta={})
+        assert self._entry(tasks)[1] is program
+        assert program.comm_batches() is extraction
+        assert runner._machine_models == models
+
+    def test_clear_drops_cells(self, multi_cell_grid, tmp_path):
+        import gc
+        import weakref
+
+        _spec, tasks = multi_cell_grid
+        run_campaign(tasks, str(tmp_path / "a.jsonl"), CampaignConfig(), meta={})
+        cw, program = self._entry(tasks)
+        _spec, machine, _coll = next(iter(runner._machine_models.values()))
+        refs = [weakref.ref(x) for x in (cw, program, machine)]
+        del cw, program, machine
+        clear_compile_cache()
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_eviction_drops_cells(self, multi_cell_grid, monkeypatch):
+        import gc
+        import weakref
+
+        _spec, tasks = multi_cell_grid
+        monkeypatch.setattr(runner, "COMPILE_CACHE_SIZE", 1)
+        first = [t for t in tasks if t.compile_key == tasks[0].compile_key]
+        runner.run_task_group(first)
+        cw, program = self._entry(first)
+        refs = [weakref.ref(cw), weakref.ref(program)]
+        del cw, program
+        other = [t for t in tasks if t.compile_key != first[0].compile_key]
+        runner.run_task_group(
+            [t for t in other if t.compile_key == other[0].compile_key]
+        )
+        gc.collect()
+        assert first[0].compile_key not in runner._compile_cache
+        assert [r() for r in refs] == [None, None]
+
+    def test_reregistered_machine_builds_a_new_model(
+        self, multi_cell_grid, tmp_path, monkeypatch
+    ):
+        """Re-registering a machine name under a warm compile entry
+        prices the next run on the new model, exactly like a fresh
+        compile, and never on the model kept for that cell."""
+        from repro.machine import CostParams, MachineSpec, MeshModel
+        from repro.machine import model as machine_model
+
+        _spec, tasks = multi_cell_grid
+        tasks = [t for t in tasks if t.machine == "paragon"]
+        run_campaign(tasks, str(tmp_path / "old.jsonl"), CampaignConfig(), meta={})
+        slow = CostParams(alpha=19.7, beta=1.3, gamma=0.41)
+        monkeypatch.setitem(
+            machine_model._REGISTRY,
+            "paragon",
+            MachineSpec(
+                name="paragon", mesh_rank=2,
+                factory=lambda *dims: MeshModel(*dims, params=slow),
+            ),
+        )
+        run_campaign(tasks, str(tmp_path / "warm.jsonl"), CampaignConfig(), meta={})
+        clear_compile_cache()
+        run_campaign(tasks, str(tmp_path / "fresh.jsonl"), CampaignConfig(), meta={})
+        old, warm, fresh = (
+            RunStore(str(tmp_path / f"{name}.jsonl")).load()[1]
+            for name in ("old", "warm", "fresh")
+        )
+        assert {k: r.total_time for k, r in warm.items()} == {
+            k: r.total_time for k, r in fresh.items()
+        }
+        assert any(warm[k].total_time != old[k].total_time for k in old)
+
+    def test_rotation_rederives_the_send_rows(self, multi_cell_grid, tmp_path):
+        """A ``rotate_component`` on a cached mapping (a
+        ``mutation_count`` bump) makes the kept program extract and
+        fill its pricing rows again, bit-identical to a fresh program's."""
+        import numpy as np
+
+        from repro.linalg import IntMat
+        from repro.machine import MeshModel
+        from repro.runtime import MappedProgram, execute
+
+        _spec, tasks = multi_cell_grid
+        run_campaign(tasks, str(tmp_path / "a.jsonl"), CampaignConfig(), meta={})
+        for cw in list(runner._compile_cache.values()):
+            for program in cw.programs.values():
+                before = program.comm_batches()
+                al = program.mapping.alignment
+                for root in sorted(set(al.component_root_of.values())):
+                    al.rotate_component(root, IntMat([[0, 1], [1, 0]]))
+                machine = MeshModel(*program.folding.mesh.dims)
+                kept = execute(program, machine)
+                after = program.comm_batches()
+                assert after is not before and after.rows is not None
+                fresh = MappedProgram(
+                    program.mapping, program.folding, program.params
+                )
+                assert execute(fresh, machine) == kept
+                rows = fresh.comm_batches().rows
+                assert np.array_equal(after.rows.send, rows.send)
+                assert after.rows.n_phys_local == rows.n_phys_local
+
+    def test_cache_off_records_byte_identical_to_warm_cells(
+        self, multi_cell_grid, tmp_path, monkeypatch
+    ):
+        """A warm rerun prices through the kept cells; with the LRU off
+        every group builds its cells afresh — the records are the same
+        bytes."""
+        _spec, tasks = multi_cell_grid
+        warm_path = str(tmp_path / "warm.jsonl")
+        plain_path = str(tmp_path / "plain.jsonl")
+        run_campaign(tasks, str(tmp_path / "cold.jsonl"), CampaignConfig(), meta={})
+        run_campaign(tasks, warm_path, CampaignConfig(), meta={})
+        clear_compile_cache()
+        monkeypatch.setattr(runner, "COMPILE_CACHE_SIZE", 0)
+        run_campaign(tasks, plain_path, CampaignConfig(), meta={})
+        _, warm = RunStore(warm_path).load()
+        _, plain = RunStore(plain_path).load()
+        assert set(warm) == set(plain) == {t.task_id for t in tasks}
+        for tid in warm:
+            assert canonical_json(
+                warm[tid].deterministic_dict()
+            ) == canonical_json(plain[tid].deterministic_dict()), tid

@@ -238,3 +238,88 @@ class TestWorkerPassthrough:
         )
         assert outcome.ok == len(tasks)
         assert len(os.listdir(disk)) == nests
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickler that records every class a pickle references."""
+
+    def __init__(self, fh):
+        super().__init__(fh)
+        self.seen = set()
+
+    def find_class(self, module, name):
+        self.seen.add(f"{module}.{name}")
+        return super().find_class(module, name)
+
+
+def _pickled_classes(path):
+    with open(path, "rb") as fh:
+        recorder = _ClassRecorder(fh)
+        recorder.load()
+    return recorder.seen
+
+
+#: module prefixes of the state pricing keeps with an entry: programs
+#: and extractions, machine models, and the arrays behind them
+_PRICING_STATE = ("repro.runtime", "repro.machine", "numpy")
+
+
+class TestEntriesCarryNoPricingState:
+    def test_pickles_carry_no_program_machine_or_array(self, grid, tmp_path):
+        """A disk entry holds the compile outputs only — also when its
+        entry is written again after pricing filled its cells, the
+        mapping's placement stages and the extractions' rows."""
+        _spec, tasks = grid
+        disk = str(tmp_path / "cache")
+        _run(tasks, tmp_path, "populate", disk=disk)
+        # the cold pickles, written before pricing
+        for name in os.listdir(disk):
+            seen = _pickled_classes(os.path.join(disk, name))
+            assert "repro.campaign.runner._CompiledWorkload" in seen
+            assert not [c for c in seen if c.startswith(_PRICING_STATE)]
+        # the same entries, priced (and priced warm), stored again
+        try:
+            run_campaign(
+                tasks, str(tmp_path / "warm.jsonl"),
+                CampaignConfig(settings=Settings(compile_dir=disk)), meta={},
+            )
+            # the run restored the default settings on its way out
+            runner.apply_settings(Settings(compile_dir=disk))
+            priced = list(runner._compile_cache.items())
+            assert priced and all(cw.programs for _, cw in priced)
+            writes = compile_cache_stats()["disk_writes"]
+            for key, cw in priced:
+                runner._disk_store(key, cw)
+            # (a pickling error would be a silent miss, not a write)
+            assert compile_cache_stats()["disk_writes"] == writes + len(priced)
+            for key, cw in priced:
+                seen = _pickled_classes(runner._disk_path(key))
+                assert not [c for c in seen if c.startswith(_PRICING_STATE)]
+                loaded = runner._disk_load(key)
+                assert loaded.programs == {}
+                assert loaded.workload_digest is None
+        finally:
+            runner.apply_settings(Settings())
+
+    def test_disk_loaded_entry_prices_bit_identically(self, grid, tmp_path):
+        """An entry loaded from disk builds its cells afresh, and its
+        cold and warm passes write the records of a plain run."""
+        _spec, tasks = grid
+        disk = str(tmp_path / "cache")
+        _, plain = _run(tasks, tmp_path, "plain")
+        _run(tasks, tmp_path, "populate", disk=disk)
+        _, loaded = _run(tasks, tmp_path, "loaded", disk=disk)
+        assert compile_cache_stats()["disk_hits"] == len(
+            {t.compile_key for t in tasks}
+        )
+        # the disk-loaded entries now sit in the LRU with their cells
+        outcome = run_campaign(
+            tasks, str(tmp_path / "again.jsonl"),
+            CampaignConfig(settings=Settings(compile_dir=disk)), meta={},
+        )
+        assert outcome.compile_cache_hits == len(tasks)
+        _, again = RunStore(str(tmp_path / "again.jsonl")).load()
+        for tid in plain:
+            want = canonical_json(plain[tid].deterministic_dict())
+            assert canonical_json(loaded[tid].deterministic_dict()) == want
+            assert canonical_json(again[tid].deterministic_dict()) == want

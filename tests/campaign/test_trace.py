@@ -147,6 +147,37 @@ class TestRoundTrip:
             report = format_stage_breakdown(tasks)
             assert "base_cells" in report and "heur_s" not in report
 
+    def test_price_spans_attribute_setup_groupby_and_kernel(
+        self, grid, tmp_path
+    ):
+        """Under ``price`` each group run records its per-cell setup
+        (``cell_setup``: machine models and programs, built cold and
+        reused warm), its extraction, its one group-by
+        (``exec.groupby``) and its one kernel launch (``exec.kernel``,
+        inside the lane's ``exec.segmented``) — on the cold run and on
+        a warm rerun that reuses the compile entries' cells."""
+        from repro.campaign import clear_baseline_cache
+
+        clear_baseline_cache()
+        for name in ("cold", "warm"):
+            path = str(tmp_path / f"{name}-spans.jsonl")
+            _run(grid, tmp_path, name, jobs=1, trace=path)
+            traced = _traced_by_group(load_trace(path)["tasks"])
+            assert len(traced) == 2
+            for spans in traced.values():
+                for inner in ("cell_setup", "exec.extract", "exec.groupby"):
+                    assert spans[f"price/{inner}"]["count"] == 1, inner
+                kernel = [p for p in spans if p.endswith("exec.kernel")]
+                assert kernel == ["price/exec.segmented/exec.kernel"]
+                assert spans[kernel[0]]["count"] == 1
+                # the inner spans nest inside their parents' time
+                assert (
+                    spans["price/cell_setup"]["seconds"]
+                    + spans["price/exec.groupby"]["seconds"]
+                    + spans[kernel[0]]["seconds"]
+                    <= spans["price"]["seconds"]
+                )
+
     def test_totals_sum_to_task_seconds(self, grid, tmp_path):
         trace_path = str(tmp_path / "t.jsonl")
         _run(grid, tmp_path, "tot", jobs=1, trace=trace_path)

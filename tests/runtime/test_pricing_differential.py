@@ -49,7 +49,7 @@ from repro.runtime import (
     execute_group,
     execute_python,
 )
-from repro.runtime.executor import _classification_of, _vectorizable
+from repro.runtime.executor import _classification_of, _sources, _vectorizable
 
 from oracles.pricing import execute_group_per_phase
 
@@ -464,6 +464,51 @@ def test_drawn_groups_match_python_oracle(group):
         for p, m, c in cells
     ]
     assert [bits(r) for r in got] == [bits(r) for r in want]
+
+
+def _kept_rows(cells):
+    """Per cell, whether its program's extraction keeps pricing rows."""
+    return [p.comm_batches().rows is not None for p, _, _ in cells]
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(drawn_groups())
+def test_cold_warm_and_partly_warm_calls_match_the_oracle(group):
+    """Every source's pricing rows are kept on its extraction: a group
+    prices the same cold (every source fills its rows), fully warm
+    (every source reuses them, listed in reverse so each source's
+    column is rewritten) and partly warm (every other source fresh, the
+    rest reused, in one call), all equal to the per-phase oracle."""
+    cells, payload = group
+    sources, source_of = _sources([p for p, _, _ in cells])
+
+    def with_programs(programs, order):
+        return [
+            (programs[source_of[k]], *cells[k][1:]) for k in order
+        ]
+
+    def fresh(p):
+        return MappedProgram(p.mapping, p.folding, p.params)
+
+    order = list(range(len(cells)))
+    cold = [fresh(p) for p in sources]
+    for programs, k in ((cold, order), (cold, order[::-1])):
+        priced = with_programs(programs, k)
+        want = execute_group_per_phase(priced, payload=payload)
+        assert [bits(r) for r in execute_group(priced, payload=payload)] == [
+            bits(r) for r in want
+        ]
+        assert all(_kept_rows(priced))
+    partly = [p if d % 2 else fresh(p) for d, p in enumerate(cold)]
+    priced = with_programs(partly, order[::-1])
+    want = execute_group_per_phase(priced, payload=payload)
+    assert set(_kept_rows(priced)) == {True, False}
+    assert [bits(r) for r in execute_group(priced, payload=payload)] == [
+        bits(r) for r in want
+    ]
 
 
 def _drawn_kinds(cells):
